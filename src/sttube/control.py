@@ -15,7 +15,7 @@ exist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ControllerIntegrityError(RuntimeError):
@@ -75,7 +75,6 @@ class StageTelemetry:
     """Per-call guard bookkeeping; clamp events stress the invariance margin."""
 
     clamp_count: int = 0
-    max_abs_error: list[float] = field(default_factory=list)
 
 
 def stage1_error(x1, lower, upper) -> tuple[float, ...]:
@@ -150,7 +149,6 @@ def control_input(
 
     e = stage1_error(states[0], stage1_lower, stage1_upper)
     worst = max(abs(v) for v in e)
-    tel.max_abs_error.append(worst)
     if strict and worst >= 1.0:
         raise ControllerIntegrityError(1, f"(|e|={worst:.6g} at t={t:.6g})")
     eps, clamps = transform_error(e, config.e_max)
@@ -164,7 +162,6 @@ def control_input(
         radius = config.funnels[k - 1].radius(t)
         e_k = stage_k_error(states[k], r_next, radius)
         worst = max(abs(v) for v in e_k)
-        tel.max_abs_error.append(worst)
         if strict and worst >= 1.0:
             raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g} at t={t:.6g})")
         eps_k, clamps = transform_error(e_k, config.e_max)

@@ -18,7 +18,6 @@ Tolerances: feasibility 1e-8, optimality 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class LpProblem:
     ineq_rhs: np.ndarray
     eq_matrix: np.ndarray | None = None
     eq_rhs: np.ndarray | None = None
-    names: tuple[str, ...] = ()
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -76,9 +74,6 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: np.ndarray | None = None
     objective_value: float = float("nan")
-    # Residuals of the phase-1 optimum per row (ineq rows then eq rows);
-    # nonzero entries identify the irreducibly violated constraints.
-    infeasibility: np.ndarray | None = None
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -306,13 +301,7 @@ def _solve_scaled(
         if status != "optimal":
             raise LpNumericalError("phase 1 reported unbounded")
     if m_art and tab[-1, -1] > FEAS_TOL:
-        # Residual artificial levels localize the violated rows.
-        resid = np.zeros(m)
-        for r, col in enumerate(basis):
-            if col >= n_struct:
-                row_id = int(art_rows[col - n_struct])
-                resid[row_id] = tab[r, -1]
-        return LpSolution(status="infeasible", infeasibility=resid)
+        return LpSolution(status="infeasible")
 
     # Drive leftover artificials out of the basis (degenerate rows).
     if m_art:
@@ -387,25 +376,3 @@ def _solve_scaled(
             )
     return LpSolution(status="optimal", x=x, objective_value=value)
 
-
-def dump_lp(problem: LpProblem, path: str | Path) -> None:
-    """Plain-text dump (LP-file style) for cross-checking with other solvers."""
-    names = problem.names or tuple(f"x{i + 1}" for i in range(problem.n_vars))
-
-    def expr(coeffs) -> str:
-        terms = [
-            f"{c:+.17g} {names[i]}" for i, c in enumerate(coeffs) if c != 0.0
-        ]
-        return " ".join(terms) if terms else "0"
-
-    lines = ["Minimize", f" obj: {expr(problem.objective)}", "Subject To"]
-    for k, (row, rhs) in enumerate(zip(problem.ineq_matrix, problem.ineq_rhs)):
-        lines.append(f" c{k + 1}: {expr(row)} <= {rhs:.17g}")
-    if problem.eq_matrix is not None:
-        for k, (row, rhs) in enumerate(zip(problem.eq_matrix, problem.eq_rhs)):
-            lines.append(f" e{k + 1}: {expr(row)} = {rhs:.17g}")
-    lines.append("Bounds")
-    for name in names:
-        lines.append(f" {name} free")
-    lines.append("End")
-    Path(path).write_text("\n".join(lines) + "\n")

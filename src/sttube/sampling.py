@@ -6,11 +6,8 @@ sampled volumetrically: separating an axis-aligned tube box from an
 axis-aligned obstacle box only ever needs the obstacle's per-dimension
 extreme faces, so per time sample we record the interpolated box itself
 (its two extreme corners carry all 2n face values).  This reduction is
-exact, which is what keeps small epsilon tractable.
-
-Point-cloud mode remains as the generic path for non-box unsafe sets:
-a lattice inside each region, dense enough that radius-epsilon balls
-around the samples cover the region jointly in (t, y).
+exact, which is what keeps small epsilon tractable.  Every unsafe set is
+an axis-aligned box (possibly moving), so no volumetric cover is needed.
 """
 
 from __future__ import annotations
@@ -31,15 +28,13 @@ class SampleSet:
     """Time samples plus per-sample unsafe-set data.
 
     ``unsafe_boxes[r]`` holds, for time sample r, the list of
-    (region_index, box_at_t_r) pairs (exact face reduction).
-    ``unsafe_points`` holds generic (t, y, region) cloud samples; empty
-    when every region is handled by the box reduction.
+    (region_index, box_at_t_r) pairs: the axis-aligned unsafe boxes at
+    that time (exact face reduction).
     """
 
     epsilon: float
     time_samples: np.ndarray
-    unsafe_boxes: tuple[tuple[tuple[int, Box], ...], ...] = ()
-    unsafe_points: tuple[tuple[float, tuple[float, ...], int], ...] = ()
+    unsafe_boxes: tuple[tuple[tuple[int, Box], ...], ...]
     degenerate: bool = False
 
     @property
@@ -67,61 +62,23 @@ def sample_time_grid(t_c: float, epsilon: float) -> np.ndarray:
     return np.linspace(0.0, t_c, n_t)
 
 
-def _lattice(box: Box, spacing: float) -> np.ndarray:
-    """Axis-aligned lattice inside the box with per-axis step <= spacing."""
-    axes = []
-    for ax in box.axes:
-        k = max(1, math.ceil(ax.width / spacing)) if ax.width > 0 else 1
-        axes.append(np.linspace(ax.lo, ax.hi, k + 1) if ax.width > 0 else np.array([ax.lo]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def sample_unsafe(spec: ScenarioSpec, mode: str = "faces") -> SampleSet:
-    """Build the sample set for a scenario.
-
-    mode="faces" (default): exact per-sample box faces for every region.
-    mode="cloud": generic lattice samples; the joint (t, y) cover uses
-    a denser time axis and lattice so that every unsafe point is within
-    epsilon of a sample in the combined Euclidean norm.
-    """
+def sample_unsafe(spec: ScenarioSpec) -> SampleSet:
+    """Build the sample set for a scenario: the time grid plus, per time
+    sample, the exact axis-aligned box of every unsafe region."""
     eps = spec.epsilon
     times = sample_time_grid(spec.horizon, eps)
-    degenerate = len(times) == 1 and eps >= spec.horizon
-    if mode == "faces":
-        boxes = tuple(
-            tuple(
-                (r, unsafe_box_at(region, float(t), spec.horizon))
-                for r, region in enumerate(spec.obstacles)
-            )
-            for t in times
+    boxes = tuple(
+        tuple(
+            (r, unsafe_box_at(region, float(t), spec.horizon))
+            for r, region in enumerate(spec.obstacles)
         )
-        return SampleSet(
-            epsilon=eps,
-            time_samples=times,
-            unsafe_boxes=boxes,
-            degenerate=degenerate,
-        )
-    if mode != "cloud":
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    # Joint cover: split the epsilon budget evenly between the time and
-    # space axes, so sqrt(eps_t^2 + eps_s^2) <= eps.
-    eps_t = eps / math.sqrt(2.0)
-    eps_s = eps / math.sqrt(2.0)
-    cloud_times = sample_time_grid(spec.horizon, eps_t)
-    points = []
-    for t in cloud_times:
-        for r, region in enumerate(spec.obstacles):
-            box = unsafe_box_at(region, float(t), spec.horizon)
-            # Cell diagonal <= 2*eps_s: per-axis step 2*eps_s/sqrt(n).
-            step = 2.0 * eps_s / math.sqrt(spec.dims)
-            for y in _lattice(box, step):
-                points.append((float(t), tuple(float(v) for v in y), r))
+        for t in times
+    )
     return SampleSet(
         epsilon=eps,
         time_samples=times,
-        unsafe_points=tuple(points),
-        degenerate=degenerate,
+        unsafe_boxes=boxes,
+        degenerate=len(times) == 1 and eps >= spec.horizon,
     )
 
 
@@ -131,10 +88,8 @@ def verify_cover(
     """Dense-grid audit of the epsilon cover.
 
     Checks that every grid time over [0, t_c] is within epsilon of a time
-    sample, and (cloud mode) that every point of a dense grid over
-    [0, t_c] x U(t) is within epsilon of an unsafe sample.  Face mode
-    instead re-derives each stored box and requires an exact match.
-    Returns (ok, worst observed gap).
+    sample, and re-derives each stored unsafe box, requiring an exact
+    match.  Returns (ok, worst observed gap).
     """
     if grid_resolution >= samples.epsilon:
         raise ValueError("grid resolution must be finer than epsilon")
@@ -149,46 +104,22 @@ def verify_cover(
     worst = float(time_gap.max())
     slack = eps * (1.0 + 1e-12) + 1e-15  # the worst gap can equal eps exactly
     ok = worst <= slack
-    if samples.unsafe_boxes:
-        for r_idx, t in enumerate(samples.time_samples):
-            for r, box in samples.unsafe_boxes[r_idx]:
-                truth = unsafe_box_at(spec.obstacles[r], float(t), spec.horizon)
-                if box.to_bounds() != truth.to_bounds():
-                    return False, worst
-    if samples.unsafe_points:
-        pts = np.array(
-            [(t, *y) for t, y, _ in samples.unsafe_points], dtype=float
-        )
-        for t in grid:
-            for region in spec.obstacles:
-                box = unsafe_box_at(region, float(t), spec.horizon)
-                probe = _lattice(box, grid_resolution * math.sqrt(spec.dims))
-                aug = np.column_stack([np.full(len(probe), t), probe])
-                # distance from each probe point to nearest sample
-                d2 = ((aug[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-                gap = float(np.sqrt(d2.min(axis=1)).max())
-                worst = max(worst, gap)
-                ok = ok and gap <= slack
+    for t, per_t in zip(samples.time_samples, samples.unsafe_boxes):
+        for r, box in per_t:
+            truth = unsafe_box_at(spec.obstacles[r], float(t), spec.horizon)
+            if box.to_bounds() != truth.to_bounds():
+                return False, worst
     return ok, worst
 
 
 def export_samples_csv(samples: SampleSet, path: str | Path) -> None:
-    """Audit dump: one row per sample, (t, y_1..y_n, region)."""
+    """Audit dump: one row per (time sample, unsafe box), or a bare time
+    row for a sample without obstacles."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if samples.unsafe_boxes:
-            writer.writerow(["t", "kind", "region", "bounds"])
-            for r_idx, t in enumerate(samples.time_samples):
-                if not samples.unsafe_boxes[r_idx]:
-                    writer.writerow([repr(float(t)), "time", "", ""])
-                    continue
-                for r, box in samples.unsafe_boxes[r_idx]:
-                    writer.writerow(
-                        [repr(float(t)), "box-faces", r, box.to_bounds()]
-                    )
-        else:
-            writer.writerow(["t", "kind", "region", "y"])
-            for t in samples.time_samples:
+        writer.writerow(["t", "kind", "region", "bounds"])
+        for t, per_t in zip(samples.time_samples, samples.unsafe_boxes):
+            if not per_t:
                 writer.writerow([repr(float(t)), "time", "", ""])
-            for t, y, r in samples.unsafe_points:
-                writer.writerow([repr(t), "point", r, list(y)])
+            for r, box in per_t:
+                writer.writerow([repr(float(t)), "box-faces", r, box.to_bounds()])

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ from .tube import (
 
 ETA_GAP = 1e-6  # realizes strict inequalities; absorbed by the margin
 _VIOL_TOL = 1e-9
+FACE_SIDES = ("lower", "upper")
 
 
 class SynthesisError(RuntimeError):
@@ -93,6 +94,35 @@ class TubeTemplate:
         return TubeTemplate(degrees=degrees, min_widths=widths)
 
 
+class _Family:
+    """One family of disjunctions: unsafe rows or collision rows.
+
+    Group g holds the rows of head ``heads[g]`` at every time sample:
+    (agent, region) for unsafe rows, (agent, agent) for collision rows,
+    in sorted order.  Its rows use the per-dim slack of ``agents[g]``.
+    ``row(instance, *head, r_idx, code)`` builds one LP row and
+    ``score(instance, *head, window, code)`` rates one witness held over a
+    window (see ``_stuck_window_candidates``).
+    """
+
+    def __init__(self, tag: str, heads: list, row, score):
+        self.tag = tag  # first element of the family's active-row keys
+        self.heads = heads
+        self.index = {head: g for g, head in enumerate(heads)}
+        self.agents = np.array([head[0] for head in heads], dtype=int)
+        self.row = row
+        self.score = score
+
+
+def _obstacle_bounds(samples: SampleSet, regions: int, dims: int) -> np.ndarray:
+    """Obstacle extreme faces per sample: (n_t, regions, n, 2) lo/hi."""
+    out = np.zeros((len(samples.time_samples), regions, dims, 2))
+    for r_idx, per_t in enumerate(samples.unsafe_boxes):
+        for r, box in per_t:
+            out[r_idx, r] = box.to_bounds()
+    return out
+
+
 class SopInstance:
     """The finite constraint system for one scenario + sample set.
 
@@ -124,30 +154,30 @@ class SopInstance:
                             f"{template.degrees[j][i]} cannot satisfy both endpoint "
                             "equalities; a higher-degree polynomial is required"
                         )
-                for side in ("lower", "upper"):
+                for side in FACE_SIDES:
                     self.coeff_offset[(j, i, side)] = (offset, z)
                     offset += z
-        self.eta_offset = {}
-        for j in range(self.m):
-            for i in range(self.n):
-                self.eta_offset[(j, i)] = offset
-                offset += 1
-        self.eta_global = offset
-        self.n_vars = offset + 1
+        # per-(agent, dim) slack columns, (m, n)
+        self.eta_offset = offset + np.arange(self.m * self.n).reshape(self.m, self.n)
+        self.eta_global = offset + self.m * self.n
+        self.n_vars = self.eta_global + 1
 
         z_max = max(max(d) for d in template.degrees) + 1
         self.powers = np.vander(self.times, N=z_max, increasing=True)
-        # obstacle extreme faces per sample: (n_t, regions, n, 2) lo/hi
         n_reg = len(spec.obstacles)
-        self.obstacle_bounds = np.zeros((self.n_t, n_reg, self.n, 2))
-        for r_idx in range(self.n_t):
-            for r, box in samples.unsafe_boxes[r_idx] if samples.unsafe_boxes else []:
-                b = np.array(box.to_bounds())
-                self.obstacle_bounds[r_idx, r, :, 0] = b[:, 0]
-                self.obstacle_bounds[r_idx, r, :, 1] = b[:, 1]
+        self.obstacle_bounds = _obstacle_bounds(samples, n_reg, self.n)
         self.pairs = [
             (j, k) for j in range(self.m) for k in range(j + 1, self.m)
         ]
+        self.families = (
+            _Family(
+                "unsafe",
+                [(j, r) for j in range(self.m) for r in range(n_reg)],
+                SopInstance.unsafe_row,
+                _score_unsafe_option,
+            ),
+            _Family("coll", self.pairs, SopInstance.collision_row, _score_collision_option),
+        )
 
     # -- row builders (row . x <= rhs) --------------------------------------
 
@@ -188,16 +218,17 @@ class SopInstance:
         row = np.zeros(self.n_vars)
         self._face_row(row, (j, i, "lower"), pw)
         self._face_row(row, (j, i, "upper"), pw, sign=-1.0)
-        row[self.eta_offset[(j, i)]] = -1.0
+        row[self.eta_offset[j, i]] = -1.0
         return row, -self.template.min_widths[j][i]
 
-    def unsafe_row(self, j, region, r_idx, dim, side):
-        """side "above": tube lower face above the obstacle's top face;
-        side "below": tube upper face below the obstacle's bottom face."""
+    def unsafe_row(self, j, region, r_idx, code):
+        """Witness code 2*dim + side.  Side 0: tube lower face above the
+        obstacle's top face; side 1: tube upper face below its bottom face."""
+        dim, side = divmod(int(code), 2)
         pw = self.powers[r_idx]
         row = np.zeros(self.n_vars)
-        row[self.eta_offset[(j, dim)]] = -1.0
-        if side == "above":
+        row[self.eta_offset[j, dim]] = -1.0
+        if side == 0:
             self._face_row(row, (j, dim, "lower"), pw, sign=-1.0)
             rhs = -self.obstacle_bounds[r_idx, region, dim, 1]
         else:
@@ -205,22 +236,21 @@ class SopInstance:
             rhs = self.obstacle_bounds[r_idx, region, dim, 0]
         return row, float(rhs)
 
-    def collision_row(self, j, k, r_idx, dim, order):
-        """order "jk": agent j's upper face below agent k's lower face."""
+    def collision_row(self, j, k, r_idx, code):
+        """Witness code 2*dim + side.  Side 0: agent j's upper face below
+        agent k's lower face; side 1: k's upper face below j's lower face."""
+        dim, side = divmod(int(code), 2)
+        below, above = (j, k) if side == 0 else (k, j)
         pw = self.powers[r_idx]
         row = np.zeros(self.n_vars)
-        row[self.eta_offset[(j, dim)]] = -1.0
-        if order == "jk":
-            self._face_row(row, (j, dim, "upper"), pw)
-            self._face_row(row, (k, dim, "lower"), pw, sign=-1.0)
-        else:
-            self._face_row(row, (k, dim, "upper"), pw)
-            self._face_row(row, (j, dim, "lower"), pw, sign=-1.0)
+        row[self.eta_offset[j, dim]] = -1.0
+        self._face_row(row, (below, dim, "upper"), pw)
+        self._face_row(row, (above, dim, "lower"), pw, sign=-1.0)
         return row, 0.0
 
     def ordering_rows(self):
         rows, rhs = [], []
-        for (j, i), off in self.eta_offset.items():
+        for off in self.eta_offset.ravel():
             row = np.zeros(self.n_vars)
             row[off] = 1.0
             row[self.eta_global] = -1.0
@@ -230,12 +260,27 @@ class SopInstance:
 
     # -- vectorized evaluation ----------------------------------------------
 
-    def face_values(self, x: np.ndarray) -> dict[tuple[int, int, str], np.ndarray]:
-        """Every face evaluated at every time sample."""
-        out = {}
-        for key, (off, z) in self.coeff_offset.items():
-            out[key] = self.powers[:, :z] @ x[off : off + z]
+    def face_values(self, x: np.ndarray) -> np.ndarray:
+        """Every face at every time sample: (m, n, 2, n_t), lower then upper."""
+        out = np.empty((self.m, self.n, 2, self.n_t))
+        for (j, i, side), (off, z) in self.coeff_offset.items():
+            out[j, i, FACE_SIDES.index(side)] = self.powers[:, :z] @ x[off : off + z]
         return out
+
+    def option_values(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per family, the value of every witness option of every
+        disjunction: (groups, 2n, n_t), option ``2*dim + side``.  A row
+        holds when its option's value is at most the agent's dim slack."""
+        lower, upper = faces[:, :, 0], faces[:, :, 1]  # (m, n, n_t)
+        bounds = self.obstacle_bounds.transpose(1, 2, 3, 0)  # (R, n, 2, n_t)
+        unsafe = np.stack(
+            [bounds[None, :, :, 1] - lower[:, None], upper[:, None] - bounds[None, :, :, 0]],
+            axis=3,
+        )  # (m, R, n, 2, n_t)
+        j, k = np.array(self.pairs, dtype=int).reshape(-1, 2).T
+        coll = np.stack([upper[j] - lower[k], upper[k] - lower[j]], axis=2)
+        shape = (-1, 2 * self.n, self.n_t)
+        return unsafe.reshape(shape), coll.reshape(shape)
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
         agents = []
@@ -273,15 +318,30 @@ def build_sop(
 
 @dataclass
 class DisjunctAssignment:
-    """One witness per disjunction: (dim, side) for unsafe rows keyed by
-    (agent, region, sample); (dim, order) for collision rows keyed by
-    (j, k, sample) with j < k."""
+    """One witness per disjunction, stored as int8 codes ``2*dim + side``.
 
-    unsafe: dict[tuple[int, int, int], tuple[int, str]] = field(default_factory=dict)
-    collision: dict[tuple[int, int, int], tuple[int, str]] = field(default_factory=dict)
+    ``unsafe[j, r, t]``: agent j's tube clears region r at time sample t
+    in dim ``code // 2``, its lower face above the region (side 0) or its
+    upper face below it (side 1).  ``collision[p, t]``: the agents (j, k)
+    of ``SopInstance.pairs[p]`` separate in dim ``code // 2``, j below k
+    (side 0) or k below j (side 1).  Codes sort like the (dim, side) pairs
+    they encode.
+    """
+
+    unsafe: np.ndarray  # (m, regions, n_t)
+    collision: np.ndarray  # (pairs, n_t)
+
+    def __post_init__(self):
+        self.unsafe = np.ascontiguousarray(self.unsafe, dtype=np.int8)
+        self.collision = np.ascontiguousarray(self.collision, dtype=np.int8)
 
     def copy(self) -> "DisjunctAssignment":
-        return DisjunctAssignment(unsafe=dict(self.unsafe), collision=dict(self.collision))
+        return DisjunctAssignment(unsafe=self.unsafe.copy(), collision=self.collision.copy())
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Writable (groups, n_t) views of the codes, in
+        ``SopInstance.families`` order."""
+        return self.unsafe.reshape(-1, self.unsafe.shape[-1]), self.collision
 
 
 def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
@@ -299,34 +359,28 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
     """Geometric heuristic from straight-line reference paths.
 
     Unsafe rows pick the dimension with the largest signed clearance
-    between the reference point and the obstacle box (side by sign);
-    collision rows pick the dimension with the largest reference
-    separation (order by sign).  Ties break to the lowest dimension.
+    between the reference point and the obstacle box (side by sign, ties
+    to side 1); collision rows pick the dimension with the largest
+    reference separation (order by sign).  Ties break to the lowest
+    dimension.
     """
-    times = np.asarray(samples.time_samples)
-    refs = _reference_points(spec, times)
-    asg = DisjunctAssignment()
-    for r_idx, t in enumerate(times):
-        for r, region in enumerate(spec.obstacles):
-            box = unsafe_box_at(region, float(t), spec.horizon)
-            for j in range(spec.agent_count):
-                best = None
-                for i in range(spec.dims):
-                    lo, hi = box.axes[i].lo, box.axes[i].hi
-                    p = refs[j, r_idx, i]
-                    below = lo - p  # positive when reference is below the box
-                    above = p - hi  # positive when reference is above the box
-                    clearance, side = max((below, "below"), (above, "above"))
-                    if best is None or clearance > best[0] + 1e-15:
-                        best = (clearance, i, side)
-                asg.unsafe[(j, r, r_idx)] = (best[1], best[2])
-        for j in range(spec.agent_count):
-            for k in range(j + 1, spec.agent_count):
-                gaps = refs[j, r_idx] - refs[k, r_idx]
-                i = int(np.argmax(np.abs(gaps)))
-                order = "jk" if gaps[i] < 0 else "kj"
-                asg.collision[(j, k, r_idx)] = (i, order)
-    return asg
+    refs = _reference_points(spec, np.asarray(samples.time_samples))  # (m, n_t, n)
+    bounds = _obstacle_bounds(samples, len(spec.obstacles), spec.dims)
+    bounds = bounds.transpose(1, 0, 2, 3)[None]  # (1, R, n_t, n, 2)
+    below = bounds[..., 0] - refs[:, None]  # positive when reference is below the box
+    above = refs[:, None] - bounds[..., 1]  # positive when reference is above the box
+    clearance = np.maximum(below, above)
+    side = (below >= above).astype(np.int8)
+    best, unsafe = clearance[..., 0], side[..., 0]
+    for i in range(1, spec.dims):
+        better = clearance[..., i] > best + 1e-15
+        best = np.where(better, clearance[..., i], best)
+        unsafe = np.where(better, 2 * i + side[..., i], unsafe)
+    j, k = np.triu_indices(spec.agent_count, 1)
+    gaps = refs[j] - refs[k]  # (pairs, n_t, n)
+    dim = np.argmax(np.abs(gaps), axis=-1)
+    j_below = np.take_along_axis(gaps, dim[..., None], axis=-1)[..., 0] < 0
+    return DisjunctAssignment(unsafe=unsafe, collision=2 * dim + ~j_below)
 
 
 # ---------------------------------------------------------------------------
@@ -338,51 +392,40 @@ class SolveDiagnostics:
     eta_star: float = float("nan")
     tubes: TubeSet | None = None
     x: np.ndarray | None = None
-    binding_unsafe: list = field(default_factory=list)
-    binding_collision: list = field(default_factory=list)
+    # per family, a (groups, n_t) mask of the disjunct rows that bind
+    binding: tuple = ()
     lp_rows: int = 0
     lp_solves: int = 0
     active_keys: tuple = ()
 
 
-def _assignment_row_values(instance, assignment, faces, etas):
-    """Slack of every disjunct row at the current solution: value - eta_i.
+def _assignment_row_values(instance, assignment, options, etas):
+    """Slack of every disjunct row at the current solution: the witnessed
+    option's value minus the agent's slack in that dim.
 
-    Returns two dicts keyed like the assignment, mapping to the row's
-    slack (<= 0 satisfied; ~0 binding)."""
-    unsafe_vals = {}
-    for (j, r, r_idx), (i, side) in assignment.unsafe.items():
-        if side == "above":
-            v = instance.obstacle_bounds[r_idx, r, i, 1] - faces[(j, i, "lower")][r_idx]
-        else:
-            v = faces[(j, i, "upper")][r_idx] - instance.obstacle_bounds[r_idx, r, i, 0]
-        unsafe_vals[(j, r, r_idx)] = v - etas[(j, i)]
-    collision_vals = {}
-    for (j, k, r_idx), (i, order) in assignment.collision.items():
-        if order == "jk":
-            v = faces[(j, i, "upper")][r_idx] - faces[(k, i, "lower")][r_idx]
-        else:
-            v = faces[(k, i, "upper")][r_idx] - faces[(j, i, "lower")][r_idx]
-        collision_vals[(j, k, r_idx)] = v - etas[(j, i)]
-    return unsafe_vals, collision_vals
+    Returns one (groups, n_t) array per family (<= 0 satisfied; ~0
+    binding)."""
+    out = []
+    for fam, codes, opt in zip(instance.families, assignment.tables(), options):
+        chosen = np.take_along_axis(opt, codes[:, None, :], axis=1)[:, 0]
+        out.append(chosen - etas[fam.agents[:, None], codes // 2])
+    return out
 
 
 def _build_row(instance, assignment, key):
     kind = key[0]
     if kind == "arena":
         _, j, i, s_idx, half, r_idx = key
-        side = ("lower", "upper")[s_idx]
-        return instance.arena_row(j, i, side, r_idx)[half]
+        return instance.arena_row(j, i, FACE_SIDES[s_idx], r_idx)[half]
     if kind == "width":
         _, j, i, r_idx = key
         return instance.width_row(j, i, r_idx)
-    if kind == "unsafe":
-        _, j, r, r_idx = key
-        i, side = assignment.unsafe[(j, r, r_idx)]
-        return instance.unsafe_row(j, r, r_idx, i, side)
-    _, j, k, r_idx = key
-    i, order = assignment.collision[(j, k, r_idx)]
-    return instance.collision_row(j, k, r_idx, i, order)
+    *head, r_idx = key[1:]
+    for fam, codes in zip(instance.families, assignment.tables()):
+        if fam.tag == kind:
+            code = codes[fam.index[tuple(head)], r_idx]
+            return fam.row(instance, *head, r_idx, code)
+    raise KeyError(key)
 
 
 def solve_sop(
@@ -463,11 +506,7 @@ def solve_sop(
         x = sol.x
 
         faces = instance.face_values(x)
-        etas = {
-            (j, i): x[instance.eta_offset[(j, i)]]
-            for j in range(instance.m)
-            for i in range(instance.n)
-        }
+        etas = x[instance.eta_offset]
         new = 0
         scale = max(1.0, float(np.abs(x).max()))
         tol = _VIOL_TOL * scale
@@ -475,33 +514,32 @@ def solve_sop(
         for j in range(instance.m):
             for i in range(instance.n):
                 ax = instance.spec.arena.axes[i]
-                for s_idx, side in enumerate(("lower", "upper")):
-                    vals = faces[(j, i, side)]
+                for s_idx in (0, 1):
+                    vals = faces[j, i, s_idx]
                     for half, viol in enumerate((ax.lo - vals, vals - ax.hi)):
                         bad = np.flatnonzero(viol > tol)
                         for r_idx in bad[np.argsort(-viol[bad])][:8]:
                             new += activate(("arena", j, i, s_idx, half, int(r_idx)))
                 w_viol = (
-                    faces[(j, i, "lower")]
+                    faces[j, i, 0]
                     + instance.template.min_widths[j][i]
-                    - faces[(j, i, "upper")]
-                    - etas[(j, i)]
+                    - faces[j, i, 1]
+                    - etas[j, i]
                 )
                 bad = np.flatnonzero(w_viol > tol)
                 for r_idx in bad[np.argsort(-w_viol[bad])][:8]:
                     new += activate(("width", j, i, int(r_idx)))
 
-        unsafe_vals, coll_vals = _assignment_row_values(
-            instance, assignment, faces, etas
+        row_vals = _assignment_row_values(
+            instance, assignment, instance.option_values(faces), etas
         )
-        for v, key in sorted(
-            ((v, k) for k, v in unsafe_vals.items() if v > tol), reverse=True
-        )[:120]:
-            new += activate(("unsafe",) + key)
-        for v, key in sorted(
-            ((v, k) for k, v in coll_vals.items() if v > tol), reverse=True
-        )[:120]:
-            new += activate(("coll",) + key)
+        for fam, vals in zip(instance.families, row_vals):
+            flat = vals.ravel()
+            bad = np.flatnonzero(flat > tol)
+            # worst first; equal values go to the later row
+            for q in bad[np.lexsort((bad, flat[bad]))[::-1][:120]]:
+                g, r_idx = divmod(int(q), instance.n_t)
+                new += activate((fam.tag, *fam.heads[g], r_idx))
         if new == 0:
             break
         # Drop rows that have gone slack at this optimum, except ones that
@@ -521,20 +559,10 @@ def solve_sop(
     # Binding disjunct rows: the row sits at its slack AND that slack pins
     # the global optimum through the ordering chain.
     binding_tol = 1e-7
-    pinned = {
-        (j, i)
-        for (j, i), v in etas.items()
-        if v >= eta_star - ETA_GAP - binding_tol
-    }
-    diag.binding_unsafe = sorted(
-        k
-        for k, v in unsafe_vals.items()
-        if v >= -binding_tol and (k[0], assignment.unsafe[k][0]) in pinned
-    )
-    diag.binding_collision = sorted(
-        k
-        for k, v in coll_vals.items()
-        if v >= -binding_tol and (k[0], assignment.collision[k][0]) in pinned
+    pinned = etas >= eta_star - ETA_GAP - binding_tol
+    diag.binding = tuple(
+        (vals >= -binding_tol) & pinned[fam.agents[:, None], codes // 2]
+        for fam, codes, vals in zip(instance.families, assignment.tables(), row_vals)
     )
     diag.active_keys = tuple(sorted(active.keys()))
     return tubes, eta_star
@@ -544,30 +572,17 @@ def solve_sop(
 # Assignment refinement
 
 
-def _best_unsafe_choice(instance, faces, j, r, r_idx):
-    """Most-negative-clearance (dim, side) for one unsafe disjunction under
-    the current face geometry."""
-    best = None
-    for i in range(instance.n):
-        b_lo = instance.obstacle_bounds[r_idx, r, i, 0]
-        b_hi = instance.obstacle_bounds[r_idx, r, i, 1]
-        above = b_hi - faces[(j, i, "lower")][r_idx]
-        below = faces[(j, i, "upper")][r_idx] - b_lo
-        for v, side in ((above, "above"), (below, "below")):
-            if best is None or v < best[0] - 1e-15:
-                best = (v, i, side)
-    return best[1], best[2], best[0]
-
-
-def _best_collision_choice(instance, faces, j, k, r_idx):
-    best = None
-    for i in range(instance.n):
-        jk = faces[(j, i, "upper")][r_idx] - faces[(k, i, "lower")][r_idx]
-        kj = faces[(k, i, "upper")][r_idx] - faces[(j, i, "lower")][r_idx]
-        for v, order in ((jk, "jk"), (kj, "kj")):
-            if best is None or v < best[0] - 1e-15:
-                best = (v, i, order)
-    return best[1], best[2], best[0]
+def _best_choice(options: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most-negative option of every disjunction under the current face
+    geometry: (code, value) per (group, sample).  Options are taken in
+    code order and a later one wins only by more than 1e-15."""
+    best_v = options[:, 0]
+    best_c = np.zeros(best_v.shape, dtype=np.int8)
+    for c in range(1, options.shape[1]):
+        better = options[:, c] < best_v - 1e-15
+        best_v = np.where(better, options[:, c], best_v)
+        best_c[better] = c
+    return best_c, best_v
 
 
 def _subsample(window: list[int], cap: int = 12) -> list[int]:
@@ -582,15 +597,16 @@ def _face_lp_columns(instance, key, r_indices):
     return instance.powers[np.asarray(r_indices)][:, :z], off, z
 
 
-def _score_unsafe_option(instance, j, r, window, i, side) -> float:
+def _score_unsafe_option(instance, j, r, window, code) -> float:
     """Best achievable slack for one face honoring one witness uniformly.
 
     A tiny LP over that single face: endpoint pins, arena bounds, room
     for the opposite face at minimum width, and the witness rows over a
     subsampled window.  The optimum ranks how viable the option is.
     """
-    sub = _subsample(sorted(window))
-    face = "lower" if side == "above" else "upper"
+    i, side = divmod(code, 2)
+    sub = _subsample(window)
+    face = FACE_SIDES[side]  # side 0 holds the lower face above the box
     powers, _, z = _face_lp_columns(instance, (j, i, face), sub)
     task = instance.spec.agents[j]
     ax = instance.spec.arena.axes[i]
@@ -618,7 +634,7 @@ def _score_unsafe_option(instance, j, r, window, i, side) -> float:
         rhs.append(hi_room)
         wit = np.zeros(nv)
         wit[-1] = -1.0
-        if side == "above":
+        if side == 0:
             wit[:z] = -p
             rows.append(wit)
             rhs.append(-instance.obstacle_bounds[r_idx, r, i, 1])
@@ -643,10 +659,11 @@ def _score_unsafe_option(instance, j, r, window, i, side) -> float:
     return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
-def _score_collision_option(instance, j, k, window, i, order) -> float:
+def _score_collision_option(instance, j, k, window, code) -> float:
     """Best achievable separation slack for one pair witnessing dim i."""
-    sub = _subsample(sorted(window))
-    low_agent, high_agent = (j, k) if order == "jk" else (k, j)
+    i, side = divmod(code, 2)
+    sub = _subsample(window)
+    low_agent, high_agent = (j, k) if side == 0 else (k, j)
     p_u, _, z_u = _face_lp_columns(instance, (low_agent, i, "upper"), sub)
     p_l, _, z_l = _face_lp_columns(instance, (high_agent, i, "lower"), sub)
     spec = instance.spec
@@ -697,56 +714,28 @@ def _score_collision_option(instance, j, k, window, i, order) -> float:
     return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
-def _stuck_window_candidates(instance, assignment, faces):
+def _stuck_window_candidates(instance, best_values):
     """Alternative witnesses for disjunction groups the local geometry
     cannot improve (the tube straddles what it must avoid, so every
     per-sample flip looks equally bad at the current solution).
 
     For each stuck (agent, region) or (agent, agent) group the conflicted
     time window is re-witnessed uniformly; options are ranked by the
-    slack a single face could achieve for them in isolation.
+    slack a single face could achieve for them in isolation.  Returns
+    (family, group, window, two best (score, code) options) per group.
     """
     out = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    stuck: dict[tuple[int, int], bool] = {}
-    for (j, r, r_idx), choice in assignment.unsafe.items():
-        _, _, best_v = _best_unsafe_choice(instance, faces, j, r, r_idx)
-        if best_v > -0.05:
-            groups.setdefault((j, r), []).append(r_idx)
-            if best_v > -1e-9:
-                stuck[(j, r)] = True
-    for (j, r), window in sorted(groups.items()):
-        if not stuck.get((j, r)):
-            continue
-        options = []
-        for i in range(instance.n):
-            for side in ("above", "below"):
-                score = _score_unsafe_option(instance, j, r, window, i, side)
-                if score < float("inf"):
-                    options.append((score, i, side))
-        options.sort()
-        if options:
-            out.append(("unsafe", (j, r), sorted(window), options[:2]))
-    cgroups: dict[tuple[int, int], list[int]] = {}
-    cstuck: dict[tuple[int, int], bool] = {}
-    for (j, k, r_idx), choice in assignment.collision.items():
-        _, _, best_v = _best_collision_choice(instance, faces, j, k, r_idx)
-        if best_v > -0.05:
-            cgroups.setdefault((j, k), []).append(r_idx)
-            if best_v > -1e-9:
-                cstuck[(j, k)] = True
-    for (j, k), window in sorted(cgroups.items()):
-        if not cstuck.get((j, k)):
-            continue
-        options = []
-        for i in range(instance.n):
-            for order in ("jk", "kj"):
-                score = _score_collision_option(instance, j, k, window, i, order)
-                if score < float("inf"):
-                    options.append((score, i, order))
-        options.sort()
-        if options:
-            out.append(("coll", (j, k), sorted(window), options[:2]))
+    for f, (fam, best_v) in enumerate(zip(instance.families, best_values)):
+        conflicted = best_v > -0.05
+        for g in np.flatnonzero((best_v > -1e-9).any(axis=1)):
+            window = np.flatnonzero(conflicted[g]).tolist()
+            scored = (
+                (fam.score(instance, *fam.heads[g], window, code), code)
+                for code in range(2 * instance.n)
+            )
+            options = sorted(opt for opt in scored if opt[0] < float("inf"))
+            if options:
+                out.append((f, g, window, options[:2]))
     return out
 
 
@@ -761,39 +750,34 @@ def _boundary_shift_candidates(instance, assignment, failure):
     re-solve buy margin.  Both directions and two scales are proposed.
     """
     n_t = instance.n_t
-
-    def boundaries(table, keys):
-        found = set()
-        for key in keys:
-            head, r = key[:-1], key[-1]
-            for rr in range(max(0, r - 3), min(n_t - 1, r + 3)):
-                a = table.get(head + (rr,))
-                b = table.get(head + (rr + 1,))
-                if a is not None and b is not None and a != b:
-                    found.add((head, rr, a, b))
-        return sorted(found)
-
-    coll_b = boundaries(assignment.collision, failure.binding_collision)
-    unsafe_b = boundaries(assignment.unsafe, failure.binding_unsafe)
-    if not coll_b and not unsafe_b:
+    # per family: handoffs (g, rr) between samples rr and rr + 1 that lie
+    # within [r - 3, r + 2] of a binding row (g, r)
+    handoffs = []
+    for codes, binding in zip(assignment.tables(), failure.binding):
+        g, r = np.nonzero(binding)
+        near = np.zeros((len(codes), max(n_t - 1, 0)), dtype=bool)
+        for d in range(-3, 3):
+            ok = (r + d >= 0) & (r + d < n_t - 1)
+            near[g[ok], r[ok] + d] = True
+        near &= codes[:, :-1] != codes[:, 1:]
+        handoffs.append(
+            [(g, rr, codes[g, rr], codes[g, rr + 1]) for g, rr in np.argwhere(near)]
+        )
+    if not any(handoffs):
         return []
     out = []
-    for direction in ("left", "right"):
+    for leftward in (True, False):
         for scale in (max(2, n_t // 40), max(4, n_t // 12)):
             cand = assignment.copy()
             changed = False
-            for table, blist in ((cand.collision, coll_b), (cand.unsafe, unsafe_b)):
-                for head, rr, a, b in blist:
-                    if direction == "left":
-                        span = range(max(0, rr - scale + 1), rr + 1)
-                        choice = b
+            for codes, found in zip(cand.tables(), handoffs):
+                for g, rr, a, b in found:
+                    if leftward:
+                        span, choice = slice(max(0, rr - scale + 1), rr + 1), b
                     else:
-                        span = range(rr + 1, min(n_t, rr + 1 + scale))
-                        choice = a
-                    for q in span:
-                        if table.get(head + (q,)) != choice:
-                            table[head + (q,)] = choice
-                            changed = True
+                        span, choice = slice(rr + 1, min(n_t, rr + 1 + scale)), a
+                    changed = changed or bool((codes[g, span] != choice).any())
+                    codes[g, span] = choice
             if changed:
                 out.append(cand)
     return out
@@ -816,70 +800,53 @@ def refine_assignment(
     """
     if failure.tubes is None or failure.x is None:
         raise ValueError("refinement needs diagnostics from a previous solve")
-    faces = instance.face_values(failure.x)
-    etas = {
-        (j, i): failure.x[instance.eta_offset[(j, i)]]
-        for j in range(instance.m)
-        for i in range(instance.n)
-    }
-    unsafe_vals, coll_vals = _assignment_row_values(instance, assignment, faces, etas)
+    options = instance.option_values(instance.face_values(failure.x))
+    row_vals = _assignment_row_values(
+        instance, assignment, options, failure.x[instance.eta_offset]
+    )
+    best = [_best_choice(opt) for opt in options]
 
+    # Flips: every row whose best witness differs from its current one,
+    # worst slack first, then by row key (tag, head, sample).
     flips = []
-    for key, (i_cur, side_cur) in assignment.unsafe.items():
-        i, side, _ = _best_unsafe_choice(instance, faces, key[0], key[1], key[2])
-        if (i, side) != (i_cur, side_cur):
-            flips.append((unsafe_vals[key], "unsafe", key, (i, side)))
-    for key, (i_cur, order_cur) in assignment.collision.items():
-        i, order, _ = _best_collision_choice(instance, faces, key[0], key[1], key[2])
-        if (i, order) != (i_cur, order_cur):
-            flips.append((coll_vals[key], "coll", key, (i, order)))
-    flips.sort(key=lambda f: (-f[0], f[1], f[2]))
+    for f, (codes, (best_c, _), vals) in enumerate(
+        zip(assignment.tables(), best, row_vals)
+    ):
+        q = np.flatnonzero(best_c != codes)
+        flips.append((np.full(len(q), f), q, best_c.ravel()[q], vals.ravel()[q]))
+    fam_of, flat, new_code, value = (np.concatenate(col) for col in zip(*flips))
+    tags = np.array([fam.tag for fam in instance.families])[fam_of]
+    order = np.lexsort((flat, tags, -value))
+    fam_of, flat, new_code = fam_of[order], flat[order], new_code[order]
 
-    def apply_flips(base, flip_list):
-        cand = base.copy()
-        for _, kind, key, choice in flip_list:
-            if kind == "unsafe":
-                cand.unsafe[key] = choice
-            else:
-                cand.collision[key] = choice
+    def apply_flips(count):
+        cand = assignment.copy()
+        for f, codes in enumerate(cand.tables()):
+            sel = fam_of[:count] == f
+            np.put(codes, flat[:count][sel], new_code[:count][sel])
         return cand
 
     candidates: list[DisjunctAssignment] = []
-    windows = _stuck_window_candidates(instance, assignment, faces)
+    windows = _stuck_window_candidates(instance, [best_v for _, best_v in best])
     if windows:
         # Primary escape: best-ranked option applied to every stuck window
         # at once (on top of the geometric per-row flips), then the
         # second-ranked variations one window at a time.
-        base = apply_flips(assignment, flips)
-        combo = base.copy()
-        for kind, group, window, options in windows:
-            _, i, choice = options[0]
-            for r_idx in window:
-                if kind == "unsafe":
-                    combo.unsafe[(group[0], group[1], r_idx)] = (i, choice)
-                else:
-                    combo.collision[(group[0], group[1], r_idx)] = (i, choice)
+        combo = apply_flips(len(order))
+        for f, g, window, ranked in windows:
+            combo.tables()[f][g, window] = ranked[0][1]
         candidates.append(combo)
-        for g_idx, (kind, group, window, options) in enumerate(windows):
-            if len(options) < 2:
+        for f, g, window, ranked in windows:
+            if len(ranked) < 2:
                 continue
             variant = combo.copy()
-            _, i, choice = options[1]
-            for r_idx in window:
-                if kind == "unsafe":
-                    variant.unsafe[(group[0], group[1], r_idx)] = (i, choice)
-                else:
-                    variant.collision[(group[0], group[1], r_idx)] = (i, choice)
+            variant.tables()[f][g, window] = ranked[1][1]
             candidates.append(variant)
     candidates.extend(_boundary_shift_candidates(instance, assignment, failure))
-    if flips:
-        sizes = []
-        size = len(flips)
-        while size >= 1 and len(sizes) + len(candidates) < beam_width:
-            sizes.append(size)
-            size //= 2
-        for sz in sizes:
-            candidates.append(apply_flips(assignment, flips[:sz]))
+    size = len(order)
+    while size >= 1 and len(candidates) < beam_width:
+        candidates.append(apply_flips(size))
+        size //= 2
     if not candidates:
         return assignment
 
@@ -1056,10 +1023,10 @@ def validate_tubes(
                 vals = faces[(j, i, side)]
                 lo_v = float((ax.lo - vals).max())
                 hi_v = float((vals - ax.hi).max())
-                for v, tag in ((lo_v, "below"), (hi_v, "above")):
+                for v, bound in ((lo_v, "lo"), (hi_v, "hi")):
                     if v > worst_ar:
                         worst_ar = v
-                        where_ar = f"agent {j + 1} dim {i + 1} {side} face {tag} arena"
+                        where_ar = f"agent {j + 1} dim {i + 1} {side} face past arena {bound}"
     families["arena"] = FamilyResult(
         "arena", worst_ar, worst_ar <= tolerance, where_ar
     )

@@ -90,21 +90,6 @@ def test_empty_obstacles_give_empty_samples():
     assert all(len(per_t) == 0 for per_t in samples.unsafe_boxes)
 
 
-def test_cloud_mode_covers_jointly():
-    spec = scenario_from_dict({
-        "dims": 2, "horizon": 2.0, "epsilon": 0.2,
-        "arena": [[0.0, 5.0], [0.0, 5.0]],
-        "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[4.0, 5.0], [4.0, 5.0]],
-                    "tube_degree": [2, 2]}],
-        "obstacles": [{"interpolation": "static",
-                       "keyframes": [[0.0, [[2.0, 2.6], [2.0, 2.6]]]]}],
-    })
-    samples = sample_unsafe(spec, mode="cloud")
-    assert samples.unsafe_points
-    ok, gap = verify_cover(samples, spec, grid_resolution=0.05)
-    assert ok, f"joint cover gap {gap}"
-
-
 def test_csv_export(tmp_path, robots_spec):
     samples = sample_unsafe(robots_spec)
     path = tmp_path / "samples.csv"

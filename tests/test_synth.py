@@ -8,6 +8,8 @@ from sttube.synth import (
     SolveDiagnostics,
     SynthesisError,
     TubeTemplate,
+    _assignment_row_values,
+    _best_choice,
     build_sop,
     certify,
     composite_lipschitz,
@@ -50,7 +52,7 @@ def test_single_agent_instance_has_no_disjunctions():
     })
     samples = sample_unsafe(spec)
     asg = seed_assignment(spec, samples)
-    assert not asg.unsafe and not asg.collision
+    assert asg.unsafe.size == 0 and asg.collision.size == 0
     inst = build_sop(spec, samples)
     tubes, eta = solve_sop(inst, asg)
     # the width family binds: strictly negative optimum
@@ -66,11 +68,12 @@ def test_seed_picks_clear_dimension(mini_spec):
     asg = seed_assignment(mini_spec, samples)
     # obstacle sits at the arena center; both agents' straight paths run
     # right through it, so mid-horizon picks are tie-broken / clearance
-    # driven, while early samples keep the largest-clearance dimension
-    first = asg.unsafe[(0, 0, 0)]
-    assert first == (0, "below")  # agent starts left of the box
-    # the swap pair separates in dim 1 at t=0, symmetric order
-    assert asg.collision[(0, 1, 0)] == (0, "jk")
+    # driven, while early samples keep the largest-clearance dimension.
+    # Witness codes are 2*dim + side.
+    first = asg.unsafe[0, 0, 0]
+    assert first == 2 * 0 + 1  # dim 1, upper face below: agent starts left of the box
+    # the swap pair separates in dim 1 at t=0, agent 1 below agent 2
+    assert asg.collision[0, 0] == 2 * 0 + 0
 
 
 def test_seed_obstacle_strictly_left_means_above_everywhere():
@@ -84,7 +87,7 @@ def test_seed_obstacle_strictly_left_means_above_everywhere():
     })
     samples = sample_unsafe(spec)
     asg = seed_assignment(spec, samples)
-    assert all(choice == (0, "above") for choice in asg.unsafe.values())
+    assert asg.unsafe.size and (asg.unsafe == 2 * 0 + 0).all()  # dim 1, lower face above
 
 
 def test_seed_identical_references_tie_break_to_first_dim():
@@ -101,8 +104,36 @@ def test_seed_identical_references_tie_break_to_first_dim():
     })
     samples = sample_unsafe(spec)
     asg = seed_assignment(spec, samples)
-    assert all(key[2] is not None and choice[0] == 0
-               for key, choice in asg.collision.items())
+    assert asg.collision.size and (asg.collision // 2 == 0).all()
+
+
+def test_seed_matches_scalar_reference(robots_spec):
+    """The array seed equals the per-sample rule: largest clearance, ties
+    to side 1 within a dim and to the lower dim across dims (by more than
+    1e-15); collision pairs take the largest reference gap."""
+    from sttube.scenario import unsafe_box_at
+    from sttube.synth import _reference_points
+
+    samples = sample_unsafe(robots_spec)
+    asg = seed_assignment(robots_spec, samples)
+    refs = _reference_points(robots_spec, samples.time_samples)
+    m = robots_spec.agent_count
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    for t_idx, t in enumerate(samples.time_samples):
+        for r, region in enumerate(robots_spec.obstacles):
+            box = unsafe_box_at(region, float(t), robots_spec.horizon)
+            for j in range(m):
+                best = None
+                for i, ax in enumerate(box.axes):
+                    p = refs[j, t_idx, i]
+                    clearance, side = max((ax.lo - p, 1), (p - ax.hi, 0))
+                    if best is None or clearance > best[0] + 1e-15:
+                        best = (clearance, 2 * i + side)
+                assert asg.unsafe[j, r, t_idx] == best[1]
+        for p_idx, (j, k) in enumerate(pairs):
+            gaps = refs[j, t_idx] - refs[k, t_idx]
+            i = int(np.argmax(np.abs(gaps)))
+            assert asg.collision[p_idx, t_idx] == 2 * i + (0 if gaps[i] < 0 else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +196,54 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
     asg = seed_assignment(mini_spec, samples)
     n_t = inst.n_t
     bad = asg.copy()
-    for (j, k, r_idx) in bad.collision:
-        bad.collision[(j, k, r_idx)] = (0, "jk" if r_idx % 2 == 0 else "kj")
+    # dim 1 at every sample, agent 1 below agent 2 at even samples and
+    # above it at odd ones (witness code 2*dim + side)
+    bad.collision[:] = np.arange(n_t) % 2
     tubes, eta = solve_sop(inst, bad)
     assert eta > 0.0
     assert not certify(eta, tubes, mini_spec.epsilon).passed
+
+
+def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
+    """Row slacks and best witnesses computed on the option arrays equal,
+    bit for bit, the per-row scalar formulas they replace: unsafe side 0
+    clears the box top with the lower face, side 1 its bottom with the
+    upper face; collision side 0 puts agent j below k, side 1 k below j."""
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    asg = mini_result.assignment
+    diag = SolveDiagnostics()
+    solve_sop(inst, asg, diag)
+    faces = {key: inst.powers[:, :z] @ diag.x[off : off + z]
+             for key, (off, z) in inst.coeff_offset.items()}
+    bounds = inst.obstacle_bounds
+
+    def unsafe_option(j, r, t, i, side):
+        if side == 0:
+            return bounds[t, r, i, 1] - faces[(j, i, "lower")][t]
+        return faces[(j, i, "upper")][t] - bounds[t, r, i, 0]
+
+    def coll_option(j, k, t, i, side):
+        a, b = (j, k) if side == 0 else (k, j)
+        return faces[(a, i, "upper")][t] - faces[(b, i, "lower")][t]
+
+    options = inst.option_values(inst.face_values(diag.x))
+    etas = diag.x[inst.eta_offset]
+    row_vals = _assignment_row_values(inst, asg, options, etas)
+    for fam, option, codes, vals, opts in zip(
+        inst.families, (unsafe_option, coll_option), asg.tables(), row_vals, options
+    ):
+        best_codes, best_vals = _best_choice(opts)
+        for (g, t), code in np.ndenumerate(codes):
+            head = fam.heads[g]
+            i, side = divmod(int(code), 2)
+            assert vals[g, t] == option(*head, t, i, side) - etas[head[0], i]
+            best = None
+            for c in range(2 * inst.n):
+                v = option(*head, t, *divmod(c, 2))
+                if best is None or v < best[0] - 1e-15:
+                    best = (v, c)
+            assert (best_vals[g, t], best_codes[g, t]) == best
 
 
 def test_mini_synthesis_certifies(mini_result, mini_spec):
@@ -197,10 +271,9 @@ def test_assignment_independent_soundness(mini_spec, mini_result):
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = mini_result.assignment.copy()
-    # perturb a few non-binding witnesses away from the converged choice
-    for key in list(asg.collision)[:5]:
-        i, order = asg.collision[key]
-        asg.collision[key] = (i, "kj" if order == "jk" else "jk")
+    # perturb a few non-binding witnesses away from the converged choice:
+    # reverse the pair's order at the first five samples (side bit of 2*dim + side)
+    asg.collision[0, :5] ^= 1
     tubes, eta = solve_sop(inst, asg)
     cert = certify(eta, tubes, mini_spec.epsilon)
     if cert.passed:
@@ -227,9 +300,10 @@ def test_adversarial_seed_recovers(mini_spec):
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = seed_assignment(mini_spec, samples)
+    # every witness moved to dim 2, keeping its side (codes 2*dim + side)
     bad = DisjunctAssignment(
-        unsafe={k: (1, v[1]) for k, v in asg.unsafe.items()},
-        collision={k: (1, v[1]) for k, v in asg.collision.items()},
+        unsafe=2 * 1 + asg.unsafe % 2,
+        collision=2 * 1 + asg.collision % 2,
     )
     warm = ()
     for _ in range(25):
@@ -309,3 +383,13 @@ def test_robot_synthesis_result(robots_result, robots_spec):
     assert cert.eta_star <= -0.03
     assert robots_result.validation.all_pass
     assert robots_result.wall_time < 300.0
+
+
+def test_robot_synthesis_fingerprint(robots_result):
+    """The witness search's exact result on the robots case study.  It is
+    the same at 1 and 2 BLAS threads, so any change to the search, its
+    tie-breaks or its row order shows here."""
+    cert = robots_result.certificate
+    assert robots_result.iterations == 3
+    assert cert.eta_star == pytest.approx(-0.08972314189896013, abs=1e-12)
+    assert cert.margin == pytest.approx(-0.08518413218668658, abs=1e-12)
