@@ -125,8 +125,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cert_path = Path(args.certificate) if args.certificate else Path(
-        str(args.tubes).replace(".tubes", ".cert.json")
-    )
+        args.tubes
+    ).with_suffix(".cert.json")
     if not args.force:
         if not cert_path.exists():
             print(

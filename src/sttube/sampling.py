@@ -20,22 +20,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import Box, ScenarioSpec, unsafe_box_at
+from .scenario import ScenarioSpec, unsafe_box_at, unsafe_bounds
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Time samples plus per-sample unsafe-set data.
+    """Time samples plus the unsafe boxes at each of them.
 
-    ``unsafe_boxes[r]`` holds, for time sample r, the list of
-    (region_index, box_at_t_r) pairs: the axis-aligned unsafe boxes at
-    that time (exact face reduction).
+    ``obstacle_bounds[r, region, i]`` holds the lo/hi bounds in dim i of
+    that region's box at time sample r (exact face reduction).
     """
 
     epsilon: float
     time_samples: np.ndarray
-    unsafe_boxes: tuple[tuple[tuple[int, Box], ...], ...]
-    degenerate: bool = False
+    obstacle_bounds: np.ndarray  # (n_t, regions, n, 2)
 
     @property
     def count(self) -> int:
@@ -62,23 +60,22 @@ def sample_time_grid(t_c: float, epsilon: float) -> np.ndarray:
     return np.linspace(0.0, t_c, n_t)
 
 
+def obstacle_bounds(spec: ScenarioSpec, times) -> np.ndarray:
+    """Bounds of every unsafe region at every time: (T, regions, n, 2)."""
+    out = np.empty((len(times), len(spec.obstacles), spec.dims, 2))
+    for r, region in enumerate(spec.obstacles):
+        out[:, r] = unsafe_bounds(region, times, spec.horizon)
+    return out
+
+
 def sample_unsafe(spec: ScenarioSpec) -> SampleSet:
     """Build the sample set for a scenario: the time grid plus, per time
     sample, the exact axis-aligned box of every unsafe region."""
-    eps = spec.epsilon
-    times = sample_time_grid(spec.horizon, eps)
-    boxes = tuple(
-        tuple(
-            (r, unsafe_box_at(region, float(t), spec.horizon))
-            for r, region in enumerate(spec.obstacles)
-        )
-        for t in times
-    )
+    times = sample_time_grid(spec.horizon, spec.epsilon)
     return SampleSet(
-        epsilon=eps,
+        epsilon=spec.epsilon,
         time_samples=times,
-        unsafe_boxes=boxes,
-        degenerate=len(times) == 1 and eps >= spec.horizon,
+        obstacle_bounds=obstacle_bounds(spec, times),
     )
 
 
@@ -104,10 +101,10 @@ def verify_cover(
     worst = float(time_gap.max())
     slack = eps * (1.0 + 1e-12) + 1e-15  # the worst gap can equal eps exactly
     ok = worst <= slack
-    for t, per_t in zip(samples.time_samples, samples.unsafe_boxes):
-        for r, box in per_t:
-            truth = unsafe_box_at(spec.obstacles[r], float(t), spec.horizon)
-            if box.to_bounds() != truth.to_bounds():
+    for t, per_t in zip(samples.time_samples, samples.obstacle_bounds):
+        for region, bounds in zip(spec.obstacles, per_t):
+            truth = unsafe_box_at(region, float(t), spec.horizon)
+            if bounds.tolist() != truth.to_bounds():
                 return False, worst
     return ok, worst
 
@@ -118,8 +115,8 @@ def export_samples_csv(samples: SampleSet, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "kind", "region", "bounds"])
-        for t, per_t in zip(samples.time_samples, samples.unsafe_boxes):
-            if not per_t:
+        for t, per_t in zip(samples.time_samples, samples.obstacle_bounds):
+            if not len(per_t):
                 writer.writerow([repr(float(t)), "time", "", ""])
-            for r, box in per_t:
-                writer.writerow([repr(float(t)), "box-faces", r, box.to_bounds()])
+            for r, bounds in enumerate(per_t):
+                writer.writerow([repr(float(t)), "box-faces", r, bounds.tolist()])

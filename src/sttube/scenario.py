@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 
 class ScenarioError(ValueError):
     """Raised when a scenario file is malformed or violates an invariant."""
@@ -137,6 +139,32 @@ def unsafe_box_at(region: UnsafeRegion, t: float, horizon: float | None = None) 
                 )
             )
     raise AssertionError("unreachable: keyframes are ordered")
+
+
+def unsafe_bounds(
+    region: UnsafeRegion, times, horizon: float | None = None
+) -> np.ndarray:
+    """Lo/hi bounds of the unsafe box at every time: (T, n, 2).
+
+    The array form of ``unsafe_box_at``, equal to it bit for bit: at an
+    interior keyframe time it too interpolates the earlier segment at w = 1.
+    """
+    t = np.asarray(times, dtype=float)
+    if (t < 0.0).any():
+        raise ScenarioError(f"time {t.min()} before start of horizon")
+    if horizon is not None and (t > horizon).any():
+        raise ScenarioError(f"time {t.max()} beyond horizon {horizon}")
+    key_t = np.array([k for k, _ in region.keyframes])
+    frames = np.array([b.to_bounds() for _, b in region.keyframes])  # (K, n, 2)
+    if len(key_t) == 1:
+        return np.repeat(frames, len(t), axis=0)
+    seg = np.clip(np.searchsorted(key_t, t) - 1, 0, len(key_t) - 2)
+    w = ((t - key_t[seg]) / (key_t[seg + 1] - key_t[seg]))[:, None, None]
+    b0, b1 = frames[seg], frames[seg + 1]
+    out = b0 + w * (b1 - b0)
+    out[t <= key_t[0]] = frames[0]
+    out[t >= key_t[-1]] = frames[-1]
+    return out
 
 
 def default_min_width(start: Box, goal: Box) -> tuple[float, ...]:

@@ -24,10 +24,11 @@ from .control import (
     StageTelemetry,
     autosize_funnels,
     control_input,
+    stage1_error,
 )
 from .plant import Disturbance, PlantModel, PlantStateError, dynamics, make_plant
 from .scenario import ScenarioSpec
-from .tube import TubeSet
+from .tube import TubeSet, horner
 
 
 @dataclass
@@ -56,30 +57,19 @@ class _Stage1Bounds:
 
     def __init__(self, tubes: TubeSet, agent: int, plant: PlantModel):
         agent_dims = tubes.agents[agent].dims
-        self.lower_coeffs = [tuple(d.lower.coeffs) for d in agent_dims]
-        self.upper_coeffs = [tuple(d.upper.coeffs) for d in agent_dims]
-        self.extra = plant.dims - len(agent_dims)
-        if self.extra < 0:
+        self.lower = tuple(d.lower.coeffs[::-1] for d in agent_dims)
+        self.upper = tuple(d.upper.coeffs[::-1] for d in agent_dims)
+        extra = plant.dims - len(agent_dims)
+        if extra < 0:
             raise ValueError("plant output dimension below tube dimension")
-        self.band = plant.heading_band
+        self.band_lower = (plant.heading_band[0],) * extra
+        self.band_upper = (plant.heading_band[1],) * extra
 
     def at(self, t: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        lower = []
-        upper = []
-        for coeffs in self.lower_coeffs:
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            lower.append(acc)
-        for coeffs in self.upper_coeffs:
-            acc = 0.0
-            for c in reversed(coeffs):
-                acc = acc * t + c
-            upper.append(acc)
-        for _ in range(self.extra):
-            lower.append(self.band[0])
-            upper.append(self.band[1])
-        return tuple(lower), tuple(upper)
+        return (
+            horner(self.lower, t) + self.band_lower,
+            horner(self.upper, t) + self.band_upper,
+        )
 
 
 def initial_state(
@@ -129,10 +119,9 @@ def integrate_agent(
     sampler = disturbance.make_sampler(agent, plant.state_dim)
     tel = StageTelemetry()
 
-    def ctl(state, t, strict):
-        lo, hi = bounds.at(t)
+    def ctl(state, t, walls, strict=False):
         return control_input(
-            _split_stages(state, stages, dims), lo, hi, config, t,
+            _split_stages(state, stages, dims), *walls, config, t,
             strict=strict, telemetry=tel,
         )
 
@@ -145,9 +134,9 @@ def integrate_agent(
     last = n_steps
     for step in range(n_steps + 1):
         t = step * dt
-        lo, hi = bounds.at(t)
+        walls = bounds.at(t)
         try:
-            u = ctl(x, t, strict=True)
+            u = ctl(x, t, walls, strict=True)
         except ControllerIntegrityError as exc:
             raise ControllerIntegrityError(
                 exc.stage, f"agent {agent + 1} at t={t:.6g}"
@@ -155,10 +144,7 @@ def integrate_agent(
         times[step] = t
         states[step] = x
         inputs[step] = u
-        errors[step] = [
-            (2.0 * v - (h + l)) / (h - l)
-            for v, l, h in zip(x[:dims], lo, hi)
-        ]
+        errors[step] = stage1_error(x[:dims], *walls)
         if step == n_steps:
             break
         w = sampler(t)
@@ -166,12 +152,13 @@ def integrate_agent(
             raise AssertionError("disturbance sample exceeds the declared bound")
         try:
             k1 = dynamics(plant, x, u, w, t)
+            mid = bounds.at(t + half)
             x2 = tuple(v + half * dv for v, dv in zip(x, k1))
-            k2 = dynamics(plant, x2, ctl(x2, t + half, False), w, t + half)
+            k2 = dynamics(plant, x2, ctl(x2, t + half, mid), w, t + half)
             x3 = tuple(v + half * dv for v, dv in zip(x, k2))
-            k3 = dynamics(plant, x3, ctl(x3, t + half, False), w, t + half)
+            k3 = dynamics(plant, x3, ctl(x3, t + half, mid), w, t + half)
             x4 = tuple(v + dt * dv for v, dv in zip(x, k3))
-            k4 = dynamics(plant, x4, ctl(x4, t + dt, False), w, t + dt)
+            k4 = dynamics(plant, x4, ctl(x4, t + dt, bounds.at(t + dt)), w, t + dt)
         except PlantStateError as exc:
             aborted = str(exc)
             last = step

@@ -38,15 +38,15 @@ from pathlib import Path
 import numpy as np
 
 from .lp import LpNumericalError, LpProblem, solve_lp
-from .sampling import SampleSet, sample_unsafe
-from .scenario import ScenarioSpec, unsafe_box_at
+from .sampling import SampleSet, obstacle_bounds, sample_unsafe
+from .scenario import ScenarioSpec
 from .tube import (
     AgentTubes,
     TubeDim,
     TubeFace,
     TubeSet,
-    eval_face_array,
     slope_bounds,
+    tube_values,
 )
 
 ETA_GAP = 1e-6  # realizes strict inequalities; absorbed by the margin
@@ -99,28 +99,39 @@ class _Family:
 
     Group g holds the rows of head ``heads[g]`` at every time sample:
     (agent, region) for unsafe rows, (agent, agent) for collision rows,
-    in sorted order.  Its rows use the per-dim slack of ``agents[g]``.
-    ``row(instance, *head, r_idx, code)`` builds one LP row and
+    in sorted order.  Its rows use the per-dim slack of ``agents[g]`` and
+    are row group ``first + g`` of the instance.
     ``score(instance, *head, window, code)`` rates one witness held over a
     window (see ``_stuck_window_candidates``).
     """
 
-    def __init__(self, tag: str, heads: list, row, score):
-        self.tag = tag  # first element of the family's active-row keys
+    def __init__(self, tag: str, heads: list, first: int, score):
+        self.tag = tag  # orders the flip list (see ``refine_assignment``)
         self.heads = heads
-        self.index = {head: g for g, head in enumerate(heads)}
+        self.first = first
         self.agents = np.array([head[0] for head in heads], dtype=int)
-        self.row = row
         self.score = score
 
 
-def _obstacle_bounds(samples: SampleSet, regions: int, dims: int) -> np.ndarray:
-    """Obstacle extreme faces per sample: (n_t, regions, n, 2) lo/hi."""
-    out = np.zeros((len(samples.time_samples), regions, dims, 2))
-    for r_idx, per_t in enumerate(samples.unsafe_boxes):
-        for r, box in per_t:
-            out[r_idx, r] = box.to_bounds()
-    return out
+def separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Value of every witness option of every disjunction.
+
+    ``faces`` is (m, n, 2, T), lower then upper; ``obstacle_bounds`` is
+    (T, R, n, 2).  Returns unsafe options (m, R, n, 2, T) and collision
+    options (P, n, 2, T) for the agent pairs j < k in sorted order, indexed
+    by (dim, side); a disjunction holds when one of its options is <= 0.
+    """
+    m, n, _, t = faces.shape
+    lower, upper = faces[:, :, 0], faces[:, :, 1]  # (m, n, T)
+    bounds = obstacle_bounds.transpose(1, 2, 3, 0)  # (R, n, 2, T)
+    unsafe = np.empty((m, len(bounds), n, 2, t))
+    np.subtract(bounds[None, :, :, 1], lower[:, None], out=unsafe[:, :, :, 0])
+    np.subtract(upper[:, None], bounds[None, :, :, 0], out=unsafe[:, :, :, 1])
+    j, k = np.triu_indices(m, 1)
+    coll = np.empty((len(j), n, 2, t))
+    np.subtract(upper[j], lower[k], out=coll[:, :, 0])
+    np.subtract(upper[k], lower[j], out=coll[:, :, 1])
+    return unsafe, coll
 
 
 class SopInstance:
@@ -130,6 +141,14 @@ class SopInstance:
     slacks, the global slack last) and produces constraint rows on
     demand, so the solver can work from a lazily grown active subset
     while violations are scanned vectorized over all samples.
+
+    Faces are numbered ``f = (agent * n + dim) * 2 + side`` (side 0 the
+    lower face).  Rows come in groups, each group one row per time sample:
+    arena (agent, dim, side, half), collision pairs, unsafe (agent,
+    region), width (agent, dim), in that order.  Row key ``g * n_t + r``
+    names group g at sample r, so keys sort like the (family, head,
+    sample) tuples ("arena" < "coll" < "unsafe" < "width") that fix the
+    LP row order.
     """
 
     def __init__(self, spec: ScenarioSpec, samples: SampleSet, template: TubeTemplate):
@@ -141,162 +160,208 @@ class SopInstance:
         self.times = np.asarray(samples.time_samples)
         self.n_t = len(self.times)
 
-        offset = 0
-        self.coeff_offset: dict[tuple[int, int, str], tuple[int, int]] = {}
-        for j in range(self.m):
-            for i in range(self.n):
-                z = template.degrees[j][i] + 1
-                if z < 2:
-                    s, g = spec.agents[j].start.axes[i], spec.agents[j].goal.axes[i]
-                    if s.lo != g.lo or s.hi != g.hi:
-                        raise SynthesisError(
-                            f"agent {j + 1} dim {i + 1}: degree "
-                            f"{template.degrees[j][i]} cannot satisfy both endpoint "
-                            "equalities; a higher-degree polynomial is required"
-                        )
-                for side in FACE_SIDES:
-                    self.coeff_offset[(j, i, side)] = (offset, z)
-                    offset += z
+        self.z = np.array(template.degrees, dtype=int).reshape(self.m, self.n) + 1
+        for j, i in np.argwhere(self.z < 2):
+            s, g = spec.agents[j].start.axes[i], spec.agents[j].goal.axes[i]
+            if s.lo != g.lo or s.hi != g.hi:
+                raise SynthesisError(
+                    f"agent {j + 1} dim {i + 1}: degree "
+                    f"{template.degrees[j][i]} cannot satisfy both endpoint "
+                    "equalities; a higher-degree polynomial is required"
+                )
+        sizes = np.repeat(self.z.ravel(), 2)  # coefficients per face
+        n_coeffs = int(sizes.sum())
         # per-(agent, dim) slack columns, (m, n)
-        self.eta_offset = offset + np.arange(self.m * self.n).reshape(self.m, self.n)
-        self.eta_global = offset + self.m * self.n
+        self.eta_offset = n_coeffs + np.arange(self.m * self.n).reshape(self.m, self.n)
+        self.eta_global = n_coeffs + self.m * self.n
         self.n_vars = self.eta_global + 1
 
-        z_max = max(max(d) for d in template.degrees) + 1
+        z_max = int(self.z.max())
         self.powers = np.vander(self.times, N=z_max, increasing=True)
+        # Column of coefficient k of face f.  Coefficients past a face's
+        # degree, and the extra last row (face -1: no face), point at the
+        # scratch column n_vars that row building drops.
+        k = np.arange(z_max)
+        first = np.cumsum(sizes) - sizes
+        cols = np.where(k < sizes[:, None], first[:, None] + k, self.n_vars)
+        self.columns = np.vstack([cols, np.full(z_max, self.n_vars)])
+
         n_reg = len(spec.obstacles)
-        self.obstacle_bounds = _obstacle_bounds(samples, n_reg, self.n)
+        self.obstacle_bounds = samples.obstacle_bounds
+        # bounds a row's right-hand side can take; column -1 (no bound) is 0
+        self._rhs_bounds = np.hstack(
+            [self.obstacle_bounds.reshape(self.n_t, n_reg * self.n * 2), np.zeros((self.n_t, 1))]
+        )
+        self.arena = np.array(spec.arena.to_bounds())  # (n, 2)
+        self.min_widths = np.array(template.min_widths, dtype=float).reshape(self.m, self.n)
         self.pairs = [
             (j, k) for j in range(self.m) for k in range(j + 1, self.m)
         ]
+        n_arena = 4 * self.m * self.n
+        coll_first = n_arena
+        unsafe_first = coll_first + len(self.pairs)
+        width_first = unsafe_first + self.m * n_reg
+        self.groups = width_first + self.m * self.n
+        # arena and width groups: one row shape each, scanned by
+        # ``static_violations``
+        self.static_groups = np.r_[0:n_arena, width_first : self.groups]
         self.families = (
             _Family(
                 "unsafe",
                 [(j, r) for j in range(self.m) for r in range(n_reg)],
-                SopInstance.unsafe_row,
+                unsafe_first,
                 _score_unsafe_option,
             ),
-            _Family("coll", self.pairs, SopInstance.collision_row, _score_collision_option),
+            _Family("coll", self.pairs, coll_first, _score_collision_option),
         )
+        self.row_table = self._row_table()
 
-    # -- row builders (row . x <= rhs) --------------------------------------
+    def _row_table(self):
+        """Every row shape, indexed [group, witness code]: two signed face
+        terms (face -1: none), the slack column (-1: none), the right-hand
+        side, and for unsafe rows the index of the obstacle bound (into a
+        sample's flattened (R, n, 2) bounds) that the right-hand side takes
+        instead, with the sign of the face.  Arena and width groups have
+        one shape, repeated for every code."""
+        n = self.n
 
-    def _face_row(self, row, key, t_power_row, sign=1.0):
-        off, z = self.coeff_offset[key]
-        row[off : off + z] += sign * t_power_row[:z]
+        def face(j, i, side):
+            return (j * n + i) * 2 + side
+
+        eta = self.eta_offset.tolist()
+        groups = []
+        for j, i, s, half in np.ndindex(self.m, n, 2, 2):
+            # arena_lo <= face(t) (half 0), face(t) <= arena_hi (half 1)
+            rhs = -self.arena[i, 0] if half == 0 else self.arena[i, 1]
+            groups.append([((face(j, i, s), -1), (2.0 * half - 1.0, 1.0), -1, rhs, -1)])
+        for j, k in self.pairs:
+            # side 0: agent j's upper face below agent k's lower face;
+            # side 1: k's upper face below j's lower face
+            groups.append([
+                ((face(below, d, 1), face(above, d, 0)), (1.0, -1.0), eta[j][d], 0.0, -1)
+                for d in range(n)
+                for below, above in ((j, k), (k, j))
+            ])
+        for j, r in np.ndindex(self.m, len(self.spec.obstacles)):
+            # side 0: lower face above the obstacle's top face; side 1:
+            # upper face below its bottom face
+            groups.append([
+                ((face(j, d, side), -1), (2.0 * side - 1.0, 1.0), eta[j][d], 0.0,
+                 (r * n + d) * 2 + 1 - side)
+                for d in range(n)
+                for side in (0, 1)
+            ])
+        for j, i in np.ndindex(self.m, n):
+            # lower + min_width - upper <= slack
+            groups.append([
+                ((face(j, i, 0), face(j, i, 1)), (1.0, -1.0), eta[j][i],
+                 -self.min_widths[j, i], -1)
+            ])
+        groups = [g * (2 * n // len(g)) for g in groups]
+        return tuple(np.array([[row[q] for row in g] for g in groups]) for q in range(5))
+
+    # -- rows (row . x <= rhs) ----------------------------------------------
+
+    def _face_rows(self, faces, signs, etas, powers):
+        """Rows ``sum_q signs[:, q] * face_q(t) - slack``: ``faces`` (K, 2)
+        face indices (-1: none), ``etas`` (K,) slack columns (-1: none),
+        ``powers`` (K, z_max) the powers of each row's time."""
+        out = np.zeros((len(powers), self.n_vars + 1))
+        at = np.arange(len(powers))[:, None]
+        for f, s in zip(faces.T, signs.T):
+            out[at, self.columns[f]] += s[:, None] * powers
+        out[at[:, 0], etas] = -1.0
+        return out[:, :-1]
+
+    def rows(self, codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the given keys, gathered from the row table;
+        ``codes`` is the (groups, n_t) witness of every row."""
+        g, r = np.divmod(keys, self.n_t)
+        c = codes[g, r]
+        faces, signs, etas, rhs, bound = (col[g, c] for col in self.row_table)
+        matrix = self._face_rows(faces, signs, etas, self.powers[r])
+        return matrix, np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[r, bound])
+
+    def code_table(self, assignment: "DisjunctAssignment") -> np.ndarray:
+        """Witness code of every row group at every sample, (groups, n_t)."""
+        codes = np.zeros((self.groups, self.n_t), dtype=np.int8)
+        for fam, table in zip(self.families, assignment.tables()):
+            codes[fam.first : fam.first + len(table)] = table
+        return codes
 
     def equality_rows(self):
         """Endpoint pins: face(0) and face(t_c) equal the box bounds."""
-        rows, rhs = [], []
-        p0 = self.powers[0]
+        n_faces = len(self.columns) - 1
         pc = np.vander([self.spec.horizon], N=self.powers.shape[1], increasing=True)[0]
-        for j, task in enumerate(self.spec.agents):
-            for i in range(self.n):
-                for side, s_val, g_val in (
-                    ("lower", task.start.axes[i].lo, task.goal.axes[i].lo),
-                    ("upper", task.start.axes[i].hi, task.goal.axes[i].hi),
-                ):
-                    for pw, val in ((p0, s_val), (pc, g_val)):
-                        row = np.zeros(self.n_vars)
-                        self._face_row(row, (j, i, side), pw)
-                        rows.append(row)
-                        rhs.append(val)
-        return np.array(rows), np.array(rhs)
-
-    def arena_row(self, j, i, side, r_idx):
-        """Two hard rows: arena_lo <= face(t_r) <= arena_hi."""
-        ax = self.spec.arena.axes[i]
-        pw = self.powers[r_idx]
-        low = np.zeros(self.n_vars)
-        self._face_row(low, (j, i, side), pw, sign=-1.0)
-        high = np.zeros(self.n_vars)
-        self._face_row(high, (j, i, side), pw)
-        return [(low, -ax.lo), (high, ax.hi)]
-
-    def width_row(self, j, i, r_idx):
-        pw = self.powers[r_idx]
-        row = np.zeros(self.n_vars)
-        self._face_row(row, (j, i, "lower"), pw)
-        self._face_row(row, (j, i, "upper"), pw, sign=-1.0)
-        row[self.eta_offset[j, i]] = -1.0
-        return row, -self.template.min_widths[j][i]
-
-    def unsafe_row(self, j, region, r_idx, code):
-        """Witness code 2*dim + side.  Side 0: tube lower face above the
-        obstacle's top face; side 1: tube upper face below its bottom face."""
-        dim, side = divmod(int(code), 2)
-        pw = self.powers[r_idx]
-        row = np.zeros(self.n_vars)
-        row[self.eta_offset[j, dim]] = -1.0
-        if side == 0:
-            self._face_row(row, (j, dim, "lower"), pw, sign=-1.0)
-            rhs = -self.obstacle_bounds[r_idx, region, dim, 1]
-        else:
-            self._face_row(row, (j, dim, "upper"), pw)
-            rhs = self.obstacle_bounds[r_idx, region, dim, 0]
-        return row, float(rhs)
-
-    def collision_row(self, j, k, r_idx, code):
-        """Witness code 2*dim + side.  Side 0: agent j's upper face below
-        agent k's lower face; side 1: k's upper face below j's lower face."""
-        dim, side = divmod(int(code), 2)
-        below, above = (j, k) if side == 0 else (k, j)
-        pw = self.powers[r_idx]
-        row = np.zeros(self.n_vars)
-        row[self.eta_offset[j, dim]] = -1.0
-        self._face_row(row, (below, dim, "upper"), pw)
-        self._face_row(row, (above, dim, "lower"), pw, sign=-1.0)
-        return row, 0.0
+        faces = np.stack([np.repeat(np.arange(n_faces), 2), np.full(2 * n_faces, -1)], axis=1)
+        rows = self._face_rows(
+            faces, np.ones(faces.shape), np.full(2 * n_faces, -1),
+            np.tile([self.powers[0], pc], (n_faces, 1)),
+        )
+        ends = [[a.start.to_bounds(), a.goal.to_bounds()] for a in self.spec.agents]
+        return rows, np.array(ends).transpose(0, 2, 3, 1).ravel()
 
     def ordering_rows(self):
-        rows, rhs = [], []
-        for off in self.eta_offset.ravel():
-            row = np.zeros(self.n_vars)
-            row[off] = 1.0
-            row[self.eta_global] = -1.0
-            rows.append(row)
-            rhs.append(-ETA_GAP)
-        return np.array(rows), np.array(rhs)
+        rows = np.zeros((self.m * self.n, self.n_vars))
+        rows[np.arange(self.m * self.n), self.eta_offset.ravel()] = 1.0
+        rows[:, self.eta_global] = -1.0
+        return rows, np.full(self.m * self.n, -ETA_GAP)
+
+    def static_violations(self, faces: np.ndarray, etas: np.ndarray, tol: float) -> np.ndarray:
+        """Keys of the arena and width rows violated by more than ``tol``:
+        the eight worst samples of each group.
+
+        Tied samples are ordered by numpy's default argsort on the group's
+        violated samples, which is not stable (it sorts with SIMD networks
+        where the CPU has them); a stable order picks other tied samples,
+        and so other LP rows, on the robots scenario.
+        """
+        m, n = self.m, self.n
+        viol = np.empty((len(self.static_groups), self.n_t))
+        arena = viol[: 4 * m * n].reshape(m, n, 2, 2, self.n_t)
+        np.subtract(self.arena[:, 0, None, None], faces, out=arena[:, :, :, 0])
+        np.subtract(faces, self.arena[:, 1, None, None], out=arena[:, :, :, 1])
+        width = viol[4 * m * n :].reshape(m, n, self.n_t)
+        np.add(faces[:, :, 0], self.min_widths[..., None], out=width)
+        width -= faces[:, :, 1]
+        width -= etas[..., None]
+        keys = [np.zeros(0, dtype=int)]
+        for g in np.flatnonzero((viol > tol).any(axis=1)):
+            bad = np.flatnonzero(viol[g] > tol)
+            keys.append(self.static_groups[g] * self.n_t + bad[np.argsort(-viol[g, bad])][:8])
+        return np.concatenate(keys)
 
     # -- vectorized evaluation ----------------------------------------------
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
         """Every face at every time sample: (m, n, 2, n_t), lower then upper."""
-        out = np.empty((self.m, self.n, 2, self.n_t))
-        for (j, i, side), (off, z) in self.coeff_offset.items():
-            out[j, i, FACE_SIDES.index(side)] = self.powers[:, :z] @ x[off : off + z]
-        return out
+        out = np.empty((len(self.columns) - 1, self.n_t))
+        for f, cols in enumerate(self.columns[:-1]):
+            cols = cols[cols < self.n_vars]
+            out[f] = self.powers[:, : len(cols)] @ x[cols]
+        return out.reshape(self.m, self.n, 2, self.n_t)
 
     def option_values(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per family, the value of every witness option of every
         disjunction: (groups, 2n, n_t), option ``2*dim + side``.  A row
         holds when its option's value is at most the agent's dim slack."""
-        lower, upper = faces[:, :, 0], faces[:, :, 1]  # (m, n, n_t)
-        bounds = self.obstacle_bounds.transpose(1, 2, 3, 0)  # (R, n, 2, n_t)
-        unsafe = np.stack(
-            [bounds[None, :, :, 1] - lower[:, None], upper[:, None] - bounds[None, :, :, 0]],
-            axis=3,
-        )  # (m, R, n, 2, n_t)
-        j, k = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        coll = np.stack([upper[j] - lower[k], upper[k] - lower[j]], axis=2)
         shape = (-1, 2 * self.n, self.n_t)
+        unsafe, coll = separation_options(faces, self.obstacle_bounds)
         return unsafe.reshape(shape), coll.reshape(shape)
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
+        coeffs = [tuple(x[cols[cols < self.n_vars]]) for cols in self.columns[:-1]]
         agents = []
         for j in range(self.m):
-            dims = []
-            for i in range(self.n):
-                off_l, z_l = self.coeff_offset[(j, i, "lower")]
-                off_u, z_u = self.coeff_offset[(j, i, "upper")]
-                dims.append(
-                    TubeDim(
-                        lower=TubeFace(tuple(x[off_l : off_l + z_l]), side="lower"),
-                        upper=TubeFace(tuple(x[off_u : off_u + z_u]), side="upper"),
-                        min_width=self.template.min_widths[j][i],
-                    )
+            dims = tuple(
+                TubeDim(
+                    lower=TubeFace(coeffs[(j * self.n + i) * 2], side="lower"),
+                    upper=TubeFace(coeffs[(j * self.n + i) * 2 + 1], side="upper"),
+                    min_width=self.template.min_widths[j][i],
                 )
-            agents.append(AgentTubes(dims=tuple(dims), name=self.spec.agents[j].name))
+                for i in range(self.n)
+            )
+            agents.append(AgentTubes(dims=dims, name=self.spec.agents[j].name))
         return TubeSet(horizon=self.spec.horizon, agents=tuple(agents))
 
 
@@ -365,8 +430,7 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
     dimension.
     """
     refs = _reference_points(spec, np.asarray(samples.time_samples))  # (m, n_t, n)
-    bounds = _obstacle_bounds(samples, len(spec.obstacles), spec.dims)
-    bounds = bounds.transpose(1, 0, 2, 3)[None]  # (1, R, n_t, n, 2)
+    bounds = samples.obstacle_bounds.transpose(1, 0, 2, 3)[None]  # (1, R, n_t, n, 2)
     below = bounds[..., 0] - refs[:, None]  # positive when reference is below the box
     above = refs[:, None] - bounds[..., 1]  # positive when reference is above the box
     clearance = np.maximum(below, above)
@@ -396,7 +460,7 @@ class SolveDiagnostics:
     binding: tuple = ()
     lp_rows: int = 0
     lp_solves: int = 0
-    active_keys: tuple = ()
+    active_keys: np.ndarray = ()  # row keys of the final working set
 
 
 def _assignment_row_values(instance, assignment, options, etas):
@@ -412,27 +476,11 @@ def _assignment_row_values(instance, assignment, options, etas):
     return out
 
 
-def _build_row(instance, assignment, key):
-    kind = key[0]
-    if kind == "arena":
-        _, j, i, s_idx, half, r_idx = key
-        return instance.arena_row(j, i, FACE_SIDES[s_idx], r_idx)[half]
-    if kind == "width":
-        _, j, i, r_idx = key
-        return instance.width_row(j, i, r_idx)
-    *head, r_idx = key[1:]
-    for fam, codes in zip(instance.families, assignment.tables()):
-        if fam.tag == kind:
-            code = codes[fam.index[tuple(head)], r_idx]
-            return fam.row(instance, *head, r_idx, code)
-    raise KeyError(key)
-
-
 def solve_sop(
     instance: SopInstance,
     assignment: DisjunctAssignment,
     diagnostics: SolveDiagnostics | None = None,
-    warm_keys: tuple = (),
+    warm_keys=(),
 ) -> tuple[TubeSet, float]:
     """Minimize the global slack under the assigned witnesses.
 
@@ -445,47 +493,32 @@ def solve_sop(
     diag = diagnostics if diagnostics is not None else SolveDiagnostics()
     eq_rows, eq_rhs = instance.equality_rows()
     ord_rows, ord_rhs = instance.ordering_rows()
+    witness = instance.code_table(assignment)
+    n_t = instance.n_t
+    active = np.zeros(instance.groups * n_t, dtype=bool)
+    add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
 
-    active: dict[tuple, tuple[np.ndarray, float]] = {}
-    add_count: dict[tuple, int] = {}
-
-    def activate(key) -> int:
-        if key in active:
-            return 0
-        active[key] = _build_row(instance, assignment, key)
-        add_count[key] = add_count.get(key, 0) + 1
-        return 1
+    def activate(keys) -> int:
+        fresh = keys[~active[keys]]  # keys come without repeats
+        active[fresh] = True
+        add_count[fresh] += 1
+        return len(fresh)
 
     # The seed rows bound every face at a handful of times, which keeps
     # the subproblem bounded regardless of what the warm start carries.
-    seed_idx = sorted(
-        {0, instance.n_t // 4, instance.n_t // 2, 3 * instance.n_t // 4,
-         instance.n_t - 1}
-    )
-    for r_idx in seed_idx:
-        for j in range(instance.m):
-            for i in range(instance.n):
-                for s_idx in (0, 1):
-                    for half in (0, 1):
-                        activate(("arena", j, i, s_idx, half, r_idx))
-                activate(("width", j, i, r_idx))
-            for r in range(len(instance.spec.obstacles)):
-                activate(("unsafe", j, r, r_idx))
-            for k in range(j + 1, instance.m):
-                activate(("coll", j, k, r_idx))
-    for key in warm_keys:
-        activate(key)
+    seed_idx = sorted({0, n_t // 4, n_t // 2, 3 * n_t // 4, n_t - 1})
+    activate((np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel())
+    activate(np.asarray(warm_keys, dtype=np.int64))
 
     objective = np.zeros(instance.n_vars)
     objective[instance.eta_global] = 1.0
 
     x = None
     for _round in range(300):
-        keys = sorted(active.keys())
-        rows = np.vstack([np.array([active[k][0] for k in keys]), ord_rows])
-        rhs = np.concatenate(
-            [np.array([active[k][1] for k in keys]), ord_rhs]
-        )
+        keys = np.flatnonzero(active)
+        rows, rhs = instance.rows(witness, keys)
+        rows = np.vstack([rows, ord_rows])
+        rhs = np.concatenate([rhs, ord_rhs])
         problem = LpProblem(
             objective=objective,
             ineq_matrix=rows,
@@ -507,29 +540,9 @@ def solve_sop(
 
         faces = instance.face_values(x)
         etas = x[instance.eta_offset]
-        new = 0
         scale = max(1.0, float(np.abs(x).max()))
         tol = _VIOL_TOL * scale
-
-        for j in range(instance.m):
-            for i in range(instance.n):
-                ax = instance.spec.arena.axes[i]
-                for s_idx in (0, 1):
-                    vals = faces[j, i, s_idx]
-                    for half, viol in enumerate((ax.lo - vals, vals - ax.hi)):
-                        bad = np.flatnonzero(viol > tol)
-                        for r_idx in bad[np.argsort(-viol[bad])][:8]:
-                            new += activate(("arena", j, i, s_idx, half, int(r_idx)))
-                w_viol = (
-                    faces[j, i, 0]
-                    + instance.template.min_widths[j][i]
-                    - faces[j, i, 1]
-                    - etas[j, i]
-                )
-                bad = np.flatnonzero(w_viol > tol)
-                for r_idx in bad[np.argsort(-w_viol[bad])][:8]:
-                    new += activate(("width", j, i, int(r_idx)))
-
+        new = activate(instance.static_violations(faces, etas, tol))
         row_vals = _assignment_row_values(
             instance, assignment, instance.option_values(faces), etas
         )
@@ -537,17 +550,14 @@ def solve_sop(
             flat = vals.ravel()
             bad = np.flatnonzero(flat > tol)
             # worst first; equal values go to the later row
-            for q in bad[np.lexsort((bad, flat[bad]))[::-1][:120]]:
-                g, r_idx = divmod(int(q), instance.n_t)
-                new += activate((fam.tag, *fam.heads[g], r_idx))
+            worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
+            new += activate(fam.first * n_t + worst)
         if new == 0:
             break
         # Drop rows that have gone slack at this optimum, except ones that
         # keep coming back (pinned after three re-adds to avoid cycling).
         slack_rows = rows[: len(keys)] @ x - rhs[: len(keys)]
-        for key, s in zip(keys, slack_rows):
-            if s < -1e-6 * scale and add_count.get(key, 0) < 3:
-                del active[key]
+        active[keys[(slack_rows < -1e-6 * scale) & (add_count[keys] < 3)]] = False
     else:
         raise SynthesisInfeasible("lazy constraint loop failed to converge")
 
@@ -564,7 +574,7 @@ def solve_sop(
         (vals >= -binding_tol) & pinned[fam.agents[:, None], codes // 2]
         for fam, codes, vals in zip(instance.families, assignment.tables(), row_vals)
     )
-    diag.active_keys = tuple(sorted(active.keys()))
+    diag.active_keys = np.flatnonzero(active)
     return tubes, eta_star
 
 
@@ -592,9 +602,9 @@ def _subsample(window: list[int], cap: int = 12) -> list[int]:
     return [window[round(q * step)] for q in range(cap)]
 
 
-def _face_lp_columns(instance, key, r_indices):
-    off, z = instance.coeff_offset[key]
-    return instance.powers[np.asarray(r_indices)][:, :z], off, z
+def _face_powers(instance, j, i, r_indices):
+    """Powers of the given sample times up to face (j, i)'s degree."""
+    return instance.powers[np.asarray(r_indices)][:, : instance.z[j, i]]
 
 
 def _score_unsafe_option(instance, j, r, window, code) -> float:
@@ -607,7 +617,8 @@ def _score_unsafe_option(instance, j, r, window, code) -> float:
     i, side = divmod(code, 2)
     sub = _subsample(window)
     face = FACE_SIDES[side]  # side 0 holds the lower face above the box
-    powers, _, z = _face_lp_columns(instance, (j, i, face), sub)
+    powers = _face_powers(instance, j, i, sub)
+    z = powers.shape[1]
     task = instance.spec.agents[j]
     ax = instance.spec.arena.axes[i]
     width = instance.template.min_widths[j][i]
@@ -664,8 +675,9 @@ def _score_collision_option(instance, j, k, window, code) -> float:
     i, side = divmod(code, 2)
     sub = _subsample(window)
     low_agent, high_agent = (j, k) if side == 0 else (k, j)
-    p_u, _, z_u = _face_lp_columns(instance, (low_agent, i, "upper"), sub)
-    p_l, _, z_l = _face_lp_columns(instance, (high_agent, i, "lower"), sub)
+    p_u = _face_powers(instance, low_agent, i, sub)
+    p_l = _face_powers(instance, high_agent, i, sub)
+    z_u, z_l = p_u.shape[1], p_l.shape[1]
     spec = instance.spec
     ax = spec.arena.axes[i]
     t_c = spec.horizon
@@ -981,111 +993,67 @@ def validate_tubes(
     """
     n_grid = int(math.ceil(spec.horizon / resolution)) + 1
     grid = np.linspace(0.0, spec.horizon, n_grid)
-    faces = {
-        (j, i, side): eval_face_array(face, grid)
-        for j, i, side, face in tubes.faces()
-    }
+    faces = tube_values(tubes, grid)  # (m, n, 2, grid)
     m, n = tubes.agent_count, tubes.dims
 
+    def worst(values, where):
+        """Largest entry (the first on ties) and its ``where`` text."""
+        q = int(np.argmax(values))
+        v = float(values.flat[q])
+        return v, v <= tolerance, where(*np.unravel_index(q, values.shape))
+
+    def at(values, q):
+        return f"t={grid[int(values[q].argmax())]:.3f}"
+
     # endpoints: containment of the tube box in the start/goal boxes
-    worst_ep = -np.inf
-    where_ep = ""
-    eq_resid = 0.0
-    for j, task in enumerate(spec.agents):
-        for i in range(n):
-            lo0, loc = faces[(j, i, "lower")][0], faces[(j, i, "lower")][-1]
-            hi0, hic = faces[(j, i, "upper")][0], faces[(j, i, "upper")][-1]
-            s, g = task.start.axes[i], task.goal.axes[i]
-            eq_resid = max(
-                eq_resid,
-                abs(lo0 - s.lo), abs(hi0 - s.hi), abs(loc - g.lo), abs(hic - g.hi),
-            )
-            for v, name in (
-                (s.lo - lo0, f"agent {j + 1} dim {i + 1} start lower"),
-                (hi0 - s.hi, f"agent {j + 1} dim {i + 1} start upper"),
-                (g.lo - loc, f"agent {j + 1} dim {i + 1} goal lower"),
-                (hic - g.hi, f"agent {j + 1} dim {i + 1} goal upper"),
-            ):
-                if v > worst_ep:
-                    worst_ep, where_ep = v, name
+    ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
+    pinned = faces[..., [0, -1]].transpose(0, 3, 1, 2)  # (m, start/goal, n, lo/hi)
+    outward = np.stack([ends[..., 0] - pinned[..., 0], pinned[..., 1] - ends[..., 1]], axis=-1)
+    eq_resid = float(np.abs(outward).max(initial=0.0))
+    kinds = ("start lower", "start upper", "goal lower", "goal upper")
     families = {
-        "endpoints": FamilyResult(
-            "endpoints", float(worst_ep), worst_ep <= tolerance, where_ep
-        )
+        "endpoints": FamilyResult("endpoints", *worst(
+            outward.transpose(0, 2, 1, 3).reshape(m, n, 4),
+            lambda j, i, e: f"agent {j + 1} dim {i + 1} {kinds[e]}",
+        ))
     }
 
     # arena confinement
-    worst_ar, where_ar = -np.inf, ""
-    for j in range(m):
-        for i in range(n):
-            ax = spec.arena.axes[i]
-            for side in ("lower", "upper"):
-                vals = faces[(j, i, side)]
-                lo_v = float((ax.lo - vals).max())
-                hi_v = float((vals - ax.hi).max())
-                for v, bound in ((lo_v, "lo"), (hi_v, "hi")):
-                    if v > worst_ar:
-                        worst_ar = v
-                        where_ar = f"agent {j + 1} dim {i + 1} {side} face past arena {bound}"
-    families["arena"] = FamilyResult(
-        "arena", worst_ar, worst_ar <= tolerance, where_ar
-    )
+    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None, None]
+    past = np.stack([(lo - faces).max(axis=-1), (faces - hi).max(axis=-1)], axis=-1)
+    families["arena"] = FamilyResult("arena", *worst(
+        past,
+        lambda j, i, s, b: (
+            f"agent {j + 1} dim {i + 1} {FACE_SIDES[s]} face past arena {('lo', 'hi')[b]}"
+        ),
+    ))
 
     # width
-    worst_w, where_w = -np.inf, ""
-    for j, agent in enumerate(tubes.agents):
-        for i, d in enumerate(agent.dims):
-            gap = faces[(j, i, "lower")] + d.min_width - faces[(j, i, "upper")]
-            v = float(gap.max())
-            if v > worst_w:
-                worst_w = v
-                where_w = f"agent {j + 1} dim {i + 1} at t={grid[int(gap.argmax())]:.3f}"
-    families["width"] = FamilyResult("width", worst_w, worst_w <= tolerance, where_w)
+    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
+    gap = faces[:, :, 0] + min_width[..., None] - faces[:, :, 1]
+    families["width"] = FamilyResult("width", *worst(
+        gap.max(axis=-1), lambda j, i: f"agent {j + 1} dim {i + 1} at {at(gap, (j, i))}"
+    ))
 
-    # unsafe separation: exists a dim whose faces clear the obstacle box
-    worst_u, where_u = -np.inf, ""
+    # unsafe and collision separation: some (dim, side) option clears
+    unsafe, coll = separation_options(faces, obstacle_bounds(spec, grid))
     if spec.obstacles:
-        for r, region in enumerate(spec.obstacles):
-            bounds = np.array(
-                [unsafe_box_at(region, float(t), spec.horizon).to_bounds() for t in grid]
-            )  # (grid, n, 2)
-            for j in range(m):
-                best = np.full(len(grid), np.inf)
-                for i in range(n):
-                    above = bounds[:, i, 1] - faces[(j, i, "lower")]
-                    below = faces[(j, i, "upper")] - bounds[:, i, 0]
-                    best = np.minimum(best, np.minimum(above, below))
-                v = float(best.max())
-                if v > worst_u:
-                    worst_u = v
-                    where_u = (
-                        f"agent {j + 1} vs region {r + 1} at "
-                        f"t={grid[int(best.argmax())]:.3f}"
-                    )
+        best = unsafe.min(axis=(2, 3)).transpose(1, 0, 2)  # (R, m, grid)
+        families["unsafe"] = FamilyResult("unsafe", *worst(
+            best.max(axis=-1),
+            lambda r, j: f"agent {j + 1} vs region {r + 1} at {at(best, (r, j))}",
+        ))
     else:
-        worst_u, where_u = -np.inf, "no obstacles"
-    families["unsafe"] = FamilyResult(
-        "unsafe", worst_u, worst_u <= tolerance, where_u
-    )
-
-    # collision separation per pair
-    worst_c, where_c = -np.inf, ""
-    for j in range(m):
-        for k in range(j + 1, m):
-            best = np.full(len(grid), np.inf)
-            for i in range(n):
-                jk = faces[(j, i, "upper")] - faces[(k, i, "lower")]
-                kj = faces[(k, i, "upper")] - faces[(j, i, "lower")]
-                best = np.minimum(best, np.minimum(jk, kj))
-            v = float(best.max())
-            if v > worst_c:
-                worst_c = v
-                where_c = f"pair ({j + 1},{k + 1}) at t={grid[int(best.argmax())]:.3f}"
-    if m < 2:
-        worst_c, where_c = -np.inf, "single agent"
-    families["collision"] = FamilyResult(
-        "collision", worst_c, worst_c <= tolerance, where_c
-    )
+        families["unsafe"] = FamilyResult("unsafe", -np.inf, True, "no obstacles")
+    if m >= 2:
+        best = coll.min(axis=(1, 2))  # (P, grid)
+        j, k = np.triu_indices(m, 1)
+        families["collision"] = FamilyResult("collision", *worst(
+            best.max(axis=-1),
+            lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at {at(best, p)}",
+        ))
+    else:
+        families["collision"] = FamilyResult("collision", -np.inf, True, "single agent")
 
     return ValidationReport(
         families=families,

@@ -39,12 +39,21 @@ class TubeFace:
         return len(self.coeffs) - 1
 
 
+def horner(reversed_coeffs, t: float) -> tuple[float, ...]:
+    """Values at ``t`` of several polynomials, each given by its
+    coefficients from the highest degree down (Horner's rule)."""
+    out = []
+    for coeffs in reversed_coeffs:
+        acc = 0.0
+        for c in coeffs:
+            acc = acc * t + c
+        out.append(acc)
+    return tuple(out)
+
+
 def eval_face(face: TubeFace, t: float) -> float:
     """Horner evaluation of the face polynomial at time ``t``."""
-    acc = 0.0
-    for c in reversed(face.coeffs):
-        acc = acc * t + c
-    return acc
+    return horner((face.coeffs[::-1],), t)[0]
 
 
 def derivative_coeffs(coeffs) -> tuple[float, ...]:
@@ -55,10 +64,7 @@ def derivative_coeffs(coeffs) -> tuple[float, ...]:
 
 def eval_face_derivative(face: TubeFace, t: float) -> float:
     """Exact time derivative of the face polynomial at ``t``."""
-    acc = 0.0
-    for c in reversed(derivative_coeffs(face.coeffs)):
-        acc = acc * t + c
-    return acc
+    return horner((derivative_coeffs(face.coeffs)[::-1],), t)[0]
 
 
 def eval_face_array(face: TubeFace, times: np.ndarray) -> np.ndarray:
@@ -83,10 +89,9 @@ def analytic_slope_bound(
         # gamma'' has degree <= 1: its real roots are exact.
         candidates = [t0, t1]
         ddcoeffs = derivative_coeffs(dcoeffs)
-        if len(ddcoeffs) == 1:
-            if ddcoeffs[0] != 0.0:
-                pass  # linear derivative, extrema at endpoints only
-        else:
+        # A constant gamma'' (linear derivative) puts the extrema at the
+        # endpoints only.
+        if len(ddcoeffs) > 1:
             roots = np.polynomial.polynomial.polyroots(np.asarray(ddcoeffs))
             for r in roots:
                 if abs(r.imag) < 1e-12 and t0 <= r.real <= t1:
@@ -140,16 +145,38 @@ class TubeSet:
                 yield j, i, "upper", d.upper
 
 
+def tube_values(tubes: TubeSet, times) -> np.ndarray:
+    """Every face at every time: (m, n, 2, T), lower then upper.
+
+    Horner's rule over all faces at once, on coefficients zero-padded to
+    the top degree; the leading zeros leave every value bit-identical to
+    ``eval_face``.
+    """
+    t = np.asarray(times, dtype=float)
+    pairs = [(d.lower, d.upper) for a in tubes.agents for d in a.dims]
+    z_max = max(len(face.coeffs) for pair in pairs for face in pair)
+    coeffs = np.zeros((len(pairs), 2, z_max))
+    for f, pair in enumerate(pairs):
+        for side, face in enumerate(pair):
+            coeffs[f, side, : len(face.coeffs)] = face.coeffs
+    acc = np.zeros(coeffs.shape[:2] + t.shape)
+    for k in range(z_max - 1, -1, -1):
+        acc *= t
+        acc += coeffs[:, :, k, None]
+    return acc.reshape(tubes.agent_count, tubes.dims, 2, len(t))
+
+
 def tube_box_at(tubes: TubeSet, agent: int, t: float) -> Box:
     """Per-dimension interval [lower(t), upper(t)] for one agent.
 
     Raises TubeIntegrityError when a face pair is inverted or closer than
     the declared minimum width, naming agent, dim, and t.
     """
+    dims = tubes.agents[agent].dims
+    lows = horner([d.lower.coeffs[::-1] for d in dims], t)
+    highs = horner([d.upper.coeffs[::-1] for d in dims], t)
     axes = []
-    for i, d in enumerate(tubes.agents[agent].dims):
-        lo = eval_face(d.lower, t)
-        hi = eval_face(d.upper, t)
+    for i, (d, lo, hi) in enumerate(zip(dims, lows, highs)):
         if hi - lo < d.min_width:
             raise TubeIntegrityError(
                 f"agent {agent + 1} dim {i + 1} at t={t:g}: "

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ScenarioSpec, unsafe_box_at
+from .sampling import obstacle_bounds
+from .scenario import ScenarioSpec
 from .sim import Trajectory
-from .tube import TubeSet, eval_face_array
+from .tube import TubeSet, tube_values
 
 
 @dataclass
@@ -104,17 +105,12 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
     start_ok = task.start.contains_point(y[0])
     goal_dist = _box_distance(y[-1], task.goal.to_bounds())
     goal_ok = covers and task.goal.contains_point(y[-1])
-    avoid_ok = True
-    violation_t = None
-    for region in spec.obstacles:
-        for k, t in enumerate(traj.times):
-            box = unsafe_box_at(region, float(t), spec.horizon)
-            if box.contains_point(y[k]):
-                avoid_ok = False
-                violation_t = float(t)
-                break
-        if not avoid_ok:
-            break
+    bounds = obstacle_bounds(spec, traj.times)  # (T, R, n, 2)
+    point = y[:, None]
+    inside = ((bounds[..., 0] <= point) & (point <= bounds[..., 1])).all(axis=-1)  # (T, R)
+    hits = np.argwhere(inside.T)  # first region first, then first time
+    avoid_ok = not len(hits)
+    violation_t = None if avoid_ok else float(traj.times[hits[0, 1]])
     if not covers:
         status = "inconclusive"
     else:
@@ -136,15 +132,10 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
 def check_containment(traj: Trajectory, tubes: TubeSet) -> np.ndarray:
     """Margin series: per step the min over dims of the distance to either
     tube wall.  Strictly positive throughout means contained."""
-    dims = tubes.agents[traj.agent].dims
-    y = traj.output(len(dims))
-    t = np.asarray(traj.times)
-    margins = np.full(len(t), np.inf)
-    for i, d in enumerate(dims):
-        lo = eval_face_array(d.lower, t)
-        hi = eval_face_array(d.upper, t)
-        margins = np.minimum(margins, np.minimum(y[:, i] - lo, hi - y[:, i]))
-    return margins
+    own = TubeSet(tubes.horizon, (tubes.agents[traj.agent],))
+    lo, hi = tube_values(own, traj.times)[0].transpose(1, 0, 2)  # (n, T) each
+    y = traj.output(tubes.dims).T
+    return np.minimum(y - lo, hi - y).min(axis=0)
 
 
 def check_ca(trajectories: list[Trajectory], dims: int) -> tuple[bool, float]:

@@ -79,6 +79,21 @@ def test_simulate_requires_certificate(tmp_path, solo_scenario):
     assert code == 0
 
 
+def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):
+    """The default certificate path swaps only the tube file's suffix: a
+    directory named like a tube file and a tube file with another suffix
+    both find the certificate beside it."""
+    runs = tmp_path / "runs.tubes"
+    assert main(["synth", str(solo_scenario), "--out", str(runs)]) == 0
+    code = main(["simulate", str(solo_scenario), str(runs / "solo.tubes"),
+                 "--out", str(tmp_path / "a")])
+    assert code == 0
+    tubes = tmp_path / "run.json"
+    tubes.write_bytes((runs / "solo.tubes").read_bytes())
+    (tmp_path / "run.cert.json").write_bytes((runs / "solo.cert.json").read_bytes())
+    assert main(["simulate", str(solo_scenario), str(tubes), "--out", str(tmp_path / "b")]) == 0
+
+
 def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
     assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
     tubes = tmp_path / "solo.tubes"

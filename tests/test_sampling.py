@@ -42,13 +42,11 @@ def test_cover_of_generated_grid(robots_spec):
 
 def test_cover_detects_hole(robots_spec):
     samples = sample_unsafe(robots_spec)
-    times = np.delete(samples.time_samples, len(samples.time_samples) // 2)
-    boxes = tuple(
-        b for k, b in enumerate(samples.unsafe_boxes)
-        if k != len(samples.unsafe_boxes) // 2
-    )
+    mid = len(samples.time_samples) // 2
     holed = SampleSet(
-        epsilon=samples.epsilon, time_samples=times, unsafe_boxes=boxes
+        epsilon=samples.epsilon,
+        time_samples=np.delete(samples.time_samples, mid),
+        obstacle_bounds=np.delete(samples.obstacle_bounds, mid, axis=0),
     )
     ok, gap = verify_cover(holed, robots_spec, grid_resolution=robots_spec.epsilon / 4)
     assert not ok
@@ -75,8 +73,7 @@ def test_face_samples_track_interpolation():
     samples = sample_unsafe(spec)
     mid = np.argmin(np.abs(samples.time_samples - 5.0))
     assert samples.time_samples[mid] == 5.0
-    (_, box), = samples.unsafe_boxes[mid]
-    assert box.to_bounds() == [[1.0, 2.0], [0.0, 1.0]]
+    assert samples.obstacle_bounds[mid].tolist() == [[[1.0, 2.0], [0.0, 1.0]]]
 
 
 def test_empty_obstacles_give_empty_samples():
@@ -87,7 +84,7 @@ def test_empty_obstacles_give_empty_samples():
         "obstacles": [],
     })
     samples = sample_unsafe(spec)
-    assert all(len(per_t) == 0 for per_t in samples.unsafe_boxes)
+    assert samples.obstacle_bounds.shape == (samples.count, 0, 1, 2)
 
 
 def test_csv_export(tmp_path, robots_spec):

@@ -12,6 +12,7 @@ from sttube.scenario import (
     scenario_from_dict,
     scenario_to_dict,
     unsafe_box_at,
+    unsafe_bounds,
 )
 
 
@@ -79,6 +80,34 @@ def test_unsafe_box_static_and_interp():
         unsafe_box_at(moving, -0.1)
     with pytest.raises(ScenarioError):
         unsafe_box_at(moving, 10.5, horizon=10.0)
+
+
+def test_unsafe_bounds_match_scalar_reference():
+    """The array form equals unsafe_box_at bit for bit, including at the
+    interior keyframe, where both interpolate the earlier segment at w = 1
+    (0.1 + (0.43 - 0.1) is not 0.43 in floating point)."""
+    static = UnsafeRegion(keyframes=((0.0, Box.from_bounds([[0.1, 1.3], [0.7, 0.9]])),))
+    moving = UnsafeRegion(
+        keyframes=(
+            (1.0, Box.from_bounds([[0.1, 1.3], [0.13, 0.9]])),
+            (3.3, Box.from_bounds([[0.43, 1.5], [1.16, 1.9]])),
+            (7.1, Box.from_bounds([[2.0, 3.0], [0.5, 1.0]])),
+        ),
+        interpolation="piecewise-linear",
+    )
+    # before the first keyframe, on each, between them, after the last
+    times = np.concatenate([[0.0, 0.5, 1.0, 2.2, 3.3, 5.0, 7.1, 9.0, 10.0],
+                            np.linspace(0.0, 10.0, 1001)])
+    for region in (static, moving):
+        expect = np.array([unsafe_box_at(region, float(t), 10.0).to_bounds() for t in times])
+        got = unsafe_bounds(region, times, 10.0)
+        assert got.shape == (len(times), 2, 2)
+        assert got.tobytes() == expect.tobytes()
+    assert unsafe_bounds(moving, [3.3])[0, 0, 0] != 0.43
+    with pytest.raises(ScenarioError):
+        unsafe_bounds(moving, [0.0, -0.1])
+    with pytest.raises(ScenarioError):
+        unsafe_bounds(moving, [10.5], horizon=10.0)
 
 
 def test_unsafe_boxes_stay_inside_arena(robots_spec, drones_spec):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sttube.control import ControllerIntegrityError
+from sttube.control import ControllerIntegrityError, stage1_error
+from sttube.plant import make_plant
 from sttube.scenario import scenario_from_dict
 from sttube.sim import run_closed_loop, write_trajectories_csv
-from sttube.tube import tubes_from_dict
+from sttube.tube import tube_box_at, tubes_from_dict
 
 
 def _constant_tube_spec():
@@ -110,3 +111,19 @@ def test_published_tube_run_stays_inside(robots_run):
         assert len(traj.times) == 10_001
         assert np.isfinite(traj.states).all()
         assert np.abs(traj.errors).max() < 1.0
+
+
+def test_errors_match_tube_walls(robots_spec, robots_table, robots_run):
+    """The recorded stage-1 error is the normalized error against the walls
+    that tube_box_at gives at the recorded times (the heading band pads
+    the plant's extra output), bit for bit."""
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    pad = plant.dims - robots_spec.dims
+    for traj in robots_run:
+        expect = []
+        for t, x in zip(traj.times, traj.states):
+            box = tube_box_at(robots_table, traj.agent, float(t))
+            lower = [ax.lo for ax in box.axes] + [plant.heading_band[0]] * pad
+            upper = [ax.hi for ax in box.axes] + [plant.heading_band[1]] * pad
+            expect.append(stage1_error(x[: plant.dims], lower, upper))
+        assert np.array(expect).tobytes() == traj.errors.tobytes()

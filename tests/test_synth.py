@@ -32,8 +32,10 @@ def test_variable_layout_counts(robots_spec):
     # per dim, one slack per agent-dim, one global slack
     coeffs = 3 * 2 * 2 * 3 + 1 * 2 * 2 * 4
     assert inst.n_vars == coeffs + 4 * 2 + 1
-    off, z = inst.coeff_offset[(3, 0, "lower")]
-    assert z == 4
+    assert inst.z[3, 0] == 4
+    # face (agent 4, dim 1, lower) owns four distinct coefficient columns
+    cols = inst.columns[(3 * inst.n + 0) * 2]
+    assert len(set(cols.tolist())) == 4 and cols.max() < coeffs
 
 
 def test_degree_zero_is_a_construction_error(robots_spec):
@@ -214,8 +216,11 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
     asg = mini_result.assignment
     diag = SolveDiagnostics()
     solve_sop(inst, asg, diag)
-    faces = {key: inst.powers[:, :z] @ diag.x[off : off + z]
-             for key, (off, z) in inst.coeff_offset.items()}
+    sides = ("lower", "upper")
+    faces = {
+        (j, i, sides[s]): inst.powers[:, : inst.z[j, i]] @ diag.x[cols[: inst.z[j, i]]]
+        for (j, i, s), cols in zip(np.ndindex(inst.m, inst.n, 2), inst.columns)
+    }
     bounds = inst.obstacle_bounds
 
     def unsafe_option(j, r, t, i, side):
