@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -43,17 +42,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def worker_count() -> int:
-    """Worker cap from STT_THREADS (default: the machine's CPU count)."""
-    raw = os.environ.get("STT_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def write_manifest(path: Path, command: str, args: dict, outputs: dict, wall: float) -> None:
@@ -194,7 +182,7 @@ def cmd_lipschitz(args) -> int:
         repetitions=args.reps,
         rng_seed=args.seed,
     )
-    table = estimate_table(tubes, cfg, workers=worker_count())
+    table = estimate_table(tubes, cfg)
     print(f"{'agent':>6} {'dim':>4} {'side':>6} {'location':>10} {'scale':>9} "
           f"{'shape':>8}  method")
     for (j, i, side), fit in sorted(table.items()):

@@ -1,11 +1,14 @@
 """Closed-form, approximation-free, decentralized tube-tracking control.
 
-Stage 1 normalizes the output error against the time-varying tube walls,
-passes it through the logarithmic barrier transform, and scales by the
-tube-width gain matrix.  Stages 2..N repeat the construction against
-exponentially narrowing funnels around the previous stage's reference.
-The cascade's final output is the plant input; no model of the dynamics
-enters anywhere.
+One stage law, applied per stage (``stage_reference``): normalize the
+error against the stage's constraint, pass it through the logarithmic
+barrier transform ln((1+e)/(1-e)), and scale by the barrier gain
+4 / (gamma (1 - e^2)).  Stage 1 measures the output error against the
+time-varying tube walls (gamma is the wall width); stages 2..N measure
+the tracking error against exponentially narrowing funnels around the
+previous stage's reference (gamma is the funnel radius).  The cascade's
+final output is the plant input; no model of the dynamics enters
+anywhere.
 
 All functions are pure scalar arithmetic on sequences (one agent's data
 only), so an agent's input is byte-identical whether or not other agents
@@ -84,41 +87,32 @@ def stage1_error(x1, lower, upper) -> tuple[float, ...]:
     )
 
 
-def transform_error(e, e_max: float) -> tuple[tuple[float, ...], int]:
-    """Componentwise log-ratio ln((1+e)/(1-e)) after clamping into [-e_max, e_max].
+def stage_reference(
+    e, gamma, kappa: float, e_max: float, negative_definite: bool = False
+) -> tuple[tuple[float, ...], int]:
+    """One stage of the cascade: the next stage's reference from this
+    stage's normalized error ``e`` and constraint width ``gamma``.
 
-    Returns the transformed vector and the number of clamped components.
-    """
-    clamped = 0
-    out = []
-    for v in e:
-        if v > e_max:
-            v = e_max
-            clamped += 1
-        elif v < -e_max:
-            v = -e_max
-            clamped += 1
-        out.append(math.log((1.0 + v) / (1.0 - v)))
-    return tuple(out), clamped
-
-
-def xi_matrix(e, gamma_d) -> tuple[float, ...]:
-    """Diagonal gain 4 / (gamma_d (1 - e^2)); grows without bound at the walls."""
-    out = []
-    for v, g in zip(e, gamma_d):
-        if g <= 0.0:
-            raise ControllerIntegrityError(0, f"(nonpositive width {g})")
-        out.append(4.0 / (g * (1.0 - v * v)))
-    return tuple(out)
-
-
-def stage_output(kappa: float, eps, xi, negative_definite: bool = False) -> tuple[float, ...]:
-    """Reference for the next stage: -kappa * xi * eps componentwise.
-
-    A plant with negative-definite input gain flips the sign.
+    Per component, e is clamped once into [-e_max, e_max], transformed by
+    ln((1+e)/(1-e)), and scaled by the barrier gain 4 / (gamma (1 - e^2))
+    and by -kappa (+kappa for a plant with negative-definite input gain).
+    Returns the reference and the number of clamped components.
     """
     gain = kappa if negative_definite else -kappa
-    return tuple(gain * x * v for x, v in zip(xi, eps))
+    out = []
+    clamps = 0
+    for v, g in zip(e, gamma):
+        if g <= 0.0:
+            raise ControllerIntegrityError(0, f"(nonpositive width {g})")
+        if v > e_max:
+            v = e_max
+            clamps += 1
+        elif v < -e_max:
+            v = -e_max
+            clamps += 1
+        xi = 4.0 / (g * (1.0 - v * v))
+        out.append(gain * xi * math.log((1.0 + v) / (1.0 - v)))
+    return tuple(out), clamps
 
 
 def stage_k_error(x_k, r_k, radius) -> tuple[float, ...]:
@@ -138,42 +132,33 @@ def control_input(
     """Cascade the stages and return the plant input.
 
     ``states`` is the per-stage state list (x_1 .. x_N), each of output
-    dimension; stage-1 bounds are the tube walls at time t.  With
-    ``strict`` the call raises ControllerIntegrityError when a stage
-    state lies on or outside its constraint; intermediate integrator
-    evaluations pass strict=False and rely on the guard clamp instead.
+    dimension; stage-1 bounds are the tube walls at time t.  Stage 1
+    measures its error against the walls, stage k against funnel k around
+    the previous stage's reference.  With ``strict`` the call raises
+    ControllerIntegrityError when a stage state lies on or outside its
+    constraint; intermediate integrator evaluations pass strict=False and
+    rely on the guard clamp instead.
     """
     if len(states) != config.stage_count:
         raise ValueError("state count does not match stage count")
-    tel = telemetry if telemetry is not None else StageTelemetry()
-
-    e = stage1_error(states[0], stage1_lower, stage1_upper)
-    worst = max(abs(v) for v in e)
-    if strict and worst >= 1.0:
-        raise ControllerIntegrityError(1, f"(|e|={worst:.6g} at t={t:.6g})")
-    eps, clamps = transform_error(e, config.e_max)
-    tel.clamp_count += clamps
-    e_guarded = tuple(max(-config.e_max, min(config.e_max, v)) for v in e)
-    width = tuple(hi - lo for lo, hi in zip(stage1_lower, stage1_upper))
-    xi = xi_matrix(e_guarded, width)
-    r_next = stage_output(config.kappa[0], eps, xi, config.g_negative_definite)
-
-    for k in range(1, config.stage_count):
-        radius = config.funnels[k - 1].radius(t)
-        e_k = stage_k_error(states[k], r_next, radius)
-        worst = max(abs(v) for v in e_k)
-        if strict and worst >= 1.0:
-            raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g} at t={t:.6g})")
-        eps_k, clamps = transform_error(e_k, config.e_max)
-        tel.clamp_count += clamps
-        e_k_guarded = tuple(
-            max(-config.e_max, min(config.e_max, v)) for v in e_k
+    ref = ()
+    for k, x in enumerate(states):
+        if k == 0:
+            gamma = tuple(hi - lo for lo, hi in zip(stage1_lower, stage1_upper))
+            e = stage1_error(x, stage1_lower, stage1_upper)
+        else:
+            gamma = config.funnels[k - 1].radius(t)
+            e = stage_k_error(x, ref, gamma)
+        if strict:
+            worst = max(abs(v) for v in e)
+            if worst >= 1.0:
+                raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g} at t={t:.6g})")
+        ref, clamps = stage_reference(
+            e, gamma, config.kappa[k], config.e_max, config.g_negative_definite
         )
-        xi_k = xi_matrix(e_k_guarded, radius)
-        r_next = stage_output(
-            config.kappa[k], eps_k, xi_k, config.g_negative_definite
-        )
-    return r_next
+        if telemetry is not None:
+            telemetry.clamp_count += clamps
+    return ref
 
 
 def autosize_funnels(
@@ -191,29 +176,24 @@ def autosize_funnels(
 
     Each initial radius covers twice the initial tracking gap plus a
     margin, so every stage starts strictly inside its funnel.  Stages are
-    sized in order because stage k's reference depends on the funnels of
-    the stages before it.
+    sized in order because stage k's reference is the output of the
+    cascade of stages 1..k-1 and their funnels.
     """
     dims = len(states[0])
-    e = stage1_error(states[0], stage1_lower, stage1_upper)
-    eps, _ = transform_error(e, e_max)
-    e_guard = tuple(max(-e_max, min(e_max, v)) for v in e)
-    width = tuple(hi - lo for lo, hi in zip(stage1_lower, stage1_upper))
-    ref = stage_output(kappa[0], eps, xi_matrix(e_guard, width), g_negative_definite)
-
     funnels = []
     for k in range(1, len(states)):
+        config = ControllerConfig(
+            kappa=tuple(kappa[:k]),
+            funnels=tuple(funnels),
+            e_max=e_max,
+            g_negative_definite=g_negative_definite,
+        )
+        ref = control_input(
+            states[:k], stage1_lower, stage1_upper, config, t=0.0, strict=False
+        )
         p = tuple(
             max(2.0 * abs(x - r) + p_margin, 2.0 * q)
             for x, r in zip(states[k], ref)
         )
-        funnel = Funnel(p=p, q=(q,) * dims, mu=(mu,) * dims)
-        funnels.append(funnel)
-        radius = funnel.radius(0.0)
-        e_k = stage_k_error(states[k], ref, radius)
-        eps_k, _ = transform_error(e_k, e_max)
-        e_k_guard = tuple(max(-e_max, min(e_max, v)) for v in e_k)
-        ref = stage_output(
-            kappa[k], eps_k, xi_matrix(e_k_guard, radius), g_negative_definite
-        )
+        funnels.append(Funnel(p=p, q=(q,) * dims, mu=(mu,) * dims))
     return tuple(funnels)

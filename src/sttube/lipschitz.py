@@ -215,38 +215,24 @@ def estimate_face(
     return fit_reverse_weibull(maxima)
 
 
-def estimate_L(
-    tubes: TubeSet, cfg: SlopeSampleConfig, workers: int = 1
-) -> tuple[float, float]:
+def estimate_L(tubes: TubeSet, cfg: SlopeSampleConfig) -> tuple[float, float]:
     """(L_lower, L_upper): max fitted location over all faces per side."""
-    table = estimate_table(tubes, cfg, workers=workers)
+    table = estimate_table(tubes, cfg)
     ll = max(fit.location for (_, _, side), fit in table.items() if side == "lower")
     lu = max(fit.location for (_, _, side), fit in table.items() if side == "upper")
     return ll, lu
 
 
 def estimate_table(
-    tubes: TubeSet, cfg: SlopeSampleConfig, workers: int = 1
+    tubes: TubeSet, cfg: SlopeSampleConfig
 ) -> dict[tuple[int, int, str], WeibullFit]:
     """Per-face fits keyed by (agent, dim, side); deterministic in the seed."""
-    jobs = [
-        (j, i, side, face)
+    return {
+        (j, i, side): estimate_face(
+            face, tubes.horizon, cfg, seed_key=(j, i, 0 if side == "lower" else 1)
+        )
         for j, i, side, face in tubes.faces()
-    ]
-
-    def run(job):
-        j, i, side, face = job
-        key = (j, i, 0 if side == "lower" else 1)
-        return (j, i, side), estimate_face(face, tubes.horizon, cfg, seed_key=key)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    return dict(results)
+    }
 
 
 def convergence_sweep(

@@ -238,7 +238,11 @@ def run_closed_loop(
         dist = Disturbance(bound=dist.bound, kind=dist.kind, seed=seed)
     out = []
     for j, task in enumerate(spec.agents):
-        x0 = initial_states[j] if initial_states is not None else None
+        x0 = (
+            tuple(initial_states[j])
+            if initial_states is not None
+            else initial_state(tubes, j, model)
+        )
         config = build_controller_config(spec, tubes, j, model, kappa=kappa, x0=x0)
         out.append(
             integrate_agent(

@@ -292,11 +292,10 @@ class SopInstance:
     def equality_rows(self):
         """Endpoint pins: face(0) and face(t_c) equal the box bounds."""
         n_faces = len(self.columns) - 1
-        pc = np.vander([self.spec.horizon], N=self.powers.shape[1], increasing=True)[0]
+        pins = np.vander([0.0, self.spec.horizon], N=self.powers.shape[1], increasing=True)
         faces = np.stack([np.repeat(np.arange(n_faces), 2), np.full(2 * n_faces, -1)], axis=1)
         rows = self._face_rows(
-            faces, np.ones(faces.shape), np.full(2 * n_faces, -1),
-            np.tile([self.powers[0], pc], (n_faces, 1)),
+            faces, np.ones(faces.shape), np.full(2 * n_faces, -1), np.tile(pins, (n_faces, 1))
         )
         ends = [[a.start.to_bounds(), a.goal.to_bounds()] for a in self.spec.agents]
         return rows, np.array(ends).transpose(0, 2, 3, 1).ravel()

@@ -105,7 +105,9 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
     start_ok = task.start.contains_point(y[0])
     goal_dist = _box_distance(y[-1], task.goal.to_bounds())
     goal_ok = covers and task.goal.contains_point(y[-1])
-    bounds = obstacle_bounds(spec, traj.times)  # (T, R, n, 2)
+    # n_steps * dt may overshoot the horizon by rounding; the obstacles
+    # are defined on [0, horizon] only.
+    bounds = obstacle_bounds(spec, np.minimum(traj.times, spec.horizon))  # (T, R, n, 2)
     point = y[:, None]
     inside = ((bounds[..., 0] <= point) & (point <= bounds[..., 1])).all(axis=-1)  # (T, R)
     hits = np.argwhere(inside.T)  # first region first, then first time

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 
@@ -7,15 +8,30 @@ from sttube.control import (
     ControllerIntegrityError,
     Funnel,
     StageTelemetry,
+    autosize_funnels,
     control_input,
     stage1_error,
     stage_k_error,
-    stage_output,
-    transform_error,
-    xi_matrix,
+    stage_reference,
 )
 
 E_MAX = 1.0 - 1e-9
+
+
+def _paper_reference(e, gamma, kappa, negative_definite=False):
+    """The stage law written out per component: clamp e into [-e_max, e_max],
+    eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps."""
+    out = []
+    for v, g in zip(e, gamma):
+        v = min(max(v, -E_MAX), E_MAX)
+        eps = math.log((1.0 + v) / (1.0 - v))
+        xi = 4.0 / (g * (1.0 - v * v))
+        out.append((kappa if negative_definite else -kappa) * xi * eps)
+    return tuple(out)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def test_stage1_error_center_and_affine():
@@ -34,44 +50,53 @@ def test_stage1_error_robot_start(robots_table):
 
 
 def test_transform_error_values():
-    eps, clamped = transform_error((0.0,), E_MAX)
-    assert eps == (0.0,) and clamped == 0
-    eps, clamped = transform_error((0.5,), E_MAX)
-    assert eps[0] == pytest.approx(math.log(3.0), abs=1e-12)
+    # gamma = 16/3 makes the barrier gain 4 / (gamma (1 - 0.25)) equal 1, so
+    # the reference is -ln((1+e)/(1-e)) itself
+    ref, clamped = stage_reference((0.0,), (1.0,), 1.0, E_MAX)
+    assert ref == (0.0,) and clamped == 0
+    ref, clamped = stage_reference((0.5,), (16.0 / 3.0,), 1.0, E_MAX)
+    assert ref[0] == pytest.approx(-math.log(3.0), abs=1e-12)
     assert clamped == 0
     # odd function
-    neg, _ = transform_error((-0.5,), E_MAX)
-    assert neg[0] == -eps[0]
-    # guard engages above e_max, stays finite, and is counted
-    eps, clamped = transform_error((0.9999999999,), E_MAX)
-    assert clamped == 1 and math.isfinite(eps[0])
-    eps, clamped = transform_error((0.999999,), E_MAX)
-    assert clamped == 0 and math.isfinite(eps[0])
+    neg, _ = stage_reference((-0.5,), (16.0 / 3.0,), 1.0, E_MAX)
+    assert neg[0] == -ref[0]
+    # guard engages above e_max, stays finite, and is counted per component
+    ref, clamped = stage_reference((0.9999999999,), (1.0,), 1.0, E_MAX)
+    assert clamped == 1 and math.isfinite(ref[0])
+    ref, clamped = stage_reference((0.999999,), (1.0,), 1.0, E_MAX)
+    assert clamped == 0 and math.isfinite(ref[0])
+    ref, clamped = stage_reference((1.5, 0.2, -3.0), (1.0,) * 3, 1.0, E_MAX)
+    assert clamped == 2 and all(math.isfinite(v) for v in ref)
 
 
 def test_xi_values():
-    assert xi_matrix((0.0,), (0.5,)) == (8.0,)
-    assert xi_matrix((0.5,), (1.0,))[0] == pytest.approx(16.0 / 3.0, abs=1e-12)
+    # the barrier gain is the reference over -kappa ln((1+e)/(1-e))
+    ref, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX)
+    assert ref[0] / -math.log(3.0) == pytest.approx(16.0 / 3.0, abs=1e-12)
+    ref, _ = stage_reference((0.5,), (0.5,), 1.0, E_MAX)
+    assert ref[0] / -math.log(3.0) == pytest.approx(32.0 / 3.0, abs=1e-12)
     with pytest.raises(ControllerIntegrityError):
-        xi_matrix((0.0,), (0.0,))
+        stage_reference((0.0,), (0.0,), 1.0, E_MAX)
+    with pytest.raises(ControllerIntegrityError):
+        stage_reference((0.0,), (-1.0,), 1.0, E_MAX)
 
 
 def test_xi_barrier_growth():
-    prev = 0.0
-    for e in (0.0, 0.5, 0.9, 0.99, 0.999999):
-        val = xi_matrix((e,), (1.0,))[0]
-        assert val > prev
-        prev = val
+    prev = 4.0  # the gain at e = 0 with unit width
+    for e in (0.5, 0.9, 0.99, 0.999999):
+        ref, _ = stage_reference((e,), (1.0,), 1.0, E_MAX)
+        gain = ref[0] / -math.log((1.0 + e) / (1.0 - e))
+        assert gain > prev
+        prev = gain
 
 
 def test_stage_output_composition():
-    eps, _ = transform_error((0.5,), E_MAX)
-    xi = xi_matrix((0.5,), (1.0,))
-    r = stage_output(1.0, eps, xi)
-    assert r[0] == pytest.approx(-5.859, abs=1e-3)
+    ref, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX)
+    assert ref[0] == pytest.approx(-5.859, abs=1e-3)
     # negative-definite input gain flips the sign
-    r_neg = stage_output(1.0, eps, xi, negative_definite=True)
-    assert r_neg[0] == pytest.approx(5.859, abs=1e-3)
+    ref_neg, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX, negative_definite=True)
+    assert ref_neg[0] == pytest.approx(5.859, abs=1e-3)
+    assert ref_neg[0] == -ref[0]
 
 
 def test_funnel_radius_and_stage_k_error():
@@ -99,13 +124,48 @@ def test_control_input_centered_is_zero():
 
 
 def test_control_input_single_stage_is_first_reference():
-    # N = 1: the cascade's first reference IS the plant input
-    x = (0.7, 0.4)
-    u = control_input([x], (0.0, 0.0), (1.0, 1.0), _single_stage_config(), t=0.0)
-    e = stage1_error(x, (0.0, 0.0), (1.0, 1.0))
-    eps, _ = transform_error(e, E_MAX)
-    xi = xi_matrix(e, (1.0, 1.0))
-    assert u == stage_output(1.0, eps, xi)
+    # N = 1: the cascade's first reference IS the plant input, bit for bit,
+    # clamped components included
+    lower, upper = (0.0, 0.0, -1.0, 2.0), (1.0, 1.0, 1.0, 2.5)
+    x = (0.7, 0.4, 1.5, 1.0)  # the last two lie outside their walls
+    cfg = ControllerConfig(kappa=(1.1,), e_max=E_MAX)  # 1.1: rounding shows operand order
+    tel = StageTelemetry()
+    u = control_input([x], lower, upper, cfg, t=0.0, strict=False, telemetry=tel)
+    width = tuple(hi - lo for lo, hi in zip(lower, upper))
+    e = tuple((2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x, lower, upper))
+    assert _bits(u) == _bits(_paper_reference(e, width, 1.1))
+    assert tel.clamp_count == 2
+
+
+@pytest.mark.parametrize("negative_definite", [False, True])
+def test_two_stage_cascade_matches_paper_formulas(negative_definite):
+    """Stage 2 tracks stage 1's reference inside funnel radius
+    (p - q) exp(-mu t) + q; the input equals the paper's chain bit for bit,
+    with a clamped component in each stage."""
+    lower, upper = (0.0, -1.0, 0.5), (1.0, 2.0, 0.75)
+    x1 = (0.7, 3.0, 0.6)  # dim 2 is outside the walls
+    funnel = Funnel(p=(0.5, 0.8, 2.0), q=(0.1, 0.1, 0.2), mu=(1.0, 2.0, 0.5))
+    kappa, t = (2.3, 2.3), 0.3  # 2.3: rounding shows operand order
+
+    width = tuple(hi - lo for lo, hi in zip(lower, upper))
+    e1 = tuple((2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x1, lower, upper))
+    r1 = _paper_reference(e1, width, kappa[0], negative_definite)
+    radius = tuple(
+        (p - q) * math.exp(-mu * t) + q for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)
+    )
+    # stage 2 sits inside its funnel in dims 1 and 2, outside in dim 3
+    x2 = tuple(r + f * g for r, g, f in zip(r1, radius, (0.5, -0.8, 3.0)))
+    e2 = tuple((v - r) / g for v, r, g in zip(x2, r1, radius))
+    expect = _paper_reference(e2, radius, kappa[1], negative_definite)
+
+    cfg = ControllerConfig(
+        kappa=kappa, funnels=(funnel,), e_max=E_MAX, g_negative_definite=negative_definite
+    )
+    tel = StageTelemetry()
+    u = control_input([x1, x2], lower, upper, cfg, t, strict=False, telemetry=tel)
+    assert _bits(u) == _bits(expect)
+    clamped = [abs(v) > E_MAX for v in e1 + e2]
+    assert clamped == [False, True, False, False, False, True] and tel.clamp_count == 2
 
 
 def test_control_input_odd_symmetry():
@@ -144,8 +204,6 @@ def test_two_stage_cascade_centered():
 def test_decentralization_byte_identity(robots_table):
     """An agent's input depends only on its own state and tubes: computing
     it with the other agents' data absent gives bit-identical bytes."""
-    import struct
-
     from sttube.tube import TubeSet, eval_face
 
     cfg = _single_stage_config()
@@ -171,3 +229,33 @@ def test_config_invariants():
         ControllerConfig(kappa=(1.0,), e_max=1.5)
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(1.0, 1.0), funnels=())
+
+
+def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
+    """At the tube-centre start every stage-k error is at most 1/2, because
+    the initial radius p is at least twice the tracking gap plus a margin,
+    and the strict controller accepts the start state."""
+    from sttube.plant import make_plant
+    from sttube.sim import build_controller_config, initial_state
+    from sttube.tube import tube_box_at
+
+    plant = make_plant(drones_spec.plant, drones_spec.dims)
+    assert plant.stages == 2 and plant.dims == drones_spec.dims
+    for j in range(len(drones_spec.agents)):
+        x0 = initial_state(drones_table, j, plant)
+        states = [x0[k * plant.dims : (k + 1) * plant.dims] for k in range(plant.stages)]
+        box = tube_box_at(drones_table, j, 0.0)
+        lower = tuple(ax.lo for ax in box.axes)
+        upper = tuple(ax.hi for ax in box.axes)
+        cfg = build_controller_config(drones_spec, drones_table, j, plant, x0=x0)
+        ctl = drones_spec.control
+        assert cfg.funnels == autosize_funnels(
+            states, lower, upper, cfg.kappa, ctl.funnel_q, ctl.funnel_mu,
+            ctl.funnel_p_margin, ctl.e_max,
+        )
+        for k in range(1, plant.stages):
+            head = ControllerConfig(cfg.kappa[:k], cfg.funnels[: k - 1], cfg.e_max)
+            ref = control_input(states[:k], lower, upper, head, t=0.0, strict=False)
+            e_k = stage_k_error(states[k], ref, cfg.funnels[k - 1].radius(0.0))
+            assert max(abs(v) for v in e_k) <= 0.5
+        control_input(states, lower, upper, cfg, t=0.0, strict=True)

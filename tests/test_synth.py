@@ -61,6 +61,25 @@ def test_single_agent_instance_has_no_disjunctions():
     assert eta < -0.2
 
 
+def test_start_pin_is_at_time_zero_on_degenerate_grid():
+    # epsilon >= horizon gives the single-sample grid [t_c / 2]; the start
+    # box must still be pinned at t = 0 and the goal box at t = t_c
+    spec = scenario_from_dict({
+        "dims": 2, "horizon": 0.5, "epsilon": 1.0,
+        "arena": [[0.0, 4.0], [0.0, 4.0]],
+        "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[3.0, 4.0], [3.0, 4.0]],
+                    "tube_degree": [2, 2]}],
+        "obstacles": [],
+    })
+    with pytest.warns(UserWarning, match="degenerate"):
+        samples = sample_unsafe(spec)
+    inst = build_sop(spec, samples)
+    rows, rhs = inst.equality_rows()
+    face = inst.columns[0]  # agent 1, dim 1, lower face
+    assert rows[0, face].tolist() == [1.0, 0.0, 0.0] and rhs[0] == 0.0
+    assert rows[1, face].tolist() == [1.0, 0.5, 0.25] and rhs[1] == 3.0
+
+
 # ---------------------------------------------------------------------------
 # seeding
 

@@ -81,6 +81,30 @@ def test_short_trajectory_is_inconclusive():
     assert not check.tras_pass
 
 
+def test_verify_accepts_last_time_rounded_past_horizon():
+    # 3 * 0.1 = 0.30000000000000004 > 0.3: the integrator accepts the
+    # overshoot, so the obstacle check must too
+    spec = scenario_from_dict({
+        "dims": 2, "horizon": 0.3, "epsilon": 0.01,
+        "arena": [[0.0, 4.0], [0.0, 4.0]],
+        "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[0.0, 1.0], [0.0, 1.0]],
+                    "tube_degree": [1, 1]}],
+        "obstacles": [{"interpolation": "static",
+                       "keyframes": [[0.0, [[2.8, 3.2], [2.8, 3.2]]]]}],
+    })
+    tubes = tubes_from_dict({
+        "horizon": 0.3,
+        "agents": [{"dims": [
+            {"lower": [0.0, 0.0], "upper": [1.0, 0.0], "min_width": 0.4},
+            {"lower": [0.0, 0.0], "upper": [1.0, 0.0], "min_width": 0.4},
+        ]}],
+    })
+    trajs = run_closed_loop(spec, tubes, dt=0.1, seed=1)
+    assert trajs[0].times[-1] > spec.horizon
+    report = verify_run(trajs, spec, tubes)
+    assert report.all_pass and report.agents[0].status == "pass"
+
+
 def test_containment_margins():
     tubes = _tubes()
     centers = np.linspace([0.5, 0.5], [3.5, 3.5], 11)
