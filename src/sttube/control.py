@@ -137,7 +137,8 @@ def control_input(
     the previous stage's reference.  With ``strict`` the call raises
     ControllerIntegrityError when a stage state lies on or outside its
     constraint; intermediate integrator evaluations pass strict=False and
-    rely on the guard clamp instead.
+    rely on the guard clamp instead.  A collapsed stage-1 tube (wall width
+    <= 0) raises the stage-1 error in either mode.
     """
     if len(states) != config.stage_count:
         raise ValueError("state count does not match stage count")
@@ -145,6 +146,8 @@ def control_input(
     for k, x in enumerate(states):
         if k == 0:
             gamma = tuple(hi - lo for lo, hi in zip(stage1_lower, stage1_upper))
+            if min(gamma) <= 0.0:
+                raise ControllerIntegrityError(1, f"(tube width {min(gamma):.6g} at t={t:.6g})")
             e = stage1_error(x, stage1_lower, stage1_upper)
         else:
             gamma = config.funnels[k - 1].radius(t)

@@ -23,8 +23,12 @@ it (the published case studies do exactly this, including a face riding
 the boundary for the whole horizon).  A slack-coupled arena row can
 therefore never be negative, which would make the sampled-to-robust
 margin test unsatisfiable for every scenario of this shape.  Arena rows
-are instead enforced exactly at every sample, and the dense validation
-bounds the between-sample excursion through the faces' curvature.
+are instead enforced exactly at every sample and, since the margin test
+says nothing about them, also between samples: once the sampled system
+holds, each face is checked at the roots of its derivative, and every
+time where it leaves the arena becomes an extra row (an exchange method
+for the semi-infinite constraint; Hettich & Kortanek, SIAM Review 35(3),
+1993).
 """
 
 from __future__ import annotations
@@ -194,6 +198,8 @@ class SopInstance:
         )
         self.arena = np.array(spec.arena.to_bounds())  # (n, 2)
         self.min_widths = np.array(template.min_widths, dtype=float).reshape(self.m, self.n)
+        # start and goal box bounds, (m, start/goal, n, lo/hi)
+        self.ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
         self.pairs = [
             (j, k) for j in range(self.m) for k in range(j + 1, self.m)
         ]
@@ -297,8 +303,7 @@ class SopInstance:
         rows = self._face_rows(
             faces, np.ones(faces.shape), np.full(2 * n_faces, -1), np.tile(pins, (n_faces, 1))
         )
-        ends = [[a.start.to_bounds(), a.goal.to_bounds()] for a in self.spec.agents]
-        return rows, np.array(ends).transpose(0, 2, 3, 1).ravel()
+        return rows, self.ends.transpose(0, 2, 3, 1).ravel()
 
     def ordering_rows(self):
         rows = np.zeros((self.m * self.n, self.n_vars))
@@ -308,13 +313,7 @@ class SopInstance:
 
     def static_violations(self, faces: np.ndarray, etas: np.ndarray, tol: float) -> np.ndarray:
         """Keys of the arena and width rows violated by more than ``tol``:
-        the eight worst samples of each group.
-
-        Tied samples are ordered by numpy's default argsort on the group's
-        violated samples, which is not stable (it sorts with SIMD networks
-        where the CPU has them); a stable order picks other tied samples,
-        and so other LP rows, on the robots scenario.
-        """
+        the eight worst samples of each group, ties to the earlier sample."""
         m, n = self.m, self.n
         viol = np.empty((len(self.static_groups), self.n_t))
         arena = viol[: 4 * m * n].reshape(m, n, 2, 2, self.n_t)
@@ -327,8 +326,35 @@ class SopInstance:
         keys = [np.zeros(0, dtype=int)]
         for g in np.flatnonzero((viol > tol).any(axis=1)):
             bad = np.flatnonzero(viol[g] > tol)
-            keys.append(self.static_groups[g] * self.n_t + bad[np.argsort(-viol[g, bad])][:8])
+            order = np.argsort(-viol[g, bad], kind="stable")
+            keys.append(self.static_groups[g] * self.n_t + bad[order][:8])
         return np.concatenate(keys)
+
+    def arena_excursions(self, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """Arena rows, at exact times, for every face that leaves the arena
+        by more than ``tol`` anywhere in [0, t_c].
+
+        A face's extremes on [0, t_c] lie at the ends or at a root of its
+        derivative, so those are the only times checked.  The real parts of
+        complex roots are checked too: they are harmless extra times and
+        cover a near-double root that comes out complex.
+        """
+        horizon = self.spec.horizon
+        groups, times = [], []
+        for f, cols in enumerate(self.columns[:-1]):
+            coeffs = x[cols[cols < self.n_vars]][::-1]  # highest power first
+            roots = np.roots(np.polyder(coeffs)).real
+            t = np.r_[0.0, horizon, roots[(roots > 0.0) & (roots < horizon)]]
+            values = np.polyval(coeffs, t)
+            lo, hi = self.arena[f // 2 % self.n]
+            for half, past in enumerate((lo - values, values - hi)):
+                bad = past > tol
+                groups += [2 * f + half] * int(bad.sum())
+                times += t[bad].tolist()
+        g = np.array(groups, dtype=int)
+        faces, signs, etas, rhs, _ = (col[g, 0] for col in self.row_table)
+        powers = np.vander(times, N=self.powers.shape[1], increasing=True)
+        return self._face_rows(faces, signs, etas, powers), rhs
 
     # -- vectorized evaluation ----------------------------------------------
 
@@ -447,7 +473,7 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
 
 
 # ---------------------------------------------------------------------------
-# Solving (lazy active-set loop around the dense simplex)
+# Solving (lazy active-set loop around the LP solver)
 
 
 @dataclass
@@ -483,11 +509,14 @@ def solve_sop(
 ) -> tuple[TubeSet, float]:
     """Minimize the global slack under the assigned witnesses.
 
-    A cutting-plane loop around the dense simplex: solve on a small
-    working set, scan every constraint row vectorized, add the violated
-    ones, drop rows that have gone slack, repeat until the full sampled
-    system is satisfied at the optimum.  Deterministic throughout;
-    ``warm_keys`` seeds the working set from a related earlier solve.
+    A cutting-plane loop around ``solve_lp``: solve on a small working
+    set, scan every constraint row vectorized, add the violated ones, drop
+    rows that have gone slack, repeat until the full sampled system is
+    satisfied at the optimum.  Then every face is checked against the
+    arena exactly (``SopInstance.arena_excursions``); violating times are
+    added as rows that are never dropped, and the loop goes on until both
+    checks pass.  Deterministic throughout; ``warm_keys`` seeds the working
+    set from a related earlier solve.
     """
     diag = diagnostics if diagnostics is not None else SolveDiagnostics()
     eq_rows, eq_rhs = instance.equality_rows()
@@ -509,15 +538,20 @@ def solve_sop(
     activate((np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel())
     activate(np.asarray(warm_keys, dtype=np.int64))
 
+    # eta_global, plus a small weight on every per-(agent, dim) slack: it
+    # makes the optimum canonical and gives each agent and dim its own slack
     objective = np.zeros(instance.n_vars)
+    objective[instance.eta_offset] = 1e-3
     objective[instance.eta_global] = 1.0
 
+    # arena rows at exact times between samples; never dropped
+    exact_rows, exact_rhs = np.zeros((0, instance.n_vars)), np.zeros(0)
     x = None
     for _round in range(300):
         keys = np.flatnonzero(active)
         rows, rhs = instance.rows(witness, keys)
-        rows = np.vstack([rows, ord_rows])
-        rhs = np.concatenate([rhs, ord_rhs])
+        rows = np.vstack([rows, exact_rows, ord_rows])
+        rhs = np.concatenate([rhs, exact_rhs, ord_rhs])
         problem = LpProblem(
             objective=objective,
             ineq_matrix=rows,
@@ -552,7 +586,12 @@ def solve_sop(
             worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
             new += activate(fam.first * n_t + worst)
         if new == 0:
-            break
+            found_rows, found_rhs = instance.arena_excursions(x, tol)
+            if len(found_rhs) == 0:
+                break
+            exact_rows = np.vstack([exact_rows, found_rows])
+            exact_rhs = np.concatenate([exact_rhs, found_rhs])
+            continue
         # Drop rows that have gone slack at this optimum, except ones that
         # keep coming back (pinned after three re-adds to avoid cycling).
         slack_rows = rows[: len(keys)] @ x - rhs[: len(keys)]
@@ -601,128 +640,69 @@ def _subsample(window: list[int], cap: int = 12) -> list[int]:
     return [window[round(q * step)] for q in range(cap)]
 
 
-def _face_powers(instance, j, i, r_indices):
-    """Powers of the given sample times up to face (j, i)'s degree."""
-    return instance.powers[np.asarray(r_indices)][:, : instance.z[j, i]]
+def _score_witness(instance, faces, signs, rhs, sub) -> float:
+    """Best achievable slack s for faces honoring one witness uniformly.
+
+    A small LP over the given faces alone, each (agent, dim, side): the
+    endpoint pins, arena bounds with room for the opposite face at minimum
+    width, and the witness rows ``sum_q signs[q] * face_q(t) - s <= rhs``
+    at the sample indices ``sub``.  The optimum ranks how viable the
+    witness is.
+    """
+    powers = [instance.powers[sub, : instance.z[j, i]] for j, i, _ in faces]
+    pins = np.vander([0.0, instance.spec.horizon], N=instance.powers.shape[1], increasing=True)
+    nv = sum(p.shape[1] for p in powers) + 1
+    witness = np.zeros((len(sub), nv))
+    witness[:, -1] = -1.0
+    rows, bounds, eq, eq_rhs = [witness], [rhs], [], []
+    start = 0
+    for (j, i, side), p, sign in zip(faces, powers, signs):
+        block = slice(start, start + p.shape[1])
+        start = block.stop
+        witness[:, block] = sign * p
+        lo, hi = instance.arena[i]
+        w = instance.min_widths[j, i]
+        lo, hi = (lo, hi - w) if side == 0 else (lo + w, hi)
+        room = np.zeros((2, len(sub), nv))
+        room[0, :, block], room[1, :, block] = -p, p
+        rows.append(room.reshape(-1, nv))
+        bounds += [np.full(len(sub), -lo), np.full(len(sub), hi)]
+        pin = np.zeros((2, nv))
+        pin[:, block] = pins[:, : p.shape[1]]
+        eq.append(pin)
+        eq_rhs.append(instance.ends[j, :, i, side])
+    sol = solve_lp(
+        LpProblem(
+            objective=np.eye(nv)[-1],
+            ineq_matrix=np.vstack(rows),
+            ineq_rhs=np.concatenate(bounds),
+            eq_matrix=np.vstack(eq),
+            eq_rhs=np.concatenate(eq_rhs),
+        )
+    )
+    return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
 def _score_unsafe_option(instance, j, r, window, code) -> float:
-    """Best achievable slack for one face honoring one witness uniformly.
-
-    A tiny LP over that single face: endpoint pins, arena bounds, room
-    for the opposite face at minimum width, and the witness rows over a
-    subsampled window.  The optimum ranks how viable the option is.
-    """
+    """Score of agent j clearing region r in dim ``code // 2``: side 0 holds
+    the lower face above the region's top, side 1 the upper face below its
+    bottom."""
     i, side = divmod(code, 2)
     sub = _subsample(window)
-    face = FACE_SIDES[side]  # side 0 holds the lower face above the box
-    powers = _face_powers(instance, j, i, sub)
-    z = powers.shape[1]
-    task = instance.spec.agents[j]
-    ax = instance.spec.arena.axes[i]
-    width = instance.template.min_widths[j][i]
-    t_c = instance.spec.horizon
-    p0 = np.zeros(z)
-    p0[0] = 1.0
-    pc = np.array([t_c**k for k in range(z)])
-    if face == "lower":
-        e0, ec = task.start.axes[i].lo, task.goal.axes[i].lo
-        lo_room, hi_room = ax.lo, ax.hi - width
-    else:
-        e0, ec = task.start.axes[i].hi, task.goal.axes[i].hi
-        lo_room, hi_room = ax.lo + width, ax.hi
-    nv = z + 1  # coefficients plus the slack being minimized
-    rows, rhs = [], []
-    for r_idx, p in zip(sub, powers):
-        low = np.zeros(nv)
-        low[:z] = -p
-        rows.append(low)
-        rhs.append(-lo_room)
-        high = np.zeros(nv)
-        high[:z] = p
-        rows.append(high)
-        rhs.append(hi_room)
-        wit = np.zeros(nv)
-        wit[-1] = -1.0
-        if side == 0:
-            wit[:z] = -p
-            rows.append(wit)
-            rhs.append(-instance.obstacle_bounds[r_idx, r, i, 1])
-        else:
-            wit[:z] = p
-            rows.append(wit)
-            rhs.append(instance.obstacle_bounds[r_idx, r, i, 0])
-    eq = np.zeros((2, nv))
-    eq[0, :z] = p0
-    eq[1, :z] = pc
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    sol = solve_lp(
-        LpProblem(
-            objective=obj,
-            ineq_matrix=np.array(rows),
-            ineq_rhs=np.array(rhs),
-            eq_matrix=eq,
-            eq_rhs=np.array([e0, ec]),
-        )
-    )
-    return sol.objective_value if sol.status == "optimal" else float("inf")
+    sign = 2.0 * side - 1.0
+    rhs = sign * instance.obstacle_bounds[sub, r, i, 1 - side]
+    return _score_witness(instance, [(j, i, side)], [sign], rhs, sub)
 
 
 def _score_collision_option(instance, j, k, window, code) -> float:
-    """Best achievable separation slack for one pair witnessing dim i."""
+    """Score of the pair separating in dim ``code // 2``: the upper face of
+    the agent below (j for side 0) under the lower face of the other."""
     i, side = divmod(code, 2)
     sub = _subsample(window)
-    low_agent, high_agent = (j, k) if side == 0 else (k, j)
-    p_u = _face_powers(instance, low_agent, i, sub)
-    p_l = _face_powers(instance, high_agent, i, sub)
-    z_u, z_l = p_u.shape[1], p_l.shape[1]
-    spec = instance.spec
-    ax = spec.arena.axes[i]
-    t_c = spec.horizon
-    nv = z_u + z_l + 1
-    rows, rhs = [], []
-    for a, b in zip(p_u, p_l):
-        gap = np.zeros(nv)
-        gap[:z_u] = a
-        gap[z_u : z_u + z_l] = -b
-        gap[-1] = -1.0
-        rows.append(gap)
-        rhs.append(0.0)
-        for block, offset, zz, width in (
-            (a, 0, z_u, instance.template.min_widths[low_agent][i]),
-            (b, z_u, z_l, instance.template.min_widths[high_agent][i]),
-        ):
-            low = np.zeros(nv)
-            low[offset : offset + zz] = -block
-            rows.append(low)
-            rhs.append(-(ax.lo + (width if offset == 0 else 0.0)))
-            high = np.zeros(nv)
-            high[offset : offset + zz] = block
-            rows.append(high)
-            rhs.append(ax.hi - (0.0 if offset == 0 else width))
-    eq = np.zeros((4, nv))
-    eq_rhs = np.zeros(4)
-    eq[0, :z_u] = [1.0] + [0.0] * (z_u - 1)
-    eq_rhs[0] = spec.agents[low_agent].start.axes[i].hi
-    eq[1, :z_u] = [t_c**p for p in range(z_u)]
-    eq_rhs[1] = spec.agents[low_agent].goal.axes[i].hi
-    eq[2, z_u : z_u + z_l] = [1.0] + [0.0] * (z_l - 1)
-    eq_rhs[2] = spec.agents[high_agent].start.axes[i].lo
-    eq[3, z_u : z_u + z_l] = [t_c**p for p in range(z_l)]
-    eq_rhs[3] = spec.agents[high_agent].goal.axes[i].lo
-    obj = np.zeros(nv)
-    obj[-1] = 1.0
-    sol = solve_lp(
-        LpProblem(
-            objective=obj,
-            ineq_matrix=np.array(rows),
-            ineq_rhs=np.array(rhs),
-            eq_matrix=eq,
-            eq_rhs=eq_rhs,
-        )
+    below, above = (j, k) if side == 0 else (k, j)
+    return _score_witness(
+        instance, [(below, i, 1), (above, i, 0)], [1.0, -1.0], np.zeros(len(sub)), sub
     )
-    return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
 def _stuck_window_candidates(instance, best_values):
@@ -1086,14 +1066,13 @@ def synthesize(
 ) -> SynthesisResult:
     """Full pipeline: sample, seed, solve, refine until certified.
 
-    Return rule: a first certificate whose margin clears its own sampling
-    term (margin <= -L * epsilon) is returned as it is.  A near miss
-    (margin > -L * epsilon) keeps refining while the certified margin
-    improves.  The search stops at the first step that does not improve
-    it (a step that fails to certify does not), when refinement stalls or
-    when the budget runs out, and returns the best certified iterate: its
-    tubes, certificate, assignment and dense validation.  ``iterations``,
-    ``lp_solves`` and ``wall_time`` count the whole search.
+    Stop rule: once a certificate is found, keep refining while the
+    certified margin improves.  The search stops at the first step that
+    does not improve it (a step that fails to certify does not), when
+    refinement stalls or when the budget runs out, and returns the best
+    certified iterate: its tubes, certificate, assignment and dense
+    validation.  ``iterations``, ``lp_solves`` and ``wall_time`` count the
+    whole search.
 
     Raises SynthesisFailure with the best margin found when the
     refinement budget runs out without any certificate.
@@ -1137,14 +1116,10 @@ def synthesize(
             since_improved = 0
         else:
             since_improved += 1
-        if certified is not None:
-            if not (cert.passed and improved):
-                return result(iteration)
+        if certified is not None and not (cert.passed and improved):
+            return result(iteration)
+        if cert.passed:
             certified = (tubes, cert, assignment)
-        elif cert.passed:
-            certified = (tubes, cert, assignment)
-            if cert.margin <= -cert.lipschitz_composite * spec.epsilon:
-                return result(iteration)
         refined = refine_assignment(instance, assignment, diag, beam_width)
         if refined is assignment or since_improved >= 6:
             if certified is not None:

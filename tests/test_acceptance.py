@@ -198,7 +198,7 @@ def test_criterion_8_oracle_suites():
         agree += criterion == brute
     assert agree == 1000
 
-    # simplex vs vertex enumeration, 500 random feasible LPs
+    # solve_lp vs vertex enumeration, 500 random feasible LPs
     from sttube.lp import LpProblem, solve_lp
     from test_lp import _random_bounded_lp, vertex_enumeration_minimum
 

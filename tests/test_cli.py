@@ -4,6 +4,9 @@ import pytest
 
 from sttube import data_path
 from sttube.cli import main
+from sttube.scenario import scenario_from_dict
+from sttube.synth import synthesize
+from sttube.tube import AgentTubes, TubeDim, TubeFace, TubeSet, save_tubes
 
 
 SOLO = {
@@ -95,11 +98,26 @@ def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):
 
 
 def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
-    assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
-    tubes = tmp_path / "solo.tubes"
-    code = main(["simulate", str(solo_scenario), str(tubes),
+    # a narrow valid tube for SOLO (lower 1.25 t^2, upper 1 + 1.25 t^2 in
+    # both dims), which a gain of 1e-6 cannot track
+    narrow = TubeDim(
+        lower=TubeFace((0.0, 0.0, 1.25), side="lower"),
+        upper=TubeFace((1.0, 0.0, 1.25), side="upper"),
+        min_width=0.4,
+    )
+    tubes = tmp_path / "narrow.tubes"
+    save_tubes(TubeSet(horizon=2.0, agents=(AgentTubes(dims=(narrow, narrow)),)), tubes)
+    code = main(["simulate", str(solo_scenario), str(tubes), "--force",
                  "--kappa", "1e-6", "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_solo_synthesis_passes_dense_validation():
+    """The faces of SOLO run along the arena walls; the certified tube must
+    stay inside the arena between time samples too."""
+    result = synthesize(scenario_from_dict(SOLO))
+    assert result.certificate.passed
+    assert result.validation.all_pass, result.validation.summary()
 
 
 def test_lipschitz_prints_estimates(capsys):

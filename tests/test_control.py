@@ -193,6 +193,15 @@ def test_control_input_integrity_error_carries_stage():
     assert err.value.stage == 2
 
 
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("walls", [(0.5, 0.5), (1.0, 0.0)])
+def test_collapsed_stage1_tube_is_a_stage1_error(walls, strict):
+    cfg = _single_stage_config()
+    with pytest.raises(ControllerIntegrityError) as err:
+        control_input([(0.5,)], (walls[0],), (walls[1],), cfg, t=0.0, strict=strict)
+    assert err.value.stage == 1
+
+
 def test_two_stage_cascade_centered():
     cfg = ControllerConfig(
         kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX

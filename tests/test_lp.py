@@ -102,3 +102,28 @@ def test_deterministic_bits():
     x2 = solve_lp(p).x
     assert x1.tobytes() == x2.tobytes()
 
+
+
+def test_highs_coexists_with_scipy_optimize():
+    """solve_lp and scipy.optimize share one HiGHS extension, whichever of
+    the two loads it first."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sttube
+
+    solve = (
+        "from sttube.lp import LpProblem, solve_lp\n"
+        "assert solve_lp(LpProblem([1.0], [[-1.0]], [-1.0])).status == 'optimal'\n"
+    )
+    linprog = (
+        "import scipy.optimize\n"
+        "assert scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-1.0]).status == 0\n"
+    )
+    for script in (solve + linprog, linprog + solve):
+        subprocess.run(
+            [sys.executable, "-c", script], check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(sttube.__file__).parents[1])),
+        )

@@ -311,12 +311,63 @@ def test_margin_monotone_in_epsilon(mini_spec):
     from sttube.scenario import scenario_from_dict, scenario_to_dict
 
     margins = []
-    for eps in (0.02, 0.01):
+    for eps in (0.02, 0.01, 0.005):
         raw = scenario_to_dict(mini_spec)
         raw["epsilon"] = eps
         res = synthesize(scenario_from_dict(raw))
+        assert res.validation.all_pass, res.validation.summary()
         margins.append(res.certificate.margin)
-    assert margins[1] <= margins[0]
+    assert margins[2] <= margins[1] <= margins[0]
+
+
+_MINI_IN_SUBPROCESS = """
+import json, sys
+from sttube.scenario import scenario_from_dict
+from sttube.synth import synthesize
+result = synthesize(scenario_from_dict(json.load(sys.stdin)))
+cert = result.certificate
+print(json.dumps({
+    "iterations": result.iterations,
+    "eta_star": cert.eta_star.hex(),
+    "margin": cert.margin.hex(),
+    "scipy_optimize_loaded": "scipy.optimize" in sys.modules,
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def mini_in_subprocesses(mini_spec):
+    """synthesize(mini) in fresh interpreters at 1 and 2 BLAS threads."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sttube
+    from sttube.scenario import scenario_to_dict
+
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(sttube.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _MINI_IN_SUBPROCESS],
+            input=json.dumps(scenario_to_dict(mini_spec)),
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        runs[threads] = json.loads(out.splitlines()[-1])
+    return runs
+
+
+def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
+    assert mini_in_subprocesses["1"] == mini_in_subprocesses["2"]
+
+
+def test_synthesis_does_not_import_scipy_optimize(mini_in_subprocesses):
+    assert not any(run["scipy_optimize_loaded"] for run in mini_in_subprocesses.values())
 
 
 def test_adversarial_seed_recovers(mini_spec):
@@ -414,6 +465,6 @@ def test_robot_synthesis_fingerprint(robots_result):
     the same at 1 and 2 BLAS threads, so any change to the search, its
     tie-breaks or its row order shows here."""
     cert = robots_result.certificate
-    assert robots_result.iterations == 3
-    assert cert.eta_star == pytest.approx(-0.08972314189896013, abs=1e-12)
-    assert cert.margin == pytest.approx(-0.08518413218668658, abs=1e-12)
+    assert robots_result.iterations == 8
+    assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
+    assert cert.margin == pytest.approx(-0.19508204776879476, abs=1e-12)
