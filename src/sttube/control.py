@@ -10,15 +10,22 @@ previous stage's reference (gamma is the funnel radius).  The cascade's
 final output is the plant input; no model of the dynamics enters
 anywhere.
 
-All functions are pure scalar arithmetic on sequences (one agent's data
-only), so an agent's input is byte-identical whether or not other agents
-exist.
+Everything the law needs from time is one constraint row: the stage-1
+wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
+``constraint_rows`` builds the rows for many times at once (the
+simulator does so once per block of steps), ``constraint_row`` one row
+for one time; ``control_input`` reads a row and the flat stacked state
+and does the per-state arithmetic only.  Rows and the law use one
+agent's data only, so an agent's input is byte-identical whether or not
+other agents exist.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ControllerIntegrityError(RuntimeError):
@@ -44,11 +51,16 @@ class Funnel:
             if mu <= 0.0:
                 raise ValueError("funnel decay rate must be positive")
 
+    def radii(self, times) -> np.ndarray:
+        """Radii at each time, (len(times), dims).  The decay factor comes
+        from ``math.exp``: ``np.exp`` differs from it in the last bit for
+        some inputs, and the closed loop must not depend on which is used."""
+        exponents = -np.asarray(self.mu) * np.asarray(times, dtype=float)[:, None]
+        decay = np.array([math.exp(v) for v in exponents.ravel().tolist()])
+        return np.subtract(self.p, self.q) * decay.reshape(exponents.shape) + np.asarray(self.q)
+
     def radius(self, t: float) -> tuple[float, ...]:
-        return tuple(
-            (p - q) * math.exp(-mu * t) + q
-            for p, q, mu in zip(self.p, self.q, self.mu)
-        )
+        return tuple(self.radii((t,))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,26 @@ def stage1_error(x1, lower, upper) -> tuple[float, ...]:
     )
 
 
+def constraint_rows(lower, upper, config: ControllerConfig, times) -> np.ndarray:
+    """Constraint rows for ``control_input``, one per time.
+
+    ``lower``/``upper`` are the stage-1 walls at ``times``, shape
+    (len(times), dims).  Each row is the wall widths hi - lo, the wall
+    sums hi + lo, then the radii of funnels 2..N at that time:
+    (stage_count + 1) * dims values.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    return np.hstack(
+        [upper - lower, upper + lower, *(f.radii(times) for f in config.funnels)]
+    )
+
+
+def constraint_row(lower, upper, config: ControllerConfig, t: float) -> list[float]:
+    """The single constraint row for walls ``lower``/``upper`` at time ``t``."""
+    return constraint_rows([lower], [upper], config, [t])[0].tolist()
+
+
 def stage_reference(
     e, gamma, kappa: float, e_max: float, negative_definite: bool = False
 ) -> tuple[tuple[float, ...], int]:
@@ -121,41 +153,41 @@ def stage_k_error(x_k, r_k, radius) -> tuple[float, ...]:
 
 
 def control_input(
-    states,
-    stage1_lower,
-    stage1_upper,
+    state,
+    row,
     config: ControllerConfig,
-    t: float,
     strict: bool = True,
     telemetry: StageTelemetry | None = None,
 ) -> tuple[float, ...]:
     """Cascade the stages and return the plant input.
 
-    ``states`` is the per-stage state list (x_1 .. x_N), each of output
-    dimension; stage-1 bounds are the tube walls at time t.  Stage 1
-    measures its error against the walls, stage k against funnel k around
-    the previous stage's reference.  With ``strict`` the call raises
-    ControllerIntegrityError when a stage state lies on or outside its
-    constraint; intermediate integrator evaluations pass strict=False and
-    rely on the guard clamp instead.  A collapsed stage-1 tube (wall width
-    <= 0) raises the stage-1 error in either mode.
+    ``state`` is the flat stacked state (x_1 .. x_N, each of output
+    dimension); ``row`` is its constraint row (``constraint_row``): the
+    stage-1 wall widths and sums, then the funnel radii.  Stage 1
+    measures its error (2x - (hi + lo)) / (hi - lo) against the walls,
+    stage k against funnel k around the previous stage's reference.  With
+    ``strict`` the call raises ControllerIntegrityError when a stage state
+    lies on or outside its constraint; intermediate integrator evaluations
+    pass strict=False and rely on the guard clamp instead.  A collapsed
+    stage-1 tube (wall width <= 0) raises the stage-1 error in either mode.
     """
-    if len(states) != config.stage_count:
-        raise ValueError("state count does not match stage count")
+    stages = config.stage_count
+    n = len(row) // (stages + 1)
+    if len(state) != stages * n or len(row) != (stages + 1) * n:
+        raise ValueError("state or constraint row does not match the stage count")
+    gamma = row[:n]
+    if min(gamma) <= 0.0:
+        raise ControllerIntegrityError(1, f"(tube width {min(gamma):.6g})")
+    e = tuple((2.0 * x - s) / g for x, s, g in zip(state, row[n : 2 * n], gamma))
     ref = ()
-    for k, x in enumerate(states):
-        if k == 0:
-            gamma = tuple(hi - lo for lo, hi in zip(stage1_lower, stage1_upper))
-            if min(gamma) <= 0.0:
-                raise ControllerIntegrityError(1, f"(tube width {min(gamma):.6g} at t={t:.6g})")
-            e = stage1_error(x, stage1_lower, stage1_upper)
-        else:
-            gamma = config.funnels[k - 1].radius(t)
-            e = stage_k_error(x, ref, gamma)
+    for k in range(stages):
+        if k:
+            gamma = row[(k + 1) * n : (k + 2) * n]
+            e = stage_k_error(state[k * n : (k + 1) * n], ref, gamma)
         if strict:
             worst = max(abs(v) for v in e)
             if worst >= 1.0:
-                raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g} at t={t:.6g})")
+                raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
         ref, clamps = stage_reference(
             e, gamma, config.kappa[k], config.e_max, config.g_negative_definite
         )
@@ -165,7 +197,7 @@ def control_input(
 
 
 def autosize_funnels(
-    states,
+    state,
     stage1_lower,
     stage1_upper,
     kappa,
@@ -177,26 +209,26 @@ def autosize_funnels(
 ) -> tuple[Funnel, ...]:
     """Default funnels for stages 2..N, sized at the initial state.
 
-    Each initial radius covers twice the initial tracking gap plus a
-    margin, so every stage starts strictly inside its funnel.  Stages are
-    sized in order because stage k's reference is the output of the
+    ``state`` is the flat stacked initial state and the walls are those at
+    t = 0.  Each initial radius covers twice the initial tracking gap plus
+    a margin, so every stage starts strictly inside its funnel.  Stages
+    are sized in order because stage k's reference is the output of the
     cascade of stages 1..k-1 and their funnels.
     """
-    dims = len(states[0])
+    dims = len(stage1_lower)
     funnels = []
-    for k in range(1, len(states)):
+    for k in range(1, len(state) // dims):
         config = ControllerConfig(
             kappa=tuple(kappa[:k]),
             funnels=tuple(funnels),
             e_max=e_max,
             g_negative_definite=g_negative_definite,
         )
-        ref = control_input(
-            states[:k], stage1_lower, stage1_upper, config, t=0.0, strict=False
-        )
+        row = constraint_row(stage1_lower, stage1_upper, config, 0.0)
+        ref = control_input(state[: k * dims], row, config, strict=False)
         p = tuple(
             max(2.0 * abs(x - r) + p_margin, 2.0 * q)
-            for x, r in zip(states[k], ref)
+            for x, r in zip(state[k * dims : (k + 1) * dims], ref)
         )
         funnels.append(Funnel(p=p, q=(q,) * dims, mu=(mu,) * dims))
     return tuple(funnels)

@@ -85,7 +85,7 @@ def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
     dims.  Raises PlantStateError on non-finite state.
     """
     if not all(math.isfinite(v) for v in state):
-        raise PlantStateError(f"non-finite state at t={t:.6g}: {state}")
+        raise PlantStateError(f"non-finite state at t={t:.6g}: {tuple(state)}")
     if model.kind == "omnidirectional":
         c, s = math.cos(state[2]), math.sin(state[2])
         return (
@@ -143,28 +143,39 @@ class Disturbance:
         if self.kind not in ("zero", "uniform", "sinusoidal"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
-    def make_sampler(self, agent: int, size: int) -> Callable[[float], tuple[float, ...]]:
-        """Per-agent sampler: call once per step with the step's start time."""
-        if self.kind == "zero" or self.bound == 0.0:
-            zeros = (0.0,) * size
-            return lambda t: zeros
+    def make_sampler(self, agent: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Per-agent block sampler: called with the start times of
+        consecutive steps, it returns their samples, (len(times), size).
+
+        Successive calls continue one random stream, so a step's sample
+        does not depend on how the steps are split into calls.  Raises
+        AssertionError if a sample exceeds the declared bound.
+        """
+        bound, freq = self.bound, self.frequency
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(agent,))
         )
-        if self.kind == "uniform":
-            bound = self.bound
+        if self.kind == "zero" or bound == 0.0:
+            def draw(times):
+                return np.zeros((len(times), size))
+        elif self.kind == "uniform":
+            def draw(times):
+                return rng.uniform(-bound, bound, (len(times), size))
+        else:
+            phases = rng.uniform(0.0, 2.0 * math.pi, size)
 
-            def uniform_sampler(t: float) -> tuple[float, ...]:
-                return tuple(rng.uniform(-bound, bound, size))
+            def draw(times):  # math.sin: np.sin can differ in the last bit
+                angles = freq * np.asarray(times, dtype=float)[:, None] + phases
+                sines = np.array([math.sin(a) for a in angles.ravel().tolist()])
+                return bound * sines.reshape(angles.shape)
 
-            return uniform_sampler
-        phases = rng.uniform(0.0, 2.0 * math.pi, size)
-        bound, freq = self.bound, self.frequency
+        def sampler(times) -> np.ndarray:
+            w = draw(times)
+            if np.any(np.abs(w) > bound + 1e-15):
+                raise AssertionError("disturbance sample exceeds the declared bound")
+            return w
 
-        def sin_sampler(t: float) -> tuple[float, ...]:
-            return tuple(bound * math.sin(freq * t + ph) for ph in phases)
-
-        return sin_sampler
+        return sampler
 
     @staticmethod
     def from_config(cfg: PlantConfig) -> "Disturbance":

@@ -9,6 +9,8 @@ from sttube.control import (
     Funnel,
     StageTelemetry,
     autosize_funnels,
+    constraint_row,
+    constraint_rows,
     control_input,
     stage1_error,
     stage_k_error,
@@ -116,11 +118,44 @@ def _single_stage_config():
     return ControllerConfig(kappa=(1.0,), funnels=(), e_max=E_MAX)
 
 
+def _ctl(state, lower, upper, cfg, t=0.0, **kwargs):
+    """control_input on the constraint row of walls lower/upper at time t."""
+    return control_input(state, constraint_row(lower, upper, cfg, t), cfg, **kwargs)
+
+
 def test_control_input_centered_is_zero():
-    u = control_input(
-        [(0.5, 0.5)], (0.0, 0.0), (1.0, 1.0), _single_stage_config(), t=0.0
-    )
+    u = _ctl((0.5, 0.5), (0.0, 0.0), (1.0, 1.0), _single_stage_config())
     assert u == (0.0, 0.0)
+
+
+def test_constraint_rows_layout_and_scalar_agreement():
+    """A row is the wall widths, the wall sums, then each funnel's radii
+    (p - q) exp(-mu t) + q; the array builder and the one-time helper give
+    the same bits."""
+    funnel = Funnel(p=(0.5, 0.8), q=(0.1, 0.1), mu=(1.0, 2.0))
+    cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
+    times = [0.0, 0.3, 1.7, 12.25]
+    lower = [(0.1 * t, -1.0) for t in times]
+    upper = [(1.0 + t, 2.0 - 0.3 * t) for t in times]
+    rows = constraint_rows(lower, upper, cfg, times)
+    assert rows.shape == (4, 6)
+    for t, lo, hi, row in zip(times, lower, upper, rows.tolist()):
+        expect = (
+            [h - l for l, h in zip(lo, hi)]
+            + [h + l for l, h in zip(lo, hi)]
+            + [(p - q) * math.exp(-mu * t) + q
+               for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)]
+        )
+        assert _bits(row) == _bits(expect)
+        assert _bits(constraint_row(lo, hi, cfg, t)) == _bits(expect)
+
+
+def test_control_input_rejects_mismatched_row():
+    cfg = _single_stage_config()
+    with pytest.raises(ValueError):
+        control_input((0.5, 0.5), [1.0, 1.0], cfg)  # row for one dim, state for two
+    with pytest.raises(ValueError):
+        control_input((0.5,), [1.0, 1.0, 0.5], cfg)
 
 
 def test_control_input_single_stage_is_first_reference():
@@ -130,7 +165,7 @@ def test_control_input_single_stage_is_first_reference():
     x = (0.7, 0.4, 1.5, 1.0)  # the last two lie outside their walls
     cfg = ControllerConfig(kappa=(1.1,), e_max=E_MAX)  # 1.1: rounding shows operand order
     tel = StageTelemetry()
-    u = control_input([x], lower, upper, cfg, t=0.0, strict=False, telemetry=tel)
+    u = _ctl(x, lower, upper, cfg, strict=False, telemetry=tel)
     width = tuple(hi - lo for lo, hi in zip(lower, upper))
     e = tuple((2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x, lower, upper))
     assert _bits(u) == _bits(_paper_reference(e, width, 1.1))
@@ -162,7 +197,7 @@ def test_two_stage_cascade_matches_paper_formulas(negative_definite):
         kappa=kappa, funnels=(funnel,), e_max=E_MAX, g_negative_definite=negative_definite
     )
     tel = StageTelemetry()
-    u = control_input([x1, x2], lower, upper, cfg, t, strict=False, telemetry=tel)
+    u = _ctl(x1 + x2, lower, upper, cfg, t, strict=False, telemetry=tel)
     assert _bits(u) == _bits(expect)
     clamped = [abs(v) > E_MAX for v in e1 + e2]
     assert clamped == [False, True, False, False, False, True] and tel.clamp_count == 2
@@ -170,26 +205,26 @@ def test_two_stage_cascade_matches_paper_formulas(negative_definite):
 
 def test_control_input_odd_symmetry():
     cfg = _single_stage_config()
-    u_plus = control_input([(0.75,)], (0.0,), (1.0,), cfg, t=0.0)
-    u_minus = control_input([(0.25,)], (0.0,), (1.0,), cfg, t=0.0)
+    u_plus = _ctl((0.75,), (0.0,), (1.0,), cfg)
+    u_minus = _ctl((0.25,), (0.0,), (1.0,), cfg)
     assert u_plus[0] == pytest.approx(-u_minus[0], abs=1e-12)
 
 
 def test_control_input_integrity_error_carries_stage():
     cfg = _single_stage_config()
     with pytest.raises(ControllerIntegrityError) as err:
-        control_input([(1.5,)], (0.0,), (1.0,), cfg, t=0.0)
+        _ctl((1.5,), (0.0,), (1.0,), cfg)
     assert err.value.stage == 1
     # non-strict evaluation clamps instead of raising
     tel = StageTelemetry()
-    u = control_input([(1.5,)], (0.0,), (1.0,), cfg, t=0.0, strict=False, telemetry=tel)
+    u = _ctl((1.5,), (0.0,), (1.0,), cfg, strict=False, telemetry=tel)
     assert math.isfinite(u[0]) and tel.clamp_count == 1
 
     cfg2 = ControllerConfig(
         kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
     )
     with pytest.raises(ControllerIntegrityError) as err:
-        control_input([(0.5,), (99.0,)], (0.0,), (1.0,), cfg2, t=0.0)
+        _ctl((0.5, 99.0), (0.0,), (1.0,), cfg2)
     assert err.value.stage == 2
 
 
@@ -198,7 +233,7 @@ def test_control_input_integrity_error_carries_stage():
 def test_collapsed_stage1_tube_is_a_stage1_error(walls, strict):
     cfg = _single_stage_config()
     with pytest.raises(ControllerIntegrityError) as err:
-        control_input([(0.5,)], (walls[0],), (walls[1],), cfg, t=0.0, strict=strict)
+        _ctl((0.5,), (walls[0],), (walls[1],), cfg, strict=strict)
     assert err.value.stage == 1
 
 
@@ -206,7 +241,7 @@ def test_two_stage_cascade_centered():
     cfg = ControllerConfig(
         kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
     )
-    u = control_input([(0.5,), (0.0,)], (0.0,), (1.0,), cfg, t=0.0)
+    u = _ctl((0.5, 0.0), (0.0,), (1.0,), cfg)
     assert u == (0.0,)
 
 
@@ -221,13 +256,13 @@ def test_decentralization_byte_identity(robots_table):
     lower = tuple(eval_face(d.lower, t) for d in dims)
     upper = tuple(eval_face(d.upper, t) for d in dims)
     x = tuple(0.25 * lo + 0.75 * hi for lo, hi in zip(lower, upper))
-    u_full = control_input([x], lower, upper, cfg, t)
+    u_full = _ctl(x, lower, upper, cfg, t)
 
     solo = TubeSet(horizon=robots_table.horizon, agents=(robots_table.agents[1],))
     dims_solo = solo.agents[0].dims
     lower_s = tuple(eval_face(d.lower, t) for d in dims_solo)
     upper_s = tuple(eval_face(d.upper, t) for d in dims_solo)
-    u_solo = control_input([x], lower_s, upper_s, cfg, t)
+    u_solo = _ctl(x, lower_s, upper_s, cfg, t)
     assert struct.pack("<2d", *u_full) == struct.pack("<2d", *u_solo)
 
 
@@ -252,19 +287,19 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
     assert plant.stages == 2 and plant.dims == drones_spec.dims
     for j in range(len(drones_spec.agents)):
         x0 = initial_state(drones_table, j, plant)
-        states = [x0[k * plant.dims : (k + 1) * plant.dims] for k in range(plant.stages)]
+        n = plant.dims
         box = tube_box_at(drones_table, j, 0.0)
         lower = tuple(ax.lo for ax in box.axes)
         upper = tuple(ax.hi for ax in box.axes)
         cfg = build_controller_config(drones_spec, drones_table, j, plant, x0=x0)
         ctl = drones_spec.control
         assert cfg.funnels == autosize_funnels(
-            states, lower, upper, cfg.kappa, ctl.funnel_q, ctl.funnel_mu,
+            x0, lower, upper, cfg.kappa, ctl.funnel_q, ctl.funnel_mu,
             ctl.funnel_p_margin, ctl.e_max,
         )
         for k in range(1, plant.stages):
             head = ControllerConfig(cfg.kappa[:k], cfg.funnels[: k - 1], cfg.e_max)
-            ref = control_input(states[:k], lower, upper, head, t=0.0, strict=False)
-            e_k = stage_k_error(states[k], ref, cfg.funnels[k - 1].radius(0.0))
+            ref = _ctl(x0[: k * n], lower, upper, head, strict=False)
+            e_k = stage_k_error(x0[k * n : (k + 1) * n], ref, cfg.funnels[k - 1].radius(0.0))
             assert max(abs(v) for v in e_k) <= 0.5
-        control_input(states, lower, upper, cfg, t=0.0, strict=True)
+        _ctl(x0, lower, upper, cfg, strict=True)

@@ -49,11 +49,11 @@ def test_fit_recovers_synthetic_parameters():
 
 
 def test_fit_agrees_with_scipy_reference():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    import scipy.stats  # a runtime dependency: a broken import must fail, not skip
     rng = np.random.default_rng(9)
     draws = 3.0 - 0.5 * rng.weibull(1.5, size=400)
     ours = fit_reverse_weibull(draws)
-    shape, loc, scale = scipy_stats.weibull_max.fit(draws)
+    shape, loc, scale = scipy.stats.weibull_max.fit(draws)
     assert ours.location == pytest.approx(loc, abs=0.05)
 
 

@@ -74,9 +74,9 @@ def test_gain_min_eigenvalue():
 def test_disturbance_respects_bound(kind):
     dist = Disturbance(bound=0.01, kind=kind, seed=3)
     sampler = dist.make_sampler(agent=0, size=6)
-    for step in range(200):
-        w = sampler(step * 1e-3)
-        assert all(abs(v) <= 0.01 + 1e-15 for v in w)
+    w = sampler(np.arange(200) * 1e-3)
+    assert w.shape == (200, 6)
+    assert np.all(np.abs(w) <= 0.01 + 1e-15)
 
 
 def test_disturbance_deterministic_per_agent():
@@ -84,9 +84,44 @@ def test_disturbance_deterministic_per_agent():
     s1 = d.make_sampler(0, 3)
     s2 = Disturbance(bound=0.01, kind="uniform", seed=5).make_sampler(0, 3)
     other = Disturbance(bound=0.01, kind="uniform", seed=5).make_sampler(1, 3)
-    a, b, c = s1(0.0), s2(0.0), other(0.0)
-    assert a == b
-    assert a != c
+    a, b, c = (s(np.array([0.0])) for s in (s1, s2, other))
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sinusoidal"])
+def test_disturbance_blocks_continue_one_stream(kind):
+    """Samples do not depend on how the steps are split into calls: one
+    call, uneven blocks and one call per step give the same bytes, and the
+    sinusoid is bound * sin(freq t + phase) with math.sin."""
+    dist = Disturbance(bound=0.01, kind=kind, seed=11, frequency=1.3)
+    times = np.arange(300) * 1e-3
+    whole = dist.make_sampler(2, 6)(times)
+    blocks = dist.make_sampler(2, 6)
+    edges = ((0, 128), (128, 256), (256, 256), (256, 300))
+    split = np.vstack([blocks(times[a:b]) for a, b in edges])
+    stepwise = dist.make_sampler(2, 6)
+    steps = np.vstack([stepwise(times[k : k + 1]) for k in range(300)])
+    assert whole.tobytes() == split.tobytes() == steps.tobytes()
+    if kind == "sinusoidal":
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(2,)))
+        phases = rng.uniform(0.0, 2.0 * math.pi, 6)
+        expect = [[0.01 * math.sin(1.3 * t + ph) for ph in phases] for t in times.tolist()]
+        assert whole.tobytes() == np.array(expect).tobytes()
+
+
+def test_disturbance_bound_check_raises(monkeypatch):
+    class Loud:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, low, high, size):
+            return np.full(size, 2.0 * high)
+
+    monkeypatch.setattr(np.random, "default_rng", Loud)
+    sampler = Disturbance(bound=0.01, kind="uniform").make_sampler(0, 3)
+    with pytest.raises(AssertionError, match="exceeds the declared bound"):
+        sampler(np.zeros(4))
 
 
 def test_plant_kind_validation():

@@ -1,11 +1,20 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from sttube.control import ControllerIntegrityError, stage1_error
-from sttube.plant import make_plant
+from sttube.plant import Disturbance, make_custom_plant, make_plant
 from sttube.scenario import scenario_from_dict
-from sttube.sim import run_closed_loop, write_trajectories_csv
-from sttube.tube import tube_box_at, tubes_from_dict
+from sttube.sim import (
+    BLOCK,
+    build_controller_config,
+    integrate_agent,
+    run_closed_loop,
+    write_trajectories_csv,
+)
+from sttube.tube import TubeSet, tube_box_at, tubes_from_dict
 
 
 def _constant_tube_spec():
@@ -37,10 +46,7 @@ def test_equilibrium_at_constant_tube_center():
     assert traj.clamp_count == 0
 
 
-import pytest as _pytest
-
-
-@_pytest.fixture(scope="module")
+@pytest.fixture(scope="module")
 def robots_run(robots_spec, robots_table):
     return run_closed_loop(robots_spec, robots_table, dt=1e-3, seed=9)
 
@@ -127,3 +133,146 @@ def test_errors_match_tube_walls(robots_spec, robots_table, robots_run):
             upper = [ax.hi for ax in box.axes] + [plant.heading_band[1]] * pad
             expect.append(stage1_error(x[: plant.dims], lower, upper))
         assert np.array(expect).tobytes() == traj.errors.tobytes()
+
+
+# sha256 of the agents' states, inputs and errors (concatenated in agent
+# order) for the first 0.5 s of each published tube set, dt 1e-3, seed 7.
+# Recorded from the per-step integrator that evaluated walls, funnels and
+# disturbances one step at a time; the block schedule must reproduce them.
+PUBLISHED_DIGESTS = {
+    ("robots", "uniform"): (
+        "59d111fec3d8e325029a442daf660efb34a385124e9a446f862d75946837b81d",
+        "a9f5dfa9331a7e90041ce0a52d3fbfb0000d9c7d20d9d1d06db33d22bab191f1",
+        "588a6b56ea8d3b4431212a2e2976aef3e3ac2e58388bf2c69897b8d618c81854",
+    ),
+    ("robots", "sinusoidal"): (
+        "11d370f6cf77d73ac059e8e7b791a01b64c3738923d3661a90c1cfd536fb862d",
+        "a93ffc03d9f31ecbbae88d7f947302e0335c3c072d62c5ba1f38d83bef66598b",
+        "662ac1ff0894d01e97bf9c3caa09188ba5c1de6010578e1f95ccdceaaf6a7610",
+    ),
+    ("drones", "uniform"): (
+        "92acaedb127dc35cf0f94a6358a264b565a4b20bb9eebc08773e633a049e1b42",
+        "8cab77a5ba6fa4dcf96cde94db94d412f9bfb7e831311384b2166da010938ce9",
+        "280b01a3be829652ff88bd051cfd690335c46db6ae90ae277613350a420718c7",
+    ),
+    ("drones", "sinusoidal"): (
+        "6af27e35827ed320c9dc7794f41cecf4aafa81783cdb97b5cd53863b1c5ad82d",
+        "62f6d508358ff35cc0eac96fb5c5573b3e0eff3023516c71d8c558e96993684a",
+        "ee3168d42527ff46b460e9bfc0001da0f058d2e1563f9b8c6e90822883298e8e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case,kind", sorted(PUBLISHED_DIGESTS))
+def test_published_trajectory_digests(case, kind, request):
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    spec = dataclasses.replace(
+        spec, horizon=0.5,
+        plant=dataclasses.replace(spec.plant, disturbance_kind=kind),
+    )
+    trajs = run_closed_loop(spec, tubes, dt=1e-3, seed=7)
+    assert [len(t.times) for t in trajs] == [501] * 4
+    digests = tuple(
+        hashlib.sha256(b"".join(getattr(t, field).tobytes() for t in trajs)).hexdigest()
+        for field in ("states", "inputs", "errors")
+    )
+    assert digests == PUBLISHED_DIGESTS[case, kind]
+
+
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_integrator_decentralization_byte_identity(case, request):
+    """Agent j integrated against the full tube set and against a tube set
+    holding only its own tubes gives the same bytes."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    plant = make_plant(spec.plant, spec.dims)
+    calm = Disturbance(bound=0.0, kind="zero")
+    j = 2
+    solo = TubeSet(horizon=tubes.horizon, agents=(tubes.agents[j],))
+    config = build_controller_config(spec, tubes, j, plant)
+    full = integrate_agent(j, tubes, plant, config, calm, 0.3, 1e-3)
+    alone = integrate_agent(0, solo, plant, config, calm, 0.3, 1e-3)
+    for field in ("times", "states", "inputs", "errors"):
+        assert getattr(full, field).tobytes() == getattr(alone, field).tobytes()
+    assert full.clamp_count == alone.clamp_count
+
+
+def _one_agent_spec(horizon, disturbance):
+    return scenario_from_dict({
+        "dims": 2, "horizon": horizon, "epsilon": 0.01,
+        "arena": [[0.0, 2.0], [0.0, 2.0]],
+        "agents": [{"start": [[0.0, 0.4], [0.4, 1.6]], "goal": [[0.0, 0.4], [0.4, 1.6]],
+                    "tube_degree": [2, 2], "min_width": [0.1, 0.1]}],
+        "obstacles": [],
+        "plant": {"kind": "omnidirectional", "disturbance": disturbance},
+    })
+
+
+def test_step_counts_off_the_block_size(robots_spec, robots_table):
+    """Runs whose step count is not a multiple of the block size are
+    prefixes of a longer run, byte for byte, under a random disturbance."""
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    dist = Disturbance(bound=0.01, kind="uniform", seed=4)
+    config = build_controller_config(robots_spec, robots_table, 1, plant)
+    dt = 1e-3
+
+    def run(n):
+        return integrate_agent(1, robots_table, plant, config, dist, n * dt, dt)
+
+    longest = run(3 * BLOCK + 5)
+    assert len(longest.times) == 3 * BLOCK + 6
+    for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        short = run(n)
+        assert len(short.times) == n + 1
+        for field in ("times", "states", "inputs", "errors"):
+            prefix = getattr(longest, field)[: n + 1]
+            assert getattr(short, field).tobytes() == prefix.tobytes()
+
+
+def test_nonfinite_plant_mid_block_truncates_consistently():
+    """A custom plant whose drift turns NaN past x = 0.9 aborts the run in
+    the middle of a block: the state, input, error and time records all
+    end at the failing step, and the errors are those of the recorded
+    states against the recorded walls."""
+    eye = np.eye(2)
+    plant = make_custom_plant(
+        1, 2, f=[lambda xb: np.zeros(2) if xb[0] < 0.9 else np.full(2, np.nan)],
+        g=[lambda xb: eye],
+    )
+    spec = _one_agent_spec(1.0, {"bound": 0.0, "kind": "zero", "seed": 0})
+    tubes = tubes_from_dict({"horizon": 1.0, "agents": [{"dims": [
+        {"lower": [0.0, 1.0], "upper": [0.4, 1.0], "min_width": 0.1},
+        {"lower": [0.4], "upper": [1.6], "min_width": 0.5},
+    ]}]})
+    (traj,) = run_closed_loop(spec, tubes, dt=1e-3, plant=plant)
+    assert traj.aborted == "non-finite state at t=0.71: (nan, nan)"
+    last = 710
+    assert 0 < last % BLOCK < BLOCK - 1
+    lengths = {len(getattr(traj, f)) for f in ("times", "states", "inputs", "errors")}
+    assert lengths == {last + 1}
+    assert traj.times.tobytes() == (np.arange(last + 1) * 1e-3).tobytes()
+    assert np.isfinite(traj.states[:last]).all() and np.isnan(traj.states[last]).all()
+    expect = []
+    for t, x in zip(traj.times, traj.states):
+        box = tube_box_at(tubes, 0, float(t))
+        expect.append(stage1_error(x, [ax.lo for ax in box.axes], [ax.hi for ax in box.axes]))
+    assert np.array(expect).tobytes() == traj.errors.tobytes()
+
+
+@pytest.mark.parametrize("top,message", [
+    (0.30025, "(tube width -0.00025 at t=0.3005)"),  # at a midpoint evaluation
+    (0.30075, "(tube width -0.00025 at t=0.301)"),  # at a step-end evaluation
+])
+def test_tube_collapse_mid_horizon_names_the_evaluation_time(top, message):
+    """Walls 0.5 t and top - 0.5 t meet between recorded steps; the stage-1
+    error carries the time of the first evaluation that saw width <= 0."""
+    spec = _one_agent_spec(1.0, {"bound": 0.0, "kind": "zero", "seed": 0})
+    tubes = tubes_from_dict({"horizon": 1.0, "agents": [{"dims": [
+        {"lower": [0.0, 0.5], "upper": [top, -0.5], "min_width": 0.0},
+        {"lower": [0.4], "upper": [1.6], "min_width": 0.5},
+    ]}]})
+    with pytest.raises(ControllerIntegrityError) as err:
+        run_closed_loop(spec, tubes, dt=1e-3)
+    assert err.value.stage == 1
+    assert str(err.value) == f"stage 1 state outside its constraint {message}"
