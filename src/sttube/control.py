@@ -15,9 +15,10 @@ wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
 ``constraint_rows`` builds the rows for many times at once (the
 simulator does so once per block of steps), ``constraint_row`` one row
 for one time; ``control_input`` reads a row and the flat stacked state
-and does the per-state arithmetic only.  Rows and the law use one
-agent's data only, so an agent's input is byte-identical whether or not
-other agents exist.
+and does the per-state arithmetic only, and ``stage1_errors`` forms the
+stage-1 errors of many states against their rows at once.  Rows and the
+law use one agent's data only, so an agent's input is byte-identical
+whether or not other agents exist.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ import numpy as np
 
 
 class ControllerIntegrityError(RuntimeError):
-    """A stage state left its tube/funnel; carries the stage index."""
+    """A stage state left its tube/funnel; carries the stage index, and
+    for a collapsed stage-1 tube the offending wall width."""
 
-    def __init__(self, stage: int, detail: str = ""):
+    def __init__(self, stage: int, detail: str = "", width: float | None = None):
         super().__init__(f"stage {stage} state outside its constraint {detail}")
         self.stage = stage
+        self.width = width
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,22 @@ class StageTelemetry:
 
 def stage1_error(x1, lower, upper) -> tuple[float, ...]:
     """Normalized output error (2x - (hi + lo)) / (hi - lo); 0 at center."""
-    return tuple(
-        (2.0 * x - (hi + lo)) / (hi - lo) for x, lo, hi in zip(x1, lower, upper)
-    )
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    return tuple(stage1_errors(x1, np.hstack([upper - lower, upper + lower])).tolist())
+
+
+def stage1_errors(states, rows) -> np.ndarray:
+    """Stage-1 errors of stacked states against their constraint rows.
+
+    ``states`` is (..., stages * dims) and ``rows`` (..., (stages + 1) *
+    dims), so the row is dims values longer than the state.  The array
+    twin of the stage-1 error that ``control_input`` forms, bit for bit.
+    """
+    states = np.asarray(states, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[-1] - states.shape[-1]
+    return (2.0 * states[..., :n] - rows[..., n : 2 * n]) / rows[..., :n]
 
 
 def constraint_rows(lower, upper, config: ControllerConfig, times) -> np.ndarray:
@@ -169,7 +185,8 @@ def control_input(
     ``strict`` the call raises ControllerIntegrityError when a stage state
     lies on or outside its constraint; intermediate integrator evaluations
     pass strict=False and rely on the guard clamp instead.  A collapsed
-    stage-1 tube (wall width <= 0) raises the stage-1 error in either mode.
+    stage-1 tube (wall width <= 0) raises the stage-1 error in either mode,
+    with the smallest width as its ``width``.
     """
     stages = config.stage_count
     n = len(row) // (stages + 1)
@@ -177,7 +194,8 @@ def control_input(
         raise ValueError("state or constraint row does not match the stage count")
     gamma = row[:n]
     if min(gamma) <= 0.0:
-        raise ControllerIntegrityError(1, f"(tube width {min(gamma):.6g})")
+        width = min(gamma)
+        raise ControllerIntegrityError(1, f"(tube width {width:.6g})", width=width)
     e = tuple((2.0 * x - s) / g for x, s, g in zip(state, row[n : 2 * n], gamma))
     ref = ()
     for k in range(stages):

@@ -10,12 +10,13 @@ is evaluated once per block, as arrays on the three RK4 time grids
 step*dt, step*dt + 0.5*dt and step*dt + dt: the agent's walls (its own
 faces via ``tube_values``, then the heading band), their widths and sums,
 the funnel radii (one ``constraint_rows`` array per grid), the
-disturbance rows, and after the block the recorded stage-1 errors.  The
-per-step loop then does only what depends on the state: one
-``control_input`` call per RK4 evaluation on that evaluation's row, and
-one ``dynamics`` call.  Every value is computed by the same floating-point
-operations as a step-by-step evaluation, so trajectories do not depend on
-the block size.
+disturbance rows, and after the block the recorded stage-1 errors
+(``stage1_errors``).  The per-step loop then does only what depends on
+the state: it takes its step's rows from the block arrays, calls
+``control_input`` once per RK4 evaluation on that evaluation's row, and
+``dynamics`` once per stage.  Every value is computed by the same
+floating-point operations as a step-by-step evaluation, so trajectories
+do not depend on the block size.
 
 Fixed step rather than adaptive: the barrier gains blow up near tube
 walls and thrash adaptive error estimators; a small fixed step plus the
@@ -37,14 +38,17 @@ from .control import (
     autosize_funnels,
     constraint_rows,
     control_input,
+    stage1_errors,
 )
 from .plant import Disturbance, PlantModel, PlantStateError, dynamics, make_plant
 from .scenario import ScenarioSpec
 from .tube import TubeSet, tube_values
 
-# Steps per block of precomputed time-only quantities.  Large enough to
-# amortize the array calls, small enough that the block arrays add
-# nothing measurable to peak memory.
+# Steps per block of precomputed time-only quantities, large enough to
+# amortize the per-block array calls.  The block stays in numpy arrays
+# (about 35 kB for a two-stage plant with six states) and each step turns
+# only its own rows into Python floats: a whole block as float lists
+# holds several times that in Python objects and raised peak memory.
 BLOCK = 128
 
 
@@ -150,51 +154,50 @@ def integrate_agent(
         moving = grid[: n_steps - start]  # steps that integrate past their start
         mid_grid, end_grid = moving + half, moving + dt
         now = rows(grid)
-        at_now, at_mid, at_end = now.tolist(), rows(mid_grid).tolist(), rows(end_grid).tolist()
+        width = now.shape[1]
+        # One array row per moving step: midpoint row, step-end row, disturbance.
+        ahead = np.hstack([rows(mid_grid), rows(end_grid), sampler(moving)])
         t_now, t_mid, t_end = grid.tolist(), mid_grid.tolist(), end_grid.tolist()
-        w_block = sampler(moving).tolist()
-        xs, us = [], []
         for i, t in enumerate(t_now):
             try:
-                u = control_input(x, at_now[i], config, strict=True, telemetry=tel)
+                u = control_input(x, now[i].tolist(), config, strict=True, telemetry=tel)
             except ControllerIntegrityError as exc:
                 raise ControllerIntegrityError(
                     exc.stage, f"agent {agent + 1} at t={t:.6g}"
                 ) from exc
-            xs.append(x)
-            us.append(u)
+            states[start + i] = x
+            inputs[start + i] = u
             if i == len(t_mid):
                 break
-            w, mid, tm = w_block[i], at_mid[i], t_mid[i]
+            step_ahead = ahead[i].tolist()
+            mid, end_row = step_ahead[:width], step_ahead[width : 2 * width]
+            w = step_ahead[2 * width :]
+            tm = t_mid[i]
             try:
                 k1 = dynamics(plant, x, u, w, t)
+                t_eval = tm
                 x2 = [v + half * dv for v, dv in zip(x, k1)]
                 k2 = dynamics(plant, x2, control_input(x2, mid, config, False, tel), w, tm)
                 x3 = [v + half * dv for v, dv in zip(x, k2)]
                 k3 = dynamics(plant, x3, control_input(x3, mid, config, False, tel), w, tm)
                 x4 = [v + dt * dv for v, dv in zip(x, k3)]
+                t_eval = t_end[i]
                 k4 = dynamics(
-                    plant, x4, control_input(x4, at_end[i], config, False, tel), w, t_end[i]
+                    plant, x4, control_input(x4, end_row, config, False, tel), w, t_eval
                 )
             except PlantStateError as exc:
                 aborted = str(exc)
                 break
-            except ControllerIntegrityError as exc:  # the tube collapsed
-                row, t_bad = (mid, tm) if min(mid[:dims]) <= 0.0 else (at_end[i], t_end[i])
+            except ControllerIntegrityError as exc:  # the tube collapsed at t_eval
                 raise ControllerIntegrityError(
-                    exc.stage, f"(tube width {min(row[:dims]):.6g} at t={t_bad:.6g})"
+                    exc.stage, f"(tube width {exc.width:.6g} at t={t_eval:.6g})", exc.width
                 ) from exc
             x = [
                 v + sixth * (a + 2.0 * b + 2.0 * c + d)
                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)
             ]
-        stop = start + len(xs)
-        states[start:stop] = xs
-        inputs[start:stop] = us
-        recorded = now[: len(xs)]
-        errors[start:stop] = (
-            2.0 * states[start:stop, :dims] - recorded[:, dims : 2 * dims]
-        ) / recorded[:, :dims]
+        stop = start + i + 1
+        errors[start:stop] = stage1_errors(states[start:stop], now[: i + 1])
         if aborted is not None:
             end = stop
             break

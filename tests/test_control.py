@@ -13,6 +13,7 @@ from sttube.control import (
     constraint_rows,
     control_input,
     stage1_error,
+    stage1_errors,
     stage_k_error,
     stage_reference,
 )
@@ -150,6 +151,23 @@ def test_constraint_rows_layout_and_scalar_agreement():
         assert _bits(constraint_row(lo, hi, cfg, t)) == _bits(expect)
 
 
+def test_stage1_errors_match_the_written_out_formula():
+    """The array form gives (2x - (hi + lo)) / (hi - lo) bit for bit, reads
+    only the stage-1 block of a stacked state, and agrees with stage1_error."""
+    funnel = Funnel(p=(0.5, 0.8), q=(0.1, 0.1), mu=(1.0, 2.0))
+    cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
+    times = [0.0, 0.3, 1.7]
+    lower = [(0.1 * t, -1.0) for t in times]
+    upper = [(1.0 + t, 2.0 - 0.3 * t) for t in times]
+    states = [(0.3, 0.7, 9.0, -9.0), (1.1, -0.2, 0.0, 1.0), (0.17, 1.9, 5.0, 5.0)]
+    errors = stage1_errors(states, constraint_rows(lower, upper, cfg, times))
+    assert errors.shape == (3, 2)
+    for x, lo, hi, e in zip(states, lower, upper, errors.tolist()):
+        expect = [(2.0 * v - (h + l)) / (h - l) for v, l, h in zip(x, lo, hi)]
+        assert _bits(e) == _bits(expect)
+        assert _bits(stage1_error(x[:2], lo, hi)) == _bits(expect)
+
+
 def test_control_input_rejects_mismatched_row():
     cfg = _single_stage_config()
     with pytest.raises(ValueError):
@@ -235,6 +253,7 @@ def test_collapsed_stage1_tube_is_a_stage1_error(walls, strict):
     with pytest.raises(ControllerIntegrityError) as err:
         _ctl((0.5,), (walls[0],), (walls[1],), cfg, strict=strict)
     assert err.value.stage == 1
+    assert err.value.width == walls[1] - walls[0]
 
 
 def test_two_stage_cascade_centered():
