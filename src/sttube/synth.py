@@ -138,6 +138,25 @@ def separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
     return unsafe, coll
 
 
+def least_separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The least witness option of every disjunction: unsafe (R, m, T) and
+    collision (P, T), the minimum over (dim, side) of ``separation_options``.
+    It is taken one option at a time, so no (..., n, 2, T) array is built.
+    """
+    m, n, _, t = faces.shape
+    lower, upper = faces[:, :, 0], faces[:, :, 1]
+    bounds = obstacle_bounds.transpose(1, 2, 3, 0)[:, None]  # (R, 1, n, 2, T)
+    j, k = np.triu_indices(m, 1)
+    unsafe = np.full((len(bounds), m, t), np.inf)
+    coll = np.full((len(j), t), np.inf)
+    for i in range(n):
+        np.minimum(unsafe, bounds[:, :, i, 1] - lower[:, i], out=unsafe)
+        np.minimum(unsafe, upper[:, i] - bounds[:, :, i, 0], out=unsafe)
+        np.minimum(coll, upper[j, i] - lower[k, i], out=coll)
+        np.minimum(coll, upper[k, i] - lower[j, i], out=coll)
+    return unsafe, coll
+
+
 class SopInstance:
     """The finite constraint system for one scenario + sample set.
 
@@ -189,14 +208,17 @@ class SopInstance:
         first = np.cumsum(sizes) - sizes
         cols = np.where(k < sizes[:, None], first[:, None] + k, self.n_vars)
         self.columns = np.vstack([cols, np.full(z_max, self.n_vars)])
+        self.face_columns = [c[c < self.n_vars] for c in cols]
 
         n_reg = len(spec.obstacles)
         self.obstacle_bounds = samples.obstacle_bounds
         # bounds a row's right-hand side can take; column -1 (no bound) is 0
-        self._rhs_bounds = np.hstack(
-            [self.obstacle_bounds.reshape(self.n_t, n_reg * self.n * 2), np.zeros((self.n_t, 1))]
-        )
+        bounds = self.obstacle_bounds.reshape(self.n_t, n_reg * self.n * 2)
+        self._rhs_bounds = np.hstack([bounds, np.zeros((self.n_t, 1))])
+        self._bound_rows = bounds.T.ravel()  # bound b at sample r: b * n_t + r
         self.arena = np.array(spec.arena.to_bounds())  # (n, 2)
+        # arena (lo, hi) of every face, (faces, 2)
+        self.face_arena = np.repeat(np.tile(self.arena, (self.m, 1)), 2, axis=0)
         self.min_widths = np.array(template.min_widths, dtype=float).reshape(self.m, self.n)
         # start and goal box bounds, (m, start/goal, n, lo/hi)
         self.ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
@@ -208,6 +230,7 @@ class SopInstance:
         unsafe_first = coll_first + len(self.pairs)
         width_first = unsafe_first + self.m * n_reg
         self.groups = width_first + self.m * self.n
+        self.disjunct_groups = slice(coll_first, width_first)
         # arena and width groups: one row shape each, scanned by
         # ``static_violations``
         self.static_groups = np.r_[0:n_arena, width_first : self.groups]
@@ -221,6 +244,9 @@ class SopInstance:
             _Family("coll", self.pairs, coll_first, _score_collision_option),
         )
         self.row_table = self._row_table()
+        # LPs solved on this instance: solve_sop rounds and witness scoring
+        self.lp_solves = 0
+        self._operands = self._operand_table()
 
     def _row_table(self):
         """Every row shape, indexed [group, witness code]: two signed face
@@ -265,6 +291,22 @@ class SopInstance:
             ])
         groups = [g * (2 * n // len(g)) for g in groups]
         return tuple(np.array([[row[q] for row in g] for g in groups]) for q in range(5))
+
+    def _operand_table(self):
+        """For every disjunct group (collision, then unsafe) and witness
+        code: the rows of the value table (faces, then obstacle bounds,
+        each one row of samples) holding the option's minuend and
+        subtrahend, and the slack's index into the flattened (m, n)
+        slacks.  Read off the row table: the option's value is the term of
+        sign +1 minus the other term."""
+        faces, signs, etas, _, bound = (col[self.disjunct_groups] for col in self.row_table)
+        bound = bound + len(self.columns) - 1
+        face_first = signs[..., 0] > 0
+        minuend = np.where(face_first, faces[..., 0], bound)
+        subtrahend = np.where(
+            face_first, np.where(faces[..., 1] >= 0, faces[..., 1], bound), faces[..., 0]
+        )
+        return minuend, subtrahend, etas - self.eta_offset[0, 0]
 
     # -- rows (row . x <= rhs) ----------------------------------------------
 
@@ -313,58 +355,120 @@ class SopInstance:
 
     def static_violations(self, faces: np.ndarray, etas: np.ndarray, tol: float) -> np.ndarray:
         """Keys of the arena and width rows violated by more than ``tol``:
-        the eight worst samples of each group, ties to the earlier sample."""
-        m, n = self.m, self.n
-        viol = np.empty((len(self.static_groups), self.n_t))
-        arena = viol[: 4 * m * n].reshape(m, n, 2, 2, self.n_t)
-        np.subtract(self.arena[:, 0, None, None], faces, out=arena[:, :, :, 0])
-        np.subtract(faces, self.arena[:, 1, None, None], out=arena[:, :, :, 1])
-        width = viol[4 * m * n :].reshape(m, n, self.n_t)
-        np.add(faces[:, :, 0], self.min_widths[..., None], out=width)
+        the eight worst samples of each group, ties to the earlier sample.
+
+        Subtracting a fixed bound is monotone, so a face's arena rows are
+        violated exactly when its lowest or highest sample is; only such a
+        face gets its full row of violations.
+        """
+        flat = faces.reshape(-1, self.n_t)
+        lo, hi = self.face_arena.T
+        # arena group 2 * face + half: past lo (half 0), past hi (half 1)
+        arena_worst = np.stack([lo - flat.min(axis=1), flat.max(axis=1) - hi], axis=1).ravel()
+        width = faces[:, :, 0] + self.min_widths[..., None]
         width -= faces[:, :, 1]
         width -= etas[..., None]
+        width = width.reshape(-1, self.n_t)
+        found = []  # (static group, its violation at every sample)
+        for g in np.flatnonzero(arena_worst > tol):
+            f = g // 2
+            found.append((g, lo[f] - flat[f] if g % 2 == 0 else flat[f] - hi[f]))
+        for q in np.flatnonzero((width > tol).any(axis=1)):
+            found.append((len(arena_worst) + q, width[q]))
         keys = [np.zeros(0, dtype=int)]
-        for g in np.flatnonzero((viol > tol).any(axis=1)):
-            bad = np.flatnonzero(viol[g] > tol)
-            order = np.argsort(-viol[g, bad], kind="stable")
+        for g, viol in found:
+            bad = np.flatnonzero(viol > tol)
+            order = np.argsort(-viol[bad], kind="stable")
             keys.append(self.static_groups[g] * self.n_t + bad[order][:8])
         return np.concatenate(keys)
 
     def arena_excursions(self, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Arena rows, at exact times, for every face that leaves the arena
-        by more than ``tol`` anywhere in [0, t_c].
+        by more than ``tol`` anywhere in [0, t_c]; rows ordered by face,
+        then half (past lo, past hi), then time.
 
         A face's extremes on [0, t_c] lie at the ends or at a root of its
         derivative, so those are the only times checked.  The real parts of
         complex roots are checked too: they are harmless extra times and
         cover a near-double root that comes out complex.
+
+        All faces are checked at once, with the arithmetic of ``np.roots``
+        and ``np.polyval`` per face: each derivative, stripped of leading
+        and trailing zeros, gives a companion matrix, and the matrices of
+        one size share an ``np.linalg.eigvals`` call; every candidate time
+        is evaluated by one Horner pass over coefficients zero-padded to
+        the top degree.
         """
         horizon = self.spec.horizon
-        groups, times = [], []
-        for f, cols in enumerate(self.columns[:-1]):
-            coeffs = x[cols[cols < self.n_vars]][::-1]  # highest power first
-            roots = np.roots(np.polyder(coeffs)).real
-            t = np.r_[0.0, horizon, roots[(roots > 0.0) & (roots < horizon)]]
-            values = np.polyval(coeffs, t)
-            lo, hi = self.arena[f // 2 % self.n]
-            for half, past in enumerate((lo - values, values - hi)):
-                bad = past > tol
-                groups += [2 * f + half] * int(bad.sum())
-                times += t[bad].tolist()
-        g = np.array(groups, dtype=int)
-        faces, signs, etas, rhs, _ = (col[g, 0] for col in self.row_table)
-        powers = np.vander(times, N=self.powers.shape[1], increasing=True)
+        coeffs = np.append(x, 0.0)[self.columns[:-1, ::-1]]  # highest power first
+        z = coeffs.shape[1]
+        deriv = coeffs[:, :-1] * np.arange(z - 1, 0, -1)
+        nonzero = deriv != 0
+        lead = nonzero.argmax(axis=1)
+        size = np.where(nonzero.any(axis=1), z - 1 - nonzero[:, ::-1].argmax(axis=1) - lead, 0)
+        # candidate times per face: t = 0 (slot 0), t_c (slot 1), roots (slot 2, ...)
+        n_faces = len(coeffs)
+        face = [np.arange(n_faces), np.arange(n_faces)]
+        times = [np.zeros(n_faces), np.full(n_faces, horizon)]
+        slot = [np.zeros(n_faces, dtype=int), np.ones(n_faces, dtype=int)]
+        for k in sorted(set(size[size > 1].tolist())):
+            f = np.flatnonzero(size == k)
+            p = deriv[f[:, None], lead[f, None] + np.arange(k)]
+            companion = np.zeros((len(f), k - 1, k - 1))
+            companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots = np.linalg.eigvals(companion).real
+            inside = (roots > 0.0) & (roots < horizon)
+            face.append(np.broadcast_to(f[:, None], roots.shape)[inside])
+            times.append(roots[inside])
+            slot.append(np.broadcast_to(2 + np.arange(k - 1), roots.shape)[inside])
+        face, times, slot = (np.concatenate(a) for a in (face, times, slot))
+        values = np.zeros(len(times))
+        for k in range(z):
+            values = values * times + coeffs[face, k]
+        lo, hi = self.face_arena[face].T
+        half, at = np.nonzero(np.stack([lo - values, values - hi]) > tol)
+        order = np.lexsort((slot[at], half, face[at]))
+        half, at = half[order], at[order]
+        faces, signs, etas, rhs, _ = (col[2 * face[at] + half, 0] for col in self.row_table)
+        powers = np.vander(times[at], N=self.powers.shape[1], increasing=True)
         return self._face_rows(faces, signs, etas, powers), rhs
 
     # -- vectorized evaluation ----------------------------------------------
 
     def face_values(self, x: np.ndarray) -> np.ndarray:
         """Every face at every time sample: (m, n, 2, n_t), lower then upper."""
-        out = np.empty((len(self.columns) - 1, self.n_t))
-        for f, cols in enumerate(self.columns[:-1]):
-            cols = cols[cols < self.n_vars]
+        out = np.empty((len(self.face_columns), self.n_t))
+        for f, cols in enumerate(self.face_columns):
             out[f] = self.powers[:, : len(cols)] @ x[cols]
         return out.reshape(self.m, self.n, 2, self.n_t)
+
+    def witness_operands(self, codes: np.ndarray):
+        """Where ``witness_values`` reads the terms of every disjunct row
+        under the witness ``codes`` (groups, n_t): flat indices into the
+        value table and into the slacks, each (disjunct groups, n_t)."""
+        minuend, subtrahend, eta = self._operands
+        c = codes[self.disjunct_groups]
+        g = np.arange(len(c))[:, None]
+        r = np.arange(self.n_t)
+        return minuend[g, c] * self.n_t + r, subtrahend[g, c] * self.n_t + r, eta[g, c]
+
+    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> tuple:
+        """Slack of every disjunct row at a solution with face values
+        ``faces`` and slacks ``etas``: the witnessed option's value minus
+        the agent's slack in that dim.  One (groups, n_t) array per family:
+        the same subtractions as on the options of ``option_values``, for
+        the witnessed option only."""
+        minuend, subtrahend, eta = operands
+        table = np.concatenate([faces.ravel(), self._bound_rows])
+        values = table.take(minuend)
+        values -= table.take(subtrahend)
+        values -= etas.take(eta)
+        start = self.disjunct_groups.start
+        return tuple(
+            values[fam.first - start : fam.first - start + len(fam.heads)]
+            for fam in self.families
+        )
 
     def option_values(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per family, the value of every witness option of every
@@ -375,7 +479,7 @@ class SopInstance:
         return unsafe.reshape(shape), coll.reshape(shape)
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
-        coeffs = [tuple(x[cols[cols < self.n_vars]]) for cols in self.columns[:-1]]
+        coeffs = [tuple(x[cols]) for cols in self.face_columns]
         agents = []
         for j in range(self.m):
             dims = tuple(
@@ -488,19 +592,6 @@ class SolveDiagnostics:
     active_keys: np.ndarray = ()  # row keys of the final working set
 
 
-def _assignment_row_values(instance, assignment, options, etas):
-    """Slack of every disjunct row at the current solution: the witnessed
-    option's value minus the agent's slack in that dim.
-
-    Returns one (groups, n_t) array per family (<= 0 satisfied; ~0
-    binding)."""
-    out = []
-    for fam, codes, opt in zip(instance.families, assignment.tables(), options):
-        chosen = np.take_along_axis(opt, codes[:, None, :], axis=1)[:, 0]
-        out.append(chosen - etas[fam.agents[:, None], codes // 2])
-    return out
-
-
 def solve_sop(
     instance: SopInstance,
     assignment: DisjunctAssignment,
@@ -517,11 +608,19 @@ def solve_sop(
     added as rows that are never dropped, and the loop goes on until both
     checks pass.  Deterministic throughout; ``warm_keys`` seeds the working
     set from a related earlier solve.
+
+    One round: one LP on the active rows, the face values at every sample
+    (one matrix-vector product per face), the arena and width scan (a
+    face's full row only when its extreme samples leave the arena), and
+    each disjunct row's value under its assigned witness alone, read
+    through index arrays built once per call.  The row values are the
+    bits the full option tensors give.
     """
     diag = diagnostics if diagnostics is not None else SolveDiagnostics()
     eq_rows, eq_rhs = instance.equality_rows()
     ord_rows, ord_rhs = instance.ordering_rows()
     witness = instance.code_table(assignment)
+    operands = instance.witness_operands(witness)
     n_t = instance.n_t
     active = np.zeros(instance.groups * n_t, dtype=bool)
     add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
@@ -561,6 +660,7 @@ def solve_sop(
         )
         sol = solve_lp(problem)
         diag.lp_solves += 1
+        instance.lp_solves += 1
         diag.lp_rows = max(diag.lp_rows, len(rhs))
         if sol.status == "infeasible":
             raise SynthesisInfeasible(
@@ -576,9 +676,7 @@ def solve_sop(
         scale = max(1.0, float(np.abs(x).max()))
         tol = _VIOL_TOL * scale
         new = activate(instance.static_violations(faces, etas, tol))
-        row_vals = _assignment_row_values(
-            instance, assignment, instance.option_values(faces), etas
-        )
+        row_vals = instance.witness_values(faces, etas, operands)
         for fam, vals in zip(instance.families, row_vals):
             flat = vals.ravel()
             bad = np.flatnonzero(flat > tol)
@@ -680,6 +778,7 @@ def _score_witness(instance, faces, signs, rhs, sub) -> float:
             eq_rhs=np.concatenate(eq_rhs),
         )
     )
+    instance.lp_solves += 1
     return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
@@ -791,9 +890,12 @@ def refine_assignment(
     """
     if failure.tubes is None or failure.x is None:
         raise ValueError("refinement needs diagnostics from a previous solve")
-    options = instance.option_values(instance.face_values(failure.x))
-    row_vals = _assignment_row_values(
-        instance, assignment, options, failure.x[instance.eta_offset]
+    faces = instance.face_values(failure.x)
+    options = instance.option_values(faces)
+    row_vals = instance.witness_values(
+        faces,
+        failure.x[instance.eta_offset],
+        instance.witness_operands(instance.code_table(assignment)),
     )
     best = [_best_choice(opt) for opt in options]
 
@@ -997,9 +1099,10 @@ def validate_tubes(
         ))
     }
 
-    # arena confinement
-    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None, None]
-    past = np.stack([(lo - faces).max(axis=-1), (faces - hi).max(axis=-1)], axis=-1)
+    # arena confinement (subtracting a fixed bound is monotone, so the
+    # worst excess sits at the face's lowest or highest sample)
+    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None]
+    past = np.stack([lo - faces.min(axis=-1), faces.max(axis=-1) - hi], axis=-1)
     families["arena"] = FamilyResult("arena", *worst(
         past,
         lambda j, i, s, b: (
@@ -1014,22 +1117,21 @@ def validate_tubes(
         gap.max(axis=-1), lambda j, i: f"agent {j + 1} dim {i + 1} at {at(gap, (j, i))}"
     ))
 
-    # unsafe and collision separation: some (dim, side) option clears
-    unsafe, coll = separation_options(faces, obstacle_bounds(spec, grid))
+    # unsafe and collision separation: some (dim, side) option clears;
+    # the least option per disjunction, (R, m, grid) and (P, grid)
+    unsafe, coll = least_separation_options(faces, obstacle_bounds(spec, grid))
     if spec.obstacles:
-        best = unsafe.min(axis=(2, 3)).transpose(1, 0, 2)  # (R, m, grid)
         families["unsafe"] = FamilyResult("unsafe", *worst(
-            best.max(axis=-1),
-            lambda r, j: f"agent {j + 1} vs region {r + 1} at {at(best, (r, j))}",
+            unsafe.max(axis=-1),
+            lambda r, j: f"agent {j + 1} vs region {r + 1} at {at(unsafe, (r, j))}",
         ))
     else:
         families["unsafe"] = FamilyResult("unsafe", -np.inf, True, "no obstacles")
     if m >= 2:
-        best = coll.min(axis=(1, 2))  # (P, grid)
         j, k = np.triu_indices(m, 1)
         families["collision"] = FamilyResult("collision", *worst(
-            best.max(axis=-1),
-            lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at {at(best, p)}",
+            coll.max(axis=-1),
+            lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at {at(coll, p)}",
         ))
     else:
         families["collision"] = FamilyResult("collision", -np.inf, True, "single agent")
@@ -1072,7 +1174,8 @@ def synthesize(
     refinement stalls or when the budget runs out, and returns the best
     certified iterate: its tubes, certificate, assignment and dense
     validation.  ``iterations``, ``lp_solves`` and ``wall_time`` count the
-    whole search.
+    whole search; ``lp_solves`` includes the LPs of refinement candidates
+    and witness scoring.
 
     Raises SynthesisFailure with the best margin found when the
     refinement budget runs out without any certificate.
@@ -1084,7 +1187,6 @@ def synthesize(
     assignment = seed_assignment(spec, samples)
 
     best_margin = float("inf")
-    lp_solves = 0
     warm: tuple = ()
     since_improved = 0
     certified = None  # (tubes, certificate, assignment) of the best certified iterate
@@ -1099,7 +1201,7 @@ def synthesize(
             certificate=cert,
             assignment=asg,
             iterations=iteration,
-            lp_solves=lp_solves,
+            lp_solves=instance.lp_solves,
             wall_time=time.perf_counter() - t0,
             validation=report,
         )
@@ -1108,7 +1210,6 @@ def synthesize(
         diag = SolveDiagnostics()
         tubes, eta = solve_sop(instance, assignment, diag, warm_keys=warm)
         warm = diag.active_keys
-        lp_solves += diag.lp_solves
         cert = certify(eta, tubes, spec.epsilon, lipschitz_source)
         improved = cert.margin < best_margin - 1e-12
         if improved:

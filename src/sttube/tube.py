@@ -39,9 +39,10 @@ class TubeFace:
         return len(self.coeffs) - 1
 
 
-def horner(reversed_coeffs, t: float) -> tuple[float, ...]:
-    """Values at ``t`` of several polynomials, each given by its
-    coefficients from the highest degree down (Horner's rule)."""
+def horner(reversed_coeffs, t):
+    """Values at ``t`` (a float or an array) of several polynomials, each
+    given by its coefficients from the highest degree down (Horner's
+    rule)."""
     out = []
     for coeffs in reversed_coeffs:
         acc = 0.0
@@ -68,7 +69,7 @@ def eval_face_derivative(face: TubeFace, t: float) -> float:
 
 
 def eval_face_array(face: TubeFace, times: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(times, np.asarray(face.coeffs))
+    return horner((face.coeffs[::-1],), np.asarray(times))[0]
 
 
 def analytic_slope_bound(
@@ -85,28 +86,21 @@ def analytic_slope_bound(
     dcoeffs = derivative_coeffs(face.coeffs)
     if len(dcoeffs) == 1:
         return abs(dcoeffs[0])
+    ddcoeffs = derivative_coeffs(dcoeffs)
     if face.degree <= 3:
-        # gamma'' has degree <= 1: its real roots are exact.
+        # gamma'' = c0 + c1 t is linear or constant; a constant gamma''
+        # (c1 == 0) puts the extrema at the endpoints only.
         candidates = [t0, t1]
-        ddcoeffs = derivative_coeffs(dcoeffs)
-        # A constant gamma'' (linear derivative) puts the extrema at the
-        # endpoints only.
-        if len(ddcoeffs) > 1:
-            roots = np.polynomial.polynomial.polyroots(np.asarray(ddcoeffs))
-            for r in roots:
-                if abs(r.imag) < 1e-12 and t0 <= r.real <= t1:
-                    candidates.append(float(r.real))
-        dpoly = np.asarray(dcoeffs)
-        return float(
-            max(abs(np.polynomial.polynomial.polyval(t, dpoly)) for t in candidates)
-        )
+        if len(ddcoeffs) > 1 and ddcoeffs[1] != 0.0:
+            root = float(-ddcoeffs[0] / ddcoeffs[1])
+            if t0 <= root <= t1:
+                candidates.append(root)
+        return float(max(abs(horner((dcoeffs[::-1],), t)[0]) for t in candidates))
     grid = np.linspace(t0, t1, grid_points)
-    dpoly = np.asarray(dcoeffs)
-    ddpoly = np.asarray(derivative_coeffs(dcoeffs))
-    dvals = np.abs(np.polynomial.polynomial.polyval(grid, dpoly))
-    curvature = float(np.max(np.abs(np.polynomial.polynomial.polyval(grid, ddpoly))))
+    dvals, ddvals = horner((dcoeffs[::-1], ddcoeffs[::-1]), grid)
+    curvature = float(np.max(np.abs(ddvals)))
     spacing = (t1 - t0) / (grid_points - 1)
-    return float(np.max(dvals)) + 0.5 * curvature * spacing
+    return float(np.max(np.abs(dvals))) + 0.5 * curvature * spacing
 
 
 @dataclass(frozen=True)

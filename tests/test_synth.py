@@ -8,7 +8,6 @@ from sttube.synth import (
     SolveDiagnostics,
     SynthesisError,
     TubeTemplate,
-    _assignment_row_values,
     _best_choice,
     build_sop,
     certify,
@@ -208,6 +207,17 @@ def test_separation_criterion_matches_brute_force():
 # solving and refinement
 
 
+def _assignment_row_values(instance, assignment, options, etas):
+    """Reference for ``SopInstance.witness_values``: the witnessed option
+    picked out of the full option arrays, minus the agent's slack in that
+    dim; one (groups, n_t) array per family."""
+    out = []
+    for fam, codes, opt in zip(instance.families, assignment.tables(), options):
+        chosen = np.take_along_axis(opt, codes[:, None, :], axis=1)[:, 0]
+        out.append(chosen - etas[fam.agents[:, None], codes // 2])
+    return out
+
+
 def test_contradictory_assignment_cannot_certify(mini_spec):
     """Forcing both orders of the swap pair at nearby samples squeezes the
     pair against the width family: the optimum exceeds zero and no
@@ -226,10 +236,11 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
 
 
 def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
-    """Row slacks and best witnesses computed on the option arrays equal,
-    bit for bit, the per-row scalar formulas they replace: unsafe side 0
-    clears the box top with the lower face, side 1 its bottom with the
-    upper face; collision side 0 puts agent j below k, side 1 k below j."""
+    """Witnessed row slacks, and best witnesses computed on the option
+    arrays, equal bit for bit the per-row scalar formulas they replace:
+    unsafe side 0 clears the box top with the lower face, side 1 its
+    bottom with the upper face; collision side 0 puts agent j below k,
+    side 1 k below j."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = mini_result.assignment
@@ -251,9 +262,10 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
         a, b = (j, k) if side == 0 else (k, j)
         return faces[(a, i, "upper")][t] - faces[(b, i, "lower")][t]
 
-    options = inst.option_values(inst.face_values(diag.x))
+    faces_now = inst.face_values(diag.x)
+    options = inst.option_values(faces_now)
     etas = diag.x[inst.eta_offset]
-    row_vals = _assignment_row_values(inst, asg, options, etas)
+    row_vals = inst.witness_values(faces_now, etas, inst.witness_operands(inst.code_table(asg)))
     for fam, option, codes, vals, opts in zip(
         inst.families, (unsafe_option, coll_option), asg.tables(), row_vals, options
     ):
@@ -268,6 +280,129 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
                 if best is None or v < best[0] - 1e-15:
                     best = (v, c)
             assert (best_vals[g, t], best_codes[g, t]) == best
+
+
+def _seed_solution(spec):
+    samples = sample_unsafe(spec)
+    inst = build_sop(spec, samples)
+    asg = seed_assignment(spec, samples)
+    diag = SolveDiagnostics()
+    solve_sop(inst, asg, diag)
+    return inst, asg, diag.x
+
+
+def _full_scan_static_keys(inst, faces, etas, tol):
+    """The arena and width scan written out over every row: violation of
+    each group at each sample, the eight worst of each violated group,
+    ties to the earlier sample."""
+    m, n, n_t = inst.m, inst.n, inst.n_t
+    viol = np.empty((len(inst.static_groups), n_t))
+    arena = viol[: 4 * m * n].reshape(m, n, 2, 2, n_t)
+    np.subtract(inst.arena[:, 0, None, None], faces, out=arena[:, :, :, 0])
+    np.subtract(faces, inst.arena[:, 1, None, None], out=arena[:, :, :, 1])
+    width = viol[4 * m * n :].reshape(m, n, n_t)
+    np.add(faces[:, :, 0], inst.min_widths[..., None], out=width)
+    width -= faces[:, :, 1]
+    width -= etas[..., None]
+    keys = [np.zeros(0, dtype=int)]
+    for g in np.flatnonzero((viol > tol).any(axis=1)):
+        bad = np.flatnonzero(viol[g] > tol)
+        order = np.argsort(-viol[g, bad], kind="stable")
+        keys.append(inst.static_groups[g] * n_t + bad[order][:8])
+    return np.concatenate(keys)
+
+
+@pytest.mark.parametrize("scenario", ["mini", "robots"])
+def test_witnessed_scan_matches_option_tensors(scenario, request):
+    """The lazy loop's scan equals, bit for bit, the full evaluation it
+    replaces: witnessed row values against ``option_values`` plus
+    ``_assignment_row_values``, and the arena/width keys against a scan
+    of every row, at the seed solution and at perturbed points where many
+    rows are violated, under the seed and under random witnesses."""
+    inst, asg, x = _seed_solution(request.getfixturevalue(f"{scenario}_spec"))
+    rng = np.random.default_rng(7)
+    random_asg = DisjunctAssignment(
+        unsafe=rng.integers(0, 2 * inst.n, asg.unsafe.shape),
+        collision=rng.integers(0, 2 * inst.n, asg.collision.shape),
+    )
+    points = [x] + [x + rng.normal(scale=scale, size=x.shape) for scale in (1e-3, 0.3)]
+    for point in points:
+        faces = inst.face_values(point)
+        etas = point[inst.eta_offset]
+        for tol in (1e-9, 0.0, -0.05):
+            np.testing.assert_array_equal(
+                inst.static_violations(faces, etas, tol),
+                _full_scan_static_keys(inst, faces, etas, tol),
+            )
+        for a in (asg, random_asg):
+            operands = inst.witness_operands(inst.code_table(a))
+            witnessed = inst.witness_values(faces, etas, operands)
+            expected = _assignment_row_values(inst, a, inst.option_values(faces), etas)
+            for got, want in zip(witnessed, expected):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def _arena_reference(inst, x, tol):
+    """Arena excursion rows face by face, as ``np.roots``/``np.polyval``
+    give them: face, then half (past lo, past hi), then candidate time."""
+    horizon = inst.spec.horizon
+    rows, rhs = [], []
+    for f, cols in enumerate(inst.columns[:-1]):
+        cols = cols[cols < inst.n_vars]
+        coeffs = x[cols][::-1]
+        roots = np.roots(np.polyder(coeffs)).real
+        t = np.r_[0.0, horizon, roots[(roots > 0.0) & (roots < horizon)]]
+        values = np.polyval(coeffs, t)
+        lo, hi = inst.arena[f // 2 % inst.n]
+        for half, past in enumerate((lo - values, values - hi)):
+            for time in t[past > tol]:
+                row = np.zeros(inst.n_vars)
+                row[cols] += (2.0 * half - 1.0) * np.vander([time], N=len(cols), increasing=True)[0]
+                rows.append(row)
+                rhs.append(-lo if half == 0 else hi)
+    return np.array(rows).reshape(-1, inst.n_vars), np.array(rhs)
+
+
+def test_batched_arena_excursions_match_per_face_reference():
+    """The batched exact arena check gives the per-face reference's rows
+    and right-hand sides, bit for bit and in the same order."""
+    spec = scenario_from_dict({
+        "dims": 2, "horizon": 4.0, "epsilon": 0.05,
+        "arena": [[0.0, 4.0], [0.0, 4.0]],
+        "agents": [
+            {"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[3.0, 4.0], [3.0, 4.0]],
+             "tube_degree": [2, 3]},
+            {"start": [[3.0, 4.0], [0.0, 1.0]], "goal": [[0.0, 1.0], [3.0, 4.0]],
+             "tube_degree": [3, 3]},
+        ],
+        "obstacles": [],
+    })
+    inst = build_sop(spec, sample_unsafe(spec))
+    assert np.allclose(np.diff(inst.times), 0.1)
+    faces = [  # constant term first, one per face
+        (-1.0, 3.0, -0.75),  # quadratic, below the arena at both ends
+        (3.5591, 0.84, -0.4),  # quadratic peaking at 4.0001 at t = 1.05, between samples
+        (1.0, 9.0, -6.0, 1.0),  # cubic, extrema at t = 1 (outside) and t = 3
+        (-7.5, 13.0, -6.0, 1.0),  # cubic, derivative roots 2 +- 0.577i
+        (3.0, 2.0, -0.5, 0.0),  # cubic slot, top coefficient exactly 0
+        (3.0, 0.0, 0.5, -0.125),  # derivative with a zero constant term, peak at t = 8/3
+        (4.5, -1.25, 0.0, 0.0),  # linear, past hi at t = 0 and past lo at t = 4
+        (2.0, 0.0, 0.0, 0.0),  # constant, inside everywhere
+    ]
+    x = np.zeros(inst.n_vars)
+    for cols, coeffs in zip(inst.columns, faces):
+        x[cols[: len(coeffs)]] = coeffs
+    rows, rhs = inst.arena_excursions(x, 1e-9)
+    ref_rows, ref_rhs = _arena_reference(inst, x, 1e-9)
+    assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
+    assert rhs.tobytes() == ref_rhs.tobytes()
+    # every face but the last leaves the arena; the second only between
+    # samples, where the sampled scan sees nothing
+    touched = {int(np.flatnonzero(row[: inst.eta_offset[0, 0]])[0]) for row in rows}
+    assert touched == {int(cols[0]) for cols in inst.columns[:7]}
+    sampled = inst.face_values(x).reshape(-1, inst.n_t)
+    assert sampled[1].max() < 4.0 < np.polyval(np.array(faces[1])[::-1], 1.05)
 
 
 def test_mini_synthesis_certifies(mini_result, mini_spec):
@@ -321,16 +456,39 @@ def test_margin_monotone_in_epsilon(mini_spec):
 
 
 _MINI_IN_SUBPROCESS = """
-import json, sys
+import hashlib, json, sys
+import numpy as np
+import sttube.synth as synth
 from sttube.scenario import scenario_from_dict
-from sttube.synth import synthesize
-result = synthesize(scenario_from_dict(json.load(sys.stdin)))
+
+# sha256 over every LP the search solves: its inputs, status and x
+digest, calls, solve = hashlib.sha256(), [0], synth.solve_lp
+
+def traced_solve_lp(problem):
+    calls[0] += 1
+    for a in (problem.objective, problem.ineq_matrix, problem.ineq_rhs,
+              problem.eq_matrix, problem.eq_rhs):
+        a = np.zeros(0) if a is None else np.ascontiguousarray(a, dtype=float)
+        digest.update(repr(a.shape).encode())
+        digest.update(a.tobytes())
+    sol = solve(problem)
+    digest.update(sol.status.encode())
+    if sol.x is not None:
+        digest.update(np.ascontiguousarray(sol.x).tobytes())
+    return sol
+
+synth.solve_lp = traced_solve_lp
+result = synth.synthesize(scenario_from_dict(json.load(sys.stdin)))
 cert = result.certificate
 print(json.dumps({
     "iterations": result.iterations,
+    "lp_solves": result.lp_solves,
+    "lp_calls": calls[0],
+    "lp_digest": digest.hexdigest(),
     "eta_star": cert.eta_star.hex(),
     "margin": cert.margin.hex(),
     "scipy_optimize_loaded": "scipy.optimize" in sys.modules,
+    "numpy_polynomial_loaded": "numpy.polynomial" in sys.modules,
 }))
 """
 
@@ -363,11 +521,21 @@ def mini_in_subprocesses(mini_spec):
 
 
 def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
-    assert mini_in_subprocesses["1"] == mini_in_subprocesses["2"]
+    """Every LP input and output is the same bits at 1 and 2 BLAS threads,
+    and so is the search's result."""
+    run = mini_in_subprocesses["1"]
+    assert mini_in_subprocesses["2"] == run
+    assert run["iterations"] == 10
+    assert run["lp_solves"] == run["lp_calls"] == 210
+    assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
 def test_synthesis_does_not_import_scipy_optimize(mini_in_subprocesses):
     assert not any(run["scipy_optimize_loaded"] for run in mini_in_subprocesses.values())
+
+
+def test_synthesis_does_not_import_numpy_polynomial(mini_in_subprocesses):
+    assert not any(run["numpy_polynomial_loaded"] for run in mini_in_subprocesses.values())
 
 
 def test_adversarial_seed_recovers(mini_spec):
@@ -463,8 +631,9 @@ def test_robot_synthesis_result(robots_result, robots_spec):
 def test_robot_synthesis_fingerprint(robots_result):
     """The witness search's exact result on the robots case study.  It is
     the same at 1 and 2 BLAS threads, so any change to the search, its
-    tie-breaks or its row order shows here."""
+    tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 8
+    assert robots_result.lp_solves == 949
     assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.19508204776879476, abs=1e-12)
