@@ -136,6 +136,9 @@ def cmd_simulate(args) -> int:
     except ControllerIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except ValueError as exc:  # a gain, step or tube the closed loop cannot set up
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     validation = validate_tubes(tubes, spec, resolution=spec.epsilon / 4.0, tolerance=1e-4)
     report = verify_run(
         trajs, spec, tubes,

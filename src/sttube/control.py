@@ -1,30 +1,34 @@
 """Closed-form, approximation-free, decentralized tube-tracking control.
 
-One stage law, applied per stage (``stage_reference``): normalize the
-error against the stage's constraint, pass it through the logarithmic
-barrier transform ln((1+e)/(1-e)), and scale by the barrier gain
-4 / (gamma (1 - e^2)).  Stage 1 measures the output error against the
-time-varying tube walls (gamma is the wall width); stages 2..N measure
-the tracking error against exponentially narrowing funnels around the
-previous stage's reference (gamma is the funnel radius).  The cascade's
-final output is the plant input; no model of the dynamics enters
-anywhere.
+One stage law, applied per stage: normalize the error against the
+stage's constraint, pass it through the logarithmic barrier transform
+ln((1+e)/(1-e)), and scale by the barrier gain 4 / (gamma (1 - e^2)).
+Stage 1 measures the output error against the time-varying tube walls
+(gamma is the wall width); stages 2..N measure the tracking error
+against exponentially narrowing funnels around the previous stage's
+reference (gamma is the funnel radius).  The cascade's final output is
+the plant input; no model of the dynamics enters anywhere.
 
 Everything the law needs from time is one constraint row: the stage-1
 wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
 ``constraint_rows`` builds the rows for many times at once (the
 simulator does so once per block of steps), ``constraint_row`` one row
-for one time; ``control_input`` reads a row and the flat stacked state
-and does the per-state arithmetic only, and ``stage1_errors`` forms the
-stage-1 errors of many states against their rows at once.  Rows and the
-law use one agent's data only, so an agent's input is byte-identical
-whether or not other agents exist.
+for one time, and ``stage1_errors`` forms the stage-1 errors of many
+states against their rows at once.  ``control_input`` reads a row and
+the flat stacked state and does the per-state arithmetic only: the law
+is written once, in its loop, which walks each stage's components in
+one pass (error, strict check, clamp, barrier term) with plain floats.
+It runs four times per RK4 step, so it calls no per-stage helper and
+builds no intermediate tuple.  Rows and the law use one agent's data
+only, so an agent's input is byte-identical whether or not other agents
+exist.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log
 
 import numpy as np
 
@@ -59,7 +63,9 @@ class Funnel:
         from ``math.exp``: ``np.exp`` differs from it in the last bit for
         some inputs, and the closed loop must not depend on which is used."""
         exponents = -np.asarray(self.mu) * np.asarray(times, dtype=float)[:, None]
-        decay = np.array([math.exp(v) for v in exponents.ravel().tolist()])
+        decay = np.fromiter(
+            map(math.exp, exponents.ravel().tolist()), float, exponents.size
+        )
         return np.subtract(self.p, self.q) * decay.reshape(exponents.shape) + np.asarray(self.q)
 
     def radius(self, t: float) -> tuple[float, ...]:
@@ -135,37 +141,16 @@ def constraint_row(lower, upper, config: ControllerConfig, t: float) -> list[flo
     return constraint_rows([lower], [upper], config, [t])[0].tolist()
 
 
-def stage_reference(
-    e, gamma, kappa: float, e_max: float, negative_definite: bool = False
-) -> tuple[tuple[float, ...], int]:
-    """One stage of the cascade: the next stage's reference from this
-    stage's normalized error ``e`` and constraint width ``gamma``.
-
-    Per component, e is clamped once into [-e_max, e_max], transformed by
-    ln((1+e)/(1-e)), and scaled by the barrier gain 4 / (gamma (1 - e^2))
-    and by -kappa (+kappa for a plant with negative-definite input gain).
-    Returns the reference and the number of clamped components.
-    """
-    gain = kappa if negative_definite else -kappa
-    out = []
-    clamps = 0
-    for v, g in zip(e, gamma):
-        if g <= 0.0:
-            raise ControllerIntegrityError(0, f"(nonpositive width {g})")
-        if v > e_max:
-            v = e_max
-            clamps += 1
-        elif v < -e_max:
-            v = -e_max
-            clamps += 1
-        xi = 4.0 / (g * (1.0 - v * v))
-        out.append(gain * xi * math.log((1.0 + v) / (1.0 - v)))
-    return tuple(out), clamps
-
-
-def stage_k_error(x_k, r_k, radius) -> tuple[float, ...]:
-    """Funnel-normalized tracking error (x_k - r_k) / radius."""
-    return tuple((x - r) / g for x, r, g in zip(x_k, r_k, radius))
+def _worst_error(state, row, ref, k: int, n: int) -> float:
+    """max |e| over the components of stage k (0-based) against the
+    walls or funnel k around the previous stage's reference ``ref``: the
+    strict check's verdict (>= 1 fails) and its message.  Only a failing
+    component leads here, so the stage's errors are simply formed again."""
+    if k:
+        e = [(state[k * n + i] - ref[i]) / row[(k + 1) * n + i] for i in range(n)]
+    else:
+        e = [(2.0 * state[i] - row[n + i]) / row[i] for i in range(n)]
+    return max(abs(v) for v in e)
 
 
 def control_input(
@@ -181,37 +166,66 @@ def control_input(
     dimension); ``row`` is its constraint row (``constraint_row``): the
     stage-1 wall widths and sums, then the funnel radii.  Stage 1
     measures its error (2x - (hi + lo)) / (hi - lo) against the walls,
-    stage k against funnel k around the previous stage's reference.  With
-    ``strict`` the call raises ControllerIntegrityError when a stage state
-    lies on or outside its constraint; intermediate integrator evaluations
-    pass strict=False and rely on the guard clamp instead.  A collapsed
-    stage-1 tube (wall width <= 0) raises the stage-1 error in either mode,
-    with the smallest width as its ``width``.
+    stage k the error (x_k - r) / radius against funnel k around the
+    previous stage's reference r.  Per component, the error is clamped
+    once into [-e_max, e_max] (each clamp counts in ``telemetry``),
+    transformed by ln((1+e)/(1-e)), and scaled by the barrier gain
+    4 / (gamma (1 - e^2)) and by -kappa (+kappa for a plant with
+    negative-definite input gain); gamma is the wall width or funnel
+    radius.  The result is the next stage's reference, and the last
+    stage's is the plant input.
+
+    With ``strict`` the call raises ControllerIntegrityError when a stage
+    state lies on or outside its constraint (|e| >= 1); intermediate
+    integrator evaluations pass strict=False and rely on the guard clamp
+    instead.  A collapsed stage-1 tube (wall width <= 0) raises the
+    stage-1 error in either mode, with the smallest width as its
+    ``width``.  Funnel radii are not checked: ``Funnel`` makes them
+    positive.
     """
-    stages = config.stage_count
+    kappas = config.kappa
+    stages = len(kappas)
     n = len(row) // (stages + 1)
     if len(state) != stages * n or len(row) != (stages + 1) * n:
         raise ValueError("state or constraint row does not match the stage count")
-    gamma = row[:n]
-    if min(gamma) <= 0.0:
-        width = min(gamma)
+    width = min(row[:n])
+    if width <= 0.0:
         raise ControllerIntegrityError(1, f"(tube width {width:.6g})", width=width)
-    e = tuple((2.0 * x - s) / g for x, s, g in zip(state, row[n : 2 * n], gamma))
-    ref = ()
-    for k in range(stages):
-        if k:
-            gamma = row[(k + 1) * n : (k + 2) * n]
-            e = stage_k_error(state[k * n : (k + 1) * n], ref, gamma)
-        if strict:
-            worst = max(abs(v) for v in e)
-            if worst >= 1.0:
-                raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
-        ref, clamps = stage_reference(
-            e, gamma, config.kappa[k], config.e_max, config.g_negative_definite
-        )
-        if telemetry is not None:
-            telemetry.clamp_count += clamps
-    return ref
+    e_max = config.e_max
+    e_min = -e_max
+    negative_definite = config.g_negative_definite
+    clamps = 0
+    ref = None
+    for k, kappa in enumerate(kappas):
+        gain = kappa if negative_definite else -kappa
+        before = clamps  # clamps of the stages before k
+        x_at = k * n  # stage k's block of the state; its radii sit one block on
+        g_at = x_at + n
+        out = []
+        for i in range(n):
+            if k:
+                g = row[g_at + i]
+                v = (state[x_at + i] - ref[i]) / g
+            else:
+                g = row[i]
+                v = (2.0 * state[i] - row[n + i]) / g
+            if strict and (v >= 1.0 or v <= -1.0):
+                worst = _worst_error(state, row, ref, k, n)
+                if worst >= 1.0:
+                    if telemetry is not None:
+                        telemetry.clamp_count += before
+                    raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
+            if v > e_max:
+                v = e_max
+                clamps += 1
+            elif v < e_min:
+                v = e_min
+                clamps += 1
+            out.append(gain * (4.0 / (g * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v)))
+        ref = out
+    if telemetry is not None:
+        telemetry.clamp_count += clamps
+    return tuple(ref)
 
 
 def autosize_funnels(

@@ -82,9 +82,11 @@ def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
     """State derivative for the stacked state under input u and disturbance w.
 
     ``state`` and ``w`` are flat, length stages * dims; ``u`` has length
-    dims.  Raises PlantStateError on non-finite state.
+    dims.  Raises PlantStateError on non-finite state.  A finite sum
+    proves every component finite; a sum that overflows falls back to the
+    per-component check.
     """
-    if not all(math.isfinite(v) for v in state):
+    if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
         raise PlantStateError(f"non-finite state at t={t:.6g}: {tuple(state)}")
     if model.kind == "omnidirectional":
         c, s = math.cos(state[2]), math.sin(state[2])
@@ -166,7 +168,9 @@ class Disturbance:
 
             def draw(times):  # math.sin: np.sin can differ in the last bit
                 angles = freq * np.asarray(times, dtype=float)[:, None] + phases
-                sines = np.array([math.sin(a) for a in angles.ravel().tolist()])
+                sines = np.fromiter(
+                    map(math.sin, angles.ravel().tolist()), float, angles.size
+                )
                 return bound * sines.reshape(angles.shape)
 
         def sampler(times) -> np.ndarray:

@@ -14,9 +14,12 @@ disturbance rows, and after the block the recorded stage-1 errors
 (``stage1_errors``).  The per-step loop then does only what depends on
 the state: it takes its step's rows from the block arrays, calls
 ``control_input`` once per RK4 evaluation on that evaluation's row, and
-``dynamics`` once per stage.  Every value is computed by the same
-floating-point operations as a step-by-step evaluation, so trajectories
-do not depend on the block size.
+``dynamics`` once per stage.  Both are looked up as module globals at
+each call, never bound to locals or inlined, so a wrapper installed on
+``sttube.sim.control_input`` or ``sttube.sim.dynamics`` (a profiler, a
+call counter) sees every evaluation.  Every value is computed by the
+same floating-point operations as a step-by-step evaluation, so
+trajectories do not depend on the block size.
 
 Fixed step rather than adaptive: the barrier gains blow up near tube
 walls and thrash adaptive error estimators; a small fixed step plus the
@@ -130,6 +133,8 @@ def integrate_agent(
     timestamp if a recorded state leaves its tube or funnel, or if the
     tube collapses at any evaluation.  A non-finite state ends the run
     early (``aborted``) with every step up to the failing one recorded."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt:g}")
     bounds = _Stage1Bounds(tubes, agent, plant)
     n_steps = round(horizon / dt)
     if abs(n_steps * dt - horizon) > 1e-9:
@@ -158,16 +163,17 @@ def integrate_agent(
         # One array row per moving step: midpoint row, step-end row, disturbance.
         ahead = np.hstack([rows(mid_grid), rows(end_grid), sampler(moving)])
         t_now, t_mid, t_end = grid.tolist(), mid_grid.tolist(), end_grid.tolist()
+        last = len(t_mid)
         for i, t in enumerate(t_now):
             try:
-                u = control_input(x, now[i].tolist(), config, strict=True, telemetry=tel)
+                u = control_input(x, now[i].tolist(), config, True, tel)
             except ControllerIntegrityError as exc:
                 raise ControllerIntegrityError(
                     exc.stage, f"agent {agent + 1} at t={t:.6g}"
                 ) from exc
             states[start + i] = x
             inputs[start + i] = u
-            if i == len(t_mid):
+            if i == last:
                 break
             step_ahead = ahead[i].tolist()
             mid, end_row = step_ahead[:width], step_ahead[width : 2 * width]

@@ -112,6 +112,24 @@ def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--dt", "0.0007"], "dt must divide the horizon"),
+    (["--dt", "0"], "dt must be positive"),
+    (["--dt", "-0.001"], "dt must be positive"),
+    (["--kappa", "-1"], "stage gains must be positive"),
+], ids=["dt-off-horizon", "dt-zero", "dt-negative", "kappa-negative"])
+def test_simulate_rejects_closed_loop_settings(tmp_path, capsys, flags, message):
+    """A step that does not divide the horizon, a nonpositive step and a
+    nonpositive gain are usage errors: an ``error:`` line and exit code 1."""
+    code = main([
+        "simulate", str(data_path("robots.scenario")), str(data_path("robots_table.tubes")),
+        "--force", "--out", str(tmp_path), *flags,
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+
+
 def test_solo_synthesis_passes_dense_validation():
     """The faces of SOLO run along the arena walls; the certified tube must
     stay inside the arena between time samples too."""

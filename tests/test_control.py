@@ -2,6 +2,8 @@ import math
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttube.control import (
     ControllerConfig,
@@ -14,19 +16,17 @@ from sttube.control import (
     control_input,
     stage1_error,
     stage1_errors,
-    stage_k_error,
-    stage_reference,
 )
 
 E_MAX = 1.0 - 1e-9
 
 
-def _paper_reference(e, gamma, kappa, negative_definite=False):
+def _paper_reference(e, gamma, kappa, negative_definite=False, e_max=E_MAX):
     """The stage law written out per component: clamp e into [-e_max, e_max],
     eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps."""
     out = []
     for v, g in zip(e, gamma):
-        v = min(max(v, -E_MAX), E_MAX)
+        v = min(max(v, -e_max), e_max)
         eps = math.log((1.0 + v) / (1.0 - v))
         xi = 4.0 / (g * (1.0 - v * v))
         out.append((kappa if negative_definite else -kappa) * xi * eps)
@@ -52,52 +52,66 @@ def test_stage1_error_robot_start(robots_table):
     assert e == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
+def _first_stage(e, gamma, kappa=1.0, negative_definite=False, telemetry=None):
+    """The input of a single-stage controller whose stage-1 errors are ``e``
+    against wall widths ``gamma`` (walls centred on 0, no strict check)."""
+    cfg = ControllerConfig(
+        kappa=(kappa,), e_max=E_MAX, g_negative_definite=negative_definite
+    )
+    state = [0.5 * v * g for v, g in zip(e, gamma)]
+    row = [*gamma, *(0.0 for _ in gamma)]
+    return control_input(state, row, cfg, strict=False, telemetry=telemetry)
+
+
 def test_transform_error_values():
     # gamma = 16/3 makes the barrier gain 4 / (gamma (1 - 0.25)) equal 1, so
-    # the reference is -ln((1+e)/(1-e)) itself
-    ref, clamped = stage_reference((0.0,), (1.0,), 1.0, E_MAX)
-    assert ref == (0.0,) and clamped == 0
-    ref, clamped = stage_reference((0.5,), (16.0 / 3.0,), 1.0, E_MAX)
+    # the input is -ln((1+e)/(1-e)) itself
+    tel = StageTelemetry()
+    assert _first_stage((0.0,), (1.0,), telemetry=tel) == (0.0,)
+    ref = _first_stage((0.5,), (16.0 / 3.0,), telemetry=tel)
     assert ref[0] == pytest.approx(-math.log(3.0), abs=1e-12)
-    assert clamped == 0
+    assert tel.clamp_count == 0
     # odd function
-    neg, _ = stage_reference((-0.5,), (16.0 / 3.0,), 1.0, E_MAX)
+    neg = _first_stage((-0.5,), (16.0 / 3.0,))
     assert neg[0] == -ref[0]
     # guard engages above e_max, stays finite, and is counted per component
-    ref, clamped = stage_reference((0.9999999999,), (1.0,), 1.0, E_MAX)
-    assert clamped == 1 and math.isfinite(ref[0])
-    ref, clamped = stage_reference((0.999999,), (1.0,), 1.0, E_MAX)
-    assert clamped == 0 and math.isfinite(ref[0])
-    ref, clamped = stage_reference((1.5, 0.2, -3.0), (1.0,) * 3, 1.0, E_MAX)
-    assert clamped == 2 and all(math.isfinite(v) for v in ref)
+    tel = StageTelemetry()
+    ref = _first_stage((0.9999999999,), (1.0,), telemetry=tel)
+    assert tel.clamp_count == 1 and math.isfinite(ref[0])
+    tel = StageTelemetry()
+    ref = _first_stage((0.999999,), (1.0,), telemetry=tel)
+    assert tel.clamp_count == 0 and math.isfinite(ref[0])
+    tel = StageTelemetry()
+    ref = _first_stage((1.5, 0.2, -3.0), (1.0,) * 3, telemetry=tel)
+    assert tel.clamp_count == 2 and all(math.isfinite(v) for v in ref)
 
 
 def test_xi_values():
-    # the barrier gain is the reference over -kappa ln((1+e)/(1-e))
-    ref, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX)
+    # the barrier gain is the input over -kappa ln((1+e)/(1-e))
+    ref = _first_stage((0.5,), (1.0,))
     assert ref[0] / -math.log(3.0) == pytest.approx(16.0 / 3.0, abs=1e-12)
-    ref, _ = stage_reference((0.5,), (0.5,), 1.0, E_MAX)
+    ref = _first_stage((0.5,), (0.5,))
     assert ref[0] / -math.log(3.0) == pytest.approx(32.0 / 3.0, abs=1e-12)
-    with pytest.raises(ControllerIntegrityError):
-        stage_reference((0.0,), (0.0,), 1.0, E_MAX)
-    with pytest.raises(ControllerIntegrityError):
-        stage_reference((0.0,), (-1.0,), 1.0, E_MAX)
+    for width in (0.0, -1.0):
+        with pytest.raises(ControllerIntegrityError) as err:
+            _first_stage((0.0,), (width,))
+        assert err.value.stage == 1 and err.value.width == width
 
 
 def test_xi_barrier_growth():
     prev = 4.0  # the gain at e = 0 with unit width
     for e in (0.5, 0.9, 0.99, 0.999999):
-        ref, _ = stage_reference((e,), (1.0,), 1.0, E_MAX)
+        ref = _first_stage((e,), (1.0,))
         gain = ref[0] / -math.log((1.0 + e) / (1.0 - e))
         assert gain > prev
         prev = gain
 
 
 def test_stage_output_composition():
-    ref, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX)
+    ref = _first_stage((0.5,), (1.0,))
     assert ref[0] == pytest.approx(-5.859, abs=1e-3)
     # negative-definite input gain flips the sign
-    ref_neg, _ = stage_reference((0.5,), (1.0,), 1.0, E_MAX, negative_definite=True)
+    ref_neg = _first_stage((0.5,), (1.0,), negative_definite=True)
     assert ref_neg[0] == pytest.approx(5.859, abs=1e-3)
     assert ref_neg[0] == -ref[0]
 
@@ -106,11 +120,17 @@ def test_funnel_radius_and_stage_k_error():
     funnel = Funnel(p=(1.0,), q=(0.1,), mu=(1.0,))
     radius = funnel.radius(1.0)
     assert radius[0] == pytest.approx(0.9 * math.exp(-1.0) + 0.1, abs=1e-12)
-    e = stage_k_error((0.2,), (0.0,), radius)
-    assert e[0] == pytest.approx(0.4639, abs=1e-4)
+    cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
+    # stage 1 at its tube centre has reference 0, so stage 2's error is
+    # its state over the funnel radius
+    u = _ctl((0.5, 0.2), (0.0,), (1.0,), cfg, 1.0)
+    e = 0.2 / radius[0]
+    assert e == pytest.approx(0.4639, abs=1e-4)
+    assert _bits(u) == _bits(_paper_reference((e,), radius, 1.0))
     # at t=0, a gap equal to p sits exactly on the funnel boundary
-    e0 = stage_k_error((1.0,), (0.0,), funnel.radius(0.0))
-    assert e0[0] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ControllerIntegrityError, match=r"\(\|e\|=1\)") as err:
+        _ctl((0.5, 1.0), (0.0,), (1.0,), cfg, 0.0)
+    assert err.value.stage == 2
     with pytest.raises(ValueError):
         Funnel(p=(0.1,), q=(0.2,), mu=(1.0,))
 
@@ -221,6 +241,82 @@ def test_two_stage_cascade_matches_paper_formulas(negative_definite):
     assert clamped == [False, True, False, False, False, True] and tel.clamp_count == 2
 
 
+_FRACTIONS = st.one_of(
+    st.floats(-1.6, 1.6),
+    st.sampled_from([1.0, 1.0 - 2e-10, 1.0 - 1e-12, -1.0, -1.0 + 2e-10, 0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_control_input_matches_written_out_cascade(data):
+    """For random 1-3 stage controllers over 1-3 dims, either gain sign and
+    states inside, on and outside their walls and funnels, control_input
+    gives the written-out chain bit for bit: stage 1's error
+    (2x - (hi + lo)) / (hi - lo), stage k's error (x_k - r) / radius, each
+    stage's reference from ``_paper_reference``.  The clamp count matches,
+    and so does the error raised (stage, width), strict or not."""
+    stages, dims = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    kappa = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages))
+    negative_definite, strict = data.draw(st.booleans()), data.draw(st.booleans())
+    e_max = data.draw(st.sampled_from([E_MAX, 0.9]))
+    funnels = []
+    for _ in range(stages - 1):
+        q = tuple(data.draw(st.floats(0.01, 1.0)) for _ in range(dims))
+        p = tuple(v + data.draw(st.floats(0.01, 3.0)) for v in q)
+        mu = tuple(data.draw(st.floats(0.05, 3.0)) for _ in range(dims))
+        funnels.append(Funnel(p=p, q=q, mu=mu))
+    cfg = ControllerConfig(
+        kappa=kappa, funnels=tuple(funnels), e_max=e_max,
+        g_negative_definite=negative_definite,
+    )
+    t = data.draw(st.floats(0.0, 20.0))
+    lower = [data.draw(st.floats(-5.0, 5.0)) for _ in range(dims)]
+    width = [data.draw(st.floats(1e-3, 4.0)) for _ in range(dims)]
+    if data.draw(st.integers(0, 4)) == 0:  # a collapsed tube in one dimension
+        width[data.draw(st.integers(0, dims - 1))] = data.draw(st.floats(-0.5, 0.0))
+    upper = [lo + w for lo, w in zip(lower, width)]
+
+    gamma = [hi - lo for lo, hi in zip(lower, upper)]
+    sums = [hi + lo for lo, hi in zip(lower, upper)]
+    radii = [
+        [(p - q) * math.exp(-mu * t) + q for p, q, mu in zip(f.p, f.q, f.mu)]
+        for f in funnels
+    ]
+    state, ref, clamps, expect = [], None, 0, None
+    if min(gamma) <= 0.0:
+        expect = (1, min(gamma), 0)
+    for k in range(stages):
+        if expect is not None:  # the call raises before it reads this stage
+            state += [data.draw(st.floats(-5.0, 5.0)) for _ in range(dims)]
+            continue
+        frac = [data.draw(_FRACTIONS) for _ in range(dims)]
+        if k == 0:
+            x = [0.5 * (s + f * g) for s, f, g in zip(sums, frac, gamma)]
+            e = [(2.0 * v - s) / g for v, s, g in zip(x, sums, gamma)]
+        else:
+            gamma = radii[k - 1]
+            x = [r + f * g for r, f, g in zip(ref, frac, gamma)]
+            e = [(v - r) / g for v, r, g in zip(x, ref, gamma)]
+        state += x
+        if strict and max(abs(v) for v in e) >= 1.0:
+            expect = (k + 1, None, clamps)
+        else:
+            clamps += sum(abs(v) > e_max for v in e)
+            ref = _paper_reference(e, gamma, kappa[k], negative_definite, e_max)
+
+    row = constraint_row(lower, upper, cfg, t)
+    tel = StageTelemetry()
+    if expect is None:
+        u = control_input(state, row, cfg, strict=strict, telemetry=tel)
+        assert _bits(u) == _bits(ref)
+        assert tel.clamp_count == clamps
+    else:
+        with pytest.raises(ControllerIntegrityError) as err:
+            control_input(state, row, cfg, strict=strict, telemetry=tel)
+        assert (err.value.stage, err.value.width, tel.clamp_count) == expect
+
+
 def test_control_input_odd_symmetry():
     cfg = _single_stage_config()
     u_plus = _ctl((0.75,), (0.0,), (1.0,), cfg)
@@ -319,6 +415,7 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
         for k in range(1, plant.stages):
             head = ControllerConfig(cfg.kappa[:k], cfg.funnels[: k - 1], cfg.e_max)
             ref = _ctl(x0[: k * n], lower, upper, head, strict=False)
-            e_k = stage_k_error(x0[k * n : (k + 1) * n], ref, cfg.funnels[k - 1].radius(0.0))
+            radius = cfg.funnels[k - 1].radius(0.0)
+            e_k = [(x - r) / g for x, r, g in zip(x0[k * n : (k + 1) * n], ref, radius)]
             assert max(abs(v) for v in e_k) <= 0.5
         _ctl(x0, lower, upper, cfg, strict=True)

@@ -55,6 +55,38 @@ def test_nonfinite_state_aborts():
         dynamics(OMNI, (float("nan"), 0.0, 0.0), (0.0,) * 3, (0.0,) * 3, 0.0)
 
 
+CUSTOM = make_custom_plant(
+    stages=2, dims=1, f=[lambda xb: np.zeros(1)] * 2, g=[lambda xb: np.eye(1)] * 2
+)
+
+
+@pytest.mark.parametrize("model", [OMNI, DRONE, CUSTOM], ids=lambda m: m.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_any_nonfinite_component_aborts_with_the_state(model, bad):
+    """NaN, +inf or -inf in any single component aborts, and the message
+    gives the time and the whole state."""
+    n = model.state_dim
+    u, w = (0.1,) * model.dims, (0.0,) * n
+    for i in range(n):
+        state = [0.25] * n
+        state[i] = bad
+        with pytest.raises(PlantStateError) as err:
+            dynamics(model, state, u, w, 1.5)
+        assert str(err.value) == f"non-finite state at t=1.5: {tuple(state)}"
+
+
+def test_finite_state_with_overflowing_sum_does_not_abort():
+    """A finite state whose components sum past the float range does not
+    abort; infinities of both signs, whose sum is NaN, still do."""
+    dx = dynamics(OMNI, (1e308, 1e308, 0.0), (1.0, 0.0, 0.0), (0.0,) * 3, 0.0)
+    assert dx == (1.0, 0.0, 0.0)
+    big = (1.7e308, 1.7e308, -1.7e308, 1.7e308, 1.7e308, 1.7e308)
+    dx = dynamics(DRONE, big, (0.0,) * 3, (0.0,) * 6, 0.0)
+    assert dx == (1.7e308, 1.7e308, 1.7e308, 0.0, 0.0, 0.0)
+    with pytest.raises(PlantStateError):
+        dynamics(DRONE, (math.inf, -math.inf) + (0.0,) * 4, (0.0,) * 3, (0.0,) * 6, 0.0)
+
+
 def test_gain_min_eigenvalue():
     # symmetric part of the rotation block is diag(cos, cos, 1)
     assert omni_gain_min_eigenvalue(0.0) == 1.0

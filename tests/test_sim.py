@@ -7,6 +7,7 @@ import pytest
 from sttube.control import ControllerIntegrityError, stage1_error
 from sttube.plant import Disturbance, make_custom_plant, make_plant
 from sttube.scenario import scenario_from_dict
+from sttube import sim
 from sttube.sim import (
     BLOCK,
     build_controller_config,
@@ -276,3 +277,42 @@ def test_tube_collapse_mid_horizon_names_the_evaluation_time(top, message):
         run_closed_loop(spec, tubes, dt=1e-3)
     assert err.value.stage == 1
     assert str(err.value) == f"stage 1 state outside its constraint {message}"
+
+
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_integrator_calls_the_module_hooks_per_evaluation(case, request, monkeypatch):
+    """integrate_agent looks up ``control_input`` and ``dynamics`` as module
+    globals at every call: once per step plus three RK4 evaluations, and
+    once per RK4 stage.  Profilers and the benchmark's per-layer metrics
+    wrap exactly these names."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    plant = make_plant(spec.plant, spec.dims)
+    config = build_controller_config(spec, tubes, 0, plant)
+    counts = {"control_input": 0, "dynamics": 0}
+
+    def counting(name):
+        real = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sim, name, counting(name))
+    steps = BLOCK + 7
+    dist = Disturbance(bound=0.01, kind="uniform", seed=1)
+    traj = integrate_agent(0, tubes, plant, config, dist, steps * 1e-3, 1e-3)
+    assert len(traj.times) == steps + 1 and traj.aborted is None
+    assert counts == {"control_input": 4 * steps + 1, "dynamics": 4 * steps}
+
+
+def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    config = build_controller_config(robots_spec, robots_table, 0, plant)
+    calm = Disturbance(bound=0.0, kind="zero")
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate_agent(0, robots_table, plant, config, calm, 1.0, dt)
