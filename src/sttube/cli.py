@@ -98,7 +98,14 @@ def cmd_synth(args) -> int:
         out / f"{stem}.synth.manifest.json",
         "synth",
         {"scenario": str(args.scenario), "epsilon": args.epsilon, "degree": args.degree},
-        {"tubes": str(tubes_path), "certificate": str(cert_path)},
+        {
+            "tubes": str(tubes_path),
+            "certificate": str(cert_path),
+            "iterations": result.iterations,
+            "lp_solves": result.lp_solves,
+            "eta_star": cert.eta_star,
+            "margin": cert.margin,
+        },
         wall,
     )
     return EXIT_OK if cert.passed else EXIT_SYNTH
@@ -122,7 +129,13 @@ def cmd_simulate(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        cert = json.loads(cert_path.read_text())
+        try:
+            cert = json.loads(cert_path.read_text())
+            if not isinstance(cert, dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print(f"error: certificate {cert_path}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if not cert.get("passed", False):
             print("error: certificate did not pass; use --force to simulate anyway",
                   file=sys.stderr)

@@ -4,10 +4,14 @@ disjunction witnesses, solve, and certify.
 Every constraint is affine in the face coefficients and slack variables
 once each existential disjunction (which dimension separates, and on
 which side) is assigned a witness.  Synthesis therefore alternates:
-solve the LP under the current assignment, then flip the witnesses of
-the binding disjunctions using the solved tube geometry.  The heuristic's
-incompleteness is harmless: the certificate plus the dense validation
-oracle gate every result.
+certify the solve of the current assignment, then propose witness
+changes from its tube geometry, solve each candidate and carry the best
+solve on as the next iterate, so each assignment is solved once.  Every
+disjunct row is read from one row table: the LP rows, the witnessed row
+values, the ranking of each row's options and the scoring LPs; only the
+dense validation oracle keeps its own formula, to stay independent.  The
+heuristic's incompleteness is harmless: the certificate plus the dense
+validation oracle gate every result.
 
 Constraint families, per time sample:
   endpoints  -- face values pinned to the start/goal box bounds (equalities)
@@ -55,6 +59,8 @@ from .tube import (
 
 ETA_GAP = 1e-6  # realizes strict inequalities; absorbed by the margin
 _VIOL_TOL = 1e-9
+MAX_ITERATIONS = 200  # solves certified by ``synthesize`` before it gives up
+BEAM_WIDTH = 8  # candidates solved per refinement step
 FACE_SIDES = ("lower", "upper")
 
 
@@ -105,43 +111,25 @@ class _Family:
     (agent, region) for unsafe rows, (agent, agent) for collision rows,
     in sorted order.  Its rows use the per-dim slack of ``agents[g]`` and
     are row group ``first + g`` of the instance.
-    ``score(instance, *head, window, code)`` rates one witness held over a
-    window (see ``_stuck_window_candidates``).
     """
 
-    def __init__(self, tag: str, heads: list, first: int, score):
+    def __init__(self, tag: str, heads: list, first: int):
         self.tag = tag  # orders the flip list (see ``refine_assignment``)
         self.heads = heads
         self.first = first
         self.agents = np.array([head[0] for head in heads], dtype=int)
-        self.score = score
-
-
-def separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Value of every witness option of every disjunction.
-
-    ``faces`` is (m, n, 2, T), lower then upper; ``obstacle_bounds`` is
-    (T, R, n, 2).  Returns unsafe options (m, R, n, 2, T) and collision
-    options (P, n, 2, T) for the agent pairs j < k in sorted order, indexed
-    by (dim, side); a disjunction holds when one of its options is <= 0.
-    """
-    m, n, _, t = faces.shape
-    lower, upper = faces[:, :, 0], faces[:, :, 1]  # (m, n, T)
-    bounds = obstacle_bounds.transpose(1, 2, 3, 0)  # (R, n, 2, T)
-    unsafe = np.empty((m, len(bounds), n, 2, t))
-    np.subtract(bounds[None, :, :, 1], lower[:, None], out=unsafe[:, :, :, 0])
-    np.subtract(upper[:, None], bounds[None, :, :, 0], out=unsafe[:, :, :, 1])
-    j, k = np.triu_indices(m, 1)
-    coll = np.empty((len(j), n, 2, t))
-    np.subtract(upper[j], lower[k], out=coll[:, :, 0])
-    np.subtract(upper[k], lower[j], out=coll[:, :, 1])
-    return unsafe, coll
 
 
 def least_separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
     """The least witness option of every disjunction: unsafe (R, m, T) and
-    collision (P, T), the minimum over (dim, side) of ``separation_options``.
-    It is taken one option at a time, so no (..., n, 2, T) array is built.
+    collision (P, T), the minimum over (dim, side) of the option values.
+    ``faces`` is (m, n, 2, T), lower then upper; ``obstacle_bounds`` is
+    (T, R, n, 2).  Unsafe side 0 is the region's top minus the lower face,
+    side 1 the upper face minus the region's bottom; collision side 0 is
+    j's upper face minus k's lower face, side 1 the reverse, for the agent
+    pairs j < k in sorted order.  A disjunction holds when its least
+    option is <= 0.  It is taken one option at a time, so no
+    (..., n, 2, T) array is built.
     """
     m, n, _, t = faces.shape
     lower, upper = faces[:, :, 0], faces[:, :, 1]
@@ -235,13 +223,8 @@ class SopInstance:
         # ``static_violations``
         self.static_groups = np.r_[0:n_arena, width_first : self.groups]
         self.families = (
-            _Family(
-                "unsafe",
-                [(j, r) for j in range(self.m) for r in range(n_reg)],
-                unsafe_first,
-                _score_unsafe_option,
-            ),
-            _Family("coll", self.pairs, coll_first, _score_collision_option),
+            _Family("unsafe", [(j, r) for j in range(self.m) for r in range(n_reg)], unsafe_first),
+            _Family("coll", self.pairs, coll_first),
         )
         self.row_table = self._row_table()
         # LPs solved on this instance: solve_sop rounds and witness scoring
@@ -453,30 +436,41 @@ class SopInstance:
         r = np.arange(self.n_t)
         return minuend[g, c] * self.n_t + r, subtrahend[g, c] * self.n_t + r, eta[g, c]
 
-    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> tuple:
-        """Slack of every disjunct row at a solution with face values
-        ``faces`` and slacks ``etas``: the witnessed option's value minus
-        the agent's slack in that dim.  One (groups, n_t) array per family:
-        the same subtractions as on the options of ``option_values``, for
-        the witnessed option only."""
-        minuend, subtrahend, eta = operands
-        table = np.concatenate([faces.ravel(), self._bound_rows])
-        values = table.take(minuend)
-        values -= table.take(subtrahend)
-        values -= etas.take(eta)
+    def _by_family(self, values) -> tuple:
+        """Split (disjunct groups, ...) arrays into one per family."""
         start = self.disjunct_groups.start
         return tuple(
             values[fam.first - start : fam.first - start + len(fam.heads)]
             for fam in self.families
         )
 
-    def option_values(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per family, the value of every witness option of every
-        disjunction: (groups, 2n, n_t), option ``2*dim + side``.  A row
-        holds when its option's value is at most the agent's dim slack."""
-        shape = (-1, 2 * self.n, self.n_t)
-        unsafe, coll = separation_options(faces, self.obstacle_bounds)
-        return unsafe.reshape(shape), coll.reshape(shape)
+    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> tuple:
+        """Slack of every disjunct row at a solution with face values
+        ``faces`` and slacks ``etas``: the witnessed option's value (the
+        row table's term of sign +1 minus the other term) minus the
+        agent's slack in that dim.  One (groups, n_t) array per family."""
+        minuend, subtrahend, eta = operands
+        table = np.concatenate([faces.ravel(), self._bound_rows])
+        values = table.take(minuend)
+        values -= table.take(subtrahend)
+        values -= etas.take(eta)
+        return self._by_family(values)
+
+    def best_witnesses(self, faces: np.ndarray) -> tuple:
+        """Most-negative option of every disjunct row at face values
+        ``faces``: per family, (code, value), each (groups, n_t).  Codes
+        are taken in order, one at a time through the operand table of
+        ``witness_values``, and a later code wins only by more than 1e-15."""
+        minuend, subtrahend, _ = self._operands
+        table = np.concatenate([faces.ravel(), self._bound_rows]).reshape(-1, self.n_t)
+        best_v = table[minuend[:, 0]] - table[subtrahend[:, 0]]
+        best_c = np.zeros(best_v.shape, dtype=np.int8)
+        for c in range(1, minuend.shape[1]):
+            value = table[minuend[:, c]] - table[subtrahend[:, c]]
+            better = value < best_v - 1e-15
+            np.copyto(best_v, value, where=better)
+            best_c[better] = c
+        return tuple(zip(self._by_family(best_c), self._by_family(best_v)))
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
         coeffs = [tuple(x[cols]) for cols in self.face_columns]
@@ -585,8 +579,7 @@ class SolveDiagnostics:
     eta_star: float = float("nan")
     tubes: TubeSet | None = None
     x: np.ndarray | None = None
-    # per family, a (groups, n_t) mask of the disjunct rows that bind
-    binding: tuple = ()
+    assignment: DisjunctAssignment | None = None  # the witnesses solved under
     lp_rows: int = 0
     lp_solves: int = 0
     active_keys: np.ndarray = ()  # row keys of the final working set
@@ -613,10 +606,10 @@ def solve_sop(
     (one matrix-vector product per face), the arena and width scan (a
     face's full row only when its extreme samples leave the arena), and
     each disjunct row's value under its assigned witness alone, read
-    through index arrays built once per call.  The row values are the
-    bits the full option tensors give.
+    through index arrays built once per call.
     """
     diag = diagnostics if diagnostics is not None else SolveDiagnostics()
+    diag.assignment = assignment
     eq_rows, eq_rhs = instance.equality_rows()
     ord_rows, ord_rhs = instance.ordering_rows()
     witness = instance.code_table(assignment)
@@ -702,33 +695,12 @@ def solve_sop(
     diag.eta_star = eta_star
     diag.tubes = tubes
     diag.x = x
-    # Binding disjunct rows: the row sits at its slack AND that slack pins
-    # the global optimum through the ordering chain.
-    binding_tol = 1e-7
-    pinned = etas >= eta_star - ETA_GAP - binding_tol
-    diag.binding = tuple(
-        (vals >= -binding_tol) & pinned[fam.agents[:, None], codes // 2]
-        for fam, codes, vals in zip(instance.families, assignment.tables(), row_vals)
-    )
     diag.active_keys = np.flatnonzero(active)
     return tubes, eta_star
 
 
 # ---------------------------------------------------------------------------
 # Assignment refinement
-
-
-def _best_choice(options: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Most-negative option of every disjunction under the current face
-    geometry: (code, value) per (group, sample).  Options are taken in
-    code order and a later one wins only by more than 1e-15."""
-    best_v = options[:, 0]
-    best_c = np.zeros(best_v.shape, dtype=np.int8)
-    for c in range(1, options.shape[1]):
-        better = options[:, c] < best_v - 1e-15
-        best_v = np.where(better, options[:, c], best_v)
-        best_c[better] = c
-    return best_c, best_v
 
 
 def _subsample(window: list[int], cap: int = 12) -> list[int]:
@@ -738,23 +710,33 @@ def _subsample(window: list[int], cap: int = 12) -> list[int]:
     return [window[round(q * step)] for q in range(cap)]
 
 
-def _score_witness(instance, faces, signs, rhs, sub) -> float:
-    """Best achievable slack s for faces honoring one witness uniformly.
+def _score_option(instance, group, window, code) -> float:
+    """Best achievable slack s for the faces of row group ``group`` honoring
+    witness ``code`` uniformly over ``window``.
 
-    A small LP over the given faces alone, each (agent, dim, side): the
+    A small LP over the row's faces alone, each (agent, dim, side), with
+    the faces, signs and right-hand side of ``row_table[group, code]``: the
     endpoint pins, arena bounds with room for the opposite face at minimum
     width, and the witness rows ``sum_q signs[q] * face_q(t) - s <= rhs``
-    at the sample indices ``sub``.  The optimum ranks how viable the
+    at up to 12 samples of the window.  The optimum ranks how viable the
     witness is.
     """
-    powers = [instance.powers[sub, : instance.z[j, i]] for j, i, _ in faces]
+    sub = _subsample(window)
+    faces, signs, _, rhs, bound = (col[group, code] for col in instance.row_table)
+    rhs = signs[0] * instance._rhs_bounds[sub, bound] if bound >= 0 else np.full(len(sub), rhs)
+    terms = [
+        (np.unravel_index(f, (instance.m, instance.n, 2)), sign)
+        for f, sign in zip(faces, signs)
+        if f >= 0
+    ]
+    powers = [instance.powers[sub, : instance.z[j, i]] for (j, i, _), _ in terms]
     pins = np.vander([0.0, instance.spec.horizon], N=instance.powers.shape[1], increasing=True)
     nv = sum(p.shape[1] for p in powers) + 1
     witness = np.zeros((len(sub), nv))
     witness[:, -1] = -1.0
     rows, bounds, eq, eq_rhs = [witness], [rhs], [], []
     start = 0
-    for (j, i, side), p, sign in zip(faces, powers, signs):
+    for ((j, i, side), sign), p in zip(terms, powers):
         block = slice(start, start + p.shape[1])
         start = block.stop
         witness[:, block] = sign * p
@@ -782,28 +764,6 @@ def _score_witness(instance, faces, signs, rhs, sub) -> float:
     return sol.objective_value if sol.status == "optimal" else float("inf")
 
 
-def _score_unsafe_option(instance, j, r, window, code) -> float:
-    """Score of agent j clearing region r in dim ``code // 2``: side 0 holds
-    the lower face above the region's top, side 1 the upper face below its
-    bottom."""
-    i, side = divmod(code, 2)
-    sub = _subsample(window)
-    sign = 2.0 * side - 1.0
-    rhs = sign * instance.obstacle_bounds[sub, r, i, 1 - side]
-    return _score_witness(instance, [(j, i, side)], [sign], rhs, sub)
-
-
-def _score_collision_option(instance, j, k, window, code) -> float:
-    """Score of the pair separating in dim ``code // 2``: the upper face of
-    the agent below (j for side 0) under the lower face of the other."""
-    i, side = divmod(code, 2)
-    sub = _subsample(window)
-    below, above = (j, k) if side == 0 else (k, j)
-    return _score_witness(
-        instance, [(below, i, 1), (above, i, 0)], [1.0, -1.0], np.zeros(len(sub)), sub
-    )
-
-
 def _stuck_window_candidates(instance, best_values):
     """Alternative witnesses for disjunction groups the local geometry
     cannot improve (the tube straddles what it must avoid, so every
@@ -820,7 +780,7 @@ def _stuck_window_candidates(instance, best_values):
         for g in np.flatnonzero((best_v > -1e-9).any(axis=1)):
             window = np.flatnonzero(conflicted[g]).tolist()
             scored = (
-                (fam.score(instance, *fam.heads[g], window, code), code)
+                (_score_option(instance, fam.first + g, window, code), code)
                 for code in range(2 * instance.n)
             )
             options = sorted(opt for opt in scored if opt[0] < float("inf"))
@@ -829,7 +789,7 @@ def _stuck_window_candidates(instance, best_values):
     return out
 
 
-def _boundary_shift_candidates(instance, assignment, failure):
+def _boundary_shift_candidates(instance, assignment, binding):
     """Move binding witness handoffs.
 
     Where the separating dimension changes over time, the flip rule
@@ -843,8 +803,8 @@ def _boundary_shift_candidates(instance, assignment, failure):
     # per family: handoffs (g, rr) between samples rr and rr + 1 that lie
     # within [r - 3, r + 2] of a binding row (g, r)
     handoffs = []
-    for codes, binding in zip(assignment.tables(), failure.binding):
-        g, r = np.nonzero(binding)
+    for codes, bound in zip(assignment.tables(), binding):
+        g, r = np.nonzero(bound)
         near = np.zeros((len(codes), max(n_t - 1, 0)), dtype=bool)
         for d in range(-3, 3):
             ok = (r + d >= 0) & (r + d < n_t - 1)
@@ -874,30 +834,35 @@ def _boundary_shift_candidates(instance, assignment, failure):
 
 
 def refine_assignment(
-    instance: SopInstance,
-    assignment: DisjunctAssignment,
-    failure: SolveDiagnostics,
-    beam_width: int = 8,
-) -> DisjunctAssignment:
-    """One local-search step over disjunction witnesses.
+    instance: SopInstance, failure: SolveDiagnostics
+) -> SolveDiagnostics | None:
+    """One local-search step from the solve ``failure`` over its witnesses.
 
     Candidates, scored by re-solving: uniform re-witnessings of stuck
     conflict windows, handoff-boundary shifts around binding rows,
     per-row flips to the geometrically best witness at the current
     solution (whole set, then shrinking prefixes of the worst rows).
-    Up to ``beam_width`` candidates are solved and the best assignment
-    returned.  Deterministic given its inputs.
+    Up to ``BEAM_WIDTH`` candidates are solved, warm-started from the
+    working set of ``failure``.  Returns the diagnostics of the candidate
+    with the least eta* (its witnesses in ``assignment``), or None when no
+    candidate solves.  Deterministic given its inputs.
     """
-    if failure.tubes is None or failure.x is None:
+    assignment = failure.assignment
+    if assignment is None or failure.x is None:
         raise ValueError("refinement needs diagnostics from a previous solve")
     faces = instance.face_values(failure.x)
-    options = instance.option_values(faces)
+    etas = failure.x[instance.eta_offset]
     row_vals = instance.witness_values(
-        faces,
-        failure.x[instance.eta_offset],
-        instance.witness_operands(instance.code_table(assignment)),
+        faces, etas, instance.witness_operands(instance.code_table(assignment))
     )
-    best = [_best_choice(opt) for opt in options]
+    best = instance.best_witnesses(faces)
+    # Binding disjunct rows: the row sits at its slack AND that slack pins
+    # the global optimum through the ordering chain.
+    pinned = etas >= failure.eta_star - ETA_GAP - 1e-7
+    binding = [
+        (vals >= -1e-7) & pinned[fam.agents[:, None], codes // 2]
+        for fam, codes, vals in zip(instance.families, assignment.tables(), row_vals)
+    ]
 
     # Flips: every row whose best witness differs from its current one,
     # worst slack first, then by row key (tag, head, sample).
@@ -935,24 +900,22 @@ def refine_assignment(
             variant = combo.copy()
             variant.tables()[f][g, window] = ranked[1][1]
             candidates.append(variant)
-    candidates.extend(_boundary_shift_candidates(instance, assignment, failure))
+    candidates.extend(_boundary_shift_candidates(instance, assignment, binding))
     size = len(order)
-    while size >= 1 and len(candidates) < beam_width:
+    while size >= 1 and len(candidates) < BEAM_WIDTH:
         candidates.append(apply_flips(size))
         size //= 2
-    if not candidates:
-        return assignment
 
-    best = None
-    for cand in candidates[:beam_width]:
+    winner = None
+    for cand in candidates[:BEAM_WIDTH]:
         diag = SolveDiagnostics()
         try:
-            _, eta = solve_sop(instance, cand, diag, warm_keys=failure.active_keys)
+            solve_sop(instance, cand, diag, warm_keys=failure.active_keys)
         except (SynthesisInfeasible, LpNumericalError):
             continue
-        if best is None or eta < best[0]:
-            best = (eta, cand)
-    return best[1] if best is not None else assignment
+        if winner is None or diag.eta_star < winner.eta_star:
+            winner = diag
+    return winner
 
 
 # ---------------------------------------------------------------------------
@@ -1159,14 +1122,12 @@ class SynthesisResult:
     validation: ValidationReport
 
 
-def synthesize(
-    spec: ScenarioSpec,
-    degree_override: int | None = None,
-    max_iterations: int = 200,
-    beam_width: int = 8,
-    lipschitz_source: str = "analytic",
-) -> SynthesisResult:
+def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> SynthesisResult:
     """Full pipeline: sample, seed, solve, refine until certified.
+
+    The seed assignment is solved once; every later iterate is the solve
+    that ``refine_assignment`` picked, certified as it comes (analytic
+    Lipschitz constants), so no assignment is solved twice.
 
     Stop rule: once a certificate is found, keep refining while the
     certified margin improves.  The search stops at the first step that
@@ -1184,10 +1145,10 @@ def synthesize(
     samples = sample_unsafe(spec)
     template = TubeTemplate.from_spec(spec, degree_override)
     instance = build_sop(spec, samples, template)
-    assignment = seed_assignment(spec, samples)
+    diag = SolveDiagnostics()
+    solve_sop(instance, seed_assignment(spec, samples), diag)
 
     best_margin = float("inf")
-    warm: tuple = ()
     since_improved = 0
     certified = None  # (tubes, certificate, assignment) of the best certified iterate
 
@@ -1206,11 +1167,8 @@ def synthesize(
             validation=report,
         )
 
-    for iteration in range(1, max_iterations + 1):
-        diag = SolveDiagnostics()
-        tubes, eta = solve_sop(instance, assignment, diag, warm_keys=warm)
-        warm = diag.active_keys
-        cert = certify(eta, tubes, spec.epsilon, lipschitz_source)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        cert = certify(diag.eta_star, diag.tubes, spec.epsilon)
         improved = cert.margin < best_margin - 1e-12
         if improved:
             best_margin = cert.margin
@@ -1220,9 +1178,9 @@ def synthesize(
         if certified is not None and not (cert.passed and improved):
             return result(iteration)
         if cert.passed:
-            certified = (tubes, cert, assignment)
-        refined = refine_assignment(instance, assignment, diag, beam_width)
-        if refined is assignment or since_improved >= 6:
+            certified = (diag.tubes, cert, diag.assignment)
+        refined = refine_assignment(instance, diag)
+        if refined is None or since_improved >= 6:
             if certified is not None:
                 return result(iteration)
             raise SynthesisFailure(
@@ -1231,9 +1189,9 @@ def synthesize(
                 "may be required",
                 best_margin,
             )
-        assignment = refined
+        diag = refined
     if certified is not None:
-        return result(max_iterations)
+        return result(MAX_ITERATIONS)
     raise SynthesisFailure(
         f"refinement budget exhausted (best margin {best_margin:.6f}); "
         "a higher-degree polynomial may be required",

@@ -41,7 +41,11 @@ def test_synth_writes_tubes_certificate_manifest(tmp_path, solo_scenario, capsys
     assert cert["passed"] is True and cert["margin"] <= 0
     manifest = json.loads((tmp_path / "solo.synth.manifest.json").read_text())
     assert manifest["command"] == "synth"
-    assert manifest["outputs"]["tubes"].endswith("solo.tubes")
+    outputs = manifest["outputs"]
+    assert outputs["tubes"].endswith("solo.tubes")
+    assert (outputs["eta_star"], outputs["margin"]) == (cert["eta_star"], cert["margin"])
+    assert f"iterations={outputs['iterations']}  lp_solves={outputs['lp_solves']}" in out
+    assert 1 <= outputs["iterations"] <= outputs["lp_solves"]
 
 
 def test_synth_degree_zero_exits_2(tmp_path, capsys):
@@ -80,6 +84,20 @@ def test_simulate_requires_certificate(tmp_path, solo_scenario):
     code = main(["simulate", str(solo_scenario), str(tubes), "--force",
                  "--out", str(tmp_path)])
     assert code == 0
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1,2]"], ids=["not-json", "not-an-object"])
+def test_simulate_rejects_unreadable_certificate(tmp_path, solo_scenario, capsys, text):
+    """A certificate that is not a JSON object is a usage error: an
+    ``error:`` line naming the file and exit code 1, not a traceback."""
+    assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
+    (tmp_path / "solo.cert.json").write_text(text)
+    capsys.readouterr()
+    code = main(["simulate", str(solo_scenario), str(tmp_path / "solo.tubes"),
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: certificate ") and "solo.cert.json" in err
 
 
 def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):

@@ -1,5 +1,10 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttube.sampling import sample_unsafe
 from sttube.scenario import scenario_from_dict
@@ -8,7 +13,6 @@ from sttube.synth import (
     SolveDiagnostics,
     SynthesisError,
     TubeTemplate,
-    _best_choice,
     build_sop,
     certify,
     composite_lipschitz,
@@ -207,6 +211,61 @@ def test_separation_criterion_matches_brute_force():
 # solving and refinement
 
 
+def separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the value of every witness option of every disjunction.
+
+    ``faces`` is (m, n, 2, T), lower then upper; ``obstacle_bounds`` is
+    (T, R, n, 2).  Returns unsafe options (m, R, n, 2, T) and collision
+    options (P, n, 2, T) for the agent pairs j < k in sorted order, indexed
+    by (dim, side); a disjunction holds when one of its options is <= 0.
+    """
+    m, n, _, t = faces.shape
+    lower, upper = faces[:, :, 0], faces[:, :, 1]  # (m, n, T)
+    bounds = obstacle_bounds.transpose(1, 2, 3, 0)  # (R, n, 2, T)
+    unsafe = np.empty((m, len(bounds), n, 2, t))
+    np.subtract(bounds[None, :, :, 1], lower[:, None], out=unsafe[:, :, :, 0])
+    np.subtract(upper[:, None], bounds[None, :, :, 0], out=unsafe[:, :, :, 1])
+    j, k = np.triu_indices(m, 1)
+    coll = np.empty((len(j), n, 2, t))
+    np.subtract(upper[j], lower[k], out=coll[:, :, 0])
+    np.subtract(upper[k], lower[j], out=coll[:, :, 1])
+    return unsafe, coll
+
+
+def _option_tensors(instance, faces):
+    """Per family, every option of every disjunct row: (groups, 2n, n_t),
+    option ``2*dim + side``."""
+    shape = (-1, 2 * instance.n, instance.n_t)
+    unsafe, coll = separation_options(faces, instance.obstacle_bounds)
+    return unsafe.reshape(shape), coll.reshape(shape)
+
+
+def _scalar_option(instance, faces, tag, head, t, code):
+    """One witness option written out: unsafe side 0 clears the box top
+    with the lower face, side 1 its bottom with the upper face; collision
+    side 0 puts agent j below k, side 1 k below j."""
+    i, side = divmod(int(code), 2)
+    bounds = instance.obstacle_bounds
+    if tag == "unsafe":
+        j, r = head
+        if side == 0:
+            return bounds[t, r, i, 1] - faces[j, i, 0, t]
+        return faces[j, i, 1, t] - bounds[t, r, i, 0]
+    j, k = head
+    below, above = (j, k) if side == 0 else (k, j)
+    return faces[below, i, 1, t] - faces[above, i, 0, t]
+
+
+def _sequential_best(values):
+    """The tie rule written out: options in code order, a later one wins
+    only by more than 1e-15; (value, code)."""
+    best = None
+    for code, v in enumerate(values):
+        if best is None or v < best[0] - 1e-15:
+            best = (v, code)
+    return best
+
+
 def _assignment_row_values(instance, assignment, options, etas):
     """Reference for ``SopInstance.witness_values``: the witnessed option
     picked out of the full option arrays, minus the agent's slack in that
@@ -236,50 +295,86 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
 
 
 def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
-    """Witnessed row slacks, and best witnesses computed on the option
-    arrays, equal bit for bit the per-row scalar formulas they replace:
-    unsafe side 0 clears the box top with the lower face, side 1 its
-    bottom with the upper face; collision side 0 puts agent j below k,
-    side 1 k below j."""
+    """Witnessed row slacks, and the best witnesses streamed through the
+    operand table, equal bit for bit the per-row scalar formulas of
+    ``_scalar_option`` and the sequential tie rule."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = mini_result.assignment
     diag = SolveDiagnostics()
     solve_sop(inst, asg, diag)
-    sides = ("lower", "upper")
-    faces = {
-        (j, i, sides[s]): inst.powers[:, : inst.z[j, i]] @ diag.x[cols[: inst.z[j, i]]]
-        for (j, i, s), cols in zip(np.ndindex(inst.m, inst.n, 2), inst.columns)
-    }
-    bounds = inst.obstacle_bounds
-
-    def unsafe_option(j, r, t, i, side):
-        if side == 0:
-            return bounds[t, r, i, 1] - faces[(j, i, "lower")][t]
-        return faces[(j, i, "upper")][t] - bounds[t, r, i, 0]
-
-    def coll_option(j, k, t, i, side):
-        a, b = (j, k) if side == 0 else (k, j)
-        return faces[(a, i, "upper")][t] - faces[(b, i, "lower")][t]
+    # every face at every sample, one polynomial at a time
+    faces = np.array([
+        inst.powers[:, : inst.z[j, i]] @ diag.x[cols[: inst.z[j, i]]]
+        for (j, i, _), cols in zip(np.ndindex(inst.m, inst.n, 2), inst.columns)
+    ]).reshape(inst.m, inst.n, 2, inst.n_t)
 
     faces_now = inst.face_values(diag.x)
-    options = inst.option_values(faces_now)
     etas = diag.x[inst.eta_offset]
     row_vals = inst.witness_values(faces_now, etas, inst.witness_operands(inst.code_table(asg)))
-    for fam, option, codes, vals, opts in zip(
-        inst.families, (unsafe_option, coll_option), asg.tables(), row_vals, options
+    best = inst.best_witnesses(faces_now)
+    for fam, codes, vals, (best_codes, best_vals) in zip(
+        inst.families, asg.tables(), row_vals, best
     ):
-        best_codes, best_vals = _best_choice(opts)
         for (g, t), code in np.ndenumerate(codes):
             head = fam.heads[g]
-            i, side = divmod(int(code), 2)
-            assert vals[g, t] == option(*head, t, i, side) - etas[head[0], i]
-            best = None
-            for c in range(2 * inst.n):
-                v = option(*head, t, *divmod(c, 2))
-                if best is None or v < best[0] - 1e-15:
-                    best = (v, c)
-            assert (best_vals[g, t], best_codes[g, t]) == best
+            option = functools.partial(_scalar_option, inst, faces, fam.tag, head, t)
+            assert vals[g, t] == option(code) - etas[head[0], code // 2]
+            expected = _sequential_best([option(c) for c in range(2 * inst.n)])
+            assert (best_vals[g, t], best_codes[g, t]) == expected
+
+
+_TIE_SPEC = {
+    "dims": 2, "horizon": 1.0, "epsilon": 0.25,
+    "arena": [[-2.0, 2.0], [-2.0, 2.0]],
+    "agents": [
+        {"start": [[-2.0, -1.0], [-2.0, -1.0]], "goal": [[1.0, 2.0], [1.0, 2.0]],
+         "tube_degree": [2, 2]},
+        {"start": [[1.0, 2.0], [-2.0, -1.0]], "goal": [[-2.0, -1.0], [1.0, 2.0]],
+         "tube_degree": [2, 2]},
+        {"start": [[-0.5, 0.5], [1.0, 2.0]], "goal": [[-0.5, 0.5], [-2.0, -1.0]],
+         "tube_degree": [2, 2]},
+    ],
+    "obstacles": [
+        {"interpolation": "static", "keyframes": [[0.0, [[0.0, 0.5], [-0.5, 0.0]]]]},
+        {"interpolation": "static", "keyframes": [[0.0, [[-1.0, -0.5], [0.0, 0.5]]]]},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def tie_instance():
+    spec = scenario_from_dict(_TIE_SPEC)
+    return build_sop(spec, sample_unsafe(spec))
+
+
+# face values on the obstacle bounds' grid, moved by exact ties (0),
+# near ties (1e-16 and 5e-16, inside the 1e-15 rule) and a real gap (2e-15)
+_TIE_FACE = st.builds(
+    operator.add,
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.sampled_from([0.0, 1e-16, -1e-16, 5e-16, -5e-16, 2e-15, -2e-15]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_best_witness_tie_rule(tie_instance, data):
+    """The streamed best witness of every disjunct row is the sequential
+    rule written out (options in code order, a later one wins only by
+    more than 1e-15), on faces planted with exact and near ties."""
+    inst = tie_instance
+    shape = (inst.m, inst.n, 2, inst.n_t)
+    size = int(np.prod(shape))
+    faces = np.array(data.draw(st.lists(_TIE_FACE, min_size=size, max_size=size))).reshape(shape)
+    for fam, (best_codes, best_vals) in zip(inst.families, inst.best_witnesses(faces)):
+        assert best_codes.shape == best_vals.shape == (len(fam.heads), inst.n_t)
+        for (g, t), code in np.ndenumerate(best_codes):
+            options = [
+                _scalar_option(inst, faces, fam.tag, fam.heads[g], t, c)
+                for c in range(2 * inst.n)
+            ]
+            assert (best_vals[g, t], code) == _sequential_best(options)
 
 
 def _seed_solution(spec):
@@ -315,7 +410,7 @@ def _full_scan_static_keys(inst, faces, etas, tol):
 @pytest.mark.parametrize("scenario", ["mini", "robots"])
 def test_witnessed_scan_matches_option_tensors(scenario, request):
     """The lazy loop's scan equals, bit for bit, the full evaluation it
-    replaces: witnessed row values against ``option_values`` plus
+    replaces: witnessed row values against ``_option_tensors`` plus
     ``_assignment_row_values``, and the arena/width keys against a scan
     of every row, at the seed solution and at perturbed points where many
     rows are violated, under the seed and under random witnesses."""
@@ -337,7 +432,7 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
         for a in (asg, random_asg):
             operands = inst.witness_operands(inst.code_table(a))
             witnessed = inst.witness_values(faces, etas, operands)
-            expected = _assignment_row_values(inst, a, inst.option_values(faces), etas)
+            expected = _assignment_row_values(inst, a, _option_tensors(inst, faces), etas)
             for got, want in zip(witnessed, expected):
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -526,7 +621,7 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
-    assert run["lp_solves"] == run["lp_calls"] == 210
+    assert run["lp_solves"] == run["lp_calls"] == 187
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
@@ -548,15 +643,14 @@ def test_adversarial_seed_recovers(mini_spec):
         unsafe=2 * 1 + asg.unsafe % 2,
         collision=2 * 1 + asg.collision % 2,
     )
-    warm = ()
+    diag = SolveDiagnostics()
+    solve_sop(inst, bad, diag)
     for _ in range(25):
-        diag = SolveDiagnostics()
-        tubes, eta = solve_sop(inst, bad, diag, warm_keys=warm)
-        warm = diag.active_keys
-        cert = certify(eta, tubes, mini_spec.epsilon)
+        cert = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
         if cert.passed:
             break
-        bad = refine_assignment(inst, bad, diag)
+        diag = refine_assignment(inst, diag)
+        assert diag is not None, "refinement stalled"
     assert cert.passed
 
 
@@ -567,20 +661,41 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = seed_assignment(mini_spec, samples)
-    warm = ()
+    diag = SolveDiagnostics()
+    solve_sop(inst, asg, diag)
     for _ in range(25):
-        diag = SolveDiagnostics()
-        tubes, eta = solve_sop(inst, asg, diag, warm_keys=warm)
-        warm = diag.active_keys
-        first = certify(eta, tubes, mini_spec.epsilon)
+        first = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
         if first.passed:
             break
-        asg = refine_assignment(inst, asg, diag)
+        diag = refine_assignment(inst, diag)
+        assert diag is not None, "refinement stalled"
     assert first.passed
     margin = mini_result.certificate.margin
     assert margin <= first.margin
     if first.margin > -first.lipschitz_composite * mini_spec.epsilon:
         assert margin < first.margin
+
+
+def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
+    """No two ``solve_sop`` calls of one search share both their witness
+    codes and their warm keys: the solve a refinement step picks is
+    certified as it is, not solved again."""
+    import sttube.synth as synth
+
+    calls, solve = [], synth.solve_sop
+
+    def recording(instance, assignment, diagnostics=None, warm_keys=()):
+        calls.append((
+            assignment.unsafe.tobytes(),
+            assignment.collision.tobytes(),
+            np.asarray(warm_keys, dtype=np.int64).tobytes(),
+        ))
+        return solve(instance, assignment, diagnostics, warm_keys)
+
+    monkeypatch.setattr(synth, "solve_sop", recording)
+    result = synth.synthesize(mini_spec)
+    assert result.certificate.passed and len(calls) > result.iterations
+    assert len(set(calls)) == len(calls)
 
 
 def test_published_tables_validate_at_rounding_tolerance(
@@ -634,6 +749,6 @@ def test_robot_synthesis_fingerprint(robots_result):
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 8
-    assert robots_result.lp_solves == 949
+    assert robots_result.lp_solves == 852
     assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.19508204776879476, abs=1e-12)
