@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,15 +61,11 @@ def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     try:
         spec = load_scenario(args.scenario)
+        if args.epsilon is not None:
+            spec = replace(spec, epsilon=args.epsilon)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.epsilon is not None:
-        from .scenario import scenario_from_dict, scenario_to_dict
-
-        raw = scenario_to_dict(spec)
-        raw["epsilon"] = args.epsilon
-        spec = scenario_from_dict(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
@@ -192,12 +189,16 @@ def cmd_lipschitz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     alpha = args.alpha if args.alpha is not None else tubes.horizon / 1000.0
-    cfg = SlopeSampleConfig(
-        alpha=alpha,
-        pair_count=args.pairs,
-        repetitions=args.reps,
-        rng_seed=args.seed,
-    )
+    try:
+        cfg = SlopeSampleConfig(
+            alpha=alpha,
+            pair_count=args.pairs,
+            repetitions=args.reps,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     table = estimate_table(tubes, cfg)
     print(f"{'agent':>6} {'dim':>4} {'side':>6} {'location':>10} {'scale':>9} "
           f"{'shape':>8}  method")

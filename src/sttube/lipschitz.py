@@ -16,11 +16,11 @@ safeguarded Newton and the scale follows in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tube import TubeFace, TubeSet, analytic_slope_bound, eval_face_array
+from .tube import TubeFace, TubeSet, analytic_slope_bound, polyval
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def max_slope_sample(
             horizon,
         )
         gap = np.abs(t_k - t_m)
-    slopes = np.abs(eval_face_array(face, t_k) - eval_face_array(face, t_m)) / gap
+    slopes = np.abs(polyval(face.coeffs, t_k) - polyval(face.coeffs, t_m)) / gap
     return float(slopes.max())
 
 
@@ -258,13 +258,7 @@ def convergence_sweep(
         )
         errs = []
         for seed in seeds:
-            cfg_s = SlopeSampleConfig(
-                alpha=cfg_k.alpha,
-                pair_count=cfg_k.pair_count,
-                repetitions=cfg_k.repetitions,
-                rng_seed=int(seed),
-            )
-            fit = estimate_face(face, horizon, cfg_s)
+            fit = estimate_face(face, horizon, replace(cfg_k, rng_seed=int(seed)))
             errs.append(abs(fit.location - truth))
         errors[k] = float(np.mean(errs))
     return errors

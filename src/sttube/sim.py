@@ -246,13 +246,13 @@ def build_controller_config(
         mu=ctl.funnel_mu,
         p_margin=ctl.funnel_p_margin,
         e_max=ctl.e_max,
-        g_negative_definite=plant.g_sign == "negative",
+        g_negative_definite=plant.g_negative_definite,
     )
     return ControllerConfig(
         kappa=kappas,
         funnels=funnels,
         e_max=ctl.e_max,
-        g_negative_definite=plant.g_sign == "negative",
+        g_negative_definite=plant.g_negative_definite,
     )
 
 

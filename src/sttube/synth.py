@@ -53,6 +53,8 @@ from .tube import (
     TubeDim,
     TubeFace,
     TubeSet,
+    extremum_times,
+    polyval,
     slope_bounds,
     tube_values,
 )
@@ -371,47 +373,15 @@ class SopInstance:
         then half (past lo, past hi), then time.
 
         A face's extremes on [0, t_c] lie at the ends or at a root of its
-        derivative, so those are the only times checked.  The real parts of
-        complex roots are checked too: they are harmless extra times and
-        cover a near-double root that comes out complex.
-
-        All faces are checked at once, with the arithmetic of ``np.roots``
-        and ``np.polyval`` per face: each derivative, stripped of leading
-        and trailing zeros, gives a companion matrix, and the matrices of
-        one size share an ``np.linalg.eigvals`` call; every candidate time
-        is evaluated by one Horner pass over coefficients zero-padded to
-        the top degree.
+        derivative, so only the times of ``tube.extremum_times`` are
+        checked, all faces at once.
         """
-        horizon = self.spec.horizon
-        coeffs = np.append(x, 0.0)[self.columns[:-1, ::-1]]  # highest power first
-        z = coeffs.shape[1]
-        deriv = coeffs[:, :-1] * np.arange(z - 1, 0, -1)
-        nonzero = deriv != 0
-        lead = nonzero.argmax(axis=1)
-        size = np.where(nonzero.any(axis=1), z - 1 - nonzero[:, ::-1].argmax(axis=1) - lead, 0)
-        # candidate times per face: t = 0 (slot 0), t_c (slot 1), roots (slot 2, ...)
-        n_faces = len(coeffs)
-        face = [np.arange(n_faces), np.arange(n_faces)]
-        times = [np.zeros(n_faces), np.full(n_faces, horizon)]
-        slot = [np.zeros(n_faces, dtype=int), np.ones(n_faces, dtype=int)]
-        for k in sorted(set(size[size > 1].tolist())):
-            f = np.flatnonzero(size == k)
-            p = deriv[f[:, None], lead[f, None] + np.arange(k)]
-            companion = np.zeros((len(f), k - 1, k - 1))
-            companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            roots = np.linalg.eigvals(companion).real
-            inside = (roots > 0.0) & (roots < horizon)
-            face.append(np.broadcast_to(f[:, None], roots.shape)[inside])
-            times.append(roots[inside])
-            slot.append(np.broadcast_to(2 + np.arange(k - 1), roots.shape)[inside])
-        face, times, slot = (np.concatenate(a) for a in (face, times, slot))
-        values = np.zeros(len(times))
-        for k in range(z):
-            values = values * times + coeffs[face, k]
+        coeffs = np.append(x, 0.0)[self.columns[:-1]]  # constant term first
+        face, times = extremum_times(coeffs, 0.0, self.spec.horizon)
+        values = polyval(coeffs[face], times)
         lo, hi = self.face_arena[face].T
         half, at = np.nonzero(np.stack([lo - values, values - hi]) > tol)
-        order = np.lexsort((slot[at], half, face[at]))
+        order = np.lexsort((at, half, face[at]))
         half, at = half[order], at[order]
         faces, signs, etas, rhs, _ = (col[2 * face[at] + half, 0] for col in self.row_table)
         powers = np.vander(times[at], N=self.powers.shape[1], increasing=True)

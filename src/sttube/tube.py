@@ -1,9 +1,16 @@
-"""Polynomial tube faces, their derivatives, and analytic slope bounds.
+"""Polynomial tube faces, their derivatives, and exact slope bounds.
 
 A tube face is a monomial-basis polynomial of time,
 ``gamma(t) = c0 + c1 t + ... + c_{z-1} t^{z-1}``.  A TubeSet holds, per
 agent and per output dimension, a lower and an upper face plus the
 required minimum separation between them.  All operations are pure.
+
+Every face value, derivative value and extremum time in the package comes
+from the one polynomial kernel here: ``polyval`` (Horner's rule over
+coefficient arrays, constant term first, zero-padded to the top degree)
+and ``extremum_times`` (the ends of an interval and the real roots of the
+derivative, found by one batched companion-matrix eigenvalue call per
+root count).
 """
 
 from __future__ import annotations
@@ -39,68 +46,101 @@ class TubeFace:
         return len(self.coeffs) - 1
 
 
-def horner(reversed_coeffs, t):
-    """Values at ``t`` (a float or an array) of several polynomials, each
-    given by its coefficients from the highest degree down (Horner's
-    rule)."""
-    out = []
-    for coeffs in reversed_coeffs:
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * t + c
-        out.append(acc)
-    return tuple(out)
+def face_coeffs(faces) -> np.ndarray:
+    """Coefficients of ``faces``, constant term first, zero-padded to the
+    top degree: (len(faces), z)."""
+    z = max(len(face.coeffs) for face in faces)
+    out = np.zeros((len(faces), z))
+    for f, face in enumerate(faces):
+        out[f, : len(face.coeffs)] = face.coeffs
+    return out
+
+
+def polyval(coeffs, t) -> np.ndarray:
+    """Horner's rule: the polynomials ``coeffs`` (..., z), constant term
+    first, at times ``t``, which broadcast against ``coeffs[..., 0]``.
+
+    Leading zeros of a zero-padded row leave its values bit-identical to
+    Horner's rule on the unpadded coefficients.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    acc = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], np.shape(t)))
+    for k in range(coeffs.shape[-1] - 1, -1, -1):
+        acc *= t
+        acc += coeffs[..., k]
+    return acc
+
+
+def derivative(coeffs) -> np.ndarray:
+    """Coefficients of the derivatives of ``coeffs`` (..., z), constant term
+    first: (..., z - 1), or one zero column for constants."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    z = coeffs.shape[-1]
+    if z == 1:
+        return np.zeros_like(coeffs)
+    return coeffs[..., 1:] * np.arange(1, z)
+
+
+def extremum_times(coeffs: np.ndarray, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every time at which a polynomial row of ``coeffs`` (F, z) can take
+    its extremes on [t0, t1]: (row, time) arrays, ordered by row, each
+    row's ends first, then the roots of its derivative in (t0, t1).
+
+    The real parts of complex roots count as roots too: they are harmless
+    extra times and cover a near-double root that comes out complex.  Each
+    derivative, stripped of trailing zeros and of negligible leading
+    coefficients, gives a companion matrix, as ``np.roots`` builds it; the
+    matrices of one size share an ``np.linalg.eigvals`` call.
+    """
+    deriv = derivative(coeffs)[:, ::-1]  # highest power first
+    n_rows, width = deriv.shape
+    nonzero = deriv != 0
+    # A leading coefficient below 2**-1000 of the largest is dropped: it
+    # adds only a root beyond 2**1000, and its ratios would overflow.
+    magnitude = np.abs(deriv)
+    lead = (magnitude > magnitude.max(axis=1, keepdims=True) * 2.0**-1000).argmax(axis=1)
+    size = np.where(nonzero.any(axis=1), width - nonzero[:, ::-1].argmax(axis=1) - lead, 0)
+    rows = [np.arange(n_rows), np.arange(n_rows)]
+    times = [np.full(n_rows, float(t0)), np.full(n_rows, float(t1))]
+    for k in sorted(set(size[size > 1].tolist())):
+        f = np.flatnonzero(size == k)
+        p = deriv[f[:, None], lead[f, None] + np.arange(k)]
+        companion = np.zeros((len(f), k - 1, k - 1))
+        companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots = np.linalg.eigvals(companion).real
+        inside = (roots > t0) & (roots < t1)
+        rows.append(np.broadcast_to(f[:, None], roots.shape)[inside])
+        times.append(roots[inside])
+    rows, times = np.concatenate(rows), np.concatenate(times)
+    order = np.argsort(rows, kind="stable")  # a row's times stay in the order found
+    return rows[order], times[order]
+
+
+def _max_abs_slope(coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
+    """max over [t0, t1] of |d gamma / dt| for every row of ``coeffs`` (F, z),
+    exact up to rounding: |gamma'| is largest at an end or at a root of
+    gamma''."""
+    deriv = derivative(coeffs)
+    rows, times = extremum_times(deriv, t0, t1)
+    out = np.zeros(len(deriv))
+    np.maximum.at(out, rows, np.abs(polyval(deriv[rows], times)))
+    return out
 
 
 def eval_face(face: TubeFace, t: float) -> float:
-    """Horner evaluation of the face polynomial at time ``t``."""
-    return horner((face.coeffs[::-1],), t)[0]
-
-
-def derivative_coeffs(coeffs) -> tuple[float, ...]:
-    if len(coeffs) == 1:
-        return (0.0,)
-    return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+    """The face polynomial at time ``t``."""
+    return float(polyval(face.coeffs, t))
 
 
 def eval_face_derivative(face: TubeFace, t: float) -> float:
     """Exact time derivative of the face polynomial at ``t``."""
-    return horner((derivative_coeffs(face.coeffs)[::-1],), t)[0]
+    return float(polyval(derivative(face.coeffs), t))
 
 
-def eval_face_array(face: TubeFace, times: np.ndarray) -> np.ndarray:
-    return horner((face.coeffs[::-1],), np.asarray(times))[0]
-
-
-def analytic_slope_bound(
-    face: TubeFace, horizon: tuple[float, float], grid_points: int = 10_000
-) -> float:
-    """max over the horizon of |d gamma / dt|.
-
-    For degree <= 3 the derivative's extrema are located exactly from the
-    roots of the second derivative.  Higher degrees fall back to a dense
-    grid with an over-approximation margin of max|gamma''| * (spacing/2)
-    added, so the returned value is always an upper bound.
-    """
-    t0, t1 = horizon
-    dcoeffs = derivative_coeffs(face.coeffs)
-    if len(dcoeffs) == 1:
-        return abs(dcoeffs[0])
-    ddcoeffs = derivative_coeffs(dcoeffs)
-    if face.degree <= 3:
-        # gamma'' = c0 + c1 t is linear or constant; a constant gamma''
-        # (c1 == 0) puts the extrema at the endpoints only.
-        candidates = [t0, t1]
-        if len(ddcoeffs) > 1 and ddcoeffs[1] != 0.0:
-            root = float(-ddcoeffs[0] / ddcoeffs[1])
-            if t0 <= root <= t1:
-                candidates.append(root)
-        return float(max(abs(horner((dcoeffs[::-1],), t)[0]) for t in candidates))
-    grid = np.linspace(t0, t1, grid_points)
-    dvals, ddvals = horner((dcoeffs[::-1], ddcoeffs[::-1]), grid)
-    curvature = float(np.max(np.abs(ddvals)))
-    spacing = (t1 - t0) / (grid_points - 1)
-    return float(np.max(np.abs(dvals))) + 0.5 * curvature * spacing
+def analytic_slope_bound(face: TubeFace, horizon: tuple[float, float]) -> float:
+    """max over the horizon of |d gamma / dt| (see ``_max_abs_slope``)."""
+    return float(_max_abs_slope(face_coeffs([face]), *horizon)[0])
 
 
 @dataclass(frozen=True)
@@ -140,24 +180,10 @@ class TubeSet:
 
 
 def tube_values(tubes: TubeSet, times) -> np.ndarray:
-    """Every face at every time: (m, n, 2, T), lower then upper.
-
-    Horner's rule over all faces at once, on coefficients zero-padded to
-    the top degree; the leading zeros leave every value bit-identical to
-    ``eval_face``.
-    """
+    """Every face at every time: (m, n, 2, T), lower then upper."""
     t = np.asarray(times, dtype=float)
-    pairs = [(d.lower, d.upper) for a in tubes.agents for d in a.dims]
-    z_max = max(len(face.coeffs) for pair in pairs for face in pair)
-    coeffs = np.zeros((len(pairs), 2, z_max))
-    for f, pair in enumerate(pairs):
-        for side, face in enumerate(pair):
-            coeffs[f, side, : len(face.coeffs)] = face.coeffs
-    acc = np.zeros(coeffs.shape[:2] + t.shape)
-    for k in range(z_max - 1, -1, -1):
-        acc *= t
-        acc += coeffs[:, :, k, None]
-    return acc.reshape(tubes.agent_count, tubes.dims, 2, len(t))
+    coeffs = face_coeffs([face for *_, face in tubes.faces()])
+    return polyval(coeffs[:, None], t).reshape(tubes.agent_count, tubes.dims, 2, len(t))
 
 
 def tube_box_at(tubes: TubeSet, agent: int, t: float) -> Box:
@@ -167,10 +193,9 @@ def tube_box_at(tubes: TubeSet, agent: int, t: float) -> Box:
     the declared minimum width, naming agent, dim, and t.
     """
     dims = tubes.agents[agent].dims
-    lows = horner([d.lower.coeffs[::-1] for d in dims], t)
-    highs = horner([d.upper.coeffs[::-1] for d in dims], t)
+    values = polyval(face_coeffs([face for d in dims for face in (d.lower, d.upper)]), t)
     axes = []
-    for i, (d, lo, hi) in enumerate(zip(dims, lows, highs)):
+    for i, (d, (lo, hi)) in enumerate(zip(dims, values.reshape(-1, 2).tolist())):
         if hi - lo < d.min_width:
             raise TubeIntegrityError(
                 f"agent {agent + 1} dim {i + 1} at t={t:g}: "
@@ -181,15 +206,10 @@ def tube_box_at(tubes: TubeSet, agent: int, t: float) -> Box:
 
 
 def slope_bounds(tubes: TubeSet) -> tuple[float, float]:
-    """(L_lower, L_upper): analytic slope bounds over all faces per side."""
-    span = (0.0, tubes.horizon)
-    ll = max(
-        analytic_slope_bound(d.lower, span) for a in tubes.agents for d in a.dims
-    )
-    lu = max(
-        analytic_slope_bound(d.upper, span) for a in tubes.agents for d in a.dims
-    )
-    return ll, lu
+    """(L_lower, L_upper): exact slope bounds over all faces per side."""
+    coeffs = face_coeffs([face for *_, face in tubes.faces()])
+    lower, upper = _max_abs_slope(coeffs, 0.0, tubes.horizon).reshape(-1, 2).max(axis=0)
+    return float(lower), float(upper)
 
 
 # ---------------------------------------------------------------------------

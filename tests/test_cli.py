@@ -57,6 +57,16 @@ def test_synth_degree_zero_exits_2(tmp_path, capsys):
     assert "higher-degree" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "-0.01"], ids=["zero", "negative"])
+def test_synth_rejects_nonpositive_epsilon(tmp_path, solo_scenario, capsys, epsilon):
+    """A nonpositive ``--epsilon`` is a usage error: an ``error:`` line and
+    exit code 1."""
+    code = main(["synth", str(solo_scenario), "--epsilon", epsilon, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "epsilon must be positive" in err
+
+
 def test_simulate_end_to_end_and_determinism(tmp_path, solo_scenario, capsys):
     assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
     tubes = tmp_path / "solo.tubes"
@@ -161,6 +171,20 @@ def test_lipschitz_prints_estimates(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "L_L=" in out and "analytic slope bounds" in out
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha", "0"], "alpha must be positive"),
+    (["--pairs", "1"], "at least two pairs"),
+    (["--reps", "5"], "at least ten repetitions"),
+], ids=["alpha-zero", "one-pair", "five-reps"])
+def test_lipschitz_rejects_sampling_settings(capsys, flags, message):
+    """A sampling plan ``SlopeSampleConfig`` rejects is a usage error: an
+    ``error:`` line and exit code 1."""
+    code = main(["lipschitz", str(data_path("robots_table.tubes")), *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and message in err
 
 
 def test_usage_error_exit_code(capsys):

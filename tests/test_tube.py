@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sttube.tube import (
     TubeFace,
@@ -12,6 +14,10 @@ from sttube.tube import (
     tubes_from_dict,
     tubes_to_dict,
 )
+
+# gamma' = (t - 5)^3 - 27 (t - 5): |gamma'| peaks inside [0, 10], at 54 for
+# t = 2 and t = 8, against 10 at both ends
+QUARTIC = TubeFace((0.0, 10.0, 24.0, -5.0, 0.25))
 
 
 def test_eval_published_values(robots_table):
@@ -43,6 +49,10 @@ def test_derivative_matches_finite_differences():
             exact = eval_face_derivative(face, t)
             fd = (eval_face(face, t + h) - eval_face(face, t - h)) / (2 * h)
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
+    for t, slope in ((0.0, 10.0), (2.0, 54.0), (8.0, -54.0), (10.0, -10.0)):
+        assert eval_face_derivative(QUARTIC, t) == slope
+        fd = (eval_face(QUARTIC, t + h) - eval_face(QUARTIC, t - h)) / (2 * h)
+        assert fd == pytest.approx(slope, rel=1e-6)
 
 
 def test_slope_bound_examples(robots_table):
@@ -52,20 +62,56 @@ def test_slope_bound_examples(robots_table):
     assert analytic_slope_bound(linear, (0.0, 10.0)) == 2.5
     r1_lower = robots_table.agents[0].dims[0].lower  # 4.5 - 0.8955t + 0.0445t^2
     assert analytic_slope_bound(r1_lower, (0.0, 10.0)) == pytest.approx(0.8955, abs=1e-12)
+    # degree 4: the slope maximum lies inside the horizon, at a root of gamma''
+    assert analytic_slope_bound(QUARTIC, (0.0, 10.0)) == pytest.approx(54.0, abs=1e-12)
+    assert analytic_slope_bound(QUARTIC, (3.0, 7.0)) == pytest.approx(46.0, abs=1e-12)  # at the ends
 
 
 def test_slope_bound_is_sound():
     rng = np.random.default_rng(7)
     grid = np.linspace(0.0, 10.0, 100_000)
-    for _ in range(40):
-        degree = int(rng.integers(1, 6))
-        face = TubeFace(tuple(rng.uniform(-1, 1, degree + 1)))
+    faces = [TubeFace(tuple(rng.uniform(-1, 1, int(rng.integers(1, 6)) + 1))) for _ in range(40)]
+    for face in faces + [QUARTIC]:
         bound = analytic_slope_bound(face, (0.0, 10.0))
         dcoeffs = np.asarray(
             [k * c for k, c in enumerate(face.coeffs)][1:] or [0.0]
         )
         deriv = np.polynomial.polynomial.polyval(grid, dcoeffs)
         assert bound >= np.abs(deriv).max() - 1e-12
+
+
+def _closed_form_slope_bound(coeffs, t0, t1):
+    """max |gamma'| on [t0, t1] for a face of degree <= 3: gamma'' is
+    linear, so |gamma'| peaks at an end or at the root of gamma''."""
+    d = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
+    dd = [k * c for k, c in enumerate(d)][1:]
+    candidates = [t0, t1]
+    if len(dd) > 1 and dd[1] != 0.0:
+        root = -dd[0] / dd[1]
+        if t0 <= root <= t1:
+            candidates.append(root)
+
+    def slope(t):
+        acc = 0.0
+        for c in reversed(d):
+            acc = acc * t + c
+        return acc
+
+    return max(abs(slope(t)) for t in candidates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+    t0=st.floats(0.0, 10.0),
+    span=st.floats(1e-3, 20.0),
+)
+@example(coeffs=[0.0, 1.0, 1e3, 1e-310], t0=0.0, span=10.0)  # subnormal lead
+def test_slope_bound_matches_closed_form_up_to_cubic(coeffs, t0, span):
+    """Up to degree 3, the root finder's bound is the closed form's, bit
+    for bit."""
+    bound = analytic_slope_bound(TubeFace(tuple(coeffs)), (t0, t0 + span))
+    assert bound == _closed_form_slope_bound(coeffs, t0, t0 + span)
 
 
 def test_composite_slope_bounds_match_published(robots_table):
