@@ -55,7 +55,7 @@ class Funnel:
         for p, q, mu in zip(self.p, self.q, self.mu):
             if not (p > q > 0.0):
                 raise ValueError("funnel needs p > q > 0")
-            if mu <= 0.0:
+            if not mu > 0.0:
                 raise ValueError("funnel decay rate must be positive")
 
     def radii(self, times) -> np.ndarray:
@@ -82,7 +82,7 @@ class ControllerConfig:
     g_negative_definite: bool = False
 
     def __post_init__(self):
-        if any(k <= 0.0 for k in self.kappa):
+        if not all(k > 0.0 for k in self.kappa):
             raise ValueError("stage gains must be positive")
         if not 0.0 < self.e_max < 1.0:
             raise ValueError("e_max must lie in (0, 1)")

@@ -33,7 +33,7 @@ class SlopeSampleConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.pair_count < 2:
             raise ValueError("need at least two pairs per repetition")

@@ -140,7 +140,7 @@ class Disturbance:
     frequency: float = 1.0
 
     def __post_init__(self):
-        if self.bound < 0:
+        if not self.bound >= 0:
             raise ValueError("disturbance bound must be nonnegative")
         if self.kind not in ("zero", "uniform", "sinusoidal"):
             raise ValueError(f"unknown disturbance kind {self.kind!r}")

@@ -47,7 +47,7 @@ def sample_time_grid(t_c: float, epsilon: float) -> np.ndarray:
     midpoint sample already covers the horizon; that degenerate grid is
     returned with a warning.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if epsilon >= t_c:
         warnings.warn(

@@ -188,7 +188,7 @@ class AgentTask:
     def __post_init__(self):
         if any(d < 1 for d in self.tube_degree):
             raise ScenarioError("tube degree must be a positive integer")
-        if any(w <= 0 for w in self.min_width):
+        if not all(w > 0 for w in self.min_width):
             raise ScenarioError("min tube width must be positive")
 
 
@@ -215,7 +215,7 @@ class ControlConfig:
     funnel_p_margin: float = 0.5
 
     def __post_init__(self):
-        if any(k <= 0 for k in self.kappa):
+        if not all(k > 0 for k in self.kappa):
             raise ScenarioError("stage gains must be positive")
         if not 0.0 < self.e_max < 1.0:
             raise ScenarioError("e_max must lie in (0, 1)")
@@ -244,9 +244,9 @@ class ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every invariant; raise ScenarioError naming the first violation."""
-    if spec.horizon <= 0:
+    if not spec.horizon > 0:
         raise ScenarioError("horizon must be positive")
-    if spec.epsilon <= 0:
+    if not spec.epsilon > 0:
         raise ScenarioError("epsilon must be positive")
     if not spec.agents:
         raise ScenarioError("at least one agent is required")

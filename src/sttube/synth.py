@@ -131,19 +131,23 @@ def least_separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.nda
     j's upper face minus k's lower face, side 1 the reverse, for the agent
     pairs j < k in sorted order.  A disjunction holds when its least
     option is <= 0.  It is taken one option at a time, so no
-    (..., n, 2, T) array is built.
+    (..., n, 2, T) array is built; a collision option goes through one
+    scratch row of T values.
     """
     m, n, _, t = faces.shape
     lower, upper = faces[:, :, 0], faces[:, :, 1]
     bounds = obstacle_bounds.transpose(1, 2, 3, 0)[:, None]  # (R, 1, n, 2, T)
-    j, k = np.triu_indices(m, 1)
     unsafe = np.full((len(bounds), m, t), np.inf)
-    coll = np.full((len(j), t), np.inf)
     for i in range(n):
         np.minimum(unsafe, bounds[:, :, i, 1] - lower[:, i], out=unsafe)
         np.minimum(unsafe, upper[:, i] - bounds[:, :, i, 0], out=unsafe)
-        np.minimum(coll, upper[j, i] - lower[k, i], out=coll)
-        np.minimum(coll, upper[k, i] - lower[j, i], out=coll)
+    j, k = np.triu_indices(m, 1)
+    coll = np.full((len(j), t), np.inf)
+    option = np.empty(t)
+    for row, below, above in zip(coll, j, k):
+        for i in range(n):
+            np.minimum(row, np.subtract(upper[below, i], lower[above, i], out=option), out=row)
+            np.minimum(row, np.subtract(upper[above, i], lower[below, i], out=option), out=row)
     return unsafe, coll
 
 
@@ -553,13 +557,15 @@ class SolveDiagnostics:
     lp_rows: int = 0
     lp_solves: int = 0
     active_keys: np.ndarray = ()  # row keys of the final working set
+    exact_rows: np.ndarray | None = None  # arena rows at exact times in the final LP
+    exact_rhs: np.ndarray | None = None
 
 
 def solve_sop(
     instance: SopInstance,
     assignment: DisjunctAssignment,
     diagnostics: SolveDiagnostics | None = None,
-    warm_keys=(),
+    warm: SolveDiagnostics | None = None,
 ) -> tuple[TubeSet, float]:
     """Minimize the global slack under the assigned witnesses.
 
@@ -569,8 +575,13 @@ def solve_sop(
     satisfied at the optimum.  Then every face is checked against the
     arena exactly (``SopInstance.arena_excursions``); violating times are
     added as rows that are never dropped, and the loop goes on until both
-    checks pass.  Deterministic throughout; ``warm_keys`` seeds the working
-    set from a related earlier solve.
+    checks pass.  Deterministic throughout.
+
+    ``warm``, the diagnostics of an earlier solve on the same instance,
+    hands over its final working set: its ``active_keys`` join the
+    working set and its exact arena rows start the block that is never
+    dropped.  Each such row is an arena constraint of the robust problem
+    at one time, so it cuts off no valid tube, whatever the witnesses.
 
     One round: one LP on the active rows, the face values at every sample
     (one matrix-vector product per face), the arena and width scan (a
@@ -598,7 +609,11 @@ def solve_sop(
     # the subproblem bounded regardless of what the warm start carries.
     seed_idx = sorted({0, n_t // 4, n_t // 2, 3 * n_t // 4, n_t - 1})
     activate((np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel())
-    activate(np.asarray(warm_keys, dtype=np.int64))
+    # arena rows at exact times between samples; never dropped
+    exact_rows, exact_rhs = np.zeros((0, instance.n_vars)), np.zeros(0)
+    if warm is not None:
+        activate(np.asarray(warm.active_keys, dtype=np.int64))
+        exact_rows, exact_rhs = warm.exact_rows, warm.exact_rhs
 
     # eta_global, plus a small weight on every per-(agent, dim) slack: it
     # makes the optimum canonical and gives each agent and dim its own slack
@@ -606,8 +621,6 @@ def solve_sop(
     objective[instance.eta_offset] = 1e-3
     objective[instance.eta_global] = 1.0
 
-    # arena rows at exact times between samples; never dropped
-    exact_rows, exact_rhs = np.zeros((0, instance.n_vars)), np.zeros(0)
     x = None
     for _round in range(300):
         keys = np.flatnonzero(active)
@@ -666,6 +679,7 @@ def solve_sop(
     diag.tubes = tubes
     diag.x = x
     diag.active_keys = np.flatnonzero(active)
+    diag.exact_rows, diag.exact_rhs = exact_rows, exact_rhs
     return tubes, eta_star
 
 
@@ -812,8 +826,9 @@ def refine_assignment(
     conflict windows, handoff-boundary shifts around binding rows,
     per-row flips to the geometrically best witness at the current
     solution (whole set, then shrinking prefixes of the worst rows).
-    Up to ``BEAM_WIDTH`` candidates are solved, warm-started from the
-    working set of ``failure``.  Returns the diagnostics of the candidate
+    Up to ``BEAM_WIDTH`` candidates are solved, each warm-started from
+    ``failure`` (``solve_sop(..., warm=failure)``): its working set and
+    the exact arena rows it found.  Returns the diagnostics of the candidate
     with the least eta* (its witnesses in ``assignment``), or None when no
     candidate solves.  Deterministic given its inputs.
     """
@@ -880,7 +895,7 @@ def refine_assignment(
     for cand in candidates[:BEAM_WIDTH]:
         diag = SolveDiagnostics()
         try:
-            solve_sop(instance, cand, diag, warm_keys=failure.active_keys)
+            solve_sop(instance, cand, diag, warm=failure)
         except (SynthesisInfeasible, LpNumericalError):
             continue
         if winner is None or diag.eta_star < winner.eta_star:
@@ -1043,11 +1058,14 @@ def validate_tubes(
         ),
     ))
 
-    # width
+    # width (only each (agent, dim)'s worst sample is kept)
     min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
-    gap = faces[:, :, 0] + min_width[..., None] - faces[:, :, 1]
+    gap = faces[:, :, 0] + min_width[..., None]
+    gap -= faces[:, :, 1]
+    gap_at = gap.argmax(axis=-1)
+    gap = np.take_along_axis(gap, gap_at[..., None], axis=-1)[..., 0]
     families["width"] = FamilyResult("width", *worst(
-        gap.max(axis=-1), lambda j, i: f"agent {j + 1} dim {i + 1} at {at(gap, (j, i))}"
+        gap, lambda j, i: f"agent {j + 1} dim {i + 1} at t={grid[gap_at[j, i]]:.3f}"
     ))
 
     # unsafe and collision separation: some (dim, side) option clears;
@@ -1095,9 +1113,12 @@ class SynthesisResult:
 def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> SynthesisResult:
     """Full pipeline: sample, seed, solve, refine until certified.
 
-    The seed assignment is solved once; every later iterate is the solve
-    that ``refine_assignment`` picked, certified as it comes (analytic
-    Lipschitz constants), so no assignment is solved twice.
+    The seed assignment is solved once, from a cold start; every later
+    iterate is the solve that ``refine_assignment`` picked, certified as
+    it comes (analytic Lipschitz constants), so no assignment is solved
+    twice.  Each candidate starts warm from the iterate it refines, so
+    the exact arena rows found along the chain of iterates are carried
+    down it and not found again.
 
     Stop rule: once a certificate is found, keep refining while the
     certified margin improves.  The search stops at the first step that

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sttube import data_path
-from sttube.cli import main
+from sttube.cli import EXIT_USAGE, main
 from sttube.scenario import scenario_from_dict
 from sttube.synth import synthesize
 from sttube.tube import AgentTubes, TubeDim, TubeFace, TubeSet, save_tubes
@@ -65,6 +65,24 @@ def test_synth_rejects_nonpositive_epsilon(tmp_path, solo_scenario, capsys, epsi
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "epsilon must be positive" in err
+
+
+@pytest.mark.parametrize("command,message", [
+    (["synth", "robots.scenario", "--epsilon", "nan"], "epsilon must be positive"),
+    (["lipschitz", "robots_table.tubes", "--alpha", "nan"], "alpha must be positive"),
+    (["simulate", "robots.scenario", "robots_table.tubes", "--force", "--kappa", "nan"],
+     "stage gains must be positive"),
+], ids=["synth-epsilon", "lipschitz-alpha", "simulate-kappa"])
+def test_nan_settings_are_usage_errors(tmp_path, capsys, command, message):
+    """NaN passes an ``x <= 0`` check; every positivity check rejects it,
+    so a NaN setting is an ``error:`` line and exit code 1."""
+    name, *rest = command
+    args = [str(data_path(a)) if a.endswith((".scenario", ".tubes")) else a for a in rest]
+    out = ["--out", str(tmp_path)] if name != "lipschitz" else []
+    code = main([name, *args, *out])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and message in err
 
 
 def test_simulate_end_to_end_and_determinism(tmp_path, solo_scenario, capsys):

@@ -384,6 +384,10 @@ def test_decentralization_byte_identity(robots_table):
 def test_config_invariants():
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(0.0,))
+    with pytest.raises(ValueError, match="stage gains must be positive"):
+        ControllerConfig(kappa=(math.nan,))
+    with pytest.raises(ValueError, match="decay rate must be positive"):
+        Funnel(p=(1.0,), q=(0.1,), mu=(math.nan,))
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(1.0,), e_max=1.5)
     with pytest.raises(ValueError):

@@ -107,6 +107,8 @@ def test_convergence_trend(robots_table):
 def test_config_invariants():
     with pytest.raises(ValueError):
         SlopeSampleConfig(alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        SlopeSampleConfig(alpha=float("nan"))
     with pytest.raises(ValueError):
         SlopeSampleConfig(alpha=0.1, pair_count=1)
     with pytest.raises(ValueError):

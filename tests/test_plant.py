@@ -156,6 +156,12 @@ def test_disturbance_bound_check_raises(monkeypatch):
         sampler(np.zeros(4))
 
 
+@pytest.mark.parametrize("bound", [-0.01, math.nan], ids=["negative", "nan"])
+def test_disturbance_bound_must_be_nonnegative(bound):
+    with pytest.raises(ValueError, match="bound must be nonnegative"):
+        Disturbance(bound=bound)
+
+
 def test_plant_kind_validation():
     with pytest.raises(ValueError):
         make_plant(PlantConfig(kind="omnidirectional"), scenario_dims=3)

@@ -27,6 +27,12 @@ def test_grid_degenerate_single_sample():
     assert list(sample_time_grid(10.0, 5.0)) == [0.0, 10.0]
 
 
+@pytest.mark.parametrize("epsilon", [0.0, float("nan")], ids=["zero", "nan"])
+def test_grid_rejects_nonpositive_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        sample_time_grid(10.0, epsilon)
+
+
 def test_grid_count_scales_inversely():
     n1 = len(sample_time_grid(10.0, 0.001)) - 1
     n2 = len(sample_time_grid(10.0, 0.002)) - 1

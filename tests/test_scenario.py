@@ -164,6 +164,20 @@ def test_validation_rejects_wide_min_width():
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw.update(horizon=float("nan")), "horizon must be positive"),
+    (lambda raw: raw.update(epsilon=float("nan")), "epsilon must be positive"),
+    (lambda raw: raw["agents"][0].update(min_width=[float("nan"), 0.4]), "min tube width"),
+    (lambda raw: raw.update(control={"kappa": [float("nan")]}), "stage gains must be positive"),
+], ids=["horizon", "epsilon", "min-width", "kappa"])
+def test_validation_rejects_nan(edit, message):
+    """NaN fails every positivity check: each reads ``not x > 0``."""
+    raw = _raw()
+    edit(raw)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(raw)
+
+
 def test_malformed_file_is_a_parse_error(tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("{not json")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sttube.sampling import sample_unsafe
+from sttube.sampling import obstacle_bounds, sample_unsafe
 from sttube.scenario import scenario_from_dict
 from sttube.synth import (
     DisjunctAssignment,
@@ -16,12 +16,14 @@ from sttube.synth import (
     build_sop,
     certify,
     composite_lipschitz,
+    least_separation_options,
     refine_assignment,
     seed_assignment,
     solve_sop,
     synthesize,
     validate_tubes,
 )
+from sttube.tube import tube_values
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,48 @@ def _option_tensors(instance, faces):
     shape = (-1, 2 * instance.n, instance.n_t)
     unsafe, coll = separation_options(faces, instance.obstacle_bounds)
     return unsafe.reshape(shape), coll.reshape(shape)
+
+
+def _dense_faces(tubes, spec, resolution):
+    """Faces and obstacle bounds on the grid ``validate_tubes`` uses."""
+    grid = np.linspace(0.0, spec.horizon, int(np.ceil(spec.horizon / resolution)) + 1)
+    return tube_values(tubes, grid), obstacle_bounds(spec, grid)
+
+
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_least_options_match_reference(case, request):
+    """The least option of every disjunction, taken one option at a time,
+    equals bit for bit the minimum over (dim, side) of the full reference
+    option arrays, on the published tables at eps/4."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    faces, bounds = _dense_faces(
+        request.getfixturevalue(f"{case}_table"), spec, spec.epsilon / 4.0
+    )
+    unsafe, coll = least_separation_options(faces, bounds)
+    ref_unsafe, ref_coll = separation_options(faces, bounds)
+    want_unsafe = ref_unsafe.min(axis=(2, 3)).transpose(1, 0, 2)
+    want_coll = ref_coll.min(axis=(1, 2))
+    assert unsafe.shape == want_unsafe.shape and coll.shape == want_coll.shape
+    assert unsafe.tobytes() == want_unsafe.tobytes()
+    assert coll.tobytes() == want_coll.tobytes()
+
+
+def test_dense_validation_peak_memory(robots_table, robots_spec):
+    """``validate_tubes`` keeps no full-grid array beyond the faces, the
+    obstacle bounds and the least options: on the published robots tubes
+    at eps/4 its traced peak stays below 2.5 times the face array."""
+    import tracemalloc
+
+    resolution = robots_spec.epsilon / 4.0
+    faces, _ = _dense_faces(robots_table, robots_spec, resolution)
+    validate_tubes(robots_table, robots_spec, resolution)  # warm any caches
+    tracemalloc.start()
+    try:
+        validate_tubes(robots_table, robots_spec, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * faces.nbytes
 
 
 def _scalar_option(instance, faces, tag, head, t, code):
@@ -678,24 +722,55 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
 
 def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
     """No two ``solve_sop`` calls of one search share both their witness
-    codes and their warm keys: the solve a refinement step picks is
-    certified as it is, not solved again."""
+    codes and their warm start (its keys and its exact rows): the solve a
+    refinement step picks is certified as it is, not solved again."""
     import sttube.synth as synth
 
     calls, solve = [], synth.solve_sop
 
-    def recording(instance, assignment, diagnostics=None, warm_keys=()):
+    def recording(instance, assignment, diagnostics=None, warm=None):
+        carried = () if warm is None else (warm.active_keys, warm.exact_rows)
         calls.append((
             assignment.unsafe.tobytes(),
             assignment.collision.tobytes(),
-            np.asarray(warm_keys, dtype=np.int64).tobytes(),
+            *(np.ascontiguousarray(a).tobytes() for a in carried),
         ))
-        return solve(instance, assignment, diagnostics, warm_keys)
+        return solve(instance, assignment, diagnostics, warm)
 
     monkeypatch.setattr(synth, "solve_sop", recording)
     result = synth.synthesize(mini_spec)
     assert result.certificate.passed and len(calls) > result.iterations
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_warm_start_carries_exact_arena_rows(case, request):
+    """Re-solving the seed assignment warm from its own first solve finds
+    no arena row between samples: the warm start already carries every
+    exact row the first solve found, so the re-solve takes one LP per
+    round the sampled scan needs and none for the exact check."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    samples = sample_unsafe(spec)
+    inst = build_sop(spec, samples)
+    asg = seed_assignment(spec, samples)
+    first = SolveDiagnostics()
+    solve_sop(inst, asg, first)
+    assert len(first.exact_rhs) > 0  # the first solve needed exact rows
+
+    found, excursions = [], inst.arena_excursions
+
+    def counting(x, tol):
+        rows, rhs = excursions(x, tol)
+        found.append(len(rhs))
+        return rows, rhs
+
+    inst.arena_excursions = counting
+    again = SolveDiagnostics()
+    solve_sop(inst, asg, again, warm=first)
+    assert found and not any(found)
+    assert again.lp_solves < first.lp_solves
+    assert again.exact_rows.tobytes() == first.exact_rows.tobytes()
+    assert again.eta_star == pytest.approx(first.eta_star, abs=1e-12)
 
 
 def test_published_tables_validate_at_rounding_tolerance(
@@ -748,7 +823,17 @@ def test_robot_synthesis_fingerprint(robots_result):
     the same at 1 and 2 BLAS threads, so any change to the search, its
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
-    assert robots_result.iterations == 8
-    assert robots_result.lp_solves == 852
+    assert robots_result.iterations == 7
+    assert robots_result.lp_solves == 534
     assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
-    assert cert.margin == pytest.approx(-0.19508204776879476, abs=1e-12)
+    assert cert.margin == pytest.approx(-0.19402513125294502, abs=1e-12)
+
+
+def test_drone_synthesis_fingerprint(drones_result):
+    """The witness search's exact result on the drones case study, the
+    same at 1 and 2 BLAS threads."""
+    cert = drones_result.certificate
+    assert drones_result.iterations == 9
+    assert drones_result.lp_solves == 338
+    assert cert.eta_star == pytest.approx(-0.04999899999999999, abs=1e-12)
+    assert cert.margin == pytest.approx(-0.010433399676316214, abs=1e-12)
