@@ -24,6 +24,7 @@ from .synth import (
     SynthesisError,
     SynthesisFailure,
     SynthesisInfeasible,
+    TubeTemplate,
     composite_lipschitz,
     save_certificate,
     synthesize,
@@ -63,7 +64,8 @@ def cmd_synth(args) -> int:
         spec = load_scenario(args.scenario)
         if args.epsilon is not None:
             spec = replace(spec, epsilon=args.epsilon)
-    except (ScenarioError, OSError) as exc:
+        TubeTemplate.from_spec(spec, args.degree)  # rejects a negative --degree
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
@@ -88,7 +90,7 @@ def cmd_synth(args) -> int:
     print(
         f"margin={cert.margin:.6f}  certified={'yes' if cert.passed else 'NO'}  "
         f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
-        f"wall={wall:.1f}s"
+        f"candidates={result.candidates}  pruned={result.pruned}  wall={wall:.1f}s"
     )
     print(result.validation.summary())
     write_manifest(
@@ -100,6 +102,8 @@ def cmd_synth(args) -> int:
             "certificate": str(cert_path),
             "iterations": result.iterations,
             "lp_solves": result.lp_solves,
+            "candidates": result.candidates,
+            "pruned": result.pruned,
             "eta_star": cert.eta_star,
             "margin": cert.margin,
         },

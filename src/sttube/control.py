@@ -82,8 +82,8 @@ class ControllerConfig:
     g_negative_definite: bool = False
 
     def __post_init__(self):
-        if not all(k > 0.0 for k in self.kappa):
-            raise ValueError("stage gains must be positive")
+        if not all(0.0 < k < math.inf for k in self.kappa):
+            raise ValueError("stage gains must be positive and finite")
         if not 0.0 < self.e_max < 1.0:
             raise ValueError("e_max must lie in (0, 1)")
         if len(self.funnels) != len(self.kappa) - 1:

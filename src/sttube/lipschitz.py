@@ -33,8 +33,8 @@ class SlopeSampleConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.pair_count < 2:
             raise ValueError("need at least two pairs per repetition")
         if self.repetitions < 10:

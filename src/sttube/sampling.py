@@ -47,8 +47,8 @@ def sample_time_grid(t_c: float, epsilon: float) -> np.ndarray:
     midpoint sample already covers the horizon; that degenerate grid is
     returned with a warning.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if epsilon >= t_c:
         warnings.warn(
             f"epsilon {epsilon:g} >= horizon {t_c:g}: "

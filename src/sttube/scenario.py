@@ -10,6 +10,7 @@ after load and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -215,8 +216,8 @@ class ControlConfig:
     funnel_p_margin: float = 0.5
 
     def __post_init__(self):
-        if not all(k > 0 for k in self.kappa):
-            raise ScenarioError("stage gains must be positive")
+        if not all(0 < k < math.inf for k in self.kappa):
+            raise ScenarioError("stage gains must be positive and finite")
         if not 0.0 < self.e_max < 1.0:
             raise ScenarioError("e_max must lie in (0, 1)")
 
@@ -244,10 +245,10 @@ class ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every invariant; raise ScenarioError naming the first violation."""
-    if not spec.horizon > 0:
-        raise ScenarioError("horizon must be positive")
-    if not spec.epsilon > 0:
-        raise ScenarioError("epsilon must be positive")
+    if not 0 < spec.horizon < math.inf:
+        raise ScenarioError("horizon must be positive and finite")
+    if not 0 < spec.epsilon < math.inf:
+        raise ScenarioError("epsilon must be positive and finite")
     if not spec.agents:
         raise ScenarioError("at least one agent is required")
     if spec.arena.dims != spec.dims:

@@ -29,6 +29,7 @@ error guard is reproducible.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,11 +134,11 @@ def integrate_agent(
     timestamp if a recorded state leaves its tube or funnel, or if the
     tube collapses at any evaluation.  A non-finite state ends the run
     early (``aborted``) with every step up to the failing one recorded."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt:g}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt:g}")
     bounds = _Stage1Bounds(tubes, agent, plant)
     n_steps = round(horizon / dt)
-    if abs(n_steps * dt - horizon) > 1e-9:
+    if not abs(n_steps * dt - horizon) <= 1e-9:  # a NaN difference fails too
         raise ValueError("dt must divide the horizon")
     x = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
     dims = plant.dims
@@ -289,6 +290,11 @@ def run_closed_loop(
                 x0=x0, name=task.name,
             )
         )
+    # Every agent steps on the same time grid: keep one copy of it, not
+    # one per agent (160 kB each for a drone at dt 1e-3).
+    grid = max((traj.times for traj in out), key=len)
+    for traj in out:
+        traj.times = grid[: len(traj.times)]
     return out
 
 

@@ -61,8 +61,10 @@ from .tube import (
 
 ETA_GAP = 1e-6  # realizes strict inequalities; absorbed by the margin
 _VIOL_TOL = 1e-9
+_PRUNE_TOL = 1e-6  # room for LP tolerances in the bound ``solve_sop`` prunes by
 MAX_ITERATIONS = 200  # solves certified by ``synthesize`` before it gives up
-BEAM_WIDTH = 8  # candidates solved per refinement step
+BEAM_WIDTH = 8  # candidates started per refinement step; a losing one stops early
+VALIDATION_BLOCK = 1024  # grid samples ``validate_tubes`` evaluates at once
 FACE_SIDES = ("lower", "upper")
 
 
@@ -92,6 +94,10 @@ class TubeTemplate:
 
     degrees: tuple[tuple[int, ...], ...]
     min_widths: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        if any(d < 0 for row in self.degrees for d in row):
+            raise ValueError("tube degrees must be nonnegative")
 
     @staticmethod
     def from_spec(spec: ScenarioSpec, degree_override: int | None = None) -> "TubeTemplate":
@@ -235,6 +241,9 @@ class SopInstance:
         self.row_table = self._row_table()
         # LPs solved on this instance: solve_sop rounds and witness scoring
         self.lp_solves = 0
+        # refinement solves started, and those a cutoff stopped early
+        self.candidates = 0
+        self.pruned = 0
         self._operands = self._operand_table()
 
     def _row_table(self):
@@ -559,6 +568,7 @@ class SolveDiagnostics:
     active_keys: np.ndarray = ()  # row keys of the final working set
     exact_rows: np.ndarray | None = None  # arena rows at exact times in the final LP
     exact_rhs: np.ndarray | None = None
+    pruned: bool = False  # stopped early: eta* is bound to exceed the cutoff
 
 
 def solve_sop(
@@ -566,7 +576,8 @@ def solve_sop(
     assignment: DisjunctAssignment,
     diagnostics: SolveDiagnostics | None = None,
     warm: SolveDiagnostics | None = None,
-) -> tuple[TubeSet, float]:
+    cutoff: float = math.inf,
+) -> tuple[TubeSet | None, float]:
     """Minimize the global slack under the assigned witnesses.
 
     A cutting-plane loop around ``solve_lp``: solve on a small working
@@ -588,6 +599,18 @@ def solve_sop(
     face's full row only when its extreme samples leave the arena), and
     each disjunct row's value under its assigned witness alone, read
     through index arrays built once per call.
+
+    ``cutoff`` stops a solve that cannot end below it (branch and bound;
+    Land & Doig, Econometrica 28(3), 1960).  Every round's LP relaxes the
+    final one: its rows are sampled rows and exact arena rows the final
+    optimum satisfies.  So each round's objective ``f`` bounds the final
+    objective ``eta_g + w * sum(eta_ij)`` from below, and the ordering
+    rows ``eta_ij <= eta_g - ETA_GAP`` turn that into
+    ``eta* >= (f + w k ETA_GAP) / (1 + w k)`` over the k per-dim slacks.
+    Once that bound exceeds ``cutoff`` by more than ``_PRUNE_TOL`` the
+    solve stops: ``diagnostics.pruned`` is set, no tubes or point are
+    kept, and ``(None, bound)`` is returned.  Otherwise the result is
+    ``(tubes, eta*)``, the same bits as without a cutoff.
     """
     diag = diagnostics if diagnostics is not None else SolveDiagnostics()
     diag.assignment = assignment
@@ -620,6 +643,7 @@ def solve_sop(
     objective = np.zeros(instance.n_vars)
     objective[instance.eta_offset] = 1e-3
     objective[instance.eta_global] = 1.0
+    weight = float(objective[instance.eta_offset].sum())  # w k of the bound
 
     x = None
     for _round in range(300):
@@ -645,6 +669,10 @@ def solve_sop(
             )
         if sol.status != "optimal":
             raise SynthesisInfeasible(f"LP terminated with status {sol.status}")
+        bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
+        if bound > cutoff + _PRUNE_TOL:
+            diag.pruned = True
+            return None, bound
         x = sol.x
 
         faces = instance.face_values(x)
@@ -826,11 +854,17 @@ def refine_assignment(
     conflict windows, handoff-boundary shifts around binding rows,
     per-row flips to the geometrically best witness at the current
     solution (whole set, then shrinking prefixes of the worst rows).
-    Up to ``BEAM_WIDTH`` candidates are solved, each warm-started from
-    ``failure`` (``solve_sop(..., warm=failure)``): its working set and
-    the exact arena rows it found.  Returns the diagnostics of the candidate
-    with the least eta* (its witnesses in ``assignment``), or None when no
-    candidate solves.  Deterministic given its inputs.
+    Up to ``BEAM_WIDTH`` candidates are solved in that order, each
+    warm-started from ``failure`` (``solve_sop(..., warm=failure)``): its
+    working set and the exact arena rows it found.  Each solve takes the
+    least eta* solved so far as its cutoff and stops once its LP bound
+    shows it cannot end below it; since a candidate wins only with a
+    strictly lower eta*, the winner is the one that solving every
+    candidate to the end picks.  ``instance.candidates`` counts the
+    solves started and ``instance.pruned`` those stopped early.  Returns
+    the diagnostics of the candidate with the least eta* (its witnesses in
+    ``assignment``), or None when no candidate solves.  Deterministic
+    given its inputs.
     """
     assignment = failure.assignment
     if assignment is None or failure.x is None:
@@ -894,11 +928,15 @@ def refine_assignment(
     winner = None
     for cand in candidates[:BEAM_WIDTH]:
         diag = SolveDiagnostics()
+        instance.candidates += 1
+        cutoff = math.inf if winner is None else winner.eta_star
         try:
-            solve_sop(instance, cand, diag, warm=failure)
+            solve_sop(instance, cand, diag, warm=failure, cutoff=cutoff)
         except (SynthesisInfeasible, LpNumericalError):
             continue
-        if winner is None or diag.eta_star < winner.eta_star:
+        if diag.pruned:
+            instance.pruned += 1
+        elif winner is None or diag.eta_star < winner.eta_star:
             winner = diag
     return winner
 
@@ -1019,10 +1057,13 @@ def validate_tubes(
     Endpoint containment uses the task's own boxes (outward violations
     count; the exact equality residual is reported separately).  A family
     passes when its worst margin is at most the tolerance.
+
+    The grid is evaluated ``VALIDATION_BLOCK`` samples at a time, so no
+    array spans the whole grid but the grid itself: each family keeps its
+    running worst value and the first sample it occurs at.
     """
     n_grid = int(math.ceil(spec.horizon / resolution)) + 1
     grid = np.linspace(0.0, spec.horizon, n_grid)
-    faces = tube_values(tubes, grid)  # (m, n, 2, grid)
     m, n = tubes.agent_count, tubes.dims
 
     def worst(values, where):
@@ -1031,12 +1072,23 @@ def validate_tubes(
         v = float(values.flat[q])
         return v, v <= tolerance, where(*np.unravel_index(q, values.shape))
 
-    def at(values, q):
-        return f"t={grid[int(values[q].argmax())]:.3f}"
+    def running_max(shape):
+        return np.full(shape, -np.inf), np.zeros(shape, dtype=int)
+
+    def fold(peak, values, start):
+        """Fold a block's maxima over its samples into ``peak``, (largest
+        value, its sample); as with ``np.argmax``, the earlier sample keeps
+        a tie and the first NaN wins."""
+        best, at = peak
+        q = values.argmax(axis=-1)
+        v = np.take_along_axis(values, q[..., None], axis=-1)[..., 0]
+        later = np.stack([best, v]).argmax(axis=0) == 1
+        best[later] = v[later]
+        at[later] = start + q[later]
 
     # endpoints: containment of the tube box in the start/goal boxes
     ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
-    pinned = faces[..., [0, -1]].transpose(0, 3, 1, 2)  # (m, start/goal, n, lo/hi)
+    pinned = tube_values(tubes, grid[[0, -1]]).transpose(0, 3, 1, 2)  # (m, start/goal, n, lo/hi)
     outward = np.stack([ends[..., 0] - pinned[..., 0], pinned[..., 1] - ends[..., 1]], axis=-1)
     eq_resid = float(np.abs(outward).max(initial=0.0))
     kinds = ("start lower", "start upper", "goal lower", "goal upper")
@@ -1047,10 +1099,30 @@ def validate_tubes(
         ))
     }
 
+    # Over the grid: each face's lowest and highest value; the width gap
+    # per (agent, dim); the least option of every unsafe (region, agent)
+    # and collision pair disjunction (some (dim, side) option clears).
+    face_lo, face_hi = np.full((m, n, 2), np.inf), np.full((m, n, 2), -np.inf)
+    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
+    gap = running_max((m, n))
+    unsafe = running_max((len(spec.obstacles), m))
+    coll = running_max((m * (m - 1) // 2,))
+    for start in range(0, n_grid, VALIDATION_BLOCK):
+        times = grid[start : start + VALIDATION_BLOCK]
+        faces = tube_values(tubes, times)  # (m, n, 2, block)
+        np.minimum(face_lo, faces.min(axis=-1), out=face_lo)
+        np.maximum(face_hi, faces.max(axis=-1), out=face_hi)
+        widths = faces[:, :, 0] + min_width[..., None]
+        widths -= faces[:, :, 1]
+        fold(gap, widths, start)
+        options = least_separation_options(faces, obstacle_bounds(spec, times))
+        fold(unsafe, options[0], start)
+        fold(coll, options[1], start)
+
     # arena confinement (subtracting a fixed bound is monotone, so the
     # worst excess sits at the face's lowest or highest sample)
     lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None]
-    past = np.stack([lo - faces.min(axis=-1), faces.max(axis=-1) - hi], axis=-1)
+    past = np.stack([lo - face_lo, face_hi - hi], axis=-1)
     families["arena"] = FamilyResult("arena", *worst(
         past,
         lambda j, i, s, b: (
@@ -1058,31 +1130,21 @@ def validate_tubes(
         ),
     ))
 
-    # width (only each (agent, dim)'s worst sample is kept)
-    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
-    gap = faces[:, :, 0] + min_width[..., None]
-    gap -= faces[:, :, 1]
-    gap_at = gap.argmax(axis=-1)
-    gap = np.take_along_axis(gap, gap_at[..., None], axis=-1)[..., 0]
     families["width"] = FamilyResult("width", *worst(
-        gap, lambda j, i: f"agent {j + 1} dim {i + 1} at t={grid[gap_at[j, i]]:.3f}"
+        gap[0], lambda j, i: f"agent {j + 1} dim {i + 1} at t={grid[gap[1][j, i]]:.3f}"
     ))
-
-    # unsafe and collision separation: some (dim, side) option clears;
-    # the least option per disjunction, (R, m, grid) and (P, grid)
-    unsafe, coll = least_separation_options(faces, obstacle_bounds(spec, grid))
     if spec.obstacles:
         families["unsafe"] = FamilyResult("unsafe", *worst(
-            unsafe.max(axis=-1),
-            lambda r, j: f"agent {j + 1} vs region {r + 1} at {at(unsafe, (r, j))}",
+            unsafe[0],
+            lambda r, j: f"agent {j + 1} vs region {r + 1} at t={grid[unsafe[1][r, j]]:.3f}",
         ))
     else:
         families["unsafe"] = FamilyResult("unsafe", -np.inf, True, "no obstacles")
     if m >= 2:
         j, k = np.triu_indices(m, 1)
         families["collision"] = FamilyResult("collision", *worst(
-            coll.max(axis=-1),
-            lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at {at(coll, p)}",
+            coll[0],
+            lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at t={grid[coll[1][p]]:.3f}",
         ))
     else:
         families["collision"] = FamilyResult("collision", -np.inf, True, "single agent")
@@ -1106,6 +1168,8 @@ class SynthesisResult:
     assignment: DisjunctAssignment
     iterations: int
     lp_solves: int
+    candidates: int  # refinement solves started
+    pruned: int  # of those, stopped early by their LP bound
     wall_time: float
     validation: ValidationReport
 
@@ -1125,9 +1189,11 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     does not improve it (a step that fails to certify does not), when
     refinement stalls or when the budget runs out, and returns the best
     certified iterate: its tubes, certificate, assignment and dense
-    validation.  ``iterations``, ``lp_solves`` and ``wall_time`` count the
-    whole search; ``lp_solves`` includes the LPs of refinement candidates
-    and witness scoring.
+    validation.  ``iterations``, ``lp_solves``, ``candidates``, ``pruned``
+    and ``wall_time`` count the whole search; ``lp_solves`` includes the
+    LPs of witness scoring and of every refinement candidate, up to the
+    round that stopped it when it could not win (see
+    ``refine_assignment``).
 
     Raises SynthesisFailure with the best margin found when the
     refinement budget runs out without any certificate.
@@ -1154,6 +1220,8 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
             assignment=asg,
             iterations=iteration,
             lp_solves=instance.lp_solves,
+            candidates=instance.candidates,
+            pruned=instance.pruned,
             wall_time=time.perf_counter() - t0,
             validation=report,
         )

@@ -44,8 +44,12 @@ def test_synth_writes_tubes_certificate_manifest(tmp_path, solo_scenario, capsys
     outputs = manifest["outputs"]
     assert outputs["tubes"].endswith("solo.tubes")
     assert (outputs["eta_star"], outputs["margin"]) == (cert["eta_star"], cert["margin"])
-    assert f"iterations={outputs['iterations']}  lp_solves={outputs['lp_solves']}" in out
+    assert (
+        f"iterations={outputs['iterations']}  lp_solves={outputs['lp_solves']}  "
+        f"candidates={outputs['candidates']}  pruned={outputs['pruned']}"
+    ) in out
     assert 1 <= outputs["iterations"] <= outputs["lp_solves"]
+    assert 0 <= outputs["pruned"] <= outputs["candidates"]
 
 
 def test_synth_degree_zero_exits_2(tmp_path, capsys):
@@ -55,6 +59,16 @@ def test_synth_degree_zero_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "higher-degree" in capsys.readouterr().err
+
+
+def test_synth_negative_degree_is_a_usage_error(tmp_path, capsys):
+    code = main([
+        "synth", str(data_path("robots.scenario")), "--degree", "-1",
+        "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "degrees must be nonnegative" in err
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-0.01"], ids=["zero", "negative"])
@@ -72,10 +86,18 @@ def test_synth_rejects_nonpositive_epsilon(tmp_path, solo_scenario, capsys, epsi
     (["lipschitz", "robots_table.tubes", "--alpha", "nan"], "alpha must be positive"),
     (["simulate", "robots.scenario", "robots_table.tubes", "--force", "--kappa", "nan"],
      "stage gains must be positive"),
-], ids=["synth-epsilon", "lipschitz-alpha", "simulate-kappa"])
+    (["synth", "robots.scenario", "--epsilon", "inf"], "epsilon must be positive and finite"),
+    (["lipschitz", "robots_table.tubes", "--alpha", "inf"], "alpha must be positive and finite"),
+    (["simulate", "robots.scenario", "robots_table.tubes", "--force", "--kappa", "inf"],
+     "stage gains must be positive and finite"),
+    (["simulate", "robots.scenario", "robots_table.tubes", "--force", "--dt", "inf"],
+     "dt must be positive and finite"),
+], ids=["synth-epsilon", "lipschitz-alpha", "simulate-kappa", "synth-epsilon-inf",
+        "lipschitz-alpha-inf", "simulate-kappa-inf", "simulate-dt-inf"])
 def test_nan_settings_are_usage_errors(tmp_path, capsys, command, message):
-    """NaN passes an ``x <= 0`` check; every positivity check rejects it,
-    so a NaN setting is an ``error:`` line and exit code 1."""
+    """NaN passes an ``x <= 0`` check and infinity a ``not x > 0`` one;
+    every positivity check rejects both, so such a setting is an
+    ``error:`` line and exit code 1."""
     name, *rest = command
     args = [str(data_path(a)) if a.endswith((".scenario", ".tubes")) else a for a in rest]
     out = ["--out", str(tmp_path)] if name != "lipschitz" else []

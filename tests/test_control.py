@@ -386,6 +386,8 @@ def test_config_invariants():
         ControllerConfig(kappa=(0.0,))
     with pytest.raises(ValueError, match="stage gains must be positive"):
         ControllerConfig(kappa=(math.nan,))
+    with pytest.raises(ValueError, match="stage gains must be positive and finite"):
+        ControllerConfig(kappa=(math.inf,))
     with pytest.raises(ValueError, match="decay rate must be positive"):
         Funnel(p=(1.0,), q=(0.1,), mu=(math.nan,))
     with pytest.raises(ValueError):

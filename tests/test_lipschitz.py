@@ -109,6 +109,8 @@ def test_config_invariants():
         SlopeSampleConfig(alpha=0.0)
     with pytest.raises(ValueError, match="alpha must be positive"):
         SlopeSampleConfig(alpha=float("nan"))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        SlopeSampleConfig(alpha=float("inf"))
     with pytest.raises(ValueError):
         SlopeSampleConfig(alpha=0.1, pair_count=1)
     with pytest.raises(ValueError):

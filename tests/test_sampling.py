@@ -27,7 +27,7 @@ def test_grid_degenerate_single_sample():
     assert list(sample_time_grid(10.0, 5.0)) == [0.0, 10.0]
 
 
-@pytest.mark.parametrize("epsilon", [0.0, float("nan")], ids=["zero", "nan"])
+@pytest.mark.parametrize("epsilon", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
 def test_grid_rejects_nonpositive_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive"):
         sample_time_grid(10.0, epsilon)

@@ -169,9 +169,13 @@ def test_validation_rejects_wide_min_width():
     (lambda raw: raw.update(epsilon=float("nan")), "epsilon must be positive"),
     (lambda raw: raw["agents"][0].update(min_width=[float("nan"), 0.4]), "min tube width"),
     (lambda raw: raw.update(control={"kappa": [float("nan")]}), "stage gains must be positive"),
-], ids=["horizon", "epsilon", "min-width", "kappa"])
+    (lambda raw: raw.update(horizon=float("inf")), "horizon must be positive and finite"),
+    (lambda raw: raw.update(epsilon=float("inf")), "epsilon must be positive and finite"),
+    (lambda raw: raw.update(control={"kappa": [float("inf")]}), "stage gains must be positive"),
+], ids=["horizon", "epsilon", "min-width", "kappa", "horizon-inf", "epsilon-inf", "kappa-inf"])
 def test_validation_rejects_nan(edit, message):
-    """NaN fails every positivity check: each reads ``not x > 0``."""
+    """NaN and infinity fail every positivity check: each reads
+    ``not 0 < x < inf`` (min width: ``not x > 0``, which NaN fails)."""
     raw = _raw()
     edit(raw)
     with pytest.raises(ScenarioError, match=message):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ def test_deterministic_trajectories(robots_spec, robots_table, robots_run):
     for ta, tb in zip(robots_run, again):
         assert ta.states.tobytes() == tb.states.tobytes()
         assert ta.inputs.tobytes() == tb.inputs.tobytes()
+
+
+def test_agents_share_one_time_grid(robots_run):
+    """Every agent of a run steps on the same grid, held as one array."""
+    grid = np.arange(len(robots_run[0].times)) * 1e-3
+    for traj in robots_run:
+        assert traj.times.tobytes() == grid.tobytes()
+        assert np.shares_memory(traj.times, robots_run[0].times)
 
 
 def rk4_convergence_ratios(dts=(2e-3, 1e-3, 5e-4, 2.5e-4, 1.25e-4)):
@@ -313,6 +322,6 @@ def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
     calm = Disturbance(bound=0.0, kind="zero")
-    for dt in (0.0, -1e-3):
+    for dt in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt must be positive"):
             integrate_agent(0, robots_table, plant, config, calm, 1.0, dt)

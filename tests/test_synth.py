@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 
 import numpy as np
@@ -10,9 +11,11 @@ from sttube.sampling import obstacle_bounds, sample_unsafe
 from sttube.scenario import scenario_from_dict
 from sttube.synth import (
     DisjunctAssignment,
+    FamilyResult,
     SolveDiagnostics,
     SynthesisError,
     TubeTemplate,
+    ValidationReport,
     build_sop,
     certify,
     composite_lipschitz,
@@ -47,6 +50,11 @@ def test_degree_zero_is_a_construction_error(robots_spec):
     samples = sample_unsafe(robots_spec)
     with pytest.raises(SynthesisError, match="higher-degree"):
         build_sop(robots_spec, samples, TubeTemplate.from_spec(robots_spec, 0))
+
+
+def test_negative_degree_is_rejected(robots_spec):
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
+        TubeTemplate.from_spec(robots_spec, -1)
 
 
 def test_single_agent_instance_has_no_disjunctions():
@@ -266,10 +274,80 @@ def test_least_options_match_reference(case, request):
     assert coll.tobytes() == want_coll.tobytes()
 
 
+def _full_grid_report(tubes, spec, resolution, tolerance):
+    """Reference for ``validate_tubes``: every family evaluated on the
+    whole grid at once."""
+    grid = np.linspace(0.0, spec.horizon, int(np.ceil(spec.horizon / resolution)) + 1)
+    faces = tube_values(tubes, grid)
+    m, n = tubes.agent_count, tubes.dims
+
+    def worst(values, where):
+        q = int(np.argmax(values))
+        v = float(values.flat[q])
+        return v, v <= tolerance, where(*np.unravel_index(q, values.shape))
+
+    def at(values, q):
+        return f"t={grid[int(values[q].argmax())]:.3f}"
+
+    ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
+    pinned = faces[..., [0, -1]].transpose(0, 3, 1, 2)
+    outward = np.stack([ends[..., 0] - pinned[..., 0], pinned[..., 1] - ends[..., 1]], axis=-1)
+    kinds = ("start lower", "start upper", "goal lower", "goal upper")
+    families = {"endpoints": FamilyResult("endpoints", *worst(
+        outward.transpose(0, 2, 1, 3).reshape(m, n, 4),
+        lambda j, i, e: f"agent {j + 1} dim {i + 1} {kinds[e]}",
+    ))}
+    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None]
+    past = np.stack([lo - faces.min(axis=-1), faces.max(axis=-1) - hi], axis=-1)
+    families["arena"] = FamilyResult("arena", *worst(
+        past,
+        lambda j, i, s, b: f"agent {j + 1} dim {i + 1} {('lower', 'upper')[s]} face "
+                           f"past arena {('lo', 'hi')[b]}",
+    ))
+    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
+    gap = faces[:, :, 0] + min_width[..., None] - faces[:, :, 1]
+    gap_at = gap.argmax(axis=-1)
+    families["width"] = FamilyResult("width", *worst(
+        np.take_along_axis(gap, gap_at[..., None], axis=-1)[..., 0],
+        lambda j, i: f"agent {j + 1} dim {i + 1} at t={grid[gap_at[j, i]]:.3f}",
+    ))
+    unsafe, coll = least_separation_options(faces, obstacle_bounds(spec, grid))
+    families["unsafe"] = FamilyResult("unsafe", *worst(
+        unsafe.max(axis=-1),
+        lambda r, j: f"agent {j + 1} vs region {r + 1} at {at(unsafe, (r, j))}",
+    ))
+    j, k = np.triu_indices(m, 1)
+    families["collision"] = FamilyResult("collision", *worst(
+        coll.max(axis=-1), lambda p: f"pair ({j[p] + 1},{k[p] + 1}) at {at(coll, p)}",
+    ))
+    return ValidationReport(
+        families=families, resolution=resolution, tolerance=tolerance,
+        endpoint_equality_residual=float(np.abs(outward).max(initial=0.0)),
+    )
+
+
+@pytest.mark.parametrize("source", ["table", "result"])
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_blocked_validation_matches_full_grid(case, source, request, monkeypatch):
+    """``validate_tubes`` evaluates the grid in blocks; its report is the
+    same text as the whole grid's, on the published and the synthesized
+    tubes at eps/4, 1e-3 and 1e-2, and with blocks of 7 samples."""
+    import sttube.synth as synth
+
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_{source}")
+    tubes = getattr(tubes, "tubes", tubes)
+    for resolution in (spec.epsilon / 4.0, 1e-3, 1e-2):
+        want = repr(_full_grid_report(tubes, spec, resolution, 1e-4))
+        assert repr(validate_tubes(tubes, spec, resolution, 1e-4)) == want
+    monkeypatch.setattr(synth, "VALIDATION_BLOCK", 7)
+    assert repr(validate_tubes(tubes, spec, 1e-2, 1e-4)) == want
+
+
 def test_dense_validation_peak_memory(robots_table, robots_spec):
-    """``validate_tubes`` keeps no full-grid array beyond the faces, the
-    obstacle bounds and the least options: on the published robots tubes
-    at eps/4 its traced peak stays below 2.5 times the face array."""
+    """``validate_tubes`` keeps no array the size of the grid but the grid
+    itself: on the published robots tubes at eps/4 its traced peak stays
+    below half the face array."""
     import tracemalloc
 
     resolution = robots_spec.epsilon / 4.0
@@ -281,7 +359,7 @@ def test_dense_validation_peak_memory(robots_table, robots_spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * faces.nbytes
+    assert peak < 0.5 * faces.nbytes
 
 
 def _scalar_option(instance, faces, tag, head, t, code):
@@ -665,7 +743,7 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
-    assert run["lp_solves"] == run["lp_calls"] == 187
+    assert run["lp_solves"] == run["lp_calls"] == 153
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
@@ -728,19 +806,87 @@ def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
 
     calls, solve = [], synth.solve_sop
 
-    def recording(instance, assignment, diagnostics=None, warm=None):
+    def recording(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
         carried = () if warm is None else (warm.active_keys, warm.exact_rows)
         calls.append((
             assignment.unsafe.tobytes(),
             assignment.collision.tobytes(),
             *(np.ascontiguousarray(a).tobytes() for a in carried),
         ))
-        return solve(instance, assignment, diagnostics, warm)
+        return solve(instance, assignment, diagnostics, warm, cutoff)
 
     monkeypatch.setattr(synth, "solve_sop", recording)
     result = synth.synthesize(mini_spec)
     assert result.certificate.passed and len(calls) > result.iterations
     assert len(set(calls)) == len(calls)
+
+
+def _winner_bytes(diag):
+    """What a refinement step hands on: the point, eta*, the witnesses and
+    the warm start of the next step."""
+    return (
+        diag.x.tobytes(), diag.eta_star.hex(),
+        diag.assignment.unsafe.tobytes(), diag.assignment.collision.tobytes(),
+        np.asarray(diag.active_keys).tobytes(), diag.exact_rows.tobytes(),
+    )
+
+
+def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
+    """One refinement step from ``failure``, run with its cutoffs and with
+    every solve carried to the end: the same winner comes out, and each
+    candidate stopped early, solved to the end, ends above the cutoff it
+    was stopped at.  Returns the winner and the number stopped early."""
+    import sttube.synth as synth
+
+    solve, pruned = synth.solve_sop, []
+
+    def recording(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
+        out = solve(instance, assignment, diagnostics, warm, cutoff)
+        if diagnostics.pruned:
+            pruned.append((assignment, warm, cutoff, out[1]))
+        return out
+
+    def no_cutoff(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
+        return solve(instance, assignment, diagnostics, warm)
+
+    monkeypatch.setattr(synth, "solve_sop", recording)
+    winner = refine_assignment(instance, failure)
+    monkeypatch.setattr(synth, "solve_sop", no_cutoff)
+    full = refine_assignment(instance, failure)
+    monkeypatch.setattr(synth, "solve_sop", solve)
+    assert (winner is None) == (full is None)
+    if winner is not None:
+        assert _winner_bytes(winner) == _winner_bytes(full)
+    for assignment, warm, cutoff, bound in pruned:
+        _, eta_star = solve(instance, assignment, warm=warm)
+        assert eta_star >= cutoff
+        assert cutoff + 1e-6 < bound <= eta_star + 1e-6
+    return winner, len(pruned)
+
+
+def test_pruning_keeps_every_winner_on_mini(mini_spec, mini_result, monkeypatch):
+    """Along the whole refinement chain of mini, each step picks the same
+    winner with and without cutoffs."""
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    diag = SolveDiagnostics()
+    solve_sop(inst, seed_assignment(mini_spec, samples), diag)
+    pruned = 0
+    for _ in range(mini_result.iterations):
+        diag, count = _check_pruning_keeps_the_winner(inst, diag, monkeypatch)
+        pruned += count
+        if diag is None:
+            break
+    assert pruned > 0
+
+
+def test_pruning_keeps_the_first_robots_winner(robots_spec, monkeypatch):
+    samples = sample_unsafe(robots_spec)
+    inst = build_sop(robots_spec, samples)
+    seed = SolveDiagnostics()
+    solve_sop(inst, seed_assignment(robots_spec, samples), seed)
+    winner, pruned = _check_pruning_keeps_the_winner(inst, seed, monkeypatch)
+    assert winner is not None and pruned > 0
 
 
 @pytest.mark.parametrize("case", ["robots", "drones"])
@@ -824,7 +970,7 @@ def test_robot_synthesis_fingerprint(robots_result):
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 7
-    assert robots_result.lp_solves == 534
+    assert robots_result.lp_solves == 321
     assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.19402513125294502, abs=1e-12)
 
@@ -834,6 +980,6 @@ def test_drone_synthesis_fingerprint(drones_result):
     same at 1 and 2 BLAS threads."""
     cert = drones_result.certificate
     assert drones_result.iterations == 9
-    assert drones_result.lp_solves == 338
+    assert drones_result.lp_solves == 276
     assert cert.eta_star == pytest.approx(-0.04999899999999999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.010433399676316214, abs=1e-12)
