@@ -18,6 +18,7 @@ from pathlib import Path
 from . import __version__
 from .control import ControllerIntegrityError
 from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table
+from .lp import LpNumericalError
 from .scenario import ScenarioError, load_scenario
 from .sim import run_closed_loop, write_trajectories_csv
 from .synth import (
@@ -73,7 +74,7 @@ def cmd_synth(args) -> int:
     stem = Path(args.scenario).stem
     try:
         result = synthesize(spec, degree_override=args.degree)
-    except (SynthesisError, SynthesisInfeasible, SynthesisFailure) as exc:
+    except (SynthesisError, SynthesisInfeasible, SynthesisFailure, LpNumericalError) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTH
     cert = result.certificate

@@ -37,6 +37,7 @@ for the semi-infinite constraint; Hettich & Kortanek, SIAM Review 35(3),
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import time
@@ -241,7 +242,7 @@ class SopInstance:
         self.row_table = self._row_table()
         # LPs solved on this instance: solve_sop rounds and witness scoring
         self.lp_solves = 0
-        # refinement solves started, and those a cutoff stopped early
+        # refinement candidates started, and those stopped by their LP bound
         self.candidates = 0
         self.pruned = 0
         self._operands = self._operand_table()
@@ -414,10 +415,16 @@ class SopInstance:
         under the witness ``codes`` (groups, n_t): flat indices into the
         value table and into the slacks, each (disjunct groups, n_t)."""
         minuend, subtrahend, eta = self._operands
-        c = codes[self.disjunct_groups]
-        g = np.arange(len(c))[:, None]
+        c = codes[self.disjunct_groups].astype(np.intp)
+        c += np.arange(len(c))[:, None] * minuend.shape[1]  # flat (group, code)
         r = np.arange(self.n_t)
-        return minuend[g, c] * self.n_t + r, subtrahend[g, c] * self.n_t + r, eta[g, c]
+        a = minuend.ravel().take(c)
+        a *= self.n_t
+        a += r
+        b = subtrahend.ravel().take(c)
+        b *= self.n_t
+        b += r
+        return a, b, eta.ravel().take(c)
 
     def _by_family(self, values) -> tuple:
         """Split (disjunct groups, ...) arrays into one per family."""
@@ -562,103 +569,113 @@ class SolveDiagnostics:
     eta_star: float = float("nan")
     tubes: TubeSet | None = None
     x: np.ndarray | None = None
-    assignment: DisjunctAssignment | None = None  # the witnesses solved under
-    lp_rows: int = 0
-    lp_solves: int = 0
-    active_keys: np.ndarray = ()  # row keys of the final working set
-    exact_rows: np.ndarray | None = None  # arena rows at exact times in the final LP
+    assignment: DisjunctAssignment | None = None  # the winner's witnesses
+    lp_rows: int = 0  # most rows in one LP of the call
+    lp_solves: int = 0  # LPs of the call, over every candidate
+    active_keys: np.ndarray = ()  # row keys of the winner's final working set
+    exact_rows: np.ndarray | None = None  # arena rows at exact times in its final LP
     exact_rhs: np.ndarray | None = None
-    pruned: bool = False  # stopped early: eta* is bound to exceed the cutoff
 
 
-def solve_sop(
-    instance: SopInstance,
-    assignment: DisjunctAssignment,
-    diagnostics: SolveDiagnostics | None = None,
-    warm: SolveDiagnostics | None = None,
-    cutoff: float = math.inf,
-) -> tuple[TubeSet | None, float]:
-    """Minimize the global slack under the assigned witnesses.
+def _add_violated(instance, x, tol, operands, activate) -> int:
+    """Activate the rows violated by more than ``tol`` at ``x``: the
+    arena and width scan, then each disjunct row under its witness alone
+    (``operands``), the 120 worst of each family.  Returns how many rows
+    were not active before."""
+    faces = instance.face_values(x)
+    etas = x[instance.eta_offset]
+    new = activate(instance.static_violations(faces, etas, tol))
+    for fam, vals in zip(instance.families, instance.witness_values(faces, etas, operands)):
+        flat = vals.ravel()
+        bad = np.flatnonzero(flat > tol)
+        # worst first; equal values go to the later row
+        worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
+        new += activate(fam.first * instance.n_t + worst)
+    return new
 
-    A cutting-plane loop around ``solve_lp``: solve on a small working
-    set, scan every constraint row vectorized, add the violated ones, drop
-    rows that have gone slack, repeat until the full sampled system is
-    satisfied at the optimum.  Then every face is checked against the
-    arena exactly (``SopInstance.arena_excursions``); violating times are
-    added as rows that are never dropped, and the loop goes on until both
-    checks pass.  Deterministic throughout.
 
-    ``warm``, the diagnostics of an earlier solve on the same instance,
-    hands over its final working set: its ``active_keys`` join the
-    working set and its exact arena rows start the block that is never
-    dropped.  Each such row is an arena constraint of the robust problem
-    at one time, so it cuts off no valid tube, whatever the witnesses.
+def _lazy_rounds(instance, assignment, warm, base, diag):
+    """One candidate's lazy-row loop, resumable: each ``next`` runs one
+    round and yields the bound that round's LP gives on the candidate's
+    eta* (see ``solve_sop``); the generator returns ``(x, active keys,
+    exact rows, exact rhs)`` once the full sampled system and the exact
+    arena check hold at the optimum.  ``base`` holds what every LP shares:
+    the objective, the ordering rows and the endpoint pins.
 
-    One round: one LP on the active rows, the face values at every sample
-    (one matrix-vector product per face), the arena and width scan (a
-    face's full row only when its extreme samples leave the arena), and
-    each disjunct row's value under its assigned witness alone, read
-    through index arrays built once per call.
+    A round scans the previous LP's optimum: it activates the violated
+    rows and drops the ones gone slack or, when no row is violated, adds
+    the arena rows at exact times that ``arena_excursions`` finds, and
+    returns when there are none.  Then it solves the LP on its rows.
 
-    ``cutoff`` stops a solve that cannot end below it (branch and bound;
-    Land & Doig, Econometrica 28(3), 1960).  Every round's LP relaxes the
-    final one: its rows are sampled rows and exact arena rows the final
-    optimum satisfies.  So each round's objective ``f`` bounds the final
-    objective ``eta_g + w * sum(eta_ij)`` from below, and the ordering
-    rows ``eta_ij <= eta_g - ETA_GAP`` turn that into
-    ``eta* >= (f + w k ETA_GAP) / (1 + w k)`` over the k per-dim slacks.
-    Once that bound exceeds ``cutoff`` by more than ``_PRUNE_TOL`` the
-    solve stops: ``diagnostics.pruned`` is set, no tubes or point are
-    kept, and ``(None, bound)`` is returned.  Otherwise the result is
-    ``(tubes, eta*)``, the same bits as without a cutoff.
+    Between rounds the generator keeps its dense state: the witness code
+    table, the operand arrays of ``witness_values``, the active mask and
+    the re-add counts.  ``send(True)`` suspends it: it keeps only its
+    active keys, the re-add counts of the keys ever added, its exact rows
+    and its point, yields ``None``, and rebuilds the dense state at the
+    next ``next``.  The rebuilt state is the one it had, so no LP of a
+    candidate depends on when it was suspended.
     """
-    diag = diagnostics if diagnostics is not None else SolveDiagnostics()
-    diag.assignment = assignment
-    eq_rows, eq_rhs = instance.equality_rows()
-    ord_rows, ord_rhs = instance.ordering_rows()
-    witness = instance.code_table(assignment)
-    operands = instance.witness_operands(witness)
     n_t = instance.n_t
-    active = np.zeros(instance.groups * n_t, dtype=bool)
-    add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
-
-    def activate(keys) -> int:
-        fresh = keys[~active[keys]]  # keys come without repeats
-        active[fresh] = True
-        add_count[fresh] += 1
-        return len(fresh)
-
+    weight = float(base.objective[instance.eta_offset].sum())  # w k of the bound
     # The seed rows bound every face at a handful of times, which keeps
     # the subproblem bounded regardless of what the warm start carries.
     seed_idx = sorted({0, n_t // 4, n_t // 2, 3 * n_t // 4, n_t - 1})
-    activate((np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel())
+    keys = (np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel()
     # arena rows at exact times between samples; never dropped
     exact_rows, exact_rhs = np.zeros((0, instance.n_vars)), np.zeros(0)
     if warm is not None:
-        activate(np.asarray(warm.active_keys, dtype=np.int64))
+        keys = np.concatenate([keys, np.asarray(warm.active_keys, dtype=np.int64)])
         exact_rows, exact_rhs = warm.exact_rows, warm.exact_rhs
+    # keys ever added and their re-add counts; a key may repeat, always
+    # with its current count
+    added, counts = keys, np.ones(len(keys), dtype=np.int8)
+    x = slack = None  # the last LP's optimum and its keyed rows' slack
 
-    # eta_global, plus a small weight on every per-(agent, dim) slack: it
-    # makes the optimum canonical and gives each agent and dim its own slack
-    objective = np.zeros(instance.n_vars)
-    objective[instance.eta_offset] = 1e-3
-    objective[instance.eta_global] = 1.0
-    weight = float(objective[instance.eta_offset].sum())  # w k of the bound
+    def activate(new_keys) -> int:
+        fresh = new_keys[~active[new_keys]]  # keys come without repeats
+        active[fresh] = True
+        add_count[fresh] += 1
+        fresh_keys.append(fresh)
+        return len(fresh)
 
-    x = None
-    for _round in range(300):
+    lps = 0
+    while True:
+        if added is not None:  # (re)build the dense state
+            witness = instance.code_table(assignment)
+            operands = instance.witness_operands(witness)
+            active = np.zeros(instance.groups * n_t, dtype=bool)
+            active[keys] = True
+            add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
+            add_count[added] = counts
+            fresh_keys, added = [added], None
+        if x is not None:
+            scale = max(1.0, float(np.abs(x).max()))
+            tol = _VIOL_TOL * scale
+            if _add_violated(instance, x, tol, operands, activate):
+                # Drop rows that have gone slack at this optimum, except
+                # ones that keep coming back (pinned after three re-adds to
+                # avoid cycling).
+                active[keys[(slack < -1e-6 * scale) & (add_count[keys] < 3)]] = False
+            else:
+                found_rows, found_rhs = instance.arena_excursions(x, tol)
+                if len(found_rhs) == 0:
+                    return x, keys, exact_rows, exact_rhs
+                exact_rows = np.vstack([exact_rows, found_rows])
+                exact_rhs = np.concatenate([exact_rhs, found_rhs])
+        if lps == 300:
+            raise SynthesisInfeasible("lazy constraint loop failed to converge")
         keys = np.flatnonzero(active)
         rows, rhs = instance.rows(witness, keys)
-        rows = np.vstack([rows, exact_rows, ord_rows])
-        rhs = np.concatenate([rhs, exact_rhs, ord_rhs])
-        problem = LpProblem(
-            objective=objective,
+        rows = np.vstack([rows, exact_rows, base.ineq_matrix])
+        rhs = np.concatenate([rhs, exact_rhs, base.ineq_rhs])
+        sol = solve_lp(LpProblem(
+            objective=base.objective,
             ineq_matrix=rows,
             ineq_rhs=rhs,
-            eq_matrix=eq_rows,
-            eq_rhs=eq_rhs,
-        )
-        sol = solve_lp(problem)
+            eq_matrix=base.eq_matrix,
+            eq_rhs=base.eq_rhs,
+        ))
+        lps += 1
         diag.lp_solves += 1
         instance.lp_solves += 1
         diag.lp_rows = max(diag.lp_rows, len(rhs))
@@ -669,44 +686,106 @@ def solve_sop(
             )
         if sol.status != "optimal":
             raise SynthesisInfeasible(f"LP terminated with status {sol.status}")
-        bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
-        if bound > cutoff + _PRUNE_TOL:
-            diag.pruned = True
-            return None, bound
         x = sol.x
+        slack = rows[: len(keys)] @ x - rhs[: len(keys)]
+        bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
+        del rows, rhs, sol  # no LP matrix is kept between rounds
+        if (yield bound):
+            added = np.concatenate(fresh_keys)
+            counts = add_count[added]
+            del witness, operands, active, add_count, fresh_keys
+            yield None
 
-        faces = instance.face_values(x)
-        etas = x[instance.eta_offset]
-        scale = max(1.0, float(np.abs(x).max()))
-        tol = _VIOL_TOL * scale
-        new = activate(instance.static_violations(faces, etas, tol))
-        row_vals = instance.witness_values(faces, etas, operands)
-        for fam, vals in zip(instance.families, row_vals):
-            flat = vals.ravel()
-            bad = np.flatnonzero(flat > tol)
-            # worst first; equal values go to the later row
-            worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
-            new += activate(fam.first * n_t + worst)
-        if new == 0:
-            found_rows, found_rhs = instance.arena_excursions(x, tol)
-            if len(found_rhs) == 0:
-                break
-            exact_rows = np.vstack([exact_rows, found_rows])
-            exact_rhs = np.concatenate([exact_rhs, found_rhs])
-            continue
-        # Drop rows that have gone slack at this optimum, except ones that
-        # keep coming back (pinned after three re-adds to avoid cycling).
-        slack_rows = rows[: len(keys)] @ x - rhs[: len(keys)]
-        active[keys[(slack_rows < -1e-6 * scale) & (add_count[keys] < 3)]] = False
-    else:
-        raise SynthesisInfeasible("lazy constraint loop failed to converge")
 
-    eta_star = float(x[instance.eta_global])
+def solve_sop(
+    instance: SopInstance,
+    candidates: list[DisjunctAssignment],
+    diagnostics: SolveDiagnostics | None = None,
+    warm: SolveDiagnostics | None = None,
+) -> tuple[TubeSet, float]:
+    """Minimize the global slack under each candidate's witnesses and keep
+    the least: returns ``(tubes, eta*)`` of the candidate with the least
+    ``(eta*, position)``, the first of equal optima.
+
+    Each candidate is solved by a cutting-plane loop around ``solve_lp``
+    (``_lazy_rounds``): solve on a small working set, scan every
+    constraint row vectorized, add the violated ones, drop rows that have
+    gone slack, repeat until the full sampled system is satisfied at the
+    optimum.  Then every face is checked against the arena exactly
+    (``SopInstance.arena_excursions``); violating times are added as rows
+    that are never dropped, and the loop goes on until both checks pass.
+    Deterministic throughout.
+
+    ``warm``, the diagnostics of an earlier solve on the same instance,
+    hands every candidate its final working set: its ``active_keys`` join
+    the working set and its exact arena rows start the block that is never
+    dropped.  Each such row is an arena constraint of the robust problem
+    at one time, so it cuts off no valid tube, whatever the witnesses.
+
+    Candidates run best first (best-bound branch and bound; Land & Doig,
+    Econometrica 28(3), 1960; Lawler & Wood, Operations Research 14(4),
+    1966).  Every round's LP relaxes the candidate's final one: its rows
+    are sampled rows and exact arena rows the final optimum satisfies.  So
+    each round's objective ``f`` bounds the final objective ``eta_g + w *
+    sum(eta_ij)`` from below, and the ordering rows ``eta_ij <= eta_g -
+    ETA_GAP`` turn that into ``eta* >= (f + w k ETA_GAP) / (1 + w k)`` over
+    the k per-dim slacks.  Every candidate is started in order; then the
+    one with the least ``(bound, position)`` runs its next round, and once
+    that least bound exceeds the best eta* found by more than
+    ``_PRUNE_TOL`` the candidates still running are stopped
+    (``instance.pruned`` counts them).  A candidate's rounds do not depend
+    on the order they run in, so the winner is the one that solving every
+    candidate to the end picks.
+
+    ``diagnostics`` receives the winner's point, tubes, witnesses and
+    final working set (the warm start of a later solve), and the call's
+    LP count and largest LP over every candidate.  When no candidate
+    solves, the first candidate's error is raised.
+    """
+    if not candidates:
+        raise ValueError("solve_sop needs at least one candidate")
+    diag = diagnostics if diagnostics is not None else SolveDiagnostics()
+    # eta_global, plus a small weight on every per-(agent, dim) slack: it
+    # makes the optimum canonical and gives each agent and dim its own slack
+    objective = np.zeros(instance.n_vars)
+    objective[instance.eta_offset] = 1e-3
+    objective[instance.eta_global] = 1.0
+    ord_rows, ord_rhs = instance.ordering_rows()
+    eq_rows, eq_rhs = instance.equality_rows()
+    base = LpProblem(objective, ord_rows, ord_rhs, eq_rows, eq_rhs)
+    rounds = [_lazy_rounds(instance, cand, warm, base, diag) for cand in candidates]
+    queue = [(-math.inf, pos) for pos in range(len(candidates))]  # a heap already
+    best, errors = None, {}  # (eta*, position, result) of the least solve
+    running = None  # the candidate that holds its dense state
+    while queue:
+        bound, pos = heapq.heappop(queue)
+        if best is not None and bound > best[0] + _PRUNE_TOL:
+            instance.pruned += 1 + len(queue)
+            break
+        if running not in (None, pos):
+            rounds[running].send(True)
+        running = pos
+        try:
+            bound = next(rounds[pos])
+        except StopIteration as done:
+            eta_star = float(done.value[0][instance.eta_global])
+            if best is None or (eta_star, pos) < best[:2]:
+                best = (eta_star, pos, done.value)
+            running = None
+        except (SynthesisInfeasible, LpNumericalError) as exc:
+            errors[pos] = exc
+            running = None
+        else:
+            heapq.heappush(queue, (bound, pos))
+    if best is None:
+        raise errors[min(errors)]
+    eta_star, pos, (x, keys, exact_rows, exact_rhs) = best
     tubes = instance.tubes_from_solution(x)
     diag.eta_star = eta_star
     diag.tubes = tubes
     diag.x = x
-    diag.active_keys = np.flatnonzero(active)
+    diag.assignment = candidates[pos]
+    diag.active_keys = keys
     diag.exact_rows, diag.exact_rhs = exact_rows, exact_rhs
     return tubes, eta_star
 
@@ -731,7 +810,8 @@ def _score_option(instance, group, window, code) -> float:
     endpoint pins, arena bounds with room for the opposite face at minimum
     width, and the witness rows ``sum_q signs[q] * face_q(t) - s <= rhs``
     at up to 12 samples of the window.  The optimum ranks how viable the
-    witness is.
+    witness is; an LP that is infeasible or fails its numerical check
+    scores ``inf``.
     """
     sub = _subsample(window)
     faces, signs, _, rhs, bound = (col[group, code] for col in instance.row_table)
@@ -763,15 +843,17 @@ def _score_option(instance, group, window, code) -> float:
         pin[:, block] = pins[:, : p.shape[1]]
         eq.append(pin)
         eq_rhs.append(instance.ends[j, :, i, side])
-    sol = solve_lp(
-        LpProblem(
-            objective=np.eye(nv)[-1],
-            ineq_matrix=np.vstack(rows),
-            ineq_rhs=np.concatenate(bounds),
-            eq_matrix=np.vstack(eq),
-            eq_rhs=np.concatenate(eq_rhs),
-        )
+    problem = LpProblem(
+        objective=np.eye(nv)[-1],
+        ineq_matrix=np.vstack(rows),
+        ineq_rhs=np.concatenate(bounds),
+        eq_matrix=np.vstack(eq),
+        eq_rhs=np.concatenate(eq_rhs),
     )
+    try:
+        sol = solve_lp(problem)
+    except LpNumericalError:
+        return float("inf")
     instance.lp_solves += 1
     return sol.objective_value if sol.status == "optimal" else float("inf")
 
@@ -854,17 +936,15 @@ def refine_assignment(
     conflict windows, handoff-boundary shifts around binding rows,
     per-row flips to the geometrically best witness at the current
     solution (whole set, then shrinking prefixes of the worst rows).
-    Up to ``BEAM_WIDTH`` candidates are solved in that order, each
-    warm-started from ``failure`` (``solve_sop(..., warm=failure)``): its
-    working set and the exact arena rows it found.  Each solve takes the
-    least eta* solved so far as its cutoff and stops once its LP bound
-    shows it cannot end below it; since a candidate wins only with a
-    strictly lower eta*, the winner is the one that solving every
-    candidate to the end picks.  ``instance.candidates`` counts the
-    solves started and ``instance.pruned`` those stopped early.  Returns
-    the diagnostics of the candidate with the least eta* (its witnesses in
-    ``assignment``), or None when no candidate solves.  Deterministic
-    given its inputs.
+    The first ``BEAM_WIDTH`` of them, in that order, go to one
+    ``solve_sop`` call, warm-started from ``failure``: its working set and
+    the exact arena rows it found.  It runs them best first and stops
+    those whose LP bound shows they cannot win; the winner, the least
+    ``(eta*, position)``, is the one that solving every candidate to the
+    end picks.  ``instance.candidates`` counts the candidates started and
+    ``instance.pruned`` those stopped early.  Returns the diagnostics of
+    the winner (its witnesses in ``assignment``), or None when no
+    candidate solves.  Deterministic given its inputs.
     """
     assignment = failure.assignment
     if assignment is None or failure.x is None:
@@ -925,19 +1005,15 @@ def refine_assignment(
         candidates.append(apply_flips(size))
         size //= 2
 
-    winner = None
-    for cand in candidates[:BEAM_WIDTH]:
-        diag = SolveDiagnostics()
-        instance.candidates += 1
-        cutoff = math.inf if winner is None else winner.eta_star
-        try:
-            solve_sop(instance, cand, diag, warm=failure, cutoff=cutoff)
-        except (SynthesisInfeasible, LpNumericalError):
-            continue
-        if diag.pruned:
-            instance.pruned += 1
-        elif winner is None or diag.eta_star < winner.eta_star:
-            winner = diag
+    beam = candidates[:BEAM_WIDTH]
+    if not beam:
+        return None
+    instance.candidates += len(beam)
+    winner = SolveDiagnostics()
+    try:
+        solve_sop(instance, beam, winner, warm=failure)
+    except (SynthesisInfeasible, LpNumericalError):
+        return None
     return winner
 
 
@@ -1192,8 +1268,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     validation.  ``iterations``, ``lp_solves``, ``candidates``, ``pruned``
     and ``wall_time`` count the whole search; ``lp_solves`` includes the
     LPs of witness scoring and of every refinement candidate, up to the
-    round that stopped it when it could not win (see
-    ``refine_assignment``).
+    round that stopped it when it could not win (see ``solve_sop``).
 
     Raises SynthesisFailure with the best margin found when the
     refinement budget runs out without any certificate.
@@ -1203,7 +1278,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     template = TubeTemplate.from_spec(spec, degree_override)
     instance = build_sop(spec, samples, template)
     diag = SolveDiagnostics()
-    solve_sop(instance, seed_assignment(spec, samples), diag)
+    solve_sop(instance, [seed_assignment(spec, samples)], diag)
 
     best_margin = float("inf")
     since_improved = 0

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sttube import data_path
-from sttube.cli import EXIT_USAGE, main
+from sttube.cli import EXIT_SYNTH, EXIT_USAGE, main
 from sttube.scenario import scenario_from_dict
 from sttube.synth import synthesize
 from sttube.tube import AgentTubes, TubeDim, TubeFace, TubeSet, save_tubes
@@ -59,6 +59,23 @@ def test_synth_degree_zero_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "higher-degree" in capsys.readouterr().err
+
+
+def test_synth_failed_lp_is_a_synthesis_failure(tmp_path, solo_scenario, capsys, monkeypatch):
+    """An LP that fails its numerical check ends ``synth`` with a
+    ``synthesis failed:`` line and exit code 2, not a traceback."""
+    import sttube.synth as synth
+    from sttube.lp import LpNumericalError
+
+    def failing(problem):
+        raise LpNumericalError("equality residual 1e-3 above tolerance")
+
+    monkeypatch.setattr(synth, "solve_lp", failing)
+    code = main(["synth", str(solo_scenario), "--out", str(tmp_path)])
+    assert code == EXIT_SYNTH
+    err = capsys.readouterr().err
+    assert "synthesis failed: equality residual 1e-3 above tolerance" in err
+    assert not (tmp_path / "solo.tubes").exists()
 
 
 def test_synth_negative_degree_is_a_usage_error(tmp_path, capsys):

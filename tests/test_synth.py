@@ -1,5 +1,4 @@
 import functools
-import math
 import operator
 
 import numpy as np
@@ -69,7 +68,7 @@ def test_single_agent_instance_has_no_disjunctions():
     asg = seed_assignment(spec, samples)
     assert asg.unsafe.size == 0 and asg.collision.size == 0
     inst = build_sop(spec, samples)
-    tubes, eta = solve_sop(inst, asg)
+    tubes, eta = solve_sop(inst, [asg])
     # the width family binds: strictly negative optimum
     assert eta < -0.2
 
@@ -411,7 +410,7 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
     # dim 1 at every sample, agent 1 below agent 2 at even samples and
     # above it at odd ones (witness code 2*dim + side)
     bad.collision[:] = np.arange(n_t) % 2
-    tubes, eta = solve_sop(inst, bad)
+    tubes, eta = solve_sop(inst, [bad])
     assert eta > 0.0
     assert not certify(eta, tubes, mini_spec.epsilon).passed
 
@@ -424,7 +423,7 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
     inst = build_sop(mini_spec, samples)
     asg = mini_result.assignment
     diag = SolveDiagnostics()
-    solve_sop(inst, asg, diag)
+    solve_sop(inst, [asg], diag)
     # every face at every sample, one polynomial at a time
     faces = np.array([
         inst.powers[:, : inst.z[j, i]] @ diag.x[cols[: inst.z[j, i]]]
@@ -504,7 +503,7 @@ def _seed_solution(spec):
     inst = build_sop(spec, samples)
     asg = seed_assignment(spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, asg, diag)
+    solve_sop(inst, [asg], diag)
     return inst, asg, diag.x
 
 
@@ -650,7 +649,7 @@ def test_assignment_independent_soundness(mini_spec, mini_result):
     # perturb a few non-binding witnesses away from the converged choice:
     # reverse the pair's order at the first five samples (side bit of 2*dim + side)
     asg.collision[0, :5] ^= 1
-    tubes, eta = solve_sop(inst, asg)
+    tubes, eta = solve_sop(inst, [asg])
     cert = certify(eta, tubes, mini_spec.epsilon)
     if cert.passed:
         report = validate_tubes(
@@ -697,9 +696,17 @@ def traced_solve_lp(problem):
 synth.solve_lp = traced_solve_lp
 result = synth.synthesize(scenario_from_dict(json.load(sys.stdin)))
 cert = result.certificate
+tubes = hashlib.sha256()
+for agent in result.tubes.agents:
+    for dim in agent.dims:
+        for face in (dim.lower, dim.upper):
+            tubes.update(np.asarray(face.coeffs, dtype=float).tobytes())
 print(json.dumps({
     "iterations": result.iterations,
     "lp_solves": result.lp_solves,
+    "candidates": result.candidates,
+    "pruned": result.pruned,
+    "tubes_digest": tubes.hexdigest(),
     "lp_calls": calls[0],
     "lp_digest": digest.hexdigest(),
     "eta_star": cert.eta_star.hex(),
@@ -743,7 +750,11 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
-    assert run["lp_solves"] == run["lp_calls"] == 153
+    assert run["lp_solves"] == run["lp_calls"] == 143
+    assert (run["candidates"], run["pruned"]) == (70, 52)
+    assert run["tubes_digest"] == (
+        "1befcbfdfec5f16c760b0fd8af95e09ab017269bfb7bfb1cb963d5495733391d"
+    )
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
@@ -753,6 +764,23 @@ def test_synthesis_does_not_import_scipy_optimize(mini_in_subprocesses):
 
 def test_synthesis_does_not_import_numpy_polynomial(mini_in_subprocesses):
     assert not any(run["numpy_polynomial_loaded"] for run in mini_in_subprocesses.values())
+
+
+def test_failed_scoring_lp_scores_inf(mini_spec, monkeypatch):
+    """A scoring LP that fails its numerical check ranks its option last,
+    as an infeasible one does, instead of ending the search."""
+    import sttube.synth as synth
+    from sttube.lp import LpNumericalError
+
+    inst = build_sop(mini_spec, sample_unsafe(mini_spec))
+    group, window = inst.families[0].first, list(range(20))
+    assert synth._score_option(inst, group, window, 0) < float("inf")
+
+    def failing(problem):
+        raise LpNumericalError("residual above tolerance")
+
+    monkeypatch.setattr(synth, "solve_lp", failing)
+    assert synth._score_option(inst, group, window, 0) == float("inf")
 
 
 def test_adversarial_seed_recovers(mini_spec):
@@ -766,7 +794,7 @@ def test_adversarial_seed_recovers(mini_spec):
         collision=2 * 1 + asg.collision % 2,
     )
     diag = SolveDiagnostics()
-    solve_sop(inst, bad, diag)
+    solve_sop(inst, [bad], diag)
     for _ in range(25):
         cert = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
         if cert.passed:
@@ -784,7 +812,7 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
     inst = build_sop(mini_spec, samples)
     asg = seed_assignment(mini_spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, asg, diag)
+    solve_sop(inst, [asg], diag)
     for _ in range(25):
         first = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
         if first.passed:
@@ -799,26 +827,31 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
 
 
 def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
-    """No two ``solve_sop`` calls of one search share both their witness
-    codes and their warm start (its keys and its exact rows): the solve a
-    refinement step picks is certified as it is, not solved again."""
+    """No two candidates of one search, over all its ``solve_sop`` calls,
+    share both their witness codes and their warm start (its keys and its
+    exact rows): the solve a refinement step picks is certified as it is,
+    not solved again."""
     import sttube.synth as synth
 
-    calls, solve = [], synth.solve_sop
+    calls, solved, solve = [], [], synth.solve_sop
 
-    def recording(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
+    def recording(instance, candidates, diagnostics=None, warm=None):
         carried = () if warm is None else (warm.active_keys, warm.exact_rows)
-        calls.append((
-            assignment.unsafe.tobytes(),
-            assignment.collision.tobytes(),
-            *(np.ascontiguousarray(a).tobytes() for a in carried),
-        ))
-        return solve(instance, assignment, diagnostics, warm, cutoff)
+        calls.append(len(candidates))
+        solved.extend(
+            (cand.unsafe.tobytes(), cand.collision.tobytes(),
+             *(np.ascontiguousarray(a).tobytes() for a in carried))
+            for cand in candidates
+        )
+        return solve(instance, candidates, diagnostics, warm)
 
     monkeypatch.setattr(synth, "solve_sop", recording)
     result = synth.synthesize(mini_spec)
-    assert result.certificate.passed and len(calls) > result.iterations
-    assert len(set(calls)) == len(calls)
+    assert result.certificate.passed
+    # the seed, then one call per refinement step with its whole beam
+    assert calls[0] == 1 and len(calls) == result.iterations
+    assert sum(calls) == 1 + result.candidates
+    assert len(set(solved)) == len(solved)
 
 
 def _winner_bytes(diag):
@@ -831,62 +864,181 @@ def _winner_bytes(diag):
     )
 
 
+def _solve_alone(instance, candidate, warm):
+    """``candidate`` solved to the end on its own, or None when it fails."""
+    from sttube.lp import LpNumericalError
+    from sttube.synth import SynthesisInfeasible
+
+    diag = SolveDiagnostics()
+    try:
+        solve_sop(instance, [candidate], diag, warm=warm)
+    except (SynthesisInfeasible, LpNumericalError):
+        return None
+    return diag
+
+
 def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
-    """One refinement step from ``failure``, run with its cutoffs and with
-    every solve carried to the end: the same winner comes out, and each
-    candidate stopped early, solved to the end, ends above the cutoff it
-    was stopped at.  Returns the winner and the number stopped early."""
+    """One refinement step from ``failure``, run best first, against each
+    of its candidates solved to the end on its own: the same winner comes
+    out, the least (eta*, position).  Every candidate stopped early was
+    stopped at the winner's eta* (nothing finishes after the first stop),
+    and solved to the end it ends no lower, while its last LP bound lies
+    above the winner and below its own eta*.  Returns the winner and the
+    number stopped early."""
     import sttube.synth as synth
 
-    solve, pruned = synth.solve_sop, []
+    beams, last_bound, ended = [], {}, set()
+    solve, rounds = synth.solve_sop, synth._lazy_rounds
 
-    def recording(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
-        out = solve(instance, assignment, diagnostics, warm, cutoff)
-        if diagnostics.pruned:
-            pruned.append((assignment, warm, cutoff, out[1]))
-        return out
+    def recording_solve(instance, candidates, diagnostics=None, warm=None):
+        beams.append(candidates)
+        return solve(instance, candidates, diagnostics, warm)
 
-    def no_cutoff(instance, assignment, diagnostics=None, warm=None, cutoff=math.inf):
-        return solve(instance, assignment, diagnostics, warm)
+    def recording_rounds(instance, assignment, *args):
+        inner, sent = rounds(instance, assignment, *args), None
+        while True:
+            try:
+                out = inner.send(sent)
+            except StopIteration as done:
+                ended.add(id(assignment))
+                return done.value
+            except Exception:
+                ended.add(id(assignment))
+                raise
+            if out is not None:
+                last_bound[id(assignment)] = out
+            sent = yield out
 
-    monkeypatch.setattr(synth, "solve_sop", recording)
+    monkeypatch.setattr(synth, "solve_sop", recording_solve)
+    monkeypatch.setattr(synth, "_lazy_rounds", recording_rounds)
     winner = refine_assignment(instance, failure)
-    monkeypatch.setattr(synth, "solve_sop", no_cutoff)
-    full = refine_assignment(instance, failure)
     monkeypatch.setattr(synth, "solve_sop", solve)
-    assert (winner is None) == (full is None)
-    if winner is not None:
-        assert _winner_bytes(winner) == _winner_bytes(full)
-    for assignment, warm, cutoff, bound in pruned:
-        _, eta_star = solve(instance, assignment, warm=warm)
-        assert eta_star >= cutoff
-        assert cutoff + 1e-6 < bound <= eta_star + 1e-6
-    return winner, len(pruned)
+    monkeypatch.setattr(synth, "_lazy_rounds", rounds)
+    if not beams:
+        assert winner is None
+        return None, 0
+    (beam,) = beams
+    alone = [_solve_alone(instance, cand, failure) for cand in beam]
+    solved = [(d.eta_star, pos) for pos, d in enumerate(alone) if d is not None]
+    assert (winner is None) == (not solved)
+    if winner is None:
+        return None, 0
+    pos = min(solved)[1]
+    assert winner.assignment is beam[pos]
+    assert _winner_bytes(winner) == _winner_bytes(alone[pos])
+    stopped = [q for q, cand in enumerate(beam) if id(cand) not in ended]
+    for q in stopped:
+        bound = last_bound[id(beam[q])]
+        assert winner.eta_star + 1e-6 < bound
+        if alone[q] is not None:
+            assert alone[q].eta_star >= winner.eta_star
+            assert bound <= alone[q].eta_star + 1e-6
+    return winner, len(stopped)
 
 
 def test_pruning_keeps_every_winner_on_mini(mini_spec, mini_result, monkeypatch):
     """Along the whole refinement chain of mini, each step picks the same
-    winner with and without cutoffs."""
+    winner best first as with every candidate solved to the end."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, seed_assignment(mini_spec, samples), diag)
-    pruned = 0
+    solve_sop(inst, [seed_assignment(mini_spec, samples)], diag)
+    stopped = 0
     for _ in range(mini_result.iterations):
         diag, count = _check_pruning_keeps_the_winner(inst, diag, monkeypatch)
-        pruned += count
+        stopped += count
         if diag is None:
             break
-    assert pruned > 0
+    assert stopped > 0
 
 
 def test_pruning_keeps_the_first_robots_winner(robots_spec, monkeypatch):
     samples = sample_unsafe(robots_spec)
     inst = build_sop(robots_spec, samples)
     seed = SolveDiagnostics()
-    solve_sop(inst, seed_assignment(robots_spec, samples), seed)
-    winner, pruned = _check_pruning_keeps_the_winner(inst, seed, monkeypatch)
-    assert winner is not None and pruned > 0
+    solve_sop(inst, [seed_assignment(robots_spec, samples)], seed)
+    winner, stopped = _check_pruning_keeps_the_winner(inst, seed, monkeypatch)
+    assert winner is not None and stopped > 0
+
+
+def test_duplicated_candidate_loses_to_its_earlier_copy(mini_spec):
+    """Equal optima go to the earlier position: of two copies of one
+    candidate, the first wins with the bits it has alone, and the second,
+    whose bounds never rise above that optimum, is solved to the end."""
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    asg = seed_assignment(mini_spec, samples)
+    seed = SolveDiagnostics()
+    solve_sop(inst, [asg], seed)
+    alone = _solve_alone(inst, asg, seed)
+    for first, second in ((asg, asg.copy()), (asg.copy(), asg)):
+        diag = SolveDiagnostics()
+        solve_sop(inst, [first, second], diag, warm=seed)
+        assert diag.assignment is first
+        assert _winner_bytes(diag) == _winner_bytes(alone)
+        assert diag.lp_solves == 2 * alone.lp_solves
+    assert inst.pruned == 0
+
+
+def test_no_solving_candidate_raises_the_first_error(mini_spec, monkeypatch):
+    """When every candidate fails, the error of the first one is raised,
+    whichever failed first."""
+    import sttube.synth as synth
+    from sttube.lp import LpNumericalError
+
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    asg = seed_assignment(mini_spec, samples)
+    calls = []
+
+    def failing(problem):
+        calls.append(problem)
+        raise LpNumericalError(f"LP {len(calls)}")
+
+    monkeypatch.setattr(synth, "solve_lp", failing)
+    with pytest.raises(LpNumericalError, match="LP 1"):
+        solve_sop(inst, [asg, asg.copy(), asg.copy()])
+    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        solve_sop(inst, [])
+
+
+def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
+    """The traced peak memory of one robots refinement step does not grow
+    with its candidates: it stays within 256 KiB of the largest peak of
+    its candidates solved alone.  A suspended candidate keeps its keys,
+    re-add counts, exact rows and point; the dense state it drops (code
+    table, witness operands, active mask, re-add counts) is about 1 MB per
+    candidate on robots, so keeping it would add about 7 MB here."""
+    import tracemalloc
+
+    import sttube.synth as synth
+
+    samples = sample_unsafe(robots_spec)
+    inst = build_sop(robots_spec, samples)
+    seed = SolveDiagnostics()
+    solve_sop(inst, [seed_assignment(robots_spec, samples)], seed)
+    beams, solve = [], synth.solve_sop
+
+    def recording(instance, candidates, diagnostics=None, warm=None):
+        beams.append(candidates)
+        return solve(instance, candidates, diagnostics, warm)
+
+    monkeypatch.setattr(synth, "solve_sop", recording)
+    refine_assignment(inst, seed)
+    (beam,) = beams
+    assert len(beam) == synth.BEAM_WIDTH
+
+    def traced_peak(candidates):
+        tracemalloc.start()
+        try:
+            solve(inst, candidates, SolveDiagnostics(), warm=seed)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = max(traced_peak([cand]) for cand in beam)
+    assert traced_peak(beam) <= alone + 256 * 1024
 
 
 @pytest.mark.parametrize("case", ["robots", "drones"])
@@ -900,7 +1052,7 @@ def test_warm_start_carries_exact_arena_rows(case, request):
     inst = build_sop(spec, samples)
     asg = seed_assignment(spec, samples)
     first = SolveDiagnostics()
-    solve_sop(inst, asg, first)
+    solve_sop(inst, [asg], first)
     assert len(first.exact_rhs) > 0  # the first solve needed exact rows
 
     found, excursions = [], inst.arena_excursions
@@ -912,7 +1064,7 @@ def test_warm_start_carries_exact_arena_rows(case, request):
 
     inst.arena_excursions = counting
     again = SolveDiagnostics()
-    solve_sop(inst, asg, again, warm=first)
+    solve_sop(inst, [asg], again, warm=first)
     assert found and not any(found)
     assert again.lp_solves < first.lp_solves
     assert again.exact_rows.tobytes() == first.exact_rows.tobytes()
@@ -964,13 +1116,30 @@ def test_robot_synthesis_result(robots_result, robots_spec):
     assert robots_result.wall_time < 300.0
 
 
+def _tubes_digest(tubes):
+    """sha256 over every face's coefficients, agent by agent and dim by
+    dim, lower face first (the digest the mini subprocess prints)."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for agent in tubes.agents:
+        for dim in agent.dims:
+            for face in (dim.lower, dim.upper):
+                digest.update(np.asarray(face.coeffs, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
 def test_robot_synthesis_fingerprint(robots_result):
     """The witness search's exact result on the robots case study.  It is
     the same at 1 and 2 BLAS threads, so any change to the search, its
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 7
-    assert robots_result.lp_solves == 321
+    assert robots_result.lp_solves == 246
+    assert (robots_result.candidates, robots_result.pruned) == (48, 36)
+    assert _tubes_digest(robots_result.tubes) == (
+        "3c314d54de7a11376786a6d37be34036af899aad1d1effa16ae3e82b2af3100c"
+    )
     assert cert.eta_star == pytest.approx(-0.199999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.19402513125294502, abs=1e-12)
 
@@ -980,6 +1149,10 @@ def test_drone_synthesis_fingerprint(drones_result):
     same at 1 and 2 BLAS threads."""
     cert = drones_result.certificate
     assert drones_result.iterations == 9
-    assert drones_result.lp_solves == 276
+    assert drones_result.lp_solves == 263
+    assert (drones_result.candidates, drones_result.pruned) == (64, 43)
+    assert _tubes_digest(drones_result.tubes) == (
+        "31acf0c3a86ade21668cba5b12347ef9fcb034384573f1b567aac94c1bb555b9"
+    )
     assert cert.eta_star == pytest.approx(-0.04999899999999999, abs=1e-12)
     assert cert.margin == pytest.approx(-0.010433399676316214, abs=1e-12)
