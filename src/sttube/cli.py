@@ -201,6 +201,8 @@ def cmd_lipschitz(args) -> int:
             repetitions=args.reps,
             rng_seed=args.seed,
         )
+        if args.trend < 0:
+            raise ValueError("trend must be a nonnegative number of halvings")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

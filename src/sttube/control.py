@@ -89,10 +89,6 @@ class ControllerConfig:
         if len(self.funnels) != len(self.kappa) - 1:
             raise ValueError("need one funnel per stage beyond the first")
 
-    @property
-    def stage_count(self) -> int:
-        return len(self.kappa)
-
 
 @dataclass
 class StageTelemetry:
@@ -127,7 +123,7 @@ def constraint_rows(lower, upper, config: ControllerConfig, times) -> np.ndarray
     ``lower``/``upper`` are the stage-1 walls at ``times``, shape
     (len(times), dims).  Each row is the wall widths hi - lo, the wall
     sums hi + lo, then the radii of funnels 2..N at that time:
-    (stage_count + 1) * dims values.
+    (N + 1) * dims values for N stages (``len(config.kappa)``).
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)

@@ -270,8 +270,18 @@ def run_closed_loop(
 
     ``seed`` overrides the scenario's disturbance seed; ``kappa``
     overrides the per-stage gains; ``initial_states`` (per agent, flat)
-    override the tube-center default.
+    override the tube-center default.  A scenario horizon shorter than the
+    tubes' tracks their first part; ``ValueError`` is raised when the
+    tubes and the scenario differ in agent count or dims, or when the
+    scenario runs past the tubes' horizon.
     """
+    shape = (tubes.agent_count, tubes.dims)
+    if shape != (spec.agent_count, spec.dims) or spec.horizon > tubes.horizon:
+        raise ValueError(
+            "tubes do not match the scenario: (agents, dims, horizon) "
+            f"{(*shape, tubes.horizon)} in the tubes, "
+            f"{(spec.agent_count, spec.dims, spec.horizon)} in the scenario"
+        )
     model = plant if plant is not None else make_plant(spec.plant, spec.dims)
     dist = Disturbance.from_config(spec.plant)
     if seed is not None:

@@ -113,22 +113,6 @@ class TubeTemplate:
         return TubeTemplate(degrees=degrees, min_widths=widths)
 
 
-class _Family:
-    """One family of disjunctions: unsafe rows or collision rows.
-
-    Group g holds the rows of head ``heads[g]`` at every time sample:
-    (agent, region) for unsafe rows, (agent, agent) for collision rows,
-    in sorted order.  Its rows use the per-dim slack of ``agents[g]`` and
-    are row group ``first + g`` of the instance.
-    """
-
-    def __init__(self, tag: str, heads: list, first: int):
-        self.tag = tag  # orders the flip list (see ``refine_assignment``)
-        self.heads = heads
-        self.first = first
-        self.agents = np.array([head[0] for head in heads], dtype=int)
-
-
 def least_separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
     """The least witness option of every disjunction: unsafe (R, m, T) and
     collision (P, T), the minimum over (dim, side) of the option values.
@@ -231,14 +215,17 @@ class SopInstance:
         unsafe_first = coll_first + len(self.pairs)
         width_first = unsafe_first + self.m * n_reg
         self.groups = width_first + self.m * self.n
+        # the rows of a witness table (``DisjunctAssignment.codes``)
         self.disjunct_groups = slice(coll_first, width_first)
+        # its unsafe rows, then its collision rows: the order in which the
+        # scan and the stuck-window search visit them
+        self.family_rows = (
+            slice(unsafe_first - coll_first, width_first - coll_first),
+            slice(0, unsafe_first - coll_first),
+        )
         # arena and width groups: one row shape each, scanned by
         # ``static_violations``
         self.static_groups = np.r_[0:n_arena, width_first : self.groups]
-        self.families = (
-            _Family("unsafe", [(j, r) for j in range(self.m) for r in range(n_reg)], unsafe_first),
-            _Family("coll", self.pairs, coll_first),
-        )
         self.row_table = self._row_table()
         # LPs solved on this instance: solve_sop rounds and witness scoring
         self.lp_solves = 0
@@ -322,19 +309,17 @@ class SopInstance:
 
     def rows(self, codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the given keys, gathered from the row table;
-        ``codes`` is the (groups, n_t) witness of every row."""
+        ``codes`` is the witness table (disjunct groups, n_t).  Arena and
+        width rows take code 0: their row-table entries are the same for
+        every code."""
         g, r = np.divmod(keys, self.n_t)
-        c = codes[g, r]
+        d = g - self.disjunct_groups.start
+        witnessed = (d >= 0) & (d < len(codes))
+        c = np.zeros(len(keys), dtype=np.int8)
+        c[witnessed] = codes[d[witnessed], r[witnessed]]
         faces, signs, etas, rhs, bound = (col[g, c] for col in self.row_table)
         matrix = self._face_rows(faces, signs, etas, self.powers[r])
         return matrix, np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[r, bound])
-
-    def code_table(self, assignment: "DisjunctAssignment") -> np.ndarray:
-        """Witness code of every row group at every sample, (groups, n_t)."""
-        codes = np.zeros((self.groups, self.n_t), dtype=np.int8)
-        for fam, table in zip(self.families, assignment.tables()):
-            codes[fam.first : fam.first + len(table)] = table
-        return codes
 
     def equality_rows(self):
         """Endpoint pins: face(0) and face(t_c) equal the box bounds."""
@@ -412,10 +397,11 @@ class SopInstance:
 
     def witness_operands(self, codes: np.ndarray):
         """Where ``witness_values`` reads the terms of every disjunct row
-        under the witness ``codes`` (groups, n_t): flat indices into the
-        value table and into the slacks, each (disjunct groups, n_t)."""
+        under the witness table ``codes`` (disjunct groups, n_t): flat
+        indices into the value table and into the flattened (m, n) slacks,
+        each (disjunct groups, n_t)."""
         minuend, subtrahend, eta = self._operands
-        c = codes[self.disjunct_groups].astype(np.intp)
+        c = codes.astype(np.intp)
         c += np.arange(len(c))[:, None] * minuend.shape[1]  # flat (group, code)
         r = np.arange(self.n_t)
         a = minuend.ravel().take(c)
@@ -426,29 +412,21 @@ class SopInstance:
         b += r
         return a, b, eta.ravel().take(c)
 
-    def _by_family(self, values) -> tuple:
-        """Split (disjunct groups, ...) arrays into one per family."""
-        start = self.disjunct_groups.start
-        return tuple(
-            values[fam.first - start : fam.first - start + len(fam.heads)]
-            for fam in self.families
-        )
-
-    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> tuple:
+    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> np.ndarray:
         """Slack of every disjunct row at a solution with face values
         ``faces`` and slacks ``etas``: the witnessed option's value (the
         row table's term of sign +1 minus the other term) minus the
-        agent's slack in that dim.  One (groups, n_t) array per family."""
+        agent's slack in that dim, (disjunct groups, n_t)."""
         minuend, subtrahend, eta = operands
         table = np.concatenate([faces.ravel(), self._bound_rows])
         values = table.take(minuend)
         values -= table.take(subtrahend)
         values -= etas.take(eta)
-        return self._by_family(values)
+        return values
 
-    def best_witnesses(self, faces: np.ndarray) -> tuple:
+    def best_witnesses(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Most-negative option of every disjunct row at face values
-        ``faces``: per family, (code, value), each (groups, n_t).  Codes
+        ``faces``: (code, value), each (disjunct groups, n_t).  Codes
         are taken in order, one at a time through the operand table of
         ``witness_values``, and a later code wins only by more than 1e-15."""
         minuend, subtrahend, _ = self._operands
@@ -460,7 +438,7 @@ class SopInstance:
             better = value < best_v - 1e-15
             np.copyto(best_v, value, where=better)
             best_c[better] = c
-        return tuple(zip(self._by_family(best_c), self._by_family(best_v)))
+        return best_c, best_v
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
         coeffs = [tuple(x[cols]) for cols in self.face_columns]
@@ -494,32 +472,30 @@ def build_sop(
 # Disjunct assignment
 
 
-@dataclass
 class DisjunctAssignment:
-    """One witness per disjunction, stored as int8 codes ``2*dim + side``.
+    """One witness per disjunction, stored as int8 codes ``2*dim + side``
+    in one table ``codes`` (disjunct groups, n_t), in the instance's
+    row-group order: collision pairs, then (agent, region).
 
     ``unsafe[j, r, t]``: agent j's tube clears region r at time sample t
     in dim ``code // 2``, its lower face above the region (side 0) or its
     upper face below it (side 1).  ``collision[p, t]``: the agents (j, k)
     of ``SopInstance.pairs[p]`` separate in dim ``code // 2``, j below k
-    (side 0) or k below j (side 1).  Codes sort like the (dim, side) pairs
-    they encode.
+    (side 0) or k below j (side 1).  Both are writable views of ``codes``,
+    (m, regions, n_t) and (pairs, n_t).  Codes sort like the (dim, side)
+    pairs they encode.
     """
 
-    unsafe: np.ndarray  # (m, regions, n_t)
-    collision: np.ndarray  # (pairs, n_t)
-
-    def __post_init__(self):
-        self.unsafe = np.ascontiguousarray(self.unsafe, dtype=np.int8)
-        self.collision = np.ascontiguousarray(self.collision, dtype=np.int8)
+    def __init__(self, unsafe, collision):
+        unsafe = np.asarray(unsafe)
+        n_t = unsafe.shape[-1]
+        collision = np.reshape(collision, (-1, n_t))
+        self.codes = np.concatenate([collision, unsafe.reshape(-1, n_t)], dtype=np.int8)
+        self.collision = self.codes[: len(collision)]
+        self.unsafe = self.codes[len(collision) :].reshape(unsafe.shape)
 
     def copy(self) -> "DisjunctAssignment":
-        return DisjunctAssignment(unsafe=self.unsafe.copy(), collision=self.collision.copy())
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Writable (groups, n_t) views of the codes, in
-        ``SopInstance.families`` order."""
-        return self.unsafe.reshape(-1, self.unsafe.shape[-1]), self.collision
+        return DisjunctAssignment(unsafe=self.unsafe, collision=self.collision)
 
 
 def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
@@ -580,17 +556,18 @@ class SolveDiagnostics:
 def _add_violated(instance, x, tol, operands, activate) -> int:
     """Activate the rows violated by more than ``tol`` at ``x``: the
     arena and width scan, then each disjunct row under its witness alone
-    (``operands``), the 120 worst of each family.  Returns how many rows
-    were not active before."""
+    (``operands``), the 120 worst of each family (``family_rows``).
+    Returns how many rows were not active before."""
     faces = instance.face_values(x)
     etas = x[instance.eta_offset]
     new = activate(instance.static_violations(faces, etas, tol))
-    for fam, vals in zip(instance.families, instance.witness_values(faces, etas, operands)):
-        flat = vals.ravel()
+    values = instance.witness_values(faces, etas, operands)
+    for rows in instance.family_rows:
+        flat = values[rows].ravel()
         bad = np.flatnonzero(flat > tol)
         # worst first; equal values go to the later row
         worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
-        new += activate(fam.first * instance.n_t + worst)
+        new += activate((instance.disjunct_groups.start + rows.start) * instance.n_t + worst)
     return new
 
 
@@ -607,13 +584,13 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     the arena rows at exact times that ``arena_excursions`` finds, and
     returns when there are none.  Then it solves the LP on its rows.
 
-    Between rounds the generator keeps its dense state: the witness code
-    table, the operand arrays of ``witness_values``, the active mask and
-    the re-add counts.  ``send(True)`` suspends it: it keeps only its
-    active keys, the re-add counts of the keys ever added, its exact rows
-    and its point, yields ``None``, and rebuilds the dense state at the
-    next ``next``.  The rebuilt state is the one it had, so no LP of a
-    candidate depends on when it was suspended.
+    Between rounds the generator keeps its dense state: the operand
+    arrays of ``witness_values``, the active mask and the re-add counts.
+    ``send(True)`` suspends it: it keeps only its active keys, the re-add
+    counts of the keys ever added, its exact rows and its point, yields
+    ``None``, and rebuilds the dense state at the next ``next``.  The
+    rebuilt state is the one it had, so no LP of a candidate depends on
+    when it was suspended.
     """
     n_t = instance.n_t
     weight = float(base.objective[instance.eta_offset].sum())  # w k of the bound
@@ -641,8 +618,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     lps = 0
     while True:
         if added is not None:  # (re)build the dense state
-            witness = instance.code_table(assignment)
-            operands = instance.witness_operands(witness)
+            operands = instance.witness_operands(assignment.codes)
             active = np.zeros(instance.groups * n_t, dtype=bool)
             active[keys] = True
             add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
@@ -665,7 +641,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
         if lps == 300:
             raise SynthesisInfeasible("lazy constraint loop failed to converge")
         keys = np.flatnonzero(active)
-        rows, rhs = instance.rows(witness, keys)
+        rows, rhs = instance.rows(assignment.codes, keys)
         rows = np.vstack([rows, exact_rows, base.ineq_matrix])
         rhs = np.concatenate([rhs, exact_rhs, base.ineq_rhs])
         sol = solve_lp(LpProblem(
@@ -693,7 +669,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
         if (yield bound):
             added = np.concatenate(fresh_keys)
             counts = add_count[added]
-            del witness, operands, active, add_count, fresh_keys
+            del operands, active, add_count, fresh_keys
             yield None
 
 
@@ -866,20 +842,22 @@ def _stuck_window_candidates(instance, best_values):
     For each stuck (agent, region) or (agent, agent) group the conflicted
     time window is re-witnessed uniformly; options are ranked by the
     slack a single face could achieve for them in isolation.  Returns
-    (family, group, window, two best (score, code) options) per group.
+    (witness table row, window, two best (score, code) options) per
+    group, unsafe groups first (``family_rows``).
     """
+    conflicted = best_values > -0.05
+    stuck = (best_values > -1e-9).any(axis=1)
     out = []
-    for f, (fam, best_v) in enumerate(zip(instance.families, best_values)):
-        conflicted = best_v > -0.05
-        for g in np.flatnonzero((best_v > -1e-9).any(axis=1)):
+    for rows in instance.family_rows:
+        for g in rows.start + np.flatnonzero(stuck[rows]):
             window = np.flatnonzero(conflicted[g]).tolist()
             scored = (
-                (_score_option(instance, fam.first + g, window, code), code)
+                (_score_option(instance, instance.disjunct_groups.start + g, window, code), code)
                 for code in range(2 * instance.n)
             )
             options = sorted(opt for opt in scored if opt[0] < float("inf"))
             if options:
-                out.append((f, g, window, options[:2]))
+                out.append((g, window, options[:2]))
     return out
 
 
@@ -894,34 +872,28 @@ def _boundary_shift_candidates(instance, assignment, binding):
     re-solve buy margin.  Both directions and two scales are proposed.
     """
     n_t = instance.n_t
-    # per family: handoffs (g, rr) between samples rr and rr + 1 that lie
-    # within [r - 3, r + 2] of a binding row (g, r)
-    handoffs = []
-    for codes, bound in zip(assignment.tables(), binding):
-        g, r = np.nonzero(bound)
-        near = np.zeros((len(codes), max(n_t - 1, 0)), dtype=bool)
-        for d in range(-3, 3):
-            ok = (r + d >= 0) & (r + d < n_t - 1)
-            near[g[ok], r[ok] + d] = True
-        near &= codes[:, :-1] != codes[:, 1:]
-        handoffs.append(
-            [(g, rr, codes[g, rr], codes[g, rr + 1]) for g, rr in np.argwhere(near)]
-        )
-    if not any(handoffs):
-        return []
+    codes = assignment.codes
+    # handoffs (g, rr) between samples rr and rr + 1 that lie within
+    # [r - 3, r + 2] of a binding row (g, r)
+    g, r = np.nonzero(binding)
+    near = np.zeros((len(codes), max(n_t - 1, 0)), dtype=bool)
+    for d in range(-3, 3):
+        ok = (r + d >= 0) & (r + d < n_t - 1)
+        near[g[ok], r[ok] + d] = True
+    near &= codes[:, :-1] != codes[:, 1:]
+    handoffs = [(g, rr, codes[g, rr], codes[g, rr + 1]) for g, rr in np.argwhere(near)]
     out = []
     for leftward in (True, False):
         for scale in (max(2, n_t // 40), max(4, n_t // 12)):
             cand = assignment.copy()
             changed = False
-            for codes, found in zip(cand.tables(), handoffs):
-                for g, rr, a, b in found:
-                    if leftward:
-                        span, choice = slice(max(0, rr - scale + 1), rr + 1), b
-                    else:
-                        span, choice = slice(rr + 1, min(n_t, rr + 1 + scale)), a
-                    changed = changed or bool((codes[g, span] != choice).any())
-                    codes[g, span] = choice
+            for g, rr, a, b in handoffs:
+                if leftward:
+                    span, choice = slice(max(0, rr - scale + 1), rr + 1), b
+                else:
+                    span, choice = slice(rr + 1, min(n_t, rr + 1 + scale)), a
+                changed = changed or bool((cand.codes[g, span] != choice).any())
+                cand.codes[g, span] = choice
             if changed:
                 out.append(cand)
     return out
@@ -951,56 +923,46 @@ def refine_assignment(
         raise ValueError("refinement needs diagnostics from a previous solve")
     faces = instance.face_values(failure.x)
     etas = failure.x[instance.eta_offset]
-    row_vals = instance.witness_values(
-        faces, etas, instance.witness_operands(instance.code_table(assignment))
-    )
-    best = instance.best_witnesses(faces)
+    operands = instance.witness_operands(assignment.codes)
+    row_vals = instance.witness_values(faces, etas, operands)
+    slack_index = operands[2]
+    del operands
+    best_c, best_v = instance.best_witnesses(faces)
     # Binding disjunct rows: the row sits at its slack AND that slack pins
     # the global optimum through the ordering chain.
     pinned = etas >= failure.eta_star - ETA_GAP - 1e-7
-    binding = [
-        (vals >= -1e-7) & pinned[fam.agents[:, None], codes // 2]
-        for fam, codes, vals in zip(instance.families, assignment.tables(), row_vals)
-    ]
+    binding = (row_vals >= -1e-7) & pinned.ravel()[slack_index]
+    del slack_index
 
     # Flips: every row whose best witness differs from its current one,
-    # worst slack first, then by row key (tag, head, sample).
-    flips = []
-    for f, (codes, (best_c, _), vals) in enumerate(
-        zip(assignment.tables(), best, row_vals)
-    ):
-        q = np.flatnonzero(best_c != codes)
-        flips.append((np.full(len(q), f), q, best_c.ravel()[q], vals.ravel()[q]))
-    fam_of, flat, new_code, value = (np.concatenate(col) for col in zip(*flips))
-    tags = np.array([fam.tag for fam in instance.families])[fam_of]
-    order = np.lexsort((flat, tags, -value))
-    fam_of, flat, new_code = fam_of[order], flat[order], new_code[order]
+    # worst slack first, then by row key (group, sample).
+    flat = np.flatnonzero(best_c != assignment.codes)
+    flat = flat[np.lexsort((flat, -row_vals.ravel()[flat]))]
+    new_code = best_c.ravel()[flat]
 
     def apply_flips(count):
         cand = assignment.copy()
-        for f, codes in enumerate(cand.tables()):
-            sel = fam_of[:count] == f
-            np.put(codes, flat[:count][sel], new_code[:count][sel])
+        np.put(cand.codes, flat[:count], new_code[:count])
         return cand
 
     candidates: list[DisjunctAssignment] = []
-    windows = _stuck_window_candidates(instance, [best_v for _, best_v in best])
+    windows = _stuck_window_candidates(instance, best_v)
     if windows:
         # Primary escape: best-ranked option applied to every stuck window
         # at once (on top of the geometric per-row flips), then the
         # second-ranked variations one window at a time.
-        combo = apply_flips(len(order))
-        for f, g, window, ranked in windows:
-            combo.tables()[f][g, window] = ranked[0][1]
+        combo = apply_flips(len(flat))
+        for g, window, ranked in windows:
+            combo.codes[g, window] = ranked[0][1]
         candidates.append(combo)
-        for f, g, window, ranked in windows:
+        for g, window, ranked in windows:
             if len(ranked) < 2:
                 continue
             variant = combo.copy()
-            variant.tables()[f][g, window] = ranked[1][1]
+            variant.codes[g, window] = ranked[1][1]
             candidates.append(variant)
     candidates.extend(_boundary_shift_candidates(instance, assignment, binding))
-    size = len(order)
+    size = len(flat)
     while size >= 1 and len(candidates) < BEAM_WIDTH:
         candidates.append(apply_flips(size))
         size //= 2

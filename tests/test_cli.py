@@ -215,6 +215,40 @@ def test_simulate_rejects_closed_loop_settings(tmp_path, capsys, flags, message)
     assert err.startswith("error: ") and message in err
 
 
+def _robots_table_with(tmp_path, change):
+    """robots_table.tubes as a dict, changed by ``change`` and saved."""
+    from sttube.tube import load_tubes, tubes_from_dict, tubes_to_dict
+
+    raw = tubes_to_dict(load_tubes(data_path("robots_table.tubes")))
+    change(raw)
+    path = tmp_path / "changed.tubes"
+    save_tubes(tubes_from_dict(raw), path)
+    return path
+
+
+@pytest.mark.parametrize("tubes,message", [
+    (lambda tmp: _robots_table_with(tmp, lambda raw: raw["agents"].pop()),
+     "(3, 2, 10.0) in the tubes, (4, 2, 10.0) in the scenario"),
+    (lambda tmp: _robots_table_with(tmp, lambda raw: raw.update(horizon=5.0)),
+     "(4, 2, 5.0) in the tubes, (4, 2, 10.0) in the scenario"),
+    (lambda tmp: data_path("drones_table.tubes"),
+     "(4, 3, 20.0) in the tubes, (4, 2, 10.0) in the scenario"),
+], ids=["three-agents", "horizon-5", "drone-tubes"])
+def test_simulate_rejects_tubes_that_do_not_match_the_scenario(tmp_path, capsys, tubes, message):
+    """Tubes with another agent count or dims than the scenario, or a
+    shorter horizon, are a usage error naming both shapes: an ``error:``
+    line and exit code 1, not a traceback, a run past the tubes' horizon
+    or a verification failure."""
+    code = main([
+        "simulate", str(data_path("robots.scenario")), str(tubes(tmp_path)),
+        "--force", "--out", str(tmp_path),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: tubes do not match the scenario: ") and message in err
+    assert not (tmp_path / "robots.trajectories.csv").exists()
+
+
 def test_solo_synthesis_passes_dense_validation():
     """The faces of SOLO run along the arena walls; the certified tube must
     stay inside the arena between time samples too."""
@@ -234,10 +268,11 @@ def test_lipschitz_prints_estimates(capsys):
     (["--alpha", "0"], "alpha must be positive"),
     (["--pairs", "1"], "at least two pairs"),
     (["--reps", "5"], "at least ten repetitions"),
-], ids=["alpha-zero", "one-pair", "five-reps"])
+    (["--trend", "-1"], "trend must be a nonnegative number of halvings"),
+], ids=["alpha-zero", "one-pair", "five-reps", "negative-trend"])
 def test_lipschitz_rejects_sampling_settings(capsys, flags, message):
-    """A sampling plan ``SlopeSampleConfig`` rejects is a usage error: an
-    ``error:`` line and exit code 1."""
+    """A sampling plan ``SlopeSampleConfig`` rejects, and a negative
+    ``--trend``, are usage errors: an ``error:`` line and exit code 1."""
     code = main(["lipschitz", str(data_path("robots_table.tubes")), *flags])
     err = capsys.readouterr().err
     assert code == 1

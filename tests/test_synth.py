@@ -68,6 +68,11 @@ def test_single_agent_instance_has_no_disjunctions():
     asg = seed_assignment(spec, samples)
     assert asg.unsafe.size == 0 and asg.collision.size == 0
     inst = build_sop(spec, samples)
+    assert asg.codes.shape == (0, inst.n_t)
+    # arena and width rows only, each the same whatever the (empty) table
+    keys = np.arange(inst.groups * inst.n_t)
+    matrix, rhs = inst.rows(asg.codes, keys)
+    assert matrix.shape == (len(keys), inst.n_vars) and rhs.shape == (len(keys),)
     tubes, eta = solve_sop(inst, [asg])
     # the width family binds: strictly negative optimum
     assert eta < -0.2
@@ -242,11 +247,21 @@ def separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _option_tensors(instance, faces):
-    """Per family, every option of every disjunct row: (groups, 2n, n_t),
+    """Every option of every disjunct row, in witness-table order
+    (collision pairs, then (agent, region)): (disjunct groups, 2n, n_t),
     option ``2*dim + side``."""
     shape = (-1, 2 * instance.n, instance.n_t)
     unsafe, coll = separation_options(faces, instance.obstacle_bounds)
-    return unsafe.reshape(shape), coll.reshape(shape)
+    return np.concatenate([coll.reshape(shape), unsafe.reshape(shape)])
+
+
+def _row_heads(instance):
+    """(family tag, head) of every witness-table row: the collision pairs
+    (j, k), then (agent, region) in sorted order."""
+    regions = len(instance.spec.obstacles)
+    return [("coll", pair) for pair in instance.pairs] + [
+        ("unsafe", (j, r)) for j in range(instance.m) for r in range(regions)
+    ]
 
 
 def _dense_faces(tubes, spec, resolution):
@@ -389,13 +404,12 @@ def _sequential_best(values):
 
 def _assignment_row_values(instance, assignment, options, etas):
     """Reference for ``SopInstance.witness_values``: the witnessed option
-    picked out of the full option arrays, minus the agent's slack in that
-    dim; one (groups, n_t) array per family."""
-    out = []
-    for fam, codes, opt in zip(instance.families, assignment.tables(), options):
-        chosen = np.take_along_axis(opt, codes[:, None, :], axis=1)[:, 0]
-        out.append(chosen - etas[fam.agents[:, None], codes // 2])
-    return out
+    picked out of the full option arrays, minus the slack of the row's
+    first agent in that dim; (disjunct groups, n_t)."""
+    codes = assignment.codes
+    agents = np.array([head[0] for _, head in _row_heads(instance)], dtype=int)
+    chosen = np.take_along_axis(options, codes[:, None, :], axis=1)[:, 0]
+    return chosen - etas[agents[:, None], codes // 2]
 
 
 def test_contradictory_assignment_cannot_certify(mini_spec):
@@ -432,17 +446,15 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
 
     faces_now = inst.face_values(diag.x)
     etas = diag.x[inst.eta_offset]
-    row_vals = inst.witness_values(faces_now, etas, inst.witness_operands(inst.code_table(asg)))
-    best = inst.best_witnesses(faces_now)
-    for fam, codes, vals, (best_codes, best_vals) in zip(
-        inst.families, asg.tables(), row_vals, best
-    ):
-        for (g, t), code in np.ndenumerate(codes):
-            head = fam.heads[g]
-            option = functools.partial(_scalar_option, inst, faces, fam.tag, head, t)
-            assert vals[g, t] == option(code) - etas[head[0], code // 2]
-            expected = _sequential_best([option(c) for c in range(2 * inst.n)])
-            assert (best_vals[g, t], best_codes[g, t]) == expected
+    vals = inst.witness_values(faces_now, etas, inst.witness_operands(asg.codes))
+    best_codes, best_vals = inst.best_witnesses(faces_now)
+    heads = _row_heads(inst)
+    for (g, t), code in np.ndenumerate(asg.codes):
+        tag, head = heads[g]
+        option = functools.partial(_scalar_option, inst, faces, tag, head, t)
+        assert vals[g, t] == option(code) - etas[head[0], code // 2]
+        expected = _sequential_best([option(c) for c in range(2 * inst.n)])
+        assert (best_vals[g, t], best_codes[g, t]) == expected
 
 
 _TIE_SPEC = {
@@ -469,6 +481,98 @@ def tie_instance():
     return build_sop(spec, sample_unsafe(spec))
 
 
+def test_assignment_views_write_into_the_witness_table(tie_instance):
+    """``unsafe`` and ``collision`` are views of ``codes``: a write through
+    either lands at its row-group row (collision pairs, then (agent,
+    region)), and that row's group in the row table is the pair's or the
+    (agent, region)'s."""
+    inst = tie_instance
+    regions, n_pairs = len(inst.spec.obstacles), len(inst.pairs)
+    asg = DisjunctAssignment(
+        unsafe=np.zeros((inst.m, regions, inst.n_t), dtype=int),
+        collision=np.zeros((n_pairs, inst.n_t), dtype=int),
+    )
+    assert asg.codes.dtype == np.int8
+    assert asg.codes.shape == (n_pairs + inst.m * regions, inst.n_t)
+    faces, _, etas, _, bound = inst.row_table
+    for p, (j, k) in enumerate(inst.pairs):
+        asg.collision[p, -1] = 1
+        assert asg.codes[p, -1] == 1
+        # code 1 of a pair: k's upper face below j's lower face, j's slack
+        g = inst.disjunct_groups.start + p
+        assert faces[g, 1].tolist() == [(k * inst.n) * 2 + 1, (j * inst.n) * 2]
+        assert etas[g, 1] == inst.eta_offset[j, 0]
+    for j, r in np.ndindex(inst.m, regions):
+        row = n_pairs + j * regions + r
+        asg.unsafe[j, r, 0] = 3
+        assert asg.codes[row, 0] == 3
+        # code 3: agent j's upper face in dim 2 below region r's bottom
+        g = inst.disjunct_groups.start + row
+        assert faces[g, 3, 0] == (j * inst.n + 1) * 2 + 1
+        assert bound[g, 3] == (r * inst.n + 1) * 2
+        assert etas[g, 3] == inst.eta_offset[j, 1]
+    assert np.count_nonzero(asg.codes) == n_pairs + inst.m * regions
+
+
+def test_assignment_copy_shares_no_memory(tie_instance):
+    inst = tie_instance
+    regions = len(inst.spec.obstacles)
+    asg = DisjunctAssignment(
+        unsafe=np.ones((inst.m, regions, inst.n_t), dtype=int),
+        collision=np.full((len(inst.pairs), inst.n_t), 2),
+    )
+    twin = asg.copy()
+    assert twin.codes.tobytes() == asg.codes.tobytes()
+    for mine in (twin.codes, twin.unsafe, twin.collision):
+        for theirs in (asg.codes, asg.unsafe, asg.collision):
+            assert not np.shares_memory(mine, theirs)
+    # the copy's views are views of its own table
+    twin.unsafe[0, 0, 0] = 3
+    twin.collision[0, 0] = 3
+    assert twin.codes[len(inst.pairs), 0] == 3 and twin.codes[0, 0] == 3
+    assert (asg.codes != 3).all()
+
+
+def _row_from_table(inst, g, r, code):
+    """Row ``row_table[g, code]`` at sample r written out: each face term's
+    sign times the powers of the sample time on that face's columns, -1 at
+    the slack, and the right-hand side or the signed obstacle bound."""
+    faces, signs, eta, rhs, bound = (col[g, code] for col in inst.row_table)
+    row = np.zeros(inst.n_vars)
+    for f, sign in zip(faces, signs):
+        if f >= 0:
+            cols = inst.face_columns[f]
+            row[cols] += sign * inst.powers[r, : len(cols)]
+    if eta >= 0:
+        row[eta] = -1.0
+    if bound >= 0:
+        rhs = signs[0] * inst.obstacle_bounds[r].ravel()[bound]
+    return row, rhs
+
+
+def test_rows_read_the_code_of_their_key(tie_instance):
+    """``rows`` gives a disjunct key the row-table row of the code the
+    witness table holds for it, and arena and width keys their one row."""
+    inst = tie_instance
+    regions = len(inst.spec.obstacles)
+    asg = DisjunctAssignment(
+        unsafe=np.zeros((inst.m, regions, inst.n_t), dtype=int),
+        collision=np.zeros((len(inst.pairs), inst.n_t), dtype=int),
+    )
+    r = inst.n_t // 2
+    coll_group = inst.disjunct_groups.start + 1  # pair (1, 3)
+    unsafe_group = inst.disjunct_groups.start + len(inst.pairs) + regions + 1  # (2, 2)
+    asg.collision[1, r] = 3
+    asg.unsafe[1, 1, r] = 2
+    keys = np.array([0, coll_group, unsafe_group, inst.groups - 1]) * inst.n_t + r
+    matrix, rhs = inst.rows(asg.codes, keys)
+    for got, got_rhs, g, code in zip(matrix, rhs, keys // inst.n_t, (0, 3, 2, 0)):
+        want, want_rhs = _row_from_table(inst, g, r, code)
+        assert got.tobytes() == want.tobytes() and got_rhs == want_rhs
+        if code:  # the code decides the row
+            assert got.tobytes() != _row_from_table(inst, g, r, 0)[0].tobytes()
+
+
 # face values on the obstacle bounds' grid, moved by exact ties (0),
 # near ties (1e-16 and 5e-16, inside the 1e-15 rule) and a real gap (2e-15)
 _TIE_FACE = st.builds(
@@ -488,14 +592,12 @@ def test_best_witness_tie_rule(tie_instance, data):
     shape = (inst.m, inst.n, 2, inst.n_t)
     size = int(np.prod(shape))
     faces = np.array(data.draw(st.lists(_TIE_FACE, min_size=size, max_size=size))).reshape(shape)
-    for fam, (best_codes, best_vals) in zip(inst.families, inst.best_witnesses(faces)):
-        assert best_codes.shape == best_vals.shape == (len(fam.heads), inst.n_t)
-        for (g, t), code in np.ndenumerate(best_codes):
-            options = [
-                _scalar_option(inst, faces, fam.tag, fam.heads[g], t, c)
-                for c in range(2 * inst.n)
-            ]
-            assert (best_vals[g, t], code) == _sequential_best(options)
+    best_codes, best_vals = inst.best_witnesses(faces)
+    heads = _row_heads(inst)
+    assert best_codes.shape == best_vals.shape == (len(heads), inst.n_t)
+    for (g, t), code in np.ndenumerate(best_codes):
+        options = [_scalar_option(inst, faces, *heads[g], t, c) for c in range(2 * inst.n)]
+        assert (best_vals[g, t], code) == _sequential_best(options)
 
 
 def _seed_solution(spec):
@@ -551,12 +653,10 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
                 _full_scan_static_keys(inst, faces, etas, tol),
             )
         for a in (asg, random_asg):
-            operands = inst.witness_operands(inst.code_table(a))
-            witnessed = inst.witness_values(faces, etas, operands)
+            witnessed = inst.witness_values(faces, etas, inst.witness_operands(a.codes))
             expected = _assignment_row_values(inst, a, _option_tensors(inst, faces), etas)
-            for got, want in zip(witnessed, expected):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            assert witnessed.shape == expected.shape
+            assert witnessed.tobytes() == expected.tobytes()
 
 
 def _arena_reference(inst, x, tol):
@@ -746,7 +846,8 @@ def mini_in_subprocesses(mini_spec):
 
 def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     """Every LP input and output is the same bits at 1 and 2 BLAS threads,
-    and so is the search's result."""
+    and so is the search's result; the sha256 over the whole LP sequence
+    is pinned."""
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
@@ -755,7 +856,40 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     assert run["tubes_digest"] == (
         "1befcbfdfec5f16c760b0fd8af95e09ab017269bfb7bfb1cb963d5495733391d"
     )
+    # any reordering of rows, flips or candidates changes some LP's bits
+    assert run["lp_digest"] == (
+        "93cfa1c21bbe85d800402a01347e51dbe82ef6fc564dc59c61e780905e2d077e"
+    )
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
+
+
+def test_drone_lp_sequence_digest(drones_spec, monkeypatch):
+    """The sha256 over every LP the drones search solves, as the mini
+    subprocess takes it.  Unlike mini, drones has flips of equal slack, so
+    this pins the flips' tie order (by row key) too."""
+    import hashlib
+
+    import sttube.synth as synth
+
+    digest, solve = hashlib.sha256(), synth.solve_lp
+
+    def traced_solve_lp(problem):
+        for a in (problem.objective, problem.ineq_matrix, problem.ineq_rhs,
+                  problem.eq_matrix, problem.eq_rhs):
+            a = np.zeros(0) if a is None else np.ascontiguousarray(a, dtype=float)
+            digest.update(repr(a.shape).encode())
+            digest.update(a.tobytes())
+        sol = solve(problem)
+        digest.update(sol.status.encode())
+        if sol.x is not None:
+            digest.update(np.ascontiguousarray(sol.x).tobytes())
+        return sol
+
+    monkeypatch.setattr(synth, "solve_lp", traced_solve_lp)
+    assert synth.synthesize(drones_spec).lp_solves == 263
+    assert digest.hexdigest() == (
+        "5a211cd484186698fe2693302c4fe5f55e970daa0a71dff4c537e93de451a184"
+    )
 
 
 def test_synthesis_does_not_import_scipy_optimize(mini_in_subprocesses):
@@ -773,7 +907,8 @@ def test_failed_scoring_lp_scores_inf(mini_spec, monkeypatch):
     from sttube.lp import LpNumericalError
 
     inst = build_sop(mini_spec, sample_unsafe(mini_spec))
-    group, window = inst.families[0].first, list(range(20))
+    # the first (agent, region) group
+    group, window = inst.disjunct_groups.start + len(inst.pairs), list(range(20))
     assert synth._score_option(inst, group, window, 0) < float("inf")
 
     def failing(problem):
