@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .scenario import PlantConfig
+from .scenario import DISTURBANCE_KINDS, PlantConfig
 
 
 class PlantStateError(RuntimeError):
@@ -140,9 +140,9 @@ class Disturbance:
     frequency: float = 1.0
 
     def __post_init__(self):
-        if not self.bound >= 0:
-            raise ValueError("disturbance bound must be nonnegative")
-        if self.kind not in ("zero", "uniform", "sinusoidal"):
+        if not 0 <= self.bound < math.inf:
+            raise ValueError("disturbance bound must be nonnegative and finite")
+        if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
     def make_sampler(self, agent: int, size: int) -> Callable[[np.ndarray], np.ndarray]:

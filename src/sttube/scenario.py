@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -193,9 +194,16 @@ class AgentTask:
             raise ScenarioError("min tube width must be positive")
 
 
+DISTURBANCE_KINDS = ("zero", "uniform", "sinusoidal")
+
+
 @dataclass(frozen=True)
 class PlantConfig:
-    """Plant selection and disturbance block (simulation side only)."""
+    """Plant selection and disturbance block (simulation side only).
+
+    The plant kind is checked against the scenario when the plant is
+    built (``plant.make_plant``); every other field is checked here.
+    """
 
     kind: str = "omnidirectional"
     g_sign: str = "positive"
@@ -203,6 +211,21 @@ class PlantConfig:
     disturbance_bound: float = 0.01
     disturbance_kind: str = "uniform"
     disturbance_seed: int = 0
+
+    def __post_init__(self):
+        if self.g_sign not in ("positive", "negative"):
+            raise ScenarioError(
+                f"plant g_sign must be positive or negative, not {self.g_sign!r}"
+            )
+        band = self.heading_band
+        if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
+            raise ScenarioError(
+                f"plant heading_band must be two finite values lo < hi, not {band}"
+            )
+        if not 0 <= self.disturbance_bound < math.inf:
+            raise ScenarioError("disturbance bound must be nonnegative and finite")
+        if self.disturbance_kind not in DISTURBANCE_KINDS:
+            raise ScenarioError(f"unknown disturbance kind {self.disturbance_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -302,77 +325,135 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 # File I/O
 
 
-def _agent_from_dict(raw: dict, dims: int, idx: int) -> AgentTask:
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{field} must be a number, not {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        raise ScenarioError(f"{field} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{field} must be a list, not {value!r}")
+    return list(value)
+
+
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{field} must be an object, not {value!r}")
+    return value
+
+
+def _key(raw: dict, key: str, field: str):
+    if key not in raw:
+        raise ScenarioError(f"{field}: missing key {key!r}")
+    return raw[key]
+
+
+def _box(value, field: str) -> Box:
+    pairs = _list(value, field)
+    if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ScenarioError(f"{field} must be a list of [lo, hi] pairs, not {value!r}")
+    bounds = [[_number(v, field) for v in p] for p in pairs]
     try:
-        start = Box.from_bounds(raw["start"])
-        goal = Box.from_bounds(raw["goal"])
-    except KeyError as exc:
-        raise ScenarioError(f"agent {idx + 1}: missing key {exc}") from exc
+        return Box.from_bounds(bounds)
+    except ScenarioError as exc:  # lo > hi
+        raise ScenarioError(f"{field}: {exc}") from exc
+
+
+def _agent_from_dict(raw, dims: int, idx: int) -> AgentTask:
+    tag = f"agent {idx + 1}"
+    raw = _object(raw, tag)
+    start = _box(_key(raw, "start", tag), f"{tag} start")
+    goal = _box(_key(raw, "goal", tag), f"{tag} goal")
     degree = raw.get("tube_degree", [2] * dims)
-    if isinstance(degree, int):
-        degree = [degree] * dims
+    if not isinstance(degree, (list, tuple)):
+        degree = [_integer(degree, f"{tag} tube_degree")] * dims
     min_width = raw.get("min_width")
     if min_width is None:
         min_width = default_min_width(start, goal)
     return AgentTask(
         start=start,
         goal=goal,
-        tube_degree=tuple(int(d) for d in degree),
-        min_width=tuple(float(w) for w in min_width),
+        tube_degree=tuple(_integer(d, f"{tag} tube_degree") for d in degree),
+        min_width=tuple(
+            _number(w, f"{tag} min_width") for w in _list(min_width, f"{tag} min_width")
+        ),
         name=str(raw.get("name", f"agent{idx + 1}")),
     )
 
 
-def _region_from_dict(raw: dict) -> UnsafeRegion:
-    frames = tuple(
-        (float(t), Box.from_bounds(bounds)) for t, bounds in raw["keyframes"]
-    )
+def _region_from_dict(raw, idx: int) -> UnsafeRegion:
+    tag = f"obstacle {idx + 1}"
+    raw = _object(raw, tag)
+    frames = []
+    for frame in _list(_key(raw, "keyframes", tag), f"{tag} keyframes"):
+        if not isinstance(frame, (list, tuple)) or len(frame) != 2:
+            raise ScenarioError(f"{tag} keyframes must be [time, box] pairs, not {frame!r}")
+        t, box = frame
+        frames.append((_number(t, f"{tag} keyframe time"), _box(box, f"{tag} keyframe box")))
     return UnsafeRegion(
-        keyframes=frames, interpolation=raw.get("interpolation", "static")
+        keyframes=tuple(frames), interpolation=raw.get("interpolation", "static")
     )
 
 
-def _plant_from_dict(raw: dict) -> PlantConfig:
-    dist = raw.get("disturbance", {})
+def _plant_from_dict(raw) -> PlantConfig:
+    raw = _object(raw, "plant")
+    dist = _object(raw.get("disturbance", {}), "plant disturbance")
+    band = _list(raw.get("heading_band", PlantConfig.heading_band), "plant heading_band")
     return PlantConfig(
         kind=raw.get("kind", "omnidirectional"),
         g_sign=raw.get("g_sign", "positive"),
-        heading_band=tuple(raw.get("heading_band", PlantConfig.heading_band)),
-        disturbance_bound=float(dist.get("bound", 0.01)),
+        heading_band=tuple(_number(b, "plant heading_band") for b in band),
+        disturbance_bound=_number(dist.get("bound", 0.01), "disturbance bound"),
         disturbance_kind=dist.get("kind", "uniform"),
-        disturbance_seed=int(dist.get("seed", 0)),
+        disturbance_seed=_integer(dist.get("seed", 0), "disturbance seed"),
     )
 
 
-def _control_from_dict(raw: dict) -> ControlConfig:
-    funnel = raw.get("funnel", {})
+def _control_from_dict(raw) -> ControlConfig:
+    raw = _object(raw, "control")
+    funnel = _object(raw.get("funnel", {}), "control funnel")
+    kappa = _list(raw.get("kappa", [1.0]), "control kappa")
     return ControlConfig(
-        kappa=tuple(float(k) for k in raw.get("kappa", [1.0])),
-        e_max=float(raw.get("e_max", 1.0 - 1e-9)),
-        funnel_q=float(funnel.get("q", 0.25)),
-        funnel_mu=float(funnel.get("mu", 1.0)),
-        funnel_p_margin=float(funnel.get("p_margin", 0.5)),
+        kappa=tuple(_number(k, "control kappa") for k in kappa),
+        e_max=_number(raw.get("e_max", 1.0 - 1e-9), "control e_max"),
+        funnel_q=_number(funnel.get("q", 0.25), "funnel q"),
+        funnel_mu=_number(funnel.get("mu", 1.0), "funnel mu"),
+        funnel_p_margin=_number(funnel.get("p_margin", 0.5), "funnel p_margin"),
     )
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    try:
-        dims = int(raw["dims"])
-        arena = Box.from_bounds(raw["arena"])
-        horizon = float(raw["horizon"])
-        epsilon = float(raw["epsilon"])
-        agents_raw = raw["agents"]
-    except KeyError as exc:
-        raise ScenarioError(f"missing top-level key {exc}") from exc
+    """Build and validate a scenario from its JSON form.
+
+    Raises ScenarioError naming the field for a missing key, a value of
+    the wrong type (a non-integer degree, a scalar where a list belongs, a
+    box entry that is not a [lo, hi] pair) or any violated invariant.
+    """
+    raw = _object(raw, "scenario")
+    dims = _integer(_key(raw, "dims", "scenario"), "dims")
     agents = tuple(
-        _agent_from_dict(a, dims, i) for i, a in enumerate(agents_raw)
+        _agent_from_dict(a, dims, i)
+        for i, a in enumerate(_list(_key(raw, "agents", "scenario"), "agents"))
     )
-    obstacles = tuple(_region_from_dict(o) for o in raw.get("obstacles", []))
+    obstacles = tuple(
+        _region_from_dict(o, r)
+        for r, o in enumerate(_list(raw.get("obstacles", []), "obstacles"))
+    )
     return ScenarioSpec(
         dims=dims,
-        arena=arena,
-        horizon=horizon,
-        epsilon=epsilon,
+        arena=_box(_key(raw, "arena", "scenario"), "arena"),
+        horizon=_number(_key(raw, "horizon", "scenario"), "horizon"),
+        epsilon=_number(_key(raw, "epsilon", "scenario"), "epsilon"),
         agents=agents,
         obstacles=obstacles,
         plant=_plant_from_dict(raw.get("plant", {})),

@@ -864,8 +864,8 @@ def _stuck_window_candidates(instance, best_values):
 def _boundary_shift_candidates(instance, assignment, binding):
     """Move binding witness handoffs.
 
-    Where the separating dimension changes over time, the flip rule
-    settles the boundary exactly at the gap crossover of the current
+    Where the separating dimension changes over time, the best-witness
+    move settles the boundary exactly at the gap crossover of the current
     solution, which pins the slack at zero: both witnesses are active
     with no margin at adjacent samples.  Shifting the handoff makes one
     witness take over while the other still has slack, letting the
@@ -905,18 +905,19 @@ def refine_assignment(
     """One local-search step from the solve ``failure`` over its witnesses.
 
     Candidates, scored by re-solving: uniform re-witnessings of stuck
-    conflict windows, handoff-boundary shifts around binding rows,
-    per-row flips to the geometrically best witness at the current
-    solution (whole set, then shrinking prefixes of the worst rows).
-    The first ``BEAM_WIDTH`` of them, in that order, go to one
-    ``solve_sop`` call, warm-started from ``failure``: its working set and
-    the exact arena rows it found.  It runs them best first and stops
-    those whose LP bound shows they cannot win; the winner, the least
-    ``(eta*, position)``, is the one that solving every candidate to the
-    end picks.  ``instance.candidates`` counts the candidates started and
-    ``instance.pruned`` those stopped early.  Returns the diagnostics of
-    the winner (its witnesses in ``assignment``), or None when no
-    candidate solves.  Deterministic given its inputs.
+    conflict windows, handoff-boundary shifts around binding rows, and
+    last, when it differs from ``failure``'s witnesses, the table of
+    every row's geometrically best witness at the current solution
+    (``SopInstance.best_witnesses``).  The first ``BEAM_WIDTH`` of them,
+    in that order, go to one ``solve_sop`` call, warm-started from
+    ``failure``: its working set and the exact arena rows it found.  It
+    runs them best first and stops those whose LP bound shows they cannot
+    win; the winner, the least ``(eta*, position)``, is the one that
+    solving every candidate to the end picks.  ``instance.candidates``
+    counts the candidates started and ``instance.pruned`` those stopped
+    early.  Returns the diagnostics of the winner (its witnesses in
+    ``assignment``), or None when no candidate solves.  Deterministic
+    given its inputs.
     """
     assignment = failure.assignment
     if assignment is None or failure.x is None:
@@ -934,24 +935,17 @@ def refine_assignment(
     binding = (row_vals >= -1e-7) & pinned.ravel()[slack_index]
     del slack_index
 
-    # Flips: every row whose best witness differs from its current one,
-    # worst slack first, then by row key (group, sample).
-    flat = np.flatnonzero(best_c != assignment.codes)
-    flat = flat[np.lexsort((flat, -row_vals.ravel()[flat]))]
-    new_code = best_c.ravel()[flat]
-
-    def apply_flips(count):
-        cand = assignment.copy()
-        np.put(cand.codes, flat[:count], new_code[:count])
-        return cand
+    # The geometric move: every row to its best witness at this solution.
+    geometric = assignment.copy()
+    geometric.codes[:] = best_c
 
     candidates: list[DisjunctAssignment] = []
     windows = _stuck_window_candidates(instance, best_v)
     if windows:
         # Primary escape: best-ranked option applied to every stuck window
-        # at once (on top of the geometric per-row flips), then the
-        # second-ranked variations one window at a time.
-        combo = apply_flips(len(flat))
+        # at once (on top of the best-witness table), then the second-ranked
+        # variations one window at a time.
+        combo = geometric.copy()
         for g, window, ranked in windows:
             combo.codes[g, window] = ranked[0][1]
         candidates.append(combo)
@@ -962,10 +956,8 @@ def refine_assignment(
             variant.codes[g, window] = ranked[1][1]
             candidates.append(variant)
     candidates.extend(_boundary_shift_candidates(instance, assignment, binding))
-    size = len(flat)
-    while size >= 1 and len(candidates) < BEAM_WIDTH:
-        candidates.append(apply_flips(size))
-        size //= 2
+    if (best_c != assignment.codes).any():
+        candidates.append(geometric)
 
     beam = candidates[:BEAM_WIDTH]
     if not beam:

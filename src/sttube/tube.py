@@ -16,6 +16,8 @@ root count).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,19 +239,50 @@ def tubes_to_dict(tubes: TubeSet) -> dict:
     }
 
 
+_KIND_NAMES = {dict: "an object", list: "a list", numbers.Real: "a number"}
+
+
+def _checked(value, kind: type, name: str):
+    """``value``, which must be a ``kind`` (a bool is no number); a
+    ValueError naming the field ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"tubes: {name} must be {_KIND_NAMES[kind]}, not {value!r}")
+    return value
+
+
+def _coeffs(value, name: str) -> tuple[float, ...]:
+    return tuple(float(_checked(c, numbers.Real, name)) for c in _checked(value, list, name))
+
+
 def tubes_from_dict(raw: dict) -> TubeSet:
+    """Inverse of ``tubes_to_dict``.  Raises ValueError naming the field
+    for a missing key, a value of the wrong type, no agents, or agents
+    without dims or with different numbers of dims."""
+    raw = _checked(raw, dict, "the file")
+    horizon = float(_checked(raw.get("horizon"), numbers.Real, "horizon"))
+    if not 0 < horizon < math.inf:
+        raise ValueError("tubes: horizon must be positive and finite")
     agents = []
-    for a in raw["agents"]:
-        dims = tuple(
-            TubeDim(
-                lower=TubeFace(tuple(float(c) for c in d["lower"]), side="lower"),
-                upper=TubeFace(tuple(float(c) for c in d["upper"]), side="upper"),
-                min_width=float(d["min_width"]),
+    for j, a in enumerate(_checked(raw.get("agents"), list, "agents"), 1):
+        a = _checked(a, dict, f"agent {j}")
+        dims = []
+        for i, d in enumerate(_checked(a.get("dims"), list, f"agent {j} dims"), 1):
+            name = f"agent {j} dim {i}"
+            d = _checked(d, dict, name)
+            lower, upper = (
+                TubeFace(_coeffs(d.get(side), f"{name} {side}"), side=side)
+                for side in ("lower", "upper")
             )
-            for d in a["dims"]
-        )
-        agents.append(AgentTubes(dims=dims, name=str(a.get("name", ""))))
-    return TubeSet(horizon=float(raw["horizon"]), agents=tuple(agents))
+            min_width = float(_checked(d.get("min_width"), numbers.Real, f"{name} min_width"))
+            dims.append(TubeDim(lower=lower, upper=upper, min_width=min_width))
+        if not dims:
+            raise ValueError(f"tubes: agent {j} has no dims")
+        agents.append(AgentTubes(dims=tuple(dims), name=str(a.get("name", ""))))
+    if not agents:
+        raise ValueError("tubes: no agents")
+    if len({len(a.dims) for a in agents}) > 1:
+        raise ValueError("tubes: agents differ in their number of dims")
+    return TubeSet(horizon=horizon, agents=tuple(agents))
 
 
 def save_tubes(tubes: TubeSet, path: str | Path) -> None:

@@ -249,6 +249,62 @@ def test_simulate_rejects_tubes_that_do_not_match_the_scenario(tmp_path, capsys,
     assert not (tmp_path / "robots.trajectories.csv").exists()
 
 
+def _robots_with(**plant):
+    raw = json.loads(data_path("robots.scenario").read_text())
+    raw["plant"].update(plant)
+    return raw
+
+
+_ROBOT_TUBES = data_path("robots_table.tubes")
+
+
+@pytest.mark.parametrize("command,files", [
+    (["synth", "{scenario}"], {"scenario": {**SOLO, "agents": 5}}),
+    (["synth", "{scenario}"], {"scenario": {**SOLO, "obstacles": [{"interpolation": "static"}]}}),
+    (["synth", "{scenario}"],
+     {"scenario": {**SOLO, "agents": [{**SOLO["agents"][0], "tube_degree": 2.5}]}}),
+    (["simulate", "{scenario}", str(_ROBOT_TUBES), "--force"],
+     {"scenario": _robots_with(disturbance={"bound": float("inf")})}),
+    (["simulate", "{scenario}", str(_ROBOT_TUBES), "--force"],
+     {"scenario": _robots_with(heading_band=[1.0, -1.0])}),
+    (["simulate", str(data_path("robots.scenario")), "{tubes}", "--force"],
+     {"tubes": {"horizon": 10.0, "agents": 5}}),
+    (["lipschitz", "{tubes}"],
+     {"tubes": {"horizon": 10.0, "agents": [{"dims": [{"lower": 0.5, "upper": [1.0],
+                                                       "min_width": 0.1}]}]}}),
+], ids=["synth-agents-scalar", "synth-missing-keyframes", "synth-scalar-float-degree",
+        "simulate-infinite-bound", "simulate-reversed-band", "simulate-agents-scalar",
+        "lipschitz-scalar-face"])
+def test_malformed_files_are_usage_errors(tmp_path, command, files):
+    """A malformed scenario or tubes file ends the command as a usage
+    error, run as a program: exit code 1, stderr starting ``error:``, and
+    no traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sttube
+
+    paths = {}
+    for kind, raw in files.items():
+        paths[kind] = tmp_path / f"bad.{kind}"
+        paths[kind].write_text(json.dumps(raw))
+    args = [a.format(**paths) for a in command]
+    if args[0] != "lipschitz":
+        args += ["--out", str(tmp_path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sttube.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "sttube.cli", *args], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == EXIT_USAGE, run.stderr
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
+
+
 def test_solo_synthesis_passes_dense_validation():
     """The faces of SOLO run along the arena walls; the certified tube must
     stay inside the arena between time samples too."""

@@ -156,9 +156,9 @@ def test_disturbance_bound_check_raises(monkeypatch):
         sampler(np.zeros(4))
 
 
-@pytest.mark.parametrize("bound", [-0.01, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("bound", [-0.01, math.nan, math.inf], ids=["negative", "nan", "inf"])
 def test_disturbance_bound_must_be_nonnegative(bound):
-    with pytest.raises(ValueError, match="bound must be nonnegative"):
+    with pytest.raises(ValueError, match="bound must be nonnegative and finite"):
         Disturbance(bound=bound)
 
 

@@ -193,3 +193,67 @@ def test_default_min_width_rule():
     start = Box.from_bounds([[0, 1], [0, 0.5]])
     goal = Box.from_bounds([[4, 5], [0, 0.8]])
     assert default_min_width(start, goal) == (0.5, 0.25)
+
+
+def _agent(raw):
+    return raw["agents"][0]
+
+
+def _plant(raw, **fields):
+    raw.setdefault("plant", {}).update(fields)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: _agent(raw).update(tube_degree=[2.7, 2]), "agent 1 tube_degree must be an int"),
+    (lambda raw: _agent(raw).update(tube_degree=2.5), "agent 1 tube_degree must be an int"),
+    (lambda raw: _agent(raw).update(min_width=0.4), "agent 1 min_width must be a list"),
+    (lambda raw: _agent(raw).update(start=[[0.0, 1.0, 2.0], [0.0, 1.0]]),
+     r"agent 1 start must be a list of \[lo, hi\] pairs"),
+    (lambda raw: _agent(raw).update(goal=[[4.0, "x"], [4.0, 5.0]]), "agent 1 goal must be a num"),
+    (lambda raw: raw.update(arena=[0.0, 5.0]), r"arena must be a list of \[lo, hi\] pairs"),
+    (lambda raw: raw.update(arena=[[5.0, 0.0], [0.0, 5.0]]), "arena: interval lo > hi"),
+    (lambda raw: raw.pop("horizon"), "missing key 'horizon'"),
+    (lambda raw: raw.update(dims=2.5), "dims must be an integer"),
+    (lambda raw: raw.update(agents=5), "agents must be a list"),
+    (lambda raw: raw.update(agents=[5]), "agent 1 must be an object"),
+    (lambda raw: raw.update(obstacles=[{"interpolation": "static"}]),
+     "obstacle 1: missing key 'keyframes'"),
+    (lambda raw: raw.update(obstacles=[{"keyframes": [0.0]}]),
+     r"obstacle 1 keyframes must be \[time, box\] pairs"),
+    (lambda raw: raw.update(plant=[1]), "plant must be an object"),
+    (lambda raw: _plant(raw, g_sign="negtive"), "g_sign must be positive or negative"),
+    (lambda raw: _plant(raw, heading_band=[1.0, -1.0]), "heading_band must be two finite"),
+    (lambda raw: _plant(raw, heading_band=[-1.0, 0.0, 1.0]), "heading_band must be two finite"),
+    (lambda raw: _plant(raw, heading_band=[-1.0, float("inf")]), "heading_band must be two finite"),
+    (lambda raw: _plant(raw, heading_band=0.5), "heading_band must be a list"),
+    (lambda raw: _plant(raw, disturbance={"bound": float("inf")}), "bound must be nonnegative and"),
+    (lambda raw: _plant(raw, disturbance={"bound": -0.01}), "bound must be nonnegative and"),
+    (lambda raw: _plant(raw, disturbance={"kind": "gauss"}), "unknown disturbance kind 'gauss'"),
+    (lambda raw: _plant(raw, disturbance={"seed": 1.5}), "disturbance seed must be an integer"),
+    (lambda raw: raw.update(control={"kappa": 2.0}), "control kappa must be a list"),
+], ids=[
+    "fractional-degree", "scalar-float-degree", "scalar-min-width", "box-triple",
+    "box-string", "arena-not-pairs", "arena-reversed", "missing-horizon", "fractional-dims",
+    "agents-scalar", "agent-scalar", "missing-keyframes", "keyframe-not-pair", "plant-list",
+    "g-sign-typo", "band-reversed", "band-three-values", "band-infinite", "band-scalar",
+    "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "kappa-scalar",
+])
+def test_loader_rejects_malformed_fields(edit, message):
+    """A malformed field is a ScenarioError naming it, at load time: not a
+    TypeError or KeyError, a silent truncation, or a plant setting that
+    only shows up when the closed loop runs."""
+    raw = _raw()
+    edit(raw)
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(raw)
+
+
+def test_loader_rejects_a_non_object():
+    with pytest.raises(ScenarioError, match="scenario must be an object"):
+        scenario_from_dict([1, 2])
+
+
+def test_loader_broadcasts_an_integer_degree():
+    raw = _raw()
+    _agent(raw)["tube_degree"] = 3
+    assert scenario_from_dict(raw).agents[0].tube_degree == (3, 3)

@@ -851,22 +851,23 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
-    assert run["lp_solves"] == run["lp_calls"] == 143
-    assert (run["candidates"], run["pruned"]) == (70, 52)
+    assert run["lp_solves"] == run["lp_calls"] == 103
+    assert (run["candidates"], run["pruned"]) == (48, 37)
     assert run["tubes_digest"] == (
         "1befcbfdfec5f16c760b0fd8af95e09ab017269bfb7bfb1cb963d5495733391d"
     )
-    # any reordering of rows, flips or candidates changes some LP's bits
+    # any reordering of rows or candidates changes some LP's bits
     assert run["lp_digest"] == (
-        "93cfa1c21bbe85d800402a01347e51dbe82ef6fc564dc59c61e780905e2d077e"
+        "a44a947642e15cc680de12ae5c1d33956577857eba993b251ad300f18838db4f"
     )
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
 def test_drone_lp_sequence_digest(drones_spec, monkeypatch):
     """The sha256 over every LP the drones search solves, as the mini
-    subprocess takes it.  Unlike mini, drones has flips of equal slack, so
-    this pins the flips' tie order (by row key) too."""
+    subprocess takes it.  The first drones step proposes more
+    stuck-window candidates than a beam holds, so this pins which
+    candidates ``BEAM_WIDTH`` keeps too."""
     import hashlib
 
     import sttube.synth as synth
@@ -886,9 +887,9 @@ def test_drone_lp_sequence_digest(drones_spec, monkeypatch):
         return sol
 
     monkeypatch.setattr(synth, "solve_lp", traced_solve_lp)
-    assert synth.synthesize(drones_spec).lp_solves == 263
+    assert synth.synthesize(drones_spec).lp_solves == 206
     assert digest.hexdigest() == (
-        "5a211cd484186698fe2693302c4fe5f55e970daa0a71dff4c537e93de451a184"
+        "a603904a4144213577c45c75f794d72f7fb44732ca0bedf2ed70c6d29655bdd7"
     )
 
 
@@ -987,6 +988,59 @@ def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
     assert calls[0] == 1 and len(calls) == result.iterations
     assert sum(calls) == 1 + result.candidates
     assert len(set(solved)) == len(solved)
+
+
+def test_refinement_beam_order_on_mini(mini_spec, monkeypatch):
+    """Every beam of the mini search is, cut to ``BEAM_WIDTH``: the
+    stuck-window candidates (the combo on top of the best-witness table,
+    then one second-ranked variant per window), the boundary shifts, and
+    last, only when it differs from the witnesses being refined, the
+    best-witness table itself."""
+    import sttube.synth as synth
+
+    steps, windows, shifts = [], [], []
+    solve = synth.solve_sop
+
+    def recording_solve(instance, candidates, diagnostics=None, warm=None):
+        if warm is not None:
+            steps.append((instance, candidates, warm))
+        return solve(instance, candidates, diagnostics, warm)
+
+    def recording(name, outputs):
+        inner = getattr(synth, name)
+
+        def wrapper(*args):
+            outputs.append(inner(*args))
+            return outputs[-1]
+
+        monkeypatch.setattr(synth, name, wrapper)
+
+    monkeypatch.setattr(synth, "solve_sop", recording_solve)
+    recording("_stuck_window_candidates", windows)
+    recording("_boundary_shift_candidates", shifts)
+    synth.synthesize(mini_spec)
+    assert len(steps) == len(windows) == len(shifts) > 0
+    tables_proposed = 0
+    for (instance, beam, failure), found, shifted in zip(steps, windows, shifts):
+        best_c, _ = instance.best_witnesses(instance.face_values(failure.x))
+        expected = []
+        if found:
+            combo = best_c.copy()
+            for g, window, ranked in found:
+                combo[g, window] = ranked[0][1]
+            expected.append(combo)
+            for g, window, ranked in found:
+                if len(ranked) > 1:
+                    variant = combo.copy()
+                    variant[g, window] = ranked[1][1]
+                    expected.append(variant)
+        expected += [cand.codes for cand in shifted]
+        if (best_c != failure.assignment.codes).any():
+            expected.append(best_c)
+            tables_proposed += len(expected) <= synth.BEAM_WIDTH
+        expected = expected[: synth.BEAM_WIDTH]
+        assert [cand.codes.tobytes() for cand in beam] == [c.tobytes() for c in expected]
+    assert tables_proposed > 0
 
 
 def _winner_bytes(diag):
@@ -1270,8 +1324,8 @@ def test_robot_synthesis_fingerprint(robots_result):
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 7
-    assert robots_result.lp_solves == 246
-    assert (robots_result.candidates, robots_result.pruned) == (48, 36)
+    assert robots_result.lp_solves == 173
+    assert (robots_result.candidates, robots_result.pruned) == (35, 28)
     assert _tubes_digest(robots_result.tubes) == (
         "3c314d54de7a11376786a6d37be34036af899aad1d1effa16ae3e82b2af3100c"
     )
@@ -1284,8 +1338,8 @@ def test_drone_synthesis_fingerprint(drones_result):
     same at 1 and 2 BLAS threads."""
     cert = drones_result.certificate
     assert drones_result.iterations == 9
-    assert drones_result.lp_solves == 263
-    assert (drones_result.candidates, drones_result.pruned) == (64, 43)
+    assert drones_result.lp_solves == 206
+    assert (drones_result.candidates, drones_result.pruned) == (45, 34)
     assert _tubes_digest(drones_result.tubes) == (
         "31acf0c3a86ade21668cba5b12347ef9fcb034384573f1b567aac94c1bb555b9"
     )

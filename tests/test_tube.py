@@ -171,3 +171,43 @@ def test_serialization_round_trip(tmp_path, drones_table):
     save_tubes(drones_table, path)
     again = load_tubes(path)
     assert tubes_to_dict(again) == tubes_to_dict(drones_table)
+
+
+def _one_agent_tubes():
+    return {
+        "horizon": 2.0,
+        "dims": 1,
+        "agents": [{"name": "a", "dims": [{"lower": [0.0], "upper": [1.0], "min_width": 0.5}]}],
+    }
+
+
+def _dim(raw):
+    return raw["agents"][0]["dims"][0]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw.update(agents=5), "agents must be a list"),
+    (lambda raw: raw.update(agents=[]), "no agents"),
+    (lambda raw: raw["agents"].append(7), "agent 2 must be an object"),
+    (lambda raw: raw["agents"][0].pop("dims"), "agent 1 dims must be a list"),
+    (lambda raw: raw["agents"][0].update(dims=[]), "agent 1 has no dims"),
+    (lambda raw: raw["agents"].append({"dims": [_dim(raw)] * 2}),
+     "agents differ in their number of dims"),
+    (lambda raw: _dim(raw).update(lower=0.5), "agent 1 dim 1 lower must be a list"),
+    (lambda raw: _dim(raw).update(upper=[1.0, "x"]), "agent 1 dim 1 upper must be a number"),
+    (lambda raw: _dim(raw).pop("min_width"), "agent 1 dim 1 min_width must be a number"),
+    (lambda raw: raw.pop("horizon"), "horizon must be a number"),
+    (lambda raw: raw.update(horizon=float("inf")), "horizon must be positive and finite"),
+], ids=[
+    "agents-scalar", "no-agents", "agent-scalar", "missing-dims", "no-dims", "ragged-dims",
+    "scalar-face", "string-coefficient", "missing-min-width", "missing-horizon",
+    "infinite-horizon",
+])
+def test_tubes_loader_rejects_malformed_fields(edit, message):
+    """A malformed tubes file is a ValueError naming the field, not a
+    TypeError, KeyError or IndexError."""
+    raw = _one_agent_tubes()
+    tubes_from_dict(raw)
+    edit(raw)
+    with pytest.raises(ValueError, match=message):
+        tubes_from_dict(raw)
