@@ -8,10 +8,13 @@ certify the solve of the current assignment, then propose witness
 changes from its tube geometry, solve each candidate and carry the best
 solve on as the next iterate, so each assignment is solved once.  Every
 disjunct row is read from one row table: the LP rows, the witnessed row
-values, the ranking of each row's options and the scoring LPs; only the
-dense validation oracle keeps its own formula, to stay independent.  The
-heuristic's incompleteness is harmless: the certificate plus the dense
-validation oracle gate every result.
+values, the ranking of each row's options and the scoring LPs.  Two
+places keep their own formula: the dense validation oracle, to stay
+independent, and ``seed_assignment``, whose clearances at the
+straight-line reference paths break ties by their own rules (side 1 on
+equal clearances, the lowest dimension on equal gaps).  The heuristic's
+incompleteness is harmless: the certificate plus the dense validation
+oracle gate every result.
 
 Constraint families, per time sample:
   endpoints  -- face values pinned to the start/goal box bounds (equalities)
@@ -395,33 +398,21 @@ class SopInstance:
             out[f] = self.powers[:, : len(cols)] @ x[cols]
         return out.reshape(self.m, self.n, 2, self.n_t)
 
-    def witness_operands(self, codes: np.ndarray):
-        """Where ``witness_values`` reads the terms of every disjunct row
-        under the witness table ``codes`` (disjunct groups, n_t): flat
-        indices into the value table and into the flattened (m, n) slacks,
-        each (disjunct groups, n_t)."""
+    def witness_values(self, faces: np.ndarray, etas: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Slack of every disjunct row under the witness table ``codes``
+        (disjunct groups, n_t) at a solution with face values ``faces``
+        and slacks ``etas``: the witnessed option's value (the row table's
+        term of sign +1 minus the other term) minus the agent's slack in
+        that dim, (disjunct groups, n_t).  Codes are taken one at a time
+        through the operand table, as in ``best_witnesses``."""
         minuend, subtrahend, eta = self._operands
-        c = codes.astype(np.intp)
-        c += np.arange(len(c))[:, None] * minuend.shape[1]  # flat (group, code)
-        r = np.arange(self.n_t)
-        a = minuend.ravel().take(c)
-        a *= self.n_t
-        a += r
-        b = subtrahend.ravel().take(c)
-        b *= self.n_t
-        b += r
-        return a, b, eta.ravel().take(c)
-
-    def witness_values(self, faces: np.ndarray, etas: np.ndarray, operands) -> np.ndarray:
-        """Slack of every disjunct row at a solution with face values
-        ``faces`` and slacks ``etas``: the witnessed option's value (the
-        row table's term of sign +1 minus the other term) minus the
-        agent's slack in that dim, (disjunct groups, n_t)."""
-        minuend, subtrahend, eta = operands
-        table = np.concatenate([faces.ravel(), self._bound_rows])
-        values = table.take(minuend)
-        values -= table.take(subtrahend)
-        values -= etas.take(eta)
+        table = np.concatenate([faces.ravel(), self._bound_rows]).reshape(-1, self.n_t)
+        slack = etas.ravel()[eta]  # (disjunct groups, codes)
+        values = np.empty(codes.shape)
+        for c in range(minuend.shape[1]):
+            at = codes == c
+            np.subtract(table[minuend[:, c]], table[subtrahend[:, c]], out=values, where=at)
+            np.subtract(values, slack[:, c, None], out=values, where=at)
         return values
 
     def best_witnesses(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,8 +506,9 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
     Unsafe rows pick the dimension with the largest signed clearance
     between the reference point and the obstacle box (side by sign, ties
     to side 1); collision rows pick the dimension with the largest
-    reference separation (order by sign).  Ties break to the lowest
-    dimension.
+    reference separation (order by sign, a zero gap to side 1).  Ties
+    break to the lowest dimension.  These tie rules are not those of
+    ``SopInstance.best_witnesses``, which refinement uses.
     """
     refs = _reference_points(spec, np.asarray(samples.time_samples))  # (m, n_t, n)
     bounds = samples.obstacle_bounds.transpose(1, 0, 2, 3)[None]  # (1, R, n_t, n, 2)
@@ -553,22 +545,22 @@ class SolveDiagnostics:
     exact_rhs: np.ndarray | None = None
 
 
-def _add_violated(instance, x, tol, operands, activate) -> int:
-    """Activate the rows violated by more than ``tol`` at ``x``: the
-    arena and width scan, then each disjunct row under its witness alone
-    (``operands``), the 120 worst of each family (``family_rows``).
-    Returns how many rows were not active before."""
+def _violated_keys(instance, x, tol, codes) -> np.ndarray:
+    """Keys of the rows violated by more than ``tol`` at ``x``: the arena
+    and width scan, then each disjunct row under its witness alone (the
+    witness table ``codes``), the 120 worst of each family
+    (``family_rows``)."""
     faces = instance.face_values(x)
     etas = x[instance.eta_offset]
-    new = activate(instance.static_violations(faces, etas, tol))
-    values = instance.witness_values(faces, etas, operands)
+    keys = [instance.static_violations(faces, etas, tol)]
+    values = instance.witness_values(faces, etas, codes)
     for rows in instance.family_rows:
         flat = values[rows].ravel()
         bad = np.flatnonzero(flat > tol)
         # worst first; equal values go to the later row
         worst = bad[np.lexsort((bad, flat[bad]))[::-1][:120]]
-        new += activate((instance.disjunct_groups.start + rows.start) * instance.n_t + worst)
-    return new
+        keys.append((instance.disjunct_groups.start + rows.start) * instance.n_t + worst)
+    return np.concatenate(keys)
 
 
 def _lazy_rounds(instance, assignment, warm, base, diag):
@@ -579,18 +571,17 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     arena check hold at the optimum.  ``base`` holds what every LP shares:
     the objective, the ordering rows and the endpoint pins.
 
-    A round scans the previous LP's optimum: it activates the violated
-    rows and drops the ones gone slack or, when no row is violated, adds
+    A round scans the previous LP's optimum: it adds the violated rows
+    and drops the ones gone slack or, when no row is violated, adds
     the arena rows at exact times that ``arena_excursions`` finds, and
     returns when there are none.  Then it solves the LP on its rows.
 
-    Between rounds the generator keeps its dense state: the operand
-    arrays of ``witness_values``, the active mask and the re-add counts.
-    ``send(True)`` suspends it: it keeps only its active keys, the re-add
-    counts of the keys ever added, its exact rows and its point, yields
-    ``None``, and rebuilds the dense state at the next ``next``.  The
-    rebuilt state is the one it had, so no LP of a candidate depends on
-    when it was suspended.
+    Between rounds the generator holds only its active keys, the keys
+    ever added with their re-add counts, its exact rows and its point;
+    each scan builds the dense arrays it needs (face values, witnessed
+    row values) and drops them before the LP.  So a candidate costs
+    little while others run, and none of its LPs depends on the order
+    the candidates run in.
     """
     n_t = instance.n_t
     weight = float(base.objective[instance.eta_offset].sum())  # w k of the bound
@@ -603,35 +594,26 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     if warm is not None:
         keys = np.concatenate([keys, np.asarray(warm.active_keys, dtype=np.int64)])
         exact_rows, exact_rhs = warm.exact_rows, warm.exact_rhs
-    # keys ever added and their re-add counts; a key may repeat, always
-    # with its current count
-    added, counts = keys, np.ones(len(keys), dtype=np.int8)
+    keys = np.sort(keys)
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # the working set, sorted, no repeats
+    # every key ever added, once for each time it was added (at most 3), sorted
+    added = keys
     x = slack = None  # the last LP's optimum and its keyed rows' slack
-
-    def activate(new_keys) -> int:
-        fresh = new_keys[~active[new_keys]]  # keys come without repeats
-        active[fresh] = True
-        add_count[fresh] += 1
-        fresh_keys.append(fresh)
-        return len(fresh)
-
     lps = 0
     while True:
-        if added is not None:  # (re)build the dense state
-            operands = instance.witness_operands(assignment.codes)
-            active = np.zeros(instance.groups * n_t, dtype=bool)
-            active[keys] = True
-            add_count = np.zeros(instance.groups * n_t, dtype=np.int8)  # at most 3
-            add_count[added] = counts
-            fresh_keys, added = [added], None
         if x is not None:
             scale = max(1.0, float(np.abs(x).max()))
             tol = _VIOL_TOL * scale
-            if _add_violated(instance, x, tol, operands, activate):
+            violated = _violated_keys(instance, x, tol, assignment.codes)
+            fresh = violated[~np.isin(violated, keys, assume_unique=True)]
+            if len(fresh):
                 # Drop rows that have gone slack at this optimum, except
                 # ones that keep coming back (pinned after three re-adds to
                 # avoid cycling).
-                active[keys[(slack < -1e-6 * scale) & (add_count[keys] < 3)]] = False
+                adds = np.searchsorted(added, keys, "right") - np.searchsorted(added, keys)
+                drop = (slack < -1e-6 * scale) & (adds < 3)
+                keys = np.sort(np.concatenate([keys[~drop], fresh]))
+                added = np.sort(np.concatenate([added, fresh]))
             else:
                 found_rows, found_rhs = instance.arena_excursions(x, tol)
                 if len(found_rhs) == 0:
@@ -640,7 +622,6 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
                 exact_rhs = np.concatenate([exact_rhs, found_rhs])
         if lps == 300:
             raise SynthesisInfeasible("lazy constraint loop failed to converge")
-        keys = np.flatnonzero(active)
         rows, rhs = instance.rows(assignment.codes, keys)
         rows = np.vstack([rows, exact_rows, base.ineq_matrix])
         rhs = np.concatenate([rhs, exact_rhs, base.ineq_rhs])
@@ -666,11 +647,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
         slack = rows[: len(keys)] @ x - rhs[: len(keys)]
         bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
         del rows, rhs, sol  # no LP matrix is kept between rounds
-        if (yield bound):
-            added = np.concatenate(fresh_keys)
-            counts = add_count[added]
-            del operands, active, add_count, fresh_keys
-            yield None
+        yield bound
 
 
 def solve_sop(
@@ -709,9 +686,10 @@ def solve_sop(
     one with the least ``(bound, position)`` runs its next round, and once
     that least bound exceeds the best eta* found by more than
     ``_PRUNE_TOL`` the candidates still running are stopped
-    (``instance.pruned`` counts them).  A candidate's rounds do not depend
-    on the order they run in, so the winner is the one that solving every
-    candidate to the end picks.
+    (``instance.pruned`` counts them).  A waiting candidate is simply not
+    advanced: between rounds it holds no dense state (``_lazy_rounds``).
+    A candidate's rounds do not depend on the order they run in, so the
+    winner is the one that solving every candidate to the end picks.
 
     ``diagnostics`` receives the winner's point, tubes, witnesses and
     final working set (the warm start of a later solve), and the call's
@@ -732,25 +710,19 @@ def solve_sop(
     rounds = [_lazy_rounds(instance, cand, warm, base, diag) for cand in candidates]
     queue = [(-math.inf, pos) for pos in range(len(candidates))]  # a heap already
     best, errors = None, {}  # (eta*, position, result) of the least solve
-    running = None  # the candidate that holds its dense state
     while queue:
         bound, pos = heapq.heappop(queue)
         if best is not None and bound > best[0] + _PRUNE_TOL:
             instance.pruned += 1 + len(queue)
             break
-        if running not in (None, pos):
-            rounds[running].send(True)
-        running = pos
         try:
             bound = next(rounds[pos])
         except StopIteration as done:
             eta_star = float(done.value[0][instance.eta_global])
             if best is None or (eta_star, pos) < best[:2]:
                 best = (eta_star, pos, done.value)
-            running = None
         except (SynthesisInfeasible, LpNumericalError) as exc:
             errors[pos] = exc
-            running = None
         else:
             heapq.heappush(queue, (bound, pos))
     if best is None:
@@ -924,16 +896,15 @@ def refine_assignment(
         raise ValueError("refinement needs diagnostics from a previous solve")
     faces = instance.face_values(failure.x)
     etas = failure.x[instance.eta_offset]
-    operands = instance.witness_operands(assignment.codes)
-    row_vals = instance.witness_values(faces, etas, operands)
-    slack_index = operands[2]
-    del operands
+    row_vals = instance.witness_values(faces, etas, assignment.codes)
     best_c, best_v = instance.best_witnesses(faces)
     # Binding disjunct rows: the row sits at its slack AND that slack pins
     # the global optimum through the ordering chain.
     pinned = etas >= failure.eta_star - ETA_GAP - 1e-7
-    binding = (row_vals >= -1e-7) & pinned.ravel()[slack_index]
-    del slack_index
+    binding = row_vals >= -1e-7
+    g, r = np.nonzero(binding)
+    slack_index = instance._operands[2][g, assignment.codes[g, r]]  # into the (m, n) slacks
+    binding[g, r] = pinned.ravel()[slack_index]
 
     # The geometric move: every row to its best witness at this solution.
     geometric = assignment.copy()

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .scenario import Box, Interval
+from .scenario import Box, Interval, _list, _number, _object
 
 
 class TubeIntegrityError(ValueError):
@@ -239,41 +238,26 @@ def tubes_to_dict(tubes: TubeSet) -> dict:
     }
 
 
-_KIND_NAMES = {dict: "an object", list: "a list", numbers.Real: "a number"}
-
-
-def _checked(value, kind: type, name: str):
-    """``value``, which must be a ``kind`` (a bool is no number); a
-    ValueError naming the field ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"tubes: {name} must be {_KIND_NAMES[kind]}, not {value!r}")
-    return value
-
-
-def _coeffs(value, name: str) -> tuple[float, ...]:
-    return tuple(float(_checked(c, numbers.Real, name)) for c in _checked(value, list, name))
-
-
 def tubes_from_dict(raw: dict) -> TubeSet:
     """Inverse of ``tubes_to_dict``.  Raises ValueError naming the field
     for a missing key, a value of the wrong type, no agents, or agents
     without dims or with different numbers of dims."""
-    raw = _checked(raw, dict, "the file")
-    horizon = float(_checked(raw.get("horizon"), numbers.Real, "horizon"))
+    raw = _object(raw, "tubes: the file")
+    horizon = _number(raw.get("horizon"), "tubes: horizon")
     if not 0 < horizon < math.inf:
         raise ValueError("tubes: horizon must be positive and finite")
     agents = []
-    for j, a in enumerate(_checked(raw.get("agents"), list, "agents"), 1):
-        a = _checked(a, dict, f"agent {j}")
+    for j, a in enumerate(_list(raw.get("agents"), "tubes: agents"), 1):
+        a = _object(a, f"tubes: agent {j}")
         dims = []
-        for i, d in enumerate(_checked(a.get("dims"), list, f"agent {j} dims"), 1):
-            name = f"agent {j} dim {i}"
-            d = _checked(d, dict, name)
+        for i, d in enumerate(_list(a.get("dims"), f"tubes: agent {j} dims"), 1):
+            name = f"tubes: agent {j} dim {i}"
+            d = _object(d, name)
             lower, upper = (
-                TubeFace(_coeffs(d.get(side), f"{name} {side}"), side=side)
-                for side in ("lower", "upper")
+                TubeFace(tuple(_number(c, field) for c in _list(d.get(side), field)), side=side)
+                for side, field in (("lower", f"{name} lower"), ("upper", f"{name} upper"))
             )
-            min_width = float(_checked(d.get("min_width"), numbers.Real, f"{name} min_width"))
+            min_width = _number(d.get("min_width"), f"{name} min_width")
             dims.append(TubeDim(lower=lower, upper=upper, min_width=min_width))
         if not dims:
             raise ValueError(f"tubes: agent {j} has no dims")

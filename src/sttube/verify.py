@@ -166,7 +166,10 @@ def verify_run(
 
     ``min_tube_gap`` is the worst pairwise tube-separation margin from the
     dense tube validation (negative = separated); tube disjointness is the
-    stronger collision-avoidance statement, so both are reported.
+    stronger collision-avoidance statement, so both are reported.  The
+    sampling robustness is the least of the containment margins and the
+    tube separation ``-min_tube_gap`` (no bound when the gap is not
+    finite), minus the largest step: overlapping tubes make it negative.
     """
     agents = []
     max_step = 0.0
@@ -182,7 +185,7 @@ def verify_run(
             max_step = max(max_step, step)
     ca_pass, min_dist = check_ca(trajectories, spec.dims)
     worst_margin = min(a.worst_containment_margin for a in agents)
-    gap = abs(min_tube_gap) if np.isfinite(min_tube_gap) else np.inf
+    gap = -min_tube_gap if np.isfinite(min_tube_gap) else np.inf
     robustness = min(worst_margin, gap) - max_step
     return VerificationReport(
         agents=agents,

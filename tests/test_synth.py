@@ -446,7 +446,7 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
 
     faces_now = inst.face_values(diag.x)
     etas = diag.x[inst.eta_offset]
-    vals = inst.witness_values(faces_now, etas, inst.witness_operands(asg.codes))
+    vals = inst.witness_values(faces_now, etas, asg.codes)
     best_codes, best_vals = inst.best_witnesses(faces_now)
     heads = _row_heads(inst)
     for (g, t), code in np.ndenumerate(asg.codes):
@@ -653,7 +653,7 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
                 _full_scan_static_keys(inst, faces, etas, tol),
             )
         for a in (asg, random_asg):
-            witnessed = inst.witness_values(faces, etas, inst.witness_operands(a.codes))
+            witnessed = inst.witness_values(faces, etas, a.codes)
             expected = _assignment_row_values(inst, a, _option_tensors(inst, faces), etas)
             assert witnessed.shape == expected.shape
             assert witnessed.tobytes() == expected.tobytes()
@@ -863,9 +863,13 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
-def test_drone_lp_sequence_digest(drones_spec, monkeypatch):
-    """The sha256 over every LP the drones search solves, as the mini
-    subprocess takes it.  The first drones step proposes more
+@pytest.mark.parametrize("case,lps,lp_digest", [
+    ("robots", 173, "2c07ee96521124e6ff7dfe7e8574c9a229c1bfe63e32394ed0dea0e929958061"),
+    ("drones", 206, "a603904a4144213577c45c75f794d72f7fb44732ca0bedf2ed70c6d29655bdd7"),
+], ids=["robots", "drones"])
+def test_drone_lp_sequence_digest(case, lps, lp_digest, request, monkeypatch):
+    """The sha256 over every LP the robots and drones searches solve, as
+    the mini subprocess takes it.  The first drones step proposes more
     stuck-window candidates than a beam holds, so this pins which
     candidates ``BEAM_WIDTH`` keeps too."""
     import hashlib
@@ -887,10 +891,8 @@ def test_drone_lp_sequence_digest(drones_spec, monkeypatch):
         return sol
 
     monkeypatch.setattr(synth, "solve_lp", traced_solve_lp)
-    assert synth.synthesize(drones_spec).lp_solves == 206
-    assert digest.hexdigest() == (
-        "a603904a4144213577c45c75f794d72f7fb44732ca0bedf2ed70c6d29655bdd7"
-    )
+    assert synth.synthesize(request.getfixturevalue(f"{case}_spec")).lp_solves == lps
+    assert digest.hexdigest() == lp_digest
 
 
 def test_synthesis_does_not_import_scipy_optimize(mini_in_subprocesses):
@@ -1084,19 +1086,17 @@ def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
         return solve(instance, candidates, diagnostics, warm)
 
     def recording_rounds(instance, assignment, *args):
-        inner, sent = rounds(instance, assignment, *args), None
-        while True:
-            try:
-                out = inner.send(sent)
-            except StopIteration as done:
-                ended.add(id(assignment))
-                return done.value
-            except Exception:
-                ended.add(id(assignment))
-                raise
-            if out is not None:
-                last_bound[id(assignment)] = out
-            sent = yield out
+        inner = rounds(instance, assignment, *args)
+        try:
+            while True:
+                last_bound[id(assignment)] = bound = next(inner)
+                yield bound
+        except StopIteration as done:
+            ended.add(id(assignment))
+            return done.value
+        except Exception:
+            ended.add(id(assignment))
+            raise
 
     monkeypatch.setattr(synth, "solve_sop", recording_solve)
     monkeypatch.setattr(synth, "_lazy_rounds", recording_rounds)
@@ -1195,10 +1195,13 @@ def test_no_solving_candidate_raises_the_first_error(mini_spec, monkeypatch):
 def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
     """The traced peak memory of one robots refinement step does not grow
     with its candidates: it stays within 256 KiB of the largest peak of
-    its candidates solved alone.  A suspended candidate keeps its keys,
-    re-add counts, exact rows and point; the dense state it drops (code
-    table, witness operands, active mask, re-add counts) is about 1 MB per
-    candidate on robots, so keeping it would add about 7 MB here."""
+    its candidates solved alone.  Between rounds a candidate holds only
+    its active keys, the keys ever added with their re-add counts, its
+    exact rows and its point; each scan builds its dense arrays (face
+    values, witness indices and values) and drops them before the LP.
+    Dense state held between rounds (witness indices, an active mask and
+    re-add counts over every key) would add about 0.85 MB per waiting
+    candidate on robots, about 6 MB here."""
     import tracemalloc
 
     import sttube.synth as synth

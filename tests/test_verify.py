@@ -140,6 +140,11 @@ def test_full_report_round_trip(tmp_path, mini_spec, mini_result):
     assert report.all_pass
     assert report.min_pairwise_distance > 0
     assert report.sampling_robustness > 0
+    # tubes that overlap by 0.05 separate nothing: the robustness is the
+    # overlap's negative, less the largest step
+    overlap = verify_run(trajs, mini_spec, mini_result.tubes, min_tube_gap=0.05)
+    assert overlap.sampling_robustness == pytest.approx(-0.05 - overlap.max_step_motion)
+    assert overlap.sampling_robustness < 0
     text = report_to_text(report)
     assert "PASS" in text
     path = tmp_path / "report.json"
