@@ -9,16 +9,18 @@ controller; a bounded random disturbance acts on every state.
 import numpy as np
 
 from sttube import data_path, load_scenario, load_tubes
-from sttube.sim import run_closed_loop
+from sttube.plant import make_plant
+from sttube.sim import run_closed_loop, stage1_error_series
 from sttube.synth import validate_tubes
 from sttube.verify import report_to_text, verify_run
 
 spec = load_scenario(data_path("robots.scenario"))
 tubes = load_tubes(data_path("robots_table.tubes"))
 
-trajectories = run_closed_loop(spec, tubes, dt=1e-3, seed=11)
+plant = make_plant(spec.plant, spec.dims)
+trajectories = run_closed_loop(spec, tubes, dt=1e-3, seed=11, plant=plant)
 for traj in trajectories:
-    e_max = float(np.abs(traj.errors).max())
+    e_max = float(np.abs(stage1_error_series(traj, tubes, plant)).max())
     print(f"{traj.name}: {len(traj.times)} steps, max |normalized error| "
           f"{e_max:.3f}, guard clamps {traj.clamp_count}, "
           f"final position ({traj.final_state[0]:.3f}, {traj.final_state[1]:.3f})")

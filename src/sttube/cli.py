@@ -19,6 +19,7 @@ from . import __version__
 from .control import ControllerIntegrityError
 from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table
 from .lp import LpNumericalError
+from .plant import make_plant
 from .scenario import ScenarioError, load_scenario
 from .sim import run_closed_loop, write_trajectories_csv
 from .synth import (
@@ -147,7 +148,10 @@ def cmd_simulate(args) -> int:
     stem = Path(args.scenario).stem
     kappa = [args.kappa] if args.kappa is not None else None
     try:
-        trajs = run_closed_loop(spec, tubes, dt=args.dt, seed=args.seed, kappa=kappa)
+        plant = make_plant(spec.plant, spec.dims)
+        trajs = run_closed_loop(
+            spec, tubes, dt=args.dt, seed=args.seed, kappa=kappa, plant=plant
+        )
     except ControllerIntegrityError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -161,7 +165,7 @@ def cmd_simulate(args) -> int:
     )
     csv_path = out / f"{stem}.trajectories.csv"
     report_path = out / f"{stem}.verify.json"
-    write_trajectories_csv(trajs, csv_path)
+    write_trajectories_csv(trajs, csv_path, tubes, plant)
     save_report(report, report_path)
     wall = time.perf_counter() - t0
     print(report_to_text(report))

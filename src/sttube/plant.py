@@ -12,11 +12,21 @@ disturbance.  Two case-study plants are built in:
   (two integrator stages, 3 outputs each).
 
 Custom plants supply per-stage f_i / g_i callables.
+
+Random disturbances come from the standard library's ``random.Random``
+(Mersenne Twister), one stream per (seed, agent), seeded with the string
+``f"{seed}/{agent}"``.  Python guarantees the ``random()`` sequence for a
+given seed across versions, so a scenario draws the same disturbances on
+any supported Python and numpy; numpy's ``Generator`` streams carry no
+such guarantee across releases, and ``numpy.random`` is not imported on
+the tracking path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -132,7 +142,10 @@ def omni_gain_min_eigenvalue(heading: float) -> float:
 
 @dataclass(frozen=True)
 class Disturbance:
-    """Bounded per-component disturbance, sampled once per step (zero-order hold)."""
+    """Bounded per-component disturbance, sampled once per step (zero-order hold).
+
+    ``seed`` is a nonnegative integer; each agent draws from its own stream.
+    """
 
     bound: float
     kind: str = "uniform"  # zero | uniform | sinusoidal
@@ -142,6 +155,10 @@ class Disturbance:
     def __post_init__(self):
         if not 0 <= self.bound < math.inf:
             raise ValueError("disturbance bound must be nonnegative and finite")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(
+                f"disturbance seed must be a nonnegative integer, not {self.seed!r}"
+            )
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
@@ -150,21 +167,25 @@ class Disturbance:
         consecutive steps, it returns their samples, (len(times), size).
 
         Successive calls continue one random stream, so a step's sample
-        does not depend on how the steps are split into calls.  Raises
-        AssertionError if a sample exceeds the declared bound.
+        does not depend on how the steps are split into calls.  The
+        uniform kind maps each ``u = rng.random()``, row-major, to
+        ``-bound + 2 bound u``; the sinusoidal kind draws its phases
+        ``2 pi u`` once.  Raises AssertionError if a sample exceeds the
+        declared bound.
         """
         bound, freq = self.bound, self.frequency
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(agent,))
-        )
+        rng = random.Random(f"{self.seed}/{agent}")
         if self.kind == "zero" or bound == 0.0:
             def draw(times):
                 return np.zeros((len(times), size))
         elif self.kind == "uniform":
             def draw(times):
-                return rng.uniform(-bound, bound, (len(times), size))
+                # iter(rng.random, -1.0) never ends; fromiter takes n values.
+                n = len(times) * size
+                u = np.fromiter(iter(rng.random, -1.0), float, n)
+                return -bound + 2.0 * bound * u.reshape(len(times), size)
         else:
-            phases = rng.uniform(0.0, 2.0 * math.pi, size)
+            phases = np.array([2.0 * math.pi * rng.random() for _ in range(size)])
 
             def draw(times):  # math.sin: np.sin can differ in the last bit
                 angles = freq * np.asarray(times, dtype=float)[:, None] + phases

@@ -224,6 +224,10 @@ class PlantConfig:
             )
         if not 0 <= self.disturbance_bound < math.inf:
             raise ScenarioError("disturbance bound must be nonnegative and finite")
+        if self.disturbance_seed < 0:
+            raise ScenarioError(
+                f"disturbance seed must be nonnegative, not {self.disturbance_seed}"
+            )
         if self.disturbance_kind not in DISTURBANCE_KINDS:
             raise ScenarioError(f"unknown disturbance kind {self.disturbance_kind!r}")
 

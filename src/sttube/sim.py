@@ -9,10 +9,9 @@ Steps run in blocks of ``BLOCK``.  Everything that depends on time alone
 is evaluated once per block, as arrays on the three RK4 time grids
 step*dt, step*dt + 0.5*dt and step*dt + dt: the agent's walls (its own
 faces via ``tube_values``, then the heading band), their widths and sums,
-the funnel radii (one ``constraint_rows`` array per grid), the
-disturbance rows, and after the block the recorded stage-1 errors
-(``stage1_errors``).  The per-step loop then does only what depends on
-the state: it takes its step's rows from the block arrays, calls
+the funnel radii (one ``constraint_rows`` array per grid) and the
+disturbance rows.  The per-step loop then does only what depends on the
+state: it takes its step's rows from the block arrays, calls
 ``control_input`` once per RK4 evaluation on that evaluation's row, and
 ``dynamics`` once per stage.  Both are looked up as module globals at
 each call, never bound to locals or inlined, so a wrapper installed on
@@ -20,6 +19,9 @@ each call, never bound to locals or inlined, so a wrapper installed on
 call counter) sees every evaluation.  Every value is computed by the
 same floating-point operations as a step-by-step evaluation, so
 trajectories do not depend on the block size.
+
+A ``Trajectory`` records times, states and inputs; ``stage1_error_series``
+forms a run's stage-1 errors on demand.
 
 Fixed step rather than adaptive: the barrier gains blow up near tube
 walls and thrash adaptive error estimators; a small fixed step plus the
@@ -42,7 +44,6 @@ from .control import (
     autosize_funnels,
     constraint_rows,
     control_input,
-    stage1_errors,
 )
 from .plant import Disturbance, PlantModel, PlantStateError, dynamics, make_plant
 from .scenario import ScenarioSpec
@@ -63,7 +64,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (T, stages*dims)
     inputs: np.ndarray  # (T, dims)
-    errors: np.ndarray  # (T, dims) stage-1 normalized error
     clamp_count: int = 0
     aborted: str | None = None
 
@@ -151,7 +151,6 @@ def integrate_agent(
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, plant.state_dim))
     inputs = np.empty((n_steps + 1, dims))
-    errors = np.empty((n_steps + 1, dims))
     half, sixth = 0.5 * dt, dt / 6.0
     aborted = None
     end = n_steps + 1
@@ -203,10 +202,8 @@ def integrate_agent(
                 v + sixth * (a + 2.0 * b + 2.0 * c + d)
                 for v, a, b, c, d in zip(x, k1, k2, k3, k4)
             ]
-        stop = start + i + 1
-        errors[start:stop] = stage1_errors(states[start:stop], now[: i + 1])
         if aborted is not None:
-            end = stop
+            end = start + i + 1
             break
     return Trajectory(
         agent=agent,
@@ -214,7 +211,6 @@ def integrate_agent(
         times=times[:end],
         states=states[:end],
         inputs=inputs[:end],
-        errors=errors[:end],
         clamp_count=tel.clamp_count,
         aborted=aborted,
     )
@@ -308,10 +304,25 @@ def run_closed_loop(
     return out
 
 
+def stage1_error_series(
+    traj: Trajectory, tubes: TubeSet, plant: PlantModel
+) -> np.ndarray:
+    """Stage-1 normalized errors of a run, (T, plant dims): each recorded
+    state's outputs y against its agent's walls lo, hi at the recorded
+    time, (2 y - (hi + lo)) / (hi - lo).  The same operations as
+    ``control.stage1_errors``, so the values are bit for bit the errors
+    the controller formed during the run."""
+    lower, upper = _Stage1Bounds(tubes, traj.agent, plant).at(traj.times)
+    y = traj.states[:, : plant.dims]
+    return (2.0 * y - (upper + lower)) / (upper - lower)
+
+
 def write_trajectories_csv(
-    trajectories: list[Trajectory], path: str | Path
+    trajectories: list[Trajectory], path: str | Path, tubes: TubeSet,
+    plant: PlantModel,
 ) -> None:
-    """One file per run: columns t, agent, state..., input..., e... ."""
+    """One file per run: columns t, agent, state..., input..., e... ,
+    the errors from ``stage1_error_series`` against ``tubes``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         sd = trajectories[0].states.shape[1]
@@ -323,10 +334,11 @@ def write_trajectories_csv(
             + [f"e{i + 1}" for i in range(nd)]
         )
         for traj in trajectories:
+            errors = stage1_error_series(traj, tubes, plant)
             for k in range(len(traj.times)):
                 writer.writerow(
                     [repr(float(traj.times[k])), traj.agent + 1]
                     + [repr(float(v)) for v in traj.states[k]]
                     + [repr(float(v)) for v in traj.inputs[k]]
-                    + [repr(float(v)) for v in traj.errors[k]]
+                    + [repr(float(v)) for v in errors[k]]
                 )

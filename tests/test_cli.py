@@ -202,10 +202,12 @@ def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
     (["--dt", "0"], "dt must be positive"),
     (["--dt", "-0.001"], "dt must be positive"),
     (["--kappa", "-1"], "stage gains must be positive"),
-], ids=["dt-off-horizon", "dt-zero", "dt-negative", "kappa-negative"])
+    (["--seed", "-1"], "disturbance seed must be a nonnegative integer"),
+], ids=["dt-off-horizon", "dt-zero", "dt-negative", "kappa-negative", "seed-negative"])
 def test_simulate_rejects_closed_loop_settings(tmp_path, capsys, flags, message):
-    """A step that does not divide the horizon, a nonpositive step and a
-    nonpositive gain are usage errors: an ``error:`` line and exit code 1."""
+    """A step that does not divide the horizon, a nonpositive step, a
+    nonpositive gain and a negative disturbance seed are usage errors: an
+    ``error:`` line and exit code 1."""
     code = main([
         "simulate", str(data_path("robots.scenario")), str(data_path("robots_table.tubes")),
         "--force", "--out", str(tmp_path), *flags,

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -124,8 +125,10 @@ def test_disturbance_deterministic_per_agent():
 @pytest.mark.parametrize("kind", ["uniform", "sinusoidal"])
 def test_disturbance_blocks_continue_one_stream(kind):
     """Samples do not depend on how the steps are split into calls: one
-    call, uneven blocks and one call per step give the same bytes, and the
-    sinusoid is bound * sin(freq t + phase) with math.sin."""
+    call, uneven blocks and one call per step give the same bytes.  The
+    stream is random.Random("seed/agent"): the uniform kind maps its
+    values, row-major, to -bound + 2 bound u, and the sinusoid is
+    bound * sin(freq t + 2 pi u) with math.sin."""
     dist = Disturbance(bound=0.01, kind=kind, seed=11, frequency=1.3)
     times = np.arange(300) * 1e-3
     whole = dist.make_sampler(2, 6)(times)
@@ -135,11 +138,13 @@ def test_disturbance_blocks_continue_one_stream(kind):
     stepwise = dist.make_sampler(2, 6)
     steps = np.vstack([stepwise(times[k : k + 1]) for k in range(300)])
     assert whole.tobytes() == split.tobytes() == steps.tobytes()
+    rng = random.Random("11/2")
     if kind == "sinusoidal":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=11, spawn_key=(2,)))
-        phases = rng.uniform(0.0, 2.0 * math.pi, 6)
+        phases = [2.0 * math.pi * rng.random() for _ in range(6)]
         expect = [[0.01 * math.sin(1.3 * t + ph) for ph in phases] for t in times.tolist()]
-        assert whole.tobytes() == np.array(expect).tobytes()
+    else:
+        expect = [[-0.01 + 0.02 * rng.random() for _ in range(6)] for _ in range(300)]
+    assert whole.tobytes() == np.array(expect).tobytes()
 
 
 def test_disturbance_bound_check_raises(monkeypatch):
@@ -147,19 +152,28 @@ def test_disturbance_bound_check_raises(monkeypatch):
         def __init__(self, seed):
             pass
 
-        def uniform(self, low, high, size):
-            return np.full(size, 2.0 * high)
+        def random(self):
+            return 2.0
 
-    monkeypatch.setattr(np.random, "default_rng", Loud)
+    monkeypatch.setattr(random, "Random", Loud)
     sampler = Disturbance(bound=0.01, kind="uniform").make_sampler(0, 3)
     with pytest.raises(AssertionError, match="exceeds the declared bound"):
         sampler(np.zeros(4))
 
 
-@pytest.mark.parametrize("bound", [-0.01, math.nan, math.inf], ids=["negative", "nan", "inf"])
-def test_disturbance_bound_must_be_nonnegative(bound):
-    with pytest.raises(ValueError, match="bound must be nonnegative and finite"):
-        Disturbance(bound=bound)
+@pytest.mark.parametrize("fields,message", [
+    ({"bound": -0.01}, "bound must be nonnegative and finite"),
+    ({"bound": math.nan}, "bound must be nonnegative and finite"),
+    ({"bound": math.inf}, "bound must be nonnegative and finite"),
+    ({"bound": 0.01, "seed": -1}, "seed must be a nonnegative integer"),
+    ({"bound": 0.01, "seed": 1.0}, "seed must be a nonnegative integer"),
+], ids=["negative", "nan", "inf", "negative-seed", "float-seed"])
+def test_disturbance_bound_must_be_nonnegative(fields, message):
+    """A bound outside [0, inf) and a seed that is not a nonnegative
+    integer are rejected when the disturbance is made, not at its first
+    draw."""
+    with pytest.raises(ValueError, match=message):
+        Disturbance(**fields)
 
 
 def test_plant_kind_validation():

@@ -230,13 +230,15 @@ def _plant(raw, **fields):
     (lambda raw: _plant(raw, disturbance={"bound": -0.01}), "bound must be nonnegative and"),
     (lambda raw: _plant(raw, disturbance={"kind": "gauss"}), "unknown disturbance kind 'gauss'"),
     (lambda raw: _plant(raw, disturbance={"seed": 1.5}), "disturbance seed must be an integer"),
+    (lambda raw: _plant(raw, disturbance={"seed": -1}), "disturbance seed must be nonnegative"),
     (lambda raw: raw.update(control={"kappa": 2.0}), "control kappa must be a list"),
 ], ids=[
     "fractional-degree", "scalar-float-degree", "scalar-min-width", "box-triple",
     "box-string", "arena-not-pairs", "arena-reversed", "missing-horizon", "fractional-dims",
     "agents-scalar", "agent-scalar", "missing-keyframes", "keyframe-not-pair", "plant-list",
     "g-sign-typo", "band-reversed", "band-three-values", "band-infinite", "band-scalar",
-    "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "kappa-scalar",
+    "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "negative-seed",
+    "kappa-scalar",
 ])
 def test_loader_rejects_malformed_fields(edit, message):
     """A malformed field is a ScenarioError naming it, at load time: not a

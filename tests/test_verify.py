@@ -44,7 +44,6 @@ def _traj(points, dt=0.1, agent=0):
         times=np.arange(n) * dt,
         states=pts,
         inputs=np.zeros_like(pts),
-        errors=np.zeros_like(pts),
     )
 
 
@@ -163,7 +162,7 @@ def test_failed_checks_named(mini_spec, mini_result):
     cut = Trajectory(
         agent=short.agent, name=short.name,
         times=short.times[:100], states=short.states[:100],
-        inputs=short.inputs[:100], errors=short.errors[:100],
+        inputs=short.inputs[:100],
     )
     report = verify_run([cut, trajs[1]], mini_spec, mini_result.tubes)
     assert not report.all_pass
