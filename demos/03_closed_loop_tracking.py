@@ -10,7 +10,7 @@ import numpy as np
 
 from sttube import data_path, load_scenario, load_tubes
 from sttube.plant import make_plant
-from sttube.sim import run_closed_loop, stage1_error_series
+from sttube.sim import input_series, run_closed_loop, stage1_error_series
 from sttube.synth import validate_tubes
 from sttube.verify import report_to_text, verify_run
 
@@ -21,8 +21,9 @@ plant = make_plant(spec.plant, spec.dims)
 trajectories = run_closed_loop(spec, tubes, dt=1e-3, seed=11, plant=plant)
 for traj in trajectories:
     e_max = float(np.abs(stage1_error_series(traj, tubes, plant)).max())
+    u_max = float(np.abs(input_series(traj, tubes, plant)).max())
     print(f"{traj.name}: {len(traj.times)} steps, max |normalized error| "
-          f"{e_max:.3f}, guard clamps {traj.clamp_count}, "
+          f"{e_max:.3f}, max |u| {u_max:.3f}, guard clamps {traj.clamp_count}, "
           f"final position ({traj.final_state[0]:.3f}, {traj.final_state[1]:.3f})")
 
 gap = validate_tubes(tubes, spec, resolution=0.005).families["collision"].worst_margin

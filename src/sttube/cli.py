@@ -48,7 +48,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def write_manifest(path: Path, command: str, args: dict, outputs: dict, wall: float) -> None:
+def write_manifest(
+    path: Path, command: str, args: dict, outputs: dict, wall: float, run: dict | None = None
+) -> None:
     manifest = {
         "command": command,
         "version": __version__,
@@ -57,6 +59,8 @@ def write_manifest(path: Path, command: str, args: dict, outputs: dict, wall: fl
         "outputs": outputs,
         "wall_time_s": wall,
     }
+    if run is not None:
+        manifest["run"] = run
     path.write_text(json.dumps(manifest, indent=2) + "\n")
 
 
@@ -182,6 +186,19 @@ def cmd_simulate(args) -> int:
         },
         {"trajectories": str(csv_path), "report": str(report_path)},
         wall,
+        {
+            "agents": [
+                {
+                    "name": traj.name,
+                    "steps": len(traj.times) - 1,
+                    "clamp_count": traj.clamp_count,
+                    "aborted": traj.aborted,
+                    "worst_containment_margin": check.worst_containment_margin,
+                }
+                for traj, check in zip(trajs, report.agents)
+            ],
+            "sampling_robustness": report.sampling_robustness,
+        },
     )
     if not report.all_pass:
         for line in report.failed_checks():

@@ -1,27 +1,24 @@
 """Fixed-step closed-loop integration of all agents under tube control.
 
 Classical 4th-order Runge-Kutta with the controller re-evaluated at each
-stage point and the disturbance held constant over the step.  Agents are
-integrated one at a time: the integrator for agent j touches nothing but
-agent j's tubes, config, and state, so decentralization holds end to end.
+stage point and the disturbance held constant over the step.  Each agent
+is integrated alone, on its own tubes, config and state, so
+decentralization holds end to end.
 
-Steps run in blocks of ``BLOCK``.  Everything that depends on time alone
-is evaluated once per block, as arrays on the three RK4 time grids
-step*dt, step*dt + 0.5*dt and step*dt + dt: the agent's walls (its own
-faces via ``tube_values``, then the heading band), their widths and sums,
-the funnel radii (one ``constraint_rows`` array per grid) and the
-disturbance rows.  The per-step loop then does only what depends on the
-state: it takes its step's rows from the block arrays, calls
-``control_input`` once per RK4 evaluation on that evaluation's row, and
-``dynamics`` once per stage.  Both are looked up as module globals at
-each call, never bound to locals or inlined, so a wrapper installed on
-``sttube.sim.control_input`` or ``sttube.sim.dynamics`` (a profiler, a
-call counter) sees every evaluation.  Every value is computed by the
-same floating-point operations as a step-by-step evaluation, so
-trajectories do not depend on the block size.
+Steps run in blocks of ``BLOCK``.  What depends on time alone (the
+agent's walls: its faces, then the heading band; the constraint rows;
+the disturbance) is formed once per block, as arrays on the RK4 grids
+t, t + dt/2 and t + dt.  The per-step loop takes its rows from them and
+calls ``control_input`` once per RK4 evaluation and ``dynamics`` once
+per stage, both looked up as module globals at each call, so a wrapper
+on ``sttube.sim.control_input`` or ``sttube.sim.dynamics`` (a profiler,
+a call counter) sees every evaluation.  The floating-point operations
+are those of a step-by-step evaluation, so trajectories do not depend
+on the block size.
 
-A ``Trajectory`` records times, states and inputs; ``stage1_error_series``
-forms a run's stage-1 errors on demand.
+A ``Trajectory`` records times and states, with the run's controller;
+``input_series`` and ``stage1_error_series`` form its inputs and
+stage-1 errors on demand, bit for bit.
 
 Fixed step rather than adaptive: the barrier gains blow up near tube
 walls and thrash adaptive error estimators; a small fixed step plus the
@@ -63,7 +60,7 @@ class Trajectory:
     name: str
     times: np.ndarray
     states: np.ndarray  # (T, stages*dims)
-    inputs: np.ndarray  # (T, dims)
+    config: ControllerConfig
     clamp_count: int = 0
     aborted: str | None = None
 
@@ -141,7 +138,6 @@ def integrate_agent(
     if not abs(n_steps * dt - horizon) <= 1e-9:  # a NaN difference fails too
         raise ValueError("dt must divide the horizon")
     x = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
-    dims = plant.dims
     sampler = disturbance.make_sampler(agent, plant.state_dim)
     tel = StageTelemetry()
 
@@ -150,7 +146,6 @@ def integrate_agent(
 
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, plant.state_dim))
-    inputs = np.empty((n_steps + 1, dims))
     half, sixth = 0.5 * dt, dt / 6.0
     aborted = None
     end = n_steps + 1
@@ -172,7 +167,6 @@ def integrate_agent(
                     exc.stage, f"agent {agent + 1} at t={t:.6g}"
                 ) from exc
             states[start + i] = x
-            inputs[start + i] = u
             if i == last:
                 break
             step_ahead = ahead[i].tolist()
@@ -210,7 +204,7 @@ def integrate_agent(
         name=name,
         times=times[:end],
         states=states[:end],
-        inputs=inputs[:end],
+        config=config,
         clamp_count=tel.clamp_count,
         aborted=aborted,
     )
@@ -308,13 +302,24 @@ def stage1_error_series(
     traj: Trajectory, tubes: TubeSet, plant: PlantModel
 ) -> np.ndarray:
     """Stage-1 normalized errors of a run, (T, plant dims): each recorded
-    state's outputs y against its agent's walls lo, hi at the recorded
-    time, (2 y - (hi + lo)) / (hi - lo).  The same operations as
-    ``control.stage1_errors``, so the values are bit for bit the errors
-    the controller formed during the run."""
+    output y against its agent's walls lo, hi at the recorded time,
+    (2 y - (hi + lo)) / (hi - lo), by the operations of
+    ``control.stage1_errors``, so bit for bit the errors the run formed."""
     lower, upper = _Stage1Bounds(tubes, traj.agent, plant).at(traj.times)
     y = traj.states[:, : plant.dims]
     return (2.0 * y - (upper + lower)) / (upper - lower)
+
+
+def input_series(traj: Trajectory, tubes: TubeSet, plant: PlantModel) -> np.ndarray:
+    """Plant inputs of a run, (T, plant dims): ``control_input`` under
+    ``traj.config`` on each recorded state and its row at the recorded
+    time, so bit for bit the inputs the run applied."""
+    grid = traj.times
+    rows = constraint_rows(*_Stage1Bounds(tubes, traj.agent, plant).at(grid), traj.config, grid)
+    return np.array([
+        control_input(x, row, traj.config, False)
+        for x, row in zip(traj.states.tolist(), rows.tolist())
+    ])
 
 
 def write_trajectories_csv(
@@ -322,11 +327,10 @@ def write_trajectories_csv(
     plant: PlantModel,
 ) -> None:
     """One file per run: columns t, agent, state..., input..., e... ,
-    the errors from ``stage1_error_series`` against ``tubes``."""
+    the inputs and errors formed on demand against ``tubes``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        sd = trajectories[0].states.shape[1]
-        nd = trajectories[0].inputs.shape[1]
+        sd, nd = trajectories[0].states.shape[1], plant.dims
         writer.writerow(
             ["t", "agent"]
             + [f"x{i + 1}" for i in range(sd)]
@@ -334,11 +338,10 @@ def write_trajectories_csv(
             + [f"e{i + 1}" for i in range(nd)]
         )
         for traj in trajectories:
-            errors = stage1_error_series(traj, tubes, plant)
-            for k in range(len(traj.times)):
-                writer.writerow(
-                    [repr(float(traj.times[k])), traj.agent + 1]
-                    + [repr(float(v)) for v in traj.states[k]]
-                    + [repr(float(v)) for v in traj.inputs[k]]
-                    + [repr(float(v)) for v in errors[k]]
-                )
+            table = np.hstack([
+                traj.states,
+                input_series(traj, tubes, plant),
+                stage1_error_series(traj, tubes, plant),
+            ])
+            for t, row in zip(traj.times.tolist(), table.tolist()):
+                writer.writerow([repr(t), traj.agent + 1] + [repr(v) for v in row])

@@ -171,8 +171,7 @@ def verify_run(
     tube separation ``-min_tube_gap`` (no bound when the gap is not
     finite), minus the largest step: overlapping tubes make it negative.
     """
-    agents = []
-    max_step = 0.0
+    agents, max_step = [], 0.0
     for traj in trajectories:
         check = check_tras(traj, spec)
         margins = check_containment(traj, tubes)
@@ -180,13 +179,11 @@ def verify_run(
         check.containment_pass = bool((margins > 0.0).all()) and traj.aborted is None
         agents.append(check)
         y = traj.output(spec.dims)
-        if len(y) > 1:
-            step = float(np.sqrt(((y[1:] - y[:-1]) ** 2).sum(axis=1)).max())
-            max_step = max(max_step, step)
+        # np.max and np.min keep a NaN in any position; max and min may drop it
+        max_step = float(np.max(np.sqrt(((y[1:] - y[:-1]) ** 2).sum(axis=1)), initial=max_step))
     ca_pass, min_dist = check_ca(trajectories, spec.dims)
-    worst_margin = min(a.worst_containment_margin for a in agents)
     gap = -min_tube_gap if np.isfinite(min_tube_gap) else np.inf
-    robustness = min(worst_margin, gap) - max_step
+    robustness = np.min([gap] + [a.worst_containment_margin for a in agents]) - max_step
     return VerificationReport(
         agents=agents,
         ca_pass=ca_pass,

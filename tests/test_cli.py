@@ -139,6 +139,21 @@ def test_simulate_end_to_end_and_determinism(tmp_path, solo_scenario, capsys):
     assert csv1 == csv2
     report = json.loads((out1 / "solo.verify.json").read_text())
     assert report["all_pass"] is True
+    # the manifest's run block: per agent its steps, clamps, abort and
+    # worst margin, and the report's sampling robustness
+    run = json.loads((out1 / "solo.simulate.manifest.json").read_text())["run"]
+    (agent,) = report["agents"]
+    assert run == {
+        "agents": [{
+            "name": agent["name"],
+            "steps": round(SOLO["horizon"] / 1e-3),  # the default dt
+            "clamp_count": 0,
+            "aborted": None,
+            "worst_containment_margin": agent["worst_containment_margin"],
+        }],
+        "sampling_robustness": report["sampling_robustness"],
+    }
+    assert agent["worst_containment_margin"] > 0.0
 
 
 def test_simulate_requires_certificate(tmp_path, solo_scenario):

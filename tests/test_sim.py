@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from sttube import sim
 from sttube.sim import (
     BLOCK,
     build_controller_config,
+    input_series,
     integrate_agent,
     run_closed_loop,
     stage1_error_series,
@@ -50,7 +52,8 @@ def test_equilibrium_at_constant_tube_center():
     spec, tubes = _constant_tube_spec()
     (traj,) = run_closed_loop(spec, tubes, dt=1e-3)
     assert np.allclose(traj.states[:, :2], 1.0, atol=1e-12)
-    assert np.allclose(traj.inputs, 0.0, atol=1e-12)
+    plant = make_plant(spec.plant, spec.dims)
+    assert np.allclose(input_series(traj, tubes, plant), 0.0, atol=1e-12)
     assert traj.clamp_count == 0
 
 
@@ -63,7 +66,7 @@ def test_deterministic_trajectories(robots_spec, robots_table, robots_run):
     again = run_closed_loop(robots_spec, robots_table, dt=1e-3, seed=9)
     for ta, tb in zip(robots_run, again):
         assert ta.states.tobytes() == tb.states.tobytes()
-        assert ta.inputs.tobytes() == tb.inputs.tobytes()
+        assert ta.config == tb.config
 
 
 def test_agents_share_one_time_grid(robots_run):
@@ -120,8 +123,9 @@ def test_integrity_error_carries_timestamp(robots_spec, robots_table):
 
 
 def test_csv_columns(tmp_path, robots_spec, robots_table, robots_run):
-    """The CSV holds t, agent, states, inputs, then the stage-1 errors of
-    ``stage1_error_series``, each value written exactly."""
+    """The CSV holds t, agent, states, the inputs of ``input_series``,
+    then the stage-1 errors of ``stage1_error_series``, each value
+    written exactly."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     path = tmp_path / "run.csv"
     write_trajectories_csv(robots_run, path, robots_table, plant)
@@ -129,10 +133,11 @@ def test_csv_columns(tmp_path, robots_spec, robots_table, robots_run):
     header = lines[0].split(",")
     assert header[:2] == ["t", "agent"]
     assert "x1" in header and "u1" in header and "e1" in header
-    e_cols = [k for k, name in enumerate(header) if name.startswith("e")]
     table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    expect = np.vstack([stage1_error_series(t, robots_table, plant) for t in robots_run])
-    assert table[:, e_cols].tobytes() == expect.tobytes()
+    for prefix, series in (("u", input_series), ("e", stage1_error_series)):
+        cols = [k for k, name in enumerate(header) if name.startswith(prefix)]
+        expect = np.vstack([series(t, robots_table, plant) for t in robots_run])
+        assert table[:, cols].tobytes() == expect.tobytes()
 
 
 def test_published_tube_run_stays_inside(robots_spec, robots_table, robots_run):
@@ -161,7 +166,7 @@ def test_errors_match_tube_walls(robots_spec, robots_table, robots_run):
         assert np.array(expect).tobytes() == errors.tobytes()
 
 
-# sha256 of the agents' states, inputs and stage1_error_series errors
+# sha256 of the agents' states, input_series inputs and stage1_error_series errors
 # (concatenated in agent order) for the first 0.5 s of each published tube
 # set, dt 1e-3, seed 7, under the random.Random disturbance streams.  Under
 # the earlier numpy streams these tests pinned digests recorded from a
@@ -204,7 +209,7 @@ def test_published_trajectory_digests(case, kind, request):
     plant = make_plant(spec.plant, spec.dims)
     series = (
         [t.states for t in trajs],
-        [t.inputs for t in trajs],
+        [input_series(t, tubes, plant) for t in trajs],
         [stage1_error_series(t, tubes, plant) for t in trajs],
     )
     digests = tuple(
@@ -212,6 +217,56 @@ def test_published_trajectory_digests(case, kind, request):
         for arrays in series
     )
     assert digests == PUBLISHED_DIGESTS[case, kind]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sinusoidal"])
+@pytest.mark.parametrize("case", ["robots", "drones"])
+def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
+    """``input_series`` gives, byte for byte, the inputs the loop applied:
+    the outputs of its strict ``control_input`` call at every recorded
+    state, in agent order."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    spec = dataclasses.replace(
+        spec, horizon=0.3,
+        plant=dataclasses.replace(spec.plant, disturbance_kind=kind),
+    )
+    real, applied = sim.control_input, []
+
+    def recording(state, row, config, strict=True, telemetry=None):
+        u = real(state, row, config, strict, telemetry)
+        if strict:
+            applied.append(u)
+        return u
+
+    monkeypatch.setattr(sim, "control_input", recording)
+    trajs = run_closed_loop(spec, tubes, dt=1e-3, seed=5)
+    plant = make_plant(spec.plant, spec.dims)
+    series = np.vstack([input_series(t, tubes, plant) for t in trajs])
+    assert len(applied) == 4 * 301
+    assert series.tobytes() == np.array(applied).tobytes()
+
+
+def test_recorded_memory_grows_with_states_only(robots_spec, robots_table):
+    """A run keeps per step only its time and state: doubling the horizon
+    raises the traced peak of ``integrate_agent`` by the growth of those
+    two arrays plus a small fixed allowance, so a per-step record of any
+    other array (inputs are 24 bytes a step on robots) fails."""
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    config = build_controller_config(robots_spec, robots_table, 0, plant)
+    dist = Disturbance(bound=0.01, kind="uniform", seed=2)
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            traj = integrate_agent(0, robots_table, plant, config, dist, horizon, 1e-3)
+            return tracemalloc.get_traced_memory()[1], traj.states.nbytes + traj.times.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak(0.2)  # one-time allocations
+    (short, kept_short), (long, kept_long) = peak(2.0), peak(4.0)
+    assert long - short <= kept_long - kept_short + 16 * 1024
 
 
 @pytest.mark.parametrize("case", ["robots", "drones"])
@@ -227,10 +282,10 @@ def test_integrator_decentralization_byte_identity(case, request):
     config = build_controller_config(spec, tubes, j, plant)
     full = integrate_agent(j, tubes, plant, config, calm, 0.3, 1e-3)
     alone = integrate_agent(0, solo, plant, config, calm, 0.3, 1e-3)
-    for field in ("times", "states", "inputs"):
+    for field in ("times", "states"):
         assert getattr(full, field).tobytes() == getattr(alone, field).tobytes()
-    errors = stage1_error_series(full, tubes, plant)
-    assert errors.tobytes() == stage1_error_series(alone, solo, plant).tobytes()
+    for series in (input_series, stage1_error_series):
+        assert series(full, tubes, plant).tobytes() == series(alone, solo, plant).tobytes()
     assert full.clamp_count == alone.clamp_count
 
 
@@ -258,19 +313,21 @@ def test_step_counts_off_the_block_size(robots_spec, robots_table):
 
     longest = run(3 * BLOCK + 5)
     assert len(longest.times) == 3 * BLOCK + 6
+    inputs = input_series(longest, robots_table, plant)
     for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
         short = run(n)
         assert len(short.times) == n + 1
-        for field in ("times", "states", "inputs"):
+        for field in ("times", "states"):
             prefix = getattr(longest, field)[: n + 1]
             assert getattr(short, field).tobytes() == prefix.tobytes()
+        assert input_series(short, robots_table, plant).tobytes() == inputs[: n + 1].tobytes()
 
 
 def test_nonfinite_plant_mid_block_truncates_consistently():
     """A custom plant whose drift turns NaN past x = 0.9 aborts the run in
-    the middle of a block: the state, input and time records all end at
-    the failing step, and the on-demand errors are those of the recorded
-    states against the recorded walls."""
+    the middle of a block: the state and time records end at the failing
+    step, the on-demand inputs cover the same steps, and the on-demand
+    errors are those of the recorded states against the recorded walls."""
     eye = np.eye(2)
     plant = make_custom_plant(
         1, 2, f=[lambda xb: np.zeros(2) if xb[0] < 0.9 else np.full(2, np.nan)],
@@ -285,7 +342,7 @@ def test_nonfinite_plant_mid_block_truncates_consistently():
     assert traj.aborted == "non-finite state at t=0.71: (nan, nan)"
     last = 710
     assert 0 < last % BLOCK < BLOCK - 1
-    lengths = {len(getattr(traj, f)) for f in ("times", "states", "inputs")}
+    lengths = {len(traj.times), len(traj.states), len(input_series(traj, tubes, plant))}
     assert lengths == {last + 1}
     assert traj.times.tobytes() == (np.arange(last + 1) * 1e-3).tobytes()
     assert np.isfinite(traj.states[:last]).all() and np.isnan(traj.states[last]).all()

@@ -1,6 +1,11 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 
+from sttube.control import ControllerConfig
 from sttube.scenario import scenario_from_dict
 from sttube.sim import Trajectory, run_closed_loop
 from sttube.tube import tubes_from_dict
@@ -8,30 +13,31 @@ from sttube.verify import (
     check_ca,
     check_containment,
     check_tras,
+    report_to_dict,
     report_to_text,
     verify_run,
 )
 
 
-def _spec():
+def _spec(agents=1):
     return scenario_from_dict({
         "dims": 2, "horizon": 1.0, "epsilon": 0.01,
         "arena": [[0.0, 4.0], [0.0, 4.0]],
         "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[3.0, 4.0], [3.0, 4.0]],
-                    "tube_degree": [2, 2]}],
+                    "tube_degree": [2, 2]}] * agents,
         "obstacles": [{"interpolation": "static",
                        "keyframes": [[0.0, [[1.8, 2.2], [0.0, 0.4]]]]}],
     })
 
 
-def _tubes():
+def _tubes(agents=1):
     # straight diagonal tube from the start box to the goal box
     return tubes_from_dict({
         "horizon": 1.0,
         "agents": [{"dims": [
             {"lower": [0.0, 3.0], "upper": [1.0, 3.0], "min_width": 0.4},
             {"lower": [0.0, 3.0], "upper": [1.0, 3.0], "min_width": 0.4},
-        ]}],
+        ]}] * agents,
     })
 
 
@@ -43,7 +49,7 @@ def _traj(points, dt=0.1, agent=0):
         name=f"a{agent + 1}",
         times=np.arange(n) * dt,
         states=pts,
-        inputs=np.zeros_like(pts),
+        config=ControllerConfig(kappa=(1.0,)),
     )
 
 
@@ -117,6 +123,25 @@ def test_containment_margins():
     assert not (margins > 0).all()
 
 
+def test_report_does_not_depend_on_agent_order_after_an_abort():
+    """An aborted agent's NaN last state gives a NaN containment margin and
+    step, so the sampling robustness is NaN wherever the agent is listed,
+    and the report is the same in either order."""
+    spec, tubes = _spec(agents=2), _tubes(agents=2)
+    good = _traj(np.linspace([0.5, 0.5], [3.5, 3.5], 11))
+    pts = np.linspace([0.6, 0.4], [2.1, 1.9], 6)
+    pts[5] = np.nan
+    bad = dataclasses.replace(
+        _traj(pts, agent=1), aborted="non-finite state at t=0.5: (nan, nan)"
+    )
+    one, two = (
+        report_to_dict(verify_run(order, spec, tubes)) for order in ([bad, good], [good, bad])
+    )
+    two["agents"].reverse()
+    assert json.dumps(one) == json.dumps(two)
+    assert math.isnan(one["sampling_robustness"])
+
+
 def test_ca_vacuous_single_agent():
     ok, dist = check_ca([_traj(np.zeros((5, 2)))], dims=2)
     assert ok and dist == float("inf")
@@ -132,7 +157,7 @@ def test_ca_detects_contact():
 
 
 def test_full_report_round_trip(tmp_path, mini_spec, mini_result):
-    from sttube.verify import report_to_dict, save_report
+    from sttube.verify import save_report
 
     trajs = run_closed_loop(mini_spec, mini_result.tubes, dt=1e-3, seed=3)
     report = verify_run(trajs, mini_spec, mini_result.tubes, min_tube_gap=-0.05)
@@ -159,11 +184,7 @@ def test_failed_checks_named(mini_spec, mini_result):
     trajs = run_closed_loop(mini_spec, mini_result.tubes, dt=1e-3, seed=3)
     # truncate one agent to force an inconclusive result
     short = trajs[0]
-    cut = Trajectory(
-        agent=short.agent, name=short.name,
-        times=short.times[:100], states=short.states[:100],
-        inputs=short.inputs[:100],
-    )
+    cut = dataclasses.replace(short, times=short.times[:100], states=short.states[:100])
     report = verify_run([cut, trajs[1]], mini_spec, mini_result.tubes)
     assert not report.all_pass
     assert any("shorter than horizon" in line for line in report.failed_checks())
