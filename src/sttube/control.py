@@ -15,17 +15,21 @@ wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
 simulator does so once per block of steps), ``constraint_row`` one row
 for one time, and ``stage1_errors`` forms the stage-1 errors of many
 states against their rows at once.  ``control_input`` reads a row and
-the flat stacked state and does the per-state arithmetic only: the law
-is written once, in its loop, which walks each stage's components in
-one pass (error, strict check, clamp, barrier term) with plain floats.
-It runs four times per RK4 step, so it calls no per-stage helper and
-builds no intermediate tuple.  Rows and the law use one agent's data
-only, so an agent's input is byte-identical whether or not other agents
-exist.
+the flat stacked state and does the per-state arithmetic only.  The law
+runs four times per RK4 step, so it is written once, as a source
+template (``_law_source``), and compiled the first time each shape
+(stages, dims, strict) is seen into a kernel with no loop: per
+component, error, strict check, clamp and barrier term over plain
+floats, unrolled.  Only those integers enter the source.  Kernels are
+registered in ``linecache`` under names like ``<sttube law 2x3
+strict>``, so tracebacks and profiles show their lines.  Rows and the
+law use one agent's data only, so an agent's input is byte-identical
+whether or not other agents exist.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from math import log
@@ -149,6 +153,94 @@ def _worst_error(state, row, ref, k: int, n: int) -> float:
     return max(abs(v) for v in e)
 
 
+def _strict_failure(state, row, ref, k: int, n: int, before: int, telemetry) -> None:
+    """Raise the strict error of stage k, with the clamps of the stages
+    before it counted, unless its worst |e| is below 1 (or NaN)."""
+    worst = _worst_error(state, row, ref, k, n)
+    if worst >= 1.0:
+        if telemetry is not None:
+            telemetry.clamp_count += before
+        raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
+
+
+def _check_width(width: float) -> None:
+    if width <= 0.0:
+        raise ControllerIntegrityError(1, f"(tube width {width:.6g})", width=width)
+
+
+_MISMATCH = "state or constraint row does not match the stage count"
+
+
+def _law_source(stages: int, dims: int, strict: bool) -> str:
+    """The stage law unrolled for one shape, as the source of a function
+    ``law(state, row, config, telemetry)`` with no loop.  ``x<j>`` is
+    state[j], ``w<j>`` row[j], ``k<k>`` stage k's signed gain and
+    ``r<k>_<i>`` its reference in component i.  Only the three integers
+    enter the text, never scenario data."""
+    n = dims
+
+    def names(prefix, count):
+        return "".join(f"{prefix}{j}, " for j in range(count))
+
+    out = [
+        "def law(state, row, config, telemetry):",
+        f" try: {names('x', stages * n)}= state",
+        " except ValueError: raise ValueError(_MISMATCH) from None",
+        f" {names('w', (stages + 1) * n)}= row",
+        f" if not ({' and '.join(f'w{i} > 0.0' for i in range(n))}): _check_width(min(row[:{n}]))",
+        f" {names('k', stages)}= config.kappa",
+        " if not config.g_negative_definite:",
+        *(f"  k{k} = -k{k}" for k in range(stages)),
+        " e = config.e_max; m = -e; c = 0",
+    ]
+    for k in range(stages):
+        if strict:
+            out.append(" b = c")
+        for i in range(n):
+            j = k * n + i
+            if k:
+                g, error = f"w{j + n}", f"(x{j} - r{k - 1}_{i}) / w{j + n}"
+            else:
+                g, error = f"w{i}", f"(2.0 * x{i} - w{n + i}) / w{i}"
+            out.append(f" v = {error}")
+            if strict:
+                ref = f"({names(f'r{k - 1}_', n)})" if k else "None"
+                out.append(
+                    " if v >= 1.0 or v <= -1.0:"
+                    f" _strict_failure(state, row, {ref}, {k}, {n}, b, telemetry)"
+                )
+            out += [
+                " if v > e: v = e; c += 1",
+                " elif v < m: v = m; c += 1",
+                f" r{k}_{i} = k{k} * (4.0 / ({g} * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v))",
+            ]
+    out += [
+        " if telemetry is not None: telemetry.clamp_count += c",
+        f" return ({names(f'r{stages - 1}_', n)})",
+    ]
+    return "\n".join(out) + "\n"
+
+
+# Compiled laws by (stages, row length, strict).
+_KERNELS: dict = {}
+
+
+def _kernel(stages: int, width: int, strict: bool):
+    """Compile, cache and return the law for this shape.  Its source is
+    registered in ``linecache`` under a name that gives the shape, so
+    tracebacks and profilers show the law's lines."""
+    dims, rest = divmod(width, stages + 1)
+    if rest or not dims:
+        raise ValueError(_MISMATCH)
+    source = _law_source(stages, dims, strict)
+    name = f"<sttube law {stages}x{dims}{' strict' if strict else ''}>"
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    scope = {}
+    exec(compile(source, name, "exec"), globals(), scope)
+    _KERNELS[stages, width, strict] = scope["law"]
+    return scope["law"]
+
+
 def control_input(
     state,
     row,
@@ -177,51 +269,14 @@ def control_input(
     instead.  A collapsed stage-1 tube (wall width <= 0) raises the
     stage-1 error in either mode, with the smallest width as its
     ``width``.  Funnel radii are not checked: ``Funnel`` makes them
-    positive.
+    positive.  A state or row of the wrong length raises ValueError.
     """
-    kappas = config.kappa
-    stages = len(kappas)
-    n = len(row) // (stages + 1)
-    if len(state) != stages * n or len(row) != (stages + 1) * n:
-        raise ValueError("state or constraint row does not match the stage count")
-    width = min(row[:n])
-    if width <= 0.0:
-        raise ControllerIntegrityError(1, f"(tube width {width:.6g})", width=width)
-    e_max = config.e_max
-    e_min = -e_max
-    negative_definite = config.g_negative_definite
-    clamps = 0
-    ref = None
-    for k, kappa in enumerate(kappas):
-        gain = kappa if negative_definite else -kappa
-        before = clamps  # clamps of the stages before k
-        x_at = k * n  # stage k's block of the state; its radii sit one block on
-        g_at = x_at + n
-        out = []
-        for i in range(n):
-            if k:
-                g = row[g_at + i]
-                v = (state[x_at + i] - ref[i]) / g
-            else:
-                g = row[i]
-                v = (2.0 * state[i] - row[n + i]) / g
-            if strict and (v >= 1.0 or v <= -1.0):
-                worst = _worst_error(state, row, ref, k, n)
-                if worst >= 1.0:
-                    if telemetry is not None:
-                        telemetry.clamp_count += before
-                    raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
-            if v > e_max:
-                v = e_max
-                clamps += 1
-            elif v < e_min:
-                v = e_min
-                clamps += 1
-            out.append(gain * (4.0 / (g * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v)))
-        ref = out
-    if telemetry is not None:
-        telemetry.clamp_count += clamps
-    return tuple(ref)
+    key = (len(config.kappa), len(row), strict)
+    try:
+        kernel = _KERNELS[key]
+    except KeyError:
+        kernel = _kernel(*key)
+    return kernel(state, row, config, telemetry)
 
 
 def autosize_funnels(

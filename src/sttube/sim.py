@@ -8,13 +8,15 @@ decentralization holds end to end.
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
 agent's walls: its faces, then the heading band; the constraint rows;
 the disturbance) is formed once per block, as arrays on the RK4 grids
-t, t + dt/2 and t + dt.  The per-step loop takes its rows from them and
-calls ``control_input`` once per RK4 evaluation and ``dynamics`` once
-per stage, both looked up as module globals at each call, so a wrapper
-on ``sttube.sim.control_input`` or ``sttube.sim.dynamics`` (a profiler,
-a call counter) sees every evaluation.  The floating-point operations
-are those of a step-by-step evaluation, so trajectories do not depend
-on the block size.
+t, t + dt/2 and t + dt.  The per-step loop takes its rows from them,
+forms the RK4 stage points and update with index loops over the state
+(no comprehensions, which Python 3.11 runs as function calls), and
+calls ``control_input`` (the compiled law of ``control``) once per RK4
+evaluation and ``dynamics`` once per stage, both looked up as module
+globals at each call, so a wrapper on ``sttube.sim.control_input`` or
+``sttube.sim.dynamics`` (a profiler, a call counter) sees every
+evaluation.  The floating-point operations are those of a step-by-step
+evaluation, so trajectories do not depend on the block size.
 
 A ``Trajectory`` records times and states, with the run's controller;
 ``input_series`` and ``stage1_error_series`` form its inputs and
@@ -147,6 +149,7 @@ def integrate_agent(
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, plant.state_dim))
     half, sixth = 0.5 * dt, dt / 6.0
+    span = range(plant.state_dim)
     aborted = None
     end = n_steps + 1
     for start in range(0, n_steps + 1, BLOCK):
@@ -176,11 +179,17 @@ def integrate_agent(
             try:
                 k1 = dynamics(plant, x, u, w, t)
                 t_eval = tm
-                x2 = [v + half * dv for v, dv in zip(x, k1)]
+                x2 = []
+                for j in span:
+                    x2.append(x[j] + half * k1[j])
                 k2 = dynamics(plant, x2, control_input(x2, mid, config, False, tel), w, tm)
-                x3 = [v + half * dv for v, dv in zip(x, k2)]
+                x3 = []
+                for j in span:
+                    x3.append(x[j] + half * k2[j])
                 k3 = dynamics(plant, x3, control_input(x3, mid, config, False, tel), w, tm)
-                x4 = [v + dt * dv for v, dv in zip(x, k3)]
+                x4 = []
+                for j in span:
+                    x4.append(x[j] + dt * k3[j])
                 t_eval = t_end[i]
                 k4 = dynamics(
                     plant, x4, control_input(x4, end_row, config, False, tel), w, t_eval
@@ -192,10 +201,10 @@ def integrate_agent(
                 raise ControllerIntegrityError(
                     exc.stage, f"(tube width {exc.width:.6g} at t={t_eval:.6g})", exc.width
                 ) from exc
-            x = [
-                v + sixth * (a + 2.0 * b + 2.0 * c + d)
-                for v, a, b, c, d in zip(x, k1, k2, k3, k4)
-            ]
+            x_next = []
+            for j in span:
+                x_next.append(x[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]))
+            x = x_next
         if aborted is not None:
             end = start + i + 1
             break

@@ -143,16 +143,19 @@ def check_containment(traj: Trajectory, tubes: TubeSet) -> np.ndarray:
 def check_ca(trajectories: list[Trajectory], dims: int) -> tuple[bool, float]:
     """Minimum pairwise output distance over the common time base.
 
-    A single agent passes vacuously with infinite distance.
+    Each pair is measured at the samples where both outputs are finite,
+    so an aborted run's non-finite last sample drops no pair.  A single
+    agent passes vacuously with infinite distance.
     """
     if len(trajectories) < 2:
         return True, float("inf")
     n = min(len(tr.times) for tr in trajectories)
     outputs = [tr.output(dims)[:n] for tr in trajectories]
+    finite = [np.isfinite(y).all(axis=1) for y in outputs]
     min_d = float("inf")
     for a, b in combinations(range(len(outputs)), 2):
-        d = float(np.sqrt(((outputs[a] - outputs[b]) ** 2).sum(axis=1)).min())
-        min_d = min(min_d, d)
+        d = np.sqrt(((outputs[a] - outputs[b]) ** 2).sum(axis=1))
+        min_d = float(d[finite[a] & finite[b]].min(initial=min_d))
     return min_d > 0.0, min_d
 
 

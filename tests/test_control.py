@@ -1,10 +1,13 @@
+import linecache
 import math
 import struct
+import traceback
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sttube import control
 from sttube.control import (
     ControllerConfig,
     ControllerIntegrityError,
@@ -194,6 +197,44 @@ def test_control_input_rejects_mismatched_row():
         control_input((0.5, 0.5), [1.0, 1.0], cfg)  # row for one dim, state for two
     with pytest.raises(ValueError):
         control_input((0.5,), [1.0, 1.0, 0.5], cfg)
+    with pytest.raises(ValueError):
+        control_input((), [], cfg)  # no dims at all
+    two = ControllerConfig(
+        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
+    )
+    for state in ((), (0.5,)):  # a row shorter than stages + 1
+        with pytest.raises(ValueError):
+            control_input(state, [1.0, 1.0], two, strict=False)
+
+
+def test_collapsed_tube_width_follows_min_over_nan():
+    """The collapsed-tube check reads the width ``min`` gives over the
+    stage-1 widths: a NaN width ahead of a negative one hides it (the
+    input comes out NaN), a negative width ahead of a NaN one raises."""
+    cfg = _single_stage_config()
+    for strict in (True, False):
+        u = control_input((0.1, 0.1), [math.nan, -1.0, 0.0, 0.0], cfg, strict)
+        assert math.isnan(u[0]) and math.isfinite(u[1])
+        with pytest.raises(ControllerIntegrityError) as err:
+            control_input((0.1, 0.1), [-1.0, math.nan, 0.0, 0.0], cfg, strict)
+        assert err.value.stage == 1 and err.value.width == -1.0
+
+
+def test_strict_failure_counts_only_the_earlier_stages_clamps():
+    """A strict failure in stage 2 adds stage 1's clamps to the telemetry,
+    not the clamps stage 2 made before its failing component."""
+    funnel = Funnel(p=(1.0, 1.0), q=(0.5, 0.5), mu=(1.0, 1.0))
+    cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=0.9)
+    # stage 1 errors 0.95 (clamped) and 0; stage 2 errors 0.95 (clamped), then 1.5
+    x1 = (0.95, 0.0)
+    ref = control_input(x1, [2.0, 2.0, 0.0, 0.0], ControllerConfig(kappa=(1.0,), e_max=0.9))
+    tel = StageTelemetry(clamp_count=5)
+    with pytest.raises(ControllerIntegrityError) as err:
+        control_input(
+            x1 + (ref[0] + 0.95, ref[1] + 1.5),
+            [2.0, 2.0, 0.0, 0.0, 1.0, 1.0], cfg, True, tel,
+        )
+    assert err.value.stage == 2 and tel.clamp_count == 6
 
 
 def test_control_input_single_stage_is_first_reference():
@@ -250,13 +291,13 @@ _FRACTIONS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_control_input_matches_written_out_cascade(data):
-    """For random 1-3 stage controllers over 1-3 dims, either gain sign and
+    """For random 1-4 stage controllers over 1-4 dims, either gain sign and
     states inside, on and outside their walls and funnels, control_input
     gives the written-out chain bit for bit: stage 1's error
     (2x - (hi + lo)) / (hi - lo), stage k's error (x_k - r) / radius, each
     stage's reference from ``_paper_reference``.  The clamp count matches,
     and so does the error raised (stage, width), strict or not."""
-    stages, dims = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    stages, dims = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     kappa = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages))
     negative_definite, strict = data.draw(st.booleans()), data.draw(st.booleans())
     e_max = data.draw(st.sampled_from([E_MAX, 0.9]))
@@ -315,6 +356,52 @@ def test_control_input_matches_written_out_cascade(data):
         with pytest.raises(ControllerIntegrityError) as err:
             control_input(state, row, cfg, strict=strict, telemetry=tel)
         assert (err.value.stage, err.value.width, tel.clamp_count) == expect
+
+
+@pytest.mark.parametrize("shapes", [((1, 6), (2, 4)), ((2, 4), (1, 6))])
+def test_shapes_with_equal_row_lengths_get_their_own_law(shapes, monkeypatch):
+    """1 stage x 6 dims and 2 stages x 4 dims both have 12-entry rows; each
+    gives the written-out chain bit for bit, whichever runs first."""
+    monkeypatch.setattr(control, "_KERNELS", {}, raising=False)
+    for stages, dims in shapes:
+        funnels = tuple(
+            Funnel(p=(1.5,) * dims, q=(0.2,) * dims, mu=(0.7,) * dims)
+            for _ in range(stages - 1)
+        )
+        cfg = ControllerConfig(kappa=(1.1, 2.3)[:stages], funnels=funnels, e_max=E_MAX)
+        lower = [0.1 * i - 0.3 for i in range(dims)]
+        upper = [lo + 0.9 + 0.2 * i for i, lo in enumerate(lower)]
+        gamma = [hi - lo for lo, hi in zip(lower, upper)]
+        x1 = [lo + (0.3 + 0.05 * i) * g for i, (lo, g) in enumerate(zip(lower, gamma))]
+        e = [(2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x1, lower, upper)]
+        ref, state = _paper_reference(e, gamma, 1.1), x1
+        if stages == 2:
+            radius = funnels[0].radius(0.4)
+            x2 = [r + (0.1 * i - 0.2) * g for i, (r, g) in enumerate(zip(ref, radius))]
+            e = [(v - r) / g for v, r, g in zip(x2, ref, radius)]
+            ref, state = _paper_reference(e, radius, 2.3), x1 + x2
+        u = control_input(state, constraint_row(lower, upper, cfg, 0.4), cfg)
+        assert _bits(u) == _bits(ref)
+
+
+def test_law_kernels_are_named_for_their_shape(monkeypatch):
+    """A compiled law's code names its shape, and linecache holds its
+    source, so tracebacks and profiles show the law's lines."""
+    monkeypatch.setattr(control, "_KERNELS", {})
+    funnel = Funnel(p=(0.5, 0.8, 0.6), q=(0.1, 0.1, 0.1), mu=(1.0, 1.0, 1.0))
+    cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
+    row = constraint_row((0.0,) * 3, (1.0,) * 3, cfg, 0.0)
+    for strict, name in ((True, "<sttube law 2x3 strict>"), (False, "<sttube law 2x3>")):
+        control_input((0.5,) * 3 + (0.0,) * 3, row, cfg, strict)
+        code = control._KERNELS[2, 9, strict].__code__
+        assert code.co_filename == name
+        lines = linecache.getlines(name)
+        assert lines and lines[0].startswith("def law(")
+        assert linecache.getline(name, code.co_firstlineno) == lines[0]
+    with pytest.raises(ControllerIntegrityError) as err:
+        control_input((0.5,) * 3 + (9.0,) * 3, row, cfg)  # stage 2 outside its funnel
+    text = "".join(traceback.format_exception(err.value))
+    assert 'File "<sttube law 2x3 strict>"' in text and "_strict_failure(state" in text
 
 
 def test_control_input_odd_symmetry():

@@ -156,6 +156,18 @@ def test_ca_detects_contact():
     assert dist == 0.0
 
 
+def test_ca_keeps_pairs_with_an_aborted_agent():
+    """A pair that touches before one agent aborts fails, whatever the
+    order: the aborted run's NaN sample drops no pair."""
+    a = _traj([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], agent=0)
+    b = dataclasses.replace(
+        _traj([(5.0, 5.0), (1.0, 1.0), (math.nan, math.nan)], agent=1),
+        aborted="non-finite state at t=0.2: (nan, nan)",
+    )
+    for order in ([a, b], [b, a]):
+        assert check_ca(order, dims=2) == (False, 0.0)
+
+
 def test_full_report_round_trip(tmp_path, mini_spec, mini_result):
     from sttube.verify import save_report
 
