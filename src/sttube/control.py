@@ -15,26 +15,29 @@ wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
 simulator does so once per block of steps), ``constraint_row`` one row
 for one time, and ``stage1_errors`` forms the stage-1 errors of many
 states against their rows at once.  ``control_input`` reads a row and
-the flat stacked state and does the per-state arithmetic only.  The law
-runs four times per RK4 step, so it is written once, as a source
-template (``_law_source``), and compiled the first time each shape
-(stages, dims, strict) is seen into a kernel with no loop: per
-component, error, strict check, clamp and barrier term over plain
-floats, unrolled.  Only those integers enter the source.  Kernels are
-registered in ``linecache`` under names like ``<sttube law 2x3
-strict>``, so tracebacks and profiles show their lines.  Rows and the
+the flat stacked state and does the per-state arithmetic only.  The
+law is written once, as source templates: ``law_lines`` unrolls it for
+one (stages, dims) over named locals (per component: error, optional
+strict check, clamp and barrier term), and ``gain_lines`` binds the
+gains and clamp bounds it reads.  ``_law_source`` wraps them into the
+kernel ``law(state, row, config, telemetry)`` that ``control_input``
+compiles the first time each shape (stages, dims, strict) is seen,
+registered in ``linecache`` as ``<sttube law 2x3 strict>`` and the
+like; the closed loop's RK4 blocks (``sim``) inline the same lines.
+Only shape integers and name prefixes enter the source.  Rows and the
 law use one agent's data only, so an agent's input is byte-identical
 whether or not other agents exist.
 """
 
 from __future__ import annotations
 
-import linecache
 import math
 from dataclasses import dataclass
 from math import log
 
 import numpy as np
+
+from .codegen import compile_function, indent, names
 
 
 class ControllerIntegrityError(RuntimeError):
@@ -171,54 +174,72 @@ def _check_width(width: float) -> None:
 _MISMATCH = "state or constraint row does not match the stage count"
 
 
-def _law_source(stages: int, dims: int, strict: bool) -> str:
-    """The stage law unrolled for one shape, as the source of a function
-    ``law(state, row, config, telemetry)`` with no loop.  ``x<j>`` is
-    state[j], ``w<j>`` row[j], ``k<k>`` stage k's signed gain and
-    ``r<k>_<i>`` its reference in component i.  Only the three integers
-    enter the text, never scenario data."""
-    n = dims
-
-    def names(prefix, count):
-        return "".join(f"{prefix}{j}, " for j in range(count))
-
-    out = [
-        "def law(state, row, config, telemetry):",
-        f" try: {names('x', stages * n)}= state",
-        " except ValueError: raise ValueError(_MISMATCH) from None",
-        f" {names('w', (stages + 1) * n)}= row",
-        f" if not ({' and '.join(f'w{i} > 0.0' for i in range(n))}): _check_width(min(row[:{n}]))",
-        f" {names('k', stages)}= config.kappa",
-        " if not config.g_negative_definite:",
-        *(f"  k{k} = -k{k}" for k in range(stages)),
-        " e = config.e_max; m = -e; c = 0",
+def gain_lines(stages: int) -> list[str]:
+    """Source lines that bind what the law reads from ``config``: the
+    signed stage gains ``kappa<k>``, the clamp bounds ``e_hi``/``e_lo``,
+    and a clamp count ``clamps`` of 0."""
+    return [
+        f"{names('kappa', stages)}= config.kappa",
+        "if not config.g_negative_definite:",
+        *(f" kappa{k} = -kappa{k}" for k in range(stages)),
+        "e_hi = config.e_max; e_lo = -e_hi; clamps = 0",
     ]
+
+
+def width_test(dims: int, w: str) -> str:
+    """The condition that the stage-1 widths ``{w}0 ..`` are not all
+    positive (a NaN width fails it too)."""
+    return f"not ({' and '.join(f'{w}{i} > 0.0' for i in range(dims))})"
+
+
+def law_lines(stages: int, dims: int, x: str, w: str, strict: bool = False) -> list[str]:
+    """The stage law for one state and one row, unrolled into source lines
+    with no loop.  ``{x}<j>`` is state[j], ``{w}<j>`` row[j] and
+    ``r<k>_<i>`` stage k's reference in component i, so the input is left
+    in ``r<stages-1>_<i>``.  The lines read the names of ``gain_lines``
+    and add their clamps to ``clamps``; the strict check also reads
+    ``state``, ``row`` and ``telemetry``.  The stage-1 width check is the
+    caller's.  Only the integers and prefixes enter the text, never
+    scenario data."""
+    n = dims
+    out = []
     for k in range(stages):
         if strict:
-            out.append(" b = c")
+            out.append("before = clamps")
         for i in range(n):
             j = k * n + i
             if k:
-                g, error = f"w{j + n}", f"(x{j} - r{k - 1}_{i}) / w{j + n}"
+                g, error = f"{w}{j + n}", f"({x}{j} - r{k - 1}_{i}) / {w}{j + n}"
             else:
-                g, error = f"w{i}", f"(2.0 * x{i} - w{n + i}) / w{i}"
-            out.append(f" v = {error}")
+                g, error = f"{w}{i}", f"(2.0 * {x}{i} - {w}{n + i}) / {w}{i}"
+            out.append(f"v = {error}")
             if strict:
                 ref = f"({names(f'r{k - 1}_', n)})" if k else "None"
                 out.append(
-                    " if v >= 1.0 or v <= -1.0:"
-                    f" _strict_failure(state, row, {ref}, {k}, {n}, b, telemetry)"
+                    "if v >= 1.0 or v <= -1.0:"
+                    f" _strict_failure(state, row, {ref}, {k}, {n}, before, telemetry)"
                 )
             out += [
-                " if v > e: v = e; c += 1",
-                " elif v < m: v = m; c += 1",
-                f" r{k}_{i} = k{k} * (4.0 / ({g} * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v))",
+                "if v > e_hi: v = e_hi; clamps += 1",
+                "elif v < e_lo: v = e_lo; clamps += 1",
+                f"r{k}_{i} = kappa{k} * (4.0 / ({g} * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v))",
             ]
-    out += [
-        " if telemetry is not None: telemetry.clamp_count += c",
-        f" return ({names(f'r{stages - 1}_', n)})",
-    ]
-    return "\n".join(out) + "\n"
+    return out
+
+
+def _law_source(stages: int, dims: int, strict: bool) -> str:
+    """The source of ``law(state, row, config, telemetry)`` for one shape:
+    unpack, width check, ``gain_lines`` and ``law_lines``."""
+    return "\n".join([
+        "def law(state, row, config, telemetry):",
+        f" try: {names('x', stages * dims)}= state",
+        " except ValueError: raise ValueError(_MISMATCH) from None",
+        f" {names('w', (stages + 1) * dims)}= row",
+        f" if {width_test(dims, 'w')}: _check_width(min(row[:{dims}]))",
+        *indent(gain_lines(stages) + law_lines(stages, dims, "x", "w", strict)),
+        " if telemetry is not None: telemetry.clamp_count += clamps",
+        f" return ({names(f'r{stages - 1}_', dims)})",
+    ]) + "\n"
 
 
 # Compiled laws by (stages, row length, strict).
@@ -226,19 +247,14 @@ _KERNELS: dict = {}
 
 
 def _kernel(stages: int, width: int, strict: bool):
-    """Compile, cache and return the law for this shape.  Its source is
-    registered in ``linecache`` under a name that gives the shape, so
-    tracebacks and profilers show the law's lines."""
+    """Compile, cache and return the law for this shape, named for it."""
     dims, rest = divmod(width, stages + 1)
     if rest or not dims:
         raise ValueError(_MISMATCH)
-    source = _law_source(stages, dims, strict)
     name = f"<sttube law {stages}x{dims}{' strict' if strict else ''}>"
-    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
-    scope = {}
-    exec(compile(source, name, "exec"), globals(), scope)
-    _KERNELS[stages, width, strict] = scope["law"]
-    return scope["law"]
+    law = compile_function(_law_source(stages, dims, strict), name, globals())
+    _KERNELS[stages, width, strict] = law
+    return law
 
 
 def control_input(

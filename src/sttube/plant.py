@@ -11,7 +11,10 @@ disturbance.  Two case-study plants are built in:
 * ``drone_chain``: position driven by velocity, velocity by the input
   (two integrator stages, 3 outputs each).
 
-Custom plants supply per-stage f_i / g_i callables.
+Each built-in plant's right-hand side is written once, as the source
+lines of ``derivative_lines``; ``dynamics`` compiles them per shape, and
+the closed loop's RK4 blocks (``sim``) inline them.  Custom plants supply
+per-stage f_i / g_i callables and are evaluated with numpy.
 
 Random disturbances come from the standard library's ``random.Random``
 (Mersenne Twister), one stream per (seed, agent), seeded with the string
@@ -28,11 +31,15 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
+from math import cos, isfinite, sin  # noqa: F401 (cos, sin: read by the compiled derivatives)
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .codegen import compile_function, indent, names
 from .scenario import DISTURBANCE_KINDS, PlantConfig
+
+_BUILTIN = ("omnidirectional", "drone_chain")
 
 
 class PlantStateError(RuntimeError):
@@ -88,32 +95,80 @@ def make_custom_plant(
     )
 
 
+def check_finite(state, t: float) -> None:
+    """Raise PlantStateError unless every component of ``state`` is
+    finite.  Called when the state's sum is not finite, which a finite
+    state gives only when the sum overflows."""
+    if not all(map(isfinite, state)):
+        raise PlantStateError(f"non-finite state at t={t:.6g}: {tuple(state)}")
+
+
+def derivative_lines(
+    kind: str, stages: int, dims: int, x: str, u: str, d: str, out: str, t: str
+) -> list[str]:
+    """The state derivative as source lines with no loop: they set
+    ``{out}<j>`` from the state ``{x}<j>``, the input ``{u}<i>`` and the
+    disturbance ``{d}<j>``, after aborting with PlantStateError if the
+    state is not finite at time ``{t}``: a finite sum proves every
+    component finite, and only a sum that is not finite leads to the
+    per-component check.  ``dynamics`` and the closed loop's compiled RK4
+    blocks both run these lines, so each built-in plant is written once;
+    any other kind is one call of ``dynamics(plant, ...)``, which finds
+    ``plant`` and ``dynamics`` in the caller's globals."""
+    n = stages * dims
+    state = f"({names(x, n)})"
+    if kind not in _BUILTIN:
+        return [
+            f"{names(out, n)}= dynamics(plant, {state}, ({names(u, dims)}), ({names(d, n)}), {t})"
+        ]
+    check = f"if not isfinite({' + '.join(f'{x}{j}' for j in range(n))}): check_finite({state}, {t})"
+    if kind == "omnidirectional":  # the input rotated by the heading x2
+        return [
+            check,
+            f"cos_h = cos({x}2); sin_h = sin({x}2)",
+            f"{out}0 = cos_h * {u}0 - sin_h * {u}1 + {d}0",
+            f"{out}1 = sin_h * {u}0 + cos_h * {u}1 + {d}1",
+            f"{out}2 = {u}2 + {d}2",
+        ]
+    # drone_chain: each stage integrates the next one's state, the last the input.
+    drive = [f"{x}{j + dims}" for j in range(n - dims)] + [f"{u}{i}" for i in range(dims)]
+    return [check, *(f"{out}{j} = {v} + {d}{j}" for j, v in enumerate(drive))]
+
+
+# Compiled derivatives of the built-in plants by (kind, stages, dims).
+_DERIVATIVES: dict = {}
+
+
+def _derivative(kind: str, stages: int, dims: int):
+    """The compiled derivative of a built-in plant of this shape."""
+    key = (kind, stages, dims)
+    if key in _DERIVATIVES:
+        return _DERIVATIVES[key]
+    n = stages * dims
+    source = "\n".join([
+        "def derivative(state, u, w, t):",
+        f" {names('x', n)}= state",
+        f" {names('u', dims)}= u",
+        f" {names('d', n)}= w",
+        *indent(derivative_lines(kind, stages, dims, "x", "u", "d", "f", "t")),
+        f" return ({names('f', n)})",
+    ]) + "\n"
+    name = f"<sttube derivative {kind} {stages}x{dims}>"
+    derivative = _DERIVATIVES[key] = compile_function(source, name, globals())
+    return derivative
+
+
 def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
     """State derivative for the stacked state under input u and disturbance w.
 
     ``state`` and ``w`` are flat, length stages * dims; ``u`` has length
-    dims.  Raises PlantStateError on non-finite state.  A finite sum
-    proves every component finite; a sum that overflows falls back to the
-    per-component check.
+    dims.  Raises PlantStateError on non-finite state.  The built-in
+    plants run their ``derivative_lines``, compiled once per shape.
     """
-    if not math.isfinite(sum(state)) and not all(map(math.isfinite, state)):
-        raise PlantStateError(f"non-finite state at t={t:.6g}: {tuple(state)}")
-    if model.kind == "omnidirectional":
-        c, s = math.cos(state[2]), math.sin(state[2])
-        return (
-            c * u[0] - s * u[1] + w[0],
-            s * u[0] + c * u[1] + w[1],
-            u[2] + w[2],
-        )
-    if model.kind == "drone_chain":
-        return (
-            state[3] + w[0],
-            state[4] + w[1],
-            state[5] + w[2],
-            u[0] + w[3],
-            u[1] + w[4],
-            u[2] + w[5],
-        )
+    if model.kind in _BUILTIN:
+        return _derivative(model.kind, model.stages, model.dims)(state, u, w, t)
+    if not isfinite(sum(state)):
+        check_finite(state, t)
     # Generic pure-feedback chain.
     n = model.dims
     out = []

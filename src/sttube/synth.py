@@ -81,7 +81,7 @@ class SynthesisInfeasible(RuntimeError):
 
 
 class SynthesisFailure(RuntimeError):
-    """Refinement budget exhausted without a certified result."""
+    """No certified result that passes its own dense validation."""
 
     def __init__(self, message: str, best_margin: float):
         super().__init__(message)
@@ -1196,7 +1196,10 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     round that stopped it when it could not win (see ``solve_sop``).
 
     Raises SynthesisFailure with the best margin found when the
-    refinement budget runs out without any certificate.
+    refinement budget runs out without any certificate, and with the
+    certified margin when the certified tubes fail their own dense
+    validation (eps/4, tolerance 1e-4): a result is never returned
+    certified and invalid.
     """
     t0 = time.perf_counter()
     samples = sample_unsafe(spec)
@@ -1214,6 +1217,13 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
         report = validate_tubes(
             tubes, spec, resolution=spec.epsilon / 4.0, tolerance=1e-4
         )
+        if not report.all_pass:
+            failing = sorted(name for name, fam in report.families.items() if not fam.passed)
+            raise SynthesisFailure(
+                f"certified tubes (margin {cert.margin:.6f}) fail their own "
+                f"eps/4 validation in families {failing}",
+                cert.margin,
+            )
         return SynthesisResult(
             tubes=tubes,
             certificate=cert,

@@ -47,8 +47,8 @@ def test_criterion_1_published_tube_regression(
     _line(1, ok, detail)
     assert elapsed < 10.0
     failing = {
-        name: f"{fam.worst_margin:+.4f}"
-        for report in (rob, dro)
+        f"{case}/{name}": f"{fam.worst_margin:+.4f}"
+        for case, report in (("robots", rob), ("drones", dro))
         for name, fam in report.families.items()
         if not fam.passed
     }

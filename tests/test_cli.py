@@ -78,6 +78,19 @@ def test_synth_failed_lp_is_a_synthesis_failure(tmp_path, solo_scenario, capsys,
     assert not (tmp_path / "solo.tubes").exists()
 
 
+def test_synth_certified_but_invalid_tubes_exit_2(tmp_path, sweeping_bar, capsys):
+    """Tubes that certify but fail their own eps/4 validation are a
+    synthesis failure: exit 2, a ``synthesis failed:`` line naming the
+    failing family, and no tubes written."""
+    path = tmp_path / "bar.scenario"
+    path.write_text(json.dumps(sweeping_bar))
+    code = main(["synth", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_SYNTH
+    assert err.startswith("synthesis failed: certified tubes") and "['unsafe']" in err
+    assert not (tmp_path / "bar.tubes").exists()
+
+
 def test_synth_negative_degree_is_a_usage_error(tmp_path, capsys):
     code = main([
         "synth", str(data_path("robots.scenario")), "--degree", "-1",

@@ -51,6 +51,22 @@ def test_custom_chain_matches_builtin_drone():
     )
 
 
+def test_builtin_derivatives_match_the_written_out_formulas():
+    """The compiled derivative lines give, bit for bit, the plants'
+    formulas: the omni input rotated by the heading, and the drone chain
+    of integrators, each plus its disturbance."""
+    rng = random.Random(3)
+    for _ in range(200):
+        x = [rng.uniform(-4.0, 4.0) for _ in range(6)]
+        u = [rng.uniform(-50.0, 50.0) for _ in range(3)]
+        w = [rng.uniform(-0.1, 0.1) for _ in range(6)]
+        c, s = math.cos(x[2]), math.sin(x[2])
+        omni = (c * u[0] - s * u[1] + w[0], s * u[0] + c * u[1] + w[1], u[2] + w[2])
+        drone = (x[3] + w[0], x[4] + w[1], x[5] + w[2], u[0] + w[3], u[1] + w[4], u[2] + w[5])
+        assert dynamics(OMNI, x[:3], u, w[:3], 0.0) == omni
+        assert dynamics(DRONE, x, u, w, 0.0) == drone
+
+
 def test_nonfinite_state_aborts():
     with pytest.raises(PlantStateError):
         dynamics(OMNI, (float("nan"), 0.0, 0.0), (0.0,) * 3, (0.0,) * 3, 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import linecache
 import math
 import os
 import subprocess
@@ -9,11 +10,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sttube
-from sttube.control import ControllerIntegrityError, stage1_error
-from sttube.plant import Disturbance, make_custom_plant, make_plant
-from sttube.scenario import scenario_from_dict
+from sttube import plant as plant_module
+from sttube.control import (
+    ControllerConfig,
+    ControllerIntegrityError,
+    Funnel,
+    StageTelemetry,
+    control_input,
+    law_lines,
+    stage1_error,
+)
+from sttube.plant import (
+    Disturbance,
+    PlantStateError,
+    dynamics,
+    make_custom_plant,
+    make_plant,
+)
+from sttube.scenario import PlantConfig, scenario_from_dict
 from sttube import sim
 from sttube.sim import (
     BLOCK,
@@ -372,33 +390,185 @@ def test_tube_collapse_mid_horizon_names_the_evaluation_time(top, message):
 
 
 @pytest.mark.parametrize("case", ["robots", "drones"])
-def test_integrator_calls_the_module_hooks_per_evaluation(case, request, monkeypatch):
-    """integrate_agent looks up ``control_input`` and ``dynamics`` as module
-    globals at every call: once per step plus three RK4 evaluations, and
-    once per RK4 stage.  Profilers and the benchmark's per-layer metrics
-    wrap exactly these names."""
+def test_integrator_calls_control_input_per_recorded_state(case, request, monkeypatch):
+    """The compiled RK4 block looks up ``control_input`` in this module once
+    per recorded state, strict, so a wrapper on ``sttube.sim.control_input``
+    sees every applied input.  The midpoint and step-end laws and the
+    built-in plants' derivatives run inline: ``sttube.sim.dynamics`` is
+    never looked up."""
     spec = request.getfixturevalue(f"{case}_spec")
     tubes = request.getfixturevalue(f"{case}_table")
     plant = make_plant(spec.plant, spec.dims)
     config = build_controller_config(spec, tubes, 0, plant)
-    counts = {"control_input": 0, "dynamics": 0}
+    calls = {"strict": 0, "lenient": 0, "dynamics": 0}
+    real = sim.control_input
 
-    def counting(name):
-        real = getattr(sim, name)
+    def counting_law(state, row, config, strict=True, telemetry=None):
+        calls["strict" if strict else "lenient"] += 1
+        return real(state, row, config, strict, telemetry)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+    def counting_dynamics(*args):
+        calls["dynamics"] += 1
+        return plant_module.dynamics(*args)
 
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(sim, name, counting(name))
+    monkeypatch.setattr(sim, "control_input", counting_law)
+    monkeypatch.setattr(sim, "dynamics", counting_dynamics)
     steps = BLOCK + 7
     dist = Disturbance(bound=0.01, kind="uniform", seed=1)
     traj = integrate_agent(0, tubes, plant, config, dist, steps * 1e-3, 1e-3)
     assert len(traj.times) == steps + 1 and traj.aborted is None
-    assert counts == {"control_input": 4 * steps + 1, "dynamics": 4 * steps}
+    assert calls == {"strict": steps + 1, "lenient": 0, "dynamics": 0}
+
+
+def test_rk4_blocks_are_named_for_their_plant():
+    """A block's code names its plant kind and shape, linecache holds its
+    source, and it holds the law template's lines once."""
+    plant = make_plant(PlantConfig(kind="drone_chain"), 3)
+    code = sim._block(plant).__code__
+    name = "<sttube step drone_chain 2x3>"
+    assert code.co_filename == name
+    source = "".join(linecache.getlines(name))
+    assert source.startswith("def block(")
+    law = "\n".join(" " * 4 + line for line in law_lines(2, 3, "y", "w"))
+    assert source.count(law) == 1
+
+
+def _reference_block(plant, x, now, ahead, times, dt, config, tel, strict, agent=0):
+    """One block of RK4 steps written out from ``control_input`` and
+    ``dynamics``: a strict-or-not law at each recorded state, the
+    non-strict law at the midpoint (twice) and the step end, the
+    disturbance held over the step.  Returns the recorded states and the
+    abort message, or raises the law's errors as the integrator names
+    them."""
+    t_now, t_mid, t_end = times
+    width = now.shape[1]
+    half, sixth = 0.5 * dt, dt / 6.0
+    recorded = []
+    for i, t in enumerate(t_now):
+        try:
+            u = control_input(x, now[i].tolist(), config, strict, tel)
+        except ControllerIntegrityError as exc:
+            raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}") from exc
+        recorded.append(x)
+        if i == len(t_mid):
+            break
+        row = ahead[i].tolist()
+        mid, end, w = row[:width], row[width : 2 * width], row[2 * width :]
+        t_eval = t_mid[i]
+        try:
+            k1 = dynamics(plant, x, u, w, t)
+            x2 = [a + half * k for a, k in zip(x, k1)]
+            k2 = dynamics(plant, x2, control_input(x2, mid, config, False, tel), w, t_eval)
+            x3 = [a + half * k for a, k in zip(x, k2)]
+            k3 = dynamics(plant, x3, control_input(x3, mid, config, False, tel), w, t_eval)
+            x4 = [a + dt * k for a, k in zip(x, k3)]
+            t_eval = t_end[i]
+            k4 = dynamics(plant, x4, control_input(x4, end, config, False, tel), w, t_eval)
+        except PlantStateError as exc:
+            return recorded, str(exc)
+        except ControllerIntegrityError as exc:
+            raise ControllerIntegrityError(
+                exc.stage, f"(tube width {exc.width:.6g} at t={t_eval:.6g})", exc.width
+            ) from exc
+        x = [
+            a + sixth * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(x, k1, k2, k3, k4)
+        ]
+    return recorded, None
+
+
+_TILT = np.array([[1.0, 0.3], [-0.2, 0.8]])
+_BLOCK_PLANTS = {
+    "omni-1x3": make_plant(PlantConfig(kind="omnidirectional"), 2),
+    "drone-2x3": make_plant(PlantConfig(kind="drone_chain"), 3),
+    "custom-1x2": make_custom_plant(1, 2, f=[lambda xb: np.sin(xb)], g=[lambda xb: _TILT]),
+    "custom-2x2": make_custom_plant(
+        2, 2, f=[lambda xb: 0.5 * np.tanh(xb[:2]), lambda xb: np.cos(xb[2:])],
+        g=[lambda xb: np.eye(2), lambda xb: _TILT],
+    ),
+}
+
+
+def _block_outcome(run):
+    """What a block run shows: its recorded states and abort message, or
+    the integrity error it raised (type, stage, width, message)."""
+    try:
+        recorded, aborted = run()
+    except ControllerIntegrityError as exc:
+        return ("raised", exc.stage, repr(exc.width), str(exc))
+    return ("ran", np.array(recorded, dtype=float).tobytes(), aborted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rk4_block_matches_the_written_out_step(data):
+    """The compiled block of each plant shape gives, bit for bit, what the
+    written-out step gives over random states, rows, disturbances, gains
+    and e_max: the recorded states, the clamp count, the prefix and
+    message of a non-finite abort, and the message, width and time of a
+    tube that collapses at a midpoint or step end."""
+    plant = _BLOCK_PLANTS[data.draw(st.sampled_from(sorted(_BLOCK_PLANTS)))]
+    stages, dims, n = plant.stages, plant.dims, plant.state_dim
+    width = (stages + 1) * dims
+    floats = st.floats(-3.0, 3.0)
+    config = ControllerConfig(
+        kappa=tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages)),
+        funnels=(Funnel(p=(1.0,) * dims, q=(0.5,) * dims, mu=(1.0,) * dims),) * (stages - 1),
+        e_max=data.draw(st.sampled_from([1.0 - 1e-9, 0.9, 0.5])),
+        g_negative_definite=data.draw(st.booleans()),
+    )
+    strict = data.draw(st.integers(0, 3)) == 0  # random states mostly fail it
+    count = data.draw(st.integers(1, 6))
+    moving = count - data.draw(st.integers(0, 1))  # the last block has one fewer
+    dt = data.draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))  # 2.0: 1e308 overflows at k4
+    t_now = (data.draw(st.floats(0.0, 10.0)) + dt * np.arange(count)).tolist()
+    times = (t_now, [t + 0.5 * dt for t in t_now[:moving]], [t + dt for t in t_now[:moving]])
+
+    def row():
+        widths = [data.draw(st.floats(1e-3, 4.0)) for _ in range(dims)]
+        if data.draw(st.integers(0, 9)) == 0:  # collapsed (or NaN) in one dimension
+            widths[data.draw(st.integers(0, dims - 1))] = data.draw(
+                st.sampled_from([0.0, -0.25, math.nan])
+            )
+        sums = [data.draw(floats) for _ in range(dims)]
+        radii = [data.draw(st.floats(1e-3, 4.0)) for _ in range(width - 2 * dims)]
+        return widths + sums + radii
+
+    def disturbance():
+        w = [data.draw(st.floats(-0.5, 0.5)) for _ in range(n)]
+        if data.draw(st.integers(0, 3)) == 0:  # a non-finite state a stage or more later
+            w[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308])
+            )
+        return w
+
+    x = tuple(data.draw(floats) for _ in range(n))
+    now = np.array([row() for _ in range(count)])
+    ahead = np.array([row() + row() + disturbance() for _ in range(moving)]).reshape(
+        moving, 2 * width + n
+    )
+
+    tel = StageTelemetry()
+    expect = _block_outcome(
+        lambda: _reference_block(plant, x, now, ahead, times, dt, config, tel, strict)
+    )
+    got_tel = StageTelemetry()
+
+    def compiled():
+        _, recorded, aborted = sim._block(plant)(x, now, ahead, times, dt, 0, config, got_tel, plant)
+        return recorded, aborted
+
+    with pytest.MonkeyPatch.context() as patch:
+        if not strict:  # every recorded state's law through the hook, lenient
+            patch.setattr(
+                sim, "control_input",
+                lambda state, row, config, strict, telemetry: control_input(
+                    state, row, config, False, telemetry
+                ),
+            )
+        assert _block_outcome(compiled) == expect
+    if expect[0] == "ran":
+        assert got_tel.clamp_count == tel.clamp_count
 
 
 def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):

@@ -13,6 +13,7 @@ from sttube.synth import (
     FamilyResult,
     SolveDiagnostics,
     SynthesisError,
+    SynthesisFailure,
     TubeTemplate,
     ValidationReport,
     build_sop,
@@ -1297,6 +1298,16 @@ def test_validation_catches_swapped_faces(robots_table, robots_spec):
     broken = tubes_from_dict(raw)
     report = validate_tubes(broken, robots_spec, resolution=0.01, tolerance=0.056)
     assert not report.families["collision"].passed
+
+
+def test_synthesize_never_returns_certified_invalid_tubes(sweeping_bar):
+    """A certificate whose tubes fail the eps/4 dense validation raises
+    SynthesisFailure naming the failing families, with the certified
+    margin as its best margin."""
+    with pytest.raises(SynthesisFailure) as err:
+        synthesize(scenario_from_dict(sweeping_bar))
+    assert "fail their own eps/4 validation in families ['unsafe']" in str(err.value)
+    assert err.value.best_margin == pytest.approx(-0.0687, abs=1e-4)
 
 
 def test_robot_synthesis_result(robots_result, robots_spec):
