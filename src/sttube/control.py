@@ -59,21 +59,26 @@ class Funnel:
     mu: tuple[float, ...]
 
     def __post_init__(self):
+        if not len(self.p) == len(self.q) == len(self.mu) > 0:
+            raise ValueError("funnel needs one p, q and mu per dimension, at least one")
         for p, q, mu in zip(self.p, self.q, self.mu):
-            if not (p > q > 0.0):
-                raise ValueError("funnel needs p > q > 0")
-            if not mu > 0.0:
-                raise ValueError("funnel decay rate must be positive")
+            if not (math.inf > p > q > 0.0):
+                raise ValueError("funnel needs finite p > q > 0")
+            if not 0.0 < mu < math.inf:
+                raise ValueError("funnel decay rate must be positive and finite")
 
     def radii(self, times) -> np.ndarray:
         """Radii at each time, (len(times), dims).  The decay factor comes
-        from ``math.exp``: ``np.exp`` differs from it in the last bit for
-        some inputs, and the closed loop must not depend on which is used."""
-        exponents = -np.asarray(self.mu) * np.asarray(times, dtype=float)[:, None]
+        from ``math.exp``, once per time and distinct rate: ``np.exp``
+        differs from it in the last bit for some inputs, and the closed
+        loop must not depend on which is used."""
+        rates = list(dict.fromkeys(self.mu))
+        which = [rates.index(mu) for mu in self.mu]
+        exponents = -np.asarray(rates) * np.asarray(times, dtype=float)[:, None]
         decay = np.fromiter(
             map(math.exp, exponents.ravel().tolist()), float, exponents.size
-        )
-        return np.subtract(self.p, self.q) * decay.reshape(exponents.shape) + np.asarray(self.q)
+        ).reshape(exponents.shape)
+        return np.subtract(self.p, self.q) * decay[:, which] + np.asarray(self.q)
 
     def radius(self, t: float) -> tuple[float, ...]:
         return tuple(self.radii((t,))[0].tolist())

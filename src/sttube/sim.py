@@ -7,22 +7,24 @@ decentralization holds end to end.
 
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
 agent's walls: its faces, then the heading band; the constraint rows;
-the disturbance) is formed once per block, as arrays on the RK4 grids
-t, t + dt/2 and t + dt.  A compiled block kernel, one per (plant kind,
+the disturbance) is formed once per block as one table
+(``_block_table``): the walls and rows are evaluated once, on the
+interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a step's row holds
+the times t, t + dt/2 and t + dt, its constraint rows at those times,
+then its disturbance.  A compiled block kernel, one per (plant kind,
 stages, dims) and registered in ``linecache`` as ``<sttube step
 drone_chain 2x3>`` and the like, then runs the block's steps with the
-state in locals: per step one strict ``control_input`` call (looked up
-in this module's globals, so a wrapper on ``sttube.sim.control_input``
-sees every applied input), then the three non-strict law evaluations,
-the four derivative evaluations and the RK4 update inline, with no
-call (the three later evaluations share one copy of the lines, in a
-loop).  Its source
-is put together from the law template of ``control`` and the
-derivative template of ``plant``, the same texts those modules
-compile, so neither is written twice; a custom plant's derivative is a
-call of ``dynamics``.  The floating-point operations are those of a
-step-by-step evaluation, so trajectories do not depend on the block
-size.
+state in locals, turning each step's row into one list: per step one
+strict ``control_input`` call (looked up in this module's globals, so a
+wrapper on ``sttube.sim.control_input`` sees every applied input), then
+the three non-strict law evaluations, the four derivative evaluations
+and the RK4 update inline, with no call (the three later evaluations
+share one copy of the lines, in a loop).  Its source is put together
+from the law template of ``control`` and the derivative template of
+``plant``, the same texts those modules compile, so neither is written
+twice; a custom plant's derivative is a call of ``dynamics``.  The
+floating-point operations are those of a step-by-step evaluation, so
+trajectories do not depend on the block size.
 
 A ``Trajectory`` records times and states, with the run's controller;
 ``input_series`` and ``stage1_error_series`` form its inputs and
@@ -66,14 +68,19 @@ from .plant import (
     make_plant,
 )
 from .scenario import ScenarioSpec
-from .tube import TubeSet, tube_values
+from .tube import TubeSet, face_coeffs, polyval
 
 # Steps per block of precomputed time-only quantities, large enough to
-# amortize the per-block array calls.  The block stays in numpy arrays
-# (about 35 kB for a two-stage plant with six states) and each step turns
-# only its own rows into Python floats: a whole block as float lists
-# holds several times that in Python objects and raised peak memory.
-BLOCK = 128
+# amortize the per-block array calls.  The block's table stays a numpy
+# array (about 74 kB for a two-stage plant with six states) and each step
+# turns only its own row into Python floats: a whole block as float lists
+# holds several times that in Python objects and raised peak memory, and
+# so did a separate list of the three times per step (0.14 MB of the four
+# fleet loops' peak RSS), so the times are columns of the table.
+# 256 steps ran the four fleet loops about 1.5 % faster than 128 at the
+# same peak RSS; 512 was about 1 % faster again but raised peak RSS by
+# 0.4 MB.
+BLOCK = 256
 
 
 @dataclass
@@ -101,16 +108,20 @@ class _Stage1Bounds:
     exceeds the scenario dimension."""
 
     def __init__(self, tubes: TubeSet, agent: int, plant: PlantModel):
-        self.tubes = TubeSet(horizon=tubes.horizon, agents=(tubes.agents[agent],))
-        self.extra = plant.dims - self.tubes.dims
+        dims = tubes.agents[agent].dims
+        self.dims = len(dims)
+        self.extra = plant.dims - self.dims
         if self.extra < 0:
             raise ValueError("plant output dimension below tube dimension")
+        self.coeffs = face_coeffs([face for d in dims for face in (d.lower, d.upper)])
         self.band = plant.heading_band
 
     def at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper), each (len(times), plant dims)."""
-        faces = tube_values(self.tubes, times)[0]
-        pad = np.ones((faces.shape[-1], self.extra))
+        """(lower, upper), each (len(times), plant dims): the faces as
+        ``tube.tube_values`` evaluates them, bit for bit."""
+        t = np.asarray(times, dtype=float)
+        faces = polyval(self.coeffs[:, None], t).reshape(self.dims, 2, len(t))
+        pad = np.ones((len(t), self.extra))
         return (
             np.hstack([faces[:, 0].T, self.band[0] * pad]),
             np.hstack([faces[:, 1].T, self.band[1] * pad]),
@@ -151,23 +162,28 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
     """The source of ``block(...)``, which integrates one block of steps
     of ``integrate_agent`` for one plant shape.
 
-    The state lives in the locals ``x<j>``.  Each step takes its strict
-    input from ``control_input`` (the input the run applies, and its
-    integrity check), records the state, unpacks its ``ahead`` row into
-    the midpoint row ``w<j>``, the step-end row ``e<j>`` and the
-    disturbance ``d<j>``, and runs the RK4 stages inline: the derivative
-    ``k<j>`` of ``plant.derivative_lines`` at the state, then three
-    evaluations of the stage point ``y<j>``, the non-strict law of
-    ``control.law_lines`` and the derivative, the last on the step-end
-    row.  ``acc<j>`` sums k1 + 2 k2 + 2 k3 + k4 in that order (1.0 * k4
-    is k4 exactly), so the update is bit for bit the written-out one.
-    The three evaluations share one copy of the law and derivative lines
-    in a loop: compiling three copies took about twice the memory (825
-    against 460 kB for drone_chain 2x3, tracemalloc on Python 3.11),
-    which showed in the closed loop's peak RSS, for about 3 % of speed.  Each stage-1 width
-    is checked once per row.  The call returns the state after the
-    block, the states it recorded and the abort message (None unless a
-    state was not finite).
+    The state lives in the locals ``x<j>``.  Each step turns its row of
+    the block's table (``_block_table``) into one list: the step's time
+    ``t``, midpoint ``tm`` and end ``te``, the constraint rows at those
+    times, then the disturbance.  It takes its strict input from
+    ``control_input`` on a slice holding the first of these rows (the
+    input the run applies, and its integrity check), records the state,
+    and from the unpacked list reads the midpoint row as ``w<j>``, the
+    step-end row as ``e<j>`` and the disturbance as ``d<j>``.  Then it
+    runs the RK4 stages inline: the derivative ``k<j>`` of
+    ``plant.derivative_lines`` at the state, then three evaluations of
+    the stage point ``y<j>``, the non-strict law of ``control.law_lines``
+    and the derivative, the last on the step-end row.  ``acc<j>`` sums
+    k1 + 2 k2 + 2 k3 + k4 in that order (1.0 * k4 is k4 exactly), so the
+    update is bit for bit the written-out one.  The three evaluations
+    share one copy of the law and derivative lines in a loop: compiling
+    three copies took about twice the memory (825 against 460 kB for
+    drone_chain 2x3, tracemalloc on Python 3.11), which showed in the
+    closed loop's peak RSS, for about 3 % of speed.  Each stage-1 width
+    is checked once per row.  The step after the first ``steps`` (the
+    horizon's end) is only recorded.  The call returns the state after
+    the block, the states it recorded and the abort message (None unless
+    a state was not finite).
     """
     n = stages * dims
     width = n + dims
@@ -185,30 +201,28 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
             *(f"acc{j} = acc{j} + weight * k{j}" for j in range(n)),
             "if s == 3:",  # k4 runs on the step-end row and time, with weight 1
             f" {names('w', width)}= {names('e', width)}",
-            " scale = dt; t_eval = t_end[i]; weight = 1.0",
+            " scale = dt; t_eval = te; weight = 1.0",
             f" if {width_test(dims, 'w')}: _collapsed(({names('w', dims)}), t_eval)",
         ]),
     ]
     return "\n".join([
-        "def block(x, now, ahead, times, dt, agent, config, tel, plant):",
+        "def block(x, table, steps, dt, agent, config, tel, plant):",
         " try:",
         f"  {names('x', n)}= x",
         *indent(gain_lines(stages), 2),
         " except ValueError: raise ValueError(_MISMATCH) from None",
-        " t_now, t_mid, t_end = times",
         " half, sixth = 0.5 * dt, dt / 6.0",
-        " last = len(t_mid)",
         " recorded = []",
         " aborted = None",
-        " for i, t in enumerate(t_now):",
+        " for i in range(len(table)):",
+        "  row = table[i].tolist()",
+        f"  t, tm, te, {'_, ' * width}{names('w', width)}{names('e', width)}{names('d', n)}= row",
         f"  state = ({names('x', n)})",
-        f"  try: {names('u', dims)}= control_input(state, now[i].tolist(), config, True, tel)",
+        f"  try: {names('u', dims)}= control_input(state, row[3:{3 + width}], config, True, tel)",
         "  except ControllerIntegrityError as exc:",
         '   raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}") from exc',
         "  recorded.append(state)",
-        "  if i == last: break",
-        f"  {names('w', width)}{names('e', width)}{names('d', n)}= ahead[i].tolist()",
-        "  tm = t_mid[i]",
+        "  if i == steps: break",
         "  try:",
         *indent(rk4, 3),
         "  except PlantStateError as exc:",
@@ -218,6 +232,34 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         " tel.clamp_count += clamps",
         f" return ({names('x', n)}), recorded, aborted",
     ]) + "\n"
+
+
+def _block_table(
+    bounds: _Stage1Bounds, config: ControllerConfig, sampler, t, dt: float, steps: int
+):
+    """The time-only input of one block: a table with one row per start
+    time in ``t``.
+
+    A row is the step's time, midpoint and end (t, t + dt/2, t + dt), the
+    constraint rows at those times, then the step's disturbance.  Walls
+    and rows are evaluated once, on the interleaved grid t0, t0 + dt/2,
+    t0 + dt, t1, ..., whose values numpy forms element by element, so
+    each is bit for bit the value of a separate evaluation on its own
+    grid.  Only the first ``steps``
+    steps integrate past their start: a later one (the horizon's end)
+    has its own time in place of its midpoint and end, so nothing is
+    evaluated past the horizon, and a zero disturbance.
+    """
+    grid = np.asarray(t)[:, None] + np.array([0.0, 0.5 * dt, dt])
+    grid[steps:, 1:] = grid[steps:, :1]
+    flat = grid.ravel()
+    rows = constraint_rows(*bounds.at(flat), config, flat).reshape(len(grid), -1)
+    disturbance = sampler(grid[:steps, 0])
+    table = np.zeros((len(grid), 3 + rows.shape[1] + disturbance.shape[1]))
+    table[:, :3] = grid
+    table[:, 3 : 3 + rows.shape[1]] = rows
+    table[:steps, 3 + rows.shape[1] :] = disturbance
+    return table
 
 
 # Compiled RK4 blocks by (plant kind, stages, dims).
@@ -249,9 +291,16 @@ def integrate_agent(
     """RK4 integration of one agent; raises ControllerIntegrityError with a
     timestamp if a recorded state leaves its tube or funnel, or if the
     tube collapses at any evaluation.  A non-finite state ends the run
-    early (``aborted``) with every step up to the failing one recorded."""
+    early (``aborted``) with every step up to the failing one recorded.
+    ValueError is raised for a dt that is not positive and finite or does
+    not divide the horizon, and for a horizon outside [0, tubes.horizon]:
+    past it the tube polynomials would be extrapolated."""
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt:g}")
+    if not 0.0 <= horizon <= tubes.horizon:  # NaN fails too
+        raise ValueError(
+            f"horizon must lie in [0, {tubes.horizon:g}], the tubes' horizon, got {horizon:g}"
+        )
     bounds = _Stage1Bounds(tubes, agent, plant)
     n_steps = round(horizon / dt)
     if not abs(n_steps * dt - horizon) <= 1e-9:  # a NaN difference fails too
@@ -260,24 +309,14 @@ def integrate_agent(
     sampler = disturbance.make_sampler(agent, plant.state_dim)
     tel = StageTelemetry()
     block = _block(plant)
-
-    def rows(grid):
-        return constraint_rows(*bounds.at(grid), config, grid)
-
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, plant.state_dim))
-    half = 0.5 * dt
     aborted = None
     end = n_steps + 1
     for start in range(0, n_steps + 1, BLOCK):
-        grid = times[start : start + BLOCK]
-        moving = grid[: n_steps - start]  # steps that integrate past their start
-        mid_grid, end_grid = moving + half, moving + dt
-        now = rows(grid)
-        # One array row per moving step: midpoint row, step-end row, disturbance.
-        ahead = np.hstack([rows(mid_grid), rows(end_grid), sampler(moving)])
-        step_times = (grid.tolist(), mid_grid.tolist(), end_grid.tolist())
-        x, recorded, aborted = block(x, now, ahead, step_times, dt, agent, config, tel, plant)
+        steps = min(BLOCK, n_steps - start)  # steps that integrate past their start
+        table = _block_table(bounds, config, sampler, times[start : start + BLOCK], dt, steps)
+        x, recorded, aborted = block(x, table, steps, dt, agent, config, tel, plant)
         states[start : start + len(recorded)] = recorded
         if aborted is not None:
             end = start + len(recorded)

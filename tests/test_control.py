@@ -174,6 +174,37 @@ def test_constraint_rows_layout_and_scalar_agreement():
         assert _bits(constraint_row(lo, hi, cfg, t)) == _bits(expect)
 
 
+def test_funnel_radii_take_one_exp_per_rate_and_time(monkeypatch):
+    """Mixed per-dimension rates give, bit for bit, the radii of one
+    ``math.exp`` per value, with one call per time and distinct rate."""
+    funnel = Funnel(p=(0.5, 0.8, 2.0, 1.1), q=(0.1, 0.1, 0.2, 0.3), mu=(1.0, 2.0, 1.0, 0.37))
+    times = [0.0, 1e-3, 0.3005, 1.7, 12.25, 40.0]
+    expect = [
+        [(p - q) * math.exp(-mu * t) + q for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)]
+        for t in times
+    ]
+    calls = []
+    real = math.exp
+    monkeypatch.setattr(math, "exp", lambda v: calls.append(v) or real(v))
+    radii = funnel.radii(times)
+    assert _bits(radii.ravel().tolist()) == _bits([v for row in expect for v in row])
+    assert len(calls) == len(times) * 3
+
+
+@pytest.mark.parametrize("p,q,mu,message", [
+    ((1.0, 1.0, 1.0), (0.5,), (1.0,), "one p, q and mu per dimension"),
+    ((1.0,), (0.5,), (1.0, 2.0), "one p, q and mu per dimension"),
+    ((), (), (), "one p, q and mu per dimension"),
+    ((1.0,), (0.5,), (math.inf,), "decay rate must be positive and finite"),
+    ((math.inf,), (0.5,), (1.0,), "finite p > q > 0"),
+    ((math.nan,), (0.5,), (1.0,), "finite p > q > 0"),
+    ((1.0,), (-math.inf,), (1.0,), "finite p > q > 0"),
+])
+def test_funnel_rejects_mismatched_or_nonfinite_parameters(p, q, mu, message):
+    with pytest.raises(ValueError, match=message):
+        Funnel(p=p, q=q, mu=mu)
+
+
 def test_stage1_errors_match_the_written_out_formula():
     """The array form gives (2x - (hi + lo)) / (hi - lo) bit for bit, reads
     only the stage-1 block of a stacked state, and agrees with stage1_error."""

@@ -20,6 +20,7 @@ from sttube.control import (
     ControllerIntegrityError,
     Funnel,
     StageTelemetry,
+    constraint_rows,
     control_input,
     law_lines,
     stage1_error,
@@ -42,7 +43,7 @@ from sttube.sim import (
     stage1_error_series,
     write_trajectories_csv,
 )
-from sttube.tube import TubeSet, tube_box_at, tubes_from_dict
+from sttube.tube import TubeSet, tube_box_at, tube_values, tubes_from_dict
 
 
 def _constant_tube_spec():
@@ -433,28 +434,30 @@ def test_rk4_blocks_are_named_for_their_plant():
     assert source.count(law) == 1
 
 
-def _reference_block(plant, x, now, ahead, times, dt, config, tel, strict, agent=0):
+def _reference_block(plant, x, table, steps, dt, config, tel, strict, agent=0):
     """One block of RK4 steps written out from ``control_input`` and
     ``dynamics``: a strict-or-not law at each recorded state, the
     non-strict law at the midpoint (twice) and the step end, the
-    disturbance held over the step.  Returns the recorded states and the
-    abort message, or raises the law's errors as the integrator names
-    them."""
-    t_now, t_mid, t_end = times
-    width = now.shape[1]
+    disturbance held over the step.  Each table row holds the step's
+    time, midpoint and end, the constraint rows at those times, then the
+    disturbance; the step after the first ``steps`` is only recorded.
+    Returns the recorded states and the abort message, or raises the
+    law's errors as the integrator names them."""
+    width = (table.shape[1] - 3 - plant.state_dim) // 3
     half, sixth = 0.5 * dt, dt / 6.0
     recorded = []
-    for i, t in enumerate(t_now):
+    for i in range(len(table)):
+        row = table[i].tolist()
+        (t, t_mid, t_end), rows, w = row[:3], row[3 : 3 + 3 * width], row[3 + 3 * width :]
+        now, mid, end = rows[:width], rows[width : 2 * width], rows[2 * width :]
         try:
-            u = control_input(x, now[i].tolist(), config, strict, tel)
+            u = control_input(x, now, config, strict, tel)
         except ControllerIntegrityError as exc:
             raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}") from exc
         recorded.append(x)
-        if i == len(t_mid):
+        if i == steps:
             break
-        row = ahead[i].tolist()
-        mid, end, w = row[:width], row[width : 2 * width], row[2 * width :]
-        t_eval = t_mid[i]
+        t_eval = t_mid
         try:
             k1 = dynamics(plant, x, u, w, t)
             x2 = [a + half * k for a, k in zip(x, k1)]
@@ -462,7 +465,7 @@ def _reference_block(plant, x, now, ahead, times, dt, config, tel, strict, agent
             x3 = [a + half * k for a, k in zip(x, k2)]
             k3 = dynamics(plant, x3, control_input(x3, mid, config, False, tel), w, t_eval)
             x4 = [a + dt * k for a, k in zip(x, k3)]
-            t_eval = t_end[i]
+            t_eval = t_end
             k4 = dynamics(plant, x4, control_input(x4, end, config, False, tel), w, t_eval)
         except PlantStateError as exc:
             return recorded, str(exc)
@@ -499,6 +502,48 @@ def _block_outcome(run):
     return ("ran", np.array(recorded, dtype=float).tobytes(), aborted)
 
 
+@pytest.mark.parametrize("case,kind", [("robots", "uniform"), ("drones", "sinusoidal")])
+def test_block_table_matches_separate_evaluations(case, kind, request):
+    """A block's table, evaluated once on the interleaved grid, holds bit
+    for bit the step times, midpoints and step ends, the constraint rows
+    of three separate evaluations at those times, then the disturbance
+    drawn at the step times; the final partial block gives its last step
+    its own time and a zero disturbance.  The walls are ``tube_values``' faces, padded
+    with the heading band (robots) where the plant has more dimensions."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    plant = make_plant(spec.plant, spec.dims)
+    agent, dt, n_steps = 1, 1e-3, BLOCK + 5
+    config = build_controller_config(spec, tubes, agent, plant)
+    bounds = sim._Stage1Bounds(tubes, agent, plant)
+    dist = Disturbance(bound=0.01, kind=kind, seed=2)
+    sampler = dist.make_sampler(agent, plant.state_dim)
+    reference = dist.make_sampler(agent, plant.state_dim)
+    times = np.arange(n_steps + 1) * dt
+
+    def rows(grid):
+        return constraint_rows(*bounds.at(grid), config, grid)
+
+    for start in (0, BLOCK):
+        t = times[start : start + BLOCK]
+        steps = min(BLOCK, n_steps - start)
+        table = sim._block_table(bounds, config, sampler, t, dt, steps)
+        moving, rest = t[:steps], t[steps:]
+        mid, end = np.concatenate([moving + 0.5 * dt, rest]), np.concatenate([moving + dt, rest])
+        padded = np.vstack([reference(moving), np.zeros((len(rest), plant.state_dim))])
+        expect = np.hstack([
+            np.stack([t, mid, end], axis=1), rows(t), rows(mid), rows(end), padded
+        ])
+        assert table.tobytes() == expect.tobytes()
+        lower, upper = bounds.at(t)
+        faces = tube_values(tubes, t)[agent]
+        assert lower[:, : tubes.dims].tobytes() == faces[:, 0].T.tobytes()
+        assert upper[:, : tubes.dims].tobytes() == faces[:, 1].T.tobytes()
+        assert (lower[:, tubes.dims :] == plant.heading_band[0]).all()
+        assert (upper[:, tubes.dims :] == plant.heading_band[1]).all()
+    assert steps == 5 and len(t) == 6
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_rk4_block_matches_the_written_out_step(data):
@@ -519,10 +564,10 @@ def test_rk4_block_matches_the_written_out_step(data):
     )
     strict = data.draw(st.integers(0, 3)) == 0  # random states mostly fail it
     count = data.draw(st.integers(1, 6))
-    moving = count - data.draw(st.integers(0, 1))  # the last block has one fewer
+    steps = count - data.draw(st.integers(0, 1))  # the last block has one fewer
     dt = data.draw(st.sampled_from([1e-3, 0.05, 0.3, 2.0]))  # 2.0: 1e308 overflows at k4
     t_now = (data.draw(st.floats(0.0, 10.0)) + dt * np.arange(count)).tolist()
-    times = (t_now, [t + 0.5 * dt for t in t_now[:moving]], [t + dt for t in t_now[:moving]])
+    times = [[t, t + 0.5 * dt, t + dt] for t in t_now[:steps]] + [[t] * 3 for t in t_now[steps:]]
 
     def row():
         widths = [data.draw(st.floats(1e-3, 4.0)) for _ in range(dims)]
@@ -543,19 +588,17 @@ def test_rk4_block_matches_the_written_out_step(data):
         return w
 
     x = tuple(data.draw(floats) for _ in range(n))
-    now = np.array([row() for _ in range(count)])
-    ahead = np.array([row() + row() + disturbance() for _ in range(moving)]).reshape(
-        moving, 2 * width + n
-    )
+    table = np.array([times[i] + row() + row() + row() + disturbance() for i in range(count)])
 
     tel = StageTelemetry()
     expect = _block_outcome(
-        lambda: _reference_block(plant, x, now, ahead, times, dt, config, tel, strict)
+        lambda: _reference_block(plant, x, table, steps, dt, config, tel, strict)
     )
     got_tel = StageTelemetry()
 
     def compiled():
-        _, recorded, aborted = sim._block(plant)(x, now, ahead, times, dt, 0, config, got_tel, plant)
+        block = sim._block(plant)
+        _, recorded, aborted = block(x, table, steps, dt, 0, config, got_tel, plant)
         return recorded, aborted
 
     with pytest.MonkeyPatch.context() as patch:
@@ -578,6 +621,19 @@ def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):
     for dt in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt must be positive"):
             integrate_agent(0, robots_table, plant, config, calm, 1.0, dt)
+
+
+def test_integrator_rejects_horizons_outside_the_tubes(robots_spec, robots_table):
+    """A negative, NaN or infinite horizon, or one past the tubes', is
+    refused with its value named; a zero horizon records the start."""
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    config = build_controller_config(robots_spec, robots_table, 0, plant)
+    calm = Disturbance(bound=0.0, kind="zero")
+    for horizon in (-1e-3, -1.0, math.nan, math.inf, robots_table.horizon + 1e-3):
+        with pytest.raises(ValueError, match=rf"horizon must lie in .* got {horizon:g}$"):
+            integrate_agent(0, robots_table, plant, config, calm, horizon, 1e-3)
+    traj = integrate_agent(0, robots_table, plant, config, calm, 0.0, 1e-3)
+    assert traj.times.tolist() == [0.0] and len(traj.states) == 1
 
 
 GUARD = """
