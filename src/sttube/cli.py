@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .control import ControllerIntegrityError
-from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table
+from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table, side_maxima
 from .lp import LpNumericalError
 from .plant import make_plant
 from .scenario import ScenarioError, load_scenario
@@ -235,8 +235,7 @@ def cmd_lipschitz(args) -> int:
             f"{j + 1:>6} {i + 1:>4} {side:>6} {fit.location:>10.4f} "
             f"{fit.scale:>9.4f} {fit.shape:>8.3f}  {fit.method}"
         )
-    l_lower = max(f.location for (_, _, s), f in table.items() if s == "lower")
-    l_upper = max(f.location for (_, _, s), f in table.items() if s == "upper")
+    l_lower, l_upper = side_maxima(table)
     l_comp = composite_lipschitz(l_lower, l_upper)
     a_lower, a_upper = slope_bounds(tubes)
     print(f"L_L={l_lower:.4f}  L_U={l_upper:.4f}  L={l_comp:.4f}")

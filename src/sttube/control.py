@@ -20,10 +20,12 @@ law is written once, as source templates: ``law_lines`` unrolls it for
 one (stages, dims) over named locals (per component: error, optional
 strict check, clamp and barrier term), and ``gain_lines`` binds the
 gains and clamp bounds it reads.  ``_law_source`` wraps them into the
-kernel ``law(state, row, config, telemetry)`` that ``control_input``
-compiles the first time each shape (stages, dims, strict) is seen,
-registered in ``linecache`` as ``<sttube law 2x3 strict>`` and the
-like; the closed loop's RK4 blocks (``sim``) inline the same lines.
+kernel ``law(state, row, config, strict, telemetry)`` that
+``control_input`` compiles the first time each shape (stages, dims) is
+seen, registered in ``linecache`` as ``<sttube law 2x3>`` and the like;
+strict and lenient calls run the same kernel, whose strict check is a
+branch taken only for a state on or outside its constraint.  The closed
+loop's RK4 blocks (``sim``) inline the same lines.
 Only shape integers and name prefixes enter the source.  Rows and the
 law use one agent's data only, so an agent's input is byte-identical
 whether or not other agents exist.
@@ -31,6 +33,7 @@ whether or not other agents exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import log
@@ -149,31 +152,32 @@ def constraint_row(lower, upper, config: ControllerConfig, t: float) -> list[flo
     return constraint_rows([lower], [upper], config, [t])[0].tolist()
 
 
-def _worst_error(state, row, ref, k: int, n: int) -> float:
-    """max |e| over the components of stage k (0-based) against the
-    walls or funnel k around the previous stage's reference ``ref``: the
-    strict check's verdict (>= 1 fails) and its message.  Only a failing
-    component leads here, so the stage's errors are simply formed again."""
+def _strict_failure(state, row, ref, k: int, n: int, before: int, telemetry) -> None:
+    """Raise the strict error of stage k (0-based), with the clamps of the
+    stages before it counted, unless its worst |e| is below 1 (or NaN).
+    The errors are against the walls, or funnel k around the previous
+    stage's reference ``ref``.  Only a failing component leads here, so
+    the stage's errors are simply formed again."""
     if k:
         e = [(state[k * n + i] - ref[i]) / row[(k + 1) * n + i] for i in range(n)]
     else:
         e = [(2.0 * state[i] - row[n + i]) / row[i] for i in range(n)]
-    return max(abs(v) for v in e)
-
-
-def _strict_failure(state, row, ref, k: int, n: int, before: int, telemetry) -> None:
-    """Raise the strict error of stage k, with the clamps of the stages
-    before it counted, unless its worst |e| is below 1 (or NaN)."""
-    worst = _worst_error(state, row, ref, k, n)
+    worst = max(abs(v) for v in e)
     if worst >= 1.0:
         if telemetry is not None:
             telemetry.clamp_count += before
         raise ControllerIntegrityError(k + 1, f"(|e|={worst:.6g})")
 
 
-def _check_width(width: float) -> None:
+def _collapsed(widths, t: float | None = None) -> None:
+    """The stage-1 error of a collapsed tube: raised when ``min(widths)``
+    is not positive, with that width (a NaN minimum passes).  ``t``, the
+    time of an integrator's midpoint or step-end evaluation, is named in
+    the message when given."""
+    width = min(widths)
     if width <= 0.0:
-        raise ControllerIntegrityError(1, f"(tube width {width:.6g})", width=width)
+        at = "" if t is None else f" at t={t:.6g}"
+        raise ControllerIntegrityError(1, f"(tube width {width:.6g}{at})", width)
 
 
 _MISMATCH = "state or constraint row does not match the stage count"
@@ -197,19 +201,20 @@ def width_test(dims: int, w: str) -> str:
     return f"not ({' and '.join(f'{w}{i} > 0.0' for i in range(dims))})"
 
 
-def law_lines(stages: int, dims: int, x: str, w: str, strict: bool = False) -> list[str]:
+def law_lines(stages: int, dims: int, x: str, w: str, checked: bool = False) -> list[str]:
     """The stage law for one state and one row, unrolled into source lines
     with no loop.  ``{x}<j>`` is state[j], ``{w}<j>`` row[j] and
     ``r<k>_<i>`` stage k's reference in component i, so the input is left
     in ``r<stages-1>_<i>``.  The lines read the names of ``gain_lines``
-    and add their clamps to ``clamps``; the strict check also reads
+    and add their clamps to ``clamps``.  ``checked`` adds the strict
+    check, which runs only for |e| >= 1 and then reads ``strict``,
     ``state``, ``row`` and ``telemetry``.  The stage-1 width check is the
     caller's.  Only the integers and prefixes enter the text, never
     scenario data."""
     n = dims
     out = []
     for k in range(stages):
-        if strict:
+        if checked:
             out.append("before = clamps")
         for i in range(n):
             j = k * n + i
@@ -218,10 +223,10 @@ def law_lines(stages: int, dims: int, x: str, w: str, strict: bool = False) -> l
             else:
                 g, error = f"{w}{i}", f"(2.0 * {x}{i} - {w}{n + i}) / {w}{i}"
             out.append(f"v = {error}")
-            if strict:
+            if checked:
                 ref = f"({names(f'r{k - 1}_', n)})" if k else "None"
                 out.append(
-                    "if v >= 1.0 or v <= -1.0:"
+                    "if (v >= 1.0 or v <= -1.0) and strict:"
                     f" _strict_failure(state, row, {ref}, {k}, {n}, before, telemetry)"
                 )
             out += [
@@ -232,34 +237,30 @@ def law_lines(stages: int, dims: int, x: str, w: str, strict: bool = False) -> l
     return out
 
 
-def _law_source(stages: int, dims: int, strict: bool) -> str:
-    """The source of ``law(state, row, config, telemetry)`` for one shape:
-    unpack, width check, ``gain_lines`` and ``law_lines``."""
+def _law_source(stages: int, dims: int) -> str:
+    """The source of ``law(state, row, config, strict, telemetry)`` for
+    one shape: unpack, width check, ``gain_lines`` and checked
+    ``law_lines``."""
     return "\n".join([
-        "def law(state, row, config, telemetry):",
+        "def law(state, row, config, strict, telemetry):",
         f" try: {names('x', stages * dims)}= state",
         " except ValueError: raise ValueError(_MISMATCH) from None",
         f" {names('w', (stages + 1) * dims)}= row",
-        f" if {width_test(dims, 'w')}: _check_width(min(row[:{dims}]))",
-        *indent(gain_lines(stages) + law_lines(stages, dims, "x", "w", strict)),
+        f" if {width_test(dims, 'w')}: _collapsed(row[:{dims}])",
+        *indent(gain_lines(stages) + law_lines(stages, dims, "x", "w", checked=True)),
         " if telemetry is not None: telemetry.clamp_count += clamps",
         f" return ({names(f'r{stages - 1}_', dims)})",
     ]) + "\n"
 
 
-# Compiled laws by (stages, row length, strict).
-_KERNELS: dict = {}
-
-
-def _kernel(stages: int, width: int, strict: bool):
-    """Compile, cache and return the law for this shape, named for it."""
+@functools.cache
+def _kernel(stages: int, width: int):
+    """The law for ``stages`` stages and rows of ``width`` entries,
+    compiled once per shape and named for it."""
     dims, rest = divmod(width, stages + 1)
     if rest or not dims:
         raise ValueError(_MISMATCH)
-    name = f"<sttube law {stages}x{dims}{' strict' if strict else ''}>"
-    law = compile_function(_law_source(stages, dims, strict), name, globals())
-    _KERNELS[stages, width, strict] = law
-    return law
+    return compile_function(_law_source(stages, dims), f"<sttube law {stages}x{dims}>", globals())
 
 
 def control_input(
@@ -292,12 +293,7 @@ def control_input(
     ``width``.  Funnel radii are not checked: ``Funnel`` makes them
     positive.  A state or row of the wrong length raises ValueError.
     """
-    key = (len(config.kappa), len(row), strict)
-    try:
-        kernel = _KERNELS[key]
-    except KeyError:
-        kernel = _kernel(*key)
-    return kernel(state, row, config, telemetry)
+    return _kernel(len(config.kappa), len(row))(state, row, config, strict, telemetry)
 
 
 def autosize_funnels(

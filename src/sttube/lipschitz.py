@@ -217,10 +217,16 @@ def estimate_face(
 
 def estimate_L(tubes: TubeSet, cfg: SlopeSampleConfig) -> tuple[float, float]:
     """(L_lower, L_upper): max fitted location over all faces per side."""
-    table = estimate_table(tubes, cfg)
-    ll = max(fit.location for (_, _, side), fit in table.items() if side == "lower")
-    lu = max(fit.location for (_, _, side), fit in table.items() if side == "upper")
-    return ll, lu
+    return side_maxima(estimate_table(tubes, cfg))
+
+
+def side_maxima(table: dict[tuple[int, int, str], WeibullFit]) -> tuple[float, float]:
+    """(L_lower, L_upper) of an ``estimate_table``: the largest fitted
+    location over the faces of each side."""
+    return tuple(
+        max(fit.location for (_, _, s), fit in table.items() if s == side)
+        for side in ("lower", "upper")
+    )
 
 
 def estimate_table(

@@ -27,6 +27,7 @@ the tracking path.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import random
@@ -55,6 +56,10 @@ class PlantModel:
     heading_band: tuple[float, float] = (-math.pi / 3, math.pi / 3)
     f: tuple[Callable, ...] = ()
     g: tuple[Callable, ...] = ()
+
+    def __post_init__(self):
+        if self.g_sign not in ("positive", "negative"):
+            raise ValueError(f"plant g_sign must be positive or negative, not {self.g_sign!r}")
 
     @property
     def state_dim(self) -> int:
@@ -135,15 +140,9 @@ def derivative_lines(
     return [check, *(f"{out}{j} = {v} + {d}{j}" for j, v in enumerate(drive))]
 
 
-# Compiled derivatives of the built-in plants by (kind, stages, dims).
-_DERIVATIVES: dict = {}
-
-
+@functools.cache
 def _derivative(kind: str, stages: int, dims: int):
-    """The compiled derivative of a built-in plant of this shape."""
-    key = (kind, stages, dims)
-    if key in _DERIVATIVES:
-        return _DERIVATIVES[key]
+    """The derivative of a built-in plant of this shape, compiled once."""
     n = stages * dims
     source = "\n".join([
         "def derivative(state, u, w, t):",
@@ -153,9 +152,7 @@ def _derivative(kind: str, stages: int, dims: int):
         *indent(derivative_lines(kind, stages, dims, "x", "u", "d", "f", "t")),
         f" return ({names('f', n)})",
     ]) + "\n"
-    name = f"<sttube derivative {kind} {stages}x{dims}>"
-    derivative = _DERIVATIVES[key] = compile_function(source, name, globals())
-    return derivative
+    return compile_function(source, f"<sttube derivative {kind} {stages}x{dims}>", globals())
 
 
 def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:

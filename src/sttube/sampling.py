@@ -88,6 +88,8 @@ def verify_cover(
     sample, and re-derives each stored unsafe box, requiring an exact
     match.  Returns (ok, worst observed gap).
     """
+    if not 0.0 < grid_resolution < math.inf:
+        raise ValueError(f"grid resolution must be positive and finite, got {grid_resolution:g}")
     if grid_resolution >= samples.epsilon:
         raise ValueError("grid resolution must be finer than epsilon")
     eps = samples.epsilon

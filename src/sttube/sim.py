@@ -38,6 +38,7 @@ error guard is reproducible.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from math import cos, isfinite, log, sin  # noqa: F401 (read by the compiled blocks)
@@ -48,6 +49,7 @@ import numpy as np
 from .codegen import compile_function, indent, names
 from .control import (
     _MISMATCH,  # noqa: F401 (read by the compiled blocks)
+    _collapsed,  # noqa: F401 (read by the compiled blocks)
     ControllerConfig,
     ControllerIntegrityError,
     StageTelemetry,
@@ -56,6 +58,7 @@ from .control import (
     control_input,
     gain_lines,
     law_lines,
+    stage1_errors,
     width_test,
 )
 from .plant import (
@@ -147,15 +150,6 @@ def initial_state(
     )
     rest = (0.0,) * (plant.state_dim - 2 * plant.dims)
     return x1 + drift + rest
-
-
-def _collapsed(widths, t: float) -> None:
-    """The stage-1 error of a midpoint or step-end evaluation at time t
-    whose tube collapsed: raised when ``min(widths)`` is not positive,
-    with that width (a NaN minimum passes, as in ``control_input``)."""
-    width = min(widths)
-    if width <= 0.0:
-        raise ControllerIntegrityError(1, f"(tube width {width:.6g} at t={t:.6g})", width)
 
 
 def _block_source(kind: str, stages: int, dims: int) -> str:
@@ -262,19 +256,17 @@ def _block_table(
     return table
 
 
-# Compiled RK4 blocks by (plant kind, stages, dims).
-_BLOCKS: dict = {}
-
-
 def _block(plant: PlantModel):
-    """Compile, cache and return the RK4 block for this plant's shape.
-    Its globals are this module's, so ``control_input`` (and, for a
-    custom plant, ``dynamics``) is looked up here at every call."""
-    key = (plant.kind, plant.stages, plant.dims)
-    if key not in _BLOCKS:
-        name = f"<sttube step {plant.kind} {plant.stages}x{plant.dims}>"
-        _BLOCKS[key] = compile_function(_block_source(*key), name, globals())
-    return _BLOCKS[key]
+    """The RK4 block for this plant's shape.  Its globals are this
+    module's, so ``control_input`` (and, for a custom plant,
+    ``dynamics``) is looked up here at every call."""
+    return _compiled_block(plant.kind, plant.stages, plant.dims)
+
+
+@functools.cache
+def _compiled_block(kind: str, stages: int, dims: int):
+    name = f"<sttube step {kind} {stages}x{dims}>"
+    return compile_function(_block_source(kind, stages, dims), name, globals())
 
 
 def integrate_agent(
@@ -425,11 +417,11 @@ def stage1_error_series(
 ) -> np.ndarray:
     """Stage-1 normalized errors of a run, (T, plant dims): each recorded
     output y against its agent's walls lo, hi at the recorded time,
-    (2 y - (hi + lo)) / (hi - lo), by the operations of
-    ``control.stage1_errors``, so bit for bit the errors the run formed."""
-    lower, upper = _Stage1Bounds(tubes, traj.agent, plant).at(traj.times)
-    y = traj.states[:, : plant.dims]
-    return (2.0 * y - (upper + lower)) / (upper - lower)
+    (2 y - (hi + lo)) / (hi - lo), by ``control.stage1_errors``, so bit
+    for bit the errors the run formed."""
+    grid = traj.times
+    rows = constraint_rows(*_Stage1Bounds(tubes, traj.agent, plant).at(grid), traj.config, grid)
+    return stage1_errors(traj.states, rows)
 
 
 def input_series(traj: Trajectory, tubes: TubeSet, plant: PlantModel) -> np.ndarray:

@@ -1063,6 +1063,8 @@ def validate_tubes(
     array spans the whole grid but the grid itself: each family keeps its
     running worst value and the first sample it occurs at.
     """
+    if not 0.0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution:g}")
     n_grid = int(math.ceil(spec.horizon / resolution)) + 1
     grid = np.linspace(0.0, spec.horizon, n_grid)
     m, n = tubes.agent_count, tubes.dims

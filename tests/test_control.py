@@ -1,6 +1,7 @@
 import linecache
 import math
 import struct
+import sys
 import traceback
 
 import pytest
@@ -390,10 +391,10 @@ def test_control_input_matches_written_out_cascade(data):
 
 
 @pytest.mark.parametrize("shapes", [((1, 6), (2, 4)), ((2, 4), (1, 6))])
-def test_shapes_with_equal_row_lengths_get_their_own_law(shapes, monkeypatch):
+def test_shapes_with_equal_row_lengths_get_their_own_law(shapes):
     """1 stage x 6 dims and 2 stages x 4 dims both have 12-entry rows; each
     gives the written-out chain bit for bit, whichever runs first."""
-    monkeypatch.setattr(control, "_KERNELS", {}, raising=False)
+    control._kernel.cache_clear()
     for stages, dims in shapes:
         funnels = tuple(
             Funnel(p=(1.5,) * dims, q=(0.2,) * dims, mu=(0.7,) * dims)
@@ -415,24 +416,36 @@ def test_shapes_with_equal_row_lengths_get_their_own_law(shapes, monkeypatch):
         assert _bits(u) == _bits(ref)
 
 
-def test_law_kernels_are_named_for_their_shape(monkeypatch):
-    """A compiled law's code names its shape, and linecache holds its
-    source, so tracebacks and profiles show the law's lines."""
-    monkeypatch.setattr(control, "_KERNELS", {})
+def test_law_kernels_are_named_for_their_shape():
+    """A shape compiles one law, named for the shape alone, and strict and
+    lenient calls run that same code; linecache holds its source, so
+    tracebacks and profiles show the law's lines."""
     funnel = Funnel(p=(0.5, 0.8, 0.6), q=(0.1, 0.1, 0.1), mu=(1.0, 1.0, 1.0))
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     row = constraint_row((0.0,) * 3, (1.0,) * 3, cfg, 0.0)
-    for strict, name in ((True, "<sttube law 2x3 strict>"), (False, "<sttube law 2x3>")):
-        control_input((0.5,) * 3 + (0.0,) * 3, row, cfg, strict)
-        code = control._KERNELS[2, 9, strict].__code__
-        assert code.co_filename == name
-        lines = linecache.getlines(name)
-        assert lines and lines[0].startswith("def law(")
-        assert linecache.getline(name, code.co_firstlineno) == lines[0]
+    name = "<sttube law 2x3>"
+    code = control._kernel(2, 9).__code__
+    ran = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith("<sttube"):
+            ran.append(frame.f_code)
+
+    for strict in (True, False):
+        sys.setprofile(profile)
+        try:
+            control_input((0.5,) * 3 + (0.0,) * 3, row, cfg, strict)
+        finally:
+            sys.setprofile(None)
+    assert len(ran) == 2 and ran[0] is ran[1] is code
+    assert code.co_filename == name
+    lines = linecache.getlines(name)
+    assert lines and lines[0].startswith("def law(")
+    assert linecache.getline(name, code.co_firstlineno) == lines[0]
     with pytest.raises(ControllerIntegrityError) as err:
         control_input((0.5,) * 3 + (9.0,) * 3, row, cfg)  # stage 2 outside its funnel
     text = "".join(traceback.format_exception(err.value))
-    assert 'File "<sttube law 2x3 strict>"' in text and "_strict_failure(state" in text
+    assert f'File "{name}"' in text and "_strict_failure(state" in text
 
 
 def test_control_input_odd_symmetry():

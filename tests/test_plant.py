@@ -197,3 +197,12 @@ def test_plant_kind_validation():
         make_plant(PlantConfig(kind="omnidirectional"), scenario_dims=3)
     with pytest.raises(ValueError):
         make_plant(PlantConfig(kind="nonsense"), scenario_dims=2)
+
+
+def test_plant_model_rejects_an_unknown_gain_sign():
+    """A misspelt g_sign would build a plant driven as positive definite;
+    ``PlantModel`` rejects it with ``PlantConfig``'s message."""
+    f, g = (lambda x: np.zeros(1),), (lambda x: np.eye(1),)
+    with pytest.raises(ValueError, match="g_sign must be positive or negative, not 'negtive'"):
+        make_custom_plant(1, 1, f, g, g_sign="negtive")
+    assert make_custom_plant(1, 1, f, g, g_sign="negative").g_negative_definite

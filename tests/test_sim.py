@@ -434,6 +434,32 @@ def test_rk4_blocks_are_named_for_their_plant():
     assert source.count(law) == 1
 
 
+def test_a_fleet_run_compiles_one_law_per_shape(
+    robots_spec, robots_table, drones_spec, drones_table
+):
+    """Robots and drones closed loops, with their funnel sizing
+    (``autosize_funnels``) and their input series, compile four kernels:
+    one law per (stages, dims), which strict and lenient calls share, and
+    one RK4 block per plant.  Every kernel is dropped first, so each one
+    used afterwards is compiled and registered again."""
+    for name in [name for name in linecache.cache if name.startswith("<sttube")]:
+        del linecache.cache[name]
+    for compiled in (sttube.control._kernel, plant_module._derivative, sim._compiled_block):
+        compiled.cache_clear()
+    dist = Disturbance(bound=0.01, kind="uniform", seed=1)
+    for spec, tubes in ((robots_spec, robots_table), (drones_spec, drones_table)):
+        plant = make_plant(spec.plant, spec.dims)
+        config = build_controller_config(spec, tubes, 0, plant)
+        traj = integrate_agent(0, tubes, plant, config, dist, 0.05, 1e-3)
+        input_series(traj, tubes, plant)
+    assert sorted(name for name in linecache.cache if name.startswith("<sttube")) == [
+        "<sttube law 1x3>",
+        "<sttube law 2x3>",
+        "<sttube step drone_chain 2x3>",
+        "<sttube step omnidirectional 1x3>",
+    ]
+
+
 def _reference_block(plant, x, table, steps, dt, config, tel, strict, agent=0):
     """One block of RK4 steps written out from ``control_input`` and
     ``dynamics``: a strict-or-not law at each recorded state, the

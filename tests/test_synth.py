@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sttube.sampling import obstacle_bounds, sample_unsafe
+from sttube.sampling import obstacle_bounds, sample_unsafe, verify_cover
 from sttube.scenario import scenario_from_dict
 from sttube.synth import (
     DisjunctAssignment,
@@ -357,6 +358,21 @@ def test_blocked_validation_matches_full_grid(case, source, request, monkeypatch
         assert repr(validate_tubes(tubes, spec, resolution, 1e-4)) == want
     monkeypatch.setattr(synth, "VALIDATION_BLOCK", 7)
     assert repr(validate_tubes(tubes, spec, 1e-2, 1e-4)) == want
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("check", ["validate_tubes", "verify_cover"])
+def test_dense_checks_reject_a_resolution_that_is_not_positive_and_finite(
+    check, resolution, robots_table, robots_spec
+):
+    """Both dense-grid checks name a bad resolution: before, 0 divided by
+    zero, -1 and NaN failed inside numpy or ``int``, and
+    ``validate_tubes`` at inf checked only t = 0."""
+    with pytest.raises(ValueError, match="resolution must be positive and finite"):
+        if check == "validate_tubes":
+            validate_tubes(robots_table, robots_spec, resolution)
+        else:
+            verify_cover(sample_unsafe(robots_spec), robots_spec, resolution)
 
 
 def test_dense_validation_peak_memory(robots_table, robots_spec):
