@@ -4,7 +4,7 @@ Walks the full pipeline: sample the horizon and the unsafe set, seed the
 separation witnesses from straight-line reference paths, alternate
 LP solves with witness refinement, and certify the sampled optimum
 against the uncountable constraint system through the Lipschitz margin.
-Takes about 15 seconds.
+Takes under a second.
 """
 
 from sttube import data_path, load_scenario

@@ -4,7 +4,7 @@ Four drones swap corners of a 3 x 3 x 15 arena while a wall-like unsafe
 block spans the middle up to altitude 3; every certified tube climbs
 over it.  The drones are two-stage integrator chains, so the controller
 cascades the tube stage into an exponentially narrowing velocity funnel.
-Takes a couple of minutes (most of it in the witness search).
+Takes a few seconds, most of them in the closed-loop simulation.
 """
 
 from sttube import data_path, load_scenario

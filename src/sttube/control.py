@@ -3,6 +3,9 @@
 One stage law, applied per stage: normalize the error against the
 stage's constraint, pass it through the logarithmic barrier transform
 ln((1+e)/(1-e)), and scale by the barrier gain 4 / (gamma (1 - e^2)).
+The kernel evaluates ln((1+e)/(1-e)) as 2 artanh(e), one ``math.atanh``
+call, and 1 - e^2 as (1-e)(1+e), since the quotient loses digits near the
+tube centre e = 0, and 1 - e*e near the walls |e| = 1.
 Stage 1 measures the output error against the time-varying tube walls
 (gamma is the wall width); stages 2..N measure the tracking error
 against exponentially narrowing funnels around the previous stage's
@@ -36,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from math import log
+from math import atanh
 
 import numpy as np
 
@@ -232,7 +235,7 @@ def law_lines(stages: int, dims: int, x: str, w: str, checked: bool = False) -> 
             out += [
                 "if v > e_hi: v = e_hi; clamps += 1",
                 "elif v < e_lo: v = e_lo; clamps += 1",
-                f"r{k}_{i} = kappa{k} * (4.0 / ({g} * (1.0 - v * v))) * log((1.0 + v) / (1.0 - v))",
+                f"r{k}_{i} = kappa{k} * (8.0 / ({g} * ((1.0 - v) * (1.0 + v)))) * atanh(v)",
             ]
     return out
 
@@ -279,10 +282,10 @@ def control_input(
     stage k the error (x_k - r) / radius against funnel k around the
     previous stage's reference r.  Per component, the error is clamped
     once into [-e_max, e_max] (each clamp counts in ``telemetry``),
-    transformed by ln((1+e)/(1-e)), and scaled by the barrier gain
-    4 / (gamma (1 - e^2)) and by -kappa (+kappa for a plant with
-    negative-definite input gain); gamma is the wall width or funnel
-    radius.  The result is the next stage's reference, and the last
+    transformed by ln((1+e)/(1-e)), evaluated as 2 artanh(e), and scaled
+    by the barrier gain 4 / (gamma (1 - e^2)) and by -kappa (+kappa for
+    a plant with negative-definite input gain); gamma is the wall width
+    or funnel radius.  The result is the next stage's reference, and the last
     stage's is the plant input.
 
     With ``strict`` the call raises ControllerIntegrityError when a stage

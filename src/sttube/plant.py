@@ -213,6 +213,8 @@ class Disturbance:
             )
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        if not math.isfinite(self.frequency):
+            raise ValueError(f"disturbance frequency must be finite, not {self.frequency!r}")
 
     def make_sampler(self, agent: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
         """Per-agent block sampler: called with the start times of
@@ -223,7 +225,7 @@ class Disturbance:
         uniform kind maps each ``u = rng.random()``, row-major, to
         ``-bound + 2 bound u``; the sinusoidal kind draws its phases
         ``2 pi u`` once.  Raises AssertionError if a sample exceeds the
-        declared bound.
+        declared bound or is NaN.
         """
         bound, freq = self.bound, self.frequency
         rng = random.Random(f"{self.seed}/{agent}")
@@ -248,8 +250,8 @@ class Disturbance:
 
         def sampler(times) -> np.ndarray:
             w = draw(times)
-            if np.any(np.abs(w) > bound + 1e-15):
-                raise AssertionError("disturbance sample exceeds the declared bound")
+            if not np.all(np.abs(w) <= bound + 1e-15):
+                raise AssertionError("disturbance sample is NaN or exceeds the declared bound")
             return w
 
         return sampler

@@ -41,7 +41,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from math import cos, isfinite, log, sin  # noqa: F401 (read by the compiled blocks)
+from math import atanh, cos, isfinite, sin  # noqa: F401 (read by the compiled blocks)
 from pathlib import Path
 
 import numpy as np

@@ -1,3 +1,4 @@
+import decimal
 import linecache
 import math
 import struct
@@ -27,12 +28,13 @@ E_MAX = 1.0 - 1e-9
 
 def _paper_reference(e, gamma, kappa, negative_definite=False, e_max=E_MAX):
     """The stage law written out per component: clamp e into [-e_max, e_max],
-    eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps."""
+    eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps,
+    in the kernel's arithmetic: eps as 2 artanh(e), 1 - e^2 as (1-e)(1+e)."""
     out = []
     for v, g in zip(e, gamma):
         v = min(max(v, -e_max), e_max)
-        eps = math.log((1.0 + v) / (1.0 - v))
-        xi = 4.0 / (g * (1.0 - v * v))
+        eps = 2.0 * math.atanh(v)
+        xi = 4.0 / (g * ((1.0 - v) * (1.0 + v)))
         out.append((kappa if negative_definite else -kappa) * xi * eps)
     return tuple(out)
 
@@ -109,6 +111,35 @@ def test_xi_barrier_growth():
         gain = ref[0] / -math.log((1.0 + e) / (1.0 - e))
         assert gain > prev
         prev = gain
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "magnitude", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 1e-10]
+)
+def test_law_is_accurate_against_a_60_digit_evaluation(magnitude, sign):
+    """The input matches -kappa 4 / (gamma (1 - e^2)) ln((1+e)/(1-e)),
+    evaluated in 60-digit decimal arithmetic at the error the kernel forms
+    (clamped to e_max; the last magnitude lies beyond it), to a relative
+    1e-14.  Near e = 0 the quotient (1+e)/(1-e) cancels, and near |e| = 1
+    so does 1 - e*e."""
+    kappa, width, total = 1.5, 0.7, 0.3
+    cfg = ControllerConfig(kappa=(kappa,), e_max=E_MAX)
+    state = (0.5 * (sign * magnitude * width + total),)
+    row = (width, total)
+    tel = StageTelemetry()
+    (u,) = control_input(state, row, cfg, telemetry=tel)
+    (e,) = stage1_errors(state, row).tolist()
+    assert tel.clamp_count == (abs(e) > E_MAX)
+    e = min(max(e, -E_MAX), E_MAX)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(e)
+        exact = (
+            -decimal.Decimal(kappa) * 4 / (decimal.Decimal(width) * (1 - d * d))
+            * ((1 + d) / (1 - d)).ln()
+        )
+        assert abs((decimal.Decimal(u) - exact) / exact) <= decimal.Decimal("1e-14")
 
 
 def test_stage_output_composition():

@@ -177,17 +177,38 @@ def test_disturbance_bound_check_raises(monkeypatch):
         sampler(np.zeros(4))
 
 
+def test_disturbance_bound_check_rejects_nan(monkeypatch):
+    """A NaN sample fails the bound check, which asks every sample to lie
+    within the bound rather than none to lie outside it."""
+    class Broken:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return math.nan
+
+    monkeypatch.setattr(random, "Random", Broken)
+    sampler = Disturbance(bound=0.01, kind="uniform").make_sampler(0, 3)
+    with pytest.raises(AssertionError, match="exceeds the declared bound"):
+        sampler(np.zeros(4))
+
+
 @pytest.mark.parametrize("fields,message", [
     ({"bound": -0.01}, "bound must be nonnegative and finite"),
     ({"bound": math.nan}, "bound must be nonnegative and finite"),
     ({"bound": math.inf}, "bound must be nonnegative and finite"),
     ({"bound": 0.01, "seed": -1}, "seed must be a nonnegative integer"),
     ({"bound": 0.01, "seed": 1.0}, "seed must be a nonnegative integer"),
-], ids=["negative", "nan", "inf", "negative-seed", "float-seed"])
+    ({"bound": 0.01, "frequency": math.nan}, "frequency must be finite, not nan"),
+    ({"bound": 0.01, "frequency": math.inf}, "frequency must be finite, not inf"),
+    ({"bound": 0.01, "frequency": -math.inf}, "frequency must be finite, not -inf"),
+], ids=["negative", "nan", "inf", "negative-seed", "float-seed",
+        "nan-frequency", "inf-frequency", "minus-inf-frequency"])
 def test_disturbance_bound_must_be_nonnegative(fields, message):
-    """A bound outside [0, inf) and a seed that is not a nonnegative
-    integer are rejected when the disturbance is made, not at its first
-    draw."""
+    """A bound outside [0, inf), a seed that is not a nonnegative integer
+    and a frequency that is not finite are rejected when the disturbance
+    is made, not at its first draw (a NaN frequency would draw NaN
+    samples, an infinite one fail inside math.sin)."""
     with pytest.raises(ValueError, match=message):
         Disturbance(**fields)
 
