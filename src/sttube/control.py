@@ -3,9 +3,10 @@
 One stage law, applied per stage: normalize the error against the
 stage's constraint, pass it through the logarithmic barrier transform
 ln((1+e)/(1-e)), and scale by the barrier gain 4 / (gamma (1 - e^2)).
-The kernel evaluates ln((1+e)/(1-e)) as 2 artanh(e), one ``math.atanh``
-call, and 1 - e^2 as (1-e)(1+e), since the quotient loses digits near the
-tube centre e = 0, and 1 - e*e near the walls |e| = 1.
+The kernel evaluates each term as (-+8 kappa) / (gamma (1-e)(1+e)) *
+artanh(e), since ln((1+e)/(1-e)) = 2 artanh(e): the quotient loses
+digits near the tube centre e = 0, 1 - e*e near the walls |e| = 1, and
+the signed 8 = 4 * 2 folds into the stage gain exactly.
 Stage 1 measures the output error against the time-varying tube walls
 (gamma is the wall width); stages 2..N measure the tracking error
 against exponentially narrowing funnels around the previous stage's
@@ -100,6 +101,8 @@ class ControllerConfig:
     g_negative_definite: bool = False
 
     def __post_init__(self):
+        if not self.kappa:
+            raise ValueError("need at least one stage gain")
         if not all(0.0 < k < math.inf for k in self.kappa):
             raise ValueError("stage gains must be positive and finite")
         if not 0.0 < self.e_max < 1.0:
@@ -116,7 +119,12 @@ class StageTelemetry:
 
 
 def stage1_error(x1, lower, upper) -> tuple[float, ...]:
-    """Normalized output error (2x - (hi + lo)) / (hi - lo); 0 at center."""
+    """Normalized output error (2x - (hi + lo)) / (hi - lo); 0 at center.
+    ``x1``, ``lower`` and ``upper`` must have one entry per dimension."""
+    if not len(x1) == len(lower) == len(upper):
+        raise ValueError(
+            f"x1, lower and upper differ in length: {len(x1)}, {len(lower)}, {len(upper)}"
+        )
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     return tuple(stage1_errors(x1, np.hstack([upper - lower, upper + lower])).tolist())
@@ -188,12 +196,14 @@ _MISMATCH = "state or constraint row does not match the stage count"
 
 def gain_lines(stages: int) -> list[str]:
     """Source lines that bind what the law reads from ``config``: the
-    signed stage gains ``kappa<k>``, the clamp bounds ``e_hi``/``e_lo``,
+    stage gains ``kappa<k>`` as -8 kappa_k (+8 kappa_k for a plant with
+    negative-definite input gain), exactly, so that a term is (-+8 kappa)
+    / (gamma (1-e)(1+e)) * artanh(e); the clamp bounds ``e_hi``/``e_lo``;
     and a clamp count ``clamps`` of 0."""
     return [
         f"{names('kappa', stages)}= config.kappa",
-        "if not config.g_negative_definite:",
-        *(f" kappa{k} = -kappa{k}" for k in range(stages)),
+        "sign = 8.0 if config.g_negative_definite else -8.0",
+        *(f"kappa{k} = sign * kappa{k}" for k in range(stages)),
         "e_hi = config.e_max; e_lo = -e_hi; clamps = 0",
     ]
 
@@ -235,7 +245,7 @@ def law_lines(stages: int, dims: int, x: str, w: str, checked: bool = False) -> 
             out += [
                 "if v > e_hi: v = e_hi; clamps += 1",
                 "elif v < e_lo: v = e_lo; clamps += 1",
-                f"r{k}_{i} = kappa{k} * (8.0 / ({g} * ((1.0 - v) * (1.0 + v)))) * atanh(v)",
+                f"r{k}_{i} = kappa{k} / ({g} * ((1.0 - v) * (1.0 + v))) * atanh(v)",
             ]
     return out
 
@@ -282,10 +292,11 @@ def control_input(
     stage k the error (x_k - r) / radius against funnel k around the
     previous stage's reference r.  Per component, the error is clamped
     once into [-e_max, e_max] (each clamp counts in ``telemetry``),
-    transformed by ln((1+e)/(1-e)), evaluated as 2 artanh(e), and scaled
-    by the barrier gain 4 / (gamma (1 - e^2)) and by -kappa (+kappa for
-    a plant with negative-definite input gain); gamma is the wall width
-    or funnel radius.  The result is the next stage's reference, and the last
+    transformed by ln((1+e)/(1-e)), and scaled by the barrier gain
+    4 / (gamma (1 - e^2)) and by -kappa (+kappa for a plant with
+    negative-definite input gain); gamma is the wall width or funnel
+    radius.  The term is evaluated as (-+8 kappa) / (gamma (1-e)(1+e)) *
+    artanh(e).  The result is the next stage's reference, and the last
     stage's is the plant input.
 
     With ``strict`` the call raises ControllerIntegrityError when a stage

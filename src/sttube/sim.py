@@ -14,11 +14,12 @@ the times t, t + dt/2 and t + dt, its constraint rows at those times,
 then its disturbance.  A compiled block kernel, one per (plant kind,
 stages, dims) and registered in ``linecache`` as ``<sttube step
 drone_chain 2x3>`` and the like, then runs the block's steps with the
-state in locals, turning each step's row into one list: per step one
-strict ``control_input`` call (looked up in this module's globals, so a
-wrapper on ``sttube.sim.control_input`` sees every applied input), then
-the three non-strict law evaluations, the four derivative evaluations
-and the RK4 update inline, with no call (the three later evaluations
+state in locals, reading each step's row as one tuple unpacked by
+``struct`` (``_rows``): per step one strict ``control_input`` call
+(looked up in this module's globals, so a wrapper on
+``sttube.sim.control_input`` sees every applied input), then the three
+non-strict law evaluations, the four derivative evaluations and the
+RK4 update inline, with no call (the three later evaluations
 share one copy of the lines, in a loop).  Its source is put together
 from the law template of ``control`` and the derivative template of
 ``plant``, the same texts those modules compile, so neither is written
@@ -40,6 +41,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from math import atanh, cos, isfinite, sin  # noqa: F401 (read by the compiled blocks)
 from pathlib import Path
@@ -76,7 +78,7 @@ from .tube import TubeSet, face_coeffs, polyval
 # Steps per block of precomputed time-only quantities, large enough to
 # amortize the per-block array calls.  The block's table stays a numpy
 # array (about 74 kB for a two-stage plant with six states) and each step
-# turns only its own row into Python floats: a whole block as float lists
+# unpacks only its own row into Python floats: a whole block as float lists
 # holds several times that in Python objects and raised peak memory, and
 # so did a separate list of the three times per step (0.14 MB of the four
 # fleet loops' peak RSS), so the times are columns of the table.
@@ -156,13 +158,14 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
     """The source of ``block(...)``, which integrates one block of steps
     of ``integrate_agent`` for one plant shape.
 
-    The state lives in the locals ``x<j>``.  Each step turns its row of
-    the block's table (``_block_table``) into one list: the step's time
+    The state lives in the locals ``x<j>``.  Each step reads its row of
+    the block's table (``_block_table``) as one tuple, unpacked by
+    ``struct`` (``_rows``), with no ndarray view: the step's time
     ``t``, midpoint ``tm`` and end ``te``, the constraint rows at those
     times, then the disturbance.  It takes its strict input from
     ``control_input`` on a slice holding the first of these rows (the
     input the run applies, and its integrity check), records the state,
-    and from the unpacked list reads the midpoint row as ``w<j>``, the
+    and from the unpacked tuple reads the midpoint row as ``w<j>``, the
     step-end row as ``e<j>`` and the disturbance as ``d<j>``.  Then it
     runs the RK4 stages inline: the derivative ``k<j>`` of
     ``plant.derivative_lines`` at the state, then three evaluations of
@@ -208,8 +211,7 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         " half, sixth = 0.5 * dt, dt / 6.0",
         " recorded = []",
         " aborted = None",
-        " for i in range(len(table)):",
-        "  row = table[i].tolist()",
+        " for i, row in enumerate(_rows(table)):",
         f"  t, tm, te, {'_, ' * width}{names('w', width)}{names('e', width)}{names('d', n)}= row",
         f"  state = ({names('x', n)})",
         f"  try: {names('u', dims)}= control_input(state, row[3:{3 + width}], config, True, tel)",
@@ -226,6 +228,14 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         " tel.clamp_count += clamps",
         f" return ({names('x', n)}), recorded, aborted",
     ]) + "\n"
+
+
+def _rows(table):
+    """The rows of a block's table, one tuple of floats per step, read
+    by ``struct.iter_unpack`` from the table's buffer: the ``'d'`` format
+    copies each IEEE double bit for bit, and a step builds one tuple and
+    no ndarray view."""
+    return struct.iter_unpack(f"{table.shape[1]}d", table)
 
 
 def _block_table(
@@ -375,9 +385,10 @@ def run_closed_loop(
     ``seed`` overrides the scenario's disturbance seed; ``kappa``
     overrides the per-stage gains; ``initial_states`` (per agent, flat)
     override the tube-center default.  A scenario horizon shorter than the
-    tubes' tracks their first part; ``ValueError`` is raised when the
-    tubes and the scenario differ in agent count or dims, or when the
-    scenario runs past the tubes' horizon.
+    tubes' tracks their first part; ``ValueError`` is raised, before any
+    agent runs, when the tubes and the scenario differ in agent count or
+    dims, when the scenario runs past the tubes' horizon, or when
+    ``initial_states`` does not hold one state per agent.
     """
     shape = (tubes.agent_count, tubes.dims)
     if shape != (spec.agent_count, spec.dims) or spec.horizon > tubes.horizon:
@@ -385,6 +396,10 @@ def run_closed_loop(
             "tubes do not match the scenario: (agents, dims, horizon) "
             f"{(*shape, tubes.horizon)} in the tubes, "
             f"{(spec.agent_count, spec.dims, spec.horizon)} in the scenario"
+        )
+    if initial_states is not None and len(initial_states) != spec.agent_count:
+        raise ValueError(
+            f"{len(initial_states)} initial states for {spec.agent_count} agents"
         )
     model = plant if plant is not None else make_plant(spec.plant, spec.dims)
     dist = Disturbance.from_config(spec.plant)

@@ -29,13 +29,13 @@ E_MAX = 1.0 - 1e-9
 def _paper_reference(e, gamma, kappa, negative_definite=False, e_max=E_MAX):
     """The stage law written out per component: clamp e into [-e_max, e_max],
     eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps,
-    in the kernel's arithmetic: eps as 2 artanh(e), 1 - e^2 as (1-e)(1+e)."""
+    in the kernel's arithmetic: eps as 2 artanh(e), 1 - e^2 as (1-e)(1+e),
+    and the 4 * 2 with the sign folded into the gain as -+8 kappa."""
+    gain = (8.0 if negative_definite else -8.0) * kappa
     out = []
     for v, g in zip(e, gamma):
         v = min(max(v, -e_max), e_max)
-        eps = 2.0 * math.atanh(v)
-        xi = 4.0 / (g * ((1.0 - v) * (1.0 + v)))
-        out.append((kappa if negative_definite else -kappa) * xi * eps)
+        out.append(gain / (g * ((1.0 - v) * (1.0 + v))) * math.atanh(v))
     return tuple(out)
 
 
@@ -121,25 +121,62 @@ def test_law_is_accurate_against_a_60_digit_evaluation(magnitude, sign):
     """The input matches -kappa 4 / (gamma (1 - e^2)) ln((1+e)/(1-e)),
     evaluated in 60-digit decimal arithmetic at the error the kernel forms
     (clamped to e_max; the last magnitude lies beyond it), to a relative
-    1e-14.  Near e = 0 the quotient (1+e)/(1-e) cancels, and near |e| = 1
-    so does 1 - e*e."""
-    kappa, width, total = 1.5, 0.7, 0.3
+    1e-14, for kappa 1, 1.5 and 2.3.  Near e = 0 the quotient (1+e)/(1-e)
+    cancels, and near |e| = 1 so does 1 - e*e.  Stage 1 is checked
+    against its wall width; stage 2, behind a stage 1 at its tube centre
+    (reference zero), against its funnel radius."""
+    width, total = 0.7, 0.3
+    funnel = Funnel(p=(0.9,), q=(0.2,), mu=(1.3,))
+    radius = funnel.radius(0.4)[0]
+    for kappa in (1.0, 1.5, 2.3):
+        for stage in (1, 2):
+            funnels = (funnel,)[: stage - 1]
+            cfg = ControllerConfig(kappa=(kappa,) * stage, funnels=funnels, e_max=E_MAX)
+            if stage == 1:
+                gamma, row = width, (width, total)
+                state = (0.5 * (sign * magnitude * width + total),)
+                (e,) = stage1_errors(state, row).tolist()
+            else:
+                gamma, row = radius, (width, total, radius)
+                state = (0.5 * total, sign * magnitude * radius)
+                assert stage1_errors(state, row).tolist() == [0.0]
+                e = state[1] / radius
+            tel = StageTelemetry()
+            (u,) = control_input(state, row, cfg, telemetry=tel)
+            assert tel.clamp_count == (abs(e) > E_MAX)
+            e = min(max(e, -E_MAX), E_MAX)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                d = decimal.Decimal(e)
+                exact = (
+                    -decimal.Decimal(kappa) * 4 / (decimal.Decimal(gamma) * (1 - d * d))
+                    * ((1 + d) / (1 - d)).ln()
+                )
+                assert abs((decimal.Decimal(u) - exact) / exact) <= decimal.Decimal("1e-14")
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 4.0, 2.3])
+def test_folded_gain_keeps_the_unfolded_bits_for_powers_of_two(kappa):
+    """The law divides the gain -8 kappa by gamma (1-e)(1+e), one rounding
+    fewer than the unfolded -kappa * (8 / (gamma (1-e)(1+e))).  Scaling
+    by a power of two is exact, so for kappa 0.5, 1 (the shipped
+    scenarios) and 4 the two agree bit for bit over a grid of e and
+    gamma; for kappa 2.3 they differ somewhere on it."""
+    errors = [i / 64.0 for i in range(-63, 64)] + [1e-9, -1e-6, 0.3, 1.0 - 1e-7]
     cfg = ControllerConfig(kappa=(kappa,), e_max=E_MAX)
-    state = (0.5 * (sign * magnitude * width + total),)
-    row = (width, total)
-    tel = StageTelemetry()
-    (u,) = control_input(state, row, cfg, telemetry=tel)
-    (e,) = stage1_errors(state, row).tolist()
-    assert tel.clamp_count == (abs(e) > E_MAX)
-    e = min(max(e, -E_MAX), E_MAX)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        d = decimal.Decimal(e)
-        exact = (
-            -decimal.Decimal(kappa) * 4 / (decimal.Decimal(width) * (1 - d * d))
-            * ((1 + d) / (1 - d)).ln()
-        )
-        assert abs((decimal.Decimal(u) - exact) / exact) <= decimal.Decimal("1e-14")
+    same = []
+    for gamma in (0.01, 0.3, 0.7, 1.0, 3.7, 10.0):
+        row = (gamma, 0.0)
+        for target in errors:
+            state = (0.5 * target * gamma,)
+            (v,) = stage1_errors(state, row).tolist()
+            (u,) = control_input(state, row, cfg, strict=False)
+            unfolded = -kappa * (8.0 / (gamma * ((1.0 - v) * (1.0 + v)))) * math.atanh(v)
+            same.append(_bits((u,)) == _bits((unfolded,)))
+    if math.frexp(kappa)[0] == 0.5:
+        assert all(same)
+    else:
+        assert not all(same)
 
 
 def test_stage_output_composition():
@@ -235,6 +272,18 @@ def test_funnel_radii_take_one_exp_per_rate_and_time(monkeypatch):
 def test_funnel_rejects_mismatched_or_nonfinite_parameters(p, q, mu, message):
     with pytest.raises(ValueError, match=message):
         Funnel(p=p, q=q, mu=mu)
+
+
+def test_stage1_error_rejects_mismatched_lengths():
+    """A state longer or shorter than its walls is refused, not read as
+    a state of the length difference."""
+    for x1, lower, upper in [
+        ((1.0, 2.0, 3.0), (0.0, 0.0), (1.0, 1.0)),
+        ((1.0,), (0.0, 0.0), (1.0, 1.0)),
+        ((1.0, 2.0), (0.0, 0.0), (1.0,)),
+    ]:
+        with pytest.raises(ValueError, match="x1, lower and upper differ in length"):
+            stage1_error(x1, lower, upper)
 
 
 def test_stage1_errors_match_the_written_out_formula():
@@ -556,6 +605,10 @@ def test_config_invariants():
         ControllerConfig(kappa=(1.0,), e_max=1.5)
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(1.0, 1.0), funnels=())
+    funnel = Funnel(p=(1.0,), q=(0.1,), mu=(1.0,))
+    for funnels in ((), (funnel,)):
+        with pytest.raises(ValueError, match="need at least one stage gain"):
+            ControllerConfig(kappa=(), funnels=funnels)
 
 
 def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):

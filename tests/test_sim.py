@@ -3,6 +3,7 @@ import hashlib
 import linecache
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -37,6 +38,7 @@ from sttube import sim
 from sttube.sim import (
     BLOCK,
     build_controller_config,
+    initial_state,
     input_series,
     integrate_agent,
     run_closed_loop,
@@ -573,6 +575,27 @@ def test_block_table_matches_separate_evaluations(case, kind, request):
     assert steps == 5 and len(t) == 6
 
 
+def test_block_rows_unpack_bit_for_bit(robots_spec, robots_table):
+    """``_rows`` yields each table row as a tuple holding the bits of
+    ``table[i].tolist()``: signed zeros, infinities, a NaN with its sign
+    and payload, the smallest subnormals, and the one-row final block of
+    a horizon of ``BLOCK`` steps."""
+    payload_nan = np.frombuffer(struct.pack("<Q", 0xFFF8_0000_0000_1234), dtype=float)[0]
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, payload_nan, 5e-324, -5e-324, 0.1]
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    config = build_controller_config(robots_spec, robots_table, 0, plant)
+    bounds = sim._Stage1Bounds(robots_table, 0, plant)
+    sampler = Disturbance(bound=0.01, kind="uniform", seed=2).make_sampler(0, plant.state_dim)
+    final = sim._block_table(bounds, config, sampler, np.array([BLOCK * 1e-3]), 1e-3, 0)
+    for table in (np.array([specials, specials[::-1]]), np.array([specials]), final):
+        rows = list(sim._rows(table))
+        assert len(rows) == len(table) and all(type(row) is tuple for row in rows)
+        for row, expect in zip(rows, table):
+            assert struct.pack(f"<{len(row)}d", *row) == struct.pack(
+                f"<{len(row)}d", *expect.tolist()
+            )
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_rk4_block_matches_the_written_out_step(data):
@@ -641,6 +664,22 @@ def test_rk4_block_matches_the_written_out_step(data):
         assert _block_outcome(compiled) == expect
     if expect[0] == "ran":
         assert got_tel.clamp_count == tel.clamp_count
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_closed_loop_rejects_an_initial_state_count_off_the_agents(
+    count, robots_spec, robots_table, monkeypatch
+):
+    """Fewer or more initial states than agents are refused, with both
+    counts named, before any agent is integrated."""
+    def integrate(*args, **kwargs):
+        raise AssertionError("an agent ran")
+
+    monkeypatch.setattr(sim, "integrate_agent", integrate)
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    states = [initial_state(robots_table, 0, plant)] * count
+    with pytest.raises(ValueError, match=f"^{count} initial states for 4 agents$"):
+        run_closed_loop(robots_spec, robots_table, initial_states=states)
 
 
 def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):
