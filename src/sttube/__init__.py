@@ -29,12 +29,9 @@ from .tube import (  # noqa: F401
     TubeFace,
     TubeSet,
     analytic_slope_bound,
-    eval_face,
-    eval_face_derivative,
     load_tubes,
     save_tubes,
     slope_bounds,
-    tube_box_at,
 )
 from .sampling import SampleSet, sample_time_grid, sample_unsafe, verify_cover  # noqa: F401
 from .lp import LpProblem, LpSolution, solve_lp  # noqa: F401

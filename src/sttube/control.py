@@ -87,9 +87,6 @@ class Funnel:
         ).reshape(exponents.shape)
         return np.subtract(self.p, self.q) * decay[:, which] + np.asarray(self.q)
 
-    def radius(self, t: float) -> tuple[float, ...]:
-        return tuple(self.radii((t,))[0].tolist())
-
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -118,28 +115,22 @@ class StageTelemetry:
     clamp_count: int = 0
 
 
-def stage1_error(x1, lower, upper) -> tuple[float, ...]:
-    """Normalized output error (2x - (hi + lo)) / (hi - lo); 0 at center.
-    ``x1``, ``lower`` and ``upper`` must have one entry per dimension."""
-    if not len(x1) == len(lower) == len(upper):
-        raise ValueError(
-            f"x1, lower and upper differ in length: {len(x1)}, {len(lower)}, {len(upper)}"
-        )
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    return tuple(stage1_errors(x1, np.hstack([upper - lower, upper + lower])).tolist())
+_MISMATCH = "state or constraint row does not match the stage count"
 
 
-def stage1_errors(states, rows) -> np.ndarray:
+def stage1_errors(states, rows, stages: int) -> np.ndarray:
     """Stage-1 errors of stacked states against their constraint rows.
 
     ``states`` is (..., stages * dims) and ``rows`` (..., (stages + 1) *
-    dims), so the row is dims values longer than the state.  The array
-    twin of the stage-1 error that ``control_input`` forms, bit for bit.
+    dims) for a whole dims > 0; other lengths raise ValueError.  The
+    array twin of the stage-1 error (2x - (hi + lo)) / (hi - lo) that
+    ``control_input`` forms, bit for bit.
     """
     states = np.asarray(states, dtype=float)
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[-1] - states.shape[-1]
+    n, rest = divmod(rows.shape[-1], stages + 1)
+    if rest or not n or states.shape[-1] != stages * n:
+        raise ValueError(_MISMATCH)
     return (2.0 * states[..., :n] - rows[..., n : 2 * n]) / rows[..., :n]
 
 
@@ -189,9 +180,6 @@ def _collapsed(widths, t: float | None = None) -> None:
     if width <= 0.0:
         at = "" if t is None else f" at t={t:.6g}"
         raise ControllerIntegrityError(1, f"(tube width {width:.6g}{at})", width)
-
-
-_MISMATCH = "state or constraint row does not match the stage count"
 
 
 def gain_lines(stages: int) -> list[str]:

@@ -51,10 +51,6 @@ class WeibullFit:
     log_likelihood: float
     method: str = "mle"  # mle | degenerate | max-fallback
 
-    @property
-    def degenerate(self) -> bool:
-        return self.method != "mle"
-
 
 def max_slope_sample(
     face: TubeFace,

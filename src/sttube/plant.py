@@ -6,10 +6,14 @@ state, the last stage by the input, each with additive bounded
 disturbance.  Two case-study plants are built in:
 
 * ``omnidirectional``: planar robot pose, input rotated by the heading
-  (single stage, 3 outputs); the input-gain symmetric part has minimum
-  eigenvalue cos(heading), positive while |heading| < pi/2.
+  (single stage, 3 outputs); the input-gain symmetric part is
+  diag(cos h, cos h, 1), positive definite while |h| < pi/2.
 * ``drone_chain``: position driven by velocity, velocity by the input
-  (two integrator stages, 3 outputs each).
+  (two integrator stages, 3 outputs each); the input gain is the identity.
+
+Neither input gain is ever negative definite, so ``make_plant`` refuses
+a built-in plant with g_sign "negative": the controller's sign
+assumption could not hold.
 
 Each built-in plant's right-hand side is written once, as the source
 lines of ``derivative_lines``; ``dynamics`` compiles them per shape, and
@@ -71,6 +75,13 @@ class PlantModel:
 
 
 def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
+    """The built-in plant ``cfg`` names.  ValueError for an unknown kind,
+    a scenario dimension the kind does not fit, or g_sign "negative"."""
+    if cfg.kind in _BUILTIN and cfg.g_sign == "negative":
+        raise ValueError(
+            f"{cfg.kind} plant: g_sign must be positive, its input gain is never "
+            "negative definite"
+        )
     if cfg.kind == "omnidirectional":
         if scenario_dims != 2:
             raise ValueError("omnidirectional plant expects a 2-D scenario")
@@ -78,13 +89,12 @@ def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
             kind="omnidirectional",
             stages=1,
             dims=3,
-            g_sign=cfg.g_sign,
             heading_band=tuple(cfg.heading_band),
         )
     if cfg.kind == "drone_chain":
         if scenario_dims != 3:
             raise ValueError("drone chain expects a 3-D scenario")
-        return PlantModel(kind="drone_chain", stages=2, dims=3, g_sign=cfg.g_sign)
+        return PlantModel(kind="drone_chain", stages=2, dims=3)
     raise ValueError(f"unknown plant kind {cfg.kind!r}")
 
 
@@ -181,15 +191,6 @@ def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
         dx = fx + gx @ drive + np.asarray(w[i * n : (i + 1) * n], dtype=float)
         out.extend(float(v) for v in dx)
     return tuple(out)
-
-
-def omni_gain_min_eigenvalue(heading: float) -> float:
-    """Smallest eigenvalue of the omnidirectional input-gain symmetric part.
-
-    The rotation block symmetrizes to diag(cos, cos, 1), so the minimum
-    over the planar dims is cos(heading); positive iff |heading| < pi/2.
-    """
-    return min(math.cos(heading), 1.0)
 
 
 @dataclass(frozen=True)

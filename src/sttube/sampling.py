@@ -12,11 +12,9 @@ an axis-aligned box (possibly moving), so no volumetric cover is needed.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -34,10 +32,6 @@ class SampleSet:
     epsilon: float
     time_samples: np.ndarray
     obstacle_bounds: np.ndarray  # (n_t, regions, n, 2)
-
-    @property
-    def count(self) -> int:
-        return len(self.time_samples)
 
 
 def sample_time_grid(t_c: float, epsilon: float) -> np.ndarray:
@@ -109,16 +103,3 @@ def verify_cover(
             if bounds.tolist() != truth.to_bounds():
                 return False, worst
     return ok, worst
-
-
-def export_samples_csv(samples: SampleSet, path: str | Path) -> None:
-    """Audit dump: one row per (time sample, unsafe box), or a bare time
-    row for a sample without obstacles."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "kind", "region", "bounds"])
-        for t, per_t in zip(samples.time_samples, samples.obstacle_bounds):
-            if not len(per_t):
-                writer.writerow([repr(float(t)), "time", "", ""])
-            for r, bounds in enumerate(per_t):
-                writer.writerow([repr(float(t)), "box-faces", r, bounds.tolist()])

@@ -82,10 +82,6 @@ class Box:
     def center(self) -> tuple[float, ...]:
         return tuple(ax.center for ax in self.axes)
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(ax.width for ax in self.axes)
-
 
 @dataclass(frozen=True)
 class UnsafeRegion:
@@ -201,8 +197,9 @@ DISTURBANCE_KINDS = ("zero", "uniform", "sinusoidal")
 class PlantConfig:
     """Plant selection and disturbance block (simulation side only).
 
-    The plant kind is checked against the scenario when the plant is
-    built (``plant.make_plant``); every other field is checked here.
+    The plant kind, and g_sign against the kind, are checked against the
+    scenario when the plant is built (``plant.make_plant``); every other
+    field is checked here.
     """
 
     kind: str = "omnidirectional"

@@ -6,12 +6,12 @@ is integrated alone, on its own tubes, config and state, so
 decentralization holds end to end.
 
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
-agent's walls: its faces, then the heading band; the constraint rows;
-the disturbance) is formed once per block as one table
-(``_block_table``): the walls and rows are evaluated once, on the
-interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a step's row holds
-the times t, t + dt/2 and t + dt, its constraint rows at those times,
-then its disturbance.  A compiled block kernel, one per (plant kind,
+agent's walls: its tube walls from ``tube.agent_walls``, then the
+heading band; the constraint rows; the disturbance) is formed once per
+block as one table (``_block_table``): the walls and rows are evaluated
+once, on the interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a
+step's row holds the times t, t + dt/2 and t + dt, its constraint rows
+at those times, then its disturbance.  A compiled block kernel, one per (plant kind,
 stages, dims) and registered in ``linecache`` as ``<sttube step
 drone_chain 2x3>`` and the like, then runs the block's steps with the
 state in locals, reading each step's row as one tuple unpacked by
@@ -73,7 +73,7 @@ from .plant import (
     make_plant,
 )
 from .scenario import ScenarioSpec
-from .tube import TubeSet, face_coeffs, polyval
+from .tube import TubeSet, agent_walls
 
 # Steps per block of precomputed time-only quantities, large enough to
 # amortize the per-block array calls.  The block's table stays a numpy
@@ -107,30 +107,20 @@ class Trajectory:
         return self.states[:, :scenario_dims]
 
 
-class _Stage1Bounds:
-    """One agent's stage-1 walls as arrays over time: its tube faces,
+def _walls(tubes: TubeSet, agent: int, plant: PlantModel, times):
+    """One agent's stage-1 walls at ``times``: (lower, upper), each
+    (len(times), plant dims), its tube walls (``tube.agent_walls``)
     padded with the heading band for plants whose output dimension
-    exceeds the scenario dimension."""
-
-    def __init__(self, tubes: TubeSet, agent: int, plant: PlantModel):
-        dims = tubes.agents[agent].dims
-        self.dims = len(dims)
-        self.extra = plant.dims - self.dims
-        if self.extra < 0:
-            raise ValueError("plant output dimension below tube dimension")
-        self.coeffs = face_coeffs([face for d in dims for face in (d.lower, d.upper)])
-        self.band = plant.heading_band
-
-    def at(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper), each (len(times), plant dims): the faces as
-        ``tube.tube_values`` evaluates them, bit for bit."""
-        t = np.asarray(times, dtype=float)
-        faces = polyval(self.coeffs[:, None], t).reshape(self.dims, 2, len(t))
-        pad = np.ones((len(t), self.extra))
-        return (
-            np.hstack([faces[:, 0].T, self.band[0] * pad]),
-            np.hstack([faces[:, 1].T, self.band[1] * pad]),
-        )
+    exceeds the tube dimension."""
+    extra = plant.dims - tubes.dims
+    if extra < 0:
+        raise ValueError("plant output dimension below tube dimension")
+    lower, upper = agent_walls(tubes, agent, times)
+    pad = np.ones((lower.shape[1], extra))
+    return (
+        np.hstack([lower.T, plant.heading_band[0] * pad]),
+        np.hstack([upper.T, plant.heading_band[1] * pad]),
+    )
 
 
 def initial_state(
@@ -141,7 +131,7 @@ def initial_state(
     with its tube, stages beyond at rest."""
     h = 1e-7
     (lower, lo_h), (upper, hi_h) = (
-        a.tolist() for a in _Stage1Bounds(tubes, agent, plant).at([0.0, h])
+        a.tolist() for a in _walls(tubes, agent, plant, [0.0, h])
     )
     x1 = tuple(0.5 * (lo + hi) for lo, hi in zip(lower, upper))
     if plant.stages == 1:
@@ -239,10 +229,12 @@ def _rows(table):
 
 
 def _block_table(
-    bounds: _Stage1Bounds, config: ControllerConfig, sampler, t, dt: float, steps: int
+    walls, config: ControllerConfig, sampler, t, dt: float, steps: int
 ):
     """The time-only input of one block: a table with one row per start
-    time in ``t``.
+    time in ``t``.  ``walls`` maps times to the agent's stage-1 walls
+    (``_walls`` with the tubes, agent and plant bound), as ``sampler``
+    maps step times to the agent's disturbance.
 
     A row is the step's time, midpoint and end (t, t + dt/2, t + dt), the
     constraint rows at those times, then the step's disturbance.  Walls
@@ -257,7 +249,7 @@ def _block_table(
     grid = np.asarray(t)[:, None] + np.array([0.0, 0.5 * dt, dt])
     grid[steps:, 1:] = grid[steps:, :1]
     flat = grid.ravel()
-    rows = constraint_rows(*bounds.at(flat), config, flat).reshape(len(grid), -1)
+    rows = constraint_rows(*walls(flat), config, flat).reshape(len(grid), -1)
     disturbance = sampler(grid[:steps, 0])
     table = np.zeros((len(grid), 3 + rows.shape[1] + disturbance.shape[1]))
     table[:, :3] = grid
@@ -303,7 +295,7 @@ def integrate_agent(
         raise ValueError(
             f"horizon must lie in [0, {tubes.horizon:g}], the tubes' horizon, got {horizon:g}"
         )
-    bounds = _Stage1Bounds(tubes, agent, plant)
+    walls = functools.partial(_walls, tubes, agent, plant)
     n_steps = round(horizon / dt)
     if not abs(n_steps * dt - horizon) <= 1e-9:  # a NaN difference fails too
         raise ValueError("dt must divide the horizon")
@@ -317,7 +309,7 @@ def integrate_agent(
     end = n_steps + 1
     for start in range(0, n_steps + 1, BLOCK):
         steps = min(BLOCK, n_steps - start)  # steps that integrate past their start
-        table = _block_table(bounds, config, sampler, times[start : start + BLOCK], dt, steps)
+        table = _block_table(walls, config, sampler, times[start : start + BLOCK], dt, steps)
         x, recorded, aborted = block(x, table, steps, dt, agent, config, tel, plant)
         states[start : start + len(recorded)] = recorded
         if aborted is not None:
@@ -351,7 +343,7 @@ def build_controller_config(
     if len(kappas) != plant.stages:
         raise ValueError("gain count does not match plant stage count")
     x_init = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
-    lo, hi = (a[0].tolist() for a in _Stage1Bounds(tubes, agent, plant).at([0.0]))
+    lo, hi = (a[0].tolist() for a in _walls(tubes, agent, plant, [0.0]))
     funnels = autosize_funnels(
         x_init,
         lo,
@@ -435,8 +427,8 @@ def stage1_error_series(
     (2 y - (hi + lo)) / (hi - lo), by ``control.stage1_errors``, so bit
     for bit the errors the run formed."""
     grid = traj.times
-    rows = constraint_rows(*_Stage1Bounds(tubes, traj.agent, plant).at(grid), traj.config, grid)
-    return stage1_errors(traj.states, rows)
+    rows = constraint_rows(*_walls(tubes, traj.agent, plant, grid), traj.config, grid)
+    return stage1_errors(traj.states, rows, len(traj.config.kappa))
 
 
 def input_series(traj: Trajectory, tubes: TubeSet, plant: PlantModel) -> np.ndarray:
@@ -444,7 +436,7 @@ def input_series(traj: Trajectory, tubes: TubeSet, plant: PlantModel) -> np.ndar
     ``traj.config`` on each recorded state and its row at the recorded
     time, so bit for bit the inputs the run applied."""
     grid = traj.times
-    rows = constraint_rows(*_Stage1Bounds(tubes, traj.agent, plant).at(grid), traj.config, grid)
+    rows = constraint_rows(*_walls(tubes, traj.agent, plant, grid), traj.config, grid)
     return np.array([
         control_input(x, row, traj.config, False)
         for x, row in zip(traj.states.tolist(), rows.tolist())

@@ -10,7 +10,9 @@ from the one polynomial kernel here: ``polyval`` (Horner's rule over
 coefficient arrays, constant term first, zero-padded to the top degree)
 and ``extremum_times`` (the ends of an interval and the real roots of the
 derivative, found by one batched companion-matrix eigenvalue call per
-root count).
+root count).  ``tube_values`` evaluates every face at many times, and
+``agent_walls`` one agent's lower and upper walls, which the closed loop
+and its containment check read.
 """
 
 from __future__ import annotations
@@ -22,11 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import Box, Interval, _list, _number, _object
-
-
-class TubeIntegrityError(ValueError):
-    """A tube set violates its own width invariant."""
+from .scenario import _list, _number, _object
 
 
 @dataclass(frozen=True)
@@ -129,16 +127,6 @@ def _max_abs_slope(coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
     return out
 
 
-def eval_face(face: TubeFace, t: float) -> float:
-    """The face polynomial at time ``t``."""
-    return float(polyval(face.coeffs, t))
-
-
-def eval_face_derivative(face: TubeFace, t: float) -> float:
-    """Exact time derivative of the face polynomial at ``t``."""
-    return float(polyval(derivative(face.coeffs), t))
-
-
 def analytic_slope_bound(face: TubeFace, horizon: tuple[float, float]) -> float:
     """max over the horizon of |d gamma / dt| (see ``_max_abs_slope``)."""
     return float(_max_abs_slope(face_coeffs([face]), *horizon)[0])
@@ -187,23 +175,12 @@ def tube_values(tubes: TubeSet, times) -> np.ndarray:
     return polyval(coeffs[:, None], t).reshape(tubes.agent_count, tubes.dims, 2, len(t))
 
 
-def tube_box_at(tubes: TubeSet, agent: int, t: float) -> Box:
-    """Per-dimension interval [lower(t), upper(t)] for one agent.
-
-    Raises TubeIntegrityError when a face pair is inverted or closer than
-    the declared minimum width, naming agent, dim, and t.
-    """
-    dims = tubes.agents[agent].dims
-    values = polyval(face_coeffs([face for d in dims for face in (d.lower, d.upper)]), t)
-    axes = []
-    for i, (d, (lo, hi)) in enumerate(zip(dims, values.reshape(-1, 2).tolist())):
-        if hi - lo < d.min_width:
-            raise TubeIntegrityError(
-                f"agent {agent + 1} dim {i + 1} at t={t:g}: "
-                f"width {hi - lo:.6g} below minimum {d.min_width:g}"
-            )
-        axes.append(Interval(lo, hi))
-    return Box(tuple(axes))
+def agent_walls(tubes: TubeSet, agent: int, times) -> tuple[np.ndarray, np.ndarray]:
+    """One agent's walls at ``times``: (lower, upper), each (dims,
+    len(times)), the faces of ``tube_values`` on a one-agent tube set."""
+    own = TubeSet(tubes.horizon, (tubes.agents[agent],))
+    lower, upper = tube_values(own, times)[0].transpose(1, 0, 2)
+    return lower, upper
 
 
 def slope_bounds(tubes: TubeSet) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import numpy as np
 from .sampling import obstacle_bounds
 from .scenario import ScenarioSpec
 from .sim import Trajectory
-from .tube import TubeSet, tube_values
+from .tube import TubeSet, agent_walls
 
 
 @dataclass
@@ -134,8 +134,7 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
 def check_containment(traj: Trajectory, tubes: TubeSet) -> np.ndarray:
     """Margin series: per step the min over dims of the distance to either
     tube wall.  Strictly positive throughout means contained."""
-    own = TubeSet(tubes.horizon, (tubes.agents[traj.agent],))
-    lo, hi = tube_values(own, traj.times)[0].transpose(1, 0, 2)  # (n, T) each
+    lo, hi = agent_walls(tubes, traj.agent, traj.times)  # (n, T) each
     y = traj.output(tubes.dims).T
     return np.minimum(y - lo, hi - y).min(axis=0)
 

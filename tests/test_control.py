@@ -19,7 +19,6 @@ from sttube.control import (
     constraint_row,
     constraint_rows,
     control_input,
-    stage1_error,
     stage1_errors,
 )
 
@@ -44,18 +43,18 @@ def _bits(values):
 
 
 def test_stage1_error_center_and_affine():
-    assert stage1_error((0.5,), (0.0,), (1.0,)) == (0.0,)
-    assert stage1_error((0.75,), (0.0,), (1.0,)) == (0.5,)
+    # walls [0, 1]: the row holds the width 1, then the sum 1
+    assert stage1_errors((0.5,), (1.0, 1.0), 1).tolist() == [0.0]
+    assert stage1_errors((0.75,), (1.0, 1.0), 1).tolist() == [0.5]
 
 
 def test_stage1_error_robot_start(robots_table):
-    from sttube.tube import eval_face
+    from sttube.tube import agent_walls
 
-    dims = robots_table.agents[0].dims
-    lower = tuple(eval_face(d.lower, 0.0) for d in dims)
-    upper = tuple(eval_face(d.upper, 0.0) for d in dims)
-    e = stage1_error((4.75, 0.25), lower, upper)
-    assert e == pytest.approx((0.0, 0.0), abs=1e-12)
+    lower, upper = agent_walls(robots_table, 0, [0.0])
+    row = constraint_row(lower[:, 0], upper[:, 0], ControllerConfig(kappa=(1.0,)), 0.0)
+    e = stage1_errors((4.75, 0.25), row, 1).tolist()
+    assert e == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def _first_stage(e, gamma, kappa=1.0, negative_definite=False, telemetry=None):
@@ -127,7 +126,7 @@ def test_law_is_accurate_against_a_60_digit_evaluation(magnitude, sign):
     (reference zero), against its funnel radius."""
     width, total = 0.7, 0.3
     funnel = Funnel(p=(0.9,), q=(0.2,), mu=(1.3,))
-    radius = funnel.radius(0.4)[0]
+    (radius,) = funnel.radii([0.4])[0].tolist()
     for kappa in (1.0, 1.5, 2.3):
         for stage in (1, 2):
             funnels = (funnel,)[: stage - 1]
@@ -135,11 +134,11 @@ def test_law_is_accurate_against_a_60_digit_evaluation(magnitude, sign):
             if stage == 1:
                 gamma, row = width, (width, total)
                 state = (0.5 * (sign * magnitude * width + total),)
-                (e,) = stage1_errors(state, row).tolist()
+                (e,) = stage1_errors(state, row, stage).tolist()
             else:
                 gamma, row = radius, (width, total, radius)
                 state = (0.5 * total, sign * magnitude * radius)
-                assert stage1_errors(state, row).tolist() == [0.0]
+                assert stage1_errors(state, row, stage).tolist() == [0.0]
                 e = state[1] / radius
             tel = StageTelemetry()
             (u,) = control_input(state, row, cfg, telemetry=tel)
@@ -169,7 +168,7 @@ def test_folded_gain_keeps_the_unfolded_bits_for_powers_of_two(kappa):
         row = (gamma, 0.0)
         for target in errors:
             state = (0.5 * target * gamma,)
-            (v,) = stage1_errors(state, row).tolist()
+            (v,) = stage1_errors(state, row, 1).tolist()
             (u,) = control_input(state, row, cfg, strict=False)
             unfolded = -kappa * (8.0 / (gamma * ((1.0 - v) * (1.0 + v)))) * math.atanh(v)
             same.append(_bits((u,)) == _bits((unfolded,)))
@@ -190,7 +189,7 @@ def test_stage_output_composition():
 
 def test_funnel_radius_and_stage_k_error():
     funnel = Funnel(p=(1.0,), q=(0.1,), mu=(1.0,))
-    radius = funnel.radius(1.0)
+    radius = funnel.radii([1.0])[0].tolist()
     assert radius[0] == pytest.approx(0.9 * math.exp(-1.0) + 0.1, abs=1e-12)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     # stage 1 at its tube centre has reference 0, so stage 2's error is
@@ -275,32 +274,38 @@ def test_funnel_rejects_mismatched_or_nonfinite_parameters(p, q, mu, message):
 
 
 def test_stage1_error_rejects_mismatched_lengths():
-    """A state longer or shorter than its walls is refused, not read as
-    a state of the length difference."""
-    for x1, lower, upper in [
-        ((1.0, 2.0, 3.0), (0.0, 0.0), (1.0, 1.0)),
-        ((1.0,), (0.0, 0.0), (1.0, 1.0)),
-        ((1.0, 2.0), (0.0, 0.0), (1.0,)),
+    """A state or row whose length does not fit the stage count is
+    refused, not read as a state of the length difference.  A row of 4
+    values fits 1 stage of 2 dims and 3 stages of 1 dim alike, so only
+    the stage count tells a 3-state against 2-dim walls from a fit."""
+    walls_2d = (1.0, 1.0, 0.0, 0.0)  # widths, then sums, of two dims
+    for states, rows, stages in [
+        ((1.0, 2.0, 3.0), walls_2d, 1),  # once read as 1 dim, giving [1.0]
+        ((1.0,), walls_2d, 1),
+        ((1.0, 2.0), (1.0, 1.0, 0.0), 1),  # no whole number of dims
+        ((), (), 1),  # zero dims
+        ([(1.0, 2.0, 3.0)] * 2, [walls_2d] * 2, 1),  # stacked
+        ((1.0, 2.0), walls_2d + (0.5, 0.5), 2),  # 2 stages of 2 dims need 4 states
     ]:
-        with pytest.raises(ValueError, match="x1, lower and upper differ in length"):
-            stage1_error(x1, lower, upper)
+        with pytest.raises(ValueError, match="does not match the stage count"):
+            stage1_errors(states, rows, stages)
+    assert stage1_errors((1.0, 2.0, 3.0), walls_2d, 3).tolist() == [1.0]
 
 
 def test_stage1_errors_match_the_written_out_formula():
-    """The array form gives (2x - (hi + lo)) / (hi - lo) bit for bit, reads
-    only the stage-1 block of a stacked state, and agrees with stage1_error."""
+    """The array form gives (2x - (hi + lo)) / (hi - lo) bit for bit and
+    reads only the stage-1 block of a stacked state."""
     funnel = Funnel(p=(0.5, 0.8), q=(0.1, 0.1), mu=(1.0, 2.0))
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     times = [0.0, 0.3, 1.7]
     lower = [(0.1 * t, -1.0) for t in times]
     upper = [(1.0 + t, 2.0 - 0.3 * t) for t in times]
     states = [(0.3, 0.7, 9.0, -9.0), (1.1, -0.2, 0.0, 1.0), (0.17, 1.9, 5.0, 5.0)]
-    errors = stage1_errors(states, constraint_rows(lower, upper, cfg, times))
+    errors = stage1_errors(states, constraint_rows(lower, upper, cfg, times), 2)
     assert errors.shape == (3, 2)
     for x, lo, hi, e in zip(states, lower, upper, errors.tolist()):
         expect = [(2.0 * v - (h + l)) / (h - l) for v, l, h in zip(x, lo, hi)]
         assert _bits(e) == _bits(expect)
-        assert _bits(stage1_error(x[:2], lo, hi)) == _bits(expect)
 
 
 def test_control_input_rejects_mismatched_row():
@@ -488,7 +493,7 @@ def test_shapes_with_equal_row_lengths_get_their_own_law(shapes):
         e = [(2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x1, lower, upper)]
         ref, state = _paper_reference(e, gamma, 1.1), x1
         if stages == 2:
-            radius = funnels[0].radius(0.4)
+            radius = funnels[0].radii([0.4])[0].tolist()
             x2 = [r + (0.1 * i - 0.2) * g for i, (r, g) in enumerate(zip(ref, radius))]
             e = [(v - r) / g for v, r, g in zip(x2, ref, radius)]
             ref, state = _paper_reference(e, radius, 2.3), x1 + x2
@@ -574,20 +579,20 @@ def test_two_stage_cascade_centered():
 def test_decentralization_byte_identity(robots_table):
     """An agent's input depends only on its own state and tubes: computing
     it with the other agents' data absent gives bit-identical bytes."""
-    from sttube.tube import TubeSet, eval_face
+    from sttube.tube import TubeSet, polyval
 
     cfg = _single_stage_config()
     t = 3.7
     dims = robots_table.agents[1].dims
-    lower = tuple(eval_face(d.lower, t) for d in dims)
-    upper = tuple(eval_face(d.upper, t) for d in dims)
+    lower = tuple(float(polyval(d.lower.coeffs, t)) for d in dims)
+    upper = tuple(float(polyval(d.upper.coeffs, t)) for d in dims)
     x = tuple(0.25 * lo + 0.75 * hi for lo, hi in zip(lower, upper))
     u_full = _ctl(x, lower, upper, cfg, t)
 
     solo = TubeSet(horizon=robots_table.horizon, agents=(robots_table.agents[1],))
     dims_solo = solo.agents[0].dims
-    lower_s = tuple(eval_face(d.lower, t) for d in dims_solo)
-    upper_s = tuple(eval_face(d.upper, t) for d in dims_solo)
+    lower_s = tuple(float(polyval(d.lower.coeffs, t)) for d in dims_solo)
+    upper_s = tuple(float(polyval(d.upper.coeffs, t)) for d in dims_solo)
     u_solo = _ctl(x, lower_s, upper_s, cfg, t)
     assert struct.pack("<2d", *u_full) == struct.pack("<2d", *u_solo)
 
@@ -617,16 +622,14 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
     and the strict controller accepts the start state."""
     from sttube.plant import make_plant
     from sttube.sim import build_controller_config, initial_state
-    from sttube.tube import tube_box_at
+    from sttube.tube import agent_walls
 
     plant = make_plant(drones_spec.plant, drones_spec.dims)
     assert plant.stages == 2 and plant.dims == drones_spec.dims
     for j in range(len(drones_spec.agents)):
         x0 = initial_state(drones_table, j, plant)
         n = plant.dims
-        box = tube_box_at(drones_table, j, 0.0)
-        lower = tuple(ax.lo for ax in box.axes)
-        upper = tuple(ax.hi for ax in box.axes)
+        lower, upper = (tuple(w[:, 0].tolist()) for w in agent_walls(drones_table, j, [0.0]))
         cfg = build_controller_config(drones_spec, drones_table, j, plant, x0=x0)
         ctl = drones_spec.control
         assert cfg.funnels == autosize_funnels(
@@ -636,7 +639,7 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
         for k in range(1, plant.stages):
             head = ControllerConfig(cfg.kappa[:k], cfg.funnels[: k - 1], cfg.e_max)
             ref = _ctl(x0[: k * n], lower, upper, head, strict=False)
-            radius = cfg.funnels[k - 1].radius(0.0)
+            radius = cfg.funnels[k - 1].radii([0.0])[0].tolist()
             e_k = [(x - r) / g for x, r, g in zip(x0[k * n : (k + 1) * n], ref, radius)]
             assert max(abs(v) for v in e_k) <= 0.5
         _ctl(x0, lower, upper, cfg, strict=True)

@@ -10,7 +10,6 @@ from sttube.plant import (
     dynamics,
     make_custom_plant,
     make_plant,
-    omni_gain_min_eigenvalue,
 )
 from sttube.scenario import PlantConfig
 
@@ -104,19 +103,20 @@ def test_finite_state_with_overflowing_sum_does_not_abort():
         dynamics(DRONE, (math.inf, -math.inf) + (0.0,) * 4, (0.0,) * 3, (0.0,) * 6, 0.0)
 
 
-def test_gain_min_eigenvalue():
-    # symmetric part of the rotation block is diag(cos, cos, 1)
-    assert omni_gain_min_eigenvalue(0.0) == 1.0
-    assert omni_gain_min_eigenvalue(1.0) == pytest.approx(math.cos(1.0))
-    assert omni_gain_min_eigenvalue(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
-    assert omni_gain_min_eigenvalue(2.0) < 0.0
-    theta = 0.3
-    c, s = math.cos(theta), math.sin(theta)
-    g = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    sym = 0.5 * (g + g.T)
-    assert np.linalg.eigvalsh(sym).min() == pytest.approx(
-        omni_gain_min_eigenvalue(theta), abs=1e-12
-    )
+def test_builtin_plants_refuse_a_negative_gain_sign():
+    """The symmetric part of the omnidirectional input gain is
+    diag(cos h, cos h, 1) and the drone chain's input gain is the
+    identity: each keeps the eigenvalue 1 at every heading, so neither is
+    ever negative definite and g_sign "negative" is refused."""
+    for theta in (0.0, 0.3, 1.0, math.pi / 2, 2.0, math.pi):
+        c, s = math.cos(theta), math.sin(theta)
+        g = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        eig = np.linalg.eigvalsh(0.5 * (g + g.T))
+        assert eig == pytest.approx(sorted([c, c, 1.0]), abs=1e-12)
+    for kind, dims in (("omnidirectional", 2), ("drone_chain", 3)):
+        with pytest.raises(ValueError, match=f"^{kind} plant: g_sign must be positive"):
+            make_plant(PlantConfig(kind=kind, g_sign="negative"), dims)
+        assert not make_plant(PlantConfig(kind=kind), dims).g_negative_definite
 
 
 @pytest.mark.parametrize("kind", ["zero", "uniform", "sinusoidal"])

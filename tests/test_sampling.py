@@ -3,7 +3,6 @@ import pytest
 
 from sttube.sampling import (
     SampleSet,
-    export_samples_csv,
     sample_time_grid,
     sample_unsafe,
     verify_cover,
@@ -90,13 +89,4 @@ def test_empty_obstacles_give_empty_samples():
         "obstacles": [],
     })
     samples = sample_unsafe(spec)
-    assert samples.obstacle_bounds.shape == (samples.count, 0, 1, 2)
-
-
-def test_csv_export(tmp_path, robots_spec):
-    samples = sample_unsafe(robots_spec)
-    path = tmp_path / "samples.csv"
-    export_samples_csv(samples, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("t,")
-    assert len(lines) == 1 + samples.count * max(1, len(robots_spec.obstacles))
+    assert samples.obstacle_bounds.shape == (len(samples.time_samples), 0, 1, 2)

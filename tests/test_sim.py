@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import linecache
 import math
@@ -24,7 +25,6 @@ from sttube.control import (
     constraint_rows,
     control_input,
     law_lines,
-    stage1_error,
 )
 from sttube.plant import (
     Disturbance,
@@ -45,7 +45,7 @@ from sttube.sim import (
     stage1_error_series,
     write_trajectories_csv,
 )
-from sttube.tube import TubeSet, tube_box_at, tube_values, tubes_from_dict
+from sttube.tube import TubeSet, tube_values, tubes_from_dict
 
 
 def _constant_tube_spec():
@@ -170,21 +170,29 @@ def test_published_tube_run_stays_inside(robots_spec, robots_table, robots_run):
         assert np.abs(stage1_error_series(traj, robots_table, plant)).max() < 1.0
 
 
+def _written_out_errors(traj, tubes, plant):
+    """(2x - (hi + lo)) / (hi - lo) per recorded state and component,
+    against the agent's faces in ``tube_values`` at the recorded times,
+    padded with the heading band to the plant's output dimension."""
+    faces = tube_values(tubes, traj.times)[traj.agent]  # (dims, lower/upper, T)
+    pad = plant.dims - tubes.dims
+    out = []
+    for k, x in enumerate(traj.states.tolist()):
+        lower = faces[:, 0, k].tolist() + [plant.heading_band[0]] * pad
+        upper = faces[:, 1, k].tolist() + [plant.heading_band[1]] * pad
+        out.append([(2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x, lower, upper)])
+    return np.array(out)
+
+
 def test_errors_match_tube_walls(robots_spec, robots_table, robots_run):
-    """The on-demand stage-1 error is the normalized error against the
-    walls that tube_box_at gives at the recorded times (the heading band
-    pads the plant's extra output), bit for bit."""
+    """The on-demand stage-1 error is the written-out normalized error
+    against the walls that tube_values gives at the recorded times (the
+    heading band pads the plant's extra output), bit for bit."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
-    pad = plant.dims - robots_spec.dims
     for traj in robots_run:
-        expect = []
-        for t, x in zip(traj.times, traj.states):
-            box = tube_box_at(robots_table, traj.agent, float(t))
-            lower = [ax.lo for ax in box.axes] + [plant.heading_band[0]] * pad
-            upper = [ax.hi for ax in box.axes] + [plant.heading_band[1]] * pad
-            expect.append(stage1_error(x[: plant.dims], lower, upper))
+        expect = _written_out_errors(traj, robots_table, plant)
         errors = stage1_error_series(traj, robots_table, plant)
-        assert np.array(expect).tobytes() == errors.tobytes()
+        assert expect.tobytes() == errors.tobytes()
 
 
 # sha256 of the agents' states, input_series inputs and stage1_error_series errors
@@ -370,11 +378,8 @@ def test_nonfinite_plant_mid_block_truncates_consistently():
     assert lengths == {last + 1}
     assert traj.times.tobytes() == (np.arange(last + 1) * 1e-3).tobytes()
     assert np.isfinite(traj.states[:last]).all() and np.isnan(traj.states[last]).all()
-    expect = []
-    for t, x in zip(traj.times, traj.states):
-        box = tube_box_at(tubes, 0, float(t))
-        expect.append(stage1_error(x, [ax.lo for ax in box.axes], [ax.hi for ax in box.axes]))
-    assert np.array(expect).tobytes() == stage1_error_series(traj, tubes, plant).tobytes()
+    expect = _written_out_errors(traj, tubes, plant)
+    assert expect.tobytes() == stage1_error_series(traj, tubes, plant).tobytes()
 
 
 @pytest.mark.parametrize("top,message", [
@@ -546,19 +551,19 @@ def test_block_table_matches_separate_evaluations(case, kind, request):
     plant = make_plant(spec.plant, spec.dims)
     agent, dt, n_steps = 1, 1e-3, BLOCK + 5
     config = build_controller_config(spec, tubes, agent, plant)
-    bounds = sim._Stage1Bounds(tubes, agent, plant)
+    walls = functools.partial(sim._walls, tubes, agent, plant)
     dist = Disturbance(bound=0.01, kind=kind, seed=2)
     sampler = dist.make_sampler(agent, plant.state_dim)
     reference = dist.make_sampler(agent, plant.state_dim)
     times = np.arange(n_steps + 1) * dt
 
     def rows(grid):
-        return constraint_rows(*bounds.at(grid), config, grid)
+        return constraint_rows(*walls(grid), config, grid)
 
     for start in (0, BLOCK):
         t = times[start : start + BLOCK]
         steps = min(BLOCK, n_steps - start)
-        table = sim._block_table(bounds, config, sampler, t, dt, steps)
+        table = sim._block_table(walls, config, sampler, t, dt, steps)
         moving, rest = t[:steps], t[steps:]
         mid, end = np.concatenate([moving + 0.5 * dt, rest]), np.concatenate([moving + dt, rest])
         padded = np.vstack([reference(moving), np.zeros((len(rest), plant.state_dim))])
@@ -566,7 +571,7 @@ def test_block_table_matches_separate_evaluations(case, kind, request):
             np.stack([t, mid, end], axis=1), rows(t), rows(mid), rows(end), padded
         ])
         assert table.tobytes() == expect.tobytes()
-        lower, upper = bounds.at(t)
+        lower, upper = walls(t)
         faces = tube_values(tubes, t)[agent]
         assert lower[:, : tubes.dims].tobytes() == faces[:, 0].T.tobytes()
         assert upper[:, : tubes.dims].tobytes() == faces[:, 1].T.tobytes()
@@ -584,9 +589,9 @@ def test_block_rows_unpack_bit_for_bit(robots_spec, robots_table):
     specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, payload_nan, 5e-324, -5e-324, 0.1]
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
-    bounds = sim._Stage1Bounds(robots_table, 0, plant)
+    walls = functools.partial(sim._walls, robots_table, 0, plant)
     sampler = Disturbance(bound=0.01, kind="uniform", seed=2).make_sampler(0, plant.state_dim)
-    final = sim._block_table(bounds, config, sampler, np.array([BLOCK * 1e-3]), 1e-3, 0)
+    final = sim._block_table(walls, config, sampler, np.array([BLOCK * 1e-3]), 1e-3, 0)
     for table in (np.array([specials, specials[::-1]]), np.array([specials]), final):
         rows = list(sim._rows(table))
         assert len(rows) == len(table) and all(type(row) is tuple for row in rows)
@@ -680,6 +685,15 @@ def test_closed_loop_rejects_an_initial_state_count_off_the_agents(
     states = [initial_state(robots_table, 0, plant)] * count
     with pytest.raises(ValueError, match=f"^{count} initial states for 4 agents$"):
         run_closed_loop(robots_spec, robots_table, initial_states=states)
+
+
+def test_closed_loop_rejects_a_plant_with_fewer_outputs_than_tube_dims(robots_spec, robots_table):
+    """The stage-1 walls pad a plant's extra outputs with the heading
+    band; a plant with fewer outputs than the tubes have dims is refused."""
+    eye = np.eye(1)
+    plant = make_custom_plant(1, 1, f=[lambda xb: np.zeros(1)], g=[lambda xb: eye])
+    with pytest.raises(ValueError, match="plant output dimension below tube dimension"):
+        run_closed_loop(robots_spec, robots_table, plant=plant)
 
 
 def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sttube.synth import validate_tubes
 from sttube.tube import (
     TubeFace,
-    TubeIntegrityError,
+    agent_walls,
     analytic_slope_bound,
-    eval_face,
-    eval_face_derivative,
+    derivative,
+    polyval,
     slope_bounds,
-    tube_box_at,
+    tube_values,
     tubes_from_dict,
     tubes_to_dict,
 )
@@ -20,22 +21,30 @@ from sttube.tube import (
 QUARTIC = TubeFace((0.0, 10.0, 24.0, -5.0, 0.25))
 
 
+def _value(face, t):
+    return float(polyval(face.coeffs, t))
+
+
+def _slope(face, t):
+    return float(polyval(derivative(face.coeffs), t))
+
+
 def test_eval_published_values(robots_table):
     r1 = robots_table.agents[0]
-    assert eval_face(r1.dims[0].lower, 0.0) == 4.5
+    assert _value(r1.dims[0].lower, 0.0) == 4.5
     # 0.5 - 1.56 + 1.56 back at 0.5
-    assert eval_face(r1.dims[1].upper, 10.0) == pytest.approx(0.5, abs=1e-12)
+    assert _value(r1.dims[1].upper, 10.0) == pytest.approx(0.5, abs=1e-12)
     zero = TubeFace((0.0, 0.0, 0.0))
-    assert eval_face(zero, 3.7) == 0.0
+    assert _value(zero, 3.7) == 0.0
 
 
 def test_derivative_published_values(robots_table, drones_table):
     r4_lower = robots_table.agents[3].dims[0].lower
-    assert eval_face_derivative(r4_lower, 0.0) == pytest.approx(3.9463, abs=1e-12)
+    assert _slope(r4_lower, 0.0) == pytest.approx(3.9463, abs=1e-12)
     const = TubeFace((2.5,))
-    assert eval_face_derivative(const, 1.0) == 0.0
+    assert _slope(const, 1.0) == 0.0
     d1_upper = drones_table.agents[0].dims[0].upper  # 0.25 + 0.2745t - 0.0069t^2
-    assert eval_face_derivative(d1_upper, 10.0) == pytest.approx(0.1365, abs=1e-12)
+    assert _slope(d1_upper, 10.0) == pytest.approx(0.1365, abs=1e-12)
 
 
 def test_derivative_matches_finite_differences():
@@ -46,12 +55,12 @@ def test_derivative_matches_finite_differences():
         coeffs = tuple(rng.uniform(-2, 2, degree + 1))
         face = TubeFace(coeffs)
         for t in rng.uniform(0.1, 9.9, 100):
-            exact = eval_face_derivative(face, t)
-            fd = (eval_face(face, t + h) - eval_face(face, t - h)) / (2 * h)
+            exact = _slope(face, t)
+            fd = (_value(face, t + h) - _value(face, t - h)) / (2 * h)
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-6)
     for t, slope in ((0.0, 10.0), (2.0, 54.0), (8.0, -54.0), (10.0, -10.0)):
-        assert eval_face_derivative(QUARTIC, t) == slope
-        fd = (eval_face(QUARTIC, t + h) - eval_face(QUARTIC, t - h)) / (2 * h)
+        assert _slope(QUARTIC, t) == slope
+        fd = (_value(QUARTIC, t + h) - _value(QUARTIC, t - h)) / (2 * h)
         assert fd == pytest.approx(slope, rel=1e-6)
 
 
@@ -120,20 +129,33 @@ def test_composite_slope_bounds_match_published(robots_table):
     assert lu == pytest.approx(3.8711, abs=1e-12)
 
 
-def test_tube_box_at_start_boxes(robots_table, drones_table):
-    assert tube_box_at(robots_table, 0, 0.0).to_bounds() == [[4.5, 5.0], [0.0, 0.5]]
-    assert tube_box_at(drones_table, 1, 0.0).to_bounds() == [
-        [2.75, 3.0], [0.0, 0.25], [0.0, 0.25],
-    ]
+def test_agent_walls_start_boxes(robots_table, drones_table):
+    """An agent's walls are its start box at t = 0 and, at any times, its
+    faces in ``tube_values`` bit for bit."""
+    def box(tubes, agent, t):
+        lower, upper = agent_walls(tubes, agent, [t])
+        return np.hstack([lower, upper]).tolist()
+
+    assert box(robots_table, 0, 0.0) == [[4.5, 5.0], [0.0, 0.5]]
+    assert box(drones_table, 1, 0.0) == [[2.75, 3.0], [0.0, 0.25], [0.0, 0.25]]
+    times = np.linspace(0.0, 10.0, 7)
+    for tubes in (robots_table, drones_table):
+        faces = tube_values(tubes, times)
+        for j in range(tubes.agent_count):
+            lower, upper = agent_walls(tubes, j, times)
+            assert lower.shape == upper.shape == (tubes.dims, len(times))
+            assert lower.tobytes() == faces[j, :, 0].tobytes()
+            assert upper.tobytes() == faces[j, :, 1].tobytes()
 
 
-def test_tube_box_integrity_error(robots_table):
+def test_validate_tubes_names_a_width_below_its_minimum(robots_spec, robots_table):
+    assert validate_tubes(robots_table, robots_spec, resolution=0.01).families["width"].passed
     raw = tubes_to_dict(robots_table)
     # min width above the published pinch (~0.11) breaks the invariant mid-run
     raw["agents"][0]["dims"][0]["min_width"] = 0.2
     broken = tubes_from_dict(raw)
-    with pytest.raises(TubeIntegrityError, match="agent 1 dim 1"):
-        tube_box_at(broken, 0, 5.0)
+    width = validate_tubes(broken, robots_spec, resolution=0.01).families["width"]
+    assert not width.passed and width.where.startswith("agent 1 dim 1 at t=")
 
 
 def test_published_endpoints_within_rounding():
@@ -151,17 +173,17 @@ def test_published_endpoints_within_rounding():
         for i, d in enumerate(agent.dims):
             worst = max(
                 worst,
-                abs(eval_face(d.lower, 0.0) - task.start.axes[i].lo),
-                abs(eval_face(d.upper, 0.0) - task.start.axes[i].hi),
-                abs(eval_face(d.lower, 10.0) - task.goal.axes[i].lo),
-                abs(eval_face(d.upper, 10.0) - task.goal.axes[i].hi),
+                abs(_value(d.lower, 0.0) - task.start.axes[i].lo),
+                abs(_value(d.upper, 0.0) - task.start.axes[i].hi),
+                abs(_value(d.lower, 10.0) - task.goal.axes[i].lo),
+                abs(_value(d.upper, 10.0) - task.goal.axes[i].hi),
             )
     # rounding bound: 5e-5 * (1 + 10 + 100 + 1000)
     assert worst <= 0.0556
     # the known worst offenders (cubic rows of the fourth robot)
     r4 = robots.agents[3]
-    assert eval_face(r4.dims[0].upper, 10.0) == pytest.approx(5.031, abs=1e-9)
-    assert eval_face(r4.dims[1].lower, 10.0) == pytest.approx(4.473, abs=1e-9)
+    assert _value(r4.dims[0].upper, 10.0) == pytest.approx(5.031, abs=1e-9)
+    assert _value(r4.dims[1].lower, 10.0) == pytest.approx(4.473, abs=1e-9)
 
 
 def test_serialization_round_trip(tmp_path, drones_table):
