@@ -74,8 +74,6 @@ def cmd_synth(args) -> int:
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
     try:
         result = synthesize(spec, degree_override=args.degree)
@@ -83,6 +81,8 @@ def cmd_synth(args) -> int:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTH
     cert = result.certificate
+    out = Path(args.out)  # made only once there is something to write
+    out.mkdir(parents=True, exist_ok=True)
     tubes_path = out / f"{stem}.tubes"
     cert_path = out / f"{stem}.cert.json"
     save_tubes(result.tubes, tubes_path)
@@ -147,8 +147,6 @@ def cmd_simulate(args) -> int:
             print("error: certificate did not pass; use --force to simulate anyway",
                   file=sys.stderr)
             return EXIT_USAGE
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
     kappa = [args.kappa] if args.kappa is not None else None
     try:
@@ -167,6 +165,8 @@ def cmd_simulate(args) -> int:
         trajs, spec, tubes,
         min_tube_gap=validation.families["collision"].worst_margin,
     )
+    out = Path(args.out)  # made only once there is something to write
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.trajectories.csv"
     report_path = out / f"{stem}.verify.json"
     write_trajectories_csv(trajs, csv_path, tubes, plant)

@@ -54,7 +54,13 @@ class ControllerIntegrityError(RuntimeError):
     def __init__(self, stage: int, detail: str = "", width: float | None = None):
         super().__init__(f"stage {stage} state outside its constraint {detail}")
         self.stage = stage
+        self.detail = detail
         self.width = width
+
+    def __reduce__(self):
+        # The default rebuilds from ``args``, the formatted message, which
+        # would be formatted a second time as the detail.
+        return type(self), (self.stage, self.detail, self.width)
 
 
 @dataclass(frozen=True)

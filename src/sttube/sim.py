@@ -5,20 +5,34 @@ stage point and the disturbance held constant over the step.  Each agent
 is integrated alone, on its own tubes, config and state, so
 decentralization holds end to end.
 
+So the agents of one run share nothing, and ``run_closed_loop`` runs
+them on every CPU the process may use (``_run_agents``): with k =
+min(agents, CPUs), agents g, g + k, ... form group g; group 0 runs in
+this process and every other group in a child made by ``os.fork``, which
+sends its trajectories back through a pipe (pickle protocol 5, the
+arrays out of band, read into buffers allocated here) and exits.  Every
+child is reaped before the call returns or raises.  An agent that failed
+or did not come back runs again here, in agent order, so results and
+exceptions are those of one process bit for bit; where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or one CPU is available, all agents
+run here.
+
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
-agent's walls: its tube walls from ``tube.agent_walls``, then the
-heading band; the constraint rows; the disturbance) is formed once per
-block as one table (``_block_table``): the walls and rows are evaluated
-once, on the interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a
-step's row holds the times t, t + dt/2 and t + dt, its constraint rows
-at those times, then its disturbance.  A compiled block kernel, one per (plant kind,
+agent's walls: its tube walls from ``tube.agent_walls`` on its
+coefficient table, formed once per agent, then the heading band; the
+constraint rows; the disturbance) is formed once per block as one table
+(``_block_table``): the walls and rows are evaluated once, on the
+interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a step's row holds
+the times t, t + dt/2 and t + dt, its constraint rows at those times,
+then its disturbance.  A compiled block kernel, one per (plant kind,
 stages, dims) and registered in ``linecache`` as ``<sttube step
 drone_chain 2x3>`` and the like, then runs the block's steps with the
 state in locals, reading each step's row as one tuple unpacked by
 ``struct`` (``_rows``): per step one strict ``control_input`` call
 (looked up in this module's globals, so a wrapper on
-``sttube.sim.control_input`` sees every applied input), then the three
-non-strict law evaluations, the four derivative evaluations and the
+``sttube.sim.control_input`` sees every applied input of the agents
+run in its process: of group 0 only, for ``run_closed_loop``), then the
+three non-strict law evaluations, the four derivative evaluations and the
 RK4 update inline, with no call (the three later evaluations
 share one copy of the lines, in a loop).  Its source is put together
 from the law template of ``control`` and the derivative template of
@@ -41,6 +55,9 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import pickle
+import signal
 import struct
 from dataclasses import dataclass
 from math import atanh, cos, isfinite, sin  # noqa: F401 (read by the compiled blocks)
@@ -73,7 +90,7 @@ from .plant import (
     make_plant,
 )
 from .scenario import ScenarioSpec
-from .tube import TubeSet, agent_walls
+from .tube import TubeSet, agent_coeffs, agent_walls
 
 # Steps per block of precomputed time-only quantities, large enough to
 # amortize the per-block array calls.  The block's table stays a numpy
@@ -107,20 +124,26 @@ class Trajectory:
         return self.states[:, :scenario_dims]
 
 
-def _walls(tubes: TubeSet, agent: int, plant: PlantModel, times):
-    """One agent's stage-1 walls at ``times``: (lower, upper), each
-    (len(times), plant dims), its tube walls (``tube.agent_walls``)
-    padded with the heading band for plants whose output dimension
+def _walls(tubes: TubeSet, agent: int, plant: PlantModel):
+    """One agent's stage-1 walls as a function of times: ``at(times)``
+    gives (lower, upper), each (len(times), plant dims), its tube walls
+    (``tube.agent_walls`` on the agent's coefficient table, formed here
+    once) padded with the heading band for plants whose output dimension
     exceeds the tube dimension."""
     extra = plant.dims - tubes.dims
     if extra < 0:
         raise ValueError("plant output dimension below tube dimension")
-    lower, upper = agent_walls(tubes, agent, times)
-    pad = np.ones((lower.shape[1], extra))
-    return (
-        np.hstack([lower.T, plant.heading_band[0] * pad]),
-        np.hstack([upper.T, plant.heading_band[1] * pad]),
-    )
+    coeffs = agent_coeffs(tubes, agent)
+
+    def at(times):
+        lower, upper = agent_walls(coeffs, times)
+        pad = np.ones((lower.shape[1], extra))
+        return (
+            np.hstack([lower.T, plant.heading_band[0] * pad]),
+            np.hstack([upper.T, plant.heading_band[1] * pad]),
+        )
+
+    return at
 
 
 def initial_state(
@@ -131,7 +154,7 @@ def initial_state(
     with its tube, stages beyond at rest."""
     h = 1e-7
     (lower, lo_h), (upper, hi_h) = (
-        a.tolist() for a in _walls(tubes, agent, plant, [0.0, h])
+        a.tolist() for a in _walls(tubes, agent, plant)([0.0, h])
     )
     x1 = tuple(0.5 * (lo + hi) for lo, hi in zip(lower, upper))
     if plant.stages == 1:
@@ -233,7 +256,7 @@ def _block_table(
 ):
     """The time-only input of one block: a table with one row per start
     time in ``t``.  ``walls`` maps times to the agent's stage-1 walls
-    (``_walls`` with the tubes, agent and plant bound), as ``sampler``
+    (``_walls`` of the tubes, agent and plant), as ``sampler``
     maps step times to the agent's disturbance.
 
     A row is the step's time, midpoint and end (t, t + dt/2, t + dt), the
@@ -295,10 +318,10 @@ def integrate_agent(
         raise ValueError(
             f"horizon must lie in [0, {tubes.horizon:g}], the tubes' horizon, got {horizon:g}"
         )
-    walls = functools.partial(_walls, tubes, agent, plant)
     n_steps = round(horizon / dt)
     if not abs(n_steps * dt - horizon) <= 1e-9:  # a NaN difference fails too
         raise ValueError("dt must divide the horizon")
+    walls = _walls(tubes, agent, plant)
     x = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
     sampler = disturbance.make_sampler(agent, plant.state_dim)
     tel = StageTelemetry()
@@ -343,7 +366,7 @@ def build_controller_config(
     if len(kappas) != plant.stages:
         raise ValueError("gain count does not match plant stage count")
     x_init = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
-    lo, hi = (a[0].tolist() for a in _walls(tubes, agent, plant, [0.0]))
+    lo, hi = (a[0].tolist() for a in _walls(tubes, agent, plant)([0.0]))
     funnels = autosize_funnels(
         x_init,
         lo,
@@ -372,7 +395,9 @@ def run_closed_loop(
     initial_states=None,
     plant: PlantModel | None = None,
 ) -> list[Trajectory]:
-    """Integrate every agent independently over the scenario horizon.
+    """Integrate every agent independently over the scenario horizon, on
+    every CPU the process may use (``_run_agents``), bit for bit as in
+    one process.
 
     ``seed`` overrides the scenario's disturbance seed; ``kappa``
     overrides the per-stage gains; ``initial_states`` (per agent, flat)
@@ -397,26 +422,149 @@ def run_closed_loop(
     dist = Disturbance.from_config(spec.plant)
     if seed is not None:
         dist = Disturbance(bound=dist.bound, kind=dist.kind, seed=seed)
-    out = []
-    for j, task in enumerate(spec.agents):
+
+    def run(j: int) -> Trajectory:
         x0 = (
             tuple(initial_states[j])
             if initial_states is not None
             else initial_state(tubes, j, model)
         )
         config = build_controller_config(spec, tubes, j, model, kappa=kappa, x0=x0)
-        out.append(
-            integrate_agent(
-                j, tubes, model, config, dist, spec.horizon, dt,
-                x0=x0, name=task.name,
-            )
+        return integrate_agent(
+            j, tubes, model, config, dist, spec.horizon, dt,
+            x0=x0, name=spec.agents[j].name,
         )
+
+    out = _run_agents(run, spec.agent_count)
     # Every agent steps on the same time grid: keep one copy of it, not
-    # one per agent (160 kB each for a drone at dt 1e-3).
-    grid = max((traj.times for traj in out), key=len)
+    # one per agent (160 kB each for a drone at dt 1e-3).  The agents'
+    # own copies go first, and the grid is formed in place, bit for bit
+    # the np.arange(steps + 1) * dt of ``integrate_agent``.
+    length = max(len(traj.states) for traj in out)
     for traj in out:
-        traj.times = grid[: len(traj.times)]
+        traj.times = None
+    grid = np.arange(length, dtype=float)
+    grid *= dt
+    for traj in out:
+        traj.times = grid[: len(traj.states)]
     return out
+
+
+def _run_agents(run, count: int) -> list[Trajectory]:
+    """``run(j)`` for every agent j < ``count``, in agent order, on k
+    processes, one per CPU this process may run on and at most one per
+    agent (k = 1 where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing): agents j = g, g + k, ... form group g, group 0 runs here
+    and each other group in a forked child (``_fork``).  No child
+    outlives the call: on every path, an exception or an interrupt
+    included, each is killed if still running and reaped.
+
+    Every agent that did not come back, because it failed or its child
+    died or could not be started, runs here, in agent order, so the
+    result and the exception raised are those of a loop over the agents
+    in one process: each agent's disturbance is its own stream, so a
+    second run repeats the first bit for bit.  An agent of group 0 that
+    failed is not run twice; its exception is raised as it was caught.
+    """
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = min(count, len(os.sched_getaffinity(0)))
+    out: list[Trajectory | None] = [None] * count
+    error = None
+    children = []
+    try:
+        for g in range(1, k):
+            child = _fork(run, range(g, count, k))
+            if child is not None:
+                children.append(child)
+        for j in range(0, count, k):
+            try:
+                out[j] = run(j)
+            except Exception as exc:
+                error = j, exc
+                break
+        for _, pipe in children:
+            for traj in _receive(pipe):
+                out[traj.agent] = traj
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has sent everything
+            os.waitpid(pid, 0)
+    for j in range(count):
+        if out[j] is None:
+            if error is not None and error[0] == j:
+                raise error[1]
+            out[j] = run(j)
+    return out
+
+
+def _fork(run, agents):
+    """A child process that runs ``run`` on ``agents`` in order, up to the
+    first that raises, sends the trajectories it completed (``_send``)
+    and exits by ``os._exit``, whatever happens: (pid, the read end of its
+    pipe as a file), or None if it could not be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            done = []
+            for j in agents:
+                try:
+                    done.append(run(j))
+                except Exception:
+                    break
+            _send(w, done)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _send(fd: int, trajectories: list[Trajectory]) -> None:
+    """Write ``trajectories`` to the pipe ``fd`` and close it: the length
+    of a header, the header, then each array's bytes.  The header holds
+    the pickle (protocol 5) of the trajectories with their arrays out of
+    band, and the arrays' sizes.  Times are left out: the parent rebuilds
+    the shared grid."""
+    for traj in trajectories:
+        traj.times = None
+    buffers = []
+    pickled = pickle.dumps(trajectories, protocol=5, buffer_callback=buffers.append)
+    views = [b.raw() for b in buffers]
+    head = pickle.dumps((pickled, [v.nbytes for v in views]))
+    with open(fd, "wb") as pipe:
+        pipe.write(struct.pack("<Q", len(head)))
+        pipe.write(head)
+        for view in views:
+            pipe.write(view)
+
+
+def _receive(pipe) -> list[Trajectory]:
+    """What ``_send`` wrote to ``pipe``, or [] if the writer left before
+    the end.  Each array is read by ``readinto`` into a buffer allocated
+    here, which the unpickled array then wraps, so it is not copied
+    twice."""
+    size = pipe.read(8)
+    if len(size) < 8:
+        return []
+    (length,) = struct.unpack("<Q", size)
+    head = pipe.read(length)
+    if len(head) < length:
+        return []
+    pickled, sizes = pickle.loads(head)
+    buffers = [np.empty(n, np.uint8) for n in sizes]
+    if any(pipe.readinto(b) < b.nbytes for b in buffers):
+        return []
+    return pickle.loads(pickled, buffers=buffers)
 
 
 def stage1_error_series(
@@ -427,7 +575,7 @@ def stage1_error_series(
     (2 y - (hi + lo)) / (hi - lo), by ``control.stage1_errors``, so bit
     for bit the errors the run formed."""
     grid = traj.times
-    rows = constraint_rows(*_walls(tubes, traj.agent, plant, grid), traj.config, grid)
+    rows = constraint_rows(*_walls(tubes, traj.agent, plant)(grid), traj.config, grid)
     return stage1_errors(traj.states, rows, len(traj.config.kappa))
 
 
@@ -436,7 +584,7 @@ def input_series(traj: Trajectory, tubes: TubeSet, plant: PlantModel) -> np.ndar
     ``traj.config`` on each recorded state and its row at the recorded
     time, so bit for bit the inputs the run applied."""
     grid = traj.times
-    rows = constraint_rows(*_walls(tubes, traj.agent, plant, grid), traj.config, grid)
+    rows = constraint_rows(*_walls(tubes, traj.agent, plant)(grid), traj.config, grid)
     return np.array([
         control_input(x, row, traj.config, False)
         for x, row in zip(traj.states.tolist(), rows.tolist())

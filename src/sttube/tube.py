@@ -11,8 +11,9 @@ coefficient arrays, constant term first, zero-padded to the top degree)
 and ``extremum_times`` (the ends of an interval and the real roots of the
 derivative, found by one batched companion-matrix eigenvalue call per
 root count).  ``tube_values`` evaluates every face at many times, and
-``agent_walls`` one agent's lower and upper walls, which the closed loop
-and its containment check read.
+``agent_walls`` one agent's lower and upper walls from its coefficient
+table (``agent_coeffs``), which the closed loop forms once per agent
+and its containment check reads.
 """
 
 from __future__ import annotations
@@ -175,11 +176,20 @@ def tube_values(tubes: TubeSet, times) -> np.ndarray:
     return polyval(coeffs[:, None], t).reshape(tubes.agent_count, tubes.dims, 2, len(t))
 
 
-def agent_walls(tubes: TubeSet, agent: int, times) -> tuple[np.ndarray, np.ndarray]:
-    """One agent's walls at ``times``: (lower, upper), each (dims,
-    len(times)), the faces of ``tube_values`` on a one-agent tube set."""
-    own = TubeSet(tubes.horizon, (tubes.agents[agent],))
-    lower, upper = tube_values(own, times)[0].transpose(1, 0, 2)
+def agent_coeffs(tubes: TubeSet, agent: int) -> np.ndarray:
+    """One agent's face coefficients: (dims, 2, z), lower then upper, the
+    rows of ``tube_values``' table for that agent (zero-padded to the
+    agent's own top degree, which leaves every value bit for bit)."""
+    faces = [(d.lower, d.upper) for d in tubes.agents[agent].dims]
+    return face_coeffs([face for pair in faces for face in pair]).reshape(len(faces), 2, -1)
+
+
+def agent_walls(coeffs: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """One agent's walls at ``times`` from its ``agent_coeffs`` table:
+    (lower, upper), each (dims, len(times)), bit for bit the faces of
+    ``tube_values``."""
+    t = np.asarray(times, dtype=float)
+    lower, upper = polyval(coeffs[..., None, :], t).transpose(1, 0, 2)
     return lower, upper
 
 

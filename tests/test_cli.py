@@ -3,7 +3,7 @@ import json
 import pytest
 
 from sttube import data_path
-from sttube.cli import EXIT_SYNTH, EXIT_USAGE, main
+from sttube.cli import EXIT_SYNTH, EXIT_USAGE, EXIT_VERIFY, main
 from sttube.scenario import scenario_from_dict
 from sttube.synth import synthesize
 from sttube.tube import AgentTubes, TubeDim, TubeFace, TubeSet, save_tubes
@@ -53,12 +53,14 @@ def test_synth_writes_tubes_certificate_manifest(tmp_path, solo_scenario, capsys
 
 
 def test_synth_degree_zero_exits_2(tmp_path, capsys):
+    """A failed synthesis writes nothing, not even its ``--out`` directory."""
     code = main([
         "synth", str(data_path("robots.scenario")), "--degree", "0",
-        "--out", str(tmp_path),
+        "--out", str(tmp_path / "out"),
     ])
     assert code == 2
     assert "higher-degree" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_failed_lp_is_a_synthesis_failure(tmp_path, solo_scenario, capsys, monkeypatch):
@@ -277,6 +279,26 @@ def test_simulate_rejects_tubes_that_do_not_match_the_scenario(tmp_path, capsys,
     assert code == EXIT_USAGE
     assert err.startswith("error: tubes do not match the scenario: ") and message in err
     assert not (tmp_path / "robots.trajectories.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["negative-gain", "drone-tubes", "weak-gain"])
+def test_a_refused_simulation_creates_no_output_directory(tmp_path, capsys, case):
+    """A scenario the plant refuses, tubes that do not match it, or a run
+    that stops on a controller failure write nothing: the ``--out``
+    directory is made only once there is something to write."""
+    scenario, tubes, extra = data_path("robots.scenario"), _ROBOT_TUBES, []
+    if case == "negative-gain":
+        scenario = tmp_path / "negative.scenario"
+        scenario.write_text(json.dumps(_robots_with(g_sign="negative")))
+    elif case == "drone-tubes":
+        tubes = data_path("drones_table.tubes")
+    else:
+        extra = ["--kappa", "1e-6"]
+    out = tmp_path / "new" / "out"
+    code = main(["simulate", str(scenario), str(tubes), "--force", "--out", str(out), *extra])
+    err = capsys.readouterr().err
+    assert code == (EXIT_VERIFY if case == "weak-gain" else EXIT_USAGE), err
+    assert not (tmp_path / "new").exists()
 
 
 def _robots_with(**plant):

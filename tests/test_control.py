@@ -1,6 +1,7 @@
 import decimal
 import linecache
 import math
+import pickle
 import struct
 import sys
 import traceback
@@ -49,9 +50,9 @@ def test_stage1_error_center_and_affine():
 
 
 def test_stage1_error_robot_start(robots_table):
-    from sttube.tube import agent_walls
+    from sttube.tube import agent_coeffs, agent_walls
 
-    lower, upper = agent_walls(robots_table, 0, [0.0])
+    lower, upper = agent_walls(agent_coeffs(robots_table, 0), [0.0])
     row = constraint_row(lower[:, 0], upper[:, 0], ControllerConfig(kappa=(1.0,)), 0.0)
     e = stage1_errors((4.75, 0.25), row, 1).tolist()
     assert e == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -204,6 +205,22 @@ def test_funnel_radius_and_stage_k_error():
     assert err.value.stage == 2
     with pytest.raises(ValueError):
         Funnel(p=(0.1,), q=(0.2,), mu=(1.0,))
+
+
+def test_integrity_error_round_trips_through_pickle():
+    """Stage, detail, width and message survive pickling, so the error can
+    cross a process boundary unchanged."""
+    for err in (
+        ControllerIntegrityError(1, "agent 2 at t=4.37", width=0.1),
+        ControllerIntegrityError(2, "(|e|=1)"),
+        ControllerIntegrityError(3),
+    ):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is ControllerIntegrityError
+        assert (back.stage, back.detail, back.width, str(back), back.args) == (
+            err.stage, err.detail, err.width, str(err), err.args
+        )
+    assert str(back) == "stage 3 state outside its constraint "
 
 
 def _single_stage_config():
@@ -622,14 +639,14 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
     and the strict controller accepts the start state."""
     from sttube.plant import make_plant
     from sttube.sim import build_controller_config, initial_state
-    from sttube.tube import agent_walls
+    from sttube.tube import agent_coeffs, agent_walls
 
     plant = make_plant(drones_spec.plant, drones_spec.dims)
     assert plant.stages == 2 and plant.dims == drones_spec.dims
     for j in range(len(drones_spec.agents)):
         x0 = initial_state(drones_table, j, plant)
         n = plant.dims
-        lower, upper = (tuple(w[:, 0].tolist()) for w in agent_walls(drones_table, j, [0.0]))
+        lower, upper = (tuple(w[:, 0].tolist()) for w in agent_walls(agent_coeffs(drones_table, j), [0.0]))
         cfg = build_controller_config(drones_spec, drones_table, j, plant, x0=x0)
         ctl = drones_spec.control
         assert cfg.funnels == autosize_funnels(

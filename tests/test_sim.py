@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import linecache
 import math
@@ -7,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -256,13 +256,20 @@ def test_published_trajectory_digests(case, kind, request):
 def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
     """``input_series`` gives, byte for byte, the inputs the loop applied:
     the outputs of its strict ``control_input`` call at every recorded
-    state, in agent order."""
+    state.  A wrapper sees only the calls of this process, and
+    ``run_closed_loop`` may run agents in child processes, so each agent
+    runs here through ``integrate_agent`` with ``run_closed_loop``'s
+    config and start, and ``run_closed_loop`` returns those runs bit for
+    bit."""
     spec = request.getfixturevalue(f"{case}_spec")
     tubes = request.getfixturevalue(f"{case}_table")
     spec = dataclasses.replace(
         spec, horizon=0.3,
         plant=dataclasses.replace(spec.plant, disturbance_kind=kind),
     )
+    trajs = run_closed_loop(spec, tubes, dt=1e-3, seed=5)
+    plant = make_plant(spec.plant, spec.dims)
+    dist = dataclasses.replace(Disturbance.from_config(spec.plant), seed=5)
     real, applied = sim.control_input, []
 
     def recording(state, row, config, strict=True, telemetry=None):
@@ -272,11 +279,132 @@ def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
         return u
 
     monkeypatch.setattr(sim, "control_input", recording)
-    trajs = run_closed_loop(spec, tubes, dt=1e-3, seed=5)
-    plant = make_plant(spec.plant, spec.dims)
+    for j, traj in enumerate(trajs):
+        x0 = initial_state(tubes, j, plant)
+        assert traj.config == build_controller_config(spec, tubes, j, plant, x0=x0)
+        own = integrate_agent(
+            j, tubes, plant, traj.config, dist, spec.horizon, 1e-3, x0=x0, name=traj.name
+        )
+        assert (own.agent, own.name, own.clamp_count, own.aborted) == (
+            traj.agent, traj.name, traj.clamp_count, traj.aborted
+        )
+        assert own.times.tobytes() == traj.times.tobytes()
+        assert own.states.tobytes() == traj.states.tobytes()
+    monkeypatch.undo()
     series = np.vstack([input_series(t, tubes, plant) for t in trajs])
     assert len(applied) == 4 * 301
     assert series.tobytes() == np.array(applied).tobytes()
+
+
+def _cpus(monkeypatch, count):
+    """Let ``run_closed_loop`` see ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_bytes(trajs):
+    return [
+        (t.agent, t.name, t.clamp_count, t.aborted, t.config, t.times.tobytes(), t.states.tobytes())
+        for t in trajs
+    ]
+
+
+@pytest.mark.parametrize("case,kind", [("robots", "sinusoidal"), ("drones", "uniform")])
+def test_closed_loop_is_bit_for_bit_on_any_number_of_processes(case, kind, request, monkeypatch):
+    """One process, two (agents 0, 2 here and 1, 3 in a child) and four
+    (three children) give the same trajectories bit for bit, and leave no
+    child process behind."""
+    spec = request.getfixturevalue(f"{case}_spec")
+    tubes = request.getfixturevalue(f"{case}_table")
+    spec = dataclasses.replace(
+        spec, horizon=1.0, plant=dataclasses.replace(spec.plant, disturbance_kind=kind)
+    )
+    runs = []
+    for count in (1, 2, 4):
+        _cpus(monkeypatch, count)
+        runs.append(_run_bytes(run_closed_loop(spec, tubes, dt=1e-3, seed=11)))
+        _no_child_left()
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) == 4
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    exc = info.value
+    cause = exc.__cause__
+    return (
+        type(exc), str(exc), getattr(exc, "stage", None), getattr(exc, "width", None),
+        type(cause), str(cause),
+    )
+
+
+def test_a_failing_closed_loop_raises_as_one_process_would(robots_spec, robots_table, monkeypatch):
+    """Past RK4's stability interval (dt 2.5e-3 on robots) the loop raises
+    the error of the lowest failing agent, the same with agents in child
+    processes as in one process, and no child is left behind.  So does a
+    loop whose lowest failing agent runs in a child: agent 2, started
+    outside its tube."""
+    plant = make_plant(robots_spec.plant, robots_spec.dims)
+    starts = [initial_state(robots_table, j, plant) for j in range(4)]
+    starts[1] = (9.0, 9.0, 0.0)
+    errors = {}
+    for count in (1, 2):
+        _cpus(monkeypatch, count)
+        errors[count] = (
+            _raised(lambda: run_closed_loop(robots_spec, robots_table, dt=2.5e-3, seed=7)),
+            _raised(lambda: run_closed_loop(robots_spec, robots_table, initial_states=starts)),
+        )
+        _no_child_left()
+    assert errors[1] == errors[2]
+    unstable, outside = errors[1]
+    assert unstable[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 1 at t=4.37", 1)
+    assert outside[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 2 at t=0", 1)
+
+
+def test_a_child_that_exits_without_a_result_is_run_again_here(
+    robots_spec, robots_table, monkeypatch
+):
+    """A child that leaves before it has sent its trajectories, or one
+    that cannot be started, costs nothing but time: its agents run in
+    this process, bit for bit as in a one-process run, and the child is
+    reaped."""
+    spec = dataclasses.replace(robots_spec, horizon=1.0)
+    _cpus(monkeypatch, 1)
+    alone = _run_bytes(run_closed_loop(spec, robots_table, seed=4))
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_send", lambda fd, trajectories: os._exit(3))
+    assert _run_bytes(run_closed_loop(spec, robots_table, seed=4)) == alone
+    _no_child_left()
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _run_bytes(run_closed_loop(spec, robots_table, seed=4)) == alone
+
+
+def test_an_interrupt_kills_and_reaps_the_children(robots_spec, robots_table, monkeypatch):
+    """A KeyboardInterrupt in this process, while a child is still
+    running, ends that child and reaps it before it propagates."""
+    parent = os.getpid()
+
+    def integrate(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child that would run on long after the interrupt
+        raise KeyboardInterrupt
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "integrate_agent", integrate)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_closed_loop(robots_spec, robots_table)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 def test_recorded_memory_grows_with_states_only(robots_spec, robots_table):
@@ -551,7 +679,7 @@ def test_block_table_matches_separate_evaluations(case, kind, request):
     plant = make_plant(spec.plant, spec.dims)
     agent, dt, n_steps = 1, 1e-3, BLOCK + 5
     config = build_controller_config(spec, tubes, agent, plant)
-    walls = functools.partial(sim._walls, tubes, agent, plant)
+    walls = sim._walls(tubes, agent, plant)
     dist = Disturbance(bound=0.01, kind=kind, seed=2)
     sampler = dist.make_sampler(agent, plant.state_dim)
     reference = dist.make_sampler(agent, plant.state_dim)
@@ -589,7 +717,7 @@ def test_block_rows_unpack_bit_for_bit(robots_spec, robots_table):
     specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, payload_nan, 5e-324, -5e-324, 0.1]
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
-    walls = functools.partial(sim._walls, robots_table, 0, plant)
+    walls = sim._walls(robots_table, 0, plant)
     sampler = Disturbance(bound=0.01, kind="uniform", seed=2).make_sampler(0, plant.state_dim)
     final = sim._block_table(walls, config, sampler, np.array([BLOCK * 1e-3]), 1e-3, 0)
     for table in (np.array([specials, specials[::-1]]), np.array([specials]), final):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sttube.synth import validate_tubes
 from sttube.tube import (
     TubeFace,
+    agent_coeffs,
     agent_walls,
     analytic_slope_bound,
     derivative,
@@ -133,7 +134,7 @@ def test_agent_walls_start_boxes(robots_table, drones_table):
     """An agent's walls are its start box at t = 0 and, at any times, its
     faces in ``tube_values`` bit for bit."""
     def box(tubes, agent, t):
-        lower, upper = agent_walls(tubes, agent, [t])
+        lower, upper = agent_walls(agent_coeffs(tubes, agent), [t])
         return np.hstack([lower, upper]).tolist()
 
     assert box(robots_table, 0, 0.0) == [[4.5, 5.0], [0.0, 0.5]]
@@ -142,7 +143,7 @@ def test_agent_walls_start_boxes(robots_table, drones_table):
     for tubes in (robots_table, drones_table):
         faces = tube_values(tubes, times)
         for j in range(tubes.agent_count):
-            lower, upper = agent_walls(tubes, j, times)
+            lower, upper = agent_walls(agent_coeffs(tubes, j), times)
             assert lower.shape == upper.shape == (tubes.dims, len(times))
             assert lower.tobytes() == faces[j, :, 0].tobytes()
             assert upper.tobytes() == faces[j, :, 1].tobytes()
