@@ -3,15 +3,18 @@
 One stage law, applied per stage: normalize the error against the
 stage's constraint, pass it through the logarithmic barrier transform
 ln((1+e)/(1-e)), and scale by the barrier gain 4 / (gamma (1 - e^2)).
-The kernel evaluates each term as (-+8 kappa) / (gamma (1-e)(1+e)) *
+The kernel evaluates each term as (-8 kappa) / (gamma (1-e)(1+e)) *
 artanh(e), since ln((1+e)/(1-e)) = 2 artanh(e): the quotient loses
 digits near the tube centre e = 0, 1 - e*e near the walls |e| = 1, and
-the signed 8 = 4 * 2 folds into the stage gain exactly.
+the -8 = -4 * 2 folds into the stage gain exactly.
 Stage 1 measures the output error against the time-varying tube walls
 (gamma is the wall width); stages 2..N measure the tracking error
 against exponentially narrowing funnels around the previous stage's
 reference (gamma is the funnel radius).  The cascade's final output is
-the plant input; no model of the dynamics enters anywhere.
+the plant input; no model of the dynamics enters anywhere.  Of the
+input gain the law assumes only that it is positive definite, the
+assumption of the approximation-free prescribed-performance law it
+follows (Bechlioulis & Rovithakis, Automatica 50(4), 2014).
 
 Everything the law needs from time is one constraint row: the stage-1
 wall widths hi - lo, the wall sums hi + lo, then each funnel's radii.
@@ -101,7 +104,6 @@ class ControllerConfig:
     kappa: tuple[float, ...]
     funnels: tuple[Funnel, ...] = ()
     e_max: float = 1.0 - 1e-9
-    g_negative_definite: bool = False
 
     def __post_init__(self):
         if not self.kappa:
@@ -190,14 +192,12 @@ def _collapsed(widths, t: float | None = None) -> None:
 
 def gain_lines(stages: int) -> list[str]:
     """Source lines that bind what the law reads from ``config``: the
-    stage gains ``kappa<k>`` as -8 kappa_k (+8 kappa_k for a plant with
-    negative-definite input gain), exactly, so that a term is (-+8 kappa)
-    / (gamma (1-e)(1+e)) * artanh(e); the clamp bounds ``e_hi``/``e_lo``;
-    and a clamp count ``clamps`` of 0."""
+    stage gains ``kappa<k>`` as -8 kappa_k, exactly, so that a term is
+    (-8 kappa) / (gamma (1-e)(1+e)) * artanh(e); the clamp bounds
+    ``e_hi``/``e_lo``; and a clamp count ``clamps`` of 0."""
     return [
         f"{names('kappa', stages)}= config.kappa",
-        "sign = 8.0 if config.g_negative_definite else -8.0",
-        *(f"kappa{k} = sign * kappa{k}" for k in range(stages)),
+        *(f"kappa{k} = -8.0 * kappa{k}" for k in range(stages)),
         "e_hi = config.e_max; e_lo = -e_hi; clamps = 0",
     ]
 
@@ -287,11 +287,10 @@ def control_input(
     previous stage's reference r.  Per component, the error is clamped
     once into [-e_max, e_max] (each clamp counts in ``telemetry``),
     transformed by ln((1+e)/(1-e)), and scaled by the barrier gain
-    4 / (gamma (1 - e^2)) and by -kappa (+kappa for a plant with
-    negative-definite input gain); gamma is the wall width or funnel
-    radius.  The term is evaluated as (-+8 kappa) / (gamma (1-e)(1+e)) *
-    artanh(e).  The result is the next stage's reference, and the last
-    stage's is the plant input.
+    4 / (gamma (1 - e^2)) and by -kappa; gamma is the wall width or
+    funnel radius.  The term is evaluated as (-8 kappa) / (gamma
+    (1-e)(1+e)) * artanh(e).  The result is the next stage's reference,
+    and the last stage's is the plant input.
 
     With ``strict`` the call raises ControllerIntegrityError when a stage
     state lies on or outside its constraint (|e| >= 1); intermediate
@@ -313,7 +312,6 @@ def autosize_funnels(
     mu: float,
     p_margin: float,
     e_max: float = 1.0 - 1e-9,
-    g_negative_definite: bool = False,
 ) -> tuple[Funnel, ...]:
     """Default funnels for stages 2..N, sized at the initial state.
 
@@ -326,12 +324,7 @@ def autosize_funnels(
     dims = len(stage1_lower)
     funnels = []
     for k in range(1, len(state) // dims):
-        config = ControllerConfig(
-            kappa=tuple(kappa[:k]),
-            funnels=tuple(funnels),
-            e_max=e_max,
-            g_negative_definite=g_negative_definite,
-        )
+        config = ControllerConfig(kappa=tuple(kappa[:k]), funnels=tuple(funnels), e_max=e_max)
         row = constraint_row(stage1_lower, stage1_upper, config, 0.0)
         ref = control_input(state[: k * dims], row, config, strict=False)
         p = tuple(

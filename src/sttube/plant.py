@@ -11,9 +11,10 @@ disturbance.  Two case-study plants are built in:
 * ``drone_chain``: position driven by velocity, velocity by the input
   (two integrator stages, 3 outputs each); the input gain is the identity.
 
-Neither input gain is ever negative definite, so ``make_plant`` refuses
-a built-in plant with g_sign "negative": the controller's sign
-assumption could not hold.
+Each input gain keeps the eigenvalue 1 at every heading, so neither is
+ever negative definite: the controller's fixed assumption, a positive
+definite input gain, holds for both.  A plant whose input gain is
+negative definite is modelled with its input negated.
 
 Each built-in plant's right-hand side is written once, as the source
 lines of ``derivative_lines``; ``dynamics`` compiles them per shape, and
@@ -56,32 +57,18 @@ class PlantModel:
     kind: str
     stages: int
     dims: int
-    g_sign: str = "positive"
     heading_band: tuple[float, float] = (-math.pi / 3, math.pi / 3)
     f: tuple[Callable, ...] = ()
     g: tuple[Callable, ...] = ()
-
-    def __post_init__(self):
-        if self.g_sign not in ("positive", "negative"):
-            raise ValueError(f"plant g_sign must be positive or negative, not {self.g_sign!r}")
 
     @property
     def state_dim(self) -> int:
         return self.stages * self.dims
 
-    @property
-    def g_negative_definite(self) -> bool:
-        return self.g_sign == "negative"
-
 
 def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
-    """The built-in plant ``cfg`` names.  ValueError for an unknown kind,
-    a scenario dimension the kind does not fit, or g_sign "negative"."""
-    if cfg.kind in _BUILTIN and cfg.g_sign == "negative":
-        raise ValueError(
-            f"{cfg.kind} plant: g_sign must be positive, its input gain is never "
-            "negative definite"
-        )
+    """The built-in plant ``cfg`` names.  ValueError for an unknown kind
+    or a scenario dimension the kind does not fit."""
     if cfg.kind == "omnidirectional":
         if scenario_dims != 2:
             raise ValueError("omnidirectional plant expects a 2-D scenario")
@@ -99,15 +86,11 @@ def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
 
 
 def make_custom_plant(
-    stages: int, dims: int, f: Sequence[Callable], g: Sequence[Callable],
-    g_sign: str = "positive",
+    stages: int, dims: int, f: Sequence[Callable], g: Sequence[Callable]
 ) -> PlantModel:
     if len(f) != stages or len(g) != stages:
         raise ValueError("need one f and one g per stage")
-    return PlantModel(
-        kind="custom", stages=stages, dims=dims, g_sign=g_sign,
-        f=tuple(f), g=tuple(g),
-    )
+    return PlantModel(kind="custom", stages=stages, dims=dims, f=tuple(f), g=tuple(g))
 
 
 def check_finite(state, t: float) -> None:
@@ -203,7 +186,6 @@ class Disturbance:
     bound: float
     kind: str = "uniform"  # zero | uniform | sinusoidal
     seed: int = 0
-    frequency: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.bound < math.inf:
@@ -214,8 +196,6 @@ class Disturbance:
             )
         if self.kind not in DISTURBANCE_KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if not math.isfinite(self.frequency):
-            raise ValueError(f"disturbance frequency must be finite, not {self.frequency!r}")
 
     def make_sampler(self, agent: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
         """Per-agent block sampler: called with the start times of
@@ -225,10 +205,10 @@ class Disturbance:
         does not depend on how the steps are split into calls.  The
         uniform kind maps each ``u = rng.random()``, row-major, to
         ``-bound + 2 bound u``; the sinusoidal kind draws its phases
-        ``2 pi u`` once.  Raises AssertionError if a sample exceeds the
-        declared bound or is NaN.
+        ``2 pi u`` once and samples ``bound * sin(t + phase)``.  Raises
+        AssertionError if a sample exceeds the declared bound or is NaN.
         """
-        bound, freq = self.bound, self.frequency
+        bound = self.bound
         rng = random.Random(f"{self.seed}/{agent}")
         if self.kind == "zero" or bound == 0.0:
             def draw(times):
@@ -243,7 +223,7 @@ class Disturbance:
             phases = np.array([2.0 * math.pi * rng.random() for _ in range(size)])
 
             def draw(times):  # math.sin: np.sin can differ in the last bit
-                angles = freq * np.asarray(times, dtype=float)[:, None] + phases
+                angles = np.asarray(times, dtype=float)[:, None] + phases
                 sines = np.fromiter(
                     map(math.sin, angles.ravel().tolist()), float, angles.size
                 )

@@ -42,8 +42,8 @@ class Interval:
     def center(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class Box:
     def to_bounds(self) -> list[list[float]]:
         return [[ax.lo, ax.hi] for ax in self.axes]
 
-    def contains_point(self, x: Sequence[float], tol: float = 0.0) -> bool:
-        return all(ax.contains(float(v), tol) for ax, v in zip(self.axes, x))
+    def contains_point(self, x: Sequence[float]) -> bool:
+        return all(ax.contains(float(v)) for ax, v in zip(self.axes, x))
 
     def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
         return all(
@@ -197,23 +197,19 @@ DISTURBANCE_KINDS = ("zero", "uniform", "sinusoidal")
 class PlantConfig:
     """Plant selection and disturbance block (simulation side only).
 
-    The plant kind, and g_sign against the kind, are checked against the
-    scenario when the plant is built (``plant.make_plant``); every other
-    field is checked here.
+    The plant kind is checked against the scenario when the plant is
+    built (``plant.make_plant``); every other field is checked here.  The
+    controller assumes a positive definite input gain, so the block sets
+    no sign for it.
     """
 
     kind: str = "omnidirectional"
-    g_sign: str = "positive"
     heading_band: tuple[float, float] = (-1.0471975511965976, 1.0471975511965976)
     disturbance_bound: float = 0.01
     disturbance_kind: str = "uniform"
     disturbance_seed: int = 0
 
     def __post_init__(self):
-        if self.g_sign not in ("positive", "negative"):
-            raise ScenarioError(
-                f"plant g_sign must be positive or negative, not {self.g_sign!r}"
-            )
         band = self.heading_band
         if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
             raise ScenarioError(
@@ -408,11 +404,17 @@ def _region_from_dict(raw, idx: int) -> UnsafeRegion:
 
 def _plant_from_dict(raw) -> PlantConfig:
     raw = _object(raw, "plant")
+    g_sign = raw.get("g_sign", "positive")
+    if g_sign != "positive":
+        raise ScenarioError(
+            f"plant g_sign must be positive, not {g_sign!r}: the controller assumes a "
+            "positive definite input gain; negate the input of a plant whose gain is "
+            "negative definite"
+        )
     dist = _object(raw.get("disturbance", {}), "plant disturbance")
     band = _list(raw.get("heading_band", PlantConfig.heading_band), "plant heading_band")
     return PlantConfig(
         kind=raw.get("kind", "omnidirectional"),
-        g_sign=raw.get("g_sign", "positive"),
         heading_band=tuple(_number(b, "plant heading_band") for b in band),
         disturbance_bound=_number(dist.get("bound", 0.01), "disturbance bound"),
         disturbance_kind=dist.get("kind", "uniform"),
@@ -487,7 +489,6 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         ],
         "plant": {
             "kind": spec.plant.kind,
-            "g_sign": spec.plant.g_sign,
             "heading_band": list(spec.plant.heading_band),
             "disturbance": {
                 "bound": spec.plant.disturbance_bound,

@@ -229,7 +229,8 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         f"  state = ({names('x', n)})",
         f"  try: {names('u', dims)}= control_input(state, row[3:{3 + width}], config, True, tel)",
         "  except ControllerIntegrityError as exc:",
-        '   raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}") from exc',
+        '   raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}",'
+        ' exc.width) from exc',
         "  recorded.append(state)",
         "  if i == steps: break",
         "  try:",
@@ -376,14 +377,8 @@ def build_controller_config(
         mu=ctl.funnel_mu,
         p_margin=ctl.funnel_p_margin,
         e_max=ctl.e_max,
-        g_negative_definite=plant.g_negative_definite,
     )
-    return ControllerConfig(
-        kappa=kappas,
-        funnels=funnels,
-        e_max=ctl.e_max,
-        g_negative_definite=plant.g_negative_definite,
-    )
+    return ControllerConfig(kappa=kappas, funnels=funnels, e_max=ctl.e_max)
 
 
 def run_closed_loop(

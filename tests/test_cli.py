@@ -321,6 +321,7 @@ _ROBOT_TUBES = data_path("robots_table.tubes")
      {"scenario": _robots_with(heading_band=[1.0, -1.0])}),
     (["simulate", "{scenario}", str(_ROBOT_TUBES), "--force"],
      {"scenario": _robots_with(g_sign="negative")}),
+    (["synth", "{scenario}"], {"scenario": _robots_with(g_sign="negative")}),
     (["simulate", str(data_path("robots.scenario")), "{tubes}", "--force"],
      {"tubes": {"horizon": 10.0, "agents": 5}}),
     (["lipschitz", "{tubes}"],
@@ -328,7 +329,7 @@ _ROBOT_TUBES = data_path("robots_table.tubes")
                                                        "min_width": 0.1}]}]}}),
 ], ids=["synth-agents-scalar", "synth-missing-keyframes", "synth-scalar-float-degree",
         "simulate-infinite-bound", "simulate-reversed-band", "simulate-negative-gain",
-        "simulate-agents-scalar",
+        "synth-negative-gain", "simulate-agents-scalar",
         "lipschitz-scalar-face"])
 def test_malformed_files_are_usage_errors(tmp_path, command, files):
     """A malformed scenario or tubes file ends the command as a usage

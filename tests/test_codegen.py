@@ -78,3 +78,25 @@ def test_names_imported_for_the_blocks_are_read_by_them():
     assert {"atanh", "isfinite", "_collapsed", "check_finite", "PlantStateError"} <= marked
     reads = set().union(*(_global_reads(b.__code__) for b in _blocks().values()))
     assert marked <= reads, f"imported for the blocks but never read: {sorted(marked - reads)}"
+
+
+@pytest.mark.parametrize("source", [
+    control._law_source(1, 3),
+    control._law_source(2, 3),
+    sim._block_source("omnidirectional", 1, 3),
+    sim._block_source("drone_chain", 2, 3),
+    sim._block_source("custom", 1, 2),
+], ids=["law 1x3", "law 2x3", "step omnidirectional 1x3", "step drone_chain 2x3",
+        "step custom 1x2"])
+def test_kernels_read_only_the_gains_and_the_guard_from_config(source):
+    """The per-step kernels read ``config.kappa`` and ``config.e_max`` and
+    no other field of the controller config, so no per-call option can
+    creep into the law or the RK4 block."""
+    reads = {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "config"
+    }
+    assert reads == {"kappa", "e_max"}

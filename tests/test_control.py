@@ -26,12 +26,12 @@ from sttube.control import (
 E_MAX = 1.0 - 1e-9
 
 
-def _paper_reference(e, gamma, kappa, negative_definite=False, e_max=E_MAX):
+def _paper_reference(e, gamma, kappa, e_max=E_MAX):
     """The stage law written out per component: clamp e into [-e_max, e_max],
     eps = ln((1+e)/(1-e)), xi = 4 / (gamma (1 - e^2)), r = -kappa xi eps,
     in the kernel's arithmetic: eps as 2 artanh(e), 1 - e^2 as (1-e)(1+e),
-    and the 4 * 2 with the sign folded into the gain as -+8 kappa."""
-    gain = (8.0 if negative_definite else -8.0) * kappa
+    and the 4 * 2 with the sign folded into the gain as -8 kappa."""
+    gain = -8.0 * kappa
     out = []
     for v, g in zip(e, gamma):
         v = min(max(v, -e_max), e_max)
@@ -58,12 +58,10 @@ def test_stage1_error_robot_start(robots_table):
     assert e == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
-def _first_stage(e, gamma, kappa=1.0, negative_definite=False, telemetry=None):
+def _first_stage(e, gamma, kappa=1.0, telemetry=None):
     """The input of a single-stage controller whose stage-1 errors are ``e``
     against wall widths ``gamma`` (walls centred on 0, no strict check)."""
-    cfg = ControllerConfig(
-        kappa=(kappa,), e_max=E_MAX, g_negative_definite=negative_definite
-    )
+    cfg = ControllerConfig(kappa=(kappa,), e_max=E_MAX)
     state = [0.5 * v * g for v, g in zip(e, gamma)]
     row = [*gamma, *(0.0 for _ in gamma)]
     return control_input(state, row, cfg, strict=False, telemetry=telemetry)
@@ -182,10 +180,6 @@ def test_folded_gain_keeps_the_unfolded_bits_for_powers_of_two(kappa):
 def test_stage_output_composition():
     ref = _first_stage((0.5,), (1.0,))
     assert ref[0] == pytest.approx(-5.859, abs=1e-3)
-    # negative-definite input gain flips the sign
-    ref_neg = _first_stage((0.5,), (1.0,), negative_definite=True)
-    assert ref_neg[0] == pytest.approx(5.859, abs=1e-3)
-    assert ref_neg[0] == -ref[0]
 
 
 def test_funnel_radius_and_stage_k_error():
@@ -385,8 +379,7 @@ def test_control_input_single_stage_is_first_reference():
     assert tel.clamp_count == 2
 
 
-@pytest.mark.parametrize("negative_definite", [False, True])
-def test_two_stage_cascade_matches_paper_formulas(negative_definite):
+def test_two_stage_cascade_matches_paper_formulas():
     """Stage 2 tracks stage 1's reference inside funnel radius
     (p - q) exp(-mu t) + q; the input equals the paper's chain bit for bit,
     with a clamped component in each stage."""
@@ -397,18 +390,16 @@ def test_two_stage_cascade_matches_paper_formulas(negative_definite):
 
     width = tuple(hi - lo for lo, hi in zip(lower, upper))
     e1 = tuple((2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x1, lower, upper))
-    r1 = _paper_reference(e1, width, kappa[0], negative_definite)
+    r1 = _paper_reference(e1, width, kappa[0])
     radius = tuple(
         (p - q) * math.exp(-mu * t) + q for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)
     )
     # stage 2 sits inside its funnel in dims 1 and 2, outside in dim 3
     x2 = tuple(r + f * g for r, g, f in zip(r1, radius, (0.5, -0.8, 3.0)))
     e2 = tuple((v - r) / g for v, r, g in zip(x2, r1, radius))
-    expect = _paper_reference(e2, radius, kappa[1], negative_definite)
+    expect = _paper_reference(e2, radius, kappa[1])
 
-    cfg = ControllerConfig(
-        kappa=kappa, funnels=(funnel,), e_max=E_MAX, g_negative_definite=negative_definite
-    )
+    cfg = ControllerConfig(kappa=kappa, funnels=(funnel,), e_max=E_MAX)
     tel = StageTelemetry()
     u = _ctl(x1 + x2, lower, upper, cfg, t, strict=False, telemetry=tel)
     assert _bits(u) == _bits(expect)
@@ -425,15 +416,14 @@ _FRACTIONS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_control_input_matches_written_out_cascade(data):
-    """For random 1-4 stage controllers over 1-4 dims, either gain sign and
-    states inside, on and outside their walls and funnels, control_input
+    """For random 1-4 stage controllers over 1-4 dims and states inside, on and outside their walls and funnels, control_input
     gives the written-out chain bit for bit: stage 1's error
     (2x - (hi + lo)) / (hi - lo), stage k's error (x_k - r) / radius, each
     stage's reference from ``_paper_reference``.  The clamp count matches,
     and so does the error raised (stage, width), strict or not."""
     stages, dims = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     kappa = tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages))
-    negative_definite, strict = data.draw(st.booleans()), data.draw(st.booleans())
+    strict = data.draw(st.booleans())
     e_max = data.draw(st.sampled_from([E_MAX, 0.9]))
     funnels = []
     for _ in range(stages - 1):
@@ -441,10 +431,7 @@ def test_control_input_matches_written_out_cascade(data):
         p = tuple(v + data.draw(st.floats(0.01, 3.0)) for v in q)
         mu = tuple(data.draw(st.floats(0.05, 3.0)) for _ in range(dims))
         funnels.append(Funnel(p=p, q=q, mu=mu))
-    cfg = ControllerConfig(
-        kappa=kappa, funnels=tuple(funnels), e_max=e_max,
-        g_negative_definite=negative_definite,
-    )
+    cfg = ControllerConfig(kappa=kappa, funnels=tuple(funnels), e_max=e_max)
     t = data.draw(st.floats(0.0, 20.0))
     lower = [data.draw(st.floats(-5.0, 5.0)) for _ in range(dims)]
     width = [data.draw(st.floats(1e-3, 4.0)) for _ in range(dims)]
@@ -478,7 +465,7 @@ def test_control_input_matches_written_out_cascade(data):
             expect = (k + 1, None, clamps)
         else:
             clamps += sum(abs(v) > e_max for v in e)
-            ref = _paper_reference(e, gamma, kappa[k], negative_definite, e_max)
+            ref = _paper_reference(e, gamma, kappa[k], e_max)
 
     row = constraint_row(lower, upper, cfg, t)
     tel = StageTelemetry()

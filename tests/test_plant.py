@@ -107,16 +107,14 @@ def test_builtin_plants_refuse_a_negative_gain_sign():
     """The symmetric part of the omnidirectional input gain is
     diag(cos h, cos h, 1) and the drone chain's input gain is the
     identity: each keeps the eigenvalue 1 at every heading, so neither is
-    ever negative definite and g_sign "negative" is refused."""
+    ever negative definite, and the controller's assumption of a positive
+    definite input gain holds for both.  The scenario loader refuses a
+    g_sign other than "positive" (``test_scenario``)."""
     for theta in (0.0, 0.3, 1.0, math.pi / 2, 2.0, math.pi):
         c, s = math.cos(theta), math.sin(theta)
         g = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         assert eig == pytest.approx(sorted([c, c, 1.0]), abs=1e-12)
-    for kind, dims in (("omnidirectional", 2), ("drone_chain", 3)):
-        with pytest.raises(ValueError, match=f"^{kind} plant: g_sign must be positive"):
-            make_plant(PlantConfig(kind=kind, g_sign="negative"), dims)
-        assert not make_plant(PlantConfig(kind=kind), dims).g_negative_definite
 
 
 @pytest.mark.parametrize("kind", ["zero", "uniform", "sinusoidal"])
@@ -144,8 +142,8 @@ def test_disturbance_blocks_continue_one_stream(kind):
     call, uneven blocks and one call per step give the same bytes.  The
     stream is random.Random("seed/agent"): the uniform kind maps its
     values, row-major, to -bound + 2 bound u, and the sinusoid is
-    bound * sin(freq t + 2 pi u) with math.sin."""
-    dist = Disturbance(bound=0.01, kind=kind, seed=11, frequency=1.3)
+    bound * sin(t + 2 pi u) with math.sin."""
+    dist = Disturbance(bound=0.01, kind=kind, seed=11)
     times = np.arange(300) * 1e-3
     whole = dist.make_sampler(2, 6)(times)
     blocks = dist.make_sampler(2, 6)
@@ -157,7 +155,7 @@ def test_disturbance_blocks_continue_one_stream(kind):
     rng = random.Random("11/2")
     if kind == "sinusoidal":
         phases = [2.0 * math.pi * rng.random() for _ in range(6)]
-        expect = [[0.01 * math.sin(1.3 * t + ph) for ph in phases] for t in times.tolist()]
+        expect = [[0.01 * math.sin(t + ph) for ph in phases] for t in times.tolist()]
     else:
         expect = [[-0.01 + 0.02 * rng.random() for _ in range(6)] for _ in range(300)]
     assert whole.tobytes() == np.array(expect).tobytes()
@@ -199,16 +197,11 @@ def test_disturbance_bound_check_rejects_nan(monkeypatch):
     ({"bound": math.inf}, "bound must be nonnegative and finite"),
     ({"bound": 0.01, "seed": -1}, "seed must be a nonnegative integer"),
     ({"bound": 0.01, "seed": 1.0}, "seed must be a nonnegative integer"),
-    ({"bound": 0.01, "frequency": math.nan}, "frequency must be finite, not nan"),
-    ({"bound": 0.01, "frequency": math.inf}, "frequency must be finite, not inf"),
-    ({"bound": 0.01, "frequency": -math.inf}, "frequency must be finite, not -inf"),
-], ids=["negative", "nan", "inf", "negative-seed", "float-seed",
-        "nan-frequency", "inf-frequency", "minus-inf-frequency"])
+], ids=["negative", "nan", "inf", "negative-seed", "float-seed"])
 def test_disturbance_bound_must_be_nonnegative(fields, message):
-    """A bound outside [0, inf), a seed that is not a nonnegative integer
-    and a frequency that is not finite are rejected when the disturbance
-    is made, not at its first draw (a NaN frequency would draw NaN
-    samples, an infinite one fail inside math.sin)."""
+    """A bound outside [0, inf) and a seed that is not a nonnegative
+    integer are rejected when the disturbance is made, not at its first
+    draw."""
     with pytest.raises(ValueError, match=message):
         Disturbance(**fields)
 
@@ -219,11 +212,3 @@ def test_plant_kind_validation():
     with pytest.raises(ValueError):
         make_plant(PlantConfig(kind="nonsense"), scenario_dims=2)
 
-
-def test_plant_model_rejects_an_unknown_gain_sign():
-    """A misspelt g_sign would build a plant driven as positive definite;
-    ``PlantModel`` rejects it with ``PlantConfig``'s message."""
-    f, g = (lambda x: np.zeros(1),), (lambda x: np.eye(1),)
-    with pytest.raises(ValueError, match="g_sign must be positive or negative, not 'negtive'"):
-        make_custom_plant(1, 1, f, g, g_sign="negtive")
-    assert make_custom_plant(1, 1, f, g, g_sign="negative").g_negative_definite

@@ -221,7 +221,9 @@ def _plant(raw, **fields):
     (lambda raw: raw.update(obstacles=[{"keyframes": [0.0]}]),
      r"obstacle 1 keyframes must be \[time, box\] pairs"),
     (lambda raw: raw.update(plant=[1]), "plant must be an object"),
-    (lambda raw: _plant(raw, g_sign="negtive"), "g_sign must be positive or negative"),
+    (lambda raw: _plant(raw, g_sign="negtive"), "plant g_sign must be positive, not 'negtive'"),
+    (lambda raw: _plant(raw, g_sign="negative"),
+     "plant g_sign must be positive, not 'negative': .* negate the input"),
     (lambda raw: _plant(raw, heading_band=[1.0, -1.0]), "heading_band must be two finite"),
     (lambda raw: _plant(raw, heading_band=[-1.0, 0.0, 1.0]), "heading_band must be two finite"),
     (lambda raw: _plant(raw, heading_band=[-1.0, float("inf")]), "heading_band must be two finite"),
@@ -236,7 +238,8 @@ def _plant(raw, **fields):
     "fractional-degree", "scalar-float-degree", "scalar-min-width", "box-triple",
     "box-string", "arena-not-pairs", "arena-reversed", "missing-horizon", "fractional-dims",
     "agents-scalar", "agent-scalar", "missing-keyframes", "keyframe-not-pair", "plant-list",
-    "g-sign-typo", "band-reversed", "band-three-values", "band-infinite", "band-scalar",
+    "g-sign-typo", "g-sign-negative", "band-reversed", "band-three-values", "band-infinite",
+    "band-scalar",
     "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "negative-seed",
     "kappa-scalar",
 ])

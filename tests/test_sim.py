@@ -348,22 +348,39 @@ def test_a_failing_closed_loop_raises_as_one_process_would(robots_spec, robots_t
     the error of the lowest failing agent, the same with agents in child
     processes as in one process, and no child is left behind.  So does a
     loop whose lowest failing agent runs in a child: agent 2, started
-    outside its tube."""
+    outside its tube, or with its walls meeting at t = 0, whose error
+    keeps the collapsed width."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     starts = [initial_state(robots_table, j, plant) for j in range(4)]
     starts[1] = (9.0, 9.0, 0.0)
+    agent = robots_table.agents[1]
+    first = agent.dims[0]
+    met = dataclasses.replace(
+        first, lower=dataclasses.replace(
+            first.lower, coeffs=(first.upper.coeffs[0], *first.lower.coeffs[1:])
+        ),
+    )
+    collapsed = dataclasses.replace(robots_table, agents=(
+        robots_table.agents[0],
+        dataclasses.replace(agent, dims=(met, *agent.dims[1:])),
+        *robots_table.agents[2:],
+    ))
     errors = {}
     for count in (1, 2):
         _cpus(monkeypatch, count)
         errors[count] = (
             _raised(lambda: run_closed_loop(robots_spec, robots_table, dt=2.5e-3, seed=7)),
             _raised(lambda: run_closed_loop(robots_spec, robots_table, initial_states=starts)),
+            _raised(lambda: run_closed_loop(robots_spec, collapsed)),
         )
         _no_child_left()
     assert errors[1] == errors[2]
-    unstable, outside = errors[1]
+    unstable, outside, met_walls = errors[1]
     assert unstable[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 1 at t=4.37", 1)
     assert outside[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 2 at t=0", 1)
+    assert met_walls[:4] == (
+        ControllerIntegrityError, "stage 1 state outside its constraint agent 2 at t=0", 1, 0.0
+    )
 
 
 def test_a_child_that_exits_without_a_result_is_run_again_here(
@@ -617,7 +634,9 @@ def _reference_block(plant, x, table, steps, dt, config, tel, strict, agent=0):
         try:
             u = control_input(x, now, config, strict, tel)
         except ControllerIntegrityError as exc:
-            raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}") from exc
+            raise ControllerIntegrityError(
+                exc.stage, f"agent {agent + 1} at t={t:.6g}", exc.width
+            ) from exc
         recorded.append(x)
         if i == steps:
             break
@@ -745,7 +764,6 @@ def test_rk4_block_matches_the_written_out_step(data):
         kappa=tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages)),
         funnels=(Funnel(p=(1.0,) * dims, q=(0.5,) * dims, mu=(1.0,) * dims),) * (stages - 1),
         e_max=data.draw(st.sampled_from([1.0 - 1e-9, 0.9, 0.5])),
-        g_negative_definite=data.draw(st.booleans()),
     )
     strict = data.draw(st.integers(0, 3)) == 0  # random states mostly fail it
     count = data.draw(st.integers(1, 6))
