@@ -208,15 +208,18 @@ def width_test(dims: int, w: str) -> str:
     return f"not ({' and '.join(f'{w}{i} > 0.0' for i in range(dims))})"
 
 
-def law_lines(stages: int, dims: int, x: str, w: str, checked: bool = False) -> list[str]:
+def law_lines(
+    stages: int, dims: int, x: str, w: str, checked: bool = False, row: str = "row"
+) -> list[str]:
     """The stage law for one state and one row, unrolled into source lines
     with no loop.  ``{x}<j>`` is state[j], ``{w}<j>`` row[j] and
     ``r<k>_<i>`` stage k's reference in component i, so the input is left
     in ``r<stages-1>_<i>``.  The lines read the names of ``gain_lines``
     and add their clamps to ``clamps``.  ``checked`` adds the strict
     check, which runs only for |e| >= 1 and then reads ``strict``,
-    ``state``, ``row`` and ``telemetry``.  The stage-1 width check is the
-    caller's.  Only the integers and prefixes enter the text, never
+    ``state`` and ``telemetry`` and hands ``_strict_failure`` the
+    constraint row as the expression ``row``.  The stage-1 width check is
+    the caller's.  Only the integers and prefixes enter the text, never
     scenario data."""
     n = dims
     out = []
@@ -234,7 +237,7 @@ def law_lines(stages: int, dims: int, x: str, w: str, checked: bool = False) -> 
                 ref = f"({names(f'r{k - 1}_', n)})" if k else "None"
                 out.append(
                     "if (v >= 1.0 or v <= -1.0) and strict:"
-                    f" _strict_failure(state, row, {ref}, {k}, {n}, before, telemetry)"
+                    f" _strict_failure(state, {row}, {ref}, {k}, {n}, before, telemetry)"
                 )
             out += [
                 "if v > e_hi: v = e_hi; clamps += 1",

@@ -43,9 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codegen import compile_function, indent, names
-from .scenario import DISTURBANCE_KINDS, PlantConfig
-
-_BUILTIN = ("omnidirectional", "drone_chain")
+from .scenario import DISTURBANCE_KINDS, PLANT_DIMS, PlantConfig, check_plant_kind
 
 
 class PlantStateError(RuntimeError):
@@ -67,22 +65,17 @@ class PlantModel:
 
 
 def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
-    """The built-in plant ``cfg`` names.  ValueError for an unknown kind
-    or a scenario dimension the kind does not fit."""
+    """The built-in plant ``cfg`` names.  ScenarioError (a ValueError)
+    for an unknown kind or a scenario dimension the kind does not fit."""
+    check_plant_kind(cfg.kind, scenario_dims)
     if cfg.kind == "omnidirectional":
-        if scenario_dims != 2:
-            raise ValueError("omnidirectional plant expects a 2-D scenario")
         return PlantModel(
             kind="omnidirectional",
             stages=1,
             dims=3,
             heading_band=tuple(cfg.heading_band),
         )
-    if cfg.kind == "drone_chain":
-        if scenario_dims != 3:
-            raise ValueError("drone chain expects a 3-D scenario")
-        return PlantModel(kind="drone_chain", stages=2, dims=3)
-    raise ValueError(f"unknown plant kind {cfg.kind!r}")
+    return PlantModel(kind="drone_chain", stages=2, dims=3)
 
 
 def make_custom_plant(
@@ -115,7 +108,7 @@ def derivative_lines(
     ``plant`` and ``dynamics`` in the caller's globals."""
     n = stages * dims
     state = f"({names(x, n)})"
-    if kind not in _BUILTIN:
+    if kind not in PLANT_DIMS:
         return [
             f"{names(out, n)}= dynamics(plant, {state}, ({names(u, dims)}), ({names(d, n)}), {t})"
         ]
@@ -155,7 +148,7 @@ def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
     dims.  Raises PlantStateError on non-finite state.  The built-in
     plants run their ``derivative_lines``, compiled once per shape.
     """
-    if model.kind in _BUILTIN:
+    if model.kind in PLANT_DIMS:
         return _derivative(model.kind, model.stages, model.dims)(state, u, w, t)
     if not isfinite(sum(state)):
         check_finite(state, t)

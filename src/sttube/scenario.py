@@ -192,15 +192,29 @@ class AgentTask:
 
 DISTURBANCE_KINDS = ("zero", "uniform", "sinusoidal")
 
+# The built-in plant kinds, each with the scenario dimension it fits.
+PLANT_DIMS = {"omnidirectional": 2, "drone_chain": 3}
+
+
+def check_plant_kind(kind, dims: int | None = None) -> None:
+    """Raise ScenarioError unless ``kind`` is a built-in plant kind and,
+    when ``dims`` is given, fits a ``dims``-dimensional scenario."""
+    if not isinstance(kind, str) or kind not in PLANT_DIMS:
+        raise ScenarioError(f"unknown plant kind {kind!r}")
+    if dims is not None and PLANT_DIMS[kind] != dims:
+        raise ScenarioError(
+            f"plant kind {kind!r} needs a {PLANT_DIMS[kind]}-D scenario, not {dims}-D"
+        )
+
 
 @dataclass(frozen=True)
 class PlantConfig:
     """Plant selection and disturbance block (simulation side only).
 
-    The plant kind is checked against the scenario when the plant is
-    built (``plant.make_plant``); every other field is checked here.  The
-    controller assumes a positive definite input gain, so the block sets
-    no sign for it.
+    The kind must be a built-in one; that it fits the scenario's
+    dimension is checked when a scenario file names it and when the
+    plant is built (``plant.make_plant``).  The controller assumes a
+    positive definite input gain, so the block sets no sign for it.
     """
 
     kind: str = "omnidirectional"
@@ -210,6 +224,7 @@ class PlantConfig:
     disturbance_seed: int = 0
 
     def __post_init__(self):
+        check_plant_kind(self.kind)
         band = self.heading_band
         if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
             raise ScenarioError(
@@ -402,8 +417,10 @@ def _region_from_dict(raw, idx: int) -> UnsafeRegion:
     )
 
 
-def _plant_from_dict(raw) -> PlantConfig:
+def _plant_from_dict(raw, dims: int) -> PlantConfig:
     raw = _object(raw, "plant")
+    if "kind" in raw:
+        check_plant_kind(raw["kind"], dims)
     g_sign = raw.get("g_sign", "positive")
     if g_sign != "positive":
         raise ScenarioError(
@@ -459,7 +476,7 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
         epsilon=_number(_key(raw, "epsilon", "scenario"), "epsilon"),
         agents=agents,
         obstacles=obstacles,
-        plant=_plant_from_dict(raw.get("plant", {})),
+        plant=_plant_from_dict(raw.get("plant", {}), dims),
         control=_control_from_dict(raw.get("control", {})),
     )
 

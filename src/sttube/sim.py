@@ -28,18 +28,24 @@ then its disturbance.  A compiled block kernel, one per (plant kind,
 stages, dims) and registered in ``linecache`` as ``<sttube step
 drone_chain 2x3>`` and the like, then runs the block's steps with the
 state in locals, reading each step's row as one tuple unpacked by
-``struct`` (``_rows``): per step one strict ``control_input`` call
-(looked up in this module's globals, so a wrapper on
-``sttube.sim.control_input`` sees every applied input of the agents
-run in its process: of group 0 only, for ``run_closed_loop``), then the
-three non-strict law evaluations, the four derivative evaluations and the
-RK4 update inline, with no call (the three later evaluations
-share one copy of the lines, in a loop).  Its source is put together
-from the law template of ``control`` and the derivative template of
-``plant``, the same texts those modules compile, so neither is written
-twice; a custom plant's derivative is a call of ``dynamics``.  The
-floating-point operations are those of a step-by-step evaluation, so
-trajectories do not depend on the block size.
+``struct`` (``_rows``): per step the strict law at the recorded state
+(the applied input and its integrity check), three non-strict law
+evaluations, four derivative evaluations and the RK4 update, all
+inline, with no call (the three later evaluations share one copy of the
+lines, in a loop).  While a wrapper is installed on
+``sttube.sim.control_input``, a second, hooked form of the block
+(``<sttube step drone_chain 2x3 hooked>``) makes the strict law one
+call of it per step instead, so the wrapper sees every applied input of
+the agents run in its process (of group 0 only, for
+``run_closed_loop``); both forms give the same trajectories bit for
+bit.  A block's source is put together from the law template of
+``control`` and the derivative template of ``plant``, the same texts
+those modules compile, so neither is written twice; a custom plant's
+derivative is a call of ``dynamics``.  The floating-point operations
+are those of a step-by-step evaluation, so trajectories do not depend
+on the block size.  A failed strict check names the agent and time and
+keeps the check's detail; when the step is past RK4's stability bound
+at that row, the message says so (``_agent_failure``).
 
 A ``Trajectory`` records times and states, with the run's controller;
 ``input_series`` and ``stage1_error_series`` form its inputs and
@@ -60,15 +66,18 @@ import pickle
 import signal
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from math import atanh, cos, isfinite, sin  # noqa: F401 (read by the compiled blocks)
 from pathlib import Path
 
 import numpy as np
 
+from . import control
 from .codegen import compile_function, indent, names
 from .control import (
     _MISMATCH,  # noqa: F401 (read by the compiled blocks)
     _collapsed,  # noqa: F401 (read by the compiled blocks)
+    _strict_failure,  # noqa: F401 (read by the compiled blocks)
     ControllerConfig,
     ControllerIntegrityError,
     StageTelemetry,
@@ -89,7 +98,7 @@ from .plant import (
     dynamics,  # noqa: F401 (read by the compiled blocks of custom plants)
     make_plant,
 )
-from .scenario import ScenarioSpec
+from .scenario import PLANT_DIMS, ScenarioSpec
 from .tube import TubeSet, agent_coeffs, agent_walls
 
 # Steps per block of precomputed time-only quantities, large enough to
@@ -137,6 +146,8 @@ def _walls(tubes: TubeSet, agent: int, plant: PlantModel):
 
     def at(times):
         lower, upper = agent_walls(coeffs, times)
+        if not extra:
+            return lower.T, upper.T
         pad = np.ones((lower.shape[1], extra))
         return (
             np.hstack([lower.T, plant.heading_band[0] * pad]),
@@ -167,7 +178,7 @@ def initial_state(
     return x1 + drift + rest
 
 
-def _block_source(kind: str, stages: int, dims: int) -> str:
+def _block_source(kind: str, stages: int, dims: int, hooked: bool) -> str:
     """The source of ``block(...)``, which integrates one block of steps
     of ``integrate_agent`` for one plant shape.
 
@@ -175,12 +186,19 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
     the block's table (``_block_table``) as one tuple, unpacked by
     ``struct`` (``_rows``), with no ndarray view: the step's time
     ``t``, midpoint ``tm`` and end ``te``, the constraint rows at those
-    times, then the disturbance.  It takes its strict input from
-    ``control_input`` on a slice holding the first of these rows (the
-    input the run applies, and its integrity check), records the state,
-    and from the unpacked tuple reads the midpoint row as ``w<j>``, the
-    step-end row as ``e<j>`` and the disturbance as ``d<j>``.  Then it
-    runs the RK4 stages inline: the derivative ``k<j>`` of
+    times, then the disturbance.  The step-start row is ``c<j>``, the
+    midpoint row ``w<j>``, the step-end row ``e<j>`` and the disturbance
+    ``d<j>``.  The strict law at the state gives the input the run
+    applies, and its integrity check: unhooked, it runs inline, the
+    stage-1 width check on ``c<j>`` and the checked ``control.law_lines``
+    with ``strict`` fixed true, which hand ``_strict_failure`` the row's
+    slice only when a check fails, so a step makes no call; hooked, it is
+    one ``control_input`` call on that slice, looked up in this module's
+    globals, so that a wrapper on ``sttube.sim.control_input`` sees every
+    applied input.  The hooked form goes once the closed loop records
+    its applied inputs itself.  A failed check is raised again naming
+    the agent and time (``_agent_failure``).  The step then records the
+    state and runs the RK4 stages inline: the derivative ``k<j>`` of
     ``plant.derivative_lines`` at the state, then three evaluations of
     the stage point ``y<j>``, the non-strict law of ``control.law_lines``
     and the derivative, the last on the step-end row.  ``acc<j>`` sums
@@ -193,13 +211,27 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
     is checked once per row.  The step after the first ``steps`` (the
     horizon's end) is only recorded.  The call returns the state after
     the block, the states it recorded and the abort message (None unless
-    a state was not finite).
+    a state was not finite), and adds the block's clamps to
+    ``telemetry``.  Both forms give the same states, abort and clamp
+    count; after a strict failure the counts differ, but nothing reads
+    them, because the run raises.
     """
     n = stages * dims
     width = n + dims
-    u = f"r{stages - 1}_"
+    u = "u" if hooked else f"r{stages - 1}_"  # the applied input
+    if hooked:
+        law = [
+            f"try: {names('u', dims)}= control_input(state, row[3:{3 + width}], config, True,"
+            " telemetry)"
+        ]
+    else:
+        law = [
+            "try:",
+            f" if {width_test(dims, 'c')}: _collapsed(({names('c', dims)}))",
+            *indent(law_lines(stages, dims, "x", "c", checked=True, row=f"row[3:{3 + width}]")),
+        ]
     rk4 = [
-        *derivative_lines(kind, stages, dims, "x", "u", "d", "k", "t"),
+        *derivative_lines(kind, stages, dims, "x", u, "d", "k", "t"),
         *(f"acc{j} = k{j}" for j in range(n)),
         f"if {width_test(dims, 'w')}: _collapsed(({names('w', dims)}), tm)",
         "scale = half; t_eval = tm; weight = 2.0",
@@ -207,7 +239,7 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         *indent([
             *(f"y{j} = x{j} + scale * k{j}" for j in range(n)),
             *law_lines(stages, dims, "y", "w"),
-            *derivative_lines(kind, stages, dims, "y", u, "d", "k", "t_eval"),
+            *derivative_lines(kind, stages, dims, "y", f"r{stages - 1}_", "d", "k", "t_eval"),
             *(f"acc{j} = acc{j} + weight * k{j}" for j in range(n)),
             "if s == 3:",  # k4 runs on the step-end row and time, with weight 1
             f" {names('w', width)}= {names('e', width)}",
@@ -215,22 +247,23 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
             f" if {width_test(dims, 'w')}: _collapsed(({names('w', dims)}), t_eval)",
         ]),
     ]
+    start = ("_, " * width) if hooked else names("c", width)
     return "\n".join([
-        "def block(x, table, steps, dt, agent, config, tel, plant):",
+        "def block(x, table, steps, dt, agent, config, telemetry, plant):",
         " try:",
         f"  {names('x', n)}= x",
         *indent(gain_lines(stages), 2),
         " except ValueError: raise ValueError(_MISMATCH) from None",
         " half, sixth = 0.5 * dt, dt / 6.0",
+        *([] if hooked else [" strict = True"]),
         " recorded = []",
         " aborted = None",
         " for i, row in enumerate(_rows(table)):",
-        f"  t, tm, te, {'_, ' * width}{names('w', width)}{names('e', width)}{names('d', n)}= row",
+        f"  t, tm, te, {start}{names('w', width)}{names('e', width)}{names('d', n)}= row",
         f"  state = ({names('x', n)})",
-        f"  try: {names('u', dims)}= control_input(state, row[3:{3 + width}], config, True, tel)",
+        *indent(law, 2),
         "  except ControllerIntegrityError as exc:",
-        '   raise ControllerIntegrityError(exc.stage, f"agent {agent + 1} at t={t:.6g}",'
-        ' exc.width) from exc',
+        "   raise _agent_failure(exc, agent, t, dt, row, config, plant) from exc",
         "  recorded.append(state)",
         "  if i == steps: break",
         "  try:",
@@ -239,9 +272,43 @@ def _block_source(kind: str, stages: int, dims: int) -> str:
         "   aborted = str(exc)",
         "   break",
         *(f"  x{j} = x{j} + sixth * acc{j}" for j in range(n)),
-        " tel.clamp_count += clamps",
+        " telemetry.clamp_count += clamps",
         f" return ({names('x', n)}), recorded, aborted",
     ]) + "\n"
+
+
+# Classical RK4 is stable on the negative real axis for dt * lambda up
+# to about 2.785 (Hairer & Wanner, "Solving Ordinary Differential
+# Equations II", Springer, 1996, ch. IV.2).
+_RK4_EDGE = 2.785
+
+
+def _agent_failure(exc, agent: int, t: float, dt: float, row, config, plant):
+    """The strict error ``exc`` of ``agent``'s step at ``t`` as the closed
+    loop raises it: its stage and width, and its detail after the agent
+    and time.  ``row`` is the step's row of the block table.  Near e = 0
+    the law relaxes stage 1 at rate 16 kappa_1 / w^2 over its least wall
+    width w, and stage k >= 2 at 8 kappa_k / rho^2 over its least funnel
+    radius, times the plant's input gain, which is 1 for the built-in
+    plants; when dt times that rate at this row passes ``_RK4_EDGE``, the
+    message says the step is past RK4's stability bound.  A collapsed
+    tube (``exc.width`` set) and a custom plant get the detail only.
+    Formed only on failure, so the common path pays nothing."""
+    detail = f"agent {agent + 1} at t={t:.6g} {exc.detail}"
+    if exc.width is None and plant.kind in PLANT_DIMS:
+        k, dims = exc.stage, plant.dims
+        if k == 1:
+            gain, gap, form = 16.0, row[3 : 3 + dims], "16*kappa/w^2"
+        else:
+            gain, gap, form = 8.0, row[3 + k * dims : 3 + (k + 1) * dims], "8*kappa/rho^2"
+        least = min(gap) ** 2  # 0.0 for a subnormal width
+        rate = dt * gain * config.kappa[k - 1] / least if least else math.inf
+        if rate > _RK4_EDGE:
+            detail += (
+                f"; dt*{form} = {rate:.3g} at this step, past RK4's stability bound"
+                f" {_RK4_EDGE}"
+            )
+    return ControllerIntegrityError(exc.stage, detail, exc.width)
 
 
 def _rows(table):
@@ -283,16 +350,19 @@ def _block_table(
 
 
 def _block(plant: PlantModel):
-    """The RK4 block for this plant's shape.  Its globals are this
-    module's, so ``control_input`` (and, for a custom plant,
+    """The RK4 block for this plant's shape: the hooked form while a
+    wrapper is installed on ``sttube.sim.control_input``, the unhooked
+    one otherwise (``_block_source``).  Its globals are this module's,
+    so the hooked form's ``control_input`` (and, for a custom plant,
     ``dynamics``) is looked up here at every call."""
-    return _compiled_block(plant.kind, plant.stages, plant.dims)
+    hooked = control_input is not control.control_input
+    return _compiled_block(plant.kind, plant.stages, plant.dims, hooked)
 
 
 @functools.cache
-def _compiled_block(kind: str, stages: int, dims: int):
-    name = f"<sttube step {kind} {stages}x{dims}>"
-    return compile_function(_block_source(kind, stages, dims), name, globals())
+def _compiled_block(kind: str, stages: int, dims: int, hooked: bool):
+    name = f"<sttube step {kind} {stages}x{dims}{' hooked' if hooked else ''}>"
+    return compile_function(_block_source(kind, stages, dims, hooked), name, globals())
 
 
 def integrate_agent(
@@ -327,17 +397,23 @@ def integrate_agent(
     sampler = disturbance.make_sampler(agent, plant.state_dim)
     tel = StageTelemetry()
     block = _block(plant)
+    n = plant.state_dim
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, plant.state_dim))
+    states = np.empty((n_steps + 1, n))
     aborted = None
     end = n_steps + 1
     for start in range(0, n_steps + 1, BLOCK):
         steps = min(BLOCK, n_steps - start)  # steps that integrate past their start
         table = _block_table(walls, config, sampler, times[start : start + BLOCK], dt, steps)
         x, recorded, aborted = block(x, table, steps, dt, agent, config, tel, plant)
-        states[start : start + len(recorded)] = recorded
+        count = len(recorded)
+        # One copy of the block's floats: about half the time of assigning
+        # the list of tuples to the slice, bit for bit.
+        states[start : start + count] = np.fromiter(
+            chain.from_iterable(recorded), float, count * n
+        ).reshape(count, n)
         if aborted is not None:
-            end = start + len(recorded)
+            end = start + count
             break
     return Trajectory(
         agent=agent,

@@ -322,6 +322,8 @@ _ROBOT_TUBES = data_path("robots_table.tubes")
     (["simulate", "{scenario}", str(_ROBOT_TUBES), "--force"],
      {"scenario": _robots_with(g_sign="negative")}),
     (["synth", "{scenario}"], {"scenario": _robots_with(g_sign="negative")}),
+    (["synth", "{scenario}"], {"scenario": _robots_with(kind="nonsense")}),
+    (["synth", "{scenario}"], {"scenario": _robots_with(kind="drone_chain")}),
     (["simulate", str(data_path("robots.scenario")), "{tubes}", "--force"],
      {"tubes": {"horizon": 10.0, "agents": 5}}),
     (["lipschitz", "{tubes}"],
@@ -329,12 +331,13 @@ _ROBOT_TUBES = data_path("robots_table.tubes")
                                                        "min_width": 0.1}]}]}}),
 ], ids=["synth-agents-scalar", "synth-missing-keyframes", "synth-scalar-float-degree",
         "simulate-infinite-bound", "simulate-reversed-band", "simulate-negative-gain",
-        "synth-negative-gain", "simulate-agents-scalar",
+        "synth-negative-gain", "synth-unknown-plant-kind", "synth-plant-kind-off-dims",
+        "simulate-agents-scalar",
         "lipschitz-scalar-face"])
 def test_malformed_files_are_usage_errors(tmp_path, command, files):
     """A malformed scenario or tubes file ends the command as a usage
-    error, run as a program: exit code 1, stderr starting ``error:``, and
-    no traceback."""
+    error, run as a program: exit code 1, stderr starting ``error:``, no
+    traceback, and nothing written."""
     import os
     import subprocess
     import sys
@@ -359,6 +362,7 @@ def test_malformed_files_are_usage_errors(tmp_path, command, files):
     assert run.returncode == EXIT_USAGE, run.stderr
     assert run.stderr.startswith("error: ")
     assert "Traceback" not in run.stderr
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
 
 
 def test_solo_synthesis_passes_dense_validation():

@@ -14,22 +14,24 @@ import inspect
 import pytest
 
 from sttube import control, plant, sim
-from sttube.plant import make_custom_plant, make_plant
-from sttube.scenario import PlantConfig
 
 
-def _custom_plant():
-    return make_custom_plant(
-        1, 2, [lambda x: (0.0, 0.0)], [lambda x: ((1.0, 0.0), (0.0, 1.0))]
-    )
+_SHAPES = {
+    "omnidirectional 1x3": ("omnidirectional", 1, 3),
+    "drone_chain 2x3": ("drone_chain", 2, 3),
+    "custom 1x2": ("custom", 1, 2),
+}
+# Both forms of each block: unhooked (the strict law inline) and hooked
+# (a ``control_input`` call per step, chosen while a wrapper is installed).
+_FORMS = {
+    f"{shape}{' hooked' if hooked else ''}": (*key, hooked)
+    for shape, key in _SHAPES.items()
+    for hooked in (False, True)
+}
 
 
 def _blocks():
-    return {
-        "omnidirectional 1x3": sim._block(make_plant(PlantConfig(kind="omnidirectional"), 2)),
-        "drone_chain 2x3": sim._block(make_plant(PlantConfig(kind="drone_chain"), 3)),
-        "custom 1x2": sim._block(_custom_plant()),
-    }
+    return {name: sim._compiled_block(*key) for name, key in _FORMS.items()}
 
 
 KERNELS = {
@@ -37,10 +39,7 @@ KERNELS = {
     "law 2x3": lambda: control._kernel(2, 9),
     "derivative omnidirectional 1x3": lambda: plant._derivative("omnidirectional", 1, 3),
     "derivative drone_chain 2x3": lambda: plant._derivative("drone_chain", 2, 3),
-    **{
-        f"step {shape}": lambda shape=shape: _blocks()[shape]
-        for shape in ("omnidirectional 1x3", "drone_chain 2x3", "custom 1x2")
-    },
+    **{f"step {form}": lambda form=form: _blocks()[form] for form in _FORMS},
 }
 
 
@@ -75,19 +74,24 @@ def test_names_imported_for_the_blocks_are_read_by_them():
         for alias in node.names
         if "(read by the compiled blocks" in lines[alias.lineno - 1]
     }
-    assert {"atanh", "isfinite", "_collapsed", "check_finite", "PlantStateError"} <= marked
-    reads = set().union(*(_global_reads(b.__code__) for b in _blocks().values()))
-    assert marked <= reads, f"imported for the blocks but never read: {sorted(marked - reads)}"
+    assert {
+        "atanh", "isfinite", "_collapsed", "_strict_failure", "check_finite", "PlantStateError"
+    } <= marked
+    for hooked in (False, True):
+        blocks = [b for name, b in _blocks().items() if _FORMS[name][3] == hooked]
+        reads = set().union(*(_global_reads(b.__code__) for b in blocks))
+        # Only the hooked form calls the law; only the unhooked one runs its check.
+        expected = marked - ({"_strict_failure"} if hooked else set())
+        assert expected <= reads, (
+            f"imported for the blocks but never read: {sorted(expected - reads)}"
+        )
 
 
 @pytest.mark.parametrize("source", [
     control._law_source(1, 3),
     control._law_source(2, 3),
-    sim._block_source("omnidirectional", 1, 3),
-    sim._block_source("drone_chain", 2, 3),
-    sim._block_source("custom", 1, 2),
-], ids=["law 1x3", "law 2x3", "step omnidirectional 1x3", "step drone_chain 2x3",
-        "step custom 1x2"])
+    *(sim._block_source(*key) for key in _FORMS.values()),
+], ids=["law 1x3", "law 2x3", *(f"step {form}" for form in _FORMS)])
 def test_kernels_read_only_the_gains_and_the_guard_from_config(source):
     """The per-step kernels read ``config.kappa`` and ``config.e_max`` and
     no other field of the controller config, so no per-call option can

@@ -234,6 +234,10 @@ def _plant(raw, **fields):
     (lambda raw: _plant(raw, disturbance={"seed": 1.5}), "disturbance seed must be an integer"),
     (lambda raw: _plant(raw, disturbance={"seed": -1}), "disturbance seed must be nonnegative"),
     (lambda raw: raw.update(control={"kappa": 2.0}), "control kappa must be a list"),
+    (lambda raw: _plant(raw, kind="nonsense"), "unknown plant kind 'nonsense'"),
+    (lambda raw: _plant(raw, kind=["drone_chain"]), r"unknown plant kind \['drone_chain'\]"),
+    (lambda raw: _plant(raw, kind="drone_chain"),
+     "plant kind 'drone_chain' needs a 3-D scenario, not 2-D"),
 ], ids=[
     "fractional-degree", "scalar-float-degree", "scalar-min-width", "box-triple",
     "box-string", "arena-not-pairs", "arena-reversed", "missing-horizon", "fractional-dims",
@@ -241,7 +245,7 @@ def _plant(raw, **fields):
     "g-sign-typo", "g-sign-negative", "band-reversed", "band-three-values", "band-infinite",
     "band-scalar",
     "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "negative-seed",
-    "kappa-scalar",
+    "kappa-scalar", "plant-kind-unknown", "plant-kind-list", "plant-kind-off-dims",
 ])
 def test_loader_rejects_malformed_fields(edit, message):
     """A malformed field is a ScenarioError naming it, at load time: not a

@@ -256,7 +256,9 @@ def test_published_trajectory_digests(case, kind, request):
 def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
     """``input_series`` gives, byte for byte, the inputs the loop applied:
     the outputs of its strict ``control_input`` call at every recorded
-    state.  A wrapper sees only the calls of this process, and
+    state, which the wrapper makes (it selects the hooked block, whose
+    trajectories are the unhooked one's bit for bit).  A wrapper sees
+    only the calls of this process, and
     ``run_closed_loop`` may run agents in child processes, so each agent
     runs here through ``integrate_agent`` with ``run_closed_loop``'s
     config and start, and ``run_closed_loop`` returns those runs bit for
@@ -346,10 +348,11 @@ def _raised(call):
 def test_a_failing_closed_loop_raises_as_one_process_would(robots_spec, robots_table, monkeypatch):
     """Past RK4's stability interval (dt 2.5e-3 on robots) the loop raises
     the error of the lowest failing agent, the same with agents in child
-    processes as in one process, and no child is left behind.  So does a
-    loop whose lowest failing agent runs in a child: agent 2, started
-    outside its tube, or with its walls meeting at t = 0, whose error
-    keeps the collapsed width."""
+    processes as in one process, and no child is left behind; its message
+    names the step's dt * 16 kappa / w^2 past the bound.  So does a loop
+    whose lowest failing agent runs in a child: agent 2, started outside
+    its tube, or with its walls meeting at t = 0, whose error keeps the
+    collapsed width.  Each message keeps the failing check's detail."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     starts = [initial_state(robots_table, j, plant) for j in range(4)]
     starts[1] = (9.0, 9.0, 0.0)
@@ -376,11 +379,15 @@ def test_a_failing_closed_loop_raises_as_one_process_would(robots_spec, robots_t
         _no_child_left()
     assert errors[1] == errors[2]
     unstable, outside, met_walls = errors[1]
-    assert unstable[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 1 at t=4.37", 1)
-    assert outside[:3] == (ControllerIntegrityError, "stage 1 state outside its constraint agent 2 at t=0", 1)
-    assert met_walls[:4] == (
-        ControllerIntegrityError, "stage 1 state outside its constraint agent 2 at t=0", 1, 0.0
+    prefix = "stage 1 state outside its constraint agent"
+    assert unstable[:3] == (
+        ControllerIntegrityError,
+        f"{prefix} 1 at t=4.37 (|e|=2.6439e+09); dt*16*kappa/w^2 = 2.96 at this step,"
+        " past RK4's stability bound 2.785",
+        1,
     )
+    assert outside[:3] == (ControllerIntegrityError, f"{prefix} 2 at t=0 (|e|=35)", 1)
+    assert met_walls[:4] == (ControllerIntegrityError, f"{prefix} 2 at t=0 (tube width 0)", 1, 0.0)
 
 
 def test_a_child_that_exits_without_a_result_is_run_again_here(
@@ -547,11 +554,11 @@ def test_tube_collapse_mid_horizon_names_the_evaluation_time(top, message):
 
 @pytest.mark.parametrize("case", ["robots", "drones"])
 def test_integrator_calls_control_input_per_recorded_state(case, request, monkeypatch):
-    """The compiled RK4 block looks up ``control_input`` in this module once
-    per recorded state, strict, so a wrapper on ``sttube.sim.control_input``
-    sees every applied input.  The midpoint and step-end laws and the
-    built-in plants' derivatives run inline: ``sttube.sim.dynamics`` is
-    never looked up."""
+    """While a wrapper is installed on ``sttube.sim.control_input``, the
+    compiled RK4 block (its hooked form) looks it up in this module once
+    per recorded state, strict, so the wrapper sees every applied input.
+    The midpoint and step-end laws and the built-in plants' derivatives
+    run inline: ``sttube.sim.dynamics`` is never looked up."""
     spec = request.getfixturevalue(f"{case}_spec")
     tubes = request.getfixturevalue(f"{case}_table")
     plant = make_plant(spec.plant, spec.dims)
@@ -576,17 +583,28 @@ def test_integrator_calls_control_input_per_recorded_state(case, request, monkey
     assert calls == {"strict": steps + 1, "lenient": 0, "dynamics": 0}
 
 
-def test_rk4_blocks_are_named_for_their_plant():
-    """A block's code names its plant kind and shape, linecache holds its
-    source, and it holds the law template's lines once."""
+def test_rk4_blocks_are_named_for_their_plant(monkeypatch):
+    """A block's code names its plant kind, shape and form, and linecache
+    holds its source.  With no wrapper on ``sttube.sim.control_input``
+    the block is unhooked: it holds the checked law template's lines
+    once, for the recorded state, and no ``control_input`` call.  With a
+    wrapper installed it is hooked: the call, and no checked lines.  Both
+    hold the non-strict law lines once."""
     plant = make_plant(PlantConfig(kind="drone_chain"), 3)
-    code = sim._block(plant).__code__
-    name = "<sttube step drone_chain 2x3>"
-    assert code.co_filename == name
-    source = "".join(linecache.getlines(name))
-    assert source.startswith("def block(")
     law = "\n".join(" " * 4 + line for line in law_lines(2, 3, "y", "w"))
-    assert source.count(law) == 1
+    checked = "\n".join(
+        " " * 3 + line for line in law_lines(2, 3, "x", "c", checked=True, row="row[3:12]")
+    )
+    for hooked in (False, True):
+        if hooked:
+            monkeypatch.setattr(sim, "control_input", lambda *args: control_input(*args))
+        name = f"<sttube step drone_chain 2x3{' hooked' if hooked else ''}>"
+        assert sim._block(plant).__code__.co_filename == name
+        source = "".join(linecache.getlines(name))
+        assert source.startswith("def block(")
+        assert source.count(law) == 1
+        assert source.count(checked) == (not hooked)
+        assert ("control_input(" in source) == hooked
 
 
 def test_a_fleet_run_compiles_one_law_per_shape(
@@ -634,9 +652,7 @@ def _reference_block(plant, x, table, steps, dt, config, tel, strict, agent=0):
         try:
             u = control_input(x, now, config, strict, tel)
         except ControllerIntegrityError as exc:
-            raise ControllerIntegrityError(
-                exc.stage, f"agent {agent + 1} at t={t:.6g}", exc.width
-            ) from exc
+            raise sim._agent_failure(exc, agent, t, dt, row, config, plant) from exc
         recorded.append(x)
         if i == steps:
             break
@@ -683,6 +699,104 @@ def _block_outcome(run):
     except ControllerIntegrityError as exc:
         return ("raised", exc.stage, repr(exc.width), str(exc))
     return ("ran", np.array(recorded, dtype=float).tobytes(), aborted)
+
+
+def _form_outcome(plant, hooked, x, table, steps, dt, config):
+    """One block of the given form run on ``table``: the state after it,
+    the recorded states, the abort message and the clamp count, or the
+    integrity error it raised (type, message, stage, width)."""
+    block = sim._compiled_block(plant.kind, plant.stages, plant.dims, hooked)
+    tel = StageTelemetry()
+    try:
+        x, recorded, aborted = block(x, table, steps, dt, 1, config, tel, plant)
+    except ControllerIntegrityError as exc:
+        return ("raised", type(exc), str(exc), exc.stage, repr(exc.width))
+    return ("ran", x, np.array(recorded).tobytes(), aborted, tel.clamp_count)
+
+
+# Each case edits a clean block of six rows (five steps, then the
+# horizon's end), all starts at the tube centre: (row, part, index, value)
+# edits of the table, where part 0..2 is the constraint row at the step
+# start, midpoint and end, 3 the disturbance; a start state; an e_max;
+# and what the run must show.
+_FORM_CASES = {
+    "clean": ([], None, 0.9, "ran"),
+    "clamping": ([], 0.4, 0.1, "clamps"),
+    "nonfinite": ([(2, 3, 0, math.inf)], None, 0.9, "aborted"),
+    "collapsed-at-start": ([(1, 0, 0, 0.0)], None, 0.9, "(tube width 0)"),
+    "collapsed-at-midpoint": ([(2, 1, 0, -0.25)], None, 0.9, "(tube width -0.25 at t=0.125)"),
+    "collapsed-at-end": ([(3, 2, 0, 0.0)], None, 0.9, "(tube width 0 at t=0.14)"),
+    "outside": ([], 3.0, 0.9, "(|e|=6)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORM_CASES))
+@pytest.mark.parametrize("shape", ["omni-1x3", "drone-2x3", "custom-1x2"])
+def test_both_block_forms_agree_bit_for_bit(shape, case):
+    """The unhooked block (the strict law inline) and the hooked one (a
+    ``control_input`` call per step) give, on one block, the same state,
+    recorded states, abort and clamp count for a run that returns, and
+    the same error type, message, stage and width for one that raises."""
+    plant = _BLOCK_PLANTS[shape]
+    stages, dims, n = plant.stages, plant.dims, plant.state_dim
+    edits, start, e_max, shows = _FORM_CASES[case]
+    config = ControllerConfig(
+        kappa=(1.0,) * stages,
+        funnels=(Funnel(p=(2.0,) * dims, q=(1.0,) * dims, mu=(1.0,) * dims),) * (stages - 1),
+        e_max=e_max,
+    )
+    dt, steps = 0.01, 5
+    constraint = [1.0] * dims + [0.0] * dims + [2.0] * (dims * (stages - 1))
+    parts = [[list(constraint) for _ in range(3)] + [[0.01] * n] for _ in range(steps + 1)]
+    parts[steps][3] = [0.0] * n
+    for i, part, j, value in edits:
+        parts[i][part][j] = value
+    times = [0.1 + i * dt for i in range(steps + 1)]
+    table = np.array([
+        [t, t + 0.5 * dt, t + dt] if i < steps else [t] * 3
+        for i, t in enumerate(times)
+    ])
+    table = np.hstack([table, np.array([sum(row, []) for row in parts])])
+    x = (0.0,) * n if start is None else (start,) + (0.0,) * (n - 1)
+    unhooked, hooked = (
+        _form_outcome(plant, form, x, table, steps, dt, config) for form in (False, True)
+    )
+    assert unhooked == hooked
+    if shows == "ran":
+        assert unhooked[0] == "ran" and unhooked[3:] == (None, 0)
+    elif shows == "clamps":
+        assert unhooked[0] == "ran" and unhooked[3] is None and unhooked[4] > 0
+    elif shows == "aborted":
+        assert unhooked[0] == "ran" and unhooked[3].startswith("non-finite state at t=0.12")
+    else:
+        assert unhooked[0] == "raised" and unhooked[2].endswith(shows)
+
+
+@pytest.mark.parametrize("shape,stage,note", [
+    ("drone-2x3", 2, "; dt*8*kappa/rho^2 = 3.2 at this step, past RK4's stability bound 2.785"),
+    ("drone-2x3", 1, ""),  # dt*16*kappa/w^2 = 1.6 on the walls
+    ("custom-1x2", 1, ""),  # 160, but a custom plant's input gain is unknown
+])
+def test_a_strict_failure_names_a_step_past_the_stability_bound(shape, stage, note):
+    """The integrator's strict error keeps the check's detail and, for a
+    built-in plant whose step at the failing row is past RK4's stability
+    bound for the failing stage, says so: 16 kappa / w^2 on the least
+    wall width for stage 1, 8 kappa / rho^2 on the least funnel radius
+    for stage k >= 2."""
+    plant = _BLOCK_PLANTS[shape]
+    dims = plant.dims
+    config = ControllerConfig(
+        kappa=(2.0,) * plant.stages,
+        funnels=(Funnel(p=(1.0,) * dims, q=(0.25,) * dims, mu=(1.0,) * dims),)
+        * (plant.stages - 1),
+    )
+    widths = [1.0, 1.0, 1.0] if dims == 3 else [0.1, 0.1]
+    row = [0.5, 0.525, 0.55, *widths, *[0.0] * dims, *[0.7, 0.5, 0.6][: dims * (plant.stages - 1)]]
+    exc = sim._agent_failure(
+        ControllerIntegrityError(stage, "(|e|=1.5)"), 2, 0.5, 0.05, tuple(row), config, plant
+    )
+    assert (exc.stage, exc.width) == (stage, None)
+    assert str(exc) == f"stage {stage} state outside its constraint agent 3 at t=0.5 (|e|=1.5){note}"
 
 
 @pytest.mark.parametrize("case,kind", [("robots", "uniform"), ("drones", "sinusoidal")])
