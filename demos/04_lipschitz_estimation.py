@@ -24,7 +24,7 @@ print(f"relative errors: {abs(est_lower - analytic_lower) / analytic_lower:.2%},
 
 print("\nconvergence trend on the steepest face (mean |error| over 20 seeds,")
 print("alpha halved and sample counts doubled at each level):")
-face = tubes.agents[3].dims[0].lower
+face = tubes.coeffs[3, 0, 0]  # agent 4, dim 1, lower face
 errors = convergence_sweep(face, tubes.horizon, cfg, halvings=3, seeds=range(20))
 for level, err in enumerate(errors):
     print(f"  level {level}: alpha = {cfg.alpha / 2**level:.5f}  "

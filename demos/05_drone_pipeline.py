@@ -10,6 +10,7 @@ Takes a few seconds, most of them in the closed-loop simulation.
 from sttube import data_path, load_scenario
 from sttube.sim import run_closed_loop
 from sttube.synth import synthesize, validate_tubes
+from sttube.tube import tube_values
 from sttube.verify import report_to_text, verify_run
 
 spec = load_scenario(data_path("drones.scenario"))
@@ -18,13 +19,7 @@ cert = result.certificate
 print(f"certified: eta* = {cert.eta_star:.4f}, L = {cert.lipschitz_composite:.3f}, "
       f"margin = {cert.margin:.4f} ({result.wall_time:.0f}s)")
 
-peaks = [
-    max(result.tubes.agents[j].dims[2].lower.coeffs[0]
-        + result.tubes.agents[j].dims[2].lower.coeffs[1] * t
-        + result.tubes.agents[j].dims[2].lower.coeffs[2] * t * t
-        for t in [spec.horizon / 2])
-    for j in range(4)
-]
+peaks = tube_values(result.tubes, [spec.horizon / 2])[:, 2, 0, 0]
 print("mid-horizon altitudes of the tube floors:",
       " ".join(f"{p:.2f}" for p in peaks))
 

@@ -26,7 +26,6 @@ from .scenario import (  # noqa: F401
     unsafe_box_at,
 )
 from .tube import (  # noqa: F401
-    TubeFace,
     TubeSet,
     analytic_slope_bound,
     load_tubes,

@@ -15,6 +15,8 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .control import ControllerIntegrityError
 from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table, side_maxima
@@ -32,7 +34,7 @@ from .synth import (
     synthesize,
     validate_tubes,
 )
-from .tube import analytic_slope_bound, load_tubes, save_tubes, slope_bounds
+from .tube import FACE_SIDES, analytic_slope_bound, load_tubes, save_tubes, slope_bounds
 from .verify import report_to_text, save_report, verify_run
 
 EXIT_OK = 0
@@ -230,9 +232,9 @@ def cmd_lipschitz(args) -> int:
     table = estimate_table(tubes, cfg)
     print(f"{'agent':>6} {'dim':>4} {'side':>6} {'location':>10} {'scale':>9} "
           f"{'shape':>8}  method")
-    for (j, i, side), fit in sorted(table.items()):
+    for (j, i, s), fit in np.ndenumerate(table):
         print(
-            f"{j + 1:>6} {i + 1:>4} {side:>6} {fit.location:>10.4f} "
+            f"{j + 1:>6} {i + 1:>4} {FACE_SIDES[s]:>6} {fit.location:>10.4f} "
             f"{fit.scale:>9.4f} {fit.shape:>8.3f}  {fit.method}"
         )
     l_lower, l_upper = side_maxima(table)
@@ -241,12 +243,10 @@ def cmd_lipschitz(args) -> int:
     print(f"L_L={l_lower:.4f}  L_U={l_upper:.4f}  L={l_comp:.4f}")
     print(f"analytic slope bounds: L_L={a_lower:.4f}  L_U={a_upper:.4f}")
     if args.trend:
-        worst = max(
-            tubes.faces(),
-            key=lambda f: analytic_slope_bound(f[3], (0.0, tubes.horizon)),
-        )
+        rows = tubes.coeffs.reshape(-1, tubes.coeffs.shape[-1])
+        bounds = [analytic_slope_bound(row, (0.0, tubes.horizon)) for row in rows]
         errors = convergence_sweep(
-            worst[3], tubes.horizon, cfg, halvings=args.trend, seeds=range(10)
+            rows[np.argmax(bounds)], tubes.horizon, cfg, halvings=args.trend, seeds=range(10)
         )
         print("convergence trend (mean |error| per refinement):",
               " ".join(f"{e:.5f}" for e in errors))

@@ -1,11 +1,13 @@
 """Data-driven Lipschitz-constant estimation for tube faces.
 
-The estimator samples difference quotients of a face over random close
-time pairs, takes the maximum per repetition, and fits a reverse Weibull
-(Weibull-max) distribution to the repetition maxima.  The fitted location
-parameter -- the distribution's upper endpoint -- is the Lipschitz
-estimate.  Estimates tend to the true slope bounds as the pair separation
-shrinks and the sample counts grow.
+The estimator samples difference quotients of a face (one coefficient
+row of a ``TubeSet`` table) over random close time pairs, takes the
+maximum per repetition, and fits a reverse Weibull (Weibull-max)
+distribution to the repetition maxima.  The fitted location parameter --
+the distribution's upper endpoint -- is the Lipschitz estimate.
+Estimates tend to the true slope bounds as the pair separation shrinks
+and the sample counts grow.  ``estimate_table`` lays the fits out as the
+tube table does, (agents, dims, 2).
 
 The three-parameter fit maximizes the profile likelihood over the
 location, constrained above the sample maximum; for each candidate
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tube import TubeFace, TubeSet, analytic_slope_bound, polyval
+from .tube import TubeSet, analytic_slope_bound, polyval
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,13 @@ class WeibullFit:
 
 
 def max_slope_sample(
-    face: TubeFace,
+    coeffs,
     horizon: float,
     cfg: SlopeSampleConfig,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One repetition: max |difference quotient| over pair_count close pairs."""
+    """One repetition: max |difference quotient| of the face ``coeffs``
+    over pair_count close pairs."""
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     t_k = rng.uniform(0.0, horizon, cfg.pair_count)
@@ -75,7 +78,7 @@ def max_slope_sample(
             horizon,
         )
         gap = np.abs(t_k - t_m)
-    slopes = np.abs(polyval(face.coeffs, t_k) - polyval(face.coeffs, t_m)) / gap
+    slopes = np.abs(polyval(coeffs, t_k) - polyval(coeffs, t_m)) / gap
     return float(slopes.max())
 
 
@@ -197,16 +200,16 @@ def fit_reverse_weibull(maxima) -> WeibullFit:
 
 
 def estimate_face(
-    face: TubeFace,
+    coeffs,
     horizon: float,
     cfg: SlopeSampleConfig,
     seed_key: tuple[int, ...] = (),
 ) -> WeibullFit:
-    """Run the repetition loop on one face and fit the maxima."""
+    """Run the repetition loop on the face ``coeffs`` and fit the maxima."""
     ss = np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=seed_key)
     rng = np.random.default_rng(ss)
     maxima = [
-        max_slope_sample(face, horizon, cfg, rng) for _ in range(cfg.repetitions)
+        max_slope_sample(coeffs, horizon, cfg, rng) for _ in range(cfg.repetitions)
     ]
     return fit_reverse_weibull(maxima)
 
@@ -216,40 +219,37 @@ def estimate_L(tubes: TubeSet, cfg: SlopeSampleConfig) -> tuple[float, float]:
     return side_maxima(estimate_table(tubes, cfg))
 
 
-def side_maxima(table: dict[tuple[int, int, str], WeibullFit]) -> tuple[float, float]:
+def side_maxima(table: np.ndarray) -> tuple[float, float]:
     """(L_lower, L_upper) of an ``estimate_table``: the largest fitted
     location over the faces of each side."""
-    return tuple(
-        max(fit.location for (_, _, s), fit in table.items() if s == side)
-        for side in ("lower", "upper")
-    )
+    lower, upper = np.array([fit.location for fit in table.flat]).reshape(-1, 2).max(axis=0)
+    return float(lower), float(upper)
 
 
-def estimate_table(
-    tubes: TubeSet, cfg: SlopeSampleConfig
-) -> dict[tuple[int, int, str], WeibullFit]:
-    """Per-face fits keyed by (agent, dim, side); deterministic in the seed."""
-    return {
-        (j, i, side): estimate_face(
-            face, tubes.horizon, cfg, seed_key=(j, i, 0 if side == "lower" else 1)
-        )
-        for j, i, side, face in tubes.faces()
-    }
+def estimate_table(tubes: TubeSet, cfg: SlopeSampleConfig) -> np.ndarray:
+    """Per-face fits, (agents, dims, 2), lower face then upper; the face
+    at (j, i, s) draws from seed key (j, i, s), so the table is
+    deterministic in the seed."""
+    table = np.empty(tubes.coeffs.shape[:-1], dtype=object)
+    for key in np.ndindex(table.shape):
+        table[key] = estimate_face(tubes.coeffs[key], tubes.horizon, cfg, seed_key=key)
+    return table
 
 
 def convergence_sweep(
-    face: TubeFace,
+    coeffs,
     horizon: float,
     base: SlopeSampleConfig,
     halvings: int,
     seeds,
 ) -> np.ndarray:
-    """Mean |estimate - analytic bound| per refinement level.
+    """Mean |estimate - analytic bound| per refinement level of the face
+    ``coeffs``.
 
     Level k halves alpha k times while doubling pair count and
     repetitions; the mean is over the given seeds.
     """
-    truth = analytic_slope_bound(face, (0.0, horizon))
+    truth = analytic_slope_bound(coeffs, (0.0, horizon))
     errors = np.zeros(halvings + 1)
     for k in range(halvings + 1):
         cfg_k = SlopeSampleConfig(
@@ -260,7 +260,7 @@ def convergence_sweep(
         )
         errs = []
         for seed in seeds:
-            fit = estimate_face(face, horizon, replace(cfg_k, rng_seed=int(seed)))
+            fit = estimate_face(coeffs, horizon, replace(cfg_k, rng_seed=int(seed)))
             errs.append(abs(fit.location - truth))
         errors[k] = float(np.mean(errs))
     return errors

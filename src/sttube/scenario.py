@@ -213,8 +213,10 @@ class PlantConfig:
 
     The kind must be a built-in one; that it fits the scenario's
     dimension is checked when a scenario file names it and when the
-    plant is built (``plant.make_plant``).  The controller assumes a
-    positive definite input gain, so the block sets no sign for it.
+    plant is built (``plant.make_plant``).  A file that names no kind
+    gets the built-in one that fits its dimension (``omnidirectional``
+    where none does).  The controller assumes a positive definite input
+    gain, so the block sets no sign for it.
     """
 
     kind: str = "omnidirectional"
@@ -430,8 +432,9 @@ def _plant_from_dict(raw, dims: int) -> PlantConfig:
         )
     dist = _object(raw.get("disturbance", {}), "plant disturbance")
     band = _list(raw.get("heading_band", PlantConfig.heading_band), "plant heading_band")
+    fitting = next((k for k, d in PLANT_DIMS.items() if d == dims), PlantConfig.kind)
     return PlantConfig(
-        kind=raw.get("kind", "omnidirectional"),
+        kind=raw.get("kind", fitting),
         heading_band=tuple(_number(b, "plant heading_band") for b in band),
         disturbance_bound=_number(dist.get("bound", 0.01), "disturbance bound"),
         disturbance_kind=dist.get("kind", "uniform"),

@@ -18,8 +18,8 @@ exceptions are those of one process bit for bit; where ``os.fork`` or
 run here.
 
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
-agent's walls: its tube walls from ``tube.agent_walls`` on its
-coefficient table, formed once per agent, then the heading band; the
+agent's walls: its tube walls from ``tube.agent_walls`` on its rows
+of the tube table, ``tubes.coeffs[agent]``, then the heading band; the
 constraint rows; the disturbance) is formed once per block as one table
 (``_block_table``): the walls and rows are evaluated once, on the
 interleaved grid t0, t0 + dt/2, t0 + dt, t1, ..., so a step's row holds
@@ -99,7 +99,7 @@ from .plant import (
     make_plant,
 )
 from .scenario import PLANT_DIMS, ScenarioSpec
-from .tube import TubeSet, agent_coeffs, agent_walls
+from .tube import TubeSet, agent_walls
 
 # Steps per block of precomputed time-only quantities, large enough to
 # amortize the per-block array calls.  The block's table stays a numpy
@@ -136,13 +136,13 @@ class Trajectory:
 def _walls(tubes: TubeSet, agent: int, plant: PlantModel):
     """One agent's stage-1 walls as a function of times: ``at(times)``
     gives (lower, upper), each (len(times), plant dims), its tube walls
-    (``tube.agent_walls`` on the agent's coefficient table, formed here
-    once) padded with the heading band for plants whose output dimension
+    (``tube.agent_walls`` on the agent's rows of the tube table)
+    padded with the heading band for plants whose output dimension
     exceeds the tube dimension."""
     extra = plant.dims - tubes.dims
     if extra < 0:
         raise ValueError("plant output dimension below tube dimension")
-    coeffs = agent_coeffs(tubes, agent)
+    coeffs = tubes.coeffs[agent]
 
     def at(times):
         lower, upper = agent_walls(coeffs, times)

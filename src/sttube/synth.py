@@ -53,9 +53,7 @@ from .lp import LpNumericalError, LpProblem, solve_lp
 from .sampling import SampleSet, obstacle_bounds, sample_unsafe
 from .scenario import ScenarioSpec
 from .tube import (
-    AgentTubes,
-    TubeDim,
-    TubeFace,
+    FACE_SIDES,
     TubeSet,
     extremum_times,
     polyval,
@@ -69,7 +67,6 @@ _PRUNE_TOL = 1e-6  # room for LP tolerances in the bound ``solve_sop`` prunes by
 MAX_ITERATIONS = 200  # solves certified by ``synthesize`` before it gives up
 BEAM_WIDTH = 8  # candidates started per refinement step; a losing one stops early
 VALIDATION_BLOCK = 1024  # grid samples ``validate_tubes`` evaluates at once
-FACE_SIDES = ("lower", "upper")
 
 
 class SynthesisError(RuntimeError):
@@ -432,19 +429,13 @@ class SopInstance:
         return best_c, best_v
 
     def tubes_from_solution(self, x: np.ndarray) -> TubeSet:
-        coeffs = [tuple(x[cols]) for cols in self.face_columns]
-        agents = []
-        for j in range(self.m):
-            dims = tuple(
-                TubeDim(
-                    lower=TubeFace(coeffs[(j * self.n + i) * 2], side="lower"),
-                    upper=TubeFace(coeffs[(j * self.n + i) * 2 + 1], side="upper"),
-                    min_width=self.template.min_widths[j][i],
-                )
-                for i in range(self.n)
-            )
-            agents.append(AgentTubes(dims=dims, name=self.spec.agents[j].name))
-        return TubeSet(horizon=self.spec.horizon, agents=tuple(agents))
+        return TubeSet(
+            horizon=self.spec.horizon,
+            coeffs=np.append(x, 0.0)[self.columns[:-1]].reshape(self.m, self.n, 2, -1),
+            sizes=np.repeat(self.z[..., None], 2, axis=-1),
+            min_widths=self.min_widths,
+            names=[a.name for a in self.spec.agents],
+        )
 
 
 def build_sop(
@@ -1106,7 +1097,6 @@ def validate_tubes(
     # per (agent, dim); the least option of every unsafe (region, agent)
     # and collision pair disjunction (some (dim, side) option clears).
     face_lo, face_hi = np.full((m, n, 2), np.inf), np.full((m, n, 2), -np.inf)
-    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
     gap = running_max((m, n))
     unsafe = running_max((len(spec.obstacles), m))
     coll = running_max((m * (m - 1) // 2,))
@@ -1115,7 +1105,7 @@ def validate_tubes(
         faces = tube_values(tubes, times)  # (m, n, 2, block)
         np.minimum(face_lo, faces.min(axis=-1), out=face_lo)
         np.maximum(face_hi, faces.max(axis=-1), out=face_hi)
-        widths = faces[:, :, 0] + min_width[..., None]
+        widths = faces[:, :, 0] + tubes.min_widths[..., None]
         widths -= faces[:, :, 1]
         fold(gap, widths, start)
         options = least_separation_options(faces, obstacle_bounds(spec, times))

@@ -3,7 +3,12 @@
 A tube face is a monomial-basis polynomial of time,
 ``gamma(t) = c0 + c1 t + ... + c_{z-1} t^{z-1}``.  A TubeSet holds, per
 agent and per output dimension, a lower and an upper face plus the
-required minimum separation between them.  All operations are pure.
+required minimum separation between them, as one read-only table:
+``coeffs`` (agents, dims, 2, z), lower face then upper, constant term
+first, zero-padded to the top degree, with each face's own coefficient
+count in ``sizes`` so that a tube file round-trips byte for byte.  Only
+this module builds the table or writes it out; every other module reads
+it.  All operations are pure.
 
 Every face value, derivative value and extremum time in the package comes
 from the one polynomial kernel here: ``polyval`` (Horner's rule over
@@ -11,9 +16,9 @@ coefficient arrays, constant term first, zero-padded to the top degree)
 and ``extremum_times`` (the ends of an interval and the real roots of the
 derivative, found by one batched companion-matrix eigenvalue call per
 root count).  ``tube_values`` evaluates every face at many times, and
-``agent_walls`` one agent's lower and upper walls from its coefficient
-table (``agent_coeffs``), which the closed loop forms once per agent
-and its containment check reads.
+``agent_walls`` one agent's lower and upper walls from its rows of the
+table, ``tubes.coeffs[agent]``, which the closed loop and its containment
+check read.
 """
 
 from __future__ import annotations
@@ -25,35 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import _list, _number, _object
+from .scenario import _integer, _list, _number, _object
 
-
-@dataclass(frozen=True)
-class TubeFace:
-    """One polynomial boundary curve, ``side`` in {"lower", "upper"}."""
-
-    coeffs: tuple[float, ...]
-    side: str = "lower"
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a tube face needs at least one coefficient")
-        if self.side not in ("lower", "upper"):
-            raise ValueError(f"unknown face side {self.side!r}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def face_coeffs(faces) -> np.ndarray:
-    """Coefficients of ``faces``, constant term first, zero-padded to the
-    top degree: (len(faces), z)."""
-    z = max(len(face.coeffs) for face in faces)
-    out = np.zeros((len(faces), z))
-    for f, face in enumerate(faces):
-        out[f, : len(face.coeffs)] = face.coeffs
-    return out
+FACE_SIDES = ("lower", "upper")  # the order of a table's third axis
 
 
 def polyval(coeffs, t) -> np.ndarray:
@@ -128,66 +107,65 @@ def _max_abs_slope(coeffs: np.ndarray, t0: float, t1: float) -> np.ndarray:
     return out
 
 
-def analytic_slope_bound(face: TubeFace, horizon: tuple[float, float]) -> float:
-    """max over the horizon of |d gamma / dt| (see ``_max_abs_slope``)."""
-    return float(_max_abs_slope(face_coeffs([face]), *horizon)[0])
+def analytic_slope_bound(coeffs, horizon: tuple[float, float]) -> float:
+    """max over the horizon of |d gamma / dt| for one face's coefficient
+    row, constant term first (see ``_max_abs_slope``)."""
+    return float(_max_abs_slope(np.reshape(coeffs, (1, -1)), *horizon)[0])
 
 
-@dataclass(frozen=True)
-class TubeDim:
-    lower: TubeFace
-    upper: TubeFace
-    min_width: float
-
-
-@dataclass(frozen=True)
-class AgentTubes:
-    dims: tuple[TubeDim, ...]
-    name: str = ""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeSet:
-    """Per-agent, per-dimension tube faces over a common horizon."""
+    """Every tube face over a common horizon, as one read-only table.
+
+    ``coeffs`` is (agents, dims, 2, z): per agent and dim the lower face,
+    then the upper, constant term first, zero-padded to the top degree.
+    ``sizes`` (agents, dims, 2) is each face's own coefficient count,
+    ``min_widths`` (agents, dims) the required separation of the two
+    faces, and ``names`` one name per agent.  The arrays are copied and
+    marked read-only; shapes that disagree raise ValueError.
+    """
 
     horizon: float
-    agents: tuple[AgentTubes, ...]
+    coeffs: np.ndarray
+    sizes: np.ndarray
+    min_widths: np.ndarray
+    names: tuple[str, ...]
+
+    def __post_init__(self):
+        for field, dtype in (("coeffs", float), ("sizes", int), ("min_widths", float)):
+            array = np.array(getattr(self, field), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, field, array)
+        object.__setattr__(self, "names", tuple(self.names))
+        shape, sizes = self.coeffs.shape, self.sizes
+        if not (
+            len(shape) == 4 and shape[2] == 2 and 0 not in shape and sizes.shape == shape[:3]
+            and ((sizes >= 1) & (sizes <= shape[3])).all()
+            and self.min_widths.shape == shape[:2] and len(self.names) == shape[0]
+        ):
+            raise ValueError(
+                f"tube table shapes disagree: coeffs {shape}, sizes {sizes.shape} (each in "
+                f"[1, z]), min_widths {self.min_widths.shape}, {len(self.names)} names"
+            )
 
     @property
     def agent_count(self) -> int:
-        return len(self.agents)
+        return self.coeffs.shape[0]
 
     @property
     def dims(self) -> int:
-        return len(self.agents[0].dims)
-
-    def faces(self):
-        """Iterate (agent_idx, dim_idx, side, face) over all faces."""
-        for j, agent in enumerate(self.agents):
-            for i, d in enumerate(agent.dims):
-                yield j, i, "lower", d.lower
-                yield j, i, "upper", d.upper
+        return self.coeffs.shape[1]
 
 
 def tube_values(tubes: TubeSet, times) -> np.ndarray:
     """Every face at every time: (m, n, 2, T), lower then upper."""
-    t = np.asarray(times, dtype=float)
-    coeffs = face_coeffs([face for *_, face in tubes.faces()])
-    return polyval(coeffs[:, None], t).reshape(tubes.agent_count, tubes.dims, 2, len(t))
-
-
-def agent_coeffs(tubes: TubeSet, agent: int) -> np.ndarray:
-    """One agent's face coefficients: (dims, 2, z), lower then upper, the
-    rows of ``tube_values``' table for that agent (zero-padded to the
-    agent's own top degree, which leaves every value bit for bit)."""
-    faces = [(d.lower, d.upper) for d in tubes.agents[agent].dims]
-    return face_coeffs([face for pair in faces for face in pair]).reshape(len(faces), 2, -1)
+    return polyval(tubes.coeffs[..., None, :], np.asarray(times, dtype=float))
 
 
 def agent_walls(coeffs: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-    """One agent's walls at ``times`` from its ``agent_coeffs`` table:
-    (lower, upper), each (dims, len(times)), bit for bit the faces of
-    ``tube_values``."""
+    """One agent's walls at ``times`` from its coefficient table
+    ``tubes.coeffs[agent]``: (lower, upper), each (dims, len(times)), bit
+    for bit the faces of ``tube_values``."""
     t = np.asarray(times, dtype=float)
     lower, upper = polyval(coeffs[..., None, :], t).transpose(1, 0, 2)
     return lower, upper
@@ -195,8 +173,8 @@ def agent_walls(coeffs: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
 
 def slope_bounds(tubes: TubeSet) -> tuple[float, float]:
     """(L_lower, L_upper): exact slope bounds over all faces per side."""
-    coeffs = face_coeffs([face for *_, face in tubes.faces()])
-    lower, upper = _max_abs_slope(coeffs, 0.0, tubes.horizon).reshape(-1, 2).max(axis=0)
+    rows = tubes.coeffs.reshape(-1, tubes.coeffs.shape[-1])
+    lower, upper = _max_abs_slope(rows, 0.0, tubes.horizon).reshape(-1, 2).max(axis=0)
     return float(lower), float(upper)
 
 
@@ -205,55 +183,71 @@ def slope_bounds(tubes: TubeSet) -> tuple[float, float]:
 
 
 def tubes_to_dict(tubes: TubeSet) -> dict:
-    return {
-        "horizon": tubes.horizon,
-        "dims": tubes.dims,
-        "agents": [
-            {
-                "name": a.name,
-                "dims": [
-                    {
-                        "lower": list(d.lower.coeffs),
-                        "upper": list(d.upper.coeffs),
-                        "min_width": d.min_width,
-                    }
-                    for d in a.dims
-                ],
-            }
-            for a in tubes.agents
-        ],
-    }
+    agents = [
+        {"name": name, "dims": [
+            {side: face[:size].tolist() for side, face, size in zip(FACE_SIDES, faces, sizes)}
+            | {"min_width": min_width}
+            for faces, sizes, min_width in zip(coeffs, face_sizes, min_widths.tolist())
+        ]}
+        for name, coeffs, face_sizes, min_widths in zip(
+            tubes.names, tubes.coeffs, tubes.sizes, tubes.min_widths
+        )
+    ]
+    return {"horizon": tubes.horizon, "dims": tubes.dims, "agents": agents}
 
 
 def tubes_from_dict(raw: dict) -> TubeSet:
     """Inverse of ``tubes_to_dict``.  Raises ValueError naming the field
-    for a missing key, a value of the wrong type, no agents, or agents
-    without dims or with different numbers of dims."""
+    for a missing key, a value of the wrong type, a non-finite
+    coefficient, a min_width that is not positive and finite, no agents,
+    agents without dims or with different numbers of dims, or a ``dims``
+    that differs from the agents' dim count."""
     raw = _object(raw, "tubes: the file")
     horizon = _number(raw.get("horizon"), "tubes: horizon")
     if not 0 < horizon < math.inf:
         raise ValueError("tubes: horizon must be positive and finite")
-    agents = []
+    faces, min_widths, names, dim_counts = [], [], [], set()
     for j, a in enumerate(_list(raw.get("agents"), "tubes: agents"), 1):
         a = _object(a, f"tubes: agent {j}")
-        dims = []
-        for i, d in enumerate(_list(a.get("dims"), f"tubes: agent {j} dims"), 1):
-            name = f"tubes: agent {j} dim {i}"
-            d = _object(d, name)
-            lower, upper = (
-                TubeFace(tuple(_number(c, field) for c in _list(d.get(side), field)), side=side)
-                for side, field in (("lower", f"{name} lower"), ("upper", f"{name} upper"))
-            )
-            min_width = _number(d.get("min_width"), f"{name} min_width")
-            dims.append(TubeDim(lower=lower, upper=upper, min_width=min_width))
+        dims = _list(a.get("dims"), f"tubes: agent {j} dims")
         if not dims:
             raise ValueError(f"tubes: agent {j} has no dims")
-        agents.append(AgentTubes(dims=tuple(dims), name=str(a.get("name", ""))))
-    if not agents:
+        for i, d in enumerate(dims, 1):
+            name = f"tubes: agent {j} dim {i}"
+            d = _object(d, name)
+            for side in FACE_SIDES:
+                field = f"{name} {side}"
+                face = [_number(c, field) for c in _list(d.get(side), field)]
+                if not face:
+                    raise ValueError(f"{field} needs at least one coefficient")
+                if not all(map(math.isfinite, face)):
+                    raise ValueError(f"{field} must be finite")
+                faces.append(face)
+            min_width = _number(d.get("min_width"), f"{name} min_width")
+            if not 0 < min_width < math.inf:
+                raise ValueError(f"{name} min_width must be positive and finite")
+            min_widths.append(min_width)
+        names.append(str(a.get("name", "")))
+        dim_counts.add(len(dims))
+    if not names:
         raise ValueError("tubes: no agents")
-    if len({len(a.dims) for a in agents}) > 1:
+    if len(dim_counts) > 1:
         raise ValueError("tubes: agents differ in their number of dims")
-    return TubeSet(horizon=horizon, agents=tuple(agents))
+    (n,) = dim_counts
+    if "dims" in raw and _integer(raw["dims"], "tubes: dims") != n:
+        raise ValueError(f"tubes: dims is {raw['dims']!r} but the agents have {n}")
+    sizes = np.array([len(face) for face in faces])
+    coeffs = np.zeros((len(faces), sizes.max()))
+    for row, face in zip(coeffs, faces):
+        row[: len(face)] = face
+    shape = (len(names), n, 2)
+    return TubeSet(
+        horizon=horizon,
+        coeffs=coeffs.reshape(*shape, -1),
+        sizes=sizes.reshape(shape),
+        min_widths=np.reshape(min_widths, shape[:2]),
+        names=tuple(names),
+    )
 
 
 def save_tubes(tubes: TubeSet, path: str | Path) -> None:

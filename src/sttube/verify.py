@@ -19,7 +19,7 @@ import numpy as np
 from .sampling import obstacle_bounds
 from .scenario import ScenarioSpec
 from .sim import Trajectory
-from .tube import TubeSet, agent_coeffs, agent_walls
+from .tube import TubeSet, agent_walls
 
 
 @dataclass
@@ -134,7 +134,7 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
 def check_containment(traj: Trajectory, tubes: TubeSet) -> np.ndarray:
     """Margin series: per step the min over dims of the distance to either
     tube wall.  Strictly positive throughout means contained."""
-    lo, hi = agent_walls(agent_coeffs(tubes, traj.agent), traj.times)  # (n, T) each
+    lo, hi = agent_walls(tubes.coeffs[traj.agent], traj.times)  # (n, T) each
     y = traj.output(tubes.dims).T
     return np.minimum(y - lo, hi - y).min(axis=0)
 

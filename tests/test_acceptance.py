@@ -20,7 +20,7 @@ import pytest
 from sttube.lipschitz import SlopeSampleConfig, convergence_sweep, estimate_L
 from sttube.sim import run_closed_loop
 from sttube.synth import certify, validate_tubes
-from sttube.tube import TubeFace, derivative, polyval
+from sttube.tube import derivative, polyval
 from sttube.verify import verify_run
 
 
@@ -115,7 +115,7 @@ def test_criterion_4_lipschitz_estimation(robots_table):
 
 def test_criterion_5_convergence_trend(robots_table):
     t0 = time.perf_counter()
-    face = robots_table.agents[3].dims[0].lower
+    face = robots_table.coeffs[3, 0, 0]
     base = SlopeSampleConfig(alpha=0.01, pair_count=100, repetitions=50, rng_seed=0)
     errors = convergence_sweep(face, 10.0, base, halvings=3, seeds=range(20))
     elapsed = time.perf_counter() - t0
@@ -215,10 +215,10 @@ def test_criterion_8_oracle_suites():
     h = 1e-6
     fd_ok = 0
     for _ in range(100):
-        face = TubeFace(tuple(rng.uniform(-2, 2, int(rng.integers(2, 5)))))
+        face = rng.uniform(-2, 2, int(rng.integers(2, 5)))
         for t in rng.uniform(0.1, 9.9, 100):
-            exact = float(polyval(derivative(face.coeffs), t))
-            fd = float(polyval(face.coeffs, t + h) - polyval(face.coeffs, t - h)) / (2 * h)
+            exact = float(polyval(derivative(face), t))
+            fd = float(polyval(face, t + h) - polyval(face, t - h)) / (2 * h)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
         fd_ok += 1
     elapsed = time.perf_counter() - t0

@@ -1,12 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from sttube import data_path
 from sttube.cli import EXIT_SYNTH, EXIT_USAGE, EXIT_VERIFY, main
 from sttube.scenario import scenario_from_dict
 from sttube.synth import synthesize
-from sttube.tube import AgentTubes, TubeDim, TubeFace, TubeSet, save_tubes
+from sttube.lipschitz import SlopeSampleConfig, convergence_sweep, estimate_face
+from sttube.tube import TubeSet, analytic_slope_bound, load_tubes, save_tubes
 
 
 SOLO = {
@@ -215,13 +217,10 @@ def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):
 def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
     # a narrow valid tube for SOLO (lower 1.25 t^2, upper 1 + 1.25 t^2 in
     # both dims), which a gain of 1e-6 cannot track
-    narrow = TubeDim(
-        lower=TubeFace((0.0, 0.0, 1.25), side="lower"),
-        upper=TubeFace((1.0, 0.0, 1.25), side="upper"),
-        min_width=0.4,
-    )
+    narrow = [[0.0, 0.0, 1.25], [1.0, 0.0, 1.25]]
     tubes = tmp_path / "narrow.tubes"
-    save_tubes(TubeSet(horizon=2.0, agents=(AgentTubes(dims=(narrow, narrow)),)), tubes)
+    save_tubes(TubeSet(horizon=2.0, coeffs=[[narrow, narrow]], sizes=[[[3, 3], [3, 3]]],
+                       min_widths=[[0.4, 0.4]], names=[""]), tubes)
     code = main(["simulate", str(solo_scenario), str(tubes), "--force",
                  "--kappa", "1e-6", "--out", str(tmp_path)])
     assert code == 3
@@ -310,6 +309,14 @@ def _robots_with(**plant):
 _ROBOT_TUBES = data_path("robots_table.tubes")
 
 
+def _robot_tubes_with_a_nan():
+    """The published robots tubes with a NaN coefficient in agent 2's
+    tube, which would abort that agent at t = 0 if it loaded."""
+    raw = json.loads(_ROBOT_TUBES.read_text())
+    raw["agents"][1]["dims"][0]["lower"][1] = float("nan")
+    return raw
+
+
 @pytest.mark.parametrize("command,files", [
     (["synth", "{scenario}"], {"scenario": {**SOLO, "agents": 5}}),
     (["synth", "{scenario}"], {"scenario": {**SOLO, "obstacles": [{"interpolation": "static"}]}}),
@@ -329,11 +336,13 @@ _ROBOT_TUBES = data_path("robots_table.tubes")
     (["lipschitz", "{tubes}"],
      {"tubes": {"horizon": 10.0, "agents": [{"dims": [{"lower": 0.5, "upper": [1.0],
                                                        "min_width": 0.1}]}]}}),
+    (["simulate", str(data_path("robots.scenario")), "{tubes}", "--force"],
+     {"tubes": _robot_tubes_with_a_nan()}),
 ], ids=["synth-agents-scalar", "synth-missing-keyframes", "synth-scalar-float-degree",
         "simulate-infinite-bound", "simulate-reversed-band", "simulate-negative-gain",
         "synth-negative-gain", "synth-unknown-plant-kind", "synth-plant-kind-off-dims",
         "simulate-agents-scalar",
-        "lipschitz-scalar-face"])
+        "lipschitz-scalar-face", "simulate-nan-coefficient"])
 def test_malformed_files_are_usage_errors(tmp_path, command, files):
     """A malformed scenario or tubes file ends the command as a usage
     error, run as a program: exit code 1, stderr starting ``error:``, no
@@ -374,10 +383,31 @@ def test_solo_synthesis_passes_dense_validation():
 
 
 def test_lipschitz_prints_estimates(capsys):
-    code = main(["lipschitz", str(data_path("robots_table.tubes")), "--seed", "2"])
-    out = capsys.readouterr().out
+    """One row per face, in (agent, dim, side) order, each the fit that
+    ``estimate_face`` gives that face under its seed key, then the side
+    maxima and the analytic bounds; ``--trend`` sweeps the face with the
+    steepest ``analytic_slope_bound``."""
+    tubes = load_tubes(_ROBOT_TUBES)
+    code = main(["lipschitz", str(_ROBOT_TUBES), "--seed", "2", "--reps", "10", "--trend", "1"])
+    out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "L_L=" in out and "analytic slope bounds" in out
+    cfg = SlopeSampleConfig(alpha=tubes.horizon / 1000.0, repetitions=10, rng_seed=2)
+    rows = []
+    for j, i, s in np.ndindex(tubes.coeffs.shape[:-1]):
+        fit = estimate_face(tubes.coeffs[j, i, s], tubes.horizon, cfg, seed_key=(j, i, s))
+        rows.append([str(j + 1), str(i + 1), ("lower", "upper")[s], f"{fit.location:.4f}",
+                     f"{fit.scale:.4f}", f"{fit.shape:.3f}", fit.method])
+    assert len(rows) == 16
+    assert [line.split() for line in out[1:17]] == rows
+    assert out[17].startswith("L_L=") and out[18].startswith("analytic slope bounds")
+    bounds = {key: analytic_slope_bound(tubes.coeffs[key], (0.0, tubes.horizon))
+              for key in np.ndindex(tubes.coeffs.shape[:-1])}
+    steepest = max(bounds, key=bounds.get)
+    assert steepest == (3, 0, 0)  # agent 4, dim 1, lower face: 3.9463
+    errors = convergence_sweep(tubes.coeffs[steepest], tubes.horizon, cfg, halvings=1,
+                               seeds=range(10))
+    assert out[-1] == ("convergence trend (mean |error| per refinement): "
+                       + " ".join(f"{e:.5f}" for e in errors))
 
 
 @pytest.mark.parametrize("flags,message", [

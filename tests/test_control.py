@@ -50,9 +50,9 @@ def test_stage1_error_center_and_affine():
 
 
 def test_stage1_error_robot_start(robots_table):
-    from sttube.tube import agent_coeffs, agent_walls
+    from sttube.tube import agent_walls
 
-    lower, upper = agent_walls(agent_coeffs(robots_table, 0), [0.0])
+    lower, upper = agent_walls(robots_table.coeffs[0], [0.0])
     row = constraint_row(lower[:, 0], upper[:, 0], ControllerConfig(kappa=(1.0,)), 0.0)
     e = stage1_errors((4.75, 0.25), row, 1).tolist()
     assert e == pytest.approx([0.0, 0.0], abs=1e-12)
@@ -587,16 +587,17 @@ def test_decentralization_byte_identity(robots_table):
 
     cfg = _single_stage_config()
     t = 3.7
-    dims = robots_table.agents[1].dims
-    lower = tuple(float(polyval(d.lower.coeffs, t)) for d in dims)
-    upper = tuple(float(polyval(d.upper.coeffs, t)) for d in dims)
+    lower, upper = (tuple(polyval(robots_table.coeffs[1, :, s], t).tolist()) for s in (0, 1))
     x = tuple(0.25 * lo + 0.75 * hi for lo, hi in zip(lower, upper))
     u_full = _ctl(x, lower, upper, cfg, t)
 
-    solo = TubeSet(horizon=robots_table.horizon, agents=(robots_table.agents[1],))
-    dims_solo = solo.agents[0].dims
-    lower_s = tuple(float(polyval(d.lower.coeffs, t)) for d in dims_solo)
-    upper_s = tuple(float(polyval(d.upper.coeffs, t)) for d in dims_solo)
+    z = robots_table.sizes[1].max()  # the agent's own top degree: no other agent's padding
+    solo = TubeSet(
+        horizon=robots_table.horizon, coeffs=robots_table.coeffs[1:2, ..., :z],
+        sizes=robots_table.sizes[1:2], min_widths=robots_table.min_widths[1:2],
+        names=robots_table.names[1:2],
+    )
+    lower_s, upper_s = (tuple(polyval(solo.coeffs[0, :, s], t).tolist()) for s in (0, 1))
     u_solo = _ctl(x, lower_s, upper_s, cfg, t)
     assert struct.pack("<2d", *u_full) == struct.pack("<2d", *u_solo)
 
@@ -626,14 +627,14 @@ def test_autosized_funnels_start_drones_half_inside(drones_spec, drones_table):
     and the strict controller accepts the start state."""
     from sttube.plant import make_plant
     from sttube.sim import build_controller_config, initial_state
-    from sttube.tube import agent_coeffs, agent_walls
+    from sttube.tube import agent_walls
 
     plant = make_plant(drones_spec.plant, drones_spec.dims)
     assert plant.stages == 2 and plant.dims == drones_spec.dims
     for j in range(len(drones_spec.agents)):
         x0 = initial_state(drones_table, j, plant)
         n = plant.dims
-        lower, upper = (tuple(w[:, 0].tolist()) for w in agent_walls(agent_coeffs(drones_table, j), [0.0]))
+        lower, upper = (tuple(w[:, 0].tolist()) for w in agent_walls(drones_table.coeffs[j], [0.0]))
         cfg = build_controller_config(drones_spec, drones_table, j, plant, x0=x0)
         ctl = drones_spec.control
         assert cfg.funnels == autosize_funnels(

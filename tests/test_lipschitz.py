@@ -9,14 +9,14 @@ from sttube.lipschitz import (
     fit_reverse_weibull,
     max_slope_sample,
 )
-from sttube.tube import TubeFace, slope_bounds
+from sttube.tube import slope_bounds
 
 
 CFG = SlopeSampleConfig(alpha=0.01, pair_count=100, repetitions=50, rng_seed=11)
 
 
 def test_linear_face_slope_is_exact():
-    face = TubeFace((0.0, 2.0))
+    face = (0.0, 2.0)
     rng = np.random.default_rng(0)
     assert max_slope_sample(face, 10.0, CFG, rng) == pytest.approx(2.0, abs=1e-12)
     fit = estimate_face(face, 10.0, CFG)
@@ -25,13 +25,13 @@ def test_linear_face_slope_is_exact():
 
 
 def test_constant_face_slope_is_zero():
-    face = TubeFace((1.5,))
+    face = (1.5,)
     rng = np.random.default_rng(0)
     assert max_slope_sample(face, 10.0, CFG, rng) == 0.0
 
 
 def test_robot4_sample_bounded_by_analytic(robots_table):
-    face = robots_table.agents[3].dims[0].lower
+    face = robots_table.coeffs[3, 0, 0]
     cfg = SlopeSampleConfig(alpha=1e-3, pair_count=100, repetitions=50, rng_seed=1)
     rng = np.random.default_rng(1)
     psi = max_slope_sample(face, 10.0, cfg, rng)
@@ -84,10 +84,9 @@ def test_sanity_envelope(robots_table):
     from sttube.tube import analytic_slope_bound
 
     table = estimate_table(robots_table, CFG)
-    for (j, i, side), fit in table.items():
-        agent_dim = robots_table.agents[j].dims[i]
-        face = agent_dim.lower if side == "lower" else agent_dim.upper
-        truth = analytic_slope_bound(face, (0.0, robots_table.horizon))
+    assert table.shape == (4, 2, 2)
+    for key, fit in np.ndenumerate(table):
+        truth = analytic_slope_bound(robots_table.coeffs[key], (0.0, robots_table.horizon))
         assert fit.location <= truth + max(fit.scale, 1e-9)
 
 
@@ -98,7 +97,7 @@ def test_deterministic_given_seed(robots_table):
 def test_convergence_trend(robots_table):
     """Halving alpha while doubling the sample counts shrinks the mean
     error against the analytic bound (averaged over seeds)."""
-    face = robots_table.agents[3].dims[0].lower
+    face = robots_table.coeffs[3, 0, 0]
     base = SlopeSampleConfig(alpha=0.01, pair_count=100, repetitions=50, rng_seed=0)
     errors = convergence_sweep(face, 10.0, base, halvings=2, seeds=range(8))
     assert all(errors[k + 1] <= errors[k] for k in range(len(errors) - 1))

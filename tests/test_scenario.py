@@ -257,6 +257,33 @@ def test_loader_rejects_malformed_fields(edit, message):
         scenario_from_dict(raw)
 
 
+@pytest.mark.parametrize("dims,kind", [
+    (1, "omnidirectional"), (2, "omnidirectional"), (3, "drone_chain"), (4, "omnidirectional"),
+])
+def test_a_plant_without_a_kind_gets_the_kind_that_fits_its_dims(dims, kind):
+    """A file with no plant block, or one that names no kind, gets the
+    built-in kind whose scenario dimension is its own (``PLANT_DIMS``),
+    which ``make_plant`` then accepts; dims no built-in kind fits keep
+    ``omnidirectional``."""
+    from sttube.plant import make_plant
+
+    for plant in (None, {"disturbance": {"bound": 0.0}}):
+        raw = {
+            "dims": dims, "horizon": 10.0, "epsilon": 0.002,
+            "arena": [[0.0, 5.0]] * dims,
+            "agents": [{"start": [[0.0, 1.0]] * dims, "goal": [[4.0, 5.0]] * dims,
+                        "tube_degree": [2] * dims}],
+            "obstacles": [],
+        }
+        if plant is not None:
+            raw["plant"] = plant
+        spec = scenario_from_dict(raw)
+        assert spec.plant.kind == kind
+        if dims in (2, 3):
+            assert make_plant(spec.plant, dims).kind == kind
+            assert scenario_from_dict(scenario_to_dict(spec)).plant.kind == kind
+
+
 def test_loader_rejects_a_non_object():
     with pytest.raises(ScenarioError, match="scenario must be an object"):
         scenario_from_dict([1, 2])

@@ -356,18 +356,9 @@ def test_a_failing_closed_loop_raises_as_one_process_would(robots_spec, robots_t
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     starts = [initial_state(robots_table, j, plant) for j in range(4)]
     starts[1] = (9.0, 9.0, 0.0)
-    agent = robots_table.agents[1]
-    first = agent.dims[0]
-    met = dataclasses.replace(
-        first, lower=dataclasses.replace(
-            first.lower, coeffs=(first.upper.coeffs[0], *first.lower.coeffs[1:])
-        ),
-    )
-    collapsed = dataclasses.replace(robots_table, agents=(
-        robots_table.agents[0],
-        dataclasses.replace(agent, dims=(met, *agent.dims[1:])),
-        *robots_table.agents[2:],
-    ))
+    met = np.array(robots_table.coeffs)
+    met[1, 0, 0, 0] = met[1, 0, 1, 0]  # agent 2's dim-1 walls meet at t = 0
+    collapsed = dataclasses.replace(robots_table, coeffs=met)
     errors = {}
     for count in (1, 2):
         _cpus(monkeypatch, count)
@@ -462,7 +453,12 @@ def test_integrator_decentralization_byte_identity(case, request):
     plant = make_plant(spec.plant, spec.dims)
     calm = Disturbance(bound=0.0, kind="zero")
     j = 2
-    solo = TubeSet(horizon=tubes.horizon, agents=(tubes.agents[j],))
+    z = tubes.sizes[j].max()  # the agent's own top degree: no other agent's padding
+    solo = TubeSet(
+        horizon=tubes.horizon, coeffs=tubes.coeffs[j : j + 1, ..., :z],
+        sizes=tubes.sizes[j : j + 1], min_widths=tubes.min_widths[j : j + 1],
+        names=tubes.names[j : j + 1],
+    )
     config = build_controller_config(spec, tubes, j, plant)
     full = integrate_agent(j, tubes, plant, config, calm, 0.3, 1e-3)
     alone = integrate_agent(0, solo, plant, config, calm, 0.3, 1e-3)
@@ -543,7 +539,7 @@ def test_tube_collapse_mid_horizon_names_the_evaluation_time(top, message):
     error carries the time of the first evaluation that saw width <= 0."""
     spec = _one_agent_spec(1.0, {"bound": 0.0, "kind": "zero", "seed": 0})
     tubes = tubes_from_dict({"horizon": 1.0, "agents": [{"dims": [
-        {"lower": [0.0, 0.5], "upper": [top, -0.5], "min_width": 0.0},
+        {"lower": [0.0, 0.5], "upper": [top, -0.5], "min_width": 0.1},
         {"lower": [0.4], "upper": [1.6], "min_width": 0.5},
     ]}]})
     with pytest.raises(ControllerIntegrityError) as err:

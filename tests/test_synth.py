@@ -320,8 +320,7 @@ def _full_grid_report(tubes, spec, resolution, tolerance):
         lambda j, i, s, b: f"agent {j + 1} dim {i + 1} {('lower', 'upper')[s]} face "
                            f"past arena {('lo', 'hi')[b]}",
     ))
-    min_width = np.array([[d.min_width for d in a.dims] for a in tubes.agents])
-    gap = faces[:, :, 0] + min_width[..., None] - faces[:, :, 1]
+    gap = faces[:, :, 0] + tubes.min_widths[..., None] - faces[:, :, 1]
     gap_at = gap.argmax(axis=-1)
     families["width"] = FamilyResult("width", *worst(
         np.take_along_axis(gap, gap_at[..., None], axis=-1)[..., 0],
@@ -814,10 +813,9 @@ synth.solve_lp = traced_solve_lp
 result = synth.synthesize(scenario_from_dict(json.load(sys.stdin)))
 cert = result.certificate
 tubes = hashlib.sha256()
-for agent in result.tubes.agents:
-    for dim in agent.dims:
-        for face in (dim.lower, dim.upper):
-            tubes.update(np.asarray(face.coeffs, dtype=float).tobytes())
+for face, size in zip(result.tubes.coeffs.reshape(-1, result.tubes.coeffs.shape[-1]),
+                      result.tubes.sizes.ravel()):
+    tubes.update(face[:size].tobytes())
 print(json.dumps({
     "iterations": result.iterations,
     "lp_solves": result.lp_solves,
@@ -1341,10 +1339,8 @@ def _tubes_digest(tubes):
     import hashlib
 
     digest = hashlib.sha256()
-    for agent in tubes.agents:
-        for dim in agent.dims:
-            for face in (dim.lower, dim.upper):
-                digest.update(np.asarray(face.coeffs, dtype=float).tobytes())
+    for face, size in zip(tubes.coeffs.reshape(-1, tubes.coeffs.shape[-1]), tubes.sizes.ravel()):
+        digest.update(face[:size].tobytes())
     return digest.hexdigest()
 
 
