@@ -16,8 +16,6 @@ __version__ = "0.1.0"
 
 from .scenario import (  # noqa: F401
     AgentTask,
-    Box,
-    Interval,
     ScenarioSpec,
     ScenarioError,
     UnsafeRegion,

@@ -100,6 +100,6 @@ def verify_cover(
     for t, per_t in zip(samples.time_samples, samples.obstacle_bounds):
         for region, bounds in zip(spec.obstacles, per_t):
             truth = unsafe_box_at(region, float(t), spec.horizon)
-            if bounds.tolist() != truth.to_bounds():
+            if bounds.tolist() != truth.tolist():
                 return False, worst
     return ok, worst

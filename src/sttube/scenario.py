@@ -3,8 +3,15 @@
 A scenario file is JSON with top-level keys ``dims``, ``horizon``,
 ``epsilon``, ``arena``, ``agents``, ``obstacles`` and optional ``plant`` /
 ``control`` blocks.  Lengths are meters, times seconds, angles radians.
-Boxes are lists of per-axis ``[lo, hi]`` pairs.  Everything is immutable
-after load and safe to share across threads.
+Boxes are lists of per-axis ``[lo, hi]`` pairs.
+
+In memory every box is the array its consumers compute with: the arena
+and each agent's start and goal are (dims, 2), lo then hi per axis, and
+an obstacle is one keyframe table, ``times`` (K,) and ``bounds``
+(K, dims, 2).  ``box_inside`` and ``boxes_meet`` are the two box tests;
+``unsafe_bounds`` interpolates a table at many times at once.  Every
+array is a read-only copy, so a loaded scenario is immutable and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -23,95 +29,81 @@ class ScenarioError(ValueError):
     """Raised when a scenario file is malformed or violates an invariant."""
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] on one axis."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo <= self.hi):
-            raise ScenarioError(f"interval lo > hi: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
+def box_array(bounds) -> np.ndarray:
+    """Read-only float copy of box bounds (..., dims, 2), lo then hi per
+    axis; raises ScenarioError where an axis has lo > hi (or a NaN)."""
+    out = np.array(bounds, dtype=float)
+    if out.ndim < 2 or out.shape[-1] != 2:
+        raise ScenarioError(f"box bounds must be [lo, hi] pairs, not shape {out.shape}")
+    reversed_ = ~(out[..., 0] <= out[..., 1])
+    if reversed_.any():
+        lo, hi = out[reversed_][0].tolist()
+        raise ScenarioError(f"interval lo > hi: [{lo}, {hi}]")
+    out.flags.writeable = False
+    return out
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned product of intervals."""
-
-    axes: tuple[Interval, ...]
-
-    @property
-    def dims(self) -> int:
-        return len(self.axes)
-
-    @staticmethod
-    def from_bounds(bounds: Sequence[Sequence[float]]) -> "Box":
-        return Box(tuple(Interval(float(lo), float(hi)) for lo, hi in bounds))
-
-    def to_bounds(self) -> list[list[float]]:
-        return [[ax.lo, ax.hi] for ax in self.axes]
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        return all(ax.contains(float(v)) for ax, v in zip(self.axes, x))
-
-    def contains_box(self, other: "Box", tol: float = 0.0) -> bool:
-        return all(
-            a.lo - tol <= b.lo and b.hi <= a.hi + tol
-            for a, b in zip(self.axes, other.axes)
-        )
-
-    def intersects(self, other: "Box") -> bool:
-        # Closed boxes: touching faces count as intersecting.
-        return all(
-            a.lo <= b.hi and b.lo <= a.hi for a, b in zip(self.axes, other.axes)
-        )
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(ax.center for ax in self.axes)
+def box_inside(inner, outer, tol: float = 0.0) -> np.ndarray:
+    """Whether box ``inner`` lies in box ``outer``, up to ``tol`` per face;
+    both (..., dims, 2), broadcast against each other."""
+    return (
+        (outer[..., 0] - tol <= inner[..., 0]) & (inner[..., 1] <= outer[..., 1] + tol)
+    ).all(axis=-1)
 
 
-@dataclass(frozen=True)
+def boxes_meet(a, b) -> np.ndarray:
+    """Whether closed boxes ``a`` and ``b`` meet (touching faces count);
+    both (..., dims, 2), broadcast against each other."""
+    return ((a[..., 0] <= b[..., 1]) & (b[..., 0] <= a[..., 1])).all(axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
 class UnsafeRegion:
-    """Time-varying unsafe box given by keyframes.
+    """Time-varying unsafe box given by keyframes: ``bounds[k]`` (dims, 2)
+    is the box at ``times[k]``.
 
     ``static`` regions hold a single keyframe; ``piecewise-linear`` regions
     interpolate lo/hi per axis between keyframes and hold the last box
-    beyond the final keyframe time.
+    beyond the final keyframe time.  Both arrays are read-only copies.
     """
 
-    keyframes: tuple[tuple[float, Box], ...]
+    times: np.ndarray  # (K,)
+    bounds: np.ndarray  # (K, dims, 2)
     interpolation: str = "static"
 
     def __post_init__(self):
-        if not self.keyframes:
+        times = np.array(self.times, dtype=float)
+        if times.ndim != 1 or not len(times):
             raise ScenarioError("unsafe region needs at least one keyframe")
         if self.interpolation not in ("static", "piecewise-linear"):
             raise ScenarioError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == "static" and len(self.keyframes) != 1:
+        if self.interpolation == "static" and len(times) != 1:
             raise ScenarioError("static region must have exactly one keyframe")
-        times = [t for t, _ in self.keyframes]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+        if not (np.diff(times) > 0).all():  # a NaN time is refused too
             raise ScenarioError("keyframe times must be strictly increasing")
-        dims = {b.dims for _, b in self.keyframes}
-        if len(dims) != 1:
-            raise ScenarioError("keyframe boxes must share dimensions")
+        try:
+            bounds = np.array(self.bounds, dtype=float)
+        except ValueError as exc:  # ragged: boxes of different dimensions
+            raise ScenarioError("keyframe boxes must share dimensions") from exc
+        bounds = box_array(bounds)
+        if bounds.ndim != 3 or len(bounds) != len(times):
+            raise ScenarioError("unsafe region needs one (dims, 2) box per keyframe time")
+        times.flags.writeable = False
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def speed(self) -> float:
+        """Largest speed of any face of the box, max |d bounds / dt| over
+        the keyframe segments; 0 for a single keyframe."""
+        rates = np.diff(self.bounds, axis=0) / np.diff(self.times)[:, None, None]
+        return float(np.abs(rates).max(initial=0.0))
 
 
-def unsafe_box_at(region: UnsafeRegion, t: float, horizon: float | None = None) -> Box:
-    """Unsafe box at time ``t``: exact keyframe, interpolation, or last-box hold.
+def unsafe_box_at(region: UnsafeRegion, t: float, horizon: float | None = None) -> np.ndarray:
+    """Unsafe box (dims, 2) at time ``t``: exact keyframe, interpolation,
+    or last-box hold.  The scalar reference that ``unsafe_bounds`` is
+    checked against.
 
     ``horizon``, when given, bounds the valid query window [0, horizon].
     """
@@ -119,23 +111,15 @@ def unsafe_box_at(region: UnsafeRegion, t: float, horizon: float | None = None) 
         raise ScenarioError(f"time {t} before start of horizon")
     if horizon is not None and t > horizon:
         raise ScenarioError(f"time {t} beyond horizon {horizon}")
-    frames = region.keyframes
-    if region.interpolation == "static" or t <= frames[0][0]:
-        return frames[0][1]
-    if t >= frames[-1][0]:
-        return frames[-1][1]
-    for (t0, b0), (t1, b1) in zip(frames, frames[1:]):
+    times, frames = region.times.tolist(), region.bounds
+    if region.interpolation == "static" or t <= times[0]:
+        return frames[0]
+    if t >= times[-1]:
+        return frames[-1]
+    for k, (t0, t1) in enumerate(zip(times, times[1:])):
         if t0 <= t <= t1:
             w = (t - t0) / (t1 - t0)
-            return Box(
-                tuple(
-                    Interval(
-                        a0.lo + w * (a1.lo - a0.lo),
-                        a0.hi + w * (a1.hi - a0.hi),
-                    )
-                    for a0, a1 in zip(b0.axes, b1.axes)
-                )
-            )
+            return frames[k] + w * (frames[k + 1] - frames[k])
     raise AssertionError("unreachable: keyframes are ordered")
 
 
@@ -152,8 +136,7 @@ def unsafe_bounds(
         raise ScenarioError(f"time {t.min()} before start of horizon")
     if horizon is not None and (t > horizon).any():
         raise ScenarioError(f"time {t.max()} beyond horizon {horizon}")
-    key_t = np.array([k for k, _ in region.keyframes])
-    frames = np.array([b.to_bounds() for _, b in region.keyframes])  # (K, n, 2)
+    key_t, frames = region.times, region.bounds  # (K,), (K, n, 2)
     if len(key_t) == 1:
         return np.repeat(frames, len(t), axis=0)
     seg = np.clip(np.searchsorted(key_t, t) - 1, 0, len(key_t) - 2)
@@ -165,25 +148,27 @@ def unsafe_bounds(
     return out
 
 
-def default_min_width(start: Box, goal: Box) -> tuple[float, ...]:
+def default_min_width(start, goal) -> tuple[float, ...]:
     # Half the tighter of the endpoint box widths keeps the endpoint
     # equalities feasible in every dimension.
-    return tuple(
-        0.5 * min(s.width, g.width) for s, g in zip(start.axes, goal.axes)
-    )
+    widths = np.minimum(np.diff(start, axis=-1), np.diff(goal, axis=-1))[:, 0]
+    return tuple((0.5 * widths).tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentTask:
-    """Start/goal boxes plus the tube template for one agent."""
+    """Start/goal boxes (dims, 2), read-only copies, plus the tube
+    template for one agent."""
 
-    start: Box
-    goal: Box
+    start: np.ndarray
+    goal: np.ndarray
     tube_degree: tuple[int, ...]
     min_width: tuple[float, ...]
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "start", box_array(self.start))
+        object.__setattr__(self, "goal", box_array(self.goal))
         if any(d < 1 for d in self.tube_degree):
             raise ScenarioError("tube degree must be a positive integer")
         if not all(w > 0 for w in self.min_width):
@@ -259,12 +244,13 @@ class ControlConfig:
             raise ScenarioError("e_max must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
-    """A full problem statement: arena, horizon, agents, obstacles."""
+    """A full problem statement: arena (dims, 2), a read-only copy,
+    horizon, agents, obstacles."""
 
     dims: int
-    arena: Box
+    arena: np.ndarray
     horizon: float
     epsilon: float
     agents: tuple[AgentTask, ...]
@@ -273,6 +259,7 @@ class ScenarioSpec:
     control: ControlConfig = field(default_factory=ControlConfig)
 
     def __post_init__(self):
+        object.__setattr__(self, "arena", box_array(self.arena))
         validate_scenario(self)
 
     @property
@@ -288,48 +275,50 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise ScenarioError("epsilon must be positive and finite")
     if not spec.agents:
         raise ScenarioError("at least one agent is required")
-    if spec.arena.dims != spec.dims:
+    shape = (spec.dims, 2)
+    if spec.arena.shape != shape:
         raise ScenarioError("arena dimension does not match dims")
     for j, agent in enumerate(spec.agents):
         tag = agent.name or f"agent {j + 1}"
         for box, label in ((agent.start, "start"), (agent.goal, "goal")):
-            if box.dims != spec.dims:
+            if box.shape != shape:
                 raise ScenarioError(f"{tag}: {label} box dimension mismatch")
-            if not spec.arena.contains_box(box):
+            if not box_inside(box, spec.arena):
                 raise ScenarioError(f"{tag}: {label} box not inside the arena")
         if len(agent.tube_degree) != spec.dims:
             raise ScenarioError(f"{tag}: tube degree list length mismatch")
         if len(agent.min_width) != spec.dims:
             raise ScenarioError(f"{tag}: min width list length mismatch")
-        for i, w in enumerate(agent.min_width):
-            if w > min(agent.start.axes[i].width, agent.goal.axes[i].width):
+        room = np.minimum(np.diff(agent.start), np.diff(agent.goal))[:, 0].tolist()
+        for i, (w, r) in enumerate(zip(agent.min_width, room)):
+            if w > r:
                 raise ScenarioError(
                     f"{tag}: min width {w} exceeds start/goal width in dim {i + 1}"
                 )
     for r, region in enumerate(spec.obstacles):
-        if region.keyframes[0][1].dims != spec.dims:
+        if region.bounds.shape[1:] != shape:
             raise ScenarioError(f"obstacle {r + 1}: box dimension mismatch")
-        # Interpolated box must stay inside the arena over the horizon.
-        probes = sorted(
+        # Interpolated box must stay inside the arena over the horizon:
+        # checked at the ends and the middle of every piece between the
+        # keyframe times.
+        probes = np.array(sorted(
             {0.0, spec.horizon}
-            | {t for t, _ in region.keyframes if 0.0 <= t <= spec.horizon}
-        )
-        for t0, t1 in zip(probes, probes[1:]):
-            for w in (0.0, 0.5, 1.0):
-                t = t0 + w * (t1 - t0)
-                if not spec.arena.contains_box(unsafe_box_at(region, t), tol=1e-12):
-                    raise ScenarioError(
-                        f"obstacle {r + 1}: leaves the arena at t={t:g}"
-                    )
-        u0 = unsafe_box_at(region, 0.0)
-        uc = unsafe_box_at(region, spec.horizon)
+            | {t for t in region.times.tolist() if 0.0 <= t <= spec.horizon}
+        ))
+        t = (probes[:-1, None] + np.array([0.0, 0.5, 1.0]) * np.diff(probes)[:, None]).ravel()
+        outside = ~box_inside(unsafe_bounds(region, t), spec.arena, tol=1e-12)
+        if outside.any():
+            raise ScenarioError(
+                f"obstacle {r + 1}: leaves the arena at t={t[outside.argmax()]:g}"
+            )
+        u0, uc = unsafe_bounds(region, [0.0, spec.horizon])
         for j, agent in enumerate(spec.agents):
             tag = agent.name or f"agent {j + 1}"
-            if agent.start.intersects(u0):
+            if boxes_meet(agent.start, u0):
                 raise ScenarioError(
                     f"{tag}: start box intersects unsafe region {r + 1} at t=0"
                 )
-            if agent.goal.intersects(uc):
+            if boxes_meet(agent.goal, uc):
                 raise ScenarioError(
                     f"{tag}: goal box intersects unsafe region {r + 1} at t=t_c"
                 )
@@ -372,13 +361,13 @@ def _key(raw: dict, key: str, field: str):
     return raw[key]
 
 
-def _box(value, field: str) -> Box:
+def _box(value, field: str) -> np.ndarray:
     pairs = _list(value, field)
     if not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
         raise ScenarioError(f"{field} must be a list of [lo, hi] pairs, not {value!r}")
     bounds = [[_number(v, field) for v in p] for p in pairs]
     try:
-        return Box.from_bounds(bounds)
+        return box_array(np.reshape(bounds, (-1, 2)))  # [] is a box of no axes
     except ScenarioError as exc:  # lo > hi
         raise ScenarioError(f"{field}: {exc}") from exc
 
@@ -408,14 +397,15 @@ def _agent_from_dict(raw, dims: int, idx: int) -> AgentTask:
 def _region_from_dict(raw, idx: int) -> UnsafeRegion:
     tag = f"obstacle {idx + 1}"
     raw = _object(raw, tag)
-    frames = []
+    times, boxes = [], []
     for frame in _list(_key(raw, "keyframes", tag), f"{tag} keyframes"):
         if not isinstance(frame, (list, tuple)) or len(frame) != 2:
             raise ScenarioError(f"{tag} keyframes must be [time, box] pairs, not {frame!r}")
         t, box = frame
-        frames.append((_number(t, f"{tag} keyframe time"), _box(box, f"{tag} keyframe box")))
+        times.append(_number(t, f"{tag} keyframe time"))
+        boxes.append(_box(box, f"{tag} keyframe box"))
     return UnsafeRegion(
-        keyframes=tuple(frames), interpolation=raw.get("interpolation", "static")
+        times=times, bounds=boxes, interpolation=raw.get("interpolation", "static")
     )
 
 
@@ -485,16 +475,22 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
+    """The JSON form that ``scenario_from_dict`` reads back.  The plant
+    ``kind`` is left out where no built-in kind fits ``dims``: there it
+    can only be the loader's default, and a file may not name it.  A
+    kind that misfits dims some kind fits is written, and refused on
+    load."""
+    named = spec.dims in PLANT_DIMS.values()
     return {
         "dims": spec.dims,
         "horizon": spec.horizon,
         "epsilon": spec.epsilon,
-        "arena": spec.arena.to_bounds(),
+        "arena": spec.arena.tolist(),
         "agents": [
             {
                 "name": a.name,
-                "start": a.start.to_bounds(),
-                "goal": a.goal.to_bounds(),
+                "start": a.start.tolist(),
+                "goal": a.goal.tolist(),
                 "tube_degree": list(a.tube_degree),
                 "min_width": list(a.min_width),
             }
@@ -503,12 +499,12 @@ def scenario_to_dict(spec: ScenarioSpec) -> dict:
         "obstacles": [
             {
                 "interpolation": r.interpolation,
-                "keyframes": [[t, b.to_bounds()] for t, b in r.keyframes],
+                "keyframes": [[t, b] for t, b in zip(r.times.tolist(), r.bounds.tolist())],
             }
             for r in spec.obstacles
         ],
         "plant": {
-            "kind": spec.plant.kind,
+            **({"kind": spec.plant.kind} if named else {}),
             "heading_band": list(spec.plant.heading_band),
             "disturbance": {
                 "bound": spec.plant.disturbance_bound,

@@ -78,11 +78,17 @@ class SynthesisInfeasible(RuntimeError):
 
 
 class SynthesisFailure(RuntimeError):
-    """No certified result that passes its own dense validation."""
+    """No certified result that passes its own dense validation.
 
-    def __init__(self, message: str, best_margin: float):
+    ``best_margin`` is the margin of the certificate ``cert`` the failure
+    names, ``eta_star`` and ``l_eps`` its two terms: the sampled optimum
+    and L * epsilon."""
+
+    def __init__(self, message: str, cert: SynthesisCertificate):
         super().__init__(message)
-        self.best_margin = best_margin
+        self.best_margin = cert.margin
+        self.eta_star = cert.eta_star
+        self.l_eps = cert.lipschitz_composite * cert.epsilon
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +176,7 @@ class SopInstance:
 
         self.z = np.array(template.degrees, dtype=int).reshape(self.m, self.n) + 1
         for j, i in np.argwhere(self.z < 2):
-            s, g = spec.agents[j].start.axes[i], spec.agents[j].goal.axes[i]
-            if s.lo != g.lo or s.hi != g.hi:
+            if (spec.agents[j].start[i] != spec.agents[j].goal[i]).any():
                 raise SynthesisError(
                     f"agent {j + 1} dim {i + 1}: degree "
                     f"{template.degrees[j][i]} cannot satisfy both endpoint "
@@ -201,12 +206,12 @@ class SopInstance:
         bounds = self.obstacle_bounds.reshape(self.n_t, n_reg * self.n * 2)
         self._rhs_bounds = np.hstack([bounds, np.zeros((self.n_t, 1))])
         self._bound_rows = bounds.T.ravel()  # bound b at sample r: b * n_t + r
-        self.arena = np.array(spec.arena.to_bounds())  # (n, 2)
+        self.arena = spec.arena  # (n, 2)
         # arena (lo, hi) of every face, (faces, 2)
         self.face_arena = np.repeat(np.tile(self.arena, (self.m, 1)), 2, axis=0)
         self.min_widths = np.array(template.min_widths, dtype=float).reshape(self.m, self.n)
         # start and goal box bounds, (m, start/goal, n, lo/hi)
-        self.ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
+        self.ends = np.array([[a.start, a.goal] for a in spec.agents])
         self.pairs = [
             (j, k) for j in range(self.m) for k in range(j + 1, self.m)
         ]
@@ -482,13 +487,10 @@ class DisjunctAssignment:
 
 def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
     """Straight-line start-center to goal-center path per agent: (M, n_t, n)."""
-    out = np.zeros((spec.agent_count, len(times), spec.dims))
-    for j, task in enumerate(spec.agents):
-        s = np.array(task.start.center)
-        g = np.array(task.goal.center)
-        w = (times / spec.horizon)[:, None]
-        out[j] = s[None, :] * (1.0 - w) + g[None, :] * w
-    return out
+    ends = np.array([[a.start, a.goal] for a in spec.agents])  # (M, start/goal, n, lo/hi)
+    centers = 0.5 * (ends[..., 0] + ends[..., 1])
+    w = (times / spec.horizon)[:, None]
+    return centers[:, None, 0] * (1.0 - w) + centers[:, None, 1] * w
 
 
 def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignment:
@@ -939,7 +941,9 @@ def refine_assignment(
 
 @dataclass(frozen=True)
 class SynthesisCertificate:
-    """Sampled-to-robust margin: eta + L * epsilon must be nonpositive."""
+    """Sampled-to-robust margin: eta + L * epsilon must be nonpositive.
+    ``obstacle_speed`` (v) is the obstacles' largest keyframe speed, which
+    L includes (``composite_lipschitz``)."""
 
     eta_star: float
     lipschitz_lower: float
@@ -949,12 +953,14 @@ class SynthesisCertificate:
     margin: float
     passed: bool
     lipschitz_source: str = "analytic"
+    obstacle_speed: float = 0.0
 
     def to_dict(self) -> dict:
         return {
             "eta_star": self.eta_star,
             "L_L": self.lipschitz_lower,
             "L_U": self.lipschitz_upper,
+            "v": self.obstacle_speed,
             "L": self.lipschitz_composite,
             "epsilon": self.epsilon,
             "margin": self.margin,
@@ -963,9 +969,25 @@ class SynthesisCertificate:
         }
 
 
-def composite_lipschitz(l_lower: float, l_upper: float) -> float:
+def composite_lipschitz(l_lower: float, l_upper: float, obstacle_speed: float = 0.0) -> float:
+    """Lipschitz constant in t of every row of the robust problem: the
+    largest over the row families, from the steepest lower face's slope
+    ``l_lower`` (L_L), the steepest upper face's ``l_upper`` (L_U) and
+    the obstacles' largest keyframe speed ``obstacle_speed`` (v).
+
+    - arena rows, one face against a fixed bound: L_L and L_U;
+    - width and collision rows, a lower face against an upper one:
+      L_L + L_U;
+    - unsafe rows, one face against an obstacle bound that moves at up to
+      v, plus 1 for the point of the unsafe set: L_L + v + 1 and
+      L_U + v + 1.
+    """
     return max(
-        l_lower, l_upper, l_lower + l_upper, l_lower + 1.0, l_upper + 1.0
+        l_lower,
+        l_upper,
+        l_lower + l_upper,
+        l_lower + obstacle_speed + 1.0,
+        l_upper + obstacle_speed + 1.0,
     )
 
 
@@ -975,8 +997,11 @@ def certify(
     epsilon: float,
     lipschitz_source: str = "analytic",
     slope_cfg=None,
+    *,
+    obstacle_speed: float = 0.0,
 ) -> SynthesisCertificate:
-    """Evaluate the sampled-to-robust condition for a solved tube set."""
+    """Evaluate the sampled-to-robust condition for a solved tube set
+    whose obstacles move at up to ``obstacle_speed`` (0: all static)."""
     if lipschitz_source == "analytic":
         l_lower, l_upper = slope_bounds(tubes)
     elif lipschitz_source == "estimated":
@@ -986,7 +1011,7 @@ def certify(
         l_lower, l_upper = estimate_L(tubes, cfg)
     else:
         raise ValueError(f"unknown lipschitz source {lipschitz_source!r}")
-    l_comp = composite_lipschitz(l_lower, l_upper)
+    l_comp = composite_lipschitz(l_lower, l_upper, obstacle_speed)
     margin = eta_star + l_comp * epsilon
     return SynthesisCertificate(
         eta_star=eta_star,
@@ -997,6 +1022,7 @@ def certify(
         margin=margin,
         passed=margin <= 0.0,
         lipschitz_source=lipschitz_source,
+        obstacle_speed=obstacle_speed,
     )
 
 
@@ -1081,7 +1107,7 @@ def validate_tubes(
         at[later] = start + q[later]
 
     # endpoints: containment of the tube box in the start/goal boxes
-    ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
+    ends = np.array([[a.start, a.goal] for a in spec.agents])
     pinned = tube_values(tubes, grid[[0, -1]]).transpose(0, 3, 1, 2)  # (m, start/goal, n, lo/hi)
     outward = np.stack([ends[..., 0] - pinned[..., 0], pinned[..., 1] - ends[..., 1]], axis=-1)
     eq_resid = float(np.abs(outward).max(initial=0.0))
@@ -1114,7 +1140,7 @@ def validate_tubes(
 
     # arena confinement (subtracting a fixed bound is monotone, so the
     # worst excess sits at the face's lowest or highest sample)
-    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None]
+    lo, hi = spec.arena.T[:, :, None]
     past = np.stack([lo - face_lo, face_hi - hi], axis=-1)
     families["arena"] = FamilyResult("arena", *worst(
         past,
@@ -1187,11 +1213,17 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     LPs of witness scoring and of every refinement candidate, up to the
     round that stopped it when it could not win (see ``solve_sop``).
 
-    Raises SynthesisFailure with the best margin found when the
-    refinement budget runs out without any certificate, and with the
-    certified margin when the certified tubes fail their own dense
-    validation (eps/4, tolerance 1e-4): a result is never returned
-    certified and invalid.
+    Every certificate takes the obstacles' largest keyframe speed, so a
+    moving obstacle's rows are certified between samples too.
+
+    Raises SynthesisFailure with the best margin found, and its eta* and
+    L * epsilon, when the search stalls or the refinement budget runs
+    out without any certificate.  Its message names which term blocks:
+    eta* > 0 (no searched witness table makes the sampled problem
+    feasible) or L * epsilon (a smaller epsilon may certify).  Also
+    raised with the certified margin when the certified tubes fail their
+    own dense validation (eps/4, tolerance 1e-4): a result is never
+    returned certified and invalid.
     """
     t0 = time.perf_counter()
     samples = sample_unsafe(spec)
@@ -1199,10 +1231,23 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     instance = build_sop(spec, samples, template)
     diag = SolveDiagnostics()
     solve_sop(instance, [seed_assignment(spec, samples)], diag)
+    speed = max((region.speed for region in spec.obstacles), default=0.0)
 
-    best_margin = float("inf")
+    best = None  # the certificate of the least margin so far
     since_improved = 0
     certified = None  # (tubes, certificate, assignment) of the best certified iterate
+
+    def uncertified(reason: str) -> SynthesisFailure:
+        if best.eta_star > 0:
+            cause = "no searched witness table makes the sampled problem feasible at this degree"
+        else:
+            cause = "the sampled problem is feasible, and a smaller epsilon may certify"
+        l_eps = best.lipschitz_composite * best.epsilon
+        return SynthesisFailure(
+            f"{reason} (best margin {best.margin:.6f}: eta* {best.eta_star:.6f}, "
+            f"L*eps {l_eps:.6f}); {cause}",
+            best,
+        )
 
     def result(iteration: int) -> SynthesisResult:
         tubes, cert, asg = certified
@@ -1214,7 +1259,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
             raise SynthesisFailure(
                 f"certified tubes (margin {cert.margin:.6f}) fail their own "
                 f"eps/4 validation in families {failing}",
-                cert.margin,
+                cert,
             )
         return SynthesisResult(
             tubes=tubes,
@@ -1229,10 +1274,10 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
         )
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        cert = certify(diag.eta_star, diag.tubes, spec.epsilon)
-        improved = cert.margin < best_margin - 1e-12
+        cert = certify(diag.eta_star, diag.tubes, spec.epsilon, obstacle_speed=speed)
+        improved = best is None or cert.margin < best.margin - 1e-12
         if improved:
-            best_margin = cert.margin
+            best = cert
             since_improved = 0
         else:
             since_improved += 1
@@ -1244,17 +1289,8 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
         if refined is None or since_improved >= 6:
             if certified is not None:
                 return result(iteration)
-            raise SynthesisFailure(
-                "assignment search stalled without certification "
-                f"(best margin {best_margin:.6f}); a higher-degree polynomial "
-                "may be required",
-                best_margin,
-            )
+            raise uncertified("assignment search stalled without certification")
         diag = refined
     if certified is not None:
         return result(MAX_ITERATIONS)
-    raise SynthesisFailure(
-        f"refinement budget exhausted (best margin {best_margin:.6f}); "
-        "a higher-degree polynomial may be required",
-        best_margin,
-    )
+    raise uncertified("refinement budget exhausted")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import obstacle_bounds
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, box_inside, boxes_meet
 from .sim import Trajectory
 from .tube import TubeSet, agent_walls
 
@@ -82,14 +82,11 @@ class VerificationReport:
         return out
 
 
-def _box_distance(point: np.ndarray, bounds: list[list[float]]) -> float:
-    d = 0.0
-    for v, (lo, hi) in zip(point, bounds):
-        if v < lo:
-            d += (lo - v) ** 2
-        elif v > hi:
-            d += (v - hi) ** 2
-    return float(np.sqrt(d))
+def _box_distance(point: np.ndarray, bounds: np.ndarray) -> float:
+    """Euclidean distance from ``point`` to the box ``bounds`` (dims, 2):
+    0 inside, NaN where a coordinate is NaN."""
+    gap = np.maximum(bounds[:, 0] - point, 0.0) + np.maximum(point - bounds[:, 1], 0.0)
+    return float(np.sqrt((gap**2).sum()))
 
 
 def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
@@ -102,14 +99,14 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
         traj.aborted is None
         and abs(float(traj.times[-1]) - spec.horizon) < 1e-9
     )
-    start_ok = task.start.contains_point(y[0])
-    goal_dist = _box_distance(y[-1], task.goal.to_bounds())
-    goal_ok = covers and task.goal.contains_point(y[-1])
+    points = np.broadcast_to(y[..., None], (*y.shape, 2))  # each sample as a box of width 0
+    start_ok = bool(box_inside(points[0], task.start))
+    goal_dist = _box_distance(y[-1], task.goal)
+    goal_ok = covers and bool(box_inside(points[-1], task.goal))
     # n_steps * dt may overshoot the horizon by rounding; the obstacles
     # are defined on [0, horizon] only.
     bounds = obstacle_bounds(spec, np.minimum(traj.times, spec.horizon))  # (T, R, n, 2)
-    point = y[:, None]
-    inside = ((bounds[..., 0] <= point) & (point <= bounds[..., 1])).all(axis=-1)  # (T, R)
+    inside = boxes_meet(points[:, None], bounds)  # (T, R)
     hits = np.argwhere(inside.T)  # first region first, then first time
     avoid_ok = not len(hits)
     violation_t = None if avoid_ok else float(traj.times[hits[0, 1]])

@@ -60,18 +60,14 @@ def mini_spec():
     )
 
 
-@pytest.fixture(scope="session")
-def sweeping_bar():
+def _moving_bar(v: float, epsilon: float) -> dict:
     """One agent crossing a corridor that a bar x [2, 4] sweeps across at
-    speed 20, from y [0, 0.5] to y [5.5, 6] around t = 2.  The analytic
-    certificate passes (margin -0.0687) while the eps/4 dense validation
-    puts the tube inside the bar at t = 2.1: the certificate does not yet
-    account for obstacle motion."""
-    v = 20.0
+    speed ``v``, from y [0, 0.5] to y [5.5, 6] around t = 2 (the shipped
+    ``moving_bar.scenario`` is v 2 at epsilon 0.01)."""
     t_a = 2.0 - 2.75 / v + 0.013
     low, high = [[2.0, 4.0], [0.0, 0.5]], [[2.0, 4.0], [5.5, 6.0]]
     return {
-        "dims": 2, "horizon": 4.0, "epsilon": 0.1,
+        "dims": 2, "horizon": 4.0, "epsilon": epsilon,
         "arena": [[0.0, 6.0], [0.0, 6.0]],
         "agents": [{"start": [[0.0, 1.0], [2.5, 3.5]], "goal": [[5.0, 6.0], [2.5, 3.5]],
                     "tube_degree": [3, 3], "min_width": [0.3, 0.3]}],
@@ -79,6 +75,21 @@ def sweeping_bar():
             [0.0, low], [t_a, low], [t_a + 5.5 / v, high], [4.0, high],
         ]}],
     }
+
+
+@pytest.fixture(scope="session")
+def moving_bar():
+    """The bar scenario of a given speed and epsilon, as a JSON dict."""
+    return _moving_bar
+
+
+@pytest.fixture(scope="session")
+def sweeping_bar():
+    """The bar at speed 20 and epsilon 0.1.  Without the bar's speed in
+    the certificate, the analytic certificate passes (margin -0.0687)
+    while the eps/4 dense validation puts the tube inside the bar at
+    t = 2.1."""
+    return _moving_bar(20.0, 0.1)
 
 
 @pytest.fixture(scope="session")

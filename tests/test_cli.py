@@ -82,10 +82,14 @@ def test_synth_failed_lp_is_a_synthesis_failure(tmp_path, solo_scenario, capsys,
     assert not (tmp_path / "solo.tubes").exists()
 
 
-def test_synth_certified_but_invalid_tubes_exit_2(tmp_path, sweeping_bar, capsys):
+def test_synth_certified_but_invalid_tubes_exit_2(tmp_path, sweeping_bar, capsys, monkeypatch):
     """Tubes that certify but fail their own eps/4 validation are a
     synthesis failure: exit 2, a ``synthesis failed:`` line naming the
-    failing family, and no tubes written."""
+    failing family, and no tubes written.  The certificate is made to
+    ignore the bar's speed, as in ``test_synth.py``, so that it passes."""
+    from sttube.scenario import UnsafeRegion
+
+    monkeypatch.setattr(UnsafeRegion, "speed", property(lambda region: 0.0))
     path = tmp_path / "bar.scenario"
     path.write_text(json.dumps(sweeping_bar))
     code = main(["synth", str(path), "--out", str(tmp_path)])

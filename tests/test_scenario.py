@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sttube.scenario import (
-    Box,
-    Interval,
+    AgentTask,
     ScenarioError,
     UnsafeRegion,
+    box_array,
+    box_inside,
+    boxes_meet,
     default_min_width,
     load_scenario,
     save_scenario,
@@ -20,7 +26,7 @@ def test_shipped_robot_scenario(robots_spec):
     assert robots_spec.agent_count == 4
     assert robots_spec.dims == 2
     assert robots_spec.horizon == 10.0
-    assert robots_spec.arena.to_bounds() == [[0.0, 5.0], [0.0, 5.0]]
+    assert robots_spec.arena.tolist() == [[0.0, 5.0], [0.0, 5.0]]
     assert robots_spec.epsilon == 0.002
 
 
@@ -28,9 +34,9 @@ def test_shipped_drone_scenario(drones_spec):
     assert drones_spec.agent_count == 4
     assert drones_spec.dims == 3
     assert drones_spec.horizon == 20.0
-    assert drones_spec.arena.to_bounds() == [[0.0, 3.0], [0.0, 3.0], [0.0, 15.0]]
+    assert drones_spec.arena.tolist() == [[0.0, 3.0], [0.0, 3.0], [0.0, 15.0]]
     assert len(drones_spec.obstacles) == 1
-    assert drones_spec.obstacles[0].keyframes[0][1].to_bounds() == [
+    assert drones_spec.obstacles[0].bounds[0].tolist() == [
         [1.0, 2.0], [0.0, 3.0], [0.0, 3.0],
     ]
 
@@ -47,35 +53,73 @@ def test_round_trip_bit_exact(tmp_path, robots_spec):
 
 
 def test_interval_and_box_invariants():
-    with pytest.raises(ScenarioError):
-        Interval(2.0, 1.0)
-    box = Box.from_bounds([[0, 1], [2, 5]])
-    assert box.dims == 2
-    assert box.center == (0.5, 3.5)
-    assert box.contains_point((0.5, 2.0))
-    assert not box.contains_point((1.5, 3.0))
+    """A box is a read-only (dims, 2) copy of its bounds, and no axis may
+    have lo > hi; a point is the box of width 0 at it."""
+    with pytest.raises(ScenarioError, match=r"interval lo > hi: \[2.0, 1.0\]"):
+        box_array([[0, 1], [2.0, 1.0]])
+    with pytest.raises(ScenarioError, match="interval lo > hi"):
+        box_array([[float("nan"), 1.0]])
+    bounds = [[0.0, 1.0], [2.0, 5.0]]
+    box = box_array(bounds)
+    assert box.shape == (2, 2) and box.dtype == float
+    assert not box.flags.writeable
+    with pytest.raises(ValueError):
+        box[0, 0] = -1.0
+    bounds[0][0] = -1.0
+    assert box[0, 0] == 0.0
+    assert box_inside(box_array([[0.5, 0.5], [2.0, 2.0]]), box)
+    assert not box_inside(box_array([[1.5, 1.5], [3.0, 3.0]]), box)
+    assert not box_inside(box_array([[0.0, 1.0 + 1e-9], [2.0, 5.0]]), box)
+    assert box_inside(box_array([[0.0, 1.0 + 1e-9], [2.0, 5.0]]), box, tol=1e-9)
+    # closed boxes: touching faces meet, a gap in any one axis does not
+    assert boxes_meet(box, box_array([[1.0, 2.0], [5.0, 6.0]]))
+    assert not boxes_meet(box, box_array([[1.0, 2.0], [5.5, 6.0]]))
+
+
+def test_tasks_and_regions_hold_read_only_copies():
+    start, goal = np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[4.0, 5.0], [4.0, 5.0]])
+    task = AgentTask(start=start, goal=goal, tube_degree=(2, 2), min_width=(0.4, 0.4))
+    start[0, 0] = 9.0
+    assert task.start[0, 0] == 0.0 and not task.goal.flags.writeable
+    times, bounds = [0.0, 2.0], [[[0, 1], [0, 1]], [[2, 3], [0, 1]]]
+    region = UnsafeRegion(times=times, bounds=bounds, interpolation="piecewise-linear")
+    assert region.times.shape == (2,) and region.bounds.shape == (2, 2, 2)
+    assert not region.times.flags.writeable and not region.bounds.flags.writeable
+    assert region.speed == 1.0
+    assert UnsafeRegion(times=[0.0], bounds=[[[0, 1], [0, 1]]]).speed == 0.0
+    for kwargs, message in (
+        ({"times": [], "bounds": []}, "at least one keyframe"),
+        ({"times": [0.0, 1.0], "bounds": bounds}, "exactly one keyframe"),
+        ({"times": [1.0, 1.0], "bounds": bounds, "interpolation": "piecewise-linear"},
+         "strictly increasing"),
+        ({"times": [0.0, float("nan")], "bounds": bounds, "interpolation": "piecewise-linear"},
+         "strictly increasing"),
+        ({"times": times, "bounds": [bounds[0], [[2, 3]]], "interpolation": "piecewise-linear"},
+         "share dimensions"),
+        ({"times": times, "bounds": [[[0, 1]], [[1, 0]]], "interpolation": "piecewise-linear"},
+         "interval lo > hi"),
+        ({"times": [0.0], "bounds": bounds}, "one \\(dims, 2\\) box per keyframe time"),
+        ({"times": [0.0], "bounds": bounds[:1], "interpolation": "spline"}, "unknown interp"),
+    ):
+        with pytest.raises(ScenarioError, match=message):
+            UnsafeRegion(**kwargs)
 
 
 def test_unsafe_box_static_and_interp():
-    static = UnsafeRegion(
-        keyframes=((0.0, Box.from_bounds([[0, 1], [0, 1]])),),
-        interpolation="static",
-    )
+    static = UnsafeRegion(times=[0.0], bounds=[[[0, 1], [0, 1]]], interpolation="static")
     for t in (0.0, 3.3, 10.0):
-        assert unsafe_box_at(static, t).to_bounds() == [[0, 1], [0, 1]]
+        assert unsafe_box_at(static, t).tolist() == [[0, 1], [0, 1]]
 
     moving = UnsafeRegion(
-        keyframes=(
-            (0.0, Box.from_bounds([[0, 1], [0, 1]])),
-            (10.0, Box.from_bounds([[2, 3], [0, 1]])),
-        ),
+        times=[0.0, 10.0],
+        bounds=[[[0, 1], [0, 1]], [[2, 3], [0, 1]]],
         interpolation="piecewise-linear",
     )
     mid = unsafe_box_at(moving, 5.0)
-    assert mid.to_bounds() == [[1.0, 2.0], [0.0, 1.0]]
+    assert mid.tolist() == [[1.0, 2.0], [0.0, 1.0]]
     # endpoint lands exactly on the last keyframe; beyond it the box holds
-    assert unsafe_box_at(moving, 10.0).to_bounds() == [[2, 3], [0, 1]]
-    assert unsafe_box_at(moving, 12.0).to_bounds() == [[2, 3], [0, 1]]
+    assert unsafe_box_at(moving, 10.0).tolist() == [[2, 3], [0, 1]]
+    assert unsafe_box_at(moving, 12.0).tolist() == [[2, 3], [0, 1]]
     with pytest.raises(ScenarioError):
         unsafe_box_at(moving, -0.1)
     with pytest.raises(ScenarioError):
@@ -86,20 +130,21 @@ def test_unsafe_bounds_match_scalar_reference():
     """The array form equals unsafe_box_at bit for bit, including at the
     interior keyframe, where both interpolate the earlier segment at w = 1
     (0.1 + (0.43 - 0.1) is not 0.43 in floating point)."""
-    static = UnsafeRegion(keyframes=((0.0, Box.from_bounds([[0.1, 1.3], [0.7, 0.9]])),))
+    static = UnsafeRegion(times=[0.0], bounds=[[[0.1, 1.3], [0.7, 0.9]]])
     moving = UnsafeRegion(
-        keyframes=(
-            (1.0, Box.from_bounds([[0.1, 1.3], [0.13, 0.9]])),
-            (3.3, Box.from_bounds([[0.43, 1.5], [1.16, 1.9]])),
-            (7.1, Box.from_bounds([[2.0, 3.0], [0.5, 1.0]])),
-        ),
+        times=[1.0, 3.3, 7.1],
+        bounds=[
+            [[0.1, 1.3], [0.13, 0.9]],
+            [[0.43, 1.5], [1.16, 1.9]],
+            [[2.0, 3.0], [0.5, 1.0]],
+        ],
         interpolation="piecewise-linear",
     )
     # before the first keyframe, on each, between them, after the last
     times = np.concatenate([[0.0, 0.5, 1.0, 2.2, 3.3, 5.0, 7.1, 9.0, 10.0],
                             np.linspace(0.0, 10.0, 1001)])
     for region in (static, moving):
-        expect = np.array([unsafe_box_at(region, float(t), 10.0).to_bounds() for t in times])
+        expect = np.array([unsafe_box_at(region, float(t), 10.0) for t in times])
         got = unsafe_bounds(region, times, 10.0)
         assert got.shape == (len(times), 2, 2)
         assert got.tobytes() == expect.tobytes()
@@ -115,7 +160,7 @@ def test_unsafe_boxes_stay_inside_arena(robots_spec, drones_spec):
         for t in np.linspace(0.0, spec.horizon, 1000):
             for region in spec.obstacles:
                 box = unsafe_box_at(region, float(t), spec.horizon)
-                assert spec.arena.contains_box(box, tol=1e-12)
+                assert box_inside(box, spec.arena, tol=1e-12)
 
 
 def _raw(robots_path=None):
@@ -190,8 +235,8 @@ def test_malformed_file_is_a_parse_error(tmp_path):
 
 
 def test_default_min_width_rule():
-    start = Box.from_bounds([[0, 1], [0, 0.5]])
-    goal = Box.from_bounds([[4, 5], [0, 0.8]])
+    start = box_array([[0, 1], [0, 0.5]])
+    goal = box_array([[4, 5], [0, 0.8]])
     assert default_min_width(start, goal) == (0.5, 0.25)
 
 
@@ -281,7 +326,8 @@ def test_a_plant_without_a_kind_gets_the_kind_that_fits_its_dims(dims, kind):
         assert spec.plant.kind == kind
         if dims in (2, 3):
             assert make_plant(spec.plant, dims).kind == kind
-            assert scenario_from_dict(scenario_to_dict(spec)).plant.kind == kind
+        # a saved scenario loads back, whatever its dims
+        assert scenario_from_dict(scenario_to_dict(spec)).plant.kind == kind
 
 
 def test_loader_rejects_a_non_object():
@@ -293,3 +339,103 @@ def test_loader_broadcasts_an_integer_degree():
     raw = _raw()
     _agent(raw)["tube_degree"] = 3
     assert scenario_from_dict(raw).agents[0].tube_degree == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# generated scenarios
+
+
+def _coord(draw, lo, hi):
+    return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _boxes_in(draw, arena):
+    """A box inside ``arena``, each axis at least a tenth of its width."""
+    box = []
+    for lo, hi in arena:
+        span = hi - lo
+        a = lo + 0.9 * span * _coord(draw, 0.0, 1.0)
+        box.append([a, min(hi, a + 0.1 * span + (hi - a - 0.1 * span) * _coord(draw, 0.0, 1.0))])
+    return box
+
+
+@st.composite
+def scenarios(draw):
+    """Scenario dicts of 1-4 dims, 1-3 agents and 0-2 obstacles, static or
+    piecewise-linear, with and without plant and control blocks; some
+    are invalid (an obstacle on a start box), and callers ``assume`` them
+    away."""
+    dims = draw(st.integers(1, 4))
+    arena = []
+    for _ in range(dims):
+        lo = _coord(draw, -10.0, 10.0)
+        arena.append([lo, lo + _coord(draw, 1.0, 20.0)])
+    horizon = _coord(draw, 0.5, 30.0)
+    raw = {
+        "dims": dims,
+        "horizon": horizon,
+        "epsilon": _coord(draw, 1e-3, 0.5),
+        "arena": arena,
+        "agents": [],
+        "obstacles": [],
+    }
+    for j in range(draw(st.integers(1, 3))):
+        start, goal = draw(_boxes_in(arena)), draw(_boxes_in(arena))
+        agent = {"name": f"a{j}", "start": start, "goal": goal,
+                 "tube_degree": draw(st.one_of(
+                     st.integers(1, 3), st.lists(st.integers(1, 3), min_size=dims, max_size=dims)
+                 ))}
+        if draw(st.booleans()):
+            agent["min_width"] = [
+                min(s[1] - s[0], g[1] - g[0]) * _coord(draw, 0.05, 1.0)
+                for s, g in zip(start, goal)
+            ]
+        raw["agents"].append(agent)
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            raw["obstacles"].append(
+                {"interpolation": "static", "keyframes": [[0.0, draw(_boxes_in(arena))]]}
+            )
+            continue
+        times = sorted(set(draw(st.lists(
+            st.floats(0.0, 1.5 * horizon, allow_nan=False), min_size=1, max_size=4
+        ))))
+        raw["obstacles"].append({
+            "interpolation": "piecewise-linear",
+            "keyframes": [[t, draw(_boxes_in(arena))] for t in times],
+        })
+    if draw(st.booleans()):
+        raw["plant"] = {
+            "heading_band": sorted([_coord(draw, -3.0, -0.1), _coord(draw, 0.1, 3.0)]),
+            "disturbance": {"bound": _coord(draw, 0.0, 0.1),
+                            "kind": draw(st.sampled_from(["zero", "uniform", "sinusoidal"])),
+                            "seed": draw(st.integers(0, 2**31))},
+        }
+        fitting = {2: "omnidirectional", 3: "drone_chain"}
+        if dims in fitting and draw(st.booleans()):
+            raw["plant"]["kind"] = fitting[dims]
+    if draw(st.booleans()):
+        raw["control"] = {"kappa": draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3)),
+                          "funnel": {"q": _coord(draw, 0.05, 0.5)}}
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=scenarios(), at=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_generated_scenarios_round_trip(raw, at):
+    """A valid scenario of any dims saves and loads back to the same
+    JSON, and ``unsafe_bounds`` equals ``unsafe_box_at`` bit for bit at
+    every keyframe time in the horizon and between them."""
+    try:
+        spec = scenario_from_dict(raw)
+    except ScenarioError:
+        assume(False)
+    saved = json.loads(json.dumps(scenario_to_dict(spec)))
+    assert scenario_to_dict(scenario_from_dict(saved)) == saved
+    for region in spec.obstacles:
+        keys = region.times[region.times <= spec.horizon]
+        mids = 0.5 * (keys[:-1] + keys[1:])
+        times = np.concatenate([keys, mids, spec.horizon * np.array(at)])
+        expect = np.array([unsafe_box_at(region, float(t), spec.horizon) for t in times])
+        assert unsafe_bounds(region, times, spec.horizon).tobytes() == expect.tobytes()

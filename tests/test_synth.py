@@ -164,9 +164,9 @@ def test_seed_matches_scalar_reference(robots_spec):
             box = unsafe_box_at(region, float(t), robots_spec.horizon)
             for j in range(m):
                 best = None
-                for i, ax in enumerate(box.axes):
+                for i, (lo, hi) in enumerate(box.tolist()):
                     p = refs[j, t_idx, i]
-                    clearance, side = max((ax.lo - p, 1), (p - ax.hi, 0))
+                    clearance, side = max((lo - p, 1), (p - hi, 0))
                     if best is None or clearance > best[0] + 1e-15:
                         best = (clearance, 2 * i + side)
                 assert asg.unsafe[j, r, t_idx] == best[1]
@@ -195,6 +195,23 @@ def test_certificate_never_passes_nonnegative_eta(robots_table):
 def test_composite_bound_small_slopes():
     assert composite_lipschitz(0.4, 0.4) == pytest.approx(1.4)
     assert composite_lipschitz(3.946, 3.871) == pytest.approx(7.817)
+
+
+def test_obstacle_speed_enters_only_the_unsafe_terms(robots_table):
+    """v adds to the face slope of the unsafe rows (L_L + v + 1, L_U + v
+    + 1) and to no other family's term; v = 0 gives the static bound bit
+    for bit, and the certificate records v."""
+    assert composite_lipschitz(0.4, 0.4, 2.0) == 3.4
+    assert composite_lipschitz(3.0, 5.0, 2.0) == 8.0  # L_L + L_U still binds
+    assert composite_lipschitz(3.0, 5.0, 2.5) == 8.5
+    assert composite_lipschitz(3.946, 3.871, 0.0) == composite_lipschitz(3.946, 3.871)
+    static = certify(-0.05, robots_table, 0.002)
+    moving = certify(-0.05, robots_table, 0.002, obstacle_speed=7.0)
+    assert static.obstacle_speed == 0.0 and static.to_dict()["v"] == 0.0
+    assert moving.to_dict()["v"] == 7.0
+    lower, upper = moving.lipschitz_lower, moving.lipschitz_upper
+    assert moving.lipschitz_composite == max(lower + upper, max(lower, upper) + 8.0)
+    assert moving.margin > static.margin
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +322,7 @@ def _full_grid_report(tubes, spec, resolution, tolerance):
     def at(values, q):
         return f"t={grid[int(values[q].argmax())]:.3f}"
 
-    ends = np.array([[a.start.to_bounds(), a.goal.to_bounds()] for a in spec.agents])
+    ends = np.array([[a.start, a.goal] for a in spec.agents])
     pinned = faces[..., [0, -1]].transpose(0, 3, 1, 2)
     outward = np.stack([ends[..., 0] - pinned[..., 0], pinned[..., 1] - ends[..., 1]], axis=-1)
     kinds = ("start lower", "start upper", "goal lower", "goal upper")
@@ -313,7 +330,7 @@ def _full_grid_report(tubes, spec, resolution, tolerance):
         outward.transpose(0, 2, 1, 3).reshape(m, n, 4),
         lambda j, i, e: f"agent {j + 1} dim {i + 1} {kinds[e]}",
     ))}
-    lo, hi = np.array(spec.arena.to_bounds()).T[:, :, None]
+    lo, hi = spec.arena.T[:, :, None]
     past = np.stack([lo - faces.min(axis=-1), faces.max(axis=-1) - hi], axis=-1)
     families["arena"] = FamilyResult("arena", *worst(
         past,
@@ -1314,14 +1331,78 @@ def test_validation_catches_swapped_faces(robots_table, robots_spec):
     assert not report.families["collision"].passed
 
 
-def test_synthesize_never_returns_certified_invalid_tubes(sweeping_bar):
+def test_synthesize_never_returns_certified_invalid_tubes(sweeping_bar, monkeypatch):
     """A certificate whose tubes fail the eps/4 dense validation raises
     SynthesisFailure naming the failing families, with the certified
-    margin as its best margin."""
+    margin as its best margin.  With the bar's speed in the certificate
+    nothing certifies here (``test_fast_bars_are_never_certified``), so
+    the certificate is made to ignore it."""
+    from sttube.scenario import UnsafeRegion
+
+    monkeypatch.setattr(UnsafeRegion, "speed", property(lambda region: 0.0))
     with pytest.raises(SynthesisFailure) as err:
         synthesize(scenario_from_dict(sweeping_bar))
     assert "fail their own eps/4 validation in families ['unsafe']" in str(err.value)
     assert err.value.best_margin == pytest.approx(-0.0687, abs=1e-4)
+
+
+@pytest.mark.parametrize("v", [20.0, 40.0])
+def test_fast_bars_are_never_certified(moving_bar, v):
+    """At eps 0.1 the bars of speed 20 and 40 cross a sample gap in less
+    than one sample spacing.  The certificate itself refuses every
+    iterate (its best margin is above 0), so the search stalls before
+    the eps/4 validation is reached."""
+    with pytest.raises(SynthesisFailure) as err:
+        synthesize(scenario_from_dict(moving_bar(v, 0.1)))
+    assert str(err.value).startswith("assignment search stalled without certification")
+    assert err.value.best_margin > 0.0
+    assert err.value.best_margin == err.value.eta_star + err.value.l_eps
+    assert err.value.l_eps >= (v + 1.0) * 0.1
+
+
+def test_a_failed_synthesis_names_what_blocked_it(moving_bar, robots_spec):
+    """The v 10 bar at eps 0.1 is feasible on the samples (eta* < 0) and
+    fails only on L * eps; the v 5 bar at eps 0.02 has no searched witness
+    table that makes the samples feasible (eta* > 0).  A degree that
+    cannot meet the endpoint pins is still a construction error."""
+    with pytest.raises(SynthesisFailure) as err:
+        synthesize(scenario_from_dict(moving_bar(10.0, 0.1)))
+    assert err.value.eta_star == pytest.approx(-0.7, abs=1e-5)
+    assert err.value.l_eps == pytest.approx(1.5136, abs=1e-4)
+    assert err.value.best_margin == err.value.eta_star + err.value.l_eps
+    assert str(err.value).endswith(
+        "(best margin 0.813570: eta* -0.699999, L*eps 1.513569); "
+        "the sampled problem is feasible, and a smaller epsilon may certify"
+    )
+    with pytest.raises(SynthesisFailure) as err:
+        synthesize(scenario_from_dict(moving_bar(5.0, 0.02)))
+    assert err.value.eta_star == pytest.approx(0.1545, abs=1e-4)
+    assert err.value.l_eps == pytest.approx(0.2899, abs=1e-4)
+    assert str(err.value).endswith(
+        "no searched witness table makes the sampled problem feasible at this degree"
+    )
+    with pytest.raises(SynthesisError, match="higher-degree"):
+        synthesize(robots_spec, degree_override=0)
+
+
+def test_moving_bar_end_to_end():
+    """The shipped v 2 bar certifies with its speed in L, passes its own
+    dense validation, and its closed loop verifies for three disturbance
+    seeds."""
+    from sttube import data_path, load_scenario
+    from sttube.sim import run_closed_loop
+    from sttube.verify import verify_run
+
+    spec = load_scenario(data_path("moving_bar.scenario"))
+    result = synthesize(spec)
+    cert = result.certificate
+    assert cert.passed and cert.obstacle_speed == 2.0
+    assert cert.margin == pytest.approx(-0.591986, abs=1e-6)
+    assert result.validation.all_pass
+    for seed in (1, 2, 3):
+        report = verify_run(run_closed_loop(spec, result.tubes, seed=seed), spec, result.tubes)
+        assert report.all_pass, report.failed_checks()
+        assert report.agents[0].worst_containment_margin > 0.25
 
 
 def test_robot_synthesis_result(robots_result, robots_spec):

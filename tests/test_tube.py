@@ -178,10 +178,10 @@ def test_published_endpoints_within_rounding():
         for i, (lower, upper) in enumerate(agent):
             worst = max(
                 worst,
-                abs(_value(lower, 0.0) - task.start.axes[i].lo),
-                abs(_value(upper, 0.0) - task.start.axes[i].hi),
-                abs(_value(lower, 10.0) - task.goal.axes[i].lo),
-                abs(_value(upper, 10.0) - task.goal.axes[i].hi),
+                abs(_value(lower, 0.0) - task.start[i, 0]),
+                abs(_value(upper, 0.0) - task.start[i, 1]),
+                abs(_value(lower, 10.0) - task.goal[i, 0]),
+                abs(_value(upper, 10.0) - task.goal[i, 1]),
             )
     # rounding bound: 5e-5 * (1 + 10 + 100 + 1000)
     assert worst <= 0.0556

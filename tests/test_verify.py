@@ -124,9 +124,9 @@ def test_containment_margins():
 
 
 def test_report_does_not_depend_on_agent_order_after_an_abort():
-    """An aborted agent's NaN last state gives a NaN containment margin and
-    step, so the sampling robustness is NaN wherever the agent is listed,
-    and the report is the same in either order."""
+    """An aborted agent's NaN last state gives a NaN containment margin,
+    step and goal distance, so the sampling robustness is NaN wherever the
+    agent is listed, and the report is the same in either order."""
     spec, tubes = _spec(agents=2), _tubes(agents=2)
     good = _traj(np.linspace([0.5, 0.5], [3.5, 3.5], 11))
     pts = np.linspace([0.6, 0.4], [2.1, 1.9], 6)
@@ -140,6 +140,8 @@ def test_report_does_not_depend_on_agent_order_after_an_abort():
     two["agents"].reverse()
     assert json.dumps(one) == json.dumps(two)
     assert math.isnan(one["sampling_robustness"])
+    # a NaN last state is no distance from the goal, not a distance of 0
+    assert math.isnan(one["agents"][0]["goal_distance"])
 
 
 def test_ca_vacuous_single_agent():
