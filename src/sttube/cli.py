@@ -28,7 +28,6 @@ from .synth import (
     SynthesisError,
     SynthesisFailure,
     SynthesisInfeasible,
-    TubeTemplate,
     composite_lipschitz,
     save_certificate,
     synthesize,
@@ -72,7 +71,8 @@ def cmd_synth(args) -> int:
         spec = load_scenario(args.scenario)
         if args.epsilon is not None:
             spec = replace(spec, epsilon=args.epsilon)
-        TubeTemplate.from_spec(spec, args.degree)  # rejects a negative --degree
+        if args.degree is not None and args.degree < 0:
+            raise ValueError("tube degrees must be nonnegative")
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

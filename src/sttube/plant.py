@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codegen import compile_function, indent, names
-from .scenario import DISTURBANCE_KINDS, PLANT_DIMS, PlantConfig, check_plant_kind
+from .scenario import DISTURBANCE_KINDS, PLANT_DIMS, PlantConfig, ScenarioError, check_plant_kind
 
 
 class PlantStateError(RuntimeError):
@@ -65,10 +65,14 @@ class PlantModel:
 
 
 def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
-    """The built-in plant ``cfg`` names.  ScenarioError (a ValueError)
-    for an unknown kind or a scenario dimension the kind does not fit."""
-    check_plant_kind(cfg.kind, scenario_dims)
-    if cfg.kind == "omnidirectional":
+    """The built-in plant ``cfg`` names or, where it names none, the one
+    that fits ``scenario_dims``.  ScenarioError (a ValueError) for an
+    unknown kind, or for dims that it does not fit."""
+    kind = cfg.kind or next((k for k, d in PLANT_DIMS.items() if d == scenario_dims), None)
+    if kind is None:
+        raise ScenarioError(f"no built-in plant kind fits a {scenario_dims}-D scenario")
+    check_plant_kind(kind, scenario_dims)
+    if kind == "omnidirectional":
         return PlantModel(
             kind="omnidirectional",
             stages=1,

@@ -12,6 +12,11 @@ an obstacle is one keyframe table, ``times`` (K,) and ``bounds``
 ``unsafe_bounds`` interpolates a table at many times at once.  Every
 array is a read-only copy, so a loaded scenario is immutable and safe to
 share across threads.
+
+The file format is one layout table per block (``_SCENARIO``, ``_AGENT``,
+``_REGION``, ``_PLANT``, ``_CONTROL``), which the reader ``_read`` and the
+writer ``_write`` both walk; a key a file leaves out takes the dataclass
+default, and a None value (a plant that names no kind) is not written.
 """
 
 from __future__ import annotations
@@ -91,6 +96,11 @@ class UnsafeRegion:
         times.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def keyframes(self) -> list:
+        """The table as the file's ``[time, box]`` pairs."""
+        return [[t, box] for t, box in zip(self.times.tolist(), self.bounds.tolist())]
 
     @property
     def speed(self) -> float:
@@ -196,22 +206,23 @@ def check_plant_kind(kind, dims: int | None = None) -> None:
 class PlantConfig:
     """Plant selection and disturbance block (simulation side only).
 
-    The kind must be a built-in one; that it fits the scenario's
-    dimension is checked when a scenario file names it and when the
-    plant is built (``plant.make_plant``).  A file that names no kind
-    gets the built-in one that fits its dimension (``omnidirectional``
-    where none does).  The controller assumes a positive definite input
-    gain, so the block sets no sign for it.
+    ``kind`` is a built-in plant kind, or None where the scenario names
+    none: ``plant.make_plant`` then builds the built-in kind that fits
+    the scenario's dimension.  That a named kind fits the dimension is
+    checked with the scenario (``validate_scenario``).  The controller
+    assumes a positive definite input gain, so the block sets no sign
+    for it.
     """
 
-    kind: str = "omnidirectional"
+    kind: str | None = None
     heading_band: tuple[float, float] = (-1.0471975511965976, 1.0471975511965976)
     disturbance_bound: float = 0.01
     disturbance_kind: str = "uniform"
     disturbance_seed: int = 0
 
     def __post_init__(self):
-        check_plant_kind(self.kind)
+        if self.kind is not None:
+            check_plant_kind(self.kind)
         band = self.heading_band
         if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
             raise ScenarioError(
@@ -238,10 +249,17 @@ class ControlConfig:
     funnel_p_margin: float = 0.5
 
     def __post_init__(self):
+        if not self.kappa:
+            raise ScenarioError("at least one stage gain is required")
         if not all(0 < k < math.inf for k in self.kappa):
             raise ScenarioError("stage gains must be positive and finite")
         if not 0.0 < self.e_max < 1.0:
             raise ScenarioError("e_max must lie in (0, 1)")
+        for key, value in (("q", self.funnel_q), ("mu", self.funnel_mu)):
+            if not 0 < value < math.inf:
+                raise ScenarioError(f"funnel {key} must be positive and finite, not {value}")
+        if not math.isfinite(self.funnel_p_margin):
+            raise ScenarioError("funnel p_margin must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +287,8 @@ class ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every invariant; raise ScenarioError naming the first violation."""
+    if spec.plant.kind is not None:
+        check_plant_kind(spec.plant.kind, spec.dims)
     if not 0 < spec.horizon < math.inf:
         raise ScenarioError("horizon must be positive and finite")
     if not 0 < spec.epsilon < math.inf:
@@ -355,10 +375,19 @@ def _object(value, field: str) -> dict:
     return value
 
 
-def _key(raw: dict, key: str, field: str):
-    if key not in raw:
-        raise ScenarioError(f"{field}: missing key {key!r}")
-    return raw[key]
+def _numbers(value, field: str) -> tuple[float, ...]:
+    return tuple(_number(v, field) for v in _list(value, field))
+
+
+def _degrees(value, field: str) -> tuple[int, ...] | int:
+    """A degree per axis, or one integer degree for every axis."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_integer(d, field) for d in value)
+    return _integer(value, field)
+
+
+def _given(value, field: str):
+    return value  # a name, or a kind or interpolation, which its constructor checks
 
 
 def _box(value, field: str) -> np.ndarray:
@@ -372,77 +401,106 @@ def _box(value, field: str) -> np.ndarray:
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
-def _agent_from_dict(raw, dims: int, idx: int) -> AgentTask:
-    tag = f"agent {idx + 1}"
-    raw = _object(raw, tag)
-    start = _box(_key(raw, "start", tag), f"{tag} start")
-    goal = _box(_key(raw, "goal", tag), f"{tag} goal")
-    degree = raw.get("tube_degree", [2] * dims)
-    if not isinstance(degree, (list, tuple)):
-        degree = [_integer(degree, f"{tag} tube_degree")] * dims
-    min_width = raw.get("min_width")
-    if min_width is None:
-        min_width = default_min_width(start, goal)
-    return AgentTask(
-        start=start,
-        goal=goal,
-        tube_degree=tuple(_integer(d, f"{tag} tube_degree") for d in degree),
-        min_width=tuple(
-            _number(w, f"{tag} min_width") for w in _list(min_width, f"{tag} min_width")
-        ),
-        name=str(raw.get("name", f"agent{idx + 1}")),
-    )
-
-
-def _region_from_dict(raw, idx: int) -> UnsafeRegion:
-    tag = f"obstacle {idx + 1}"
-    raw = _object(raw, tag)
+def _keyframes(value, field: str) -> tuple[list, list]:
+    """The times and the boxes of a list of ``[time, box]`` pairs."""
     times, boxes = [], []
-    for frame in _list(_key(raw, "keyframes", tag), f"{tag} keyframes"):
+    for frame in _list(value, field):
         if not isinstance(frame, (list, tuple)) or len(frame) != 2:
-            raise ScenarioError(f"{tag} keyframes must be [time, box] pairs, not {frame!r}")
-        t, box = frame
-        times.append(_number(t, f"{tag} keyframe time"))
-        boxes.append(_box(box, f"{tag} keyframe box"))
-    return UnsafeRegion(
-        times=times, bounds=boxes, interpolation=raw.get("interpolation", "static")
-    )
+            raise ScenarioError(f"{field} must be [time, box] pairs, not {frame!r}")
+        times.append(_number(frame[0], f"{field} time"))
+        boxes.append(_box(frame[1], f"{field} box"))
+    return times, boxes
 
 
-def _plant_from_dict(raw, dims: int) -> PlantConfig:
-    raw = _object(raw, "plant")
-    if "kind" in raw:
-        check_plant_kind(raw["kind"], dims)
-    g_sign = raw.get("g_sign", "positive")
-    if g_sign != "positive":
+def _plant(raw, field: str) -> PlantConfig:
+    fields = _read(_PLANT, raw, field)
+    if (g_sign := raw.get("g_sign", "positive")) != "positive":
         raise ScenarioError(
-            f"plant g_sign must be positive, not {g_sign!r}: the controller assumes a "
+            f"{field} g_sign must be positive, not {g_sign!r}: the controller assumes a "
             "positive definite input gain; negate the input of a plant whose gain is "
             "negative definite"
         )
-    dist = _object(raw.get("disturbance", {}), "plant disturbance")
-    band = _list(raw.get("heading_band", PlantConfig.heading_band), "plant heading_band")
-    fitting = next((k for k, d in PLANT_DIMS.items() if d == dims), PlantConfig.kind)
-    return PlantConfig(
-        kind=raw.get("kind", fitting),
-        heading_band=tuple(_number(b, "plant heading_band") for b in band),
-        disturbance_bound=_number(dist.get("bound", 0.01), "disturbance bound"),
-        disturbance_kind=dist.get("kind", "uniform"),
-        disturbance_seed=_integer(dist.get("seed", 0), "disturbance seed"),
-    )
+    return PlantConfig(**fields)
 
 
-def _control_from_dict(raw) -> ControlConfig:
-    raw = _object(raw, "control")
-    funnel = _object(raw.get("funnel", {}), "control funnel")
-    kappa = _list(raw.get("kappa", [1.0]), "control kappa")
-    return ControlConfig(
-        kappa=tuple(_number(k, "control kappa") for k in kappa),
-        e_max=_number(raw.get("e_max", 1.0 - 1e-9), "control e_max"),
-        funnel_q=_number(funnel.get("q", 0.25), "funnel q"),
-        funnel_mu=_number(funnel.get("mu", 1.0), "funnel mu"),
-        funnel_p_margin=_number(funnel.get("p_margin", 0.5), "funnel p_margin"),
-    )
+def _control(raw, field: str) -> ControlConfig:
+    return ControlConfig(**_read(_CONTROL, raw, field))
+
+
+# The file format.  Each table maps a JSON key to the reader that checks
+# its value and sets the attribute of the same name, or to a nested table
+# whose keys set attributes of the same object, named ``<key>_<subkey>``.
+_SCENARIO = {
+    "dims": _integer, "horizon": _number, "epsilon": _number, "arena": _box,
+    "agents": _list, "obstacles": _list, "plant": _plant, "control": _control,
+}
+_AGENT = {
+    "name": _given, "start": _box, "goal": _box, "tube_degree": _degrees, "min_width": _numbers,
+}
+_REGION = {"interpolation": _given, "keyframes": _keyframes}
+_PLANT = {
+    "kind": _given, "heading_band": _numbers,
+    "disturbance": {"bound": _number, "kind": _given, "seed": _integer},
+}
+_CONTROL = {
+    "kappa": _numbers, "e_max": _number,
+    "funnel": {"q": _number, "mu": _number, "p_margin": _number},
+}
+_LAYOUTS = {AgentTask: _AGENT, UnsafeRegion: _REGION, PlantConfig: _PLANT, ControlConfig: _CONTROL}
+
+
+def _read(layout: dict, raw, label: str, required=(), prefix: str = "") -> dict:
+    """The attributes that the JSON object ``raw`` sets, by ``layout``; a
+    key it leaves out sets none.  Errors name a value by ``label`` and
+    its key (a top-level value by its key alone)."""
+    raw = _object(raw, label)
+    for key in required:
+        if key not in raw:
+            raise ScenarioError(f"{label}: missing key {key!r}")
+    fields = {}
+    for key, reader in layout.items():
+        if key in raw:
+            field = key if label == "scenario" else f"{label} {key}"
+            if isinstance(reader, dict):
+                fields.update(_read(reader, raw[key], field, prefix=f"{prefix}{key}_"))
+            else:
+                fields[prefix + key] = reader(raw[key], field)
+    return fields
+
+
+def _write(layout: dict, obj, prefix: str = "") -> dict:
+    """The JSON object for ``obj``, by ``layout``, without its None values."""
+    out = {}
+    for key, reader in layout.items():
+        if isinstance(reader, dict):
+            out[key] = _write(reader, obj, f"{prefix}{key}_")
+        elif (value := getattr(obj, prefix + key)) is not None:
+            out[key] = _plain(value)
+    return out
+
+
+def _plain(value):
+    """The JSON form of an attribute's value."""
+    if type(value) in _LAYOUTS:
+        return _write(_LAYOUTS[type(value)], value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _agent(raw, dims: int, idx: int) -> AgentTask:
+    fields = _read(_AGENT, raw, f"agent {idx + 1}", required=("start", "goal"))
+    if isinstance(degree := fields.get("tube_degree", 2), int):
+        fields["tube_degree"] = (degree,) * dims
+    if "min_width" not in fields:
+        fields["min_width"] = default_min_width(fields["start"], fields["goal"])
+    return AgentTask(**{"name": f"agent{idx + 1}", **fields})
+
+
+def _region(raw, idx: int) -> UnsafeRegion:
+    fields = _read(_REGION, raw, f"obstacle {idx + 1}", required=("keyframes",))
+    fields["times"], fields["bounds"] = fields.pop("keyframes")
+    return UnsafeRegion(**fields)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
@@ -452,76 +510,17 @@ def scenario_from_dict(raw: dict) -> ScenarioSpec:
     the wrong type (a non-integer degree, a scalar where a list belongs, a
     box entry that is not a [lo, hi] pair) or any violated invariant.
     """
-    raw = _object(raw, "scenario")
-    dims = _integer(_key(raw, "dims", "scenario"), "dims")
-    agents = tuple(
-        _agent_from_dict(a, dims, i)
-        for i, a in enumerate(_list(_key(raw, "agents", "scenario"), "agents"))
-    )
-    obstacles = tuple(
-        _region_from_dict(o, r)
-        for r, o in enumerate(_list(raw.get("obstacles", []), "obstacles"))
-    )
-    return ScenarioSpec(
-        dims=dims,
-        arena=_box(_key(raw, "arena", "scenario"), "arena"),
-        horizon=_number(_key(raw, "horizon", "scenario"), "horizon"),
-        epsilon=_number(_key(raw, "epsilon", "scenario"), "epsilon"),
-        agents=agents,
-        obstacles=obstacles,
-        plant=_plant_from_dict(raw.get("plant", {}), dims),
-        control=_control_from_dict(raw.get("control", {})),
-    )
+    required = ("dims", "horizon", "epsilon", "arena", "agents")
+    fields = _read(_SCENARIO, raw, "scenario", required)
+    fields["agents"] = tuple(_agent(a, fields["dims"], i) for i, a in enumerate(fields["agents"]))
+    fields["obstacles"] = tuple(_region(o, r) for r, o in enumerate(fields.get("obstacles", ())))
+    return ScenarioSpec(**fields)
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    """The JSON form that ``scenario_from_dict`` reads back.  The plant
-    ``kind`` is left out where no built-in kind fits ``dims``: there it
-    can only be the loader's default, and a file may not name it.  A
-    kind that misfits dims some kind fits is written, and refused on
-    load."""
-    named = spec.dims in PLANT_DIMS.values()
-    return {
-        "dims": spec.dims,
-        "horizon": spec.horizon,
-        "epsilon": spec.epsilon,
-        "arena": spec.arena.tolist(),
-        "agents": [
-            {
-                "name": a.name,
-                "start": a.start.tolist(),
-                "goal": a.goal.tolist(),
-                "tube_degree": list(a.tube_degree),
-                "min_width": list(a.min_width),
-            }
-            for a in spec.agents
-        ],
-        "obstacles": [
-            {
-                "interpolation": r.interpolation,
-                "keyframes": [[t, b] for t, b in zip(r.times.tolist(), r.bounds.tolist())],
-            }
-            for r in spec.obstacles
-        ],
-        "plant": {
-            **({"kind": spec.plant.kind} if named else {}),
-            "heading_band": list(spec.plant.heading_band),
-            "disturbance": {
-                "bound": spec.plant.disturbance_bound,
-                "kind": spec.plant.disturbance_kind,
-                "seed": spec.plant.disturbance_seed,
-            },
-        },
-        "control": {
-            "kappa": list(spec.control.kappa),
-            "e_max": spec.control.e_max,
-            "funnel": {
-                "q": spec.control.funnel_q,
-                "mu": spec.control.funnel_mu,
-                "p_margin": spec.control.funnel_p_margin,
-            },
-        },
-    }
+    """The JSON form that ``scenario_from_dict`` reads back; a plant
+    ``kind`` is written exactly when the scenario names one."""
+    return _write(_SCENARIO, spec)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

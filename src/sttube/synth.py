@@ -95,30 +95,6 @@ class SynthesisFailure(RuntimeError):
 # Variable layout and instance
 
 
-@dataclass(frozen=True)
-class TubeTemplate:
-    """Per-agent, per-dim polynomial degrees and minimum widths."""
-
-    degrees: tuple[tuple[int, ...], ...]
-    min_widths: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if any(d < 0 for row in self.degrees for d in row):
-            raise ValueError("tube degrees must be nonnegative")
-
-    @staticmethod
-    def from_spec(spec: ScenarioSpec, degree_override: int | None = None) -> "TubeTemplate":
-        degrees = tuple(
-            tuple(
-                degree_override if degree_override is not None else d
-                for d in a.tube_degree
-            )
-            for a in spec.agents
-        )
-        widths = tuple(tuple(a.min_width) for a in spec.agents)
-        return TubeTemplate(degrees=degrees, min_widths=widths)
-
-
 def least_separation_options(faces, obstacle_bounds) -> tuple[np.ndarray, np.ndarray]:
     """The least witness option of every disjunction: unsafe (R, m, T) and
     collision (P, T), the minimum over (dim, side) of the option values.
@@ -165,21 +141,25 @@ class SopInstance:
     LP row order.
     """
 
-    def __init__(self, spec: ScenarioSpec, samples: SampleSet, template: TubeTemplate):
+    def __init__(self, spec: ScenarioSpec, samples: SampleSet, degree: int | None = None):
         self.spec = spec
         self.samples = samples
-        self.template = template
         self.n = spec.dims
         self.m = spec.agent_count
         self.times = np.asarray(samples.time_samples)
         self.n_t = len(self.times)
 
-        self.z = np.array(template.degrees, dtype=int).reshape(self.m, self.n) + 1
+        degrees = np.array([a.tube_degree for a in spec.agents], dtype=int).reshape(self.m, self.n)
+        if degree is not None:
+            degrees[:] = degree
+        if (degrees < 0).any():
+            raise ValueError("tube degrees must be nonnegative")
+        self.z = degrees + 1
         for j, i in np.argwhere(self.z < 2):
             if (spec.agents[j].start[i] != spec.agents[j].goal[i]).any():
                 raise SynthesisError(
                     f"agent {j + 1} dim {i + 1}: degree "
-                    f"{template.degrees[j][i]} cannot satisfy both endpoint "
+                    f"{degrees[j, i]} cannot satisfy both endpoint "
                     "equalities; a higher-degree polynomial is required"
                 )
         sizes = np.repeat(self.z.ravel(), 2)  # coefficients per face
@@ -209,7 +189,9 @@ class SopInstance:
         self.arena = spec.arena  # (n, 2)
         # arena (lo, hi) of every face, (faces, 2)
         self.face_arena = np.repeat(np.tile(self.arena, (self.m, 1)), 2, axis=0)
-        self.min_widths = np.array(template.min_widths, dtype=float).reshape(self.m, self.n)
+        self.min_widths = np.array(
+            [a.min_width for a in spec.agents], dtype=float
+        ).reshape(self.m, self.n)
         # start and goal box bounds, (m, start/goal, n, lo/hi)
         self.ends = np.array([[a.start, a.goal] for a in spec.agents])
         self.pairs = [
@@ -443,16 +425,12 @@ class SopInstance:
         )
 
 
-def build_sop(
-    spec: ScenarioSpec,
-    samples: SampleSet,
-    template: TubeTemplate | None = None,
-) -> SopInstance:
-    """Assemble the instance; raises SynthesisError when a declared degree
-    cannot satisfy the endpoint equalities."""
-    if template is None:
-        template = TubeTemplate.from_spec(spec)
-    return SopInstance(spec, samples, template)
+def build_sop(spec: ScenarioSpec, samples: SampleSet, degree: int | None = None) -> SopInstance:
+    """Assemble the instance with the agents' tube degrees, or ``degree``
+    on every face when it is given.  Raises ValueError for a negative
+    degree, and SynthesisError when a degree cannot satisfy the endpoint
+    equalities."""
+    return SopInstance(spec, samples, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -1227,8 +1205,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     """
     t0 = time.perf_counter()
     samples = sample_unsafe(spec)
-    template = TubeTemplate.from_spec(spec, degree_override)
-    instance = build_sop(spec, samples, template)
+    instance = build_sop(spec, samples, degree_override)
     diag = SolveDiagnostics()
     solve_sop(instance, [seed_assignment(spec, samples)], diag)
     speed = max((region.speed for region in spec.obstacles), default=0.0)

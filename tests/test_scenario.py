@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -5,9 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sttube import data_path, scenario
+from sttube.plant import make_plant
 from sttube.scenario import (
+    DISTURBANCE_KINDS,
+    PLANT_DIMS,
     AgentTask,
+    ControlConfig,
+    PlantConfig,
     ScenarioError,
+    ScenarioSpec,
     UnsafeRegion,
     box_array,
     box_inside,
@@ -50,6 +59,18 @@ def test_round_trip_bit_exact(tmp_path, robots_spec):
     path2 = tmp_path / "copy2.scenario"
     save_scenario(again, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("robots", "f1b6aeb04710b28ffb50e9d4d4f6bdf2fbdc91c628fcd666bbf00a27004cc5b1"),
+    ("drones", "5c9d708f542e7b9dfb098da5fe607149f2e752668223f7f990d1ec9ef28b68ca"),
+], ids=["robots", "drones"])
+def test_saved_shipped_scenarios_keep_their_bytes(tmp_path, name, digest):
+    """The file ``save_scenario`` writes for a shipped scenario is pinned,
+    so a change to the format fails here instead of drifting."""
+    path = tmp_path / f"{name}.scenario"
+    save_scenario(load_scenario(data_path(f"{name}.scenario")), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_interval_and_box_invariants():
@@ -279,6 +300,12 @@ def _plant(raw, **fields):
     (lambda raw: _plant(raw, disturbance={"seed": 1.5}), "disturbance seed must be an integer"),
     (lambda raw: _plant(raw, disturbance={"seed": -1}), "disturbance seed must be nonnegative"),
     (lambda raw: raw.update(control={"kappa": 2.0}), "control kappa must be a list"),
+    (lambda raw: raw.update(control={"kappa": []}), "at least one stage gain"),
+    (lambda raw: raw.update(control={"funnel": {"q": -1.0}}), "funnel q must be positive and"),
+    (lambda raw: raw.update(control={"funnel": {"q": float("nan")}}), "funnel q must be positive"),
+    (lambda raw: raw.update(control={"funnel": {"mu": 0.0}}), "funnel mu must be positive and"),
+    (lambda raw: raw.update(control={"funnel": {"p_margin": float("nan")}}),
+     "funnel p_margin must be finite"),
     (lambda raw: _plant(raw, kind="nonsense"), "unknown plant kind 'nonsense'"),
     (lambda raw: _plant(raw, kind=["drone_chain"]), r"unknown plant kind \['drone_chain'\]"),
     (lambda raw: _plant(raw, kind="drone_chain"),
@@ -290,7 +317,8 @@ def _plant(raw, **fields):
     "g-sign-typo", "g-sign-negative", "band-reversed", "band-three-values", "band-infinite",
     "band-scalar",
     "bound-infinite", "bound-negative", "disturbance-kind", "fractional-seed", "negative-seed",
-    "kappa-scalar", "plant-kind-unknown", "plant-kind-list", "plant-kind-off-dims",
+    "kappa-scalar", "kappa-empty", "funnel-q-negative", "funnel-q-nan", "funnel-mu-zero",
+    "funnel-p-margin-nan", "plant-kind-unknown", "plant-kind-list", "plant-kind-off-dims",
 ])
 def test_loader_rejects_malformed_fields(edit, message):
     """A malformed field is a ScenarioError naming it, at load time: not a
@@ -303,15 +331,13 @@ def test_loader_rejects_malformed_fields(edit, message):
 
 
 @pytest.mark.parametrize("dims,kind", [
-    (1, "omnidirectional"), (2, "omnidirectional"), (3, "drone_chain"), (4, "omnidirectional"),
+    (1, None), (2, "omnidirectional"), (3, "drone_chain"), (4, None),
 ])
 def test_a_plant_without_a_kind_gets_the_kind_that_fits_its_dims(dims, kind):
-    """A file with no plant block, or one that names no kind, gets the
-    built-in kind whose scenario dimension is its own (``PLANT_DIMS``),
-    which ``make_plant`` then accepts; dims no built-in kind fits keep
-    ``omnidirectional``."""
-    from sttube.plant import make_plant
-
+    """A file with no plant block, or one that names no kind, loads with
+    no kind; ``make_plant`` builds the built-in kind that fits its dims,
+    and refuses dims that none fits.  A saved scenario loads back with
+    its kind, named or not, whatever its dims."""
     for plant in (None, {"disturbance": {"bound": 0.0}}):
         raw = {
             "dims": dims, "horizon": 10.0, "epsilon": 0.002,
@@ -323,11 +349,79 @@ def test_a_plant_without_a_kind_gets_the_kind_that_fits_its_dims(dims, kind):
         if plant is not None:
             raw["plant"] = plant
         spec = scenario_from_dict(raw)
-        assert spec.plant.kind == kind
-        if dims in (2, 3):
+        assert spec.plant.kind is None
+        if kind is None:
+            with pytest.raises(ScenarioError, match=f"no built-in plant kind fits a {dims}-D"):
+                make_plant(spec.plant, dims)
+        else:
             assert make_plant(spec.plant, dims).kind == kind
-        # a saved scenario loads back, whatever its dims
-        assert scenario_from_dict(scenario_to_dict(spec)).plant.kind == kind
+        named = dataclasses.replace(spec, plant=PlantConfig(kind=kind))
+        for saved in (spec, named):
+            assert scenario_from_dict(scenario_to_dict(saved)).plant.kind == saved.plant.kind
+
+
+def test_a_spec_built_in_code_must_fit_its_plant_kind(robots_spec):
+    """A named kind is checked against dims when the spec is built, so no
+    spec saves a file that will not load."""
+    message = "plant kind 'drone_chain' needs a 3-D scenario, not 2-D"
+    with pytest.raises(ScenarioError, match=message):
+        dataclasses.replace(robots_spec, plant=PlantConfig(kind="drone_chain"))
+
+
+def _leaves(layout, keys=()):
+    """(keys, reader) for every leaf of a layout table, nested keys in order."""
+    for key, reader in layout.items():
+        if isinstance(reader, dict):
+            yield from _leaves(reader, keys + (key,))
+        else:
+            yield keys + (key,), reader
+
+
+def _put(node, path, value):
+    """Set the value at ``path`` (keys and list indices), making missing objects."""
+    *parents, key = path
+    for k in parents:
+        node = node[k] if isinstance(node, list) else node.setdefault(k, {})
+    node[key] = value
+
+
+# Where each table's object sits in a scenario dict, and its label.
+_BLOCKS = {
+    ScenarioSpec: ((), ()),
+    AgentTask: (("agents", 0), ("agent 1",)),
+    UnsafeRegion: (("obstacles", 0), ("obstacle 1",)),
+    PlantConfig: (("plant",), ("plant",)),
+    ControlConfig: (("control",), ("control",)),
+}
+# A value of the wrong type for each reader: a string where a number
+# belongs, a number where a list, box or block belongs.  The string
+# leaves (a name, a kind, the interpolation) are passed as given to their
+# constructors; test_loader_rejects_malformed_fields pins their refusals.
+_WRONG = {
+    scenario._number: "x", scenario._integer: "x", scenario._degrees: "x",
+    scenario._list: 5, scenario._numbers: 5, scenario._box: 5, scenario._keyframes: 5,
+    scenario._plant: 5, scenario._control: 5,
+}
+_LEAF_CASES = [
+    (" ".join(label + keys), at + keys, _WRONG[reader])
+    for cls, layout in {ScenarioSpec: scenario._SCENARIO, **scenario._LAYOUTS}.items()
+    for at, label in [_BLOCKS[cls]]
+    for keys, reader in _leaves(layout)
+    if reader is not scenario._given
+]
+
+
+@pytest.mark.parametrize(
+    "label,path,wrong", _LEAF_CASES, ids=[label.replace(" ", "-") for label, _, _ in _LEAF_CASES]
+)
+def test_every_leaf_refuses_a_value_of_the_wrong_type(label, path, wrong):
+    """Each leaf of the layout tables, given a value of the wrong type in
+    the robots file, is refused with a message that names it."""
+    raw = json.loads(data_path("robots.scenario").read_text())
+    _put(raw, path, wrong)
+    with pytest.raises(ScenarioError) as refused:
+        scenario_from_dict(raw)
+    assert label in str(refused.value)
 
 
 def test_loader_rejects_a_non_object():
@@ -363,7 +457,9 @@ def _boxes_in(draw, arena):
 @st.composite
 def scenarios(draw):
     """Scenario dicts of 1-4 dims, 1-3 agents and 0-2 obstacles, static or
-    piecewise-linear, with and without plant and control blocks; some
+    piecewise-linear, with and without plant and control blocks, whose
+    keys are drawn from the layout tables (a plant ``kind`` only where
+    one fits dims, else null, which is no kind); some
     are invalid (an obstacle on a start box), and callers ``assume`` them
     away."""
     dims = draw(st.integers(1, 4))
@@ -405,19 +501,24 @@ def scenarios(draw):
             "interpolation": "piecewise-linear",
             "keyframes": [[t, draw(_boxes_in(arena))] for t in times],
         })
-    if draw(st.booleans()):
-        raw["plant"] = {
-            "heading_band": sorted([_coord(draw, -3.0, -0.1), _coord(draw, 0.1, 3.0)]),
-            "disturbance": {"bound": _coord(draw, 0.0, 0.1),
-                            "kind": draw(st.sampled_from(["zero", "uniform", "sinusoidal"])),
-                            "seed": draw(st.integers(0, 2**31))},
-        }
-        fitting = {2: "omnidirectional", 3: "drone_chain"}
-        if dims in fitting and draw(st.booleans()):
-            raw["plant"]["kind"] = fitting[dims]
-    if draw(st.booleans()):
-        raw["control"] = {"kappa": draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3)),
-                          "funnel": {"q": _coord(draw, 0.05, 0.5)}}
+    values = {  # a strategy for each leaf of the plant and control tables
+        ("kind",): st.sampled_from([k for k, d in PLANT_DIMS.items() if d == dims] or [None]),
+        ("heading_band",): st.tuples(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)).map(list),
+        ("disturbance", "bound"): st.floats(0.0, 0.1),
+        ("disturbance", "kind"): st.sampled_from(DISTURBANCE_KINDS),
+        ("disturbance", "seed"): st.integers(0, 2**31),
+        ("kappa",): st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3),
+        ("e_max",): st.floats(0.5, 0.999),
+        ("funnel", "q"): st.floats(0.05, 0.5),
+        ("funnel", "mu"): st.floats(0.1, 5.0),
+        ("funnel", "p_margin"): st.floats(0.1, 1.0),
+    }
+    for key, layout in (("plant", scenario._PLANT), ("control", scenario._CONTROL)):
+        if draw(st.booleans()):
+            raw[key] = {}
+            for keys, _ in _leaves(layout):
+                if draw(st.booleans()):
+                    _put(raw[key], keys, draw(values[keys]))
     return raw
 
 

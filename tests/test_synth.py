@@ -15,7 +15,6 @@ from sttube.synth import (
     SolveDiagnostics,
     SynthesisError,
     SynthesisFailure,
-    TubeTemplate,
     ValidationReport,
     build_sop,
     certify,
@@ -50,12 +49,12 @@ def test_variable_layout_counts(robots_spec):
 def test_degree_zero_is_a_construction_error(robots_spec):
     samples = sample_unsafe(robots_spec)
     with pytest.raises(SynthesisError, match="higher-degree"):
-        build_sop(robots_spec, samples, TubeTemplate.from_spec(robots_spec, 0))
+        build_sop(robots_spec, samples, 0)
 
 
 def test_negative_degree_is_rejected(robots_spec):
     with pytest.raises(ValueError, match="degrees must be nonnegative"):
-        TubeTemplate.from_spec(robots_spec, -1)
+        build_sop(robots_spec, sample_unsafe(robots_spec), -1)
 
 
 def test_single_agent_instance_has_no_disjunctions():
