@@ -52,7 +52,7 @@ from .lipschitz import (  # noqa: F401
     max_slope_sample,
 )
 from .control import ControllerConfig, Funnel, control_input  # noqa: F401
-from .plant import Disturbance, PlantModel, dynamics, make_plant  # noqa: F401
+from .plant import PlantModel, dynamics, make_plant  # noqa: F401
 from .sim import Trajectory, run_closed_loop  # noqa: F401
 from .verify import VerificationReport, check_ca, check_containment, check_tras, verify_run  # noqa: F401
 

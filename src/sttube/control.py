@@ -314,7 +314,7 @@ def autosize_funnels(
     q: float,
     mu: float,
     p_margin: float,
-    e_max: float = 1.0 - 1e-9,
+    e_max: float,
 ) -> tuple[Funnel, ...]:
     """Default funnels for stages 2..N, sized at the initial state.
 

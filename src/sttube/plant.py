@@ -21,7 +21,9 @@ lines of ``derivative_lines``; ``dynamics`` compiles them per shape, and
 the closed loop's RK4 blocks (``sim``) inline them.  Custom plants supply
 per-stage f_i / g_i callables and are evaluated with numpy.
 
-Random disturbances come from the standard library's ``random.Random``
+``disturbance_sampler`` draws the disturbance that the scenario's
+``plant`` block sets and checks (``PlantConfig.disturbance_*``).  Random
+disturbances come from the standard library's ``random.Random``
 (Mersenne Twister), one stream per (seed, agent), seeded with the string
 ``f"{seed}/{agent}"``.  Python guarantees the ``random()`` sequence for a
 given seed across versions, so a scenario draws the same disturbances on
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from math import cos, isfinite, sin  # noqa: F401 (cos, sin: read by the compiled derivatives)
@@ -43,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codegen import compile_function, indent, names
-from .scenario import DISTURBANCE_KINDS, PLANT_DIMS, PlantConfig, ScenarioError, check_plant_kind
+from .scenario import PLANT_DIMS, PLANT_STAGES, PlantConfig, ScenarioError, check_plant_kind
 
 
 class PlantStateError(RuntimeError):
@@ -72,14 +73,11 @@ def make_plant(cfg: PlantConfig, scenario_dims: int) -> PlantModel:
     if kind is None:
         raise ScenarioError(f"no built-in plant kind fits a {scenario_dims}-D scenario")
     check_plant_kind(kind, scenario_dims)
-    if kind == "omnidirectional":
-        return PlantModel(
-            kind="omnidirectional",
-            stages=1,
-            dims=3,
-            heading_band=tuple(cfg.heading_band),
-        )
-    return PlantModel(kind="drone_chain", stages=2, dims=3)
+    # Both built-ins have 3 outputs; the drone chain's equal the
+    # scenario's dims, so it never reads the heading band.
+    return PlantModel(
+        kind=kind, stages=PLANT_STAGES[kind], dims=3, heading_band=tuple(cfg.heading_band)
+    )
 
 
 def make_custom_plant(
@@ -173,71 +171,46 @@ def dynamics(model: PlantModel, state, u, w, t: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Disturbance:
-    """Bounded per-component disturbance, sampled once per step (zero-order hold).
+def disturbance_sampler(
+    cfg: PlantConfig, agent: int, size: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-agent block sampler of the disturbance that the scenario's
+    plant block ``cfg`` sets, sampled once per step (zero-order hold):
+    called with the start times of consecutive steps, it returns their
+    samples, (len(times), size).
 
-    ``seed`` is a nonnegative integer; each agent draws from its own stream.
+    Successive calls continue one random stream, so a step's sample
+    does not depend on how the steps are split into calls.  The
+    uniform kind maps each ``u = rng.random()``, row-major, to
+    ``-bound + 2 bound u``; the sinusoidal kind draws its phases
+    ``2 pi u`` once and samples ``bound * sin(t + phase)``.  Raises
+    AssertionError if a sample exceeds the declared bound or is NaN.
     """
+    bound = cfg.disturbance_bound
+    rng = random.Random(f"{cfg.disturbance_seed}/{agent}")
+    if cfg.disturbance_kind == "zero" or bound == 0.0:
+        def draw(times):
+            return np.zeros((len(times), size))
+    elif cfg.disturbance_kind == "uniform":
+        def draw(times):
+            # iter(rng.random, -1.0) never ends; fromiter takes n values.
+            n = len(times) * size
+            u = np.fromiter(iter(rng.random, -1.0), float, n)
+            return -bound + 2.0 * bound * u.reshape(len(times), size)
+    else:
+        phases = np.array([2.0 * math.pi * rng.random() for _ in range(size)])
 
-    bound: float
-    kind: str = "uniform"  # zero | uniform | sinusoidal
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.bound < math.inf:
-            raise ValueError("disturbance bound must be nonnegative and finite")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(
-                f"disturbance seed must be a nonnegative integer, not {self.seed!r}"
+        def draw(times):  # math.sin: np.sin can differ in the last bit
+            angles = np.asarray(times, dtype=float)[:, None] + phases
+            sines = np.fromiter(
+                map(math.sin, angles.ravel().tolist()), float, angles.size
             )
-        if self.kind not in DISTURBANCE_KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            return bound * sines.reshape(angles.shape)
 
-    def make_sampler(self, agent: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Per-agent block sampler: called with the start times of
-        consecutive steps, it returns their samples, (len(times), size).
+    def sampler(times) -> np.ndarray:
+        w = draw(times)
+        if not np.all(np.abs(w) <= bound + 1e-15):
+            raise AssertionError("disturbance sample is NaN or exceeds the declared bound")
+        return w
 
-        Successive calls continue one random stream, so a step's sample
-        does not depend on how the steps are split into calls.  The
-        uniform kind maps each ``u = rng.random()``, row-major, to
-        ``-bound + 2 bound u``; the sinusoidal kind draws its phases
-        ``2 pi u`` once and samples ``bound * sin(t + phase)``.  Raises
-        AssertionError if a sample exceeds the declared bound or is NaN.
-        """
-        bound = self.bound
-        rng = random.Random(f"{self.seed}/{agent}")
-        if self.kind == "zero" or bound == 0.0:
-            def draw(times):
-                return np.zeros((len(times), size))
-        elif self.kind == "uniform":
-            def draw(times):
-                # iter(rng.random, -1.0) never ends; fromiter takes n values.
-                n = len(times) * size
-                u = np.fromiter(iter(rng.random, -1.0), float, n)
-                return -bound + 2.0 * bound * u.reshape(len(times), size)
-        else:
-            phases = np.array([2.0 * math.pi * rng.random() for _ in range(size)])
-
-            def draw(times):  # math.sin: np.sin can differ in the last bit
-                angles = np.asarray(times, dtype=float)[:, None] + phases
-                sines = np.fromiter(
-                    map(math.sin, angles.ravel().tolist()), float, angles.size
-                )
-                return bound * sines.reshape(angles.shape)
-
-        def sampler(times) -> np.ndarray:
-            w = draw(times)
-            if not np.all(np.abs(w) <= bound + 1e-15):
-                raise AssertionError("disturbance sample is NaN or exceeds the declared bound")
-            return w
-
-        return sampler
-
-    @staticmethod
-    def from_config(cfg: PlantConfig) -> "Disturbance":
-        return Disturbance(
-            bound=cfg.disturbance_bound,
-            kind=cfg.disturbance_kind,
-            seed=cfg.disturbance_seed,
-        )
+    return sampler

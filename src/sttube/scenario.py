@@ -187,8 +187,10 @@ class AgentTask:
 
 DISTURBANCE_KINDS = ("zero", "uniform", "sinusoidal")
 
-# The built-in plant kinds, each with the scenario dimension it fits.
+# The built-in plant kinds, each with the scenario dimension it fits
+# and its number of integrator stages.
 PLANT_DIMS = {"omnidirectional": 2, "drone_chain": 3}
+PLANT_STAGES = {"omnidirectional": 1, "drone_chain": 2}
 
 
 def check_plant_kind(kind, dims: int | None = None) -> None:
@@ -209,9 +211,13 @@ class PlantConfig:
     ``kind`` is a built-in plant kind, or None where the scenario names
     none: ``plant.make_plant`` then builds the built-in kind that fits
     the scenario's dimension.  That a named kind fits the dimension is
-    checked with the scenario (``validate_scenario``).  The controller
-    assumes a positive definite input gain, so the block sets no sign
-    for it.
+    checked with the scenario (``validate_scenario``), as is that the
+    control block's gain count fits it.  The controller assumes a
+    positive definite input gain, so the block sets no sign for it.
+
+    The ``disturbance_*`` fields are the one definition of the bounded
+    disturbance (``plant.disturbance_sampler`` draws it): a bound in
+    [0, inf), a kind and a nonnegative integer seed.
     """
 
     kind: str | None = None
@@ -230,9 +236,10 @@ class PlantConfig:
             )
         if not 0 <= self.disturbance_bound < math.inf:
             raise ScenarioError("disturbance bound must be nonnegative and finite")
-        if self.disturbance_seed < 0:
+        seed = self.disturbance_seed
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
             raise ScenarioError(
-                f"disturbance seed must be nonnegative, not {self.disturbance_seed}"
+                f"disturbance seed must be a nonnegative integer, not {seed!r}"
             )
         if self.disturbance_kind not in DISTURBANCE_KINDS:
             raise ScenarioError(f"unknown disturbance kind {self.disturbance_kind!r}")
@@ -287,8 +294,15 @@ class ScenarioSpec:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every invariant; raise ScenarioError naming the first violation."""
-    if spec.plant.kind is not None:
-        check_plant_kind(spec.plant.kind, spec.dims)
+    kind = spec.plant.kind
+    if kind is not None:
+        check_plant_kind(kind, spec.dims)
+        gains, stages = len(spec.control.kappa), PLANT_STAGES[kind]
+        if gains not in (1, stages):
+            raise ScenarioError(
+                f"control kappa must hold 1 gain or one per stage ({stages} for "
+                f"plant kind {kind!r}), not {gains}"
+            )
     if not 0 < spec.horizon < math.inf:
         raise ScenarioError("horizon must be positive and finite")
     if not 0 < spec.epsilon < math.inf:

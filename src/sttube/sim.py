@@ -1,7 +1,8 @@
 """Fixed-step closed-loop integration of all agents under tube control.
 
 Classical 4th-order Runge-Kutta with the controller re-evaluated at each
-stage point and the disturbance held constant over the step.  Each agent
+stage point and the disturbance, which the scenario's plant block sets
+(``plant.disturbance_sampler``), held constant over the step.  Each agent
 is integrated alone, on its own tubes, config and state, so
 decentralization holds end to end.
 
@@ -65,7 +66,7 @@ import os
 import pickle
 import signal
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import atanh, cos, isfinite, sin  # noqa: F401 (read by the compiled blocks)
 from pathlib import Path
@@ -90,15 +91,15 @@ from .control import (
     width_test,
 )
 from .plant import (
-    Disturbance,
     PlantModel,
     PlantStateError,  # noqa: F401 (read by the compiled blocks)
     check_finite,  # noqa: F401 (read by the compiled blocks)
     derivative_lines,
+    disturbance_sampler,
     dynamics,  # noqa: F401 (read by the compiled blocks of custom plants)
     make_plant,
 )
-from .scenario import PLANT_DIMS, ScenarioSpec
+from .scenario import PLANT_DIMS, PlantConfig, ScenarioSpec
 from .tube import TubeSet, agent_walls
 
 # Steps per block of precomputed time-only quantities, large enough to
@@ -370,13 +371,14 @@ def integrate_agent(
     tubes: TubeSet,
     plant: PlantModel,
     config: ControllerConfig,
-    disturbance: Disturbance,
+    disturbance: PlantConfig,
     horizon: float,
     dt: float,
     x0=None,
     name: str = "",
 ) -> Trajectory:
-    """RK4 integration of one agent; raises ControllerIntegrityError with a
+    """RK4 integration of one agent under the disturbance that the plant
+    block ``disturbance`` sets; raises ControllerIntegrityError with a
     timestamp if a recorded state leaves its tube or funnel, or if the
     tube collapses at any evaluation.  A non-finite state ends the run
     early (``aborted``) with every step up to the failing one recorded.
@@ -394,7 +396,7 @@ def integrate_agent(
         raise ValueError("dt must divide the horizon")
     walls = _walls(tubes, agent, plant)
     x = tuple(x0) if x0 is not None else initial_state(tubes, agent, plant)
-    sampler = disturbance.make_sampler(agent, plant.state_dim)
+    sampler = disturbance_sampler(disturbance, agent, plant.state_dim)
     tel = StageTelemetry()
     block = _block(plant)
     n = plant.state_dim
@@ -475,8 +477,9 @@ def run_closed_loop(
     override the tube-center default.  A scenario horizon shorter than the
     tubes' tracks their first part; ``ValueError`` is raised, before any
     agent runs, when the tubes and the scenario differ in agent count or
-    dims, when the scenario runs past the tubes' horizon, or when
-    ``initial_states`` does not hold one state per agent.
+    dims, when the scenario runs past the tubes' horizon, when
+    ``initial_states`` does not hold one state per agent, or when
+    ``seed`` fails the plant block's check (``ScenarioError``).
     """
     shape = (tubes.agent_count, tubes.dims)
     if shape != (spec.agent_count, spec.dims) or spec.horizon > tubes.horizon:
@@ -490,9 +493,7 @@ def run_closed_loop(
             f"{len(initial_states)} initial states for {spec.agent_count} agents"
         )
     model = plant if plant is not None else make_plant(spec.plant, spec.dims)
-    dist = Disturbance.from_config(spec.plant)
-    if seed is not None:
-        dist = Disturbance(bound=dist.bound, kind=dist.kind, seed=seed)
+    dist = spec.plant if seed is None else replace(spec.plant, disturbance_seed=seed)
 
     def run(j: int) -> Trajectory:
         x0 = (

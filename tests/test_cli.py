@@ -310,6 +310,12 @@ def _robots_with(**plant):
     return raw
 
 
+def _robots_with_gains(kappa):
+    raw = json.loads(data_path("robots.scenario").read_text())
+    raw["control"]["kappa"] = kappa
+    return raw
+
+
 _ROBOT_TUBES = data_path("robots_table.tubes")
 
 
@@ -335,6 +341,7 @@ def _robot_tubes_with_a_nan():
     (["synth", "{scenario}"], {"scenario": _robots_with(g_sign="negative")}),
     (["synth", "{scenario}"], {"scenario": _robots_with(kind="nonsense")}),
     (["synth", "{scenario}"], {"scenario": _robots_with(kind="drone_chain")}),
+    (["synth", "{scenario}"], {"scenario": _robots_with_gains([1.0, 2.0, 3.0])}),
     (["simulate", str(data_path("robots.scenario")), "{tubes}", "--force"],
      {"tubes": {"horizon": 10.0, "agents": 5}}),
     (["lipschitz", "{tubes}"],
@@ -345,6 +352,7 @@ def _robot_tubes_with_a_nan():
 ], ids=["synth-agents-scalar", "synth-missing-keyframes", "synth-scalar-float-degree",
         "simulate-infinite-bound", "simulate-reversed-band", "simulate-negative-gain",
         "synth-negative-gain", "synth-unknown-plant-kind", "synth-plant-kind-off-dims",
+        "synth-gain-count-off-kind",
         "simulate-agents-scalar",
         "lipschitz-scalar-face", "simulate-nan-coefficient"])
 def test_malformed_files_are_usage_errors(tmp_path, command, files):

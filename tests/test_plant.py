@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from sttube.plant import (
-    Disturbance,
     PlantStateError,
+    disturbance_sampler,
     dynamics,
     make_custom_plant,
     make_plant,
@@ -119,18 +119,19 @@ def test_builtin_plants_refuse_a_negative_gain_sign():
 
 @pytest.mark.parametrize("kind", ["zero", "uniform", "sinusoidal"])
 def test_disturbance_respects_bound(kind):
-    dist = Disturbance(bound=0.01, kind=kind, seed=3)
-    sampler = dist.make_sampler(agent=0, size=6)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind=kind, disturbance_seed=3)
+    sampler = disturbance_sampler(dist, agent=0, size=6)
     w = sampler(np.arange(200) * 1e-3)
     assert w.shape == (200, 6)
     assert np.all(np.abs(w) <= 0.01 + 1e-15)
 
 
 def test_disturbance_deterministic_per_agent():
-    d = Disturbance(bound=0.01, kind="uniform", seed=5)
-    s1 = d.make_sampler(0, 3)
-    s2 = Disturbance(bound=0.01, kind="uniform", seed=5).make_sampler(0, 3)
-    other = Disturbance(bound=0.01, kind="uniform", seed=5).make_sampler(1, 3)
+    def make(agent):
+        cfg = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=5)
+        return disturbance_sampler(cfg, agent, 3)
+
+    s1, s2, other = make(0), make(0), make(1)
     a, b, c = (s(np.array([0.0])) for s in (s1, s2, other))
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
@@ -143,13 +144,13 @@ def test_disturbance_blocks_continue_one_stream(kind):
     stream is random.Random("seed/agent"): the uniform kind maps its
     values, row-major, to -bound + 2 bound u, and the sinusoid is
     bound * sin(t + 2 pi u) with math.sin."""
-    dist = Disturbance(bound=0.01, kind=kind, seed=11)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind=kind, disturbance_seed=11)
     times = np.arange(300) * 1e-3
-    whole = dist.make_sampler(2, 6)(times)
-    blocks = dist.make_sampler(2, 6)
+    whole = disturbance_sampler(dist, 2, 6)(times)
+    blocks = disturbance_sampler(dist, 2, 6)
     edges = ((0, 128), (128, 256), (256, 256), (256, 300))
     split = np.vstack([blocks(times[a:b]) for a, b in edges])
-    stepwise = dist.make_sampler(2, 6)
+    stepwise = disturbance_sampler(dist, 2, 6)
     steps = np.vstack([stepwise(times[k : k + 1]) for k in range(300)])
     assert whole.tobytes() == split.tobytes() == steps.tobytes()
     rng = random.Random("11/2")
@@ -170,7 +171,8 @@ def test_disturbance_bound_check_raises(monkeypatch):
             return 2.0
 
     monkeypatch.setattr(random, "Random", Loud)
-    sampler = Disturbance(bound=0.01, kind="uniform").make_sampler(0, 3)
+    cfg = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform")
+    sampler = disturbance_sampler(cfg, 0, 3)
     with pytest.raises(AssertionError, match="exceeds the declared bound"):
         sampler(np.zeros(4))
 
@@ -186,24 +188,25 @@ def test_disturbance_bound_check_rejects_nan(monkeypatch):
             return math.nan
 
     monkeypatch.setattr(random, "Random", Broken)
-    sampler = Disturbance(bound=0.01, kind="uniform").make_sampler(0, 3)
+    cfg = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform")
+    sampler = disturbance_sampler(cfg, 0, 3)
     with pytest.raises(AssertionError, match="exceeds the declared bound"):
         sampler(np.zeros(4))
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"bound": -0.01}, "bound must be nonnegative and finite"),
-    ({"bound": math.nan}, "bound must be nonnegative and finite"),
-    ({"bound": math.inf}, "bound must be nonnegative and finite"),
-    ({"bound": 0.01, "seed": -1}, "seed must be a nonnegative integer"),
-    ({"bound": 0.01, "seed": 1.0}, "seed must be a nonnegative integer"),
+    ({"disturbance_bound": -0.01}, "bound must be nonnegative and finite"),
+    ({"disturbance_bound": math.nan}, "bound must be nonnegative and finite"),
+    ({"disturbance_bound": math.inf}, "bound must be nonnegative and finite"),
+    ({"disturbance_bound": 0.01, "disturbance_seed": -1}, "seed must be a nonnegative integer"),
+    ({"disturbance_bound": 0.01, "disturbance_seed": 1.0}, "seed must be a nonnegative integer"),
 ], ids=["negative", "nan", "inf", "negative-seed", "float-seed"])
 def test_disturbance_bound_must_be_nonnegative(fields, message):
     """A bound outside [0, inf) and a seed that is not a nonnegative
-    integer are rejected when the disturbance is made, not at its first
+    integer are rejected when the plant block is made, not at its first
     draw."""
     with pytest.raises(ValueError, match=message):
-        Disturbance(**fields)
+        PlantConfig(**fields)
 
 
 def test_plant_kind_validation():

@@ -298,7 +298,8 @@ def _plant(raw, **fields):
     (lambda raw: _plant(raw, disturbance={"bound": -0.01}), "bound must be nonnegative and"),
     (lambda raw: _plant(raw, disturbance={"kind": "gauss"}), "unknown disturbance kind 'gauss'"),
     (lambda raw: _plant(raw, disturbance={"seed": 1.5}), "disturbance seed must be an integer"),
-    (lambda raw: _plant(raw, disturbance={"seed": -1}), "disturbance seed must be nonnegative"),
+    (lambda raw: _plant(raw, disturbance={"seed": -1}),
+     "disturbance seed must be a nonnegative integer"),
     (lambda raw: raw.update(control={"kappa": 2.0}), "control kappa must be a list"),
     (lambda raw: raw.update(control={"kappa": []}), "at least one stage gain"),
     (lambda raw: raw.update(control={"funnel": {"q": -1.0}}), "funnel q must be positive and"),
@@ -366,6 +367,28 @@ def test_a_spec_built_in_code_must_fit_its_plant_kind(robots_spec):
     message = "plant kind 'drone_chain' needs a 3-D scenario, not 2-D"
     with pytest.raises(ScenarioError, match=message):
         dataclasses.replace(robots_spec, plant=PlantConfig(kind="drone_chain"))
+
+
+def test_a_named_plant_kind_takes_one_gain_or_one_per_stage(tmp_path):
+    """A named kind's ``kappa`` count is checked when the scenario loads:
+    the robots file with three gains is refused, naming kappa, the kind
+    and both counts; the drones file with one gain per stage loads; and a
+    scenario that names no kind takes any count here, since a custom
+    plant may have any number of stages."""
+    raw = json.loads(data_path("robots.scenario").read_text())
+    raw["control"]["kappa"] = [1.0, 2.0, 3.0]
+    path = tmp_path / "robots.scenario"
+    path.write_text(json.dumps(raw))
+    message = r"control kappa .* \(1 for plant kind 'omnidirectional'\), not 3"
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(path)
+    raw = json.loads(data_path("drones.scenario").read_text())
+    raw["control"]["kappa"] = [1.0, 2.0]
+    assert scenario_from_dict(raw).control.kappa == (1.0, 2.0)
+    raw = _raw()
+    raw["control"] = {"kappa": [1.0, 2.0]}
+    spec = scenario_from_dict(raw)
+    assert spec.plant.kind is None and spec.control.kappa == (1.0, 2.0)
 
 
 def _leaves(layout, keys=()):

@@ -27,13 +27,13 @@ from sttube.control import (
     law_lines,
 )
 from sttube.plant import (
-    Disturbance,
     PlantStateError,
+    disturbance_sampler,
     dynamics,
     make_custom_plant,
     make_plant,
 )
-from sttube.scenario import PlantConfig, scenario_from_dict
+from sttube.scenario import PlantConfig, ScenarioError, scenario_from_dict
 from sttube import sim
 from sttube.sim import (
     BLOCK,
@@ -271,7 +271,7 @@ def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
     )
     trajs = run_closed_loop(spec, tubes, dt=1e-3, seed=5)
     plant = make_plant(spec.plant, spec.dims)
-    dist = dataclasses.replace(Disturbance.from_config(spec.plant), seed=5)
+    dist = dataclasses.replace(spec.plant, disturbance_seed=5)
     real, applied = sim.control_input, []
 
     def recording(state, row, config, strict=True, telemetry=None):
@@ -429,7 +429,7 @@ def test_recorded_memory_grows_with_states_only(robots_spec, robots_table):
     other array (inputs are 24 bytes a step on robots) fails."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
-    dist = Disturbance(bound=0.01, kind="uniform", seed=2)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=2)
 
     def peak(horizon):
         tracemalloc.start()
@@ -451,7 +451,7 @@ def test_integrator_decentralization_byte_identity(case, request):
     spec = request.getfixturevalue(f"{case}_spec")
     tubes = request.getfixturevalue(f"{case}_table")
     plant = make_plant(spec.plant, spec.dims)
-    calm = Disturbance(bound=0.0, kind="zero")
+    calm = PlantConfig(disturbance_bound=0.0, disturbance_kind="zero")
     j = 2
     z = tubes.sizes[j].max()  # the agent's own top degree: no other agent's padding
     solo = TubeSet(
@@ -484,7 +484,7 @@ def test_step_counts_off_the_block_size(robots_spec, robots_table):
     """Runs whose step count is not a multiple of the block size are
     prefixes of a longer run, byte for byte, under a random disturbance."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
-    dist = Disturbance(bound=0.01, kind="uniform", seed=4)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=4)
     config = build_controller_config(robots_spec, robots_table, 1, plant)
     dt = 1e-3
 
@@ -573,7 +573,7 @@ def test_integrator_calls_control_input_per_recorded_state(case, request, monkey
     monkeypatch.setattr(sim, "control_input", counting_law)
     monkeypatch.setattr(sim, "dynamics", counting_dynamics)
     steps = BLOCK + 7
-    dist = Disturbance(bound=0.01, kind="uniform", seed=1)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=1)
     traj = integrate_agent(0, tubes, plant, config, dist, steps * 1e-3, 1e-3)
     assert len(traj.times) == steps + 1 and traj.aborted is None
     assert calls == {"strict": steps + 1, "lenient": 0, "dynamics": 0}
@@ -615,7 +615,7 @@ def test_a_fleet_run_compiles_one_law_per_shape(
         del linecache.cache[name]
     for compiled in (sttube.control._kernel, plant_module._derivative, sim._compiled_block):
         compiled.cache_clear()
-    dist = Disturbance(bound=0.01, kind="uniform", seed=1)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=1)
     for spec, tubes in ((robots_spec, robots_table), (drones_spec, drones_table)):
         plant = make_plant(spec.plant, spec.dims)
         config = build_controller_config(spec, tubes, 0, plant)
@@ -809,9 +809,9 @@ def test_block_table_matches_separate_evaluations(case, kind, request):
     agent, dt, n_steps = 1, 1e-3, BLOCK + 5
     config = build_controller_config(spec, tubes, agent, plant)
     walls = sim._walls(tubes, agent, plant)
-    dist = Disturbance(bound=0.01, kind=kind, seed=2)
-    sampler = dist.make_sampler(agent, plant.state_dim)
-    reference = dist.make_sampler(agent, plant.state_dim)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind=kind, disturbance_seed=2)
+    sampler = disturbance_sampler(dist, agent, plant.state_dim)
+    reference = disturbance_sampler(dist, agent, plant.state_dim)
     times = np.arange(n_steps + 1) * dt
 
     def rows(grid):
@@ -847,7 +847,8 @@ def test_block_rows_unpack_bit_for_bit(robots_spec, robots_table):
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
     walls = sim._walls(robots_table, 0, plant)
-    sampler = Disturbance(bound=0.01, kind="uniform", seed=2).make_sampler(0, plant.state_dim)
+    dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=2)
+    sampler = disturbance_sampler(dist, 0, plant.state_dim)
     final = sim._block_table(walls, config, sampler, np.array([BLOCK * 1e-3]), 1e-3, 0)
     for table in (np.array([specials, specials[::-1]]), np.array([specials]), final):
         rows = list(sim._rows(table))
@@ -955,7 +956,7 @@ def test_closed_loop_rejects_a_plant_with_fewer_outputs_than_tube_dims(robots_sp
 def test_integrator_rejects_nonpositive_dt(robots_spec, robots_table):
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
-    calm = Disturbance(bound=0.0, kind="zero")
+    calm = PlantConfig(disturbance_bound=0.0, disturbance_kind="zero")
     for dt in (0.0, -1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt must be positive"):
             integrate_agent(0, robots_table, plant, config, calm, 1.0, dt)
@@ -966,12 +967,33 @@ def test_integrator_rejects_horizons_outside_the_tubes(robots_spec, robots_table
     refused with its value named; a zero horizon records the start."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
-    calm = Disturbance(bound=0.0, kind="zero")
+    calm = PlantConfig(disturbance_bound=0.0, disturbance_kind="zero")
     for horizon in (-1e-3, -1.0, math.nan, math.inf, robots_table.horizon + 1e-3):
         with pytest.raises(ValueError, match=rf"horizon must lie in .* got {horizon:g}$"):
             integrate_agent(0, robots_table, plant, config, calm, horizon, 1e-3)
     traj = integrate_agent(0, robots_table, plant, config, calm, 0.0, 1e-3)
     assert traj.times.tolist() == [0.0] and len(traj.states) == 1
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, -1], ids=["1.5", "2.0", "True", "-1"])
+@pytest.mark.parametrize("route", ["plant-block", "run_closed_loop"])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(
+    robots_spec, robots_table, monkeypatch, route, seed
+):
+    """The plant block is the one check of the disturbance seed: a seed
+    built in code and a ``run_closed_loop`` override are refused alike,
+    naming the seed, before any agent runs.  ``True`` would equal 1 in
+    the block but draw the stream of "True/<agent>"."""
+    def no_agent(*args):
+        raise AssertionError("an agent ran")
+
+    monkeypatch.setattr(sim, "_run_agents", no_agent)
+    message = f"disturbance seed must be a nonnegative integer, not {seed!r}$"
+    with pytest.raises(ScenarioError, match=message):
+        if route == "plant-block":
+            PlantConfig(disturbance_seed=seed)
+        else:
+            run_closed_loop(robots_spec, robots_table, dt=1e-3, seed=seed)
 
 
 GUARD = """
