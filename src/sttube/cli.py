@@ -34,7 +34,7 @@ from .synth import (
     validate_tubes,
 )
 from .tube import FACE_SIDES, analytic_slope_bound, load_tubes, save_tubes, slope_bounds
-from .verify import report_to_text, save_report, verify_run
+from .verify import report_to_text, save_report, verify_run, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,7 +62,7 @@ def write_manifest(
     }
     if run is not None:
         manifest["run"] = run
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    write_json(manifest, path)
 
 
 def cmd_synth(args) -> int:
@@ -181,6 +181,7 @@ def cmd_simulate(args) -> int:
         {
             "scenario": str(args.scenario),
             "tubes": str(args.tubes),
+            "certificate": args.certificate,
             "dt": args.dt,
             "kappa": args.kappa,
             "seed": args.seed,
@@ -258,7 +259,7 @@ def cmd_lipschitz(args) -> int:
             out / (Path(args.tubes).stem + ".lipschitz.manifest.json"),
             "lipschitz",
             {"tubes": str(args.tubes), "alpha": alpha, "pairs": args.pairs,
-             "reps": args.reps, "seed": args.seed},
+             "reps": args.reps, "seed": args.seed, "trend": args.trend},
             {},
             wall,
         )

@@ -217,7 +217,9 @@ class PlantConfig:
 
     The ``disturbance_*`` fields are the one definition of the bounded
     disturbance (``plant.disturbance_sampler`` draws it): a bound in
-    [0, inf), a kind and a nonnegative integer seed.
+    [0, inf), a kind and a nonnegative integer seed.  A block built in
+    code is checked as a file's is: a number is a real that is not a
+    ``bool`` (``_number``), and a list of numbers a list or tuple.
     """
 
     kind: str | None = None
@@ -230,6 +232,8 @@ class PlantConfig:
         if self.kind is not None:
             check_plant_kind(self.kind)
         band = self.heading_band
+        _numbers(band, "plant heading_band")
+        _number(self.disturbance_bound, "plant disturbance bound")
         if not (len(band) == 2 and -math.inf < band[0] < band[1] < math.inf):
             raise ScenarioError(
                 f"plant heading_band must be two finite values lo < hi, not {band}"
@@ -247,7 +251,8 @@ class PlantConfig:
 
 @dataclass(frozen=True)
 class ControlConfig:
-    """Controller block: per-stage gains, the error guard, funnel sizing."""
+    """Controller block: per-stage gains, the error guard, funnel sizing,
+    each checked as a file's is (see ``PlantConfig``)."""
 
     kappa: tuple[float, ...] = (1.0,)
     e_max: float = 1.0 - 1e-9
@@ -256,6 +261,9 @@ class ControlConfig:
     funnel_p_margin: float = 0.5
 
     def __post_init__(self):
+        _numbers(self.kappa, "control kappa")
+        for key in ("e_max", "funnel q", "funnel mu", "funnel p_margin"):
+            _number(getattr(self, key.replace(" ", "_")), f"control {key}")
         if not self.kappa:
             raise ScenarioError("at least one stage gain is required")
         if not all(0 < k < math.inf for k in self.kappa):

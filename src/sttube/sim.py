@@ -10,13 +10,12 @@ So the agents of one run share nothing, and ``run_closed_loop`` runs
 them on every CPU the process may use (``_run_agents``): with k =
 min(agents, CPUs), agents g, g + k, ... form group g; group 0 runs in
 this process and every other group in a child made by ``os.fork``, which
-sends its trajectories back through a pipe (pickle protocol 5, the
-arrays out of band, read into buffers allocated here) and exits.  Every
-child is reaped before the call returns or raises.  An agent that failed
-or did not come back runs again here, in agent order, so results and
-exceptions are those of one process bit for bit; where ``os.fork`` or
-``os.sched_getaffinity`` is missing, or one CPU is available, all agents
-run here.
+sends its trajectories back through a pipe as one pickle (protocol 5)
+and exits.  Every child is reaped before the call returns or raises.
+An agent that failed or did not come back runs again here, in agent
+order, so results and exceptions are those of one process bit for bit;
+where ``os.fork`` or ``os.sched_getaffinity`` is missing, or one CPU is
+available, all agents run here.
 
 Steps run in blocks of ``BLOCK``.  What depends on time alone (the
 agent's walls: its tube walls from ``tube.agent_walls`` on its rows
@@ -602,41 +601,23 @@ def _fork(run, agents):
 
 
 def _send(fd: int, trajectories: list[Trajectory]) -> None:
-    """Write ``trajectories`` to the pipe ``fd`` and close it: the length
-    of a header, the header, then each array's bytes.  The header holds
-    the pickle (protocol 5) of the trajectories with their arrays out of
-    band, and the arrays' sizes.  Times are left out: the parent rebuilds
-    the shared grid."""
+    """Write ``trajectories`` to the pipe ``fd`` as one pickle (protocol
+    5) and close it.  Times are left out: the parent rebuilds the shared
+    grid."""
     for traj in trajectories:
         traj.times = None
-    buffers = []
-    pickled = pickle.dumps(trajectories, protocol=5, buffer_callback=buffers.append)
-    views = [b.raw() for b in buffers]
-    head = pickle.dumps((pickled, [v.nbytes for v in views]))
     with open(fd, "wb") as pipe:
-        pipe.write(struct.pack("<Q", len(head)))
-        pipe.write(head)
-        for view in views:
-            pipe.write(view)
+        pickle.dump(trajectories, pipe, protocol=5)
 
 
 def _receive(pipe) -> list[Trajectory]:
     """What ``_send`` wrote to ``pipe``, or [] if the writer left before
-    the end.  Each array is read by ``readinto`` into a buffer allocated
-    here, which the unpickled array then wraps, so it is not copied
-    twice."""
-    size = pipe.read(8)
-    if len(size) < 8:
+    the end.  The unpickler reads each array's bytes straight into the
+    buffer the array then wraps, so it is not copied twice."""
+    try:
+        return pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
         return []
-    (length,) = struct.unpack("<Q", size)
-    head = pipe.read(length)
-    if len(head) < length:
-        return []
-    pickled, sizes = pickle.loads(head)
-    buffers = [np.empty(n, np.uint8) for n in sizes]
-    if any(pipe.readinto(b) < b.nbytes for b in buffers):
-        return []
-    return pickle.loads(pickled, buffers=buffers)
 
 
 def stage1_error_series(

@@ -222,8 +222,15 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
+def write_json(data, path: str | Path) -> None:
+    """Write ``data`` to ``path`` as strict JSON: JSON has no inf or NaN,
+    so a round trip through ``json`` writes each non-finite number as null."""
+    plain = json.loads(json.dumps(data), parse_constant=lambda name: None)
+    Path(path).write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n")
+
+
 def save_report(report: VerificationReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    write_json(report_to_dict(report), path)
 
 
 def report_to_text(report: VerificationReport) -> str:

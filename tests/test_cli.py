@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from sttube import data_path
-from sttube.cli import EXIT_SYNTH, EXIT_USAGE, EXIT_VERIFY, main
+from sttube.cli import EXIT_SYNTH, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from sttube.scenario import scenario_from_dict
 from sttube.synth import synthesize
 from sttube.lipschitz import SlopeSampleConfig, convergence_sweep, estimate_face
@@ -175,6 +176,52 @@ def test_simulate_end_to_end_and_determinism(tmp_path, solo_scenario, capsys):
         "sampling_robustness": report["sampling_robustness"],
     }
     assert agent["worst_containment_margin"] > 0.0
+
+
+@pytest.fixture(scope="module")
+def solo_outputs(tmp_path_factory):
+    """The directory that ``synth``, ``simulate`` and ``lipschitz --out``
+    write on SOLO."""
+    out = tmp_path_factory.mktemp("solo")
+    scenario = out / "solo.scenario"
+    scenario.write_text(json.dumps(SOLO))
+    assert main(["synth", str(scenario), "--out", str(out)]) == 0
+    tubes = str(out / "solo.tubes")
+    assert main(["simulate", str(scenario), tubes, "--out", str(out)]) == 0
+    assert main(["lipschitz", tubes, "--out", str(out)]) == 0
+    return out
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_output_file_is_strict_json(solo_outputs):
+    """No file a command writes holds Infinity or NaN: with one agent
+    the report's least pairwise distance and tube gap are unbounded, and
+    are written as null."""
+    paths = [solo_outputs / "solo.tubes", *solo_outputs.glob("*.json")]
+    assert len(paths) == 6  # tubes, certificate, report, three manifests
+    parsed = {path.name: _strict_json(path.read_text()) for path in paths}
+    ca = parsed["solo.verify.json"]["ca"]
+    assert (ca["min_pairwise_distance"], ca["min_tube_gap"]) == (None, None)
+
+
+def test_every_manifest_records_every_flag_of_its_command(solo_outputs):
+    """Each argument of each command, as ``build_parser`` declares it,
+    save the output directory, is a key of that command's manifest."""
+    (commands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(commands.choices) == ["lipschitz", "simulate", "synth"]
+    for command, parser in commands.choices.items():
+        manifest = json.loads((solo_outputs / f"solo.{command}.manifest.json").read_text())
+        flags = {a.dest for a in parser._actions if a.dest not in ("help", "out")}
+        assert manifest["command"] == command
+        assert flags <= manifest["arguments"].keys(), command
 
 
 def test_simulate_requires_certificate(tmp_path, solo_scenario):

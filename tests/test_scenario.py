@@ -391,6 +391,30 @@ def test_a_named_plant_kind_takes_one_gain_or_one_per_stage(tmp_path):
     assert spec.plant.kind is None and spec.control.kappa == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("cls,fields,label", [
+    (PlantConfig, {"disturbance_bound": "0.1"}, "plant disturbance bound"),
+    (PlantConfig, {"disturbance_bound": True}, "plant disturbance bound"),
+    (PlantConfig, {"heading_band": ("a", "b")}, "plant heading_band"),
+    (ControlConfig, {"kappa": "1"}, "control kappa"),
+    (ControlConfig, {"kappa": (True,)}, "control kappa"),
+    (ControlConfig, {"funnel_q": "1"}, "control funnel q"),
+    (ControlConfig, {"e_max": True}, "control e_max"),
+    (PlantConfig, {"heading_band": 1.0}, "plant heading_band"),
+    (ControlConfig, {"kappa": 1.0}, "control kappa"),
+], ids=[
+    "bound-str", "bound-bool", "band-str", "kappa-str", "kappa-bool", "q-str", "e_max-bool",
+    "band-scalar", "kappa-scalar",
+])
+def test_a_block_built_in_code_refuses_a_value_that_is_not_a_number(cls, fields, label):
+    """A plant or control block built in code takes a number, or a list
+    of numbers, where the file reader does (``scenario._number`` and
+    ``_numbers``): a string, a ``bool`` or a lone number where a list
+    belongs is refused with a ScenarioError that names the field as the
+    file's would."""
+    with pytest.raises(ScenarioError, match=f"^{label} must be a (number|list), not "):
+        cls(**fields)
+
+
 def _leaves(layout, keys=()):
     """(keys, reader) for every leaf of a layout table, nested keys in order."""
     for key, reader in layout.items():

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import io
 import linecache
 import math
 import os
+import pickle
 import struct
 import subprocess
 import sys
@@ -401,6 +403,42 @@ def test_a_child_that_exits_without_a_result_is_run_again_here(
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert _run_bytes(run_closed_loop(spec, robots_table, seed=4)) == alone
+
+
+def test_a_child_that_dies_mid_stream_is_run_again_here(robots_spec, robots_table, monkeypatch):
+    """A child that leaves after writing only the first half of its
+    trajectories' pickle costs nothing but time: its agents run in this
+    process, bit for bit as in a one-process run, and it is reaped."""
+    spec = dataclasses.replace(robots_spec, horizon=1.0)
+    _cpus(monkeypatch, 1)
+    alone = _run_bytes(run_closed_loop(spec, robots_table, seed=4))
+
+    def half(fd, trajectories):
+        data = pickle.dumps(trajectories, protocol=5)
+        with open(fd, "wb") as pipe:
+            pipe.write(data[: len(data) // 2])
+        os._exit(0)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(sim, "_send", half)
+    assert _run_bytes(run_closed_loop(spec, robots_table, seed=4)) == alone
+    _no_child_left()
+
+
+def test_receive_refuses_every_prefix_of_a_stream():
+    """``_receive`` gives [] for every proper prefix of what ``_send``
+    writes, and the trajectories, bit for bit, for the whole of it."""
+    spec, tubes = _constant_tube_spec()
+    trajs = run_closed_loop(dataclasses.replace(spec, horizon=0.01), tubes, dt=1e-3)
+    r, w = os.pipe()
+    sim._send(w, trajs)
+    with open(r, "rb") as pipe:
+        data = pipe.read()
+    for cut in range(len(data)):
+        assert sim._receive(io.BytesIO(data[:cut])) == []
+    (back,) = sim._receive(io.BytesIO(data))
+    assert (back.agent, back.config, back.times) == (trajs[0].agent, trajs[0].config, None)
+    assert back.states.tobytes() == trajs[0].states.tobytes()
 
 
 def test_an_interrupt_kills_and_reaps_the_children(robots_spec, robots_table, monkeypatch):
