@@ -22,7 +22,7 @@ trajectories = run_closed_loop(spec, tubes, dt=1e-3, seed=11, plant=plant)
 for traj in trajectories:
     e_max = float(np.abs(stage1_error_series(traj, tubes, plant)).max())
     u_max = float(np.abs(input_series(traj, tubes, plant)).max())
-    print(f"{traj.name}: {len(traj.times)} steps, max |normalized error| "
+    print(f"{spec.agents[traj.agent].name}: {len(traj.states)} steps, max |normalized error| "
           f"{e_max:.3f}, max |u| {u_max:.3f}, guard clamps {traj.clamp_count}, "
           f"final position ({traj.final_state[0]:.3f}, {traj.final_state[1]:.3f})")
 

@@ -192,8 +192,8 @@ def cmd_simulate(args) -> int:
         {
             "agents": [
                 {
-                    "name": traj.name,
-                    "steps": len(traj.times) - 1,
+                    "name": spec.agents[traj.agent].name,
+                    "steps": len(traj.states) - 1,
                     "clamp_count": traj.clamp_count,
                     "aborted": traj.aborted,
                     "worst_containment_margin": check.worst_containment_margin,

@@ -68,33 +68,29 @@ class ControllerIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Funnel:
-    """Exponentially narrowing radii (p - q) exp(-mu t) + q per dimension."""
+    """Radii (p - q) exp(-mu t) + q: one initial radius p per dimension,
+    narrowing at one rate mu to one floor q."""
 
     p: tuple[float, ...]
-    q: tuple[float, ...]
-    mu: tuple[float, ...]
+    q: float
+    mu: float
 
     def __post_init__(self):
-        if not len(self.p) == len(self.q) == len(self.mu) > 0:
-            raise ValueError("funnel needs one p, q and mu per dimension, at least one")
-        for p, q, mu in zip(self.p, self.q, self.mu):
-            if not (math.inf > p > q > 0.0):
-                raise ValueError("funnel needs finite p > q > 0")
-            if not 0.0 < mu < math.inf:
-                raise ValueError("funnel decay rate must be positive and finite")
+        if not self.p:
+            raise ValueError("funnel needs one p per dimension, at least one")
+        if not all(math.inf > p > self.q > 0.0 for p in self.p):
+            raise ValueError("funnel needs finite p > q > 0")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("funnel decay rate must be positive and finite")
 
     def radii(self, times) -> np.ndarray:
         """Radii at each time, (len(times), dims).  The decay factor comes
-        from ``math.exp``, once per time and distinct rate: ``np.exp``
-        differs from it in the last bit for some inputs, and the closed
-        loop must not depend on which is used."""
-        rates = list(dict.fromkeys(self.mu))
-        which = [rates.index(mu) for mu in self.mu]
-        exponents = -np.asarray(rates) * np.asarray(times, dtype=float)[:, None]
-        decay = np.fromiter(
-            map(math.exp, exponents.ravel().tolist()), float, exponents.size
-        ).reshape(exponents.shape)
-        return np.subtract(self.p, self.q) * decay[:, which] + np.asarray(self.q)
+        from ``math.exp``, once per time: ``np.exp`` differs from it in the
+        last bit for some inputs, and the closed loop must not depend on
+        which is used."""
+        exponents = -self.mu * np.asarray(times, dtype=float)
+        decay = np.fromiter(map(math.exp, exponents.tolist()), float)
+        return np.subtract(self.p, self.q) * decay[:, None] + self.q
 
 
 @dataclass(frozen=True)
@@ -334,5 +330,5 @@ def autosize_funnels(
             max(2.0 * abs(x - r) + p_margin, 2.0 * q)
             for x, r in zip(state[k * dims : (k + 1) * dims], ref)
         )
-        funnels.append(Funnel(p=p, q=(q,) * dims, mu=(mu,) * dims))
+        funnels.append(Funnel(p=p, q=q, mu=mu))
     return tuple(funnels)

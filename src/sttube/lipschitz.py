@@ -18,11 +18,15 @@ safeguarded Newton and the scale follows in closed form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .tube import TubeSet, analytic_slope_bound, polyval
+
+# Pairs closer than this are redrawn: their difference quotient is noise.
+MIN_PAIR_GAP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -35,12 +39,17 @@ class SlopeSampleConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        if not MIN_PAIR_GAP < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be positive and finite, above the least pair gap {MIN_PAIR_GAP:g}"
+            )
         if self.pair_count < 2:
             raise ValueError("need at least two pairs per repetition")
         if self.repetitions < 10:
             raise ValueError("need at least ten repetitions")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"rng_seed must be a nonnegative integer, not {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,7 @@ def max_slope_sample(
     gap = np.abs(t_k - t_m)
     # Degenerate pairs (t_k == t_m after clipping) are redrawn.
     while True:
-        bad = gap < 1e-14
+        bad = gap < MIN_PAIR_GAP
         if not bad.any():
             break
         t_m[bad] = np.clip(

@@ -47,7 +47,9 @@ on the block size.  A failed strict check names the agent and time and
 keeps the check's detail; when the step is past RK4's stability bound
 at that row, the message says so (``_agent_failure``).
 
-A ``Trajectory`` records times and states, with the run's controller;
+A ``Trajectory`` records the agent, the step dt and the states, with the
+run's controller: the state at t = i * dt is row i, and ``times`` forms
+that grid on each access, so a run keeps no time array.
 ``input_series`` and ``stage1_error_series`` form its inputs and
 stage-1 errors on demand, bit for bit.
 
@@ -99,7 +101,7 @@ from .plant import (
     make_plant,
 )
 from .scenario import PLANT_DIMS, PlantConfig, ScenarioSpec
-from .tube import TubeSet, agent_walls
+from .tube import TubeSet, agent_walls, require_fit
 
 # Steps per block of precomputed time-only quantities, large enough to
 # amortize the per-block array calls.  The block's table stays a numpy
@@ -117,12 +119,17 @@ BLOCK = 256
 @dataclass
 class Trajectory:
     agent: int
-    name: str
-    times: np.ndarray
-    states: np.ndarray  # (T, stages*dims)
+    dt: float
+    states: np.ndarray  # (T, stages*dims), the state at t = i * dt in row i
     config: ControllerConfig
     clamp_count: int = 0
     aborted: str | None = None
+
+    @property
+    def times(self) -> np.ndarray:
+        """The recorded times, i * dt for each row of ``states``, formed on
+        each access: no run keeps a time array."""
+        return np.arange(len(self.states)) * self.dt
 
     @property
     def final_state(self) -> np.ndarray:
@@ -374,13 +381,14 @@ def integrate_agent(
     horizon: float,
     dt: float,
     x0=None,
-    name: str = "",
 ) -> Trajectory:
     """RK4 integration of one agent under the disturbance that the plant
     block ``disturbance`` sets; raises ControllerIntegrityError with a
     timestamp if a recorded state leaves its tube or funnel, or if the
-    tube collapses at any evaluation.  A non-finite state ends the run
-    early (``aborted``) with every step up to the failing one recorded.
+    tube collapses at any evaluation.  The trajectory holds ``dt`` and
+    the states, the one at t = i * dt in row i.  A non-finite state ends
+    the run early (``aborted``) with every step up to the failing one
+    recorded.
     ValueError is raised for a dt that is not positive and finite or does
     not divide the horizon, and for a horizon outside [0, tubes.horizon]:
     past it the tube polynomials would be extrapolated."""
@@ -399,13 +407,12 @@ def integrate_agent(
     tel = StageTelemetry()
     block = _block(plant)
     n = plant.state_dim
-    times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, n))
     aborted = None
-    end = n_steps + 1
     for start in range(0, n_steps + 1, BLOCK):
         steps = min(BLOCK, n_steps - start)  # steps that integrate past their start
-        table = _block_table(walls, config, sampler, times[start : start + BLOCK], dt, steps)
+        t = np.arange(start, min(start + BLOCK, n_steps + 1)) * dt  # as in Trajectory.times
+        table = _block_table(walls, config, sampler, t, dt, steps)
         x, recorded, aborted = block(x, table, steps, dt, agent, config, tel, plant)
         count = len(recorded)
         # One copy of the block's floats: about half the time of assigning
@@ -414,17 +421,9 @@ def integrate_agent(
             chain.from_iterable(recorded), float, count * n
         ).reshape(count, n)
         if aborted is not None:
-            end = start + count
+            states = states[: start + count]
             break
-    return Trajectory(
-        agent=agent,
-        name=name,
-        times=times[:end],
-        states=states[:end],
-        config=config,
-        clamp_count=tel.clamp_count,
-        aborted=aborted,
-    )
+    return Trajectory(agent, dt, states, config, tel.clamp_count, aborted)
 
 
 def build_controller_config(
@@ -475,18 +474,12 @@ def run_closed_loop(
     overrides the per-stage gains; ``initial_states`` (per agent, flat)
     override the tube-center default.  A scenario horizon shorter than the
     tubes' tracks their first part; ``ValueError`` is raised, before any
-    agent runs, when the tubes and the scenario differ in agent count or
-    dims, when the scenario runs past the tubes' horizon, when
-    ``initial_states`` does not hold one state per agent, or when
-    ``seed`` fails the plant block's check (``ScenarioError``).
+    agent runs, when the tubes do not fit the scenario
+    (``tube.require_fit``), when ``initial_states`` does not hold one
+    state per agent, or when ``seed`` fails the plant block's check
+    (``ScenarioError``).
     """
-    shape = (tubes.agent_count, tubes.dims)
-    if shape != (spec.agent_count, spec.dims) or spec.horizon > tubes.horizon:
-        raise ValueError(
-            "tubes do not match the scenario: (agents, dims, horizon) "
-            f"{(*shape, tubes.horizon)} in the tubes, "
-            f"{(spec.agent_count, spec.dims, spec.horizon)} in the scenario"
-        )
+    require_fit(tubes, spec)
     if initial_states is not None and len(initial_states) != spec.agent_count:
         raise ValueError(
             f"{len(initial_states)} initial states for {spec.agent_count} agents"
@@ -495,30 +488,11 @@ def run_closed_loop(
     dist = spec.plant if seed is None else replace(spec.plant, disturbance_seed=seed)
 
     def run(j: int) -> Trajectory:
-        x0 = (
-            tuple(initial_states[j])
-            if initial_states is not None
-            else initial_state(tubes, j, model)
-        )
+        x0 = initial_state(tubes, j, model) if initial_states is None else tuple(initial_states[j])
         config = build_controller_config(spec, tubes, j, model, kappa=kappa, x0=x0)
-        return integrate_agent(
-            j, tubes, model, config, dist, spec.horizon, dt,
-            x0=x0, name=spec.agents[j].name,
-        )
+        return integrate_agent(j, tubes, model, config, dist, spec.horizon, dt, x0=x0)
 
-    out = _run_agents(run, spec.agent_count)
-    # Every agent steps on the same time grid: keep one copy of it, not
-    # one per agent (160 kB each for a drone at dt 1e-3).  The agents'
-    # own copies go first, and the grid is formed in place, bit for bit
-    # the np.arange(steps + 1) * dt of ``integrate_agent``.
-    length = max(len(traj.states) for traj in out)
-    for traj in out:
-        traj.times = None
-    grid = np.arange(length, dtype=float)
-    grid *= dt
-    for traj in out:
-        traj.times = grid[: len(traj.states)]
-    return out
+    return _run_agents(run, spec.agent_count)
 
 
 def _run_agents(run, count: int) -> list[Trajectory]:
@@ -602,10 +576,7 @@ def _fork(run, agents):
 
 def _send(fd: int, trajectories: list[Trajectory]) -> None:
     """Write ``trajectories`` to the pipe ``fd`` as one pickle (protocol
-    5) and close it.  Times are left out: the parent rebuilds the shared
-    grid."""
-    for traj in trajectories:
-        traj.times = None
+    5) and close it."""
     with open(fd, "wb") as pipe:
         pickle.dump(trajectories, pipe, protocol=5)
 

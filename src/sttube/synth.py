@@ -57,6 +57,7 @@ from .tube import (
     TubeSet,
     extremum_times,
     polyval,
+    require_fit,
     slope_bounds,
     tube_values,
 )
@@ -1052,12 +1053,14 @@ def validate_tubes(
 
     Endpoint containment uses the task's own boxes (outward violations
     count; the exact equality residual is reported separately).  A family
-    passes when its worst margin is at most the tolerance.
+    passes when its worst margin is at most the tolerance.  Tubes that do
+    not fit the scenario (``tube.require_fit``) raise ValueError.
 
     The grid is evaluated ``VALIDATION_BLOCK`` samples at a time, so no
     array spans the whole grid but the grid itself: each family keeps its
     running worst value and the first sample it occurs at.
     """
+    require_fit(tubes, spec)
     if not 0.0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution:g}")
     n_grid = int(math.ceil(spec.horizon / resolution)) + 1

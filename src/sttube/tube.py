@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import _integer, _list, _number, _object
+from .scenario import ScenarioSpec, _integer, _list, _number, _object
 
 FACE_SIDES = ("lower", "upper")  # the order of a table's third axis
 
@@ -155,6 +155,19 @@ class TubeSet:
     @property
     def dims(self) -> int:
         return self.coeffs.shape[1]
+
+
+def require_fit(tubes: TubeSet, spec: ScenarioSpec) -> None:
+    """Raise ValueError unless ``tubes`` hold the scenario's agents and
+    dims over at least its horizon: a shorter scenario reads their first
+    part, a longer one would extrapolate the polynomials."""
+    shape = (tubes.agent_count, tubes.dims)
+    if shape != (spec.agent_count, spec.dims) or spec.horizon > tubes.horizon:
+        raise ValueError(
+            "tubes do not match the scenario: (agents, dims, horizon) "
+            f"{(*shape, tubes.horizon)} in the tubes, "
+            f"{(spec.agent_count, spec.dims, spec.horizon)} in the scenario"
+        )
 
 
 def tube_values(tubes: TubeSet, times) -> np.ndarray:

@@ -94,29 +94,27 @@ def check_tras(traj: Trajectory, spec: ScenarioSpec) -> AgentCheck:
     every recorded sample.  A trajectory not covering the horizon is
     inconclusive, never a pass."""
     task = spec.agents[traj.agent]
+    times = traj.times
     y = traj.output(spec.dims)
-    covers = (
-        traj.aborted is None
-        and abs(float(traj.times[-1]) - spec.horizon) < 1e-9
-    )
+    covers = traj.aborted is None and abs(float(times[-1]) - spec.horizon) < 1e-9
     points = np.broadcast_to(y[..., None], (*y.shape, 2))  # each sample as a box of width 0
     start_ok = bool(box_inside(points[0], task.start))
     goal_dist = _box_distance(y[-1], task.goal)
     goal_ok = covers and bool(box_inside(points[-1], task.goal))
     # n_steps * dt may overshoot the horizon by rounding; the obstacles
     # are defined on [0, horizon] only.
-    bounds = obstacle_bounds(spec, np.minimum(traj.times, spec.horizon))  # (T, R, n, 2)
+    bounds = obstacle_bounds(spec, np.minimum(times, spec.horizon))  # (T, R, n, 2)
     inside = boxes_meet(points[:, None], bounds)  # (T, R)
     hits = np.argwhere(inside.T)  # first region first, then first time
     avoid_ok = not len(hits)
-    violation_t = None if avoid_ok else float(traj.times[hits[0, 1]])
+    violation_t = None if avoid_ok else float(times[hits[0, 1]])
     if not covers:
         status = "inconclusive"
     else:
         status = "pass" if (start_ok and goal_ok and avoid_ok) else "fail"
     return AgentCheck(
         agent=traj.agent,
-        name=traj.name,
+        name=task.name,
         status=status,
         start_ok=start_ok,
         goal_ok=goal_ok,
@@ -145,7 +143,7 @@ def check_ca(trajectories: list[Trajectory], dims: int) -> tuple[bool, float]:
     """
     if len(trajectories) < 2:
         return True, float("inf")
-    n = min(len(tr.times) for tr in trajectories)
+    n = min(len(tr.states) for tr in trajectories)
     outputs = [tr.output(dims)[:n] for tr in trajectories]
     finite = [np.isfinite(y).all(axis=1) for y in outputs]
     min_d = float("inf")

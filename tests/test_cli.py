@@ -474,7 +474,9 @@ def test_lipschitz_prints_estimates(capsys):
     (["--pairs", "1"], "at least two pairs"),
     (["--reps", "5"], "at least ten repetitions"),
     (["--trend", "-1"], "trend must be a nonnegative number of halvings"),
-], ids=["alpha-zero", "one-pair", "five-reps", "negative-trend"])
+    (["--seed", "-1"], "rng_seed must be a nonnegative integer, not -1"),
+    (["--alpha", "1e-15"], "above the least pair gap 1e-14"),
+], ids=["alpha-zero", "one-pair", "five-reps", "negative-trend", "negative-seed", "tiny-alpha"])
 def test_lipschitz_rejects_sampling_settings(capsys, flags, message):
     """A sampling plan ``SlopeSampleConfig`` rejects, and a negative
     ``--trend``, are usage errors: an ``error:`` line and exit code 1."""

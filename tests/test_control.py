@@ -124,7 +124,7 @@ def test_law_is_accurate_against_a_60_digit_evaluation(magnitude, sign):
     against its wall width; stage 2, behind a stage 1 at its tube centre
     (reference zero), against its funnel radius."""
     width, total = 0.7, 0.3
-    funnel = Funnel(p=(0.9,), q=(0.2,), mu=(1.3,))
+    funnel = Funnel(p=(0.9,), q=0.2, mu=1.3)
     (radius,) = funnel.radii([0.4])[0].tolist()
     for kappa in (1.0, 1.5, 2.3):
         for stage in (1, 2):
@@ -183,7 +183,7 @@ def test_stage_output_composition():
 
 
 def test_funnel_radius_and_stage_k_error():
-    funnel = Funnel(p=(1.0,), q=(0.1,), mu=(1.0,))
+    funnel = Funnel(p=(1.0,), q=0.1, mu=1.0)
     radius = funnel.radii([1.0])[0].tolist()
     assert radius[0] == pytest.approx(0.9 * math.exp(-1.0) + 0.1, abs=1e-12)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
@@ -198,7 +198,7 @@ def test_funnel_radius_and_stage_k_error():
         _ctl((0.5, 1.0), (0.0,), (1.0,), cfg, 0.0)
     assert err.value.stage == 2
     with pytest.raises(ValueError):
-        Funnel(p=(0.1,), q=(0.2,), mu=(1.0,))
+        Funnel(p=(0.1,), q=0.2, mu=1.0)
 
 
 def test_integrity_error_round_trips_through_pickle():
@@ -235,7 +235,7 @@ def test_constraint_rows_layout_and_scalar_agreement():
     """A row is the wall widths, the wall sums, then each funnel's radii
     (p - q) exp(-mu t) + q; the array builder and the one-time helper give
     the same bits."""
-    funnel = Funnel(p=(0.5, 0.8), q=(0.1, 0.1), mu=(1.0, 2.0))
+    funnel = Funnel(p=(0.5, 0.8), q=0.1, mu=2.0)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     times = [0.0, 0.3, 1.7, 12.25]
     lower = [(0.1 * t, -1.0) for t in times]
@@ -246,20 +246,19 @@ def test_constraint_rows_layout_and_scalar_agreement():
         expect = (
             [h - l for l, h in zip(lo, hi)]
             + [h + l for l, h in zip(lo, hi)]
-            + [(p - q) * math.exp(-mu * t) + q
-               for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)]
+            + [(p - funnel.q) * math.exp(-funnel.mu * t) + funnel.q for p in funnel.p]
         )
         assert _bits(row) == _bits(expect)
         assert _bits(constraint_row(lo, hi, cfg, t)) == _bits(expect)
 
 
 def test_funnel_radii_take_one_exp_per_rate_and_time(monkeypatch):
-    """Mixed per-dimension rates give, bit for bit, the radii of one
-    ``math.exp`` per value, with one call per time and distinct rate."""
-    funnel = Funnel(p=(0.5, 0.8, 2.0, 1.1), q=(0.1, 0.1, 0.2, 0.3), mu=(1.0, 2.0, 1.0, 0.37))
+    """A funnel's one rate gives, bit for bit, the radii of one
+    ``math.exp`` per value, with one call per time for all dimensions."""
+    funnel = Funnel(p=(0.5, 0.8, 2.0, 1.1), q=0.1, mu=0.37)
     times = [0.0, 1e-3, 0.3005, 1.7, 12.25, 40.0]
     expect = [
-        [(p - q) * math.exp(-mu * t) + q for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)]
+        [(p - funnel.q) * math.exp(-funnel.mu * t) + funnel.q for p in funnel.p]
         for t in times
     ]
     calls = []
@@ -267,19 +266,20 @@ def test_funnel_radii_take_one_exp_per_rate_and_time(monkeypatch):
     monkeypatch.setattr(math, "exp", lambda v: calls.append(v) or real(v))
     radii = funnel.radii(times)
     assert _bits(radii.ravel().tolist()) == _bits([v for row in expect for v in row])
-    assert len(calls) == len(times) * 3
+    assert len(calls) == len(times)
 
 
 @pytest.mark.parametrize("p,q,mu,message", [
-    ((1.0, 1.0, 1.0), (0.5,), (1.0,), "one p, q and mu per dimension"),
-    ((1.0,), (0.5,), (1.0, 2.0), "one p, q and mu per dimension"),
-    ((), (), (), "one p, q and mu per dimension"),
-    ((1.0,), (0.5,), (math.inf,), "decay rate must be positive and finite"),
-    ((math.inf,), (0.5,), (1.0,), "finite p > q > 0"),
-    ((math.nan,), (0.5,), (1.0,), "finite p > q > 0"),
-    ((1.0,), (-math.inf,), (1.0,), "finite p > q > 0"),
-])
-def test_funnel_rejects_mismatched_or_nonfinite_parameters(p, q, mu, message):
+    ((), 0.5, 1.0, "one p per dimension"),
+    ((1.0,), 0.5, math.inf, "decay rate must be positive and finite"),
+    ((1.0,), 0.5, 0.0, "decay rate must be positive and finite"),
+    ((math.inf,), 0.5, 1.0, "finite p > q > 0"),
+    ((math.nan,), 0.5, 1.0, "finite p > q > 0"),
+    ((1.0,), -math.inf, 1.0, "finite p > q > 0"),
+    ((1.0,), math.nan, 1.0, "finite p > q > 0"),
+    ((1.0, 0.4), 0.5, 1.0, "finite p > q > 0"),
+], ids=["no-p", "inf-rate", "zero-rate", "inf-p", "nan-p", "neg-inf-q", "nan-q", "p-below-q"])
+def test_funnel_rejects_empty_or_nonfinite_parameters(p, q, mu, message):
     with pytest.raises(ValueError, match=message):
         Funnel(p=p, q=q, mu=mu)
 
@@ -306,7 +306,7 @@ def test_stage1_error_rejects_mismatched_lengths():
 def test_stage1_errors_match_the_written_out_formula():
     """The array form gives (2x - (hi + lo)) / (hi - lo) bit for bit and
     reads only the stage-1 block of a stacked state."""
-    funnel = Funnel(p=(0.5, 0.8), q=(0.1, 0.1), mu=(1.0, 2.0))
+    funnel = Funnel(p=(0.5, 0.8), q=0.1, mu=2.0)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     times = [0.0, 0.3, 1.7]
     lower = [(0.1 * t, -1.0) for t in times]
@@ -328,7 +328,7 @@ def test_control_input_rejects_mismatched_row():
     with pytest.raises(ValueError):
         control_input((), [], cfg)  # no dims at all
     two = ControllerConfig(
-        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
+        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=0.1, mu=1.0),), e_max=E_MAX
     )
     for state in ((), (0.5,)):  # a row shorter than stages + 1
         with pytest.raises(ValueError):
@@ -351,7 +351,7 @@ def test_collapsed_tube_width_follows_min_over_nan():
 def test_strict_failure_counts_only_the_earlier_stages_clamps():
     """A strict failure in stage 2 adds stage 1's clamps to the telemetry,
     not the clamps stage 2 made before its failing component."""
-    funnel = Funnel(p=(1.0, 1.0), q=(0.5, 0.5), mu=(1.0, 1.0))
+    funnel = Funnel(p=(1.0, 1.0), q=0.5, mu=1.0)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=0.9)
     # stage 1 errors 0.95 (clamped) and 0; stage 2 errors 0.95 (clamped), then 1.5
     x1 = (0.95, 0.0)
@@ -385,15 +385,13 @@ def test_two_stage_cascade_matches_paper_formulas():
     with a clamped component in each stage."""
     lower, upper = (0.0, -1.0, 0.5), (1.0, 2.0, 0.75)
     x1 = (0.7, 3.0, 0.6)  # dim 2 is outside the walls
-    funnel = Funnel(p=(0.5, 0.8, 2.0), q=(0.1, 0.1, 0.2), mu=(1.0, 2.0, 0.5))
+    funnel = Funnel(p=(0.5, 0.8, 2.0), q=0.1, mu=0.5)
     kappa, t = (2.3, 2.3), 0.3  # 2.3: rounding shows operand order
 
     width = tuple(hi - lo for lo, hi in zip(lower, upper))
     e1 = tuple((2.0 * v - (hi + lo)) / (hi - lo) for v, lo, hi in zip(x1, lower, upper))
     r1 = _paper_reference(e1, width, kappa[0])
-    radius = tuple(
-        (p - q) * math.exp(-mu * t) + q for p, q, mu in zip(funnel.p, funnel.q, funnel.mu)
-    )
+    radius = tuple((p - funnel.q) * math.exp(-funnel.mu * t) + funnel.q for p in funnel.p)
     # stage 2 sits inside its funnel in dims 1 and 2, outside in dim 3
     x2 = tuple(r + f * g for r, g, f in zip(r1, radius, (0.5, -0.8, 3.0)))
     e2 = tuple((v - r) / g for v, r, g in zip(x2, r1, radius))
@@ -427,10 +425,9 @@ def test_control_input_matches_written_out_cascade(data):
     e_max = data.draw(st.sampled_from([E_MAX, 0.9]))
     funnels = []
     for _ in range(stages - 1):
-        q = tuple(data.draw(st.floats(0.01, 1.0)) for _ in range(dims))
-        p = tuple(v + data.draw(st.floats(0.01, 3.0)) for v in q)
-        mu = tuple(data.draw(st.floats(0.05, 3.0)) for _ in range(dims))
-        funnels.append(Funnel(p=p, q=q, mu=mu))
+        q = data.draw(st.floats(0.01, 1.0))
+        p = tuple(q + data.draw(st.floats(0.01, 3.0)) for _ in range(dims))
+        funnels.append(Funnel(p=p, q=q, mu=data.draw(st.floats(0.05, 3.0))))
     cfg = ControllerConfig(kappa=kappa, funnels=tuple(funnels), e_max=e_max)
     t = data.draw(st.floats(0.0, 20.0))
     lower = [data.draw(st.floats(-5.0, 5.0)) for _ in range(dims)]
@@ -442,7 +439,7 @@ def test_control_input_matches_written_out_cascade(data):
     gamma = [hi - lo for lo, hi in zip(lower, upper)]
     sums = [hi + lo for lo, hi in zip(lower, upper)]
     radii = [
-        [(p - q) * math.exp(-mu * t) + q for p, q, mu in zip(f.p, f.q, f.mu)]
+        [(p - f.q) * math.exp(-f.mu * t) + f.q for p in f.p]
         for f in funnels
     ]
     state, ref, clamps, expect = [], None, 0, None
@@ -486,7 +483,7 @@ def test_shapes_with_equal_row_lengths_get_their_own_law(shapes):
     control._kernel.cache_clear()
     for stages, dims in shapes:
         funnels = tuple(
-            Funnel(p=(1.5,) * dims, q=(0.2,) * dims, mu=(0.7,) * dims)
+            Funnel(p=(1.5,) * dims, q=0.2, mu=0.7)
             for _ in range(stages - 1)
         )
         cfg = ControllerConfig(kappa=(1.1, 2.3)[:stages], funnels=funnels, e_max=E_MAX)
@@ -509,7 +506,7 @@ def test_law_kernels_are_named_for_their_shape():
     """A shape compiles one law, named for the shape alone, and strict and
     lenient calls run that same code; linecache holds its source, so
     tracebacks and profiles show the law's lines."""
-    funnel = Funnel(p=(0.5, 0.8, 0.6), q=(0.1, 0.1, 0.1), mu=(1.0, 1.0, 1.0))
+    funnel = Funnel(p=(0.5, 0.8, 0.6), q=0.1, mu=1.0)
     cfg = ControllerConfig(kappa=(1.0, 1.0), funnels=(funnel,), e_max=E_MAX)
     row = constraint_row((0.0,) * 3, (1.0,) * 3, cfg, 0.0)
     name = "<sttube law 2x3>"
@@ -555,7 +552,7 @@ def test_control_input_integrity_error_carries_stage():
     assert math.isfinite(u[0]) and tel.clamp_count == 1
 
     cfg2 = ControllerConfig(
-        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
+        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=0.1, mu=1.0),), e_max=E_MAX
     )
     with pytest.raises(ControllerIntegrityError) as err:
         _ctl((0.5, 99.0), (0.0,), (1.0,), cfg2)
@@ -574,7 +571,7 @@ def test_collapsed_stage1_tube_is_a_stage1_error(walls, strict):
 
 def test_two_stage_cascade_centered():
     cfg = ControllerConfig(
-        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=(0.1,), mu=(1.0,)),), e_max=E_MAX
+        kappa=(1.0, 1.0), funnels=(Funnel(p=(0.5,), q=0.1, mu=1.0),), e_max=E_MAX
     )
     u = _ctl((0.5, 0.0), (0.0,), (1.0,), cfg)
     assert u == (0.0,)
@@ -610,12 +607,12 @@ def test_config_invariants():
     with pytest.raises(ValueError, match="stage gains must be positive and finite"):
         ControllerConfig(kappa=(math.inf,))
     with pytest.raises(ValueError, match="decay rate must be positive"):
-        Funnel(p=(1.0,), q=(0.1,), mu=(math.nan,))
+        Funnel(p=(1.0,), q=0.1, mu=math.nan)
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(1.0,), e_max=1.5)
     with pytest.raises(ValueError):
         ControllerConfig(kappa=(1.0, 1.0), funnels=())
-    funnel = Funnel(p=(1.0,), q=(0.1,), mu=(1.0,))
+    funnel = Funnel(p=(1.0,), q=0.1, mu=1.0)
     for funnels in ((), (funnel,)):
         with pytest.raises(ValueError, match="need at least one stage gain"):
             ControllerConfig(kappa=(), funnels=funnels)

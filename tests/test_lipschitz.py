@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sttube.lipschitz import (
+    MIN_PAIR_GAP,
     SlopeSampleConfig,
     convergence_sweep,
     estimate_L,
@@ -114,3 +115,12 @@ def test_config_invariants():
         SlopeSampleConfig(alpha=0.1, pair_count=1)
     with pytest.raises(ValueError):
         SlopeSampleConfig(alpha=0.1, repetitions=5)
+    # pairs closer than MIN_PAIR_GAP are redrawn, which no alpha at or
+    # below it can ever end
+    for alpha in (1e-15, MIN_PAIR_GAP):
+        with pytest.raises(ValueError, match="above the least pair gap 1e-14"):
+            SlopeSampleConfig(alpha=alpha)
+    for seed in (-1, True, 1.5, "1", None):
+        with pytest.raises(ValueError, match="rng_seed must be a nonnegative integer"):
+            SlopeSampleConfig(alpha=0.1, rng_seed=seed)
+    assert SlopeSampleConfig(alpha=0.1, rng_seed=np.int64(3)).rng_seed == 3

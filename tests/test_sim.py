@@ -92,12 +92,18 @@ def test_deterministic_trajectories(robots_spec, robots_table, robots_run):
         assert ta.config == tb.config
 
 
-def test_agents_share_one_time_grid(robots_run):
-    """Every agent of a run steps on the same grid, held as one array."""
-    grid = np.arange(len(robots_run[0].times)) * 1e-3
-    for traj in robots_run:
-        assert traj.times.tobytes() == grid.tobytes()
-        assert np.shares_memory(traj.times, robots_run[0].times)
+def test_agents_share_one_time_grid(robots_spec, robots_table, monkeypatch):
+    """On one CPU or two, every agent's times are np.arange(n) * dt bit
+    for bit, formed on access: no trajectory holds a time array."""
+    spec = dataclasses.replace(robots_spec, horizon=0.5)
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        for traj in run_closed_loop(spec, robots_table, dt=1e-3, seed=9):
+            assert traj.dt == 1e-3 and len(traj.states) == 501
+            assert traj.times.tobytes() == (np.arange(501) * 1e-3).tobytes()
+            arrays = [v for v in vars(traj).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1 and arrays[0] is traj.states
+        _no_child_left()
 
 
 def rk4_convergence_ratios(dts=(2e-3, 1e-3, 5e-4, 2.5e-4, 1.25e-4)):
@@ -286,13 +292,10 @@ def test_input_series_matches_applied_inputs(case, kind, request, monkeypatch):
     for j, traj in enumerate(trajs):
         x0 = initial_state(tubes, j, plant)
         assert traj.config == build_controller_config(spec, tubes, j, plant, x0=x0)
-        own = integrate_agent(
-            j, tubes, plant, traj.config, dist, spec.horizon, 1e-3, x0=x0, name=traj.name
+        own = integrate_agent(j, tubes, plant, traj.config, dist, spec.horizon, 1e-3, x0=x0)
+        assert (own.agent, own.dt, own.clamp_count, own.aborted) == (
+            traj.agent, traj.dt, traj.clamp_count, traj.aborted
         )
-        assert (own.agent, own.name, own.clamp_count, own.aborted) == (
-            traj.agent, traj.name, traj.clamp_count, traj.aborted
-        )
-        assert own.times.tobytes() == traj.times.tobytes()
         assert own.states.tobytes() == traj.states.tobytes()
     monkeypatch.undo()
     series = np.vstack([input_series(t, tubes, plant) for t in trajs])
@@ -312,7 +315,7 @@ def _no_child_left():
 
 def _run_bytes(trajs):
     return [
-        (t.agent, t.name, t.clamp_count, t.aborted, t.config, t.times.tobytes(), t.states.tobytes())
+        (t.agent, t.dt, t.clamp_count, t.aborted, t.config, t.states.tobytes())
         for t in trajs
     ]
 
@@ -437,7 +440,7 @@ def test_receive_refuses_every_prefix_of_a_stream():
     for cut in range(len(data)):
         assert sim._receive(io.BytesIO(data[:cut])) == []
     (back,) = sim._receive(io.BytesIO(data))
-    assert (back.agent, back.config, back.times) == (trajs[0].agent, trajs[0].config, None)
+    assert (back.agent, back.dt, back.config) == (trajs[0].agent, trajs[0].dt, trajs[0].config)
     assert back.states.tobytes() == trajs[0].states.tobytes()
 
 
@@ -461,10 +464,10 @@ def test_an_interrupt_kills_and_reaps_the_children(robots_spec, robots_table, mo
 
 
 def test_recorded_memory_grows_with_states_only(robots_spec, robots_table):
-    """A run keeps per step only its time and state: doubling the horizon
-    raises the traced peak of ``integrate_agent`` by the growth of those
-    two arrays plus a small fixed allowance, so a per-step record of any
-    other array (inputs are 24 bytes a step on robots) fails."""
+    """A run keeps per step only its state: doubling the horizon raises
+    the traced peak of ``integrate_agent`` by the growth of the states
+    plus a small fixed allowance, so a per-step record of any other array
+    (times are 8 bytes a step, inputs 24 on robots) fails."""
     plant = make_plant(robots_spec.plant, robots_spec.dims)
     config = build_controller_config(robots_spec, robots_table, 0, plant)
     dist = PlantConfig(disturbance_bound=0.01, disturbance_kind="uniform", disturbance_seed=2)
@@ -473,7 +476,7 @@ def test_recorded_memory_grows_with_states_only(robots_spec, robots_table):
         tracemalloc.start()
         try:
             traj = integrate_agent(0, robots_table, plant, config, dist, horizon, 1e-3)
-            return tracemalloc.get_traced_memory()[1], traj.states.nbytes + traj.times.nbytes
+            return tracemalloc.get_traced_memory()[1], traj.states.nbytes
         finally:
             tracemalloc.stop()
 
@@ -776,7 +779,7 @@ def test_both_block_forms_agree_bit_for_bit(shape, case):
     edits, start, e_max, shows = _FORM_CASES[case]
     config = ControllerConfig(
         kappa=(1.0,) * stages,
-        funnels=(Funnel(p=(2.0,) * dims, q=(1.0,) * dims, mu=(1.0,) * dims),) * (stages - 1),
+        funnels=(Funnel(p=(2.0,) * dims, q=1.0, mu=1.0),) * (stages - 1),
         e_max=e_max,
     )
     dt, steps = 0.01, 5
@@ -821,7 +824,7 @@ def test_a_strict_failure_names_a_step_past_the_stability_bound(shape, stage, no
     dims = plant.dims
     config = ControllerConfig(
         kappa=(2.0,) * plant.stages,
-        funnels=(Funnel(p=(1.0,) * dims, q=(0.25,) * dims, mu=(1.0,) * dims),)
+        funnels=(Funnel(p=(1.0,) * dims, q=0.25, mu=1.0),)
         * (plant.stages - 1),
     )
     widths = [1.0, 1.0, 1.0] if dims == 3 else [0.1, 0.1]
@@ -911,7 +914,7 @@ def test_rk4_block_matches_the_written_out_step(data):
     floats = st.floats(-3.0, 3.0)
     config = ControllerConfig(
         kappa=tuple(data.draw(st.floats(0.05, 20.0)) for _ in range(stages)),
-        funnels=(Funnel(p=(1.0,) * dims, q=(0.5,) * dims, mu=(1.0,) * dims),) * (stages - 1),
+        funnels=(Funnel(p=(1.0,) * dims, q=0.5, mu=1.0),) * (stages - 1),
         e_max=data.draw(st.sampled_from([1.0 - 1e-9, 0.9, 0.5])),
     )
     strict = data.draw(st.integers(0, 3)) == 0  # random states mostly fail it

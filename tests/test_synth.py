@@ -1330,6 +1330,29 @@ def test_validation_catches_swapped_faces(robots_table, robots_spec):
     assert not report.families["collision"].passed
 
 
+def test_validation_refuses_tubes_that_do_not_fit_the_scenario(robots_table, robots_spec):
+    """A one-agent table, or one over half the horizon, is refused with
+    the message the closed loop gives for it, not reshaped or evaluated
+    past the tubes' horizon."""
+    import dataclasses
+
+    from sttube.sim import run_closed_loop
+    from sttube.tube import TubeSet
+
+    one = TubeSet(
+        horizon=robots_table.horizon, coeffs=robots_table.coeffs[:1],
+        sizes=robots_table.sizes[:1], min_widths=robots_table.min_widths[:1],
+        names=robots_table.names[:1],
+    )
+    half = dataclasses.replace(robots_table, horizon=robots_spec.horizon / 2)
+    for tubes in (one, half):
+        with pytest.raises(ValueError, match="tubes do not match the scenario") as err:
+            validate_tubes(tubes, robots_spec, resolution=0.01)
+        with pytest.raises(ValueError) as loop:
+            run_closed_loop(robots_spec, tubes)
+        assert str(err.value) == str(loop.value)
+
+
 def test_synthesize_never_returns_certified_invalid_tubes(sweeping_bar, monkeypatch):
     """A certificate whose tubes fail the eps/4 dense validation raises
     SynthesisFailure naming the failing families, with the certified

@@ -42,13 +42,10 @@ def _tubes(agents=1):
 
 
 def _traj(points, dt=0.1, agent=0):
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
     return Trajectory(
         agent=agent,
-        name=f"a{agent + 1}",
-        times=np.arange(n) * dt,
-        states=pts,
+        dt=dt,
+        states=np.asarray(points, dtype=float),
         config=ControllerConfig(kappa=(1.0,)),
     )
 
@@ -198,7 +195,7 @@ def test_failed_checks_named(mini_spec, mini_result):
     trajs = run_closed_loop(mini_spec, mini_result.tubes, dt=1e-3, seed=3)
     # truncate one agent to force an inconclusive result
     short = trajs[0]
-    cut = dataclasses.replace(short, times=short.times[:100], states=short.states[:100])
+    cut = dataclasses.replace(short, states=short.states[:100])
     report = verify_run([cut, trajs[1]], mini_spec, mini_result.tubes)
     assert not report.all_pass
     assert any("shorter than horizon" in line for line in report.failed_checks())
