@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .control import ControllerIntegrityError
 from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table, side_maxima
-from .lp import LpNumericalError
 from .plant import make_plant
 from .scenario import ScenarioError, load_scenario
 from .sim import run_closed_loop, write_trajectories_csv
@@ -79,7 +78,7 @@ def cmd_synth(args) -> int:
     stem = Path(args.scenario).stem
     try:
         result = synthesize(spec, degree_override=args.degree)
-    except (SynthesisError, SynthesisInfeasible, SynthesisFailure, LpNumericalError) as exc:
+    except (SynthesisError, SynthesisInfeasible, SynthesisFailure) as exc:
         print(f"synthesis failed: {exc}", file=sys.stderr)
         return EXIT_SYNTH
     cert = result.certificate
@@ -227,10 +226,16 @@ def cmd_lipschitz(args) -> int:
         )
         if args.trend < 0:
             raise ValueError("trend must be a nonnegative number of halvings")
+        table = estimate_table(tubes, cfg)
+        if args.trend:
+            rows = tubes.coeffs.reshape(-1, tubes.coeffs.shape[-1])
+            bounds = [analytic_slope_bound(row, (0.0, tubes.horizon)) for row in rows]
+            errors = convergence_sweep(
+                rows[np.argmax(bounds)], tubes.horizon, cfg, halvings=args.trend, seeds=range(10)
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    table = estimate_table(tubes, cfg)
     print(f"{'agent':>6} {'dim':>4} {'side':>6} {'location':>10} {'scale':>9} "
           f"{'shape':>8}  method")
     for (j, i, s), fit in np.ndenumerate(table):
@@ -244,11 +249,6 @@ def cmd_lipschitz(args) -> int:
     print(f"L_L={l_lower:.4f}  L_U={l_upper:.4f}  L={l_comp:.4f}")
     print(f"analytic slope bounds: L_L={a_lower:.4f}  L_U={a_upper:.4f}")
     if args.trend:
-        rows = tubes.coeffs.reshape(-1, tubes.coeffs.shape[-1])
-        bounds = [analytic_slope_bound(row, (0.0, tubes.horizon)) for row in rows]
-        errors = convergence_sweep(
-            rows[np.argmax(bounds)], tubes.horizon, cfg, halvings=args.trend, seeds=range(10)
-        )
         print("convergence trend (mean |error| per refinement):",
               " ".join(f"{e:.5f}" for e in errors))
     wall = time.perf_counter() - t0

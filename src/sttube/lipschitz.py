@@ -70,7 +70,17 @@ def max_slope_sample(
     rng: np.random.Generator | None = None,
 ) -> float:
     """One repetition: max |difference quotient| of the face ``coeffs``
-    over pair_count close pairs."""
+    over pair_count close pairs.
+
+    Raises ValueError when alpha is at or below ``MIN_PAIR_GAP`` plus the
+    float spacing at the horizon: there ``t + delta`` rounds back to ``t``,
+    so a late pair could never be redrawn apart."""
+    if cfg.alpha <= MIN_PAIR_GAP + np.spacing(horizon):
+        raise ValueError(
+            f"alpha {cfg.alpha:g} is too small for horizon {horizon:g}: it must exceed "
+            f"the least pair gap {MIN_PAIR_GAP:g} plus the float spacing there, "
+            f"{np.spacing(horizon):.3g}"
+        )
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     t_k = rng.uniform(0.0, horizon, cfg.pair_count)

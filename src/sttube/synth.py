@@ -7,9 +7,10 @@ which side) is assigned a witness.  Synthesis therefore alternates:
 certify the solve of the current assignment, then propose witness
 changes from its tube geometry, solve each candidate and carry the best
 solve on as the next iterate, so each assignment is solved once.  Every
-disjunct row is read from one row table: the LP rows, the witnessed row
-values, the ranking of each row's options and the scoring LPs.  Two
-places keep their own formula: the dense validation oracle, to stay
+row is read from one row table: the LP rows, all through one gather
+(``SopInstance.gather``: sampled, exact-time arena, pin and scoring
+rows), the witnessed row values and the ranking of each row's options.
+Two places keep their own formula: the dense validation oracle, to stay
 independent, and ``seed_assignment``, whose clearances at the
 straight-line reference paths break ties by their own rules (side 1 on
 equal clearances, the lowest dimension on equal gaps).  The heuristic's
@@ -33,9 +34,9 @@ margin test unsatisfiable for every scenario of this shape.  Arena rows
 are instead enforced exactly at every sample and, since the margin test
 says nothing about them, also between samples: once the sampled system
 holds, each face is checked at the roots of its derivative, and every
-time where it leaves the arena becomes an extra row (an exchange method
-for the semi-infinite constraint; Hettich & Kortanek, SIAM Review 35(3),
-1993).
+time where it leaves the arena becomes an extra (row group, time) entry
+(an exchange method for the semi-infinite constraint; Hettich &
+Kortanek, SIAM Review 35(3), 1993).
 """
 
 from __future__ import annotations
@@ -284,39 +285,38 @@ class SopInstance:
 
     # -- rows (row . x <= rhs) ----------------------------------------------
 
-    def _face_rows(self, faces, signs, etas, powers):
-        """Rows ``sum_q signs[:, q] * face_q(t) - slack``: ``faces`` (K, 2)
-        face indices (-1: none), ``etas`` (K,) slack columns (-1: none),
-        ``powers`` (K, z_max) the powers of each row's time."""
+    def gather(self, groups, codes, powers, samples) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``row_table[groups, codes]`` (row . x <= rhs), ``groups``
+        (K,): each face term at its row of ``powers`` (K, z_max), the
+        powers of the row's time, and a right-hand side that reads obstacle
+        bounds at ``samples``.  Every LP row of the search is built here."""
+        faces, signs, etas, rhs, bound = (col[groups, codes] for col in self.row_table)
         out = np.zeros((len(powers), self.n_vars + 1))
         at = np.arange(len(powers))[:, None]
         for f, s in zip(faces.T, signs.T):
             out[at, self.columns[f]] += s[:, None] * powers
         out[at[:, 0], etas] = -1.0
-        return out[:, :-1]
+        return out[:, :-1], np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[samples, bound])
 
     def rows(self, codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the given keys, gathered from the row table;
-        ``codes`` is the witness table (disjunct groups, n_t).  Arena and
-        width rows take code 0: their row-table entries are the same for
-        every code."""
+        """The rows of the given keys; ``codes`` is the witness table
+        (disjunct groups, n_t).  Arena and width rows take code 0: their
+        row-table entries are the same for every code."""
         g, r = np.divmod(keys, self.n_t)
         d = g - self.disjunct_groups.start
         witnessed = (d >= 0) & (d < len(codes))
         c = np.zeros(len(keys), dtype=np.int8)
         c[witnessed] = codes[d[witnessed], r[witnessed]]
-        faces, signs, etas, rhs, bound = (col[g, c] for col in self.row_table)
-        matrix = self._face_rows(faces, signs, etas, self.powers[r])
-        return matrix, np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[r, bound])
+        return self.gather(g, c, self.powers[r], r)
 
     def equality_rows(self):
-        """Endpoint pins: face(0) and face(t_c) equal the box bounds."""
+        """Endpoint pins: face(0) and face(t_c) equal the box bounds.  A
+        pin's row is the face's upper arena row (group ``2 * face + 1``,
+        the face with sign +1 and no slack) at the two ends."""
         n_faces = len(self.columns) - 1
         pins = np.vander([0.0, self.spec.horizon], N=self.powers.shape[1], increasing=True)
-        faces = np.stack([np.repeat(np.arange(n_faces), 2), np.full(2 * n_faces, -1)], axis=1)
-        rows = self._face_rows(
-            faces, np.ones(faces.shape), np.full(2 * n_faces, -1), np.tile(pins, (n_faces, 1))
-        )
+        groups = 2 * np.repeat(np.arange(n_faces), 2) + 1
+        rows, _ = self.gather(groups, 0, np.tile(pins, (n_faces, 1)), 0)
         return rows, self.ends.transpose(0, 2, 3, 1).ravel()
 
     def ordering_rows(self):
@@ -355,9 +355,10 @@ class SopInstance:
         return np.concatenate(keys)
 
     def arena_excursions(self, x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Arena rows, at exact times, for every face that leaves the arena
-        by more than ``tol`` anywhere in [0, t_c]; rows ordered by face,
-        then half (past lo, past hi), then time.
+        """Arena rows at exact times, as (row group ``2 * face + half``,
+        time) entries, for every face that leaves the arena by more than
+        ``tol`` anywhere in [0, t_c]; ordered by face, then half (past lo,
+        past hi), then time.
 
         A face's extremes on [0, t_c] lie at the ends or at a root of its
         derivative, so only the times of ``tube.extremum_times`` are
@@ -369,10 +370,8 @@ class SopInstance:
         lo, hi = self.face_arena[face].T
         half, at = np.nonzero(np.stack([lo - values, values - hi]) > tol)
         order = np.lexsort((at, half, face[at]))
-        half, at = half[order], at[order]
-        faces, signs, etas, rhs, _ = (col[2 * face[at] + half, 0] for col in self.row_table)
-        powers = np.vander(times[at], N=self.powers.shape[1], increasing=True)
-        return self._face_rows(faces, signs, etas, powers), rhs
+        at = at[order]
+        return 2 * face[at] + half[order], times[at]
 
     # -- vectorized evaluation ----------------------------------------------
 
@@ -513,8 +512,8 @@ class SolveDiagnostics:
     lp_rows: int = 0  # most rows in one LP of the call
     lp_solves: int = 0  # LPs of the call, over every candidate
     active_keys: np.ndarray = ()  # row keys of the winner's final working set
-    exact_rows: np.ndarray | None = None  # arena rows at exact times in its final LP
-    exact_rhs: np.ndarray | None = None
+    exact_groups: np.ndarray = ()  # arena rows at exact times in its final LP:
+    exact_times: np.ndarray = ()  # their row groups and times
 
 
 def _violated_keys(instance, x, tol, codes) -> np.ndarray:
@@ -539,7 +538,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     """One candidate's lazy-row loop, resumable: each ``next`` runs one
     round and yields the bound that round's LP gives on the candidate's
     eta* (see ``solve_sop``); the generator returns ``(x, active keys,
-    exact rows, exact rhs)`` once the full sampled system and the exact
+    exact groups, times)`` once the full sampled system and the exact
     arena check hold at the optimum.  ``base`` holds what every LP shares:
     the objective, the ordering rows and the endpoint pins.
 
@@ -549,7 +548,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     returns when there are none.  Then it solves the LP on its rows.
 
     Between rounds the generator holds only its active keys, the keys
-    ever added with their re-add counts, its exact rows and its point;
+    ever added with their re-add counts, its exact entries and its point;
     each scan builds the dense arrays it needs (face values, witnessed
     row values) and drops them before the LP.  So a candidate costs
     little while others run, and none of its LPs depends on the order
@@ -561,11 +560,11 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     # the subproblem bounded regardless of what the warm start carries.
     seed_idx = sorted({0, n_t // 4, n_t // 2, 3 * n_t // 4, n_t - 1})
     keys = (np.arange(instance.groups)[:, None] * n_t + seed_idx).ravel()
-    # arena rows at exact times between samples; never dropped
-    exact_rows, exact_rhs = np.zeros((0, instance.n_vars)), np.zeros(0)
-    if warm is not None:
-        keys = np.concatenate([keys, np.asarray(warm.active_keys, dtype=np.int64)])
-        exact_rows, exact_rhs = warm.exact_rows, warm.exact_rhs
+    warm = warm or SolveDiagnostics()
+    keys = np.concatenate([keys, np.asarray(warm.active_keys, dtype=np.int64)])
+    # arena rows at exact times between samples, (group, time); never dropped
+    groups = np.asarray(warm.exact_groups, dtype=np.int64)
+    times = np.asarray(warm.exact_times, dtype=float)
     keys = np.sort(keys)
     keys = keys[np.diff(keys, prepend=-1) > 0]  # the working set, sorted, no repeats
     # every key ever added, once for each time it was added (at most 3), sorted
@@ -587,14 +586,17 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
                 keys = np.sort(np.concatenate([keys[~drop], fresh]))
                 added = np.sort(np.concatenate([added, fresh]))
             else:
-                found_rows, found_rhs = instance.arena_excursions(x, tol)
-                if len(found_rhs) == 0:
-                    return x, keys, exact_rows, exact_rhs
-                exact_rows = np.vstack([exact_rows, found_rows])
-                exact_rhs = np.concatenate([exact_rhs, found_rhs])
+                found_groups, found_times = instance.arena_excursions(x, tol)
+                if len(found_times) == 0:
+                    return x, keys, groups, times
+                groups = np.concatenate([groups, found_groups])
+                times = np.concatenate([times, found_times])
         if lps == 300:
             raise SynthesisInfeasible("lazy constraint loop failed to converge")
         rows, rhs = instance.rows(assignment.codes, keys)
+        exact_rows, exact_rhs = instance.gather(
+            groups, 0, np.vander(times, N=instance.powers.shape[1], increasing=True), 0
+        )
         rows = np.vstack([rows, exact_rows, base.ineq_matrix])
         rhs = np.concatenate([rhs, exact_rhs, base.ineq_rhs])
         sol = solve_lp(LpProblem(
@@ -618,7 +620,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
         x = sol.x
         slack = rows[: len(keys)] @ x - rhs[: len(keys)]
         bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
-        del rows, rhs, sol  # no LP matrix is kept between rounds
+        del rows, rhs, exact_rows, exact_rhs, sol  # no LP matrix is kept between rounds
         yield bound
 
 
@@ -641,11 +643,12 @@ def solve_sop(
     that are never dropped, and the loop goes on until both checks pass.
     Deterministic throughout.
 
-    ``warm``, the diagnostics of an earlier solve on the same instance,
-    hands every candidate its final working set: its ``active_keys`` join
-    the working set and its exact arena rows start the block that is never
-    dropped.  Each such row is an arena constraint of the robust problem
-    at one time, so it cuts off no valid tube, whatever the witnesses.
+    ``warm``, the diagnostics of an earlier solve on the same samples, at
+    any tube degrees, hands every candidate its final working set: its
+    ``active_keys`` join the working set and its exact arena (row group,
+    time) entries start the block that is never dropped.  Each such row is
+    an arena constraint of the robust problem at one time, so it cuts off
+    no valid tube, whatever the witnesses.
 
     Candidates run best first (best-bound branch and bound; Land & Doig,
     Econometrica 28(3), 1960; Lawler & Wood, Operations Research 14(4),
@@ -699,14 +702,14 @@ def solve_sop(
             heapq.heappush(queue, (bound, pos))
     if best is None:
         raise errors[min(errors)]
-    eta_star, pos, (x, keys, exact_rows, exact_rhs) = best
+    eta_star, pos, (x, keys, groups, times) = best
     tubes = instance.tubes_from_solution(x)
     diag.eta_star = eta_star
     diag.tubes = tubes
     diag.x = x
     diag.assignment = candidates[pos]
     diag.active_keys = keys
-    diag.exact_rows, diag.exact_rhs = exact_rows, exact_rhs
+    diag.exact_groups, diag.exact_times = groups, times
     return tubes, eta_star
 
 
@@ -725,50 +728,35 @@ def _score_option(instance, group, window, code) -> float:
     """Best achievable slack s for the faces of row group ``group`` honoring
     witness ``code`` uniformly over ``window``.
 
-    A small LP over the row's faces alone, each (agent, dim, side), with
-    the faces, signs and right-hand side of ``row_table[group, code]``: the
-    endpoint pins, arena bounds with room for the opposite face at minimum
-    width, and the witness rows ``sum_q signs[q] * face_q(t) - s <= rhs``
-    at up to 12 samples of the window.  The optimum ranks how viable the
-    witness is; an LP that is infeasible or fails its numerical check
-    scores ``inf``.
+    A small LP over the row's faces alone, each (agent, dim, side), and
+    its slack column, every row gathered from the row table
+    (``SopInstance.gather``): the witness rows ``row_table[group, code]``
+    at up to 12 samples of the window; the two arena rows of each face at
+    those samples, with room for the opposite face at minimum width; and
+    the face's endpoint pins (``equality_rows``).  The optimum ranks how
+    viable the witness is; an LP that is infeasible or fails its
+    numerical check scores ``inf``.
     """
     sub = _subsample(window)
-    faces, signs, _, rhs, bound = (col[group, code] for col in instance.row_table)
-    rhs = signs[0] * instance._rhs_bounds[sub, bound] if bound >= 0 else np.full(len(sub), rhs)
-    terms = [
-        (np.unravel_index(f, (instance.m, instance.n, 2)), sign)
-        for f, sign in zip(faces, signs)
-        if f >= 0
-    ]
-    powers = [instance.powers[sub, : instance.z[j, i]] for (j, i, _), _ in terms]
-    pins = np.vander([0.0, instance.spec.horizon], N=instance.powers.shape[1], increasing=True)
-    nv = sum(p.shape[1] for p in powers) + 1
-    witness = np.zeros((len(sub), nv))
-    witness[:, -1] = -1.0
-    rows, bounds, eq, eq_rhs = [witness], [rhs], [], []
-    start = 0
-    for ((j, i, side), sign), p in zip(terms, powers):
-        block = slice(start, start + p.shape[1])
-        start = block.stop
-        witness[:, block] = sign * p
-        lo, hi = instance.arena[i]
-        w = instance.min_widths[j, i]
-        lo, hi = (lo, hi - w) if side == 0 else (lo + w, hi)
-        room = np.zeros((2, len(sub), nv))
-        room[0, :, block], room[1, :, block] = -p, p
-        rows.append(room.reshape(-1, nv))
-        bounds += [np.full(len(sub), -lo), np.full(len(sub), hi)]
-        pin = np.zeros((2, nv))
-        pin[:, block] = pins[:, : p.shape[1]]
-        eq.append(pin)
-        eq_rhs.append(instance.ends[j, :, i, side])
+    faces, _, eta, _, _ = (col[group, code] for col in instance.row_table)
+    faces = faces[faces >= 0]
+    powers = instance.powers[sub]
+    witness, witness_rhs = instance.gather(np.full(len(sub), group), code, powers, sub)
+    # per face: past lo at every sample, then past hi
+    arena = np.repeat(2 * faces[:, None] + [0, 1], len(sub))
+    room, room_rhs = instance.gather(arena, 0, np.tile(powers, (2 * len(faces), 1)), 0)
+    j, i, side = np.unravel_index(faces, (instance.m, instance.n, 2))
+    room_rhs = room_rhs.reshape(len(faces), 2, len(sub))
+    room_rhs[np.arange(len(faces)), 1 - side] -= instance.min_widths[j, i, None]
+    pins, pin_rhs = instance.equality_rows()
+    pinned = (2 * faces[:, None] + [0, 1]).ravel()
+    cols = np.concatenate([*(instance.face_columns[f] for f in faces), [eta]])
     problem = LpProblem(
-        objective=np.eye(nv)[-1],
-        ineq_matrix=np.vstack(rows),
-        ineq_rhs=np.concatenate(bounds),
-        eq_matrix=np.vstack(eq),
-        eq_rhs=np.concatenate(eq_rhs),
+        objective=np.eye(len(cols))[-1],
+        ineq_matrix=np.vstack([witness, room])[:, cols],
+        ineq_rhs=np.concatenate([witness_rhs, room_rhs.ravel()]),
+        eq_matrix=pins[pinned][:, cols],
+        eq_rhs=pin_rhs[pinned],
     )
     try:
         sol = solve_lp(problem)
@@ -854,7 +842,7 @@ def refine_assignment(
     every row's geometrically best witness at the current solution
     (``SopInstance.best_witnesses``).  The first ``BEAM_WIDTH`` of them,
     in that order, go to one ``solve_sop`` call, warm-started from
-    ``failure``: its working set and the exact arena rows it found.  It
+    ``failure``: its working set and the exact arena entries it found.  It
     runs them best first and stops those whose LP bound shows they cannot
     win; the winner, the least ``(eta*, position)``, is the one that
     solving every candidate to the end picks.  ``instance.candidates``
@@ -1181,7 +1169,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     iterate is the solve that ``refine_assignment`` picked, certified as
     it comes (analytic Lipschitz constants), so no assignment is solved
     twice.  Each candidate starts warm from the iterate it refines, so
-    the exact arena rows found along the chain of iterates are carried
+    the exact arena entries found along the chain of iterates are carried
     down it and not found again.
 
     Stop rule: once a certificate is found, keep refining while the
@@ -1204,13 +1192,21 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     feasible) or L * epsilon (a smaller epsilon may certify).  Also
     raised with the certified margin when the certified tubes fail their
     own dense validation (eps/4, tolerance 1e-4): a result is never
-    returned certified and invalid.
+    returned certified and invalid.  Raises SynthesisInfeasible when the
+    seed assignment's solve fails, an LP that HiGHS does not solve
+    cleanly among them (its message names the tube degrees); a
+    refinement candidate that fails is only a lost candidate.
     """
     t0 = time.perf_counter()
     samples = sample_unsafe(spec)
     instance = build_sop(spec, samples, degree_override)
     diag = SolveDiagnostics()
-    solve_sop(instance, [seed_assignment(spec, samples)], diag)
+    try:
+        solve_sop(instance, [seed_assignment(spec, samples)], diag)
+    except LpNumericalError as exc:
+        raise SynthesisInfeasible(
+            f"{exc} (the seed solve, at tube degrees {(instance.z - 1).tolist()})"
+        ) from exc
     speed = max((region.speed for region in spec.obstacles), default=0.0)
 
     best = None  # the certificate of the least margin so far

@@ -10,12 +10,15 @@ count in ``sizes`` so that a tube file round-trips byte for byte.  Only
 this module builds the table or writes it out; every other module reads
 it.  All operations are pure.
 
-Every face value, derivative value and extremum time in the package comes
-from the one polynomial kernel here: ``polyval`` (Horner's rule over
-coefficient arrays, constant term first, zero-padded to the top degree)
-and ``extremum_times`` (the ends of an interval and the real roots of the
+Every extremum time in the package comes from the one polynomial kernel
+here, and so does every face or derivative value but those of the
+synthesis LP: ``polyval`` (Horner's rule over coefficient arrays,
+constant term first, zero-padded to the top degree) and
+``extremum_times`` (the ends of an interval and the real roots of the
 derivative, found by one batched companion-matrix eigenvalue call per
-root count).  ``tube_values`` evaluates every face at many times, and
+root count).  ``SopInstance.face_values`` and the LP rows of synthesis
+use the Vandermonde powers of their times (``np.vander``) instead.
+``tube_values`` evaluates every face at many times, and
 ``agent_walls`` one agent's lower and upper walls from its rows of the
 table, ``tubes.coeffs[agent]``, which the closed loop and its containment
 check read.

@@ -486,6 +486,40 @@ def test_lipschitz_rejects_sampling_settings(capsys, flags, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "flags, alpha",
+    [(["--alpha", "5e-14"], "5e-14"), (["--alpha", "2e-13", "--trend", "1"], "1e-13")],
+    ids=["alpha", "trend"],
+)
+def test_lipschitz_alpha_below_the_float_spacing_is_a_usage_error(tmp_path, flags, alpha):
+    """``--alpha 5e-14`` on a tube file with horizon 1000, where the float
+    spacing is 1.1e-13, ends ``lipschitz`` with an ``error:`` line and exit
+    code 1, and so does ``--alpha 2e-13 --trend 1``, whose second level
+    halves alpha to 1e-13.  Run as a program with a time limit, so that a
+    sampler that never returns fails the test."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sttube
+
+    path = tmp_path / "long.tubes"
+    save_tubes(TubeSet(horizon=1000.0, coeffs=[[[[0.0, 1.0], [1.0, 1.0]]]], sizes=[[[2, 2]]],
+                       min_widths=[[0.5]], names=["a"]), path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sttube.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "sttube.cli", "lipschitz", str(path), *flags],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr.startswith(f"error: alpha {alpha} is too small for horizon 1000")
+    assert "Traceback" not in run.stderr
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 1
     assert main([]) == 1

@@ -124,3 +124,38 @@ def test_config_invariants():
         with pytest.raises(ValueError, match="rng_seed must be a nonnegative integer"):
             SlopeSampleConfig(alpha=0.1, rng_seed=seed)
     assert SlopeSampleConfig(alpha=0.1, rng_seed=np.int64(3)).rng_seed == 3
+
+
+def test_alpha_below_the_float_spacing_at_the_horizon_is_refused():
+    """Near a horizon of 1000 the float spacing is 1.1e-13, so with alpha
+    5e-14 ``t + delta`` rounds back to ``t`` and a late pair could never be
+    redrawn apart: that alpha is refused, naming alpha and the horizon,
+    while at horizon 20 it samples.  Run in a child process with a time
+    limit, so that a sampler that never returns fails the test."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sttube
+
+    code = (
+        "from sttube.lipschitz import SlopeSampleConfig, max_slope_sample\n"
+        "cfg = SlopeSampleConfig(alpha=5e-14)\n"
+        "print(max_slope_sample((0.0, 1.0), 20.0, cfg))\n"
+        "try:\n"
+        "    max_slope_sample((0.0, 1.0), 1000.0, cfg)\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sttube.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    first, refused = run.stdout.splitlines()
+    assert float(first) == pytest.approx(1.0, rel=1e-2)
+    assert refused.startswith("refused: alpha 5e-14 is too small for horizon 1000")

@@ -692,10 +692,12 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
 
 
 def _arena_reference(inst, x, tol):
-    """Arena excursion rows face by face, as ``np.roots``/``np.polyval``
-    give them: face, then half (past lo, past hi), then candidate time."""
+    """Arena excursions face by face, as ``np.roots``/``np.polyval`` give
+    them: face, then half (past lo, past hi), then candidate time.  Returns
+    each one's arena row group and time, and its row and right-hand side
+    built from the face's columns."""
     horizon = inst.spec.horizon
-    rows, rhs = [], []
+    groups, times, rows, rhs = [], [], [], []
     for f, cols in enumerate(inst.columns[:-1]):
         cols = cols[cols < inst.n_vars]
         coeffs = x[cols][::-1]
@@ -705,16 +707,23 @@ def _arena_reference(inst, x, tol):
         lo, hi = inst.arena[f // 2 % inst.n]
         for half, past in enumerate((lo - values, values - hi)):
             for time in t[past > tol]:
+                groups.append(2 * f + half)
+                times.append(time)
                 row = np.zeros(inst.n_vars)
                 row[cols] += (2.0 * half - 1.0) * np.vander([time], N=len(cols), increasing=True)[0]
                 rows.append(row)
                 rhs.append(-lo if half == 0 else hi)
-    return np.array(rows).reshape(-1, inst.n_vars), np.array(rhs)
+    return (
+        np.array(groups), np.array(times),
+        np.array(rows).reshape(-1, inst.n_vars), np.array(rhs),
+    )
 
 
 def test_batched_arena_excursions_match_per_face_reference():
-    """The batched exact arena check gives the per-face reference's rows
-    and right-hand sides, bit for bit and in the same order."""
+    """The batched exact arena check gives the per-face reference's
+    (row group, time) entries in the same order, and the rows gathered
+    from them are the reference's rows and right-hand sides, bit for
+    bit."""
     spec = scenario_from_dict({
         "dims": 2, "horizon": 4.0, "epsilon": 0.05,
         "arena": [[0.0, 4.0], [0.0, 4.0]],
@@ -741,8 +750,11 @@ def test_batched_arena_excursions_match_per_face_reference():
     x = np.zeros(inst.n_vars)
     for cols, coeffs in zip(inst.columns, faces):
         x[cols[: len(coeffs)]] = coeffs
-    rows, rhs = inst.arena_excursions(x, 1e-9)
-    ref_rows, ref_rhs = _arena_reference(inst, x, 1e-9)
+    groups, times = inst.arena_excursions(x, 1e-9)
+    ref_groups, ref_times, ref_rows, ref_rhs = _arena_reference(inst, x, 1e-9)
+    assert groups.tolist() == ref_groups.tolist()
+    assert times.tobytes() == ref_times.tobytes()
+    rows, rhs = inst.gather(groups, 0, np.vander(times, N=inst.powers.shape[1], increasing=True), 0)
     assert rows.tobytes() == ref_rows.tobytes() and rows.shape == ref_rows.shape
     assert rhs.tobytes() == ref_rhs.tobytes()
     # every face but the last leaves the arena; the second only between
@@ -952,6 +964,25 @@ def test_failed_scoring_lp_scores_inf(mini_spec, monkeypatch):
     assert synth._score_option(inst, group, window, 0) == float("inf")
 
 
+def test_failed_seed_lp_is_synthesis_infeasible(mini_spec, monkeypatch):
+    """An LP of the seed solve that HiGHS does not solve cleanly ends the
+    search as SynthesisInfeasible, naming the tube degrees and keeping
+    HiGHS's message, not as a bare LpNumericalError."""
+    import sttube.synth as synth
+    from sttube.lp import LpNumericalError
+
+    def failing(problem):
+        raise LpNumericalError("HiGHS stopped with status Not Set")
+
+    monkeypatch.setattr(synth, "solve_lp", failing)
+    with pytest.raises(synth.SynthesisInfeasible) as info:
+        synthesize(mini_spec)
+    message = str(info.value)
+    assert "HiGHS stopped with status Not Set" in message
+    assert "tube degrees [[2, 2], [2, 2]]" in message
+    assert isinstance(info.value.__cause__, LpNumericalError)
+
+
 def test_adversarial_seed_recovers(mini_spec):
     """Local search escapes an all-wrong-dimension seed within budget."""
     samples = sample_unsafe(mini_spec)
@@ -998,14 +1029,14 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
 def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
     """No two candidates of one search, over all its ``solve_sop`` calls,
     share both their witness codes and their warm start (its keys and its
-    exact rows): the solve a refinement step picks is certified as it is,
+    exact arena entries): the solve a refinement step picks is certified as it is,
     not solved again."""
     import sttube.synth as synth
 
     calls, solved, solve = [], [], synth.solve_sop
 
     def recording(instance, candidates, diagnostics=None, warm=None):
-        carried = () if warm is None else (warm.active_keys, warm.exact_rows)
+        carried = () if warm is None else (warm.active_keys, warm.exact_groups, warm.exact_times)
         calls.append(len(candidates))
         solved.extend(
             (cand.unsafe.tobytes(), cand.collision.tobytes(),
@@ -1082,7 +1113,8 @@ def _winner_bytes(diag):
     return (
         diag.x.tobytes(), diag.eta_star.hex(),
         diag.assignment.unsafe.tobytes(), diag.assignment.collision.tobytes(),
-        np.asarray(diag.active_keys).tobytes(), diag.exact_rows.tobytes(),
+        np.asarray(diag.active_keys).tobytes(),
+        diag.exact_groups.tobytes(), diag.exact_times.tobytes(),
     )
 
 
@@ -1228,8 +1260,9 @@ def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
     with its candidates: it stays within 256 KiB of the largest peak of
     its candidates solved alone.  Between rounds a candidate holds only
     its active keys, the keys ever added with their re-add counts, its
-    exact rows and its point; each scan builds its dense arrays (face
-    values, witness indices and values) and drops them before the LP.
+    exact (row group, time) entries and its point; each scan builds its
+    dense arrays (face values, witness indices and values) and drops them
+    before the LP.
     Dense state held between rounds (witness indices, an active mask and
     re-add counts over every key) would add about 0.85 MB per waiting
     candidate on robots, about 6 MB here."""
@@ -1268,30 +1301,58 @@ def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
 def test_warm_start_carries_exact_arena_rows(case, request):
     """Re-solving the seed assignment warm from its own first solve finds
     no arena row between samples: the warm start already carries every
-    exact row the first solve found, so the re-solve takes one LP per
-    round the sampled scan needs and none for the exact check."""
+    exact (row group, time) entry the first solve found, so the re-solve
+    takes one LP per round the sampled scan needs and none for the exact
+    check."""
     spec = request.getfixturevalue(f"{case}_spec")
     samples = sample_unsafe(spec)
     inst = build_sop(spec, samples)
     asg = seed_assignment(spec, samples)
     first = SolveDiagnostics()
     solve_sop(inst, [asg], first)
-    assert len(first.exact_rhs) > 0  # the first solve needed exact rows
+    assert len(first.exact_times) > 0  # the first solve needed exact rows
 
     found, excursions = [], inst.arena_excursions
 
     def counting(x, tol):
-        rows, rhs = excursions(x, tol)
-        found.append(len(rhs))
-        return rows, rhs
+        groups, times = excursions(x, tol)
+        found.append(len(times))
+        return groups, times
 
     inst.arena_excursions = counting
     again = SolveDiagnostics()
     solve_sop(inst, [asg], again, warm=first)
     assert found and not any(found)
     assert again.lp_solves < first.lp_solves
-    assert again.exact_rows.tobytes() == first.exact_rows.tobytes()
+    assert again.exact_groups.tobytes() == first.exact_groups.tobytes()
+    assert again.exact_times.tobytes() == first.exact_times.tobytes()
     assert again.eta_star == pytest.approx(first.eta_star, abs=1e-12)
+
+
+def test_warm_start_carries_over_to_other_tube_degrees():
+    """A warm start names rows by key and by (row group, time), not by
+    column: the seed solve of the shipped moving-bar scenario at its
+    tube degrees (six exact arena rows) warm-starts a degree-4 instance
+    of the same samples, which keeps those entries and reaches the cold
+    solve's eta* in fewer LPs."""
+    from sttube import data_path, load_scenario
+
+    spec = load_scenario(data_path("moving_bar.scenario"))
+    samples = sample_unsafe(spec)
+    asg = seed_assignment(spec, samples)
+    first = SolveDiagnostics()
+    solve_sop(build_sop(spec, samples), [asg], first)
+    assert len(first.exact_times) == 6
+    inst = build_sop(spec, samples, degree=4)
+    assert (inst.z == 5).all() and inst.n_vars != len(first.x)
+    warm, cold = SolveDiagnostics(), SolveDiagnostics()
+    solve_sop(inst, [asg], warm, warm=first)
+    solve_sop(inst, [asg], cold)
+    assert (warm.tubes.sizes == 5).all()
+    assert warm.exact_groups[:6].tolist() == first.exact_groups.tolist()
+    assert warm.exact_times[:6].tobytes() == first.exact_times.tobytes()
+    assert warm.eta_star == pytest.approx(cold.eta_star, abs=1e-9)
+    assert warm.lp_solves < cold.lp_solves
 
 
 def test_published_tables_validate_at_rounding_tolerance(
