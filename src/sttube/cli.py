@@ -90,14 +90,15 @@ def cmd_synth(args) -> int:
     save_certificate(cert, cert_path)
     wall = time.perf_counter() - t0
     print(
-        f"eta_star={cert.eta_star:.6f}  L_L={cert.lipschitz_lower:.4f}  "
-        f"L_U={cert.lipschitz_upper:.4f}  L={cert.lipschitz_composite:.4f}  "
-        f"epsilon={cert.epsilon:g}"
+        f"eta_star={cert.eta_star:.6f}  at_eta_floor={'yes' if result.at_eta_floor else 'no'}  "
+        f"L_L={cert.lipschitz_lower:.4f}  L_U={cert.lipschitz_upper:.4f}  "
+        f"L={cert.lipschitz_composite:.4f}  epsilon={cert.epsilon:g}"
     )
     print(
         f"margin={cert.margin:.6f}  certified={'yes' if cert.passed else 'NO'}  "
         f"iterations={result.iterations}  lp_solves={result.lp_solves}  "
-        f"candidates={result.candidates}  pruned={result.pruned}  wall={wall:.1f}s"
+        f"candidates={result.candidates}  pruned={result.pruned}  "
+        f"lp_reused={result.lp_reused}  wall={wall:.1f}s"
     )
     print(result.validation.summary())
     write_manifest(
@@ -111,7 +112,9 @@ def cmd_synth(args) -> int:
             "lp_solves": result.lp_solves,
             "candidates": result.candidates,
             "pruned": result.pruned,
+            "lp_reused": result.lp_reused,
             "eta_star": cert.eta_star,
+            "at_eta_floor": result.at_eta_floor,
             "margin": cert.margin,
         },
         wall,

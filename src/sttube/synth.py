@@ -6,7 +6,11 @@ once each existential disjunction (which dimension separates, and on
 which side) is assigned a witness.  Synthesis therefore alternates:
 certify the solve of the current assignment, then propose witness
 changes from its tube geometry, solve each candidate and carry the best
-solve on as the next iterate, so each assignment is solved once.  Every
+solve on as the next iterate, so each assignment is solved once.  Within
+one call, an LP identical to one already solved (a refinement round, or
+a witness-scoring LP) takes the earlier answer instead of being solved
+again, and a refinement step stops once a candidate reaches the least
+eta* the endpoint pins allow (``SopInstance.eta_floor``).  Every
 row is read from one row table: the LP rows, all through one gather
 (``SopInstance.gather``: sampled, exact-time arena, pin and scoring
 rows), the witnessed row values and the ranking of each row's options.
@@ -66,6 +70,7 @@ from .tube import (
 ETA_GAP = 1e-6  # realizes strict inequalities; absorbed by the margin
 _VIOL_TOL = 1e-9
 _PRUNE_TOL = 1e-6  # room for LP tolerances in the bound ``solve_sop`` prunes by
+FLOOR_TOL = 1e-12  # an eta* this close to ``SopInstance.eta_floor`` sits at the floor
 MAX_ITERATIONS = 200  # solves certified by ``synthesize`` before it gives up
 BEAM_WIDTH = 8  # candidates started per refinement step; a losing one stops early
 VALIDATION_BLOCK = 1024  # grid samples ``validate_tubes`` evaluates at once
@@ -133,6 +138,11 @@ class SopInstance:
     slacks, the global slack last) and produces constraint rows on
     demand, so the solver can work from a lazily grown active subset
     while violations are scanned vectorized over all samples.
+
+    ``eta_floor`` is the least eta* any witness table allows: the pins
+    fix both faces of every width row at an endpoint that is a sample
+    time, so it is ``ETA_GAP`` plus the largest min_width - box width
+    over agents, dims and those endpoints (-inf when neither is one).
 
     Faces are numbered ``f = (agent * n + dim) * 2 + side`` (side 0 the
     lower face).  Rows come in groups, each group one row per time sample:
@@ -216,9 +226,17 @@ class SopInstance:
         # ``static_violations``
         self.static_groups = np.r_[0:n_arena, width_first : self.groups]
         self.row_table = self._row_table()
-        # LPs solved on this instance: solve_sop rounds and witness scoring
+        self._pins = self._pin_rows()
+        # endpoints that are sample times, whose width rows the pins fix
+        pinned = [e for e, t in enumerate((0.0, spec.horizon)) if (self.times == t).any()]
+        room = self.min_widths[:, None] - (self.ends[..., 1] - self.ends[..., 0])  # (m, 2, n)
+        self.eta_floor = ETA_GAP + float(room[:, pinned].max()) if pinned else -math.inf
+        # LPs handed to solve_lp on this instance (solve_sop rounds and
+        # witness scoring), and LPs answered from an earlier identical one
         self.lp_solves = 0
-        # refinement candidates started, and those stopped by their LP bound
+        self.lp_reused = 0
+        # refinement candidates started, and those stopped early (by their
+        # LP bound or the eta floor)
         self.candidates = 0
         self.pruned = 0
         self._operands = self._operand_table()
@@ -298,21 +316,39 @@ class SopInstance:
         out[at[:, 0], etas] = -1.0
         return out[:, :-1], np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[samples, bound])
 
-    def rows(self, codes: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the given keys; ``codes`` is the witness table
-        (disjunct groups, n_t).  Arena and width rows take code 0: their
-        row-table entries are the same for every code."""
+    def key_codes(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The witness code of each key's row under the witness table
+        ``codes`` (disjunct groups, n_t), int8.  Arena and width rows take
+        code 0: their row-table entries are the same for every code."""
         g, r = np.divmod(keys, self.n_t)
         d = g - self.disjunct_groups.start
         witnessed = (d >= 0) & (d < len(codes))
         c = np.zeros(len(keys), dtype=np.int8)
         c[witnessed] = codes[d[witnessed], r[witnessed]]
-        return self.gather(g, c, self.powers[r], r)
+        return c
+
+    def rows(self, codes, keys, groups=(), times=()) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the given keys under the witness table ``codes``,
+        then the arena rows at exact times of the (row group, time)
+        entries ``groups``, ``times``, in one gather."""
+        g, r = np.divmod(keys, self.n_t)
+        exact = np.zeros(len(groups), dtype=np.int64)  # code 0, no obstacle bound
+        powers = np.vander(np.asarray(times, dtype=float), N=self.powers.shape[1], increasing=True)
+        return self.gather(
+            np.concatenate([g, np.asarray(groups, dtype=np.int64)]),
+            np.concatenate([self.key_codes(codes, keys), exact]),
+            np.vstack([self.powers[r], powers]),
+            np.concatenate([r, exact]),
+        )
 
     def equality_rows(self):
-        """Endpoint pins: face(0) and face(t_c) equal the box bounds.  A
-        pin's row is the face's upper arena row (group ``2 * face + 1``,
-        the face with sign +1 and no slack) at the two ends."""
+        """Endpoint pins: face(0) and face(t_c) equal the box bounds, built
+        once per instance (read-only).  A pin's row is the face's upper
+        arena row (group ``2 * face + 1``, the face with sign +1 and no
+        slack) at the two ends."""
+        return self._pins
+
+    def _pin_rows(self):
         n_faces = len(self.columns) - 1
         pins = np.vander([0.0, self.spec.horizon], N=self.powers.shape[1], increasing=True)
         groups = 2 * np.repeat(np.arange(n_faces), 2) + 1
@@ -505,12 +541,18 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
 
 @dataclass
 class SolveDiagnostics:
+    """What one ``solve_sop`` call found: the winner's solve and warm
+    start, and the call's LP counts.  ``lp_solves`` counts the LPs handed
+    to ``solve_lp``; ``lp_reused`` the rounds whose LP an earlier round of
+    the same call had solved, which take its answer."""
+
     eta_star: float = float("nan")
     tubes: TubeSet | None = None
     x: np.ndarray | None = None
     assignment: DisjunctAssignment | None = None  # the winner's witnesses
     lp_rows: int = 0  # most rows in one LP of the call
-    lp_solves: int = 0  # LPs of the call, over every candidate
+    lp_solves: int = 0  # LPs of the call handed to solve_lp, over every candidate
+    lp_reused: int = 0  # rounds of the call answered by an identical earlier LP
     active_keys: np.ndarray = ()  # row keys of the winner's final working set
     exact_groups: np.ndarray = ()  # arena rows at exact times in its final LP:
     exact_times: np.ndarray = ()  # their row groups and times
@@ -534,7 +576,7 @@ def _violated_keys(instance, x, tol, codes) -> np.ndarray:
     return np.concatenate(keys)
 
 
-def _lazy_rounds(instance, assignment, warm, base, diag):
+def _lazy_rounds(instance, assignment, warm, base, diag, solved):
     """One candidate's lazy-row loop, resumable: each ``next`` runs one
     round and yields the bound that round's LP gives on the candidate's
     eta* (see ``solve_sop``); the generator returns ``(x, active keys,
@@ -546,6 +588,11 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     and drops the ones gone slack or, when no row is violated, adds
     the arena rows at exact times that ``arena_excursions`` finds, and
     returns when there are none.  Then it solves the LP on its rows.
+    The LP is fixed by its working-set keys, their witness codes and the
+    exact (row group, time) entries; ``solved`` maps those, for the
+    length of one ``solve_sop`` call, to the LP's point, its keyed rows'
+    slack and its bound, so a round whose LP another round of the call
+    has solved takes that answer and solves nothing.
 
     Between rounds the generator holds only its active keys, the keys
     ever added with their re-add counts, its exact entries and its point;
@@ -555,7 +602,6 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
     the candidates run in.
     """
     n_t = instance.n_t
-    weight = float(base.objective[instance.eta_offset].sum())  # w k of the bound
     # The seed rows bound every face at a handful of times, which keeps
     # the subproblem bounded regardless of what the warm start carries.
     seed_idx = sorted({0, n_t // 4, n_t // 2, 3 * n_t // 4, n_t - 1})
@@ -593,35 +639,46 @@ def _lazy_rounds(instance, assignment, warm, base, diag):
                 times = np.concatenate([times, found_times])
         if lps == 300:
             raise SynthesisInfeasible("lazy constraint loop failed to converge")
-        rows, rhs = instance.rows(assignment.codes, keys)
-        exact_rows, exact_rhs = instance.gather(
-            groups, 0, np.vander(times, N=instance.powers.shape[1], increasing=True), 0
-        )
-        rows = np.vstack([rows, exact_rows, base.ineq_matrix])
-        rhs = np.concatenate([rhs, exact_rhs, base.ineq_rhs])
-        sol = solve_lp(LpProblem(
-            objective=base.objective,
-            ineq_matrix=rows,
-            ineq_rhs=rhs,
-            eq_matrix=base.eq_matrix,
-            eq_rhs=base.eq_rhs,
-        ))
         lps += 1
-        diag.lp_solves += 1
-        instance.lp_solves += 1
-        diag.lp_rows = max(diag.lp_rows, len(rhs))
-        if sol.status == "infeasible":
-            raise SynthesisInfeasible(
-                "no tube satisfies the endpoint pins and arena bounds at the "
-                "declared degrees; a higher-degree polynomial may be required"
-            )
-        if sol.status != "optimal":
-            raise SynthesisInfeasible(f"LP terminated with status {sol.status}")
-        x = sol.x
-        slack = rows[: len(keys)] @ x - rhs[: len(keys)]
-        bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
-        del rows, rhs, exact_rows, exact_rhs, sol  # no LP matrix is kept between rounds
+        lp = (keys.tobytes(), instance.key_codes(assignment.codes, keys).tobytes(),
+              groups.tobytes(), times.tobytes())
+        if lp in solved:
+            diag.lp_reused += 1
+            instance.lp_reused += 1
+        else:
+            solved[lp] = _solve_round(instance, assignment.codes, keys, groups, times, base, diag)
+        x, slack, bound = solved[lp]
         yield bound
+
+
+def _solve_round(instance, codes, keys, groups, times, base, diag):
+    """Solve one round's LP: the rows of ``keys`` under the witness table
+    ``codes``, the exact arena entries and ``base``.  Returns its optimum,
+    the slack of its keyed rows there and the bound it gives on eta*
+    (``solve_sop``); no LP matrix outlives the call."""
+    rows, rhs = instance.rows(codes, keys, groups, times)
+    rows = np.vstack([rows, base.ineq_matrix])
+    rhs = np.concatenate([rhs, base.ineq_rhs])
+    diag.lp_solves += 1
+    instance.lp_solves += 1
+    diag.lp_rows = max(diag.lp_rows, len(rhs))
+    sol = solve_lp(LpProblem(
+        objective=base.objective,
+        ineq_matrix=rows,
+        ineq_rhs=rhs,
+        eq_matrix=base.eq_matrix,
+        eq_rhs=base.eq_rhs,
+    ))
+    if sol.status == "infeasible":
+        raise SynthesisInfeasible(
+            "no tube satisfies the endpoint pins and arena bounds at the "
+            "declared degrees; a higher-degree polynomial may be required"
+        )
+    if sol.status != "optimal":
+        raise SynthesisInfeasible(f"LP terminated with status {sol.status}")
+    weight = float(base.objective[instance.eta_offset].sum())  # w k of the bound
+    bound = (sol.objective_value + weight * ETA_GAP) / (1.0 + weight)
+    return sol.x, rows[: len(keys)] @ sol.x - rhs[: len(keys)], bound
 
 
 def solve_sop(
@@ -664,12 +721,23 @@ def solve_sop(
     (``instance.pruned`` counts them).  A waiting candidate is simply not
     advanced: between rounds it holds no dense state (``_lazy_rounds``).
     A candidate's rounds do not depend on the order they run in, so the
-    winner is the one that solving every candidate to the end picks.
+    winner is the one that solving every candidate to the end picks, with
+    one exception: once the best eta* is within ``FLOOR_TOL`` of
+    ``instance.eta_floor``, which no candidate's optimum lies below, the
+    call stops and the first candidate to reach the floor wins, even
+    where a later-finishing one at an earlier position would tie it.
+    The candidates still running count as pruned.
+
+    The call solves each distinct LP once: a round whose working-set
+    keys, witness codes at those keys and exact arena entries match a
+    round already solved in this call takes that round's answer.  Rounds
+    repeat when candidates differ only in rows outside their working set.
+    Reuse changes no LP and no result, only how many are solved.
 
     ``diagnostics`` receives the winner's point, tubes, witnesses and
     final working set (the warm start of a later solve), and the call's
-    LP count and largest LP over every candidate.  When no candidate
-    solves, the first candidate's error is raised.
+    LP counts (solved and reused) and largest LP over every candidate.
+    When no candidate solves, the first candidate's error is raised.
     """
     if not candidates:
         raise ValueError("solve_sop needs at least one candidate")
@@ -682,7 +750,8 @@ def solve_sop(
     ord_rows, ord_rhs = instance.ordering_rows()
     eq_rows, eq_rhs = instance.equality_rows()
     base = LpProblem(objective, ord_rows, ord_rhs, eq_rows, eq_rhs)
-    rounds = [_lazy_rounds(instance, cand, warm, base, diag) for cand in candidates]
+    solved = {}  # each distinct LP of the call, solved once (``_lazy_rounds``)
+    rounds = [_lazy_rounds(instance, cand, warm, base, diag, solved) for cand in candidates]
     queue = [(-math.inf, pos) for pos in range(len(candidates))]  # a heap already
     best, errors = None, {}  # (eta*, position, result) of the least solve
     while queue:
@@ -696,6 +765,9 @@ def solve_sop(
             eta_star = float(done.value[0][instance.eta_global])
             if best is None or (eta_star, pos) < best[:2]:
                 best = (eta_star, pos, done.value)
+            if best[0] <= instance.eta_floor + FLOOR_TOL:
+                instance.pruned += len(queue)
+                break
         except (SynthesisInfeasible, LpNumericalError) as exc:
             errors[pos] = exc
         else:
@@ -724,7 +796,7 @@ def _subsample(window: list[int], cap: int = 12) -> list[int]:
     return [window[round(q * step)] for q in range(cap)]
 
 
-def _score_option(instance, group, window, code) -> float:
+def _score_option(instance, group, window, code, scores=None) -> float:
     """Best achievable slack s for the faces of row group ``group`` honoring
     witness ``code`` uniformly over ``window``.
 
@@ -735,7 +807,8 @@ def _score_option(instance, group, window, code) -> float:
     those samples, with room for the opposite face at minimum width; and
     the face's endpoint pins (``equality_rows``).  The optimum ranks how
     viable the witness is; an LP that is infeasible or fails its
-    numerical check scores ``inf``.
+    numerical check scores ``inf``.  ``scores`` maps the bytes of each LP
+    already scored to its score, so an identical LP is not solved again.
     """
     sub = _subsample(window)
     faces, _, eta, _, _ = (col[group, code] for col in instance.row_table)
@@ -758,12 +831,19 @@ def _score_option(instance, group, window, code) -> float:
         eq_matrix=pins[pinned][:, cols],
         eq_rhs=pin_rhs[pinned],
     )
+    scores = {} if scores is None else scores
+    lp = (problem.ineq_matrix.shape, problem.ineq_matrix.tobytes(), problem.ineq_rhs.tobytes(),
+          problem.eq_matrix.tobytes(), problem.eq_rhs.tobytes())
+    if lp in scores:
+        instance.lp_reused += 1
+        return scores[lp]
+    instance.lp_solves += 1
     try:
         sol = solve_lp(problem)
     except LpNumericalError:
-        return float("inf")
-    instance.lp_solves += 1
-    return sol.objective_value if sol.status == "optimal" else float("inf")
+        sol = None
+    scores[lp] = sol.objective_value if sol is not None and sol.status == "optimal" else math.inf
+    return scores[lp]
 
 
 def _stuck_window_candidates(instance, best_values):
@@ -773,18 +853,21 @@ def _stuck_window_candidates(instance, best_values):
 
     For each stuck (agent, region) or (agent, agent) group the conflicted
     time window is re-witnessed uniformly; options are ranked by the
-    slack a single face could achieve for them in isolation.  Returns
-    (witness table row, window, two best (score, code) options) per
-    group, unsafe groups first (``family_rows``).
+    slack a single face could achieve for them in isolation, each
+    distinct scoring LP solved once per call.  Returns (witness table
+    row, window, two best (score, code) options) per group, unsafe groups
+    first (``family_rows``).
     """
     conflicted = best_values > -0.05
     stuck = (best_values > -1e-9).any(axis=1)
+    scores = {}  # each distinct scoring LP of the call, solved once
     out = []
     for rows in instance.family_rows:
         for g in rows.start + np.flatnonzero(stuck[rows]):
             window = np.flatnonzero(conflicted[g]).tolist()
             scored = (
-                (_score_option(instance, instance.disjunct_groups.start + g, window, code), code)
+                (_score_option(instance, instance.disjunct_groups.start + g, window, code, scores),
+                 code)
                 for code in range(2 * instance.n)
             )
             options = sorted(opt for opt in scored if opt[0] < float("inf"))
@@ -843,9 +926,11 @@ def refine_assignment(
     (``SopInstance.best_witnesses``).  The first ``BEAM_WIDTH`` of them,
     in that order, go to one ``solve_sop`` call, warm-started from
     ``failure``: its working set and the exact arena entries it found.  It
-    runs them best first and stops those whose LP bound shows they cannot
-    win; the winner, the least ``(eta*, position)``, is the one that
-    solving every candidate to the end picks.  ``instance.candidates``
+    runs them best first, solves each distinct LP once, and stops those
+    whose LP bound shows they cannot win; the winner, the least ``(eta*,
+    position)``, is the one that solving every candidate to the end
+    picks, except that the first candidate to reach ``instance.eta_floor``
+    wins and stops the rest (see ``solve_sop``).  ``instance.candidates``
     counts the candidates started and ``instance.pruned`` those stopped
     early.  Returns the diagnostics of the winner (its witnesses in
     ``assignment``), or None when no candidate solves.  Deterministic
@@ -1155,11 +1240,18 @@ class SynthesisResult:
     certificate: SynthesisCertificate
     assignment: DisjunctAssignment
     iterations: int
-    lp_solves: int
+    lp_solves: int  # LPs handed to solve_lp
+    lp_reused: int  # LPs answered by an identical earlier LP of the same call
     candidates: int  # refinement solves started
-    pruned: int  # of those, stopped early by their LP bound
+    pruned: int  # of those, stopped early by their LP bound or the eta floor
+    eta_floor: float  # ``SopInstance.eta_floor``: no witness table gets eta* below it
     wall_time: float
     validation: ValidationReport
+
+    @property
+    def at_eta_floor(self) -> bool:
+        """eta* sits at its floor, so only L * epsilon can move the margin."""
+        return self.certificate.eta_star <= self.eta_floor + FLOOR_TOL
 
 
 def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> SynthesisResult:
@@ -1177,10 +1269,15 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     does not improve it (a step that fails to certify does not), when
     refinement stalls or when the budget runs out, and returns the best
     certified iterate: its tubes, certificate, assignment and dense
-    validation.  ``iterations``, ``lp_solves``, ``candidates``, ``pruned``
-    and ``wall_time`` count the whole search; ``lp_solves`` includes the
-    LPs of witness scoring and of every refinement candidate, up to the
-    round that stopped it when it could not win (see ``solve_sop``).
+    validation.  ``iterations``, ``lp_solves``, ``lp_reused``,
+    ``candidates``, ``pruned`` and ``wall_time`` count the whole search;
+    ``lp_solves`` counts the LPs handed to ``solve_lp``, those of witness
+    scoring and of every refinement candidate up to the round that
+    stopped it (by its bound or at the eta floor, see ``solve_sop``), and
+    ``lp_reused`` the LPs answered by an identical one solved earlier in
+    the same ``solve_sop`` or scoring call.  ``eta_floor`` is the least
+    eta* the endpoint pins allow; at it (``at_eta_floor``) only L *
+    epsilon can still move the margin.
 
     Every certificate takes the obstacles' largest keyframe speed, so a
     moving obstacle's rows are certified between samples too.
@@ -1243,8 +1340,10 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
             assignment=asg,
             iterations=iteration,
             lp_solves=instance.lp_solves,
+            lp_reused=instance.lp_reused,
             candidates=instance.candidates,
             pruned=instance.pruned,
+            eta_floor=instance.eta_floor,
             wall_time=time.perf_counter() - t0,
             validation=report,
         )

@@ -49,10 +49,13 @@ def test_synth_writes_tubes_certificate_manifest(tmp_path, solo_scenario, capsys
     assert (outputs["eta_star"], outputs["margin"]) == (cert["eta_star"], cert["margin"])
     assert (
         f"iterations={outputs['iterations']}  lp_solves={outputs['lp_solves']}  "
-        f"candidates={outputs['candidates']}  pruned={outputs['pruned']}"
+        f"candidates={outputs['candidates']}  pruned={outputs['pruned']}  "
+        f"lp_reused={outputs['lp_reused']}"
     ) in out
     assert 1 <= outputs["iterations"] <= outputs["lp_solves"]
     assert 0 <= outputs["pruned"] <= outputs["candidates"]
+    # one agent and no obstacles: only the pinned width rows bind eta*
+    assert outputs["at_eta_floor"] is True and "at_eta_floor=yes" in out
 
 
 def test_synth_degree_zero_exits_2(tmp_path, capsys):

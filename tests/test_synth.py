@@ -847,6 +847,7 @@ for face, size in zip(result.tubes.coeffs.reshape(-1, result.tubes.coeffs.shape[
 print(json.dumps({
     "iterations": result.iterations,
     "lp_solves": result.lp_solves,
+    "lp_reused": result.lp_reused,
     "candidates": result.candidates,
     "pruned": result.pruned,
     "tubes_digest": tubes.hexdigest(),
@@ -894,21 +895,22 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
     run = mini_in_subprocesses["1"]
     assert mini_in_subprocesses["2"] == run
     assert run["iterations"] == 10
-    assert run["lp_solves"] == run["lp_calls"] == 103
+    assert run["lp_solves"] == run["lp_calls"] == 92
+    assert run["lp_reused"] == 11
     assert (run["candidates"], run["pruned"]) == (48, 37)
     assert run["tubes_digest"] == (
         "1befcbfdfec5f16c760b0fd8af95e09ab017269bfb7bfb1cb963d5495733391d"
     )
     # any reordering of rows or candidates changes some LP's bits
     assert run["lp_digest"] == (
-        "a44a947642e15cc680de12ae5c1d33956577857eba993b251ad300f18838db4f"
+        "bfc05aeabb5c513d13316fc102e5e17947beea3fc0d8aef243702302e6ecdf29"
     )
     assert float.fromhex(run["margin"]) == pytest.approx(-0.31918181671167484, abs=1e-12)
 
 
 @pytest.mark.parametrize("case,lps,lp_digest", [
-    ("robots", 173, "2c07ee96521124e6ff7dfe7e8574c9a229c1bfe63e32394ed0dea0e929958061"),
-    ("drones", 206, "a603904a4144213577c45c75f794d72f7fb44732ca0bedf2ed70c6d29655bdd7"),
+    ("robots", 152, "1a73d8e0bc262a4ffef607449c59f6e4d61b2b088e419250bfcfe359c52cbabf"),
+    ("drones", 155, "5efb08ac7525f00cc4fbdcb538f474d212952c67f25b5139c4faa980309e15e4"),
 ], ids=["robots", "drones"])
 def test_drone_lp_sequence_digest(case, lps, lp_digest, request, monkeypatch):
     """The sha256 over every LP the robots and drones searches solve, as
@@ -1137,8 +1139,10 @@ def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
     out, the least (eta*, position).  Every candidate stopped early was
     stopped at the winner's eta* (nothing finishes after the first stop),
     and solved to the end it ends no lower, while its last LP bound lies
-    above the winner and below its own eta*.  Returns the winner and the
-    number stopped early."""
+    above the winner and below its own eta*.  A step whose winner reaches
+    the eta floor stops there instead: the winner is the one that got
+    there first, and no candidate, solved to its end, ends below the
+    floor.  Returns the winner and the number stopped early."""
     import sttube.synth as synth
 
     beams, last_bound, ended = [], {}, set()
@@ -1175,15 +1179,20 @@ def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
     assert (winner is None) == (not solved)
     if winner is None:
         return None, 0
-    pos = min(solved)[1]
+    at_floor = winner.eta_star <= instance.eta_floor + synth.FLOOR_TOL
+    if at_floor:
+        assert min(solved)[0] >= instance.eta_floor - 1e-9
+        pos = next(q for q, cand in enumerate(beam) if cand is winner.assignment)
+    else:
+        pos = min(solved)[1]
     assert winner.assignment is beam[pos]
     assert _winner_bytes(winner) == _winner_bytes(alone[pos])
     stopped = [q for q, cand in enumerate(beam) if id(cand) not in ended]
     for q in stopped:
         bound = last_bound[id(beam[q])]
-        assert winner.eta_star + 1e-6 < bound
+        assert at_floor or winner.eta_star + 1e-6 < bound
         if alone[q] is not None:
-            assert alone[q].eta_star >= winner.eta_star
+            assert alone[q].eta_star >= winner.eta_star - at_floor * 1e-9
             assert bound <= alone[q].eta_star + 1e-6
     return winner, len(stopped)
 
@@ -1213,23 +1222,159 @@ def test_pruning_keeps_the_first_robots_winner(robots_spec, monkeypatch):
     assert winner is not None and stopped > 0
 
 
+def test_floor_stops_keep_the_robots_winners(robots_spec, robots_result, monkeypatch):
+    """Along the whole robots refinement chain, whose last three steps
+    stop at the eta floor, each winner is the one the checks of
+    ``_check_pruning_keeps_the_winner`` allow."""
+    samples = sample_unsafe(robots_spec)
+    inst = build_sop(robots_spec, samples)
+    diag = SolveDiagnostics()
+    solve_sop(inst, [seed_assignment(robots_spec, samples)], diag)
+    at_floor = []
+    for _ in range(robots_result.iterations):
+        diag, _ = _check_pruning_keeps_the_winner(inst, diag, monkeypatch)
+        if diag is None:
+            break
+        at_floor.append(diag.eta_star <= inst.eta_floor + 1e-12)
+    assert at_floor.count(True) == 3
+
+
 def test_duplicated_candidate_loses_to_its_earlier_copy(mini_spec):
     """Equal optima go to the earlier position: of two copies of one
     candidate, the first wins with the bits it has alone, and the second,
-    whose bounds never rise above that optimum, is solved to the end."""
+    whose bounds never rise above that optimum, runs to its end on the
+    first one's LPs, solving none of its own (mini's seed step stays above
+    its eta floor, so nothing stops it there)."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     asg = seed_assignment(mini_spec, samples)
     seed = SolveDiagnostics()
     solve_sop(inst, [asg], seed)
     alone = _solve_alone(inst, asg, seed)
+    assert alone.eta_star > inst.eta_floor + 0.1
     for first, second in ((asg, asg.copy()), (asg.copy(), asg)):
         diag = SolveDiagnostics()
         solve_sop(inst, [first, second], diag, warm=seed)
         assert diag.assignment is first
         assert _winner_bytes(diag) == _winner_bytes(alone)
-        assert diag.lp_solves == 2 * alone.lp_solves
+        assert diag.lp_solves == alone.lp_solves
+        assert diag.lp_reused == alone.lp_solves
     assert inst.pruned == 0
+
+
+@pytest.mark.parametrize("case,floor", [
+    ("robots", -0.199999), ("drones", -0.049999), ("mini", -0.599999), ("moving_bar", -0.699999),
+])
+def test_eta_floor_is_set_by_the_pinned_width_rows(case, floor, request):
+    """The least eta* the endpoint pins allow: ETA_GAP plus the largest
+    min_width - box width over the start and goal boxes, both sample
+    times on these grids."""
+    from sttube import data_path, load_scenario
+    from sttube.synth import ETA_GAP
+
+    if case == "moving_bar":
+        spec = load_scenario(data_path("moving_bar.scenario"))
+    else:
+        spec = request.getfixturevalue(f"{case}_spec")
+    inst = build_sop(spec, sample_unsafe(spec))
+    assert inst.eta_floor == pytest.approx(floor, abs=1e-12)
+    widths = np.array([[np.subtract(*box.T[::-1]) for box in (a.start, a.goal)]
+                       for a in spec.agents])
+    room = np.array([a.min_width for a in spec.agents])[:, None] - widths
+    assert inst.eta_floor == ETA_GAP + room.max()
+
+
+def test_eta_floor_is_minus_inf_without_a_pinned_sample():
+    """On the single-sample grid [t_c / 2] neither pinned endpoint is a
+    sample time, so no width row is fixed and no floor stops a solve."""
+    spec = scenario_from_dict({
+        "dims": 2, "horizon": 0.5, "epsilon": 1.0,
+        "arena": [[0.0, 4.0], [0.0, 4.0]],
+        "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[3.0, 4.0], [3.0, 4.0]],
+                    "tube_degree": [2, 2]}],
+        "obstacles": [],
+    })
+    with pytest.warns(UserWarning, match="degenerate"):
+        samples = sample_unsafe(spec)
+    assert build_sop(spec, samples).eta_floor == -math.inf
+
+
+@pytest.mark.parametrize("case", ["mini", "robots"])
+def test_every_solve_ends_at_or_above_the_eta_floor(case, request, monkeypatch):
+    """Every candidate solved to its end in a whole search, the seed's
+    included, ends at an eta* no lower than the floor, up to the scan's
+    tolerance: no candidate the floor stops could have beaten it."""
+    import sttube.synth as synth
+
+    rounds, ends = synth._lazy_rounds, []
+
+    def recording_rounds(instance, *args):
+        x, *rest = yield from rounds(instance, *args)
+        ends.append(float(x[instance.eta_global]) - instance.eta_floor)
+        return (x, *rest)
+
+    monkeypatch.setattr(synth, "_lazy_rounds", recording_rounds)
+    result = synthesize(request.getfixturevalue(f"{case}_spec"))
+    assert len(ends) >= result.iterations
+    assert min(ends) >= -1e-9
+    assert result.at_eta_floor == (case == "robots")
+
+
+def test_solve_stops_at_the_eta_floor_with_the_first_finisher(monkeypatch):
+    """One agent, no obstacles: every witness table is the same, and its
+    optimum sits at the floor the pinned width rows set.  Of two copies,
+    the first to finish wins with the bits it has alone; the second, tied
+    with it, is stopped after its first round (answered by the first
+    copy's LP) instead of running to its end."""
+    spec = scenario_from_dict({
+        "dims": 2, "horizon": 2.0, "epsilon": 0.05,
+        "arena": [[0.0, 4.0], [0.0, 4.0]],
+        "agents": [{"start": [[0.0, 1.0], [0.0, 1.0]], "goal": [[3.0, 4.0], [3.0, 4.0]],
+                    "tube_degree": [2, 2], "min_width": [0.4, 0.4]}],
+        "obstacles": [],
+    })
+    samples = sample_unsafe(spec)
+    inst = build_sop(spec, samples)
+    asg = seed_assignment(spec, samples)
+    alone = _solve_alone(inst, asg, None)
+    assert alone.lp_solves > 1
+    assert alone.eta_star == pytest.approx(inst.eta_floor, abs=1e-12)
+    diag = SolveDiagnostics()
+    solve_sop(inst, [asg, asg.copy()], diag)
+    assert diag.assignment is asg
+    assert _winner_bytes(diag) == _winner_bytes(alone)
+    assert (diag.lp_solves, diag.lp_reused) == (alone.lp_solves, 1)
+    assert inst.pruned == 1
+
+
+def test_identical_scoring_lps_are_solved_once(mini_spec, monkeypatch):
+    """The stuck windows of mini's seed solve score 12 options; two of
+    them, both options of one collision pair, are the same LP bytes.  One
+    call solves that LP once and ranks every option as scoring each
+    afresh does."""
+    import sttube.synth as synth
+
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    seed = SolveDiagnostics()
+    solve_sop(inst, [seed_assignment(mini_spec, samples)], seed)
+    _, best_v = inst.best_witnesses(inst.face_values(seed.x))
+    solve, score, calls = synth.solve_lp, synth._score_option, []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(synth, "solve_lp", counting)
+    solves, reused = inst.lp_solves, inst.lp_reused
+    windows = synth._stuck_window_candidates(inst, best_v)
+    assert (len(calls), inst.lp_solves - solves, inst.lp_reused - reused) == (11, 11, 1)
+    monkeypatch.setattr(
+        synth, "_score_option",
+        lambda instance, group, window, code, scores: score(instance, group, window, code),
+    )
+    assert synth._stuck_window_candidates(inst, best_v) == windows
+    assert len(calls) == 11 + 12
 
 
 def test_no_solving_candidate_raises_the_first_error(mini_spec, monkeypatch):
@@ -1514,8 +1659,9 @@ def test_robot_synthesis_fingerprint(robots_result):
     tie-breaks, its row order or the rows a round adds shows here."""
     cert = robots_result.certificate
     assert robots_result.iterations == 7
-    assert robots_result.lp_solves == 173
-    assert (robots_result.candidates, robots_result.pruned) == (35, 28)
+    assert (robots_result.lp_solves, robots_result.lp_reused) == (152, 9)
+    assert (robots_result.candidates, robots_result.pruned) == (35, 29)
+    assert robots_result.at_eta_floor
     assert _tubes_digest(robots_result.tubes) == (
         "3c314d54de7a11376786a6d37be34036af899aad1d1effa16ae3e82b2af3100c"
     )
@@ -1528,8 +1674,9 @@ def test_drone_synthesis_fingerprint(drones_result):
     same at 1 and 2 BLAS threads."""
     cert = drones_result.certificate
     assert drones_result.iterations == 9
-    assert drones_result.lp_solves == 206
-    assert (drones_result.candidates, drones_result.pruned) == (45, 34)
+    assert (drones_result.lp_solves, drones_result.lp_reused) == (155, 40)
+    assert (drones_result.candidates, drones_result.pruned) == (45, 35)
+    assert drones_result.at_eta_floor
     assert _tubes_digest(drones_result.tubes) == (
         "31acf0c3a86ade21668cba5b12347ef9fcb034384573f1b567aac94c1bb555b9"
     )
