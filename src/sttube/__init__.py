@@ -33,7 +33,6 @@ from .tube import (  # noqa: F401
 from .sampling import SampleSet, sample_time_grid, sample_unsafe, verify_cover  # noqa: F401
 from .lp import LpProblem, LpSolution, solve_lp  # noqa: F401
 from .synth import (  # noqa: F401
-    DisjunctAssignment,
     SynthesisCertificate,
     SynthesisFailure,
     build_sop,

@@ -144,10 +144,13 @@ def cmd_simulate(args) -> int:
             cert = json.loads(cert_path.read_text())
             if not isinstance(cert, dict):
                 raise ValueError("not a JSON object")
+            passed = cert.get("passed", False)
+            if not isinstance(passed, bool):
+                raise ValueError(f'"passed" is {json.dumps(passed)}, not true or false')
         except (OSError, ValueError) as exc:
             print(f"error: certificate {cert_path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if not cert.get("passed", False):
+        if not passed:
             print("error: certificate did not pass; use --force to simulate anyway",
                   file=sys.stderr)
             return EXIT_USAGE

@@ -43,13 +43,14 @@ class SlopeSampleConfig:
             raise ValueError(
                 f"alpha must be positive and finite, above the least pair gap {MIN_PAIR_GAP:g}"
             )
+        for name in ("pair_count", "repetitions", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
         if self.pair_count < 2:
             raise ValueError("need at least two pairs per repetition")
         if self.repetitions < 10:
             raise ValueError("need at least ten repetitions")
-        seed = self.rng_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"rng_seed must be a nonnegative integer, not {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,11 @@ class SopInstance:
     names group g at sample r, so keys sort like the (family, head,
     sample) tuples ("arena" < "coll" < "unsafe" < "width") that fix the
     LP row order.
+
+    A witness table is int8 codes ``2 * dim + side``, (disjunct groups,
+    n_t): pair (j, k) separates in dim with j below k (side 0) or k below
+    j; agent j clears region r with its lower face above it (side 0) or
+    its upper face below it.  Codes sort like their (dim, side) pairs.
     """
 
     def __init__(self, spec: ScenarioSpec, samples: SampleSet, degree: int | None = None):
@@ -214,7 +219,7 @@ class SopInstance:
         unsafe_first = coll_first + len(self.pairs)
         width_first = unsafe_first + self.m * n_reg
         self.groups = width_first + self.m * self.n
-        # the rows of a witness table (``DisjunctAssignment.codes``)
+        # the rows of a witness table
         self.disjunct_groups = slice(coll_first, width_first)
         # its unsafe rows, then its collision rows: the order in which the
         # scan and the stuck-window search visit them
@@ -226,7 +231,7 @@ class SopInstance:
         # ``static_violations``
         self.static_groups = np.r_[0:n_arena, width_first : self.groups]
         self.row_table = self._row_table()
-        self._pins = self._pin_rows()
+        self.base = self._base_problem()
         # endpoints that are sample times, whose width rows the pins fix
         pinned = [e for e, t in enumerate((0.0, spec.horizon)) if (self.times == t).any()]
         room = self.min_widths[:, None] - (self.ends[..., 1] - self.ends[..., 0])  # (m, 2, n)
@@ -341,25 +346,24 @@ class SopInstance:
             np.concatenate([r, exact]),
         )
 
-    def equality_rows(self):
-        """Endpoint pins: face(0) and face(t_c) equal the box bounds, built
-        once per instance (read-only).  A pin's row is the face's upper
-        arena row (group ``2 * face + 1``, the face with sign +1 and no
-        slack) at the two ends."""
-        return self._pins
-
-    def _pin_rows(self):
+    def _base_problem(self) -> LpProblem:
+        """What every LP of the search shares (read-only): the objective,
+        eta_global plus 1e-3 on each per-dim slack (a canonical optimum, a
+        slack per agent and dim); the ordering rows eta_ij - eta_g <=
+        -ETA_GAP; the endpoint pins, face(0) and face(t_c) at the box
+        bounds, each its face's upper arena row (group ``2 * face + 1``)."""
+        objective = np.zeros(self.n_vars)
+        objective[self.eta_offset] = 1e-3
+        objective[self.eta_global] = 1.0
+        order = np.zeros((self.m * self.n, self.n_vars))
+        order[np.arange(self.m * self.n), self.eta_offset.ravel()] = 1.0
+        order[:, self.eta_global] = -1.0
         n_faces = len(self.columns) - 1
-        pins = np.vander([0.0, self.spec.horizon], N=self.powers.shape[1], increasing=True)
-        groups = 2 * np.repeat(np.arange(n_faces), 2) + 1
-        rows, _ = self.gather(groups, 0, np.tile(pins, (n_faces, 1)), 0)
-        return rows, self.ends.transpose(0, 2, 3, 1).ravel()
-
-    def ordering_rows(self):
-        rows = np.zeros((self.m * self.n, self.n_vars))
-        rows[np.arange(self.m * self.n), self.eta_offset.ravel()] = 1.0
-        rows[:, self.eta_global] = -1.0
-        return rows, np.full(self.m * self.n, -ETA_GAP)
+        ends = np.vander([0.0, self.spec.horizon], N=self.powers.shape[1], increasing=True)
+        pins, _ = self.gather(np.repeat(2 * np.arange(n_faces) + 1, 2), 0,
+                              np.tile(ends, (n_faces, 1)), 0)
+        return LpProblem(objective, order, np.full(self.m * self.n, -ETA_GAP),
+                         pins, self.ends.transpose(0, 2, 3, 1).ravel())
 
     def static_violations(self, faces: np.ndarray, etas: np.ndarray, tol: float) -> np.ndarray:
         """Keys of the arena and width rows violated by more than ``tol``:
@@ -469,36 +473,6 @@ def build_sop(spec: ScenarioSpec, samples: SampleSet, degree: int | None = None)
     return SopInstance(spec, samples, degree)
 
 
-# ---------------------------------------------------------------------------
-# Disjunct assignment
-
-
-class DisjunctAssignment:
-    """One witness per disjunction, stored as int8 codes ``2*dim + side``
-    in one table ``codes`` (disjunct groups, n_t), in the instance's
-    row-group order: collision pairs, then (agent, region).
-
-    ``unsafe[j, r, t]``: agent j's tube clears region r at time sample t
-    in dim ``code // 2``, its lower face above the region (side 0) or its
-    upper face below it (side 1).  ``collision[p, t]``: the agents (j, k)
-    of ``SopInstance.pairs[p]`` separate in dim ``code // 2``, j below k
-    (side 0) or k below j (side 1).  Both are writable views of ``codes``,
-    (m, regions, n_t) and (pairs, n_t).  Codes sort like the (dim, side)
-    pairs they encode.
-    """
-
-    def __init__(self, unsafe, collision):
-        unsafe = np.asarray(unsafe)
-        n_t = unsafe.shape[-1]
-        collision = np.reshape(collision, (-1, n_t))
-        self.codes = np.concatenate([collision, unsafe.reshape(-1, n_t)], dtype=np.int8)
-        self.collision = self.codes[: len(collision)]
-        self.unsafe = self.codes[len(collision) :].reshape(unsafe.shape)
-
-    def copy(self) -> "DisjunctAssignment":
-        return DisjunctAssignment(unsafe=self.unsafe, collision=self.collision)
-
-
 def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
     """Straight-line start-center to goal-center path per agent: (M, n_t, n)."""
     ends = np.array([[a.start, a.goal] for a in spec.agents])  # (M, start/goal, n, lo/hi)
@@ -507,8 +481,9 @@ def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
     return centers[:, None, 0] * (1.0 - w) + centers[:, None, 1] * w
 
 
-def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignment:
-    """Geometric heuristic from straight-line reference paths.
+def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> np.ndarray:
+    """Geometric heuristic from straight-line reference paths: a witness
+    table (``SopInstance``).
 
     Unsafe rows pick the dimension with the largest signed clearance
     between the reference point and the obstacle box (side by sign, ties
@@ -532,7 +507,7 @@ def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> DisjunctAssignmen
     gaps = refs[j] - refs[k]  # (pairs, n_t, n)
     dim = np.argmax(np.abs(gaps), axis=-1)
     j_below = np.take_along_axis(gaps, dim[..., None], axis=-1)[..., 0] < 0
-    return DisjunctAssignment(unsafe=unsafe, collision=2 * dim + ~j_below)
+    return np.concatenate([2 * dim + ~j_below, unsafe.reshape(-1, refs.shape[1])], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +522,8 @@ class SolveDiagnostics:
     the same call had solved, which take its answer."""
 
     eta_star: float = float("nan")
-    tubes: TubeSet | None = None
     x: np.ndarray | None = None
-    assignment: DisjunctAssignment | None = None  # the winner's witnesses
+    assignment: np.ndarray | None = None  # the winner's witness table
     lp_rows: int = 0  # most rows in one LP of the call
     lp_solves: int = 0  # LPs of the call handed to solve_lp, over every candidate
     lp_reused: int = 0  # rounds of the call answered by an identical earlier LP
@@ -576,13 +550,12 @@ def _violated_keys(instance, x, tol, codes) -> np.ndarray:
     return np.concatenate(keys)
 
 
-def _lazy_rounds(instance, assignment, warm, base, diag, solved):
+def _lazy_rounds(instance, codes, warm, diag, solved):
     """One candidate's lazy-row loop, resumable: each ``next`` runs one
     round and yields the bound that round's LP gives on the candidate's
-    eta* (see ``solve_sop``); the generator returns ``(x, active keys,
-    exact groups, times)`` once the full sampled system and the exact
-    arena check hold at the optimum.  ``base`` holds what every LP shares:
-    the objective, the ordering rows and the endpoint pins.
+    eta* (see ``solve_sop``) under the witness table ``codes``; the
+    generator returns ``(x, active keys, exact groups, times)`` once the
+    full sampled system and the exact arena check hold at the optimum.
 
     A round scans the previous LP's optimum: it adds the violated rows
     and drops the ones gone slack or, when no row is violated, adds
@@ -621,7 +594,7 @@ def _lazy_rounds(instance, assignment, warm, base, diag, solved):
         if x is not None:
             scale = max(1.0, float(np.abs(x).max()))
             tol = _VIOL_TOL * scale
-            violated = _violated_keys(instance, x, tol, assignment.codes)
+            violated = _violated_keys(instance, x, tol, codes)
             fresh = violated[~np.isin(violated, keys, assume_unique=True)]
             if len(fresh):
                 # Drop rows that have gone slack at this optimum, except
@@ -640,35 +613,30 @@ def _lazy_rounds(instance, assignment, warm, base, diag, solved):
         if lps == 300:
             raise SynthesisInfeasible("lazy constraint loop failed to converge")
         lps += 1
-        lp = (keys.tobytes(), instance.key_codes(assignment.codes, keys).tobytes(),
-              groups.tobytes(), times.tobytes())
+        lp = (keys.tobytes(), instance.key_codes(codes, keys).tobytes(), groups.tobytes(),
+              times.tobytes())
         if lp in solved:
             diag.lp_reused += 1
             instance.lp_reused += 1
         else:
-            solved[lp] = _solve_round(instance, assignment.codes, keys, groups, times, base, diag)
+            solved[lp] = _solve_round(instance, codes, keys, groups, times, diag)
         x, slack, bound = solved[lp]
         yield bound
 
 
-def _solve_round(instance, codes, keys, groups, times, base, diag):
+def _solve_round(instance, codes, keys, groups, times, diag):
     """Solve one round's LP: the rows of ``keys`` under the witness table
-    ``codes``, the exact arena entries and ``base``.  Returns its optimum,
+    ``codes``, the exact arena entries and ``instance.base``.  Returns its optimum,
     the slack of its keyed rows there and the bound it gives on eta*
     (``solve_sop``); no LP matrix outlives the call."""
+    base = instance.base
     rows, rhs = instance.rows(codes, keys, groups, times)
     rows = np.vstack([rows, base.ineq_matrix])
     rhs = np.concatenate([rhs, base.ineq_rhs])
     diag.lp_solves += 1
     instance.lp_solves += 1
     diag.lp_rows = max(diag.lp_rows, len(rhs))
-    sol = solve_lp(LpProblem(
-        objective=base.objective,
-        ineq_matrix=rows,
-        ineq_rhs=rhs,
-        eq_matrix=base.eq_matrix,
-        eq_rhs=base.eq_rhs,
-    ))
+    sol = solve_lp(LpProblem(base.objective, rows, rhs, base.eq_matrix, base.eq_rhs))
     if sol.status == "infeasible":
         raise SynthesisInfeasible(
             "no tube satisfies the endpoint pins and arena bounds at the "
@@ -683,13 +651,13 @@ def _solve_round(instance, codes, keys, groups, times, base, diag):
 
 def solve_sop(
     instance: SopInstance,
-    candidates: list[DisjunctAssignment],
-    diagnostics: SolveDiagnostics | None = None,
+    candidates: list[np.ndarray],
+    diagnostics: SolveDiagnostics,
     warm: SolveDiagnostics | None = None,
-) -> tuple[TubeSet, float]:
-    """Minimize the global slack under each candidate's witnesses and keep
-    the least: returns ``(tubes, eta*)`` of the candidate with the least
-    ``(eta*, position)``, the first of equal optima.
+) -> None:
+    """Minimize the global slack under each candidate witness table and
+    keep the least: the candidate with the least ``(eta*, position)``, the
+    first of equal optima, goes to ``diagnostics``.
 
     Each candidate is solved by a cutting-plane loop around ``solve_lp``
     (``_lazy_rounds``): solve on a small working set, scan every
@@ -734,24 +702,15 @@ def solve_sop(
     repeat when candidates differ only in rows outside their working set.
     Reuse changes no LP and no result, only how many are solved.
 
-    ``diagnostics`` receives the winner's point, tubes, witnesses and
+    ``diagnostics`` receives the winner's eta*, point, witness table and
     final working set (the warm start of a later solve), and the call's
     LP counts (solved and reused) and largest LP over every candidate.
     When no candidate solves, the first candidate's error is raised.
     """
     if not candidates:
         raise ValueError("solve_sop needs at least one candidate")
-    diag = diagnostics if diagnostics is not None else SolveDiagnostics()
-    # eta_global, plus a small weight on every per-(agent, dim) slack: it
-    # makes the optimum canonical and gives each agent and dim its own slack
-    objective = np.zeros(instance.n_vars)
-    objective[instance.eta_offset] = 1e-3
-    objective[instance.eta_global] = 1.0
-    ord_rows, ord_rhs = instance.ordering_rows()
-    eq_rows, eq_rhs = instance.equality_rows()
-    base = LpProblem(objective, ord_rows, ord_rhs, eq_rows, eq_rhs)
     solved = {}  # each distinct LP of the call, solved once (``_lazy_rounds``)
-    rounds = [_lazy_rounds(instance, cand, warm, base, diag, solved) for cand in candidates]
+    rounds = [_lazy_rounds(instance, cand, warm, diagnostics, solved) for cand in candidates]
     queue = [(-math.inf, pos) for pos in range(len(candidates))]  # a heap already
     best, errors = None, {}  # (eta*, position, result) of the least solve
     while queue:
@@ -775,28 +734,23 @@ def solve_sop(
     if best is None:
         raise errors[min(errors)]
     eta_star, pos, (x, keys, groups, times) = best
-    tubes = instance.tubes_from_solution(x)
-    diag.eta_star = eta_star
-    diag.tubes = tubes
-    diag.x = x
-    diag.assignment = candidates[pos]
-    diag.active_keys = keys
-    diag.exact_groups, diag.exact_times = groups, times
-    return tubes, eta_star
+    diagnostics.eta_star, diagnostics.x, diagnostics.assignment = eta_star, x, candidates[pos]
+    diagnostics.active_keys = keys
+    diagnostics.exact_groups, diagnostics.exact_times = groups, times
 
 
 # ---------------------------------------------------------------------------
 # Assignment refinement
 
 
-def _subsample(window: list[int], cap: int = 12) -> list[int]:
-    if len(window) <= cap:
+def _subsample(window: list[int]) -> list[int]:
+    if len(window) <= 12:
         return window
-    step = (len(window) - 1) / (cap - 1)
-    return [window[round(q * step)] for q in range(cap)]
+    step = (len(window) - 1) / 11
+    return [window[round(q * step)] for q in range(12)]
 
 
-def _score_option(instance, group, window, code, scores=None) -> float:
+def _score_option(instance, group, window, code, scores) -> float:
     """Best achievable slack s for the faces of row group ``group`` honoring
     witness ``code`` uniformly over ``window``.
 
@@ -805,7 +759,7 @@ def _score_option(instance, group, window, code, scores=None) -> float:
     (``SopInstance.gather``): the witness rows ``row_table[group, code]``
     at up to 12 samples of the window; the two arena rows of each face at
     those samples, with room for the opposite face at minimum width; and
-    the face's endpoint pins (``equality_rows``).  The optimum ranks how
+    the face's endpoint pins (from ``instance.base``).  The optimum ranks how
     viable the witness is; an LP that is infeasible or fails its
     numerical check scores ``inf``.  ``scores`` maps the bytes of each LP
     already scored to its score, so an identical LP is not solved again.
@@ -821,7 +775,7 @@ def _score_option(instance, group, window, code, scores=None) -> float:
     j, i, side = np.unravel_index(faces, (instance.m, instance.n, 2))
     room_rhs = room_rhs.reshape(len(faces), 2, len(sub))
     room_rhs[np.arange(len(faces)), 1 - side] -= instance.min_widths[j, i, None]
-    pins, pin_rhs = instance.equality_rows()
+    pins, pin_rhs = instance.base.eq_matrix, instance.base.eq_rhs
     pinned = (2 * faces[:, None] + [0, 1]).ravel()
     cols = np.concatenate([*(instance.face_columns[f] for f in faces), [eta]])
     problem = LpProblem(
@@ -831,7 +785,6 @@ def _score_option(instance, group, window, code, scores=None) -> float:
         eq_matrix=pins[pinned][:, cols],
         eq_rhs=pin_rhs[pinned],
     )
-    scores = {} if scores is None else scores
     lp = (problem.ineq_matrix.shape, problem.ineq_matrix.tobytes(), problem.ineq_rhs.tobytes(),
           problem.eq_matrix.tobytes(), problem.eq_rhs.tobytes())
     if lp in scores:
@@ -876,7 +829,7 @@ def _stuck_window_candidates(instance, best_values):
     return out
 
 
-def _boundary_shift_candidates(instance, assignment, binding):
+def _boundary_shift_candidates(instance, codes, binding):
     """Move binding witness handoffs.
 
     Where the separating dimension changes over time, the best-witness
@@ -884,10 +837,10 @@ def _boundary_shift_candidates(instance, assignment, binding):
     solution, which pins the slack at zero: both witnesses are active
     with no margin at adjacent samples.  Shifting the handoff makes one
     witness take over while the other still has slack, letting the
-    re-solve buy margin.  Both directions and two scales are proposed.
+    re-solve buy margin.  Both directions and two scales are proposed,
+    each a copy of the witness table ``codes``.
     """
     n_t = instance.n_t
-    codes = assignment.codes
     # handoffs (g, rr) between samples rr and rr + 1 that lie within
     # [r - 3, r + 2] of a binding row (g, r)
     g, r = np.nonzero(binding)
@@ -900,15 +853,15 @@ def _boundary_shift_candidates(instance, assignment, binding):
     out = []
     for leftward in (True, False):
         for scale in (max(2, n_t // 40), max(4, n_t // 12)):
-            cand = assignment.copy()
+            cand = codes.copy()
             changed = False
             for g, rr, a, b in handoffs:
                 if leftward:
                     span, choice = slice(max(0, rr - scale + 1), rr + 1), b
                 else:
                     span, choice = slice(rr + 1, min(n_t, rr + 1 + scale)), a
-                changed = changed or bool((cand.codes[g, span] != choice).any())
-                cand.codes[g, span] = choice
+                changed = changed or bool((cand[g, span] != choice).any())
+                cand[g, span] = choice
             if changed:
                 out.append(cand)
     return out
@@ -932,48 +885,45 @@ def refine_assignment(
     picks, except that the first candidate to reach ``instance.eta_floor``
     wins and stops the rest (see ``solve_sop``).  ``instance.candidates``
     counts the candidates started and ``instance.pruned`` those stopped
-    early.  Returns the diagnostics of the winner (its witnesses in
-    ``assignment``), or None when no candidate solves.  Deterministic
+    early.  Returns the diagnostics of the winner (its witness table in
+    ``assignment``), or None when no candidate solves.  Every candidate is
+    a new table: ``failure.assignment`` is never written.  Deterministic
     given its inputs.
     """
-    assignment = failure.assignment
-    if assignment is None or failure.x is None:
+    codes = failure.assignment
+    if codes is None or failure.x is None:
         raise ValueError("refinement needs diagnostics from a previous solve")
     faces = instance.face_values(failure.x)
     etas = failure.x[instance.eta_offset]
-    row_vals = instance.witness_values(faces, etas, assignment.codes)
+    row_vals = instance.witness_values(faces, etas, codes)
     best_c, best_v = instance.best_witnesses(faces)
     # Binding disjunct rows: the row sits at its slack AND that slack pins
     # the global optimum through the ordering chain.
     pinned = etas >= failure.eta_star - ETA_GAP - 1e-7
     binding = row_vals >= -1e-7
     g, r = np.nonzero(binding)
-    slack_index = instance._operands[2][g, assignment.codes[g, r]]  # into the (m, n) slacks
+    slack_index = instance._operands[2][g, codes[g, r]]  # into the (m, n) slacks
     binding[g, r] = pinned.ravel()[slack_index]
 
-    # The geometric move: every row to its best witness at this solution.
-    geometric = assignment.copy()
-    geometric.codes[:] = best_c
-
-    candidates: list[DisjunctAssignment] = []
+    candidates = []
     windows = _stuck_window_candidates(instance, best_v)
     if windows:
         # Primary escape: best-ranked option applied to every stuck window
         # at once (on top of the best-witness table), then the second-ranked
         # variations one window at a time.
-        combo = geometric.copy()
+        combo = best_c.copy()
         for g, window, ranked in windows:
-            combo.codes[g, window] = ranked[0][1]
+            combo[g, window] = ranked[0][1]
         candidates.append(combo)
         for g, window, ranked in windows:
             if len(ranked) < 2:
                 continue
             variant = combo.copy()
-            variant.codes[g, window] = ranked[1][1]
+            variant[g, window] = ranked[1][1]
             candidates.append(variant)
-    candidates.extend(_boundary_shift_candidates(instance, assignment, binding))
-    if (best_c != assignment.codes).any():
-        candidates.append(geometric)
+    candidates.extend(_boundary_shift_candidates(instance, codes, binding))
+    if (best_c != codes).any():  # the geometric move: every row to its best witness
+        candidates.append(best_c)
 
     beam = candidates[:BEAM_WIDTH]
     if not beam:
@@ -1053,7 +1003,10 @@ def certify(
     obstacle_speed: float = 0.0,
 ) -> SynthesisCertificate:
     """Evaluate the sampled-to-robust condition for a solved tube set
-    whose obstacles move at up to ``obstacle_speed`` (0: all static)."""
+    whose obstacles move at up to ``obstacle_speed`` (0: all static).
+    ``lipschitz_source="estimated"`` is not a sound bound: the sampled
+    estimate falls below the exact slope bound in 11 of 12 measured
+    cases.  Only perfbench's traced run calls it."""
     if lipschitz_source == "analytic":
         l_lower, l_upper = slope_bounds(tubes)
     elif lipschitz_source == "estimated":
@@ -1238,7 +1191,7 @@ def validate_tubes(
 class SynthesisResult:
     tubes: TubeSet
     certificate: SynthesisCertificate
-    assignment: DisjunctAssignment
+    assignment: np.ndarray  # the witness table of the certified tubes
     iterations: int
     lp_solves: int  # LPs handed to solve_lp
     lp_reused: int  # LPs answered by an identical earlier LP of the same call
@@ -1349,7 +1302,8 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
         )
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        cert = certify(diag.eta_star, diag.tubes, spec.epsilon, obstacle_speed=speed)
+        tubes = instance.tubes_from_solution(diag.x)
+        cert = certify(diag.eta_star, tubes, spec.epsilon, obstacle_speed=speed)
         improved = best is None or cert.margin < best.margin - 1e-12
         if improved:
             best = cert
@@ -1359,7 +1313,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
         if certified is not None and not (cert.passed and improved):
             return result(iteration)
         if cert.passed:
-            certified = (diag.tubes, cert, diag.assignment)
+            certified = (tubes, cert, diag.assignment)
         refined = refine_assignment(instance, diag)
         if refined is None or since_improved >= 6:
             if certified is not None:

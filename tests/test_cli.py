@@ -239,10 +239,16 @@ def test_simulate_requires_certificate(tmp_path, solo_scenario):
     assert code == 0
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1,2]"], ids=["not-json", "not-an-object"])
-def test_simulate_rejects_unreadable_certificate(tmp_path, solo_scenario, capsys, text):
-    """A certificate that is not a JSON object is a usage error: an
-    ``error:`` line naming the file and exit code 1, not a traceback."""
+@pytest.mark.parametrize("text,detail", [
+    ("{not json", "Expecting property name"),
+    ("[1,2]", "not a JSON object"),
+    ('{"passed": "false"}', '"passed" is "false", not true or false'),
+    ('{"passed": 1}', '"passed" is 1, not true or false'),
+], ids=["not-json", "not-an-object", "passed-string", "passed-number"])
+def test_simulate_rejects_unreadable_certificate(tmp_path, solo_scenario, capsys, text, detail):
+    """A certificate that is not a JSON object, or whose ``passed`` is not
+    a JSON boolean, is a usage error: an ``error:`` line naming the file
+    and what is wrong, and exit code 1, not a traceback or a run."""
     assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
     (tmp_path / "solo.cert.json").write_text(text)
     capsys.readouterr()
@@ -250,7 +256,21 @@ def test_simulate_rejects_unreadable_certificate(tmp_path, solo_scenario, capsys
                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: certificate ") and "solo.cert.json" in err
+    assert err.startswith("error: certificate ") and "solo.cert.json" in err and detail in err
+
+
+@pytest.mark.parametrize("text", ['{"passed": false}', "{}"], ids=["false", "missing"])
+def test_simulate_refuses_a_certificate_that_did_not_pass(tmp_path, solo_scenario, capsys, text):
+    """A certificate whose ``passed`` is false or absent stops ``simulate``
+    without ``--force``."""
+    assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
+    (tmp_path / "solo.cert.json").write_text(text)
+    capsys.readouterr()
+    code = main(["simulate", str(solo_scenario), str(tmp_path / "solo.tubes"),
+                 "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: certificate did not pass")
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):

@@ -124,6 +124,13 @@ def test_config_invariants():
         with pytest.raises(ValueError, match="rng_seed must be a nonnegative integer"):
             SlopeSampleConfig(alpha=0.1, rng_seed=seed)
     assert SlopeSampleConfig(alpha=0.1, rng_seed=np.int64(3)).rng_seed == 3
+    # a fractional count would reach numpy's sampler as a size and fail there
+    for name in ("pair_count", "repetitions"):
+        for value in (100.0, 50.5, True, "100", None):
+            with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+                SlopeSampleConfig(alpha=0.01, **{name: value})
+    cfg = SlopeSampleConfig(alpha=0.1, pair_count=np.int64(100), repetitions=np.int32(50))
+    assert (cfg.pair_count, cfg.repetitions) == (100, 50)
 
 
 def test_alpha_below_the_float_spacing_at_the_horizon_is_refused():

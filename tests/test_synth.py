@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sttube.sampling import obstacle_bounds, sample_unsafe, verify_cover
 from sttube.scenario import scenario_from_dict
 from sttube.synth import (
-    DisjunctAssignment,
     FamilyResult,
     SolveDiagnostics,
     SynthesisError,
@@ -27,6 +26,13 @@ from sttube.synth import (
     validate_tubes,
 )
 from sttube.tube import tube_values
+
+
+def _split(codes, m):
+    """Views of a witness table of m agents: its collision rows (pairs,
+    n_t) and its unsafe rows (m, regions, n_t)."""
+    n_pairs = m * (m - 1) // 2
+    return codes[:n_pairs], codes[n_pairs:].reshape(m, -1, codes.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -67,16 +73,16 @@ def test_single_agent_instance_has_no_disjunctions():
     })
     samples = sample_unsafe(spec)
     asg = seed_assignment(spec, samples)
-    assert asg.unsafe.size == 0 and asg.collision.size == 0
     inst = build_sop(spec, samples)
-    assert asg.codes.shape == (0, inst.n_t)
+    assert asg.dtype == np.int8 and asg.shape == (0, inst.n_t)
     # arena and width rows only, each the same whatever the (empty) table
     keys = np.arange(inst.groups * inst.n_t)
-    matrix, rhs = inst.rows(asg.codes, keys)
+    matrix, rhs = inst.rows(asg, keys)
     assert matrix.shape == (len(keys), inst.n_vars) and rhs.shape == (len(keys),)
-    tubes, eta = solve_sop(inst, [asg])
+    diag = SolveDiagnostics()
+    solve_sop(inst, [asg], diag)
     # the width family binds: strictly negative optimum
-    assert eta < -0.2
+    assert diag.eta_star < -0.2
 
 
 def test_start_pin_is_at_time_zero_on_degenerate_grid():
@@ -92,7 +98,7 @@ def test_start_pin_is_at_time_zero_on_degenerate_grid():
     with pytest.warns(UserWarning, match="degenerate"):
         samples = sample_unsafe(spec)
     inst = build_sop(spec, samples)
-    rows, rhs = inst.equality_rows()
+    rows, rhs = inst.base.eq_matrix, inst.base.eq_rhs
     face = inst.columns[0]  # agent 1, dim 1, lower face
     assert rows[0, face].tolist() == [1.0, 0.0, 0.0] and rhs[0] == 0.0
     assert rows[1, face].tolist() == [1.0, 0.5, 0.25] and rhs[1] == 3.0
@@ -104,15 +110,15 @@ def test_start_pin_is_at_time_zero_on_degenerate_grid():
 
 def test_seed_picks_clear_dimension(mini_spec):
     samples = sample_unsafe(mini_spec)
-    asg = seed_assignment(mini_spec, samples)
+    collision, unsafe = _split(seed_assignment(mini_spec, samples), 2)
     # obstacle sits at the arena center; both agents' straight paths run
     # right through it, so mid-horizon picks are tie-broken / clearance
     # driven, while early samples keep the largest-clearance dimension.
     # Witness codes are 2*dim + side.
-    first = asg.unsafe[0, 0, 0]
+    first = unsafe[0, 0, 0]
     assert first == 2 * 0 + 1  # dim 1, upper face below: agent starts left of the box
     # the swap pair separates in dim 1 at t=0, agent 1 below agent 2
-    assert asg.collision[0, 0] == 2 * 0 + 0
+    assert collision[0, 0] == 2 * 0 + 0
 
 
 def test_seed_obstacle_strictly_left_means_above_everywhere():
@@ -125,8 +131,8 @@ def test_seed_obstacle_strictly_left_means_above_everywhere():
                        "keyframes": [[0.0, [[0.5, 1.5], [0.5, 1.5]]]]}],
     })
     samples = sample_unsafe(spec)
-    asg = seed_assignment(spec, samples)
-    assert asg.unsafe.size and (asg.unsafe == 2 * 0 + 0).all()  # dim 1, lower face above
+    _, unsafe = _split(seed_assignment(spec, samples), 1)
+    assert unsafe.size and (unsafe == 2 * 0 + 0).all()  # dim 1, lower face above
 
 
 def test_seed_identical_references_tie_break_to_first_dim():
@@ -142,8 +148,8 @@ def test_seed_identical_references_tie_break_to_first_dim():
         "obstacles": [],
     })
     samples = sample_unsafe(spec)
-    asg = seed_assignment(spec, samples)
-    assert asg.collision.size and (asg.collision // 2 == 0).all()
+    collision, _ = _split(seed_assignment(spec, samples), 2)
+    assert collision.size and (collision // 2 == 0).all()
 
 
 def test_seed_matches_scalar_reference(robots_spec):
@@ -154,9 +160,9 @@ def test_seed_matches_scalar_reference(robots_spec):
     from sttube.synth import _reference_points
 
     samples = sample_unsafe(robots_spec)
-    asg = seed_assignment(robots_spec, samples)
     refs = _reference_points(robots_spec, samples.time_samples)
     m = robots_spec.agent_count
+    collision, unsafe = _split(seed_assignment(robots_spec, samples), m)
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     for t_idx, t in enumerate(samples.time_samples):
         for r, region in enumerate(robots_spec.obstacles):
@@ -168,11 +174,42 @@ def test_seed_matches_scalar_reference(robots_spec):
                     clearance, side = max((lo - p, 1), (p - hi, 0))
                     if best is None or clearance > best[0] + 1e-15:
                         best = (clearance, 2 * i + side)
-                assert asg.unsafe[j, r, t_idx] == best[1]
+                assert unsafe[j, r, t_idx] == best[1]
         for p_idx, (j, k) in enumerate(pairs):
             gaps = refs[j, t_idx] - refs[k, t_idx]
             i = int(np.argmax(np.abs(gaps)))
-            assert asg.collision[p_idx, t_idx] == 2 * i + (0 if gaps[i] < 0 else 1)
+            assert collision[p_idx, t_idx] == 2 * i + (0 if gaps[i] < 0 else 1)
+
+
+@pytest.mark.parametrize("case,rows,sample", [
+    ("robots", [], None),
+    ("moving_bar", [], None),
+    ("drones", [0, 1, 2, 3, 4, 5], 500),
+    ("mini", [0, 1, 2], 100),
+], ids=["robots", "moving_bar", "drones", "mini"])
+def test_seed_differs_from_best_witnesses_only_at_exact_ties(case, rows, sample, request):
+    """``best_witnesses`` at the straight-line reference points (both faces
+    of a tube at its point) gives ``seed_assignment``'s table except at
+    exact two-side ties: every drones pair at mid-horizon, where all four
+    paths cross, and at mini's mid-horizon both of its agents' rows and
+    its pair's.  There the seed takes side 1 and ``best_witnesses`` side
+    0, both in dim 1.  These are the entries one witness rule, seeding
+    from ``best_witnesses``, would move."""
+    from sttube import data_path, load_scenario
+    from sttube.synth import _reference_points
+
+    if case == "moving_bar":
+        spec = load_scenario(data_path("moving_bar.scenario"))
+    else:
+        spec = request.getfixturevalue(f"{case}_spec")
+    samples = sample_unsafe(spec)
+    inst = build_sop(spec, samples)
+    points = _reference_points(spec, inst.times).transpose(0, 2, 1)  # (m, n, n_t)
+    best, _ = inst.best_witnesses(np.stack([points, points], axis=2))
+    seed = seed_assignment(spec, samples)
+    g, t = np.nonzero(best != seed)
+    assert g.tolist() == rows and (t == sample).all()
+    assert (seed[g, t] == 1).all() and (best[g, t] == 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +471,10 @@ def _sequential_best(values):
     return best
 
 
-def _assignment_row_values(instance, assignment, options, etas):
-    """Reference for ``SopInstance.witness_values``: the witnessed option
-    picked out of the full option arrays, minus the slack of the row's
-    first agent in that dim; (disjunct groups, n_t)."""
-    codes = assignment.codes
+def _assignment_row_values(instance, codes, options, etas):
+    """Reference for ``SopInstance.witness_values``: the option the
+    witness table ``codes`` picks out of the full option arrays, minus the
+    slack of the row's first agent in that dim; (disjunct groups, n_t)."""
     agents = np.array([head[0] for _, head in _row_heads(instance)], dtype=int)
     chosen = np.take_along_axis(options, codes[:, None, :], axis=1)[:, 0]
     return chosen - etas[agents[:, None], codes // 2]
@@ -450,15 +486,15 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
     certificate is possible."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    asg = seed_assignment(mini_spec, samples)
-    n_t = inst.n_t
-    bad = asg.copy()
+    bad = seed_assignment(mini_spec, samples)
     # dim 1 at every sample, agent 1 below agent 2 at even samples and
-    # above it at odd ones (witness code 2*dim + side)
-    bad.collision[:] = np.arange(n_t) % 2
-    tubes, eta = solve_sop(inst, [bad])
-    assert eta > 0.0
-    assert not certify(eta, tubes, mini_spec.epsilon).passed
+    # above it at odd ones (witness code 2*dim + side); mini has one pair
+    bad[0] = np.arange(inst.n_t) % 2
+    diag = SolveDiagnostics()
+    solve_sop(inst, [bad], diag)
+    assert diag.eta_star > 0.0
+    tubes = inst.tubes_from_solution(diag.x)
+    assert not certify(diag.eta_star, tubes, mini_spec.epsilon).passed
 
 
 def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
@@ -478,10 +514,10 @@ def test_witness_arrays_match_scalar_reference(mini_spec, mini_result):
 
     faces_now = inst.face_values(diag.x)
     etas = diag.x[inst.eta_offset]
-    vals = inst.witness_values(faces_now, etas, asg.codes)
+    vals = inst.witness_values(faces_now, etas, asg)
     best_codes, best_vals = inst.best_witnesses(faces_now)
     heads = _row_heads(inst)
-    for (g, t), code in np.ndenumerate(asg.codes):
+    for (g, t), code in np.ndenumerate(asg):
         tag, head = heads[g]
         option = functools.partial(_scalar_option, inst, faces, tag, head, t)
         assert vals[g, t] == option(code) - etas[head[0], code // 2]
@@ -513,56 +549,62 @@ def tie_instance():
     return build_sop(spec, sample_unsafe(spec))
 
 
-def test_assignment_views_write_into_the_witness_table(tie_instance):
-    """``unsafe`` and ``collision`` are views of ``codes``: a write through
-    either lands at its row-group row (collision pairs, then (agent,
-    region)), and that row's group in the row table is the pair's or the
+def test_witness_table_rows_follow_the_row_groups(tie_instance):
+    """A witness table is int8, one row per disjunct group in row-group
+    order (collision pairs, then (agent, region)): its row i is row group
+    ``disjunct_groups.start + i`` of the row table, the pair's or the
     (agent, region)'s."""
     inst = tie_instance
     regions, n_pairs = len(inst.spec.obstacles), len(inst.pairs)
-    asg = DisjunctAssignment(
-        unsafe=np.zeros((inst.m, regions, inst.n_t), dtype=int),
-        collision=np.zeros((n_pairs, inst.n_t), dtype=int),
+    codes = seed_assignment(inst.spec, inst.samples)
+    assert codes.dtype == np.int8
+    assert codes.shape == (n_pairs + inst.m * regions, inst.n_t)
+    assert range(inst.groups)[inst.disjunct_groups] == range(
+        inst.disjunct_groups.start, inst.disjunct_groups.start + len(codes)
     )
-    assert asg.codes.dtype == np.int8
-    assert asg.codes.shape == (n_pairs + inst.m * regions, inst.n_t)
     faces, _, etas, _, bound = inst.row_table
     for p, (j, k) in enumerate(inst.pairs):
-        asg.collision[p, -1] = 1
-        assert asg.codes[p, -1] == 1
         # code 1 of a pair: k's upper face below j's lower face, j's slack
         g = inst.disjunct_groups.start + p
         assert faces[g, 1].tolist() == [(k * inst.n) * 2 + 1, (j * inst.n) * 2]
         assert etas[g, 1] == inst.eta_offset[j, 0]
     for j, r in np.ndindex(inst.m, regions):
-        row = n_pairs + j * regions + r
-        asg.unsafe[j, r, 0] = 3
-        assert asg.codes[row, 0] == 3
         # code 3: agent j's upper face in dim 2 below region r's bottom
-        g = inst.disjunct_groups.start + row
+        g = inst.disjunct_groups.start + n_pairs + j * regions + r
         assert faces[g, 3, 0] == (j * inst.n + 1) * 2 + 1
         assert bound[g, 3] == (r * inst.n + 1) * 2
         assert etas[g, 3] == inst.eta_offset[j, 1]
-    assert np.count_nonzero(asg.codes) == n_pairs + inst.m * regions
 
 
-def test_assignment_copy_shares_no_memory(tie_instance):
-    inst = tie_instance
-    regions = len(inst.spec.obstacles)
-    asg = DisjunctAssignment(
-        unsafe=np.ones((inst.m, regions, inst.n_t), dtype=int),
-        collision=np.full((len(inst.pairs), inst.n_t), 2),
-    )
-    twin = asg.copy()
-    assert twin.codes.tobytes() == asg.codes.tobytes()
-    for mine in (twin.codes, twin.unsafe, twin.collision):
-        for theirs in (asg.codes, asg.unsafe, asg.collision):
-            assert not np.shares_memory(mine, theirs)
-    # the copy's views are views of its own table
-    twin.unsafe[0, 0, 0] = 3
-    twin.collision[0, 0] = 3
-    assert twin.codes[len(inst.pairs), 0] == 3 and twin.codes[0, 0] == 3
-    assert (asg.codes != 3).all()
+def test_refinement_never_writes_the_failure_table(mini_spec, mini_result, monkeypatch):
+    """Along mini's refinement chain, every candidate of a step is a table
+    of its own: the failure's table keeps its bytes, and no candidate
+    shares memory with it or with another candidate."""
+    import sttube.synth as synth
+
+    samples = sample_unsafe(mini_spec)
+    inst = build_sop(mini_spec, samples)
+    diag = SolveDiagnostics()
+    solve_sop(inst, [seed_assignment(mini_spec, samples)], diag)
+    beams, solve = [], synth.solve_sop
+
+    def recording(instance, candidates, diagnostics, warm=None):
+        beams.append(candidates)
+        return solve(instance, candidates, diagnostics, warm)
+
+    monkeypatch.setattr(synth, "solve_sop", recording)
+    for _ in range(mini_result.iterations):
+        failure, before = diag, diag.assignment.copy()
+        diag = refine_assignment(inst, failure)
+        assert failure.assignment.tobytes() == before.tobytes()
+        beam = beams[-1]
+        for q, cand in enumerate(beam):
+            assert cand.dtype == np.int8 and cand.shape == before.shape
+            assert not np.shares_memory(cand, failure.assignment)
+            assert not any(np.shares_memory(cand, other) for other in beam[q + 1 :])
+        if diag is None:
+            break
+    assert len(beams) > 1 and max(map(len, beams)) > 1
 
 
 def _row_from_table(inst, g, r, code):
@@ -587,17 +629,14 @@ def test_rows_read_the_code_of_their_key(tie_instance):
     witness table holds for it, and arena and width keys their one row."""
     inst = tie_instance
     regions = len(inst.spec.obstacles)
-    asg = DisjunctAssignment(
-        unsafe=np.zeros((inst.m, regions, inst.n_t), dtype=int),
-        collision=np.zeros((len(inst.pairs), inst.n_t), dtype=int),
-    )
+    codes = np.zeros((len(inst.pairs) + inst.m * regions, inst.n_t), dtype=np.int8)
     r = inst.n_t // 2
-    coll_group = inst.disjunct_groups.start + 1  # pair (1, 3)
-    unsafe_group = inst.disjunct_groups.start + len(inst.pairs) + regions + 1  # (2, 2)
-    asg.collision[1, r] = 3
-    asg.unsafe[1, 1, r] = 2
-    keys = np.array([0, coll_group, unsafe_group, inst.groups - 1]) * inst.n_t + r
-    matrix, rhs = inst.rows(asg.codes, keys)
+    coll_row, unsafe_row = 1, len(inst.pairs) + regions + 1  # pair (1, 3); (2, 2)
+    codes[coll_row, r] = 3
+    codes[unsafe_row, r] = 2
+    first = inst.disjunct_groups.start
+    keys = np.array([0, first + coll_row, first + unsafe_row, inst.groups - 1]) * inst.n_t + r
+    matrix, rhs = inst.rows(codes, keys)
     for got, got_rhs, g, code in zip(matrix, rhs, keys // inst.n_t, (0, 3, 2, 0)):
         want, want_rhs = _row_from_table(inst, g, r, code)
         assert got.tobytes() == want.tobytes() and got_rhs == want_rhs
@@ -671,10 +710,11 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
     rows are violated, under the seed and under random witnesses."""
     inst, asg, x = _seed_solution(request.getfixturevalue(f"{scenario}_spec"))
     rng = np.random.default_rng(7)
-    random_asg = DisjunctAssignment(
-        unsafe=rng.integers(0, 2 * inst.n, asg.unsafe.shape),
-        collision=rng.integers(0, 2 * inst.n, asg.collision.shape),
-    )
+    collision, unsafe = _split(asg, inst.m)
+    random_asg = np.concatenate([
+        rng.integers(0, 2 * inst.n, collision.shape),
+        rng.integers(0, 2 * inst.n, unsafe.shape).reshape(-1, inst.n_t),
+    ]).astype(np.int8)
     points = [x] + [x + rng.normal(scale=scale, size=x.shape) for scale in (1e-3, 0.3)]
     for point in points:
         faces = inst.face_values(point)
@@ -685,7 +725,7 @@ def test_witnessed_scan_matches_option_tensors(scenario, request):
                 _full_scan_static_keys(inst, faces, etas, tol),
             )
         for a in (asg, random_asg):
-            witnessed = inst.witness_values(faces, etas, a.codes)
+            witnessed = inst.witness_values(faces, etas, a)
             expected = _assignment_row_values(inst, a, _option_tensors(inst, faces), etas)
             assert witnessed.shape == expected.shape
             assert witnessed.tobytes() == expected.tobytes()
@@ -792,9 +832,11 @@ def test_assignment_independent_soundness(mini_spec, mini_result):
     asg = mini_result.assignment.copy()
     # perturb a few non-binding witnesses away from the converged choice:
     # reverse the pair's order at the first five samples (side bit of 2*dim + side)
-    asg.collision[0, :5] ^= 1
-    tubes, eta = solve_sop(inst, [asg])
-    cert = certify(eta, tubes, mini_spec.epsilon)
+    asg[0, :5] ^= 1
+    diag = SolveDiagnostics()
+    solve_sop(inst, [asg], diag)
+    tubes = inst.tubes_from_solution(diag.x)
+    cert = certify(diag.eta_star, tubes, mini_spec.epsilon)
     if cert.passed:
         report = validate_tubes(
             tubes, mini_spec, resolution=mini_spec.epsilon / 4.0, tolerance=1e-4
@@ -957,13 +999,13 @@ def test_failed_scoring_lp_scores_inf(mini_spec, monkeypatch):
     inst = build_sop(mini_spec, sample_unsafe(mini_spec))
     # the first (agent, region) group
     group, window = inst.disjunct_groups.start + len(inst.pairs), list(range(20))
-    assert synth._score_option(inst, group, window, 0) < float("inf")
+    assert synth._score_option(inst, group, window, 0, {}) < float("inf")
 
     def failing(problem):
         raise LpNumericalError("residual above tolerance")
 
     monkeypatch.setattr(synth, "solve_lp", failing)
-    assert synth._score_option(inst, group, window, 0) == float("inf")
+    assert synth._score_option(inst, group, window, 0, {}) == float("inf")
 
 
 def test_failed_seed_lp_is_synthesis_infeasible(mini_spec, monkeypatch):
@@ -989,16 +1031,12 @@ def test_adversarial_seed_recovers(mini_spec):
     """Local search escapes an all-wrong-dimension seed within budget."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    asg = seed_assignment(mini_spec, samples)
     # every witness moved to dim 2, keeping its side (codes 2*dim + side)
-    bad = DisjunctAssignment(
-        unsafe=2 * 1 + asg.unsafe % 2,
-        collision=2 * 1 + asg.collision % 2,
-    )
+    bad = 2 * 1 + seed_assignment(mini_spec, samples) % 2
     diag = SolveDiagnostics()
     solve_sop(inst, [bad], diag)
     for _ in range(25):
-        cert = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
+        cert = certify(diag.eta_star, inst.tubes_from_solution(diag.x), mini_spec.epsilon)
         if cert.passed:
             break
         diag = refine_assignment(inst, diag)
@@ -1016,7 +1054,7 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
     diag = SolveDiagnostics()
     solve_sop(inst, [asg], diag)
     for _ in range(25):
-        first = certify(diag.eta_star, diag.tubes, mini_spec.epsilon)
+        first = certify(diag.eta_star, inst.tubes_from_solution(diag.x), mini_spec.epsilon)
         if first.passed:
             break
         diag = refine_assignment(inst, diag)
@@ -1041,8 +1079,7 @@ def test_synthesize_solves_each_assignment_once(mini_spec, monkeypatch):
         carried = () if warm is None else (warm.active_keys, warm.exact_groups, warm.exact_times)
         calls.append(len(candidates))
         solved.extend(
-            (cand.unsafe.tobytes(), cand.collision.tobytes(),
-             *(np.ascontiguousarray(a).tobytes() for a in carried))
+            (cand.tobytes(), *(np.ascontiguousarray(a).tobytes() for a in carried))
             for cand in candidates
         )
         return solve(instance, candidates, diagnostics, warm)
@@ -1100,12 +1137,12 @@ def test_refinement_beam_order_on_mini(mini_spec, monkeypatch):
                     variant = combo.copy()
                     variant[g, window] = ranked[1][1]
                     expected.append(variant)
-        expected += [cand.codes for cand in shifted]
-        if (best_c != failure.assignment.codes).any():
+        expected += shifted
+        if (best_c != failure.assignment).any():
             expected.append(best_c)
             tables_proposed += len(expected) <= synth.BEAM_WIDTH
         expected = expected[: synth.BEAM_WIDTH]
-        assert [cand.codes.tobytes() for cand in beam] == [c.tobytes() for c in expected]
+        assert [cand.tobytes() for cand in beam] == [c.tobytes() for c in expected]
     assert tables_proposed > 0
 
 
@@ -1114,7 +1151,7 @@ def _winner_bytes(diag):
     the warm start of the next step."""
     return (
         diag.x.tobytes(), diag.eta_star.hex(),
-        diag.assignment.unsafe.tobytes(), diag.assignment.collision.tobytes(),
+        diag.assignment.tobytes(),
         np.asarray(diag.active_keys).tobytes(),
         diag.exact_groups.tobytes(), diag.exact_times.tobytes(),
     )
@@ -1152,17 +1189,17 @@ def _check_pruning_keeps_the_winner(instance, failure, monkeypatch):
         beams.append(candidates)
         return solve(instance, candidates, diagnostics, warm)
 
-    def recording_rounds(instance, assignment, *args):
-        inner = rounds(instance, assignment, *args)
+    def recording_rounds(instance, codes, *args):
+        inner = rounds(instance, codes, *args)
         try:
             while True:
-                last_bound[id(assignment)] = bound = next(inner)
+                last_bound[id(codes)] = bound = next(inner)
                 yield bound
         except StopIteration as done:
-            ended.add(id(assignment))
+            ended.add(id(codes))
             return done.value
         except Exception:
-            ended.add(id(assignment))
+            ended.add(id(codes))
             raise
 
     monkeypatch.setattr(synth, "solve_sop", recording_solve)
@@ -1371,7 +1408,7 @@ def test_identical_scoring_lps_are_solved_once(mini_spec, monkeypatch):
     assert (len(calls), inst.lp_solves - solves, inst.lp_reused - reused) == (11, 11, 1)
     monkeypatch.setattr(
         synth, "_score_option",
-        lambda instance, group, window, code, scores: score(instance, group, window, code),
+        lambda instance, group, window, code, scores: score(instance, group, window, code, {}),
     )
     assert synth._stuck_window_candidates(inst, best_v) == windows
     assert len(calls) == 11 + 12
@@ -1394,10 +1431,10 @@ def test_no_solving_candidate_raises_the_first_error(mini_spec, monkeypatch):
 
     monkeypatch.setattr(synth, "solve_lp", failing)
     with pytest.raises(LpNumericalError, match="LP 1"):
-        solve_sop(inst, [asg, asg.copy(), asg.copy()])
+        solve_sop(inst, [asg, asg.copy(), asg.copy()], SolveDiagnostics())
     assert len(calls) == 3
     with pytest.raises(ValueError):
-        solve_sop(inst, [])
+        solve_sop(inst, [], SolveDiagnostics())
 
 
 def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
@@ -1493,7 +1530,7 @@ def test_warm_start_carries_over_to_other_tube_degrees():
     warm, cold = SolveDiagnostics(), SolveDiagnostics()
     solve_sop(inst, [asg], warm, warm=first)
     solve_sop(inst, [asg], cold)
-    assert (warm.tubes.sizes == 5).all()
+    assert (inst.tubes_from_solution(warm.x).sizes == 5).all()
     assert warm.exact_groups[:6].tolist() == first.exact_groups.tolist()
     assert warm.exact_times[:6].tobytes() == first.exact_times.tobytes()
     assert warm.eta_star == pytest.approx(cold.eta_star, abs=1e-9)
