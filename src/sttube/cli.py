@@ -8,6 +8,7 @@ inputs, flags, seeds, and outputs, sufficient to reproduce the run.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -21,14 +22,13 @@ from . import __version__
 from .control import ControllerIntegrityError
 from .lipschitz import SlopeSampleConfig, convergence_sweep, estimate_table, side_maxima
 from .plant import make_plant
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, scenario_to_dict
 from .sim import run_closed_loop, write_trajectories_csv
 from .synth import (
     SynthesisError,
     SynthesisFailure,
     SynthesisInfeasible,
     composite_lipschitz,
-    save_certificate,
     synthesize,
     validate_tubes,
 )
@@ -64,10 +64,17 @@ def write_manifest(
     write_json(manifest, path)
 
 
+def certificate_digests(spec, tubes_path) -> dict:
+    """The sha256 of a tube file and of a scenario, as a certificate records them."""
+    scenario = json.dumps(scenario_to_dict(spec), sort_keys=True).encode()
+    return {"tubes_sha256": hashlib.sha256(Path(tubes_path).read_bytes()).hexdigest(),
+            "scenario_sha256": hashlib.sha256(scenario).hexdigest()}
+
+
 def cmd_synth(args) -> int:
     t0 = time.perf_counter()
     try:
-        spec = load_scenario(args.scenario)
+        loaded = spec = load_scenario(args.scenario)
         if args.epsilon is not None:
             spec = replace(spec, epsilon=args.epsilon)
         if args.degree is not None and args.degree < 0:
@@ -87,7 +94,7 @@ def cmd_synth(args) -> int:
     tubes_path = out / f"{stem}.tubes"
     cert_path = out / f"{stem}.cert.json"
     save_tubes(result.tubes, tubes_path)
-    save_certificate(cert, cert_path)
+    write_json({**cert.to_dict(), **certificate_digests(loaded, tubes_path)}, cert_path)
     wall = time.perf_counter() - t0
     print(
         f"eta_star={cert.eta_star:.6f}  at_eta_floor={'yes' if result.at_eta_floor else 'no'}  "
@@ -154,6 +161,11 @@ def cmd_simulate(args) -> int:
             print("error: certificate did not pass; use --force to simulate anyway",
                   file=sys.stderr)
             return EXIT_USAGE
+        for key, digest in certificate_digests(spec, args.tubes).items():
+            if cert.get(key) != digest:
+                state = "differs" if key in cert else "is missing"
+                print(f"error: certificate {cert_path}: {key} {state}", file=sys.stderr)
+                return EXIT_USAGE
     stem = Path(args.scenario).stem
     kappa = [args.kappa] if args.kappa is not None else None
     try:

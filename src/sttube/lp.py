@@ -61,6 +61,9 @@ class LpProblem:
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "ineq_matrix", a.reshape(-1, c.size))
         object.__setattr__(self, "ineq_rhs", b.ravel())
+        if (self.eq_matrix is None) != (self.eq_rhs is None):
+            missing = "eq_matrix" if self.eq_matrix is None else "eq_rhs"
+            raise LpError(f"equality rows need both eq_matrix and eq_rhs; {missing} is missing")
         if self.eq_matrix is not None:
             ae = np.asarray(self.eq_matrix, dtype=float).reshape(-1, c.size)
             be = np.asarray(self.eq_rhs, dtype=float).ravel()

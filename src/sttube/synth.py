@@ -14,12 +14,11 @@ eta* the endpoint pins allow (``SopInstance.eta_floor``).  Every
 row is read from one row table: the LP rows, all through one gather
 (``SopInstance.gather``: sampled, exact-time arena, pin and scoring
 rows), the witnessed row values and the ranking of each row's options.
-Two places keep their own formula: the dense validation oracle, to stay
-independent, and ``seed_assignment``, whose clearances at the
-straight-line reference paths break ties by their own rules (side 1 on
-equal clearances, the lowest dimension on equal gaps).  The heuristic's
-incompleteness is harmless: the certificate plus the dense validation
-oracle gate every result.
+One rule, ``SopInstance.best_witnesses``, picks every witness: the seed
+at the straight-line tube, refinement's geometric move at the current
+solution.  Only the dense validation oracle (``least_separation_options``)
+keeps its own formula, to stay independent; it and the certificate gate
+every result, so the heuristic's incompleteness is harmless.
 
 Constraint families, per time sample:
   endpoints  -- face values pinned to the start/goal box bounds (equalities)
@@ -46,11 +45,9 @@ Kortanek, SIAM Review 35(3), 1993).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -199,10 +196,8 @@ class SopInstance:
 
         n_reg = len(spec.obstacles)
         self.obstacle_bounds = samples.obstacle_bounds
-        # bounds a row's right-hand side can take; column -1 (no bound) is 0
-        bounds = self.obstacle_bounds.reshape(self.n_t, n_reg * self.n * 2)
-        self._rhs_bounds = np.hstack([bounds, np.zeros((self.n_t, 1))])
-        self._bound_rows = bounds.T.ravel()  # bound b at sample r: b * n_t + r
+        bounds = self.obstacle_bounds.reshape(self.n_t, -1).T  # bound b at sample r: [b, r]
+        self._bound_rows = np.vstack([bounds, np.zeros(self.n_t)])  # row -1 (no bound) is 0
         self.arena = spec.arena  # (n, 2)
         # arena (lo, hi) of every face, (faces, 2)
         self.face_arena = np.repeat(np.tile(self.arena, (self.m, 1)), 2, axis=0)
@@ -319,7 +314,7 @@ class SopInstance:
         for f, s in zip(faces.T, signs.T):
             out[at, self.columns[f]] += s[:, None] * powers
         out[at[:, 0], etas] = -1.0
-        return out[:, :-1], np.where(bound < 0, rhs, signs[:, 0] * self._rhs_bounds[samples, bound])
+        return out[:, :-1], np.where(bound < 0, rhs, signs[:, 0] * self._bound_rows[bound, samples])
 
     def key_codes(self, codes: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """The witness code of each key's row under the witness table
@@ -430,7 +425,7 @@ class SopInstance:
         that dim, (disjunct groups, n_t).  Codes are taken one at a time
         through the operand table, as in ``best_witnesses``."""
         minuend, subtrahend, eta = self._operands
-        table = np.concatenate([faces.ravel(), self._bound_rows]).reshape(-1, self.n_t)
+        table = np.concatenate([faces.reshape(-1, self.n_t), self._bound_rows])
         slack = etas.ravel()[eta]  # (disjunct groups, codes)
         values = np.empty(codes.shape)
         for c in range(minuend.shape[1]):
@@ -440,16 +435,22 @@ class SopInstance:
         return values
 
     def best_witnesses(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Most-negative option of every disjunct row at face values
-        ``faces``: (code, value), each (disjunct groups, n_t).  Codes
-        are taken in order, one at a time through the operand table of
-        ``witness_values``, and a later code wins only by more than 1e-15."""
+        """The search's one witness rule: the most-negative option of every
+        disjunct row at face values ``faces``, any array that broadcasts to
+        (m, n, 2, n_t); (code, value), each (disjunct groups, n_t).  Codes
+        go one at a time through the operand table, in the order 1, 0, 3,
+        2, ..., and a later one wins only by more than 1e-15: an exact tie
+        goes to side 1 within a dim and to the lower dim across dims."""
         minuend, subtrahend, _ = self._operands
-        table = np.concatenate([faces.ravel(), self._bound_rows]).reshape(-1, self.n_t)
-        best_v = table[minuend[:, 0]] - table[subtrahend[:, 0]]
-        best_c = np.zeros(best_v.shape, dtype=np.int8)
-        for c in range(1, minuend.shape[1]):
-            value = table[minuend[:, c]] - table[subtrahend[:, c]]
+        table = np.empty((2 * self.m * self.n + len(self._bound_rows), self.n_t))
+        table[: -len(self._bound_rows)].reshape(self.m, self.n, 2, self.n_t)[...] = faces
+        table[-len(self._bound_rows) :] = self._bound_rows
+        best_v = table[minuend[:, 1]] - table[subtrahend[:, 1]]
+        best_c = np.ones(best_v.shape, dtype=np.int8)
+        value = np.empty(best_v.shape)
+        for c in (np.arange(minuend.shape[1]) ^ 1)[1:]:
+            np.take(table, minuend[:, c], axis=0, out=value)
+            value -= table[subtrahend[:, c]]
             better = value < best_v - 1e-15
             np.copyto(best_v, value, where=better)
             best_c[better] = c
@@ -473,41 +474,14 @@ def build_sop(spec: ScenarioSpec, samples: SampleSet, degree: int | None = None)
     return SopInstance(spec, samples, degree)
 
 
-def _reference_points(spec: ScenarioSpec, times: np.ndarray) -> np.ndarray:
-    """Straight-line start-center to goal-center path per agent: (M, n_t, n)."""
-    ends = np.array([[a.start, a.goal] for a in spec.agents])  # (M, start/goal, n, lo/hi)
-    centers = 0.5 * (ends[..., 0] + ends[..., 1])
-    w = (times / spec.horizon)[:, None]
-    return centers[:, None, 0] * (1.0 - w) + centers[:, None, 1] * w
-
-
-def seed_assignment(spec: ScenarioSpec, samples: SampleSet) -> np.ndarray:
-    """Geometric heuristic from straight-line reference paths: a witness
-    table (``SopInstance``).
-
-    Unsafe rows pick the dimension with the largest signed clearance
-    between the reference point and the obstacle box (side by sign, ties
-    to side 1); collision rows pick the dimension with the largest
-    reference separation (order by sign, a zero gap to side 1).  Ties
-    break to the lowest dimension.  These tie rules are not those of
-    ``SopInstance.best_witnesses``, which refinement uses.
-    """
-    refs = _reference_points(spec, np.asarray(samples.time_samples))  # (m, n_t, n)
-    bounds = samples.obstacle_bounds.transpose(1, 0, 2, 3)[None]  # (1, R, n_t, n, 2)
-    below = bounds[..., 0] - refs[:, None]  # positive when reference is below the box
-    above = refs[:, None] - bounds[..., 1]  # positive when reference is above the box
-    clearance = np.maximum(below, above)
-    side = (below >= above).astype(np.int8)
-    best, unsafe = clearance[..., 0], side[..., 0]
-    for i in range(1, spec.dims):
-        better = clearance[..., i] > best + 1e-15
-        best = np.where(better, clearance[..., i], best)
-        unsafe = np.where(better, 2 * i + side[..., i], unsafe)
-    j, k = np.triu_indices(spec.agent_count, 1)
-    gaps = refs[j] - refs[k]  # (pairs, n_t, n)
-    dim = np.argmax(np.abs(gaps), axis=-1)
-    j_below = np.take_along_axis(gaps, dim[..., None], axis=-1)[..., 0] < 0
-    return np.concatenate([2 * dim + ~j_below, unsafe.reshape(-1, refs.shape[1])], dtype=np.int8)
+def seed_assignment(instance: SopInstance) -> np.ndarray:
+    """The first witness table (``SopInstance``): ``best_witnesses`` at the
+    straight-line tube, both faces of agent j on the path from its start-box
+    center to its goal-box center at ``instance.times``."""
+    centers = 0.5 * (instance.ends[..., 0] + instance.ends[..., 1])  # (m, start/goal, n)
+    w = instance.times / instance.spec.horizon
+    path = centers[:, 0, :, None] * (1.0 - w) + centers[:, 1, :, None] * w  # (m, n, n_t)
+    return instance.best_witnesses(path[:, :, None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -873,22 +847,21 @@ def refine_assignment(
     """One local-search step from the solve ``failure`` over its witnesses.
 
     Candidates, scored by re-solving: uniform re-witnessings of stuck
-    conflict windows, handoff-boundary shifts around binding rows, and
-    last, when it differs from ``failure``'s witnesses, the table of
-    every row's geometrically best witness at the current solution
-    (``SopInstance.best_witnesses``).  The first ``BEAM_WIDTH`` of them,
-    in that order, go to one ``solve_sop`` call, warm-started from
+    conflict windows, handoff-boundary shifts around binding rows, and last,
+    when it differs from ``failure``'s witnesses, the geometric move: every
+    row's best witness at the current solution, by the rule that also gives
+    the seed (``SopInstance.best_witnesses``).  The first ``BEAM_WIDTH`` of
+    them, in that order, go to one ``solve_sop`` call, warm-started from
     ``failure``: its working set and the exact arena entries it found.  It
     runs them best first, solves each distinct LP once, and stops those
     whose LP bound shows they cannot win; the winner, the least ``(eta*,
-    position)``, is the one that solving every candidate to the end
-    picks, except that the first candidate to reach ``instance.eta_floor``
-    wins and stops the rest (see ``solve_sop``).  ``instance.candidates``
-    counts the candidates started and ``instance.pruned`` those stopped
-    early.  Returns the diagnostics of the winner (its witness table in
-    ``assignment``), or None when no candidate solves.  Every candidate is
-    a new table: ``failure.assignment`` is never written.  Deterministic
-    given its inputs.
+    position)``, is the one that solving every candidate to the end picks,
+    except that the first candidate to reach ``instance.eta_floor`` wins and
+    stops the rest (see ``solve_sop``).  ``instance.candidates`` counts the
+    candidates started and ``instance.pruned`` those stopped early.  Returns
+    the diagnostics of the winner (its witness table in ``assignment``), or
+    None when no candidate solves.  Every candidate is a new table:
+    ``failure.assignment`` is never written.  Deterministic given its inputs.
     """
     codes = failure.assignment
     if codes is None or failure.x is None:
@@ -1029,10 +1002,6 @@ def certify(
         lipschitz_source=lipschitz_source,
         obstacle_speed=obstacle_speed,
     )
-
-
-def save_certificate(cert: SynthesisCertificate, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cert.to_dict(), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1221,7 @@ def synthesize(spec: ScenarioSpec, degree_override: int | None = None) -> Synthe
     instance = build_sop(spec, samples, degree_override)
     diag = SolveDiagnostics()
     try:
-        solve_sop(instance, [seed_assignment(spec, samples)], diag)
+        solve_sop(instance, [seed_assignment(instance)], diag)
     except LpNumericalError as exc:
         raise SynthesisInfeasible(
             f"{exc} (the seed solve, at tube degrees {(instance.z - 1).tolist()})"

@@ -16,6 +16,12 @@ def drones_spec():
 
 
 @pytest.fixture(scope="session")
+def moving_bar_spec():
+    """The shipped moving-bar scenario: the bar at speed 2, epsilon 0.01."""
+    return load_scenario(data_path("moving_bar.scenario"))
+
+
+@pytest.fixture(scope="session")
 def robots_table():
     """Published tube coefficients for the four-robot case."""
     return load_tubes(data_path("robots_table.tubes"))

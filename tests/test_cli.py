@@ -288,6 +288,66 @@ def test_simulate_finds_certificate_next_to_tubes(tmp_path, solo_scenario):
     assert main(["simulate", str(solo_scenario), str(tubes), "--out", str(tmp_path / "b")]) == 0
 
 
+def test_synth_certificate_records_its_tubes_and_scenario(tmp_path, solo_scenario):
+    """The certificate holds the sha256 of the tube file written next to
+    it and of the scenario as loaded, before ``--epsilon``: the certified
+    tubes still run against the scenario file they came from."""
+    import hashlib
+
+    from sttube.scenario import scenario_to_dict
+
+    assert main(["synth", str(solo_scenario), "--epsilon", "0.02", "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "solo.cert.json").read_text())
+    tubes = tmp_path / "solo.tubes"
+    scenario = json.dumps(scenario_to_dict(scenario_from_dict(SOLO)), sort_keys=True)
+    assert cert["epsilon"] == 0.02
+    assert cert["tubes_sha256"] == hashlib.sha256(tubes.read_bytes()).hexdigest()
+    assert cert["scenario_sha256"] == hashlib.sha256(scenario.encode()).hexdigest()
+    assert main(["simulate", str(solo_scenario), str(tubes), "--out", str(tmp_path)]) == 0
+
+
+def test_simulate_refuses_the_certificate_of_other_tubes(tmp_path, mini_spec, capsys):
+    """A passing certificate lets only its own tubes run: mini's does not
+    gate the published robots tubes, which no certificate passes."""
+    from sttube import save_scenario
+
+    save_scenario(mini_spec, tmp_path / "mini.scenario")
+    assert main(["synth", str(tmp_path / "mini.scenario"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    code = main(["simulate", str(data_path("robots.scenario")), str(data_path("robots_table.tubes")),
+                 "--certificate", str(tmp_path / "mini.cert.json"), "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: certificate ") and "mini.cert.json" in err
+    assert "tubes_sha256 differs" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case,detail", [
+    ("edited-scenario", "scenario_sha256 differs"),
+    ("no-digests", "tubes_sha256 is missing"),
+], ids=["edited-scenario", "no-digests"])
+def test_simulate_refuses_a_certificate_of_another_scenario(tmp_path, solo_scenario, capsys,
+                                                            case, detail):
+    """A certificate is refused for a scenario edited after synthesis (a
+    disturbance seed here), and a passing certificate without the digests
+    gates nothing; ``--force`` still runs without the gate."""
+    assert main(["synth", str(solo_scenario), "--out", str(tmp_path)]) == 0
+    if case == "edited-scenario":
+        plant = dict(SOLO["plant"], disturbance=dict(SOLO["plant"]["disturbance"], seed=2))
+        solo_scenario.write_text(json.dumps(dict(SOLO, plant=plant)))
+    else:
+        (tmp_path / "solo.cert.json").write_text('{"passed": true}')
+    capsys.readouterr()
+    tubes = str(tmp_path / "solo.tubes")
+    code = main(["simulate", str(solo_scenario), tubes, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: certificate ") and "solo.cert.json" in err and detail in err
+    assert not (tmp_path / "run").exists()
+    assert main(["simulate", str(solo_scenario), tubes, "--force", "--out", str(tmp_path)]) == 0
+
+
 def test_simulate_weak_gain_fails_verification(tmp_path, solo_scenario, capsys):
     # a narrow valid tube for SOLO (lower 1.25 t^2, upper 1 + 1.25 t^2 in
     # both dims), which a gain of 1e-6 cannot track

@@ -81,6 +81,18 @@ def test_dimension_mismatch_raises():
         LpProblem(objective=[np.nan], ineq_matrix=[[1.0]], ineq_rhs=[1.0])
 
 
+@pytest.mark.parametrize("given,missing", [
+    ({"eq_rhs": [2.0]}, "eq_matrix"),
+    ({"eq_matrix": [[1.0, 1.0]]}, "eq_rhs"),
+], ids=["rhs-only", "matrix-only"])
+def test_half_an_equality_block_is_refused(given, missing):
+    """Equality rows need both their matrix and their right-hand side: an
+    ``eq_rhs`` alone would be dropped, and an ``eq_matrix`` alone is not a
+    row mismatch, so either is refused by naming the missing part."""
+    with pytest.raises(LpError, match=f"{missing} is missing"):
+        LpProblem([1.0, 1.0], [[1.0, -1.0]], [0.0], **given)
+
+
 def test_against_vertex_enumeration_oracle():
     rng = np.random.default_rng(2024)
     for _ in range(500):

@@ -72,8 +72,8 @@ def test_single_agent_instance_has_no_disjunctions():
         "obstacles": [],
     })
     samples = sample_unsafe(spec)
-    asg = seed_assignment(spec, samples)
     inst = build_sop(spec, samples)
+    asg = seed_assignment(inst)
     assert asg.dtype == np.int8 and asg.shape == (0, inst.n_t)
     # arena and width rows only, each the same whatever the (empty) table
     keys = np.arange(inst.groups * inst.n_t)
@@ -110,7 +110,7 @@ def test_start_pin_is_at_time_zero_on_degenerate_grid():
 
 def test_seed_picks_clear_dimension(mini_spec):
     samples = sample_unsafe(mini_spec)
-    collision, unsafe = _split(seed_assignment(mini_spec, samples), 2)
+    collision, unsafe = _split(seed_assignment(build_sop(mini_spec, samples)), 2)
     # obstacle sits at the arena center; both agents' straight paths run
     # right through it, so mid-horizon picks are tie-broken / clearance
     # driven, while early samples keep the largest-clearance dimension.
@@ -131,7 +131,7 @@ def test_seed_obstacle_strictly_left_means_above_everywhere():
                        "keyframes": [[0.0, [[0.5, 1.5], [0.5, 1.5]]]]}],
     })
     samples = sample_unsafe(spec)
-    _, unsafe = _split(seed_assignment(spec, samples), 1)
+    _, unsafe = _split(seed_assignment(build_sop(spec, samples)), 1)
     assert unsafe.size and (unsafe == 2 * 0 + 0).all()  # dim 1, lower face above
 
 
@@ -148,7 +148,7 @@ def test_seed_identical_references_tie_break_to_first_dim():
         "obstacles": [],
     })
     samples = sample_unsafe(spec)
-    collision, _ = _split(seed_assignment(spec, samples), 2)
+    collision, _ = _split(seed_assignment(build_sop(spec, samples)), 2)
     assert collision.size and (collision // 2 == 0).all()
 
 
@@ -157,12 +157,15 @@ def test_seed_matches_scalar_reference(robots_spec):
     to side 1 within a dim and to the lower dim across dims (by more than
     1e-15); collision pairs take the largest reference gap."""
     from sttube.scenario import unsafe_box_at
-    from sttube.synth import _reference_points
 
     samples = sample_unsafe(robots_spec)
-    refs = _reference_points(robots_spec, samples.time_samples)
+    # the straight line from each start-box center to its goal-box center
+    ends = np.array([[a.start, a.goal] for a in robots_spec.agents])  # (m, 2, n, lo/hi)
+    centers = 0.5 * (ends[..., 0] + ends[..., 1])
+    w = (samples.time_samples / robots_spec.horizon)[:, None]
+    refs = centers[:, None, 0] * (1.0 - w) + centers[:, None, 1] * w  # (m, n_t, n)
     m = robots_spec.agent_count
-    collision, unsafe = _split(seed_assignment(robots_spec, samples), m)
+    collision, unsafe = _split(seed_assignment(build_sop(robots_spec, samples)), m)
     pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
     for t_idx, t in enumerate(samples.time_samples):
         for r, region in enumerate(robots_spec.obstacles):
@@ -181,35 +184,40 @@ def test_seed_matches_scalar_reference(robots_spec):
             assert collision[p_idx, t_idx] == 2 * i + (0 if gaps[i] < 0 else 1)
 
 
-@pytest.mark.parametrize("case,rows,sample", [
-    ("robots", [], None),
-    ("moving_bar", [], None),
-    ("drones", [0, 1, 2, 3, 4, 5], 500),
-    ("mini", [0, 1, 2], 100),
+@pytest.mark.parametrize("case,rows,sample,table_digest", [
+    ("robots", [], None, "4f150f0158a8fcc0f07ead620cede1945c5da34619241184dc67e2cc1fa64e0e"),
+    ("moving_bar", [], None, "223589b4a4fac93016a33220e6aed9f07e9137000be1afe8e1abb14574f454d5"),
+    ("drones", [0, 1, 2, 3, 4, 5], 500,
+     "e84f3c6be35067f60eeeed1c0a61444004df894124e224686e24c03f02ac06a1"),
+    ("mini", [0, 1, 2], 100, "af6f9bdba14c50e7c78b86ff7b35ede76cf4105e921220dc3df9e54d2225cc65"),
 ], ids=["robots", "moving_bar", "drones", "mini"])
-def test_seed_differs_from_best_witnesses_only_at_exact_ties(case, rows, sample, request):
-    """``best_witnesses`` at the straight-line reference points (both faces
-    of a tube at its point) gives ``seed_assignment``'s table except at
-    exact two-side ties: every drones pair at mid-horizon, where all four
-    paths cross, and at mini's mid-horizon both of its agents' rows and
-    its pair's.  There the seed takes side 1 and ``best_witnesses`` side
-    0, both in dim 1.  These are the entries one witness rule, seeding
-    from ``best_witnesses``, would move."""
-    from sttube import data_path, load_scenario
-    from sttube.synth import _reference_points
+def test_seed_is_best_witnesses_at_the_straight_line_tube(case, rows, sample, table_digest,
+                                                          request):
+    """The seed is ``best_witnesses`` at the straight-line tube (both faces
+    of a tube on its path), and its table is the sha256-pinned one of the
+    former seed rule, which had its own clearances and ties.  The two
+    rules used to differ only at exact two-side ties: every drones pair
+    at mid-horizon, where all four paths cross, and at mini's mid-horizon
+    both of its agents' rows and its pair's.  Visiting side 1 first,
+    ``best_witnesses`` takes side 1 of dim 1 there (code 1), as the
+    former rule did."""
+    import hashlib
 
-    if case == "moving_bar":
-        spec = load_scenario(data_path("moving_bar.scenario"))
-    else:
-        spec = request.getfixturevalue(f"{case}_spec")
-    samples = sample_unsafe(spec)
-    inst = build_sop(spec, samples)
-    points = _reference_points(spec, inst.times).transpose(0, 2, 1)  # (m, n, n_t)
-    best, _ = inst.best_witnesses(np.stack([points, points], axis=2))
-    seed = seed_assignment(spec, samples)
-    g, t = np.nonzero(best != seed)
-    assert g.tolist() == rows and (t == sample).all()
-    assert (seed[g, t] == 1).all() and (best[g, t] == 0).all()
+    spec = request.getfixturevalue(f"{case}_spec")
+    inst = build_sop(spec, sample_unsafe(spec))
+    ends = np.array([[a.start, a.goal] for a in spec.agents])  # (m, 2, n, lo/hi)
+    centers = 0.5 * (ends[..., 0] + ends[..., 1])
+    w = (inst.times / spec.horizon)[:, None]
+    points = (centers[:, None, 0] * (1.0 - w) + centers[:, None, 1] * w).transpose(0, 2, 1)
+    faces = np.stack([points, points], axis=2)  # (m, n, 2, n_t)
+    best, _ = inst.best_witnesses(faces)
+    seed = seed_assignment(inst)
+    assert seed.dtype == np.int8 and seed.tobytes() == best.tobytes()
+    assert hashlib.sha256(seed.tobytes()).hexdigest() == table_digest
+    heads = _row_heads(inst)
+    for g in rows:
+        options = [_scalar_option(inst, faces, *heads[g], sample, c) for c in range(2 * inst.n)]
+        assert options[0] == options[1] == min(options) and seed[g, sample] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +470,13 @@ def _scalar_option(instance, faces, tag, head, t, code):
 
 
 def _sequential_best(values):
-    """The tie rule written out: options in code order, a later one wins
-    only by more than 1e-15; (value, code)."""
+    """The tie rule written out over the options ``values``, indexed by
+    code: each dim's side 1 before its side 0 (codes 1, 0, 3, 2, ...), a
+    later one wins only by more than 1e-15; (value, code)."""
     best = None
-    for code, v in enumerate(values):
-        if best is None or v < best[0] - 1e-15:
-            best = (v, code)
+    for code in (c ^ 1 for c in range(len(values))):
+        if best is None or values[code] < best[0] - 1e-15:
+            best = (values[code], code)
     return best
 
 
@@ -486,7 +495,7 @@ def test_contradictory_assignment_cannot_certify(mini_spec):
     certificate is possible."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    bad = seed_assignment(mini_spec, samples)
+    bad = seed_assignment(inst)
     # dim 1 at every sample, agent 1 below agent 2 at even samples and
     # above it at odd ones (witness code 2*dim + side); mini has one pair
     bad[0] = np.arange(inst.n_t) % 2
@@ -556,7 +565,7 @@ def test_witness_table_rows_follow_the_row_groups(tie_instance):
     (agent, region)'s."""
     inst = tie_instance
     regions, n_pairs = len(inst.spec.obstacles), len(inst.pairs)
-    codes = seed_assignment(inst.spec, inst.samples)
+    codes = seed_assignment(inst)
     assert codes.dtype == np.int8
     assert codes.shape == (n_pairs + inst.m * regions, inst.n_t)
     assert range(inst.groups)[inst.disjunct_groups] == range(
@@ -585,7 +594,7 @@ def test_refinement_never_writes_the_failure_table(mini_spec, mini_result, monke
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(mini_spec, samples)], diag)
+    solve_sop(inst, [seed_assignment(inst)], diag)
     beams, solve = [], synth.solve_sop
 
     def recording(instance, candidates, diagnostics, warm=None):
@@ -657,8 +666,9 @@ _TIE_FACE = st.builds(
 @given(data=st.data())
 def test_best_witness_tie_rule(tie_instance, data):
     """The streamed best witness of every disjunct row is the sequential
-    rule written out (options in code order, a later one wins only by
-    more than 1e-15), on faces planted with exact and near ties."""
+    rule written out (each dim's side 1 before its side 0, a later option
+    wins only by more than 1e-15), on faces planted with exact and near
+    ties."""
     inst = tie_instance
     shape = (inst.m, inst.n, 2, inst.n_t)
     size = int(np.prod(shape))
@@ -674,7 +684,7 @@ def test_best_witness_tie_rule(tie_instance, data):
 def _seed_solution(spec):
     samples = sample_unsafe(spec)
     inst = build_sop(spec, samples)
-    asg = seed_assignment(spec, samples)
+    asg = seed_assignment(inst)
     diag = SolveDiagnostics()
     solve_sop(inst, [asg], diag)
     return inst, asg, diag.x
@@ -953,10 +963,11 @@ def test_mini_fingerprint_independent_of_blas_threads(mini_in_subprocesses):
 @pytest.mark.parametrize("case,lps,lp_digest", [
     ("robots", 152, "1a73d8e0bc262a4ffef607449c59f6e4d61b2b088e419250bfcfe359c52cbabf"),
     ("drones", 155, "5efb08ac7525f00cc4fbdcb538f474d212952c67f25b5139c4faa980309e15e4"),
-], ids=["robots", "drones"])
+    ("moving_bar", 135, "5e0e9b72e8a83407852cc825e3af8f3998bad229d4e16e209c02e6f5c17dfe2e"),
+], ids=["robots", "drones", "moving_bar"])
 def test_drone_lp_sequence_digest(case, lps, lp_digest, request, monkeypatch):
-    """The sha256 over every LP the robots and drones searches solve, as
-    the mini subprocess takes it.  The first drones step proposes more
+    """The sha256 over every LP the robots, drones and moving-bar searches
+    solve, as the mini subprocess takes it.  The first drones step proposes more
     stuck-window candidates than a beam holds, so this pins which
     candidates ``BEAM_WIDTH`` keeps too."""
     import hashlib
@@ -1032,7 +1043,7 @@ def test_adversarial_seed_recovers(mini_spec):
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     # every witness moved to dim 2, keeping its side (codes 2*dim + side)
-    bad = 2 * 1 + seed_assignment(mini_spec, samples) % 2
+    bad = 2 * 1 + seed_assignment(inst) % 2
     diag = SolveDiagnostics()
     solve_sop(inst, [bad], diag)
     for _ in range(25):
@@ -1050,7 +1061,7 @@ def test_synthesize_returns_no_worse_than_first_certificate(mini_spec, mini_resu
     of -L * eps) must be improved on."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    asg = seed_assignment(mini_spec, samples)
+    asg = seed_assignment(inst)
     diag = SolveDiagnostics()
     solve_sop(inst, [asg], diag)
     for _ in range(25):
@@ -1240,7 +1251,7 @@ def test_pruning_keeps_every_winner_on_mini(mini_spec, mini_result, monkeypatch)
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(mini_spec, samples)], diag)
+    solve_sop(inst, [seed_assignment(inst)], diag)
     stopped = 0
     for _ in range(mini_result.iterations):
         diag, count = _check_pruning_keeps_the_winner(inst, diag, monkeypatch)
@@ -1254,7 +1265,7 @@ def test_pruning_keeps_the_first_robots_winner(robots_spec, monkeypatch):
     samples = sample_unsafe(robots_spec)
     inst = build_sop(robots_spec, samples)
     seed = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(robots_spec, samples)], seed)
+    solve_sop(inst, [seed_assignment(inst)], seed)
     winner, stopped = _check_pruning_keeps_the_winner(inst, seed, monkeypatch)
     assert winner is not None and stopped > 0
 
@@ -1266,7 +1277,7 @@ def test_floor_stops_keep_the_robots_winners(robots_spec, robots_result, monkeyp
     samples = sample_unsafe(robots_spec)
     inst = build_sop(robots_spec, samples)
     diag = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(robots_spec, samples)], diag)
+    solve_sop(inst, [seed_assignment(inst)], diag)
     at_floor = []
     for _ in range(robots_result.iterations):
         diag, _ = _check_pruning_keeps_the_winner(inst, diag, monkeypatch)
@@ -1284,7 +1295,7 @@ def test_duplicated_candidate_loses_to_its_earlier_copy(mini_spec):
     its eta floor, so nothing stops it there)."""
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    asg = seed_assignment(mini_spec, samples)
+    asg = seed_assignment(inst)
     seed = SolveDiagnostics()
     solve_sop(inst, [asg], seed)
     alone = _solve_alone(inst, asg, seed)
@@ -1372,7 +1383,7 @@ def test_solve_stops_at_the_eta_floor_with_the_first_finisher(monkeypatch):
     })
     samples = sample_unsafe(spec)
     inst = build_sop(spec, samples)
-    asg = seed_assignment(spec, samples)
+    asg = seed_assignment(inst)
     alone = _solve_alone(inst, asg, None)
     assert alone.lp_solves > 1
     assert alone.eta_star == pytest.approx(inst.eta_floor, abs=1e-12)
@@ -1394,7 +1405,7 @@ def test_identical_scoring_lps_are_solved_once(mini_spec, monkeypatch):
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
     seed = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(mini_spec, samples)], seed)
+    solve_sop(inst, [seed_assignment(inst)], seed)
     _, best_v = inst.best_witnesses(inst.face_values(seed.x))
     solve, score, calls = synth.solve_lp, synth._score_option, []
 
@@ -1422,7 +1433,7 @@ def test_no_solving_candidate_raises_the_first_error(mini_spec, monkeypatch):
 
     samples = sample_unsafe(mini_spec)
     inst = build_sop(mini_spec, samples)
-    asg = seed_assignment(mini_spec, samples)
+    asg = seed_assignment(inst)
     calls = []
 
     def failing(problem):
@@ -1455,7 +1466,7 @@ def test_suspended_candidates_hold_no_dense_state(robots_spec, monkeypatch):
     samples = sample_unsafe(robots_spec)
     inst = build_sop(robots_spec, samples)
     seed = SolveDiagnostics()
-    solve_sop(inst, [seed_assignment(robots_spec, samples)], seed)
+    solve_sop(inst, [seed_assignment(inst)], seed)
     beams, solve = [], synth.solve_sop
 
     def recording(instance, candidates, diagnostics=None, warm=None):
@@ -1489,7 +1500,7 @@ def test_warm_start_carries_exact_arena_rows(case, request):
     spec = request.getfixturevalue(f"{case}_spec")
     samples = sample_unsafe(spec)
     inst = build_sop(spec, samples)
-    asg = seed_assignment(spec, samples)
+    asg = seed_assignment(inst)
     first = SolveDiagnostics()
     solve_sop(inst, [asg], first)
     assert len(first.exact_times) > 0  # the first solve needed exact rows
@@ -1521,9 +1532,10 @@ def test_warm_start_carries_over_to_other_tube_degrees():
 
     spec = load_scenario(data_path("moving_bar.scenario"))
     samples = sample_unsafe(spec)
-    asg = seed_assignment(spec, samples)
+    seeded = build_sop(spec, samples)
+    asg = seed_assignment(seeded)
     first = SolveDiagnostics()
-    solve_sop(build_sop(spec, samples), [asg], first)
+    solve_sop(seeded, [asg], first)
     assert len(first.exact_times) == 6
     inst = build_sop(spec, samples, degree=4)
     assert (inst.z == 5).all() and inst.n_vars != len(first.x)
